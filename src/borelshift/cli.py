@@ -31,6 +31,7 @@ from .entropy import DEFAULT_TOL
 from .recurrence import UndecidableAtTolerance
 from .invariants import (
     InconclusiveAtTolerance,
+    InvariantPair,
     decide_almost_borel_iso,
     format_invariants,
     invariants_of,
@@ -103,17 +104,22 @@ def _parse_tol(text: str) -> Fraction:
     return tol
 
 
-def _sniff_invariants(text: str) -> bool:
+def _first_keyword(text: str) -> str | None:
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            return line.split()[0] == "gen"
-    return False
+            return line.split()[0]
+    return None
 
 
-def _pair_from_file(path: str, tol: Fraction):
+def _pair_from_file(path: str, tol: Fraction) -> InvariantPair:
     text = _read(path)
-    if _sniff_invariants(text):
+    first = _first_keyword(text)
+    if first is None:
+        # no content lines, as `analyze` prints for a shift whose measures
+        # all have zero entropy: the empty generator list says the same
+        return InvariantPair(())
+    if first == "gen":
         return parse_invariants(text)
     return invariants_of(parse_document(text), tol)
 

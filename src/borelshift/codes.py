@@ -285,10 +285,6 @@ def image_words(code: BlockCode, length: int) -> set[tuple[str, ...]]:
     return words
 
 
-def word_count(code: BlockCode, length: int) -> int:
-    return len(image_words(code, length))
-
-
 def image_entropy(code: BlockCode) -> ExtendedEntropy:
     """Entropy of the sofic image, via the determinized label automaton."""
     lg = code.labeled()

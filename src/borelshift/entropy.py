@@ -5,16 +5,24 @@ form stores the minimal polynomial of lambda with an isolating rational
 interval; the approximate form stores a certified rational enclosure of the
 entropy itself.  Zero and Infinity are explicit so that degenerate components
 and unattained suprema never masquerade as numeric values.
+
+The Perron root of a component of period p is enclosed through lambda^p, by
+Collatz-Wielandt bounds on an exact integer iteration of A^p + I.  A^p is
+block diagonal with primitive blocks of Perron root lambda^p, so the iteration
+converges at the rate of those blocks; iterating A + I instead contracts by
+only |lambda e^{2 pi i/p} + 1| / (lambda + 1) per step, which for long periods
+is a factor close to 1 (Lind & Marcus, Symbolic Dynamics and Coding, 4.5).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
 
-from .graphs import is_single_cycle, is_strongly_connected
+from .graphs import is_single_cycle, period_of_component
 from .intervals import RatInterval, log_fraction, log_interval
 from .presentations import FiniteGraph
 
@@ -215,46 +223,88 @@ def _charpoly_coeffs(mat) -> tuple[int, ...]:
 
 
 def collatz_wielandt_enclosure(
-    mat, rel_target: Fraction = Fraction(1, 10**13), max_iters: int = 60000
+    mat,
+    rel_target: Fraction = Fraction(1, 10**13),
+    max_iters: int = 60000,
+    period: int = 1,
 ) -> RatInterval:
-    """Certified enclosure of the Perron root of an irreducible nonnegative
-    integer matrix via min/max of (Av)_i / v_i over a positive vector.
+    """Certified enclosure of rho(A)^period for an irreducible nonnegative
+    integer matrix A via min/max of (A^p v)_i / v_i over a positive vector v.
 
-    The vector is iterated under A + I (primitive whenever A is irreducible),
-    entirely in integer arithmetic, so the returned bounds are exact.
+    The vector is iterated under A^p + I, entirely in integer arithmetic, so
+    the returned bounds are exact.  They hold for any positive v and any
+    p >= 1 (rho(A^p) = rho(A)^p), so a period other than the true one costs
+    speed, never correctness.  The iteration stops at relative width
+    period * rel_target, the same relative target on rho(A).  `max_iters` and
+    the batch lengths count products with A, which bounds the bits a batch can
+    add before the rescaling check the same way for every period.
     """
     n = len(mat)
     rows = [[(j, mij) for j, mij in enumerate(row) if mij] for row in mat]
     v = [1] * n
 
+    def apply(vec):
+        return [sum(m * vec[j] for j, m in rows[i]) for i in range(n)]
+
     def step(vec):
-        return [vec[i] + sum(m * vec[j] for j, m in rows[i]) for i in range(n)]
+        w = vec
+        for _ in range(period - 1):
+            w = apply(w)
+        return [vec[i] + sum(m * w[j] for j, m in rows[i]) for i in range(n)]
 
     def bounds(vec):
+        w = vec
+        for _ in range(period):
+            w = apply(w)
         lo = hi = None
         for i in range(n):
-            s = sum(m * vec[j] for j, m in rows[i])
-            q = Fraction(s, vec[i])
+            q = Fraction(w[i], vec[i])
             lo = q if lo is None or q < lo else lo
             hi = q if hi is None or q > hi else hi
         return lo, hi
 
+    target = period * rel_target
     batch = 4
     done = 0
     lo, hi = bounds(v)
     while done < max_iters:
-        for _ in range(batch):
+        steps = max(1, batch // period)
+        for _ in range(steps):
             v = step(v)
-        done += batch
+        done += steps * period
         top = max(v).bit_length()
         if top > 4096:
             shift = top - 1024
             v = [max(1, x >> shift) for x in v]
         lo, hi = bounds(v)
-        if hi - lo <= rel_target * lo:
+        if hi - lo <= target * lo:
             break
         batch = min(batch * 2, 1024)
     return RatInterval(lo, hi)
+
+
+def _root_enclosure(enc: RatInterval, p: int) -> RatInterval:
+    """Outward enclosure of {t^(1/p) : t in enc} for 0 < enc.lo, in exact rationals.
+
+    Float p-th roots seed the endpoints, which are then widened until
+    lo^p <= enc.lo and hi^p >= enc.hi hold exactly.
+    """
+    if p == 1:
+        return enc
+
+    def outward(x: Fraction, sign: int) -> Fraction:
+        # x = m 2^(qp + r) with m in (1/2, 2): no float overflow for any size of x
+        e = x.numerator.bit_length() - x.denominator.bit_length()
+        q, r = divmod(e, p)
+        m = float(x / Fraction(2) ** e)
+        root = Fraction(math.ldexp(math.exp((math.log(m) + r * math.log(2)) / p), q))
+        step = root / 2**50
+        while sign * (root**p - x) < 0:
+            root += sign * step
+            step *= 2
+        return root
+
+    return RatInterval(outward(enc.lo, -1), outward(enc.hi, 1))
 
 
 def perron_entropy(c: FiniteGraph, exact_cap: int = EXACT_VERTEX_CAP) -> ExtendedEntropy:
@@ -262,14 +312,14 @@ def perron_entropy(c: FiniteGraph, exact_cap: int = EXACT_VERTEX_CAP) -> Extende
 
     Exact algebraic whenever the characteristic polynomial is within reach
     (vertex count <= exact_cap); otherwise a certified interval of width
-    <= 1e-12.
+    <= 1e-12.  Either way the Perron root is enclosed through lambda^p, p the
+    period of the component (see collatz_wielandt_enclosure).
     """
-    if not is_strongly_connected(c):
-        raise ValueError("perron_entropy needs a strongly connected graph")
+    p = period_of_component(c)  # raises ValueError unless strongly connected
     if is_single_cycle(c):
         return ZERO_ENTROPY
     mat, _ = c.adjacency()
-    lam = collatz_wielandt_enclosure(mat)
+    lam_p = collatz_wielandt_enclosure(mat, period=p)
     if len(mat) <= exact_cap:
         coeffs = _charpoly_coeffs(mat)
 
@@ -280,9 +330,10 @@ def perron_entropy(c: FiniteGraph, exact_cap: int = EXACT_VERTEX_CAP) -> Extende
                 return RatInterval(mid, iv.hi)
             return RatInterval(iv.lo, mid)
 
-        return identify_algebraic(coeffs, lam, refine)
-    h = log_interval(lam, ENCLOSURE_WIDTH)
-    return IntervalApprox(h.lo, h.hi)
+        return identify_algebraic(coeffs, _root_enclosure(lam_p, p), refine)
+    # log(lambda) = log(lambda^p) / p: exact division keeps the width target
+    h = log_interval(lam_p, p * ENCLOSURE_WIDTH)
+    return IntervalApprox(h.lo / p, h.hi / p)
 
 
 def compare_entropy(a: ExtendedEntropy, b: ExtendedEntropy, tol: Fraction = DEFAULT_TOL) -> str:

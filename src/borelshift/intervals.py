@@ -80,15 +80,6 @@ class RatInterval:
 
     __rmul__ = __mul__
 
-    def hull(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def strictly_below(self, value) -> bool:
-        return self.hi < value
-
-    def strictly_above(self, value) -> bool:
-        return self.lo > value
-
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]~{float(self.mid):.12g}"
 

@@ -34,6 +34,8 @@ GALLERY_CAP = 4096
 STATE_CAP = 20000
 N_CAP = 64
 K_CAP = 64
+A_CHOICES = (4, 8, 16, 32)
+BUDGET_MESSAGE = "marker presentation exceeded the state budget"
 
 
 class PreconditionViolated(ValueError):
@@ -284,6 +286,8 @@ def build_marker_sft(
     def add_state(name: str, dom: str):
         states.append(name)
         symbol[name] = dom
+        if len(states) > state_cap:
+            raise BudgetExhausted(BUDGET_MESSAGE)
 
     for a, word in (("1", m1), ("2", m2)):
         for i, v in enumerate(word):
@@ -304,8 +308,6 @@ def build_marker_sft(
                 if i > 1:
                     edges.append((nodes[w[: i - 1]], nodes[p]))
         trie_nodes.append(nodes)
-        if len(states) > state_cap:
-            raise BudgetExhausted("marker presentation exceeded the state budget")
 
     def first_states(k):
         return {trie_nodes[k][w[:1]] for w in gallery}
@@ -412,13 +414,21 @@ def _marker_tier(
         except NoDistinctLoops:
             continue
         ell_lab = _label_word(lg2, ell)
+        # the markers at the smallest A plus one gallery word of length N are
+        # states of every candidate, and this floor grows with N
+        markers_floor = sum(
+            map(len, MarkerParams(base, ell, ell_t, A_CHOICES[0], 2, 2, 1).marker_words())
+        )
         for N in range(2, N_CAP + 1):
+            if markers_floor + N > state_cap:
+                last_error = BUDGET_MESSAGE
+                break
             gallery = _gallery(lg2, base, N, ell_lab, Fraction(1, 2))
             if len(gallery) < 2:
                 continue
             if log(len(gallery)) <= target_f * N:
                 continue  # this N can never clear the target
-            for A in (4, 8, 16, 32):
+            for A in A_CHOICES:
                 params = MarkerParams(base, ell, ell_t, A, 2, N, 1)
                 m1, m2 = params.marker_words()
                 M = max(len(m1), len(m2))

@@ -1,12 +1,14 @@
 """Command-line verbs, exit codes, and the re-parseable output contract."""
 
 import io
+import time
 
 import pytest
 
 from borelshift import (
     BlockCode,
     check_injective,
+    cycle_graph,
     format_code,
     format_presentation,
     full_shift_graph,
@@ -95,6 +97,19 @@ def test_compare_analyze_output_against_source(capsys, tmp_path, golden_file):
     inv = tmp_path / "inv.txt"
     inv.write_text(out)
     code, out2, _ = run(capsys, ["compare", str(inv), golden_file])
+    assert code == 0
+    assert kv(out2)["isomorphic"] == "true"
+
+
+def test_compare_zero_entropy_analyze_output_against_source(capsys, tmp_path):
+    # analyze prints only comment lines for a shift of zero entropy
+    cycle = tmp_path / "cycle2.txt"
+    cycle.write_text(format_presentation(cycle_graph(2)))
+    _, out, _ = run(capsys, ["analyze", str(cycle)])
+    assert all(l.startswith("#") for l in out.splitlines() if l.strip())
+    inv = tmp_path / "inv.txt"
+    inv.write_text(out)
+    code, out2, _ = run(capsys, ["compare", str(inv), str(cycle)])
     assert code == 0
     assert kv(out2)["isomorphic"] == "true"
 
@@ -204,6 +219,16 @@ def test_embed_budget_flag(capsys, even_code_file):
     )
     assert capped == plain
     assert plain[0] == 0
+
+
+def test_embed_small_budget_gives_up_early(capsys, even_code_file):
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, ["embed", even_code_file, "--target", "0.2", "--budget", "5"]
+    )
+    assert code == 2
+    assert "marker presentation exceeded the state budget" in err
+    assert time.perf_counter() - start < 10.0
 
 
 # === bowen ===

@@ -20,7 +20,7 @@ from borelshift import (
     max_entropy,
     perron_entropy,
 )
-from borelshift.entropy import collatz_wielandt_enclosure, identify_algebraic
+from borelshift.entropy import ENCLOSURE_WIDTH, collatz_wielandt_enclosure, identify_algebraic
 from borelshift.intervals import (
     RatInterval,
     exp_fraction,
@@ -98,12 +98,24 @@ def test_perron_entropy_weights_parallel_edges():
     assert h.rational_root() == 3
 
 
+def doubled_three_cycle():
+    """Period 3 with lambda^3 = 2: a 3-cycle with one edge doubled."""
+    return FiniteGraph(("a", "b", "c"), (("a", "b"), ("a", "b"), ("b", "c"), ("c", "a")))
+
+
+def test_period_three_graph_is_exact_cube_root():
+    h = perron_entropy(doubled_three_cycle())
+    assert isinstance(h, ExactAlgebraic)
+    assert h.minpoly == (-2, 0, 0, 1)
+    assert h.root_lo**3 <= 2 <= h.root_hi**3
+
+
 def test_interval_fallback_above_exact_cap():
-    g = golden_mean_graph()
-    h = perron_entropy(g, exact_cap=1)
-    assert isinstance(h, IntervalApprox)
-    assert h.hi - h.lo <= Fraction(1, 10**10)
-    assert compare_entropy(h, perron_entropy(g)) == "eq"
+    for g in (golden_mean_graph(), doubled_three_cycle()):
+        h = perron_entropy(g, exact_cap=1)
+        assert isinstance(h, IntervalApprox)
+        assert h.hi - h.lo <= ENCLOSURE_WIDTH
+        assert compare_entropy(h, perron_entropy(g)) == "eq"
 
 
 def test_collatz_wielandt_enclosure_tightness():
@@ -111,6 +123,16 @@ def test_collatz_wielandt_enclosure_tightness():
     iv = collatz_wielandt_enclosure(mat)
     assert iv.lo**2 - iv.lo - 1 <= 0 <= iv.hi**2 - iv.hi - 1
     assert iv.width <= Fraction(1, 10**13) * iv.lo
+
+
+@pytest.mark.parametrize("period", [1, 3])
+def test_collatz_wielandt_encloses_lambda_to_the_period(period):
+    # the bounds enclose rho(A)^p for any p >= 1; p = 3 is the true period
+    mat, _ = doubled_three_cycle().adjacency()
+    iv = collatz_wielandt_enclosure(mat, period=period)
+    k = 3 // period  # iv encloses lambda^period, and lambda^3 = 2
+    assert iv.lo**k <= 2 <= iv.hi**k
+    assert iv.width <= period * Fraction(1, 10**13) * iv.lo
 
 
 def test_identify_algebraic_picks_the_perron_factor():
