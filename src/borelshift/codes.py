@@ -122,11 +122,13 @@ def label_fiber_product(a: LabeledGraph, b: LabeledGraph) -> FiniteGraph:
         for v in by_label.get(la[u], ())
     ]
     vset = set(verts)
+    succ_b = {v: b.graph.successors(v) for v in b.graph.vertices}
     edges = []
     for u in a.graph.vertices:
+        succ_u = a.graph.successors(u)
         for v in by_label.get(la[u], ()):
-            for u2 in a.graph.successors(u):
-                for v2 in b.graph.successors(v):
+            for u2 in succ_u:
+                for v2 in succ_b[v]:
                     if la[u2] == lb[v2]:
                         edges.append((pair_name(u, v), pair_name(u2, v2)))
     edges = [(p, q) for p, q in edges if p in vset and q in vset]
@@ -135,26 +137,26 @@ def label_fiber_product(a: LabeledGraph, b: LabeledGraph) -> FiniteGraph:
 
 def prune_to_biinfinite(g: FiniteGraph) -> FiniteGraph:
     """Largest subgraph in which every vertex has a predecessor and successor."""
-    outdeg = {v: len(g.successors(v)) for v in g.vertices}
-    indeg = {v: len(g.predecessors(v)) for v in g.vertices}
-    dead = [v for v in g.vertices if not outdeg[v] or not indeg[v]]
-    alive = set(g.vertices) - set(dead)
+    idx = g.index()
+    outdeg = [len(row) for row in idx.succ]
+    indeg = [len(row) for row in idx.pred]
+    alive = [o > 0 and i > 0 for o, i in zip(outdeg, indeg)]
+    dead = [v for v, ok in enumerate(alive) if not ok]
     while dead:
         v = dead.pop()
-        for w in g.predecessors(v):
-            if w in alive:
+        for w, _ in idx.pred[v]:
+            if alive[w]:
                 outdeg[w] -= 1
                 if outdeg[w] == 0:
-                    alive.discard(w)
+                    alive[w] = False
                     dead.append(w)
-        for w in g.successors(v):
-            if w in alive:
+        for w, _ in idx.succ[v]:
+            if alive[w]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
-                    alive.discard(w)
+                    alive[w] = False
                     dead.append(w)
-    keep = tuple(v for v in g.vertices if v in alive)
-    return g.induced(keep)
+    return g.induced(v for v in g.vertices if alive[idx.pos[v]])
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ block diagonal with primitive blocks of Perron root lambda^p, so the iteration
 converges at the rate of those blocks; iterating A + I instead contracts by
 only |lambda e^{2 pi i/p} + 1| / (lambda + 1) per step, which for long periods
 is a factor close to 1 (Lind & Marcus, Symbolic Dynamics and Coding, 4.5).
+The iteration reads the sparse successor rows of the graph's integer index,
+so its cost per step is linear in the edges; the dense adjacency matrix is
+built only for the characteristic polynomial, at EXACT_VERTEX_CAP vertices
+or fewer.
 """
 
 from __future__ import annotations
@@ -223,7 +227,7 @@ def _charpoly_coeffs(mat) -> tuple[int, ...]:
 
 
 def collatz_wielandt_enclosure(
-    mat,
+    rows,
     rel_target: Fraction = Fraction(1, 10**13),
     max_iters: int = 60000,
     period: int = 1,
@@ -231,16 +235,17 @@ def collatz_wielandt_enclosure(
     """Certified enclosure of rho(A)^period for an irreducible nonnegative
     integer matrix A via min/max of (A^p v)_i / v_i over a positive vector v.
 
-    The vector is iterated under A^p + I, entirely in integer arithmetic, so
-    the returned bounds are exact.  They hold for any positive v and any
-    p >= 1 (rho(A^p) = rho(A)^p), so a period other than the true one costs
-    speed, never correctness.  The iteration stops at relative width
-    period * rel_target, the same relative target on rho(A).  `max_iters` and
-    the batch lengths count products with A, which bounds the bits a batch can
-    add before the rescaling check the same way for every period.
+    A is given by its sparse rows: rows[i] lists (j, A[i][j]) for the nonzero
+    entries, as in FiniteGraph.index().succ.  The vector is iterated under
+    A^p + I, entirely in integer arithmetic, so the returned bounds are exact.
+    They hold for any positive v and any p >= 1 (rho(A^p) = rho(A)^p), so a
+    period other than the true one costs speed, never correctness.  The
+    iteration stops at relative width period * rel_target, the same relative
+    target on rho(A).  `max_iters` and the batch lengths count products with
+    A, which bounds the bits a batch can add before the rescaling check the
+    same way for every period.
     """
-    n = len(mat)
-    rows = [[(j, mij) for j, mij in enumerate(row) if mij] for row in mat]
+    n = len(rows)
     v = [1] * n
 
     def apply(vec):
@@ -318,10 +323,10 @@ def perron_entropy(c: FiniteGraph, exact_cap: int = EXACT_VERTEX_CAP) -> Extende
     p = period_of_component(c)  # raises ValueError unless strongly connected
     if is_single_cycle(c):
         return ZERO_ENTROPY
-    mat, _ = c.adjacency()
-    lam_p = collatz_wielandt_enclosure(mat, period=p)
-    if len(mat) <= exact_cap:
-        coeffs = _charpoly_coeffs(mat)
+    rows = c.index().succ
+    lam_p = collatz_wielandt_enclosure(rows, period=p)
+    if len(rows) <= exact_cap:
+        coeffs = _charpoly_coeffs(c.adjacency()[0])
 
         def refine(iv: RatInterval) -> RatInterval:
             # keep the upper part: the Perron root is the largest real root

@@ -1,91 +1,145 @@
-"""Irreducible components, periods, cyclic classes, and loop counting."""
+"""Irreducible components, periods, cyclic classes, and loop counting.
+
+Everything here walks a graph through its compiled integer index
+(`FiniteGraph.index()`): vertex positions in sorted name order and sparse
+successor and predecessor rows of (position, multiplicity).  One Tarjan pass
+gives every vertex a component id, so splitting a graph into its irreducible
+components is linear in vertices plus edges however many components it has.
+"""
 
 from __future__ import annotations
 
 import math
 from typing import Union
 
-from .presentations import FiniteGraph, LoopSchema, ShiftPresentation
+from .presentations import FiniteGraph, GraphIndex, LoopSchema, ShiftPresentation
 
 
-def strongly_connected_components(graph: FiniteGraph) -> list[list[str]]:
-    """Tarjan's algorithm, iterative; components sorted by smallest member."""
-    succ = {v: [] for v in graph.vertices}
-    for v, w in set(graph.edges):
-        succ[v].append(w)
-    for v in succ:
-        succ[v].sort()
+def _component_ids(idx: GraphIndex) -> tuple[list[int], int]:
+    """Tarjan's algorithm, iterative, on the integer index.
 
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
+    Returns the component id of every vertex position and the number of
+    components; ids are numbered by each component's smallest position.
+    """
+    n = len(idx.order)
+    succ = idx.succ
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    found = [-1] * n  # completion number of each vertex's component
+    done = 0
     counter = 0
-    components: list[list[str]] = []
 
-    for root in sorted(graph.vertices):
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
         work = [(root, iter(succ[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             v, it = work[-1]
             advanced = False
-            for w in it:
-                if w not in index:
+            for w, _ in it:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
+                    on_stack[w] = True
                     work.append((w, iter(succ[w])))
                     advanced = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             work.pop()
             if work:
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
             if low[v] == index[v]:
-                comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
+                    on_stack[w] = False
+                    found[w] = done
                     if w == v:
                         break
-                components.append(sorted(comp))
-    components.sort(key=lambda c: c[0])
-    return components
+                done += 1
+    # scanning positions upward meets each component first at its smallest member
+    first: dict[int, int] = {}
+    return [first.setdefault(c, len(first)) for c in found], done
+
+
+def strongly_connected_components(graph: FiniteGraph) -> list[list[str]]:
+    """Vertex sets of the strongly connected components, each sorted, sorted by
+    smallest member."""
+    idx = graph.index()
+    comp, count = _component_ids(idx)
+    out: list[list[str]] = [[] for _ in range(count)]
+    for i, v in enumerate(idx.order):
+        out[comp[i]].append(v)
+    return out
 
 
 def is_strongly_connected(graph: FiniteGraph) -> bool:
-    comps = strongly_connected_components(graph)
-    return len(comps) == 1 and component_has_cycle(graph, comps[0])
+    """One component, and it carries an edge (so a single vertex needs a loop)."""
+    return bool(graph.edges) and _component_ids(graph.index())[1] == 1
 
 
 def component_has_cycle(graph: FiniteGraph, comp: list[str]) -> bool:
-    cset = set(comp)
-    return any(v in cset and w in cset for v, w in graph.edges)
+    """True iff some edge of `graph` has both ends in the component `comp`."""
+    idx = graph.index()
+    inside = {idx.pos[v] for v in comp}
+    return any(j in inside for i in inside for j, _ in idx.succ[i])
 
 
 def irreducible_components(p: ShiftPresentation) -> list[tuple[str, ShiftPresentation]]:
-    """Irreducible components with stable ids; loop schemas are their own component."""
+    """Irreducible components with stable ids; loop schemas are their own component.
+
+    A component is a strongly connected component with at least one internal
+    edge, induced in the original vertex order, edge order and edge names;
+    ids c0, c1, ... follow the components' smallest vertex names.
+    """
     if isinstance(p, LoopSchema):
         return [("c0", p)]
+    idx = p.index()
+    comp, count = _component_ids(idx)
+    pos = idx.pos
+    verts: list[list[str]] = [[] for _ in range(count)]
+    edges: list[list[tuple[str, str]]] = [[] for _ in range(count)]
+    names: list[list[str]] = [[] for _ in range(count)]
+    for v in p.vertices:
+        verts[comp[pos[v]]].append(v)
+    for e, name in zip(p.edges, p.edge_names):
+        c = comp[pos[e[0]]]
+        if c == comp[pos[e[1]]]:
+            edges[c].append(e)
+            names[c].append(name)
     out = []
-    i = 0
-    for comp in strongly_connected_components(p):
-        if not component_has_cycle(p, comp):
-            continue
-        out.append((f"c{i}", p.induced(comp)))
-        i += 1
+    for c in range(count):
+        if edges[c]:
+            sub = FiniteGraph(tuple(verts[c]), tuple(edges[c]), tuple(names[c]))
+            out.append((f"c{len(out)}", sub))
     return out
+
+
+def _distances(idx: GraphIndex) -> list[int]:
+    """Breadth-first distance of every position from position 0 (-1: unreached)."""
+    dist = [-1] * len(idx.order)
+    dist[0] = 0
+    queue = [0]
+    while queue:
+        nxt = []
+        for v in queue:
+            for w, _ in idx.succ[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        queue = nxt
+    return dist
 
 
 def period_of_component(c: Union[FiniteGraph, LoopSchema]) -> int:
@@ -94,21 +148,12 @@ def period_of_component(c: Union[FiniteGraph, LoopSchema]) -> int:
         return schema_period(c)
     if not is_strongly_connected(c):
         raise ValueError("period is defined for strongly connected graphs only")
-    root = sorted(c.vertices)[0]
-    dist = {root: 0}
-    queue = [root]
-    succ = {v: c.successors(v) for v in c.vertices}
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in succ[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        queue = nxt
+    idx = c.index()
+    dist = _distances(idx)
     g = 0
-    for v, w in set(c.edges):
-        g = math.gcd(g, dist[v] + 1 - dist[w])
+    for v, row in enumerate(idx.succ):
+        for w, _ in row:
+            g = math.gcd(g, dist[v] + 1 - dist[w])
     return g
 
 
@@ -151,34 +196,26 @@ def schema_period(schema: LoopSchema) -> int:
 def cyclic_classes(c: FiniteGraph, period: int | None = None) -> list[list[str]]:
     """Partition D_0..D_{p-1} with every edge moving one class forward."""
     p = period if period is not None else period_of_component(c)
-    root = sorted(c.vertices)[0]
-    dist = {root: 0}
-    queue = [root]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in c.successors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        queue = nxt
+    idx = c.index()
+    dist = _distances(idx)
+    if min(dist) < 0:
+        raise ValueError("cyclic classes are defined for strongly connected graphs only")
     classes = [[] for _ in range(p)]
-    for v in sorted(c.vertices):
-        classes[dist[v] % p].append(v)
-    for v, w in c.edges:
-        if (dist[v] + 1) % p != dist[w] % p:
-            raise AssertionError("cyclic class consistency violated")
+    for i, v in enumerate(idx.order):
+        classes[dist[i] % p].append(v)
+    for v, row in enumerate(idx.succ):
+        for w, _ in row:
+            if (dist[v] + 1) % p != dist[w] % p:
+                raise AssertionError("cyclic class consistency violated")
     return classes
 
 
 def is_single_cycle(c: FiniteGraph) -> bool:
     """True iff the component is one periodic orbit (every degree exactly 1)."""
-    out_deg = {v: 0 for v in c.vertices}
-    in_deg = {v: 0 for v in c.vertices}
-    for v, w in c.edges:
-        out_deg[v] += 1
-        in_deg[w] += 1
-    return all(out_deg[v] == 1 and in_deg[v] == 1 for v in c.vertices)
+    idx = c.index()
+    return all(len(r) == 1 and r[0][1] == 1 for r in idx.succ) and all(
+        len(r) == 1 and r[0][1] == 1 for r in idx.pred
+    )
 
 
 def first_return_counts(c: FiniteGraph, base: str, limit: int) -> list[int]:
@@ -188,19 +225,17 @@ def first_return_counts(c: FiniteGraph, base: str, limit: int) -> list[int]:
     """
     if base not in c.vertices:
         raise ValueError(f"base {base!r} not a vertex")
-    succ: dict[str, dict[str, int]] = {}
-    for v, w in c.edges:
-        row = succ.setdefault(v, {})
-        row[w] = row.get(w, 0) + 1
+    idx = c.index()
+    b = idx.pos[base]
     f = [0] * (limit + 1)
     # weight[v] = number of paths base -> v of current length avoiding base in between
-    weight = {base: 1}
+    weight = {b: 1}
     for step in range(1, limit + 1):
-        new: dict[str, int] = {}
+        new: dict[int, int] = {}
         for v, wv in weight.items():
-            for w, mult in succ.get(v, {}).items():
+            for w, mult in idx.succ[v]:
                 new[w] = new.get(w, 0) + wv * mult
-        f[step] = new.pop(base, 0)
+        f[step] = new.pop(b, 0)
         weight = new
         if not weight:
             break

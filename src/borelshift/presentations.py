@@ -8,9 +8,10 @@ through a line-oriented document format.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 
 class ParseError(ValueError):
@@ -157,6 +158,52 @@ class LoopSchema:
         return max((n for n, c in self.counts if c > 0), default=0)
 
 
+class GraphIndex(NamedTuple):
+    """Integer form of a FiniteGraph: the one index its algorithms walk.
+
+    `order` is the sorted vertex tuple and `pos` maps a name to its position,
+    so integer order is name order.  `succ[i]` and `pred[i]` list
+    (j, multiplicity) for the distinct edges i -> j and j -> i, j ascending.
+    """
+
+    order: tuple[str, ...]
+    pos: dict[str, int]
+    succ: list[tuple[tuple[int, int], ...]]
+    pred: list[tuple[tuple[int, int], ...]]
+
+    @staticmethod
+    def compile(vertices, edges) -> "GraphIndex":
+        order = tuple(sorted(vertices))
+        n = len(order)
+        pos = {v: i for i, v in enumerate(order)}
+        unit = [(i, 1) for i in pos.values()]  # one shared entry per multiplicity-1 target
+
+        def rows(codes: list[int]) -> list[tuple[tuple[int, int], ...]]:
+            # codes are i * n + j, one per edge; equal codes are parallel edges
+            out: list[tuple[tuple[int, int], ...]] = [()] * n
+            row: list[tuple[int, int]] = []
+            last_i = last = -1
+            for c in sorted(codes):
+                if c == last:
+                    row[-1] = (row[-1][0], row[-1][1] + 1)
+                    continue
+                i, j = divmod(c, n)
+                if i != last_i:
+                    if row:
+                        out[last_i] = tuple(row)
+                    row = []
+                    last_i = i
+                row.append(unit[j])
+                last = c
+            if row:
+                out[last_i] = tuple(row)
+            return out
+
+        succ = rows([pos[v] * n + pos[w] for v, w in edges])
+        pred = rows([pos[w] * n + pos[v] for v, w in edges])
+        return GraphIndex(order, pos, succ, pred)
+
+
 @dataclass(frozen=True)
 class FiniteGraph:
     """Finite directed multigraph; repeated edges carry multiplicity.
@@ -187,48 +234,43 @@ class FiniteGraph:
 
     @staticmethod
     def from_edges(edges, extra_vertices=()) -> "FiniteGraph":
-        vs = []
-        for v, w in edges:
-            for u in (v, w):
-                if u not in vs:
-                    vs.append(u)
-        for u in extra_vertices:
-            if u not in vs:
-                vs.append(u)
-        return FiniteGraph(tuple(sorted(vs)), tuple(edges))
+        edges = tuple(edges)
+        vs = dict.fromkeys(u for e in edges for u in e)
+        vs.update(dict.fromkeys(extra_vertices))
+        return FiniteGraph(tuple(sorted(vs)), edges)
 
-    def _adjacency_maps(self) -> tuple[dict, dict]:
-        cached = getattr(self, "_adj_cache", None)
-        if cached is None:
-            succ: dict[str, set] = {v: set() for v in self.vertices}
-            pred: dict[str, set] = {v: set() for v in self.vertices}
-            for a, w in self.edges:
-                succ[a].add(w)
-                pred[w].add(a)
-            cached = (
-                {v: sorted(s) for v, s in succ.items()},
-                {v: sorted(s) for v, s in pred.items()},
-            )
-            object.__setattr__(self, "_adj_cache", cached)
-        return cached
+    def index(self) -> GraphIndex:
+        """The compiled integer index, built on first use and cached."""
+        try:
+            return self._index
+        except AttributeError:
+            idx = GraphIndex.compile(self.vertices, self.edges)
+            object.__setattr__(self, "_index", idx)
+            return idx
 
     def successors(self, v: str) -> list[str]:
-        return self._adjacency_maps()[0][v]
+        idx = self.index()
+        return [idx.order[j] for j, _ in idx.succ[idx.pos[v]]]
 
     def predecessors(self, v: str) -> list[str]:
-        return self._adjacency_maps()[1][v]
+        idx = self.index()
+        return [idx.order[j] for j, _ in idx.pred[idx.pos[v]]]
 
     def multiplicity(self, v: str, w: str) -> int:
-        return sum(1 for a, b in self.edges if a == v and b == w)
+        idx = self.index()
+        row = idx.succ[idx.pos[v]]
+        j = idx.pos[w]
+        k = bisect_left(row, (j, 0))
+        return row[k][1] if k < len(row) and row[k][0] == j else 0
 
     def adjacency(self) -> tuple[list[list[int]], list[str]]:
         """Multiplicity-weighted adjacency matrix plus the vertex order used."""
-        order = sorted(self.vertices)
-        index = {v: i for i, v in enumerate(order)}
-        mat = [[0] * len(order) for _ in order]
-        for v, w in self.edges:
-            mat[index[v]][index[w]] += 1
-        return mat, order
+        idx = self.index()
+        mat = [[0] * len(idx.order) for _ in idx.order]
+        for i, row in enumerate(idx.succ):
+            for j, m in row:
+                mat[i][j] = m
+        return mat, list(idx.order)
 
     def has_parallel_edges(self) -> bool:
         return len(set(self.edges)) != len(self.edges)
@@ -311,13 +353,12 @@ def parse_presentation(text: str) -> ShiftPresentation:
 
 
 def _parse_graph_body(lines, header_line) -> FiniteGraph:
-    vertices: list[str] = []
+    vertices: dict[str, None] = {}  # insertion-ordered set
     edges: list[tuple[str, str]] = []
     names: list[Optional[str]] = []
 
     def declare(v: str):
-        if v not in vertices:
-            vertices.append(v)
+        vertices.setdefault(v, None)
 
     for lineno, toks in lines:
         if toks[0] == "vertex":

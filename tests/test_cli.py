@@ -90,6 +90,24 @@ def test_analyze_reads_stdin(capsys, monkeypatch, golden_file):
     assert parse_invariants(out).generators
 
 
+def test_analyze_many_small_components_scales(capsys, tmp_path):
+    # 5,000 two-cycles, each fed by a two-vertex tail: 20,000 vertices and
+    # 20,000 strongly connected components, half of them irreducible
+    lines = ["graph"]
+    for k in range(5000):
+        lines += [f"edge a{k} b{k}", f"edge b{k} a{k}", f"edge t{k} u{k}", f"edge u{k} a{k}"]
+    doc = tmp_path / "forest.txt"
+    doc.write_text("\n".join(lines) + "\n")
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, ["analyze", str(doc)])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    reports = [line for line in out.splitlines() if line.startswith("# component=")]
+    assert len(reports) == 5000
+    assert all("period=2 entropy=0" in line for line in reports)
+    assert elapsed < 5.0
+
+
 # === compare ===
 
 def test_compare_analyze_output_against_source(capsys, tmp_path, golden_file):

@@ -119,8 +119,8 @@ def test_interval_fallback_above_exact_cap():
 
 
 def test_collatz_wielandt_enclosure_tightness():
-    mat = [[1, 1], [1, 0]]
-    iv = collatz_wielandt_enclosure(mat)
+    rows = [[(0, 1), (1, 1)], [(0, 1)]]  # the matrix [[1, 1], [1, 0]]
+    iv = collatz_wielandt_enclosure(rows)
     assert iv.lo**2 - iv.lo - 1 <= 0 <= iv.hi**2 - iv.hi - 1
     assert iv.width <= Fraction(1, 10**13) * iv.lo
 
@@ -128,8 +128,8 @@ def test_collatz_wielandt_enclosure_tightness():
 @pytest.mark.parametrize("period", [1, 3])
 def test_collatz_wielandt_encloses_lambda_to_the_period(period):
     # the bounds enclose rho(A)^p for any p >= 1; p = 3 is the true period
-    mat, _ = doubled_three_cycle().adjacency()
-    iv = collatz_wielandt_enclosure(mat, period=period)
+    rows = doubled_three_cycle().index().succ
+    iv = collatz_wielandt_enclosure(rows, period=period)
     k = 3 // period  # iv encloses lambda^period, and lambda^3 = 2
     assert iv.lo**k <= 2 <= iv.hi**k
     assert iv.width <= period * Fraction(1, 10**13) * iv.lo

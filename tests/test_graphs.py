@@ -94,6 +94,58 @@ def test_irreducible_components_skips_acyclic_parts():
     assert all("m" not in sub.vertices for _, sub in comps)
 
 
+def brute_irreducible_components(vertices, edges, names):
+    """SCCs with at least one internal edge, by mutual reachability, each
+    induced in the original vertex order, edge order and edge names, with ids
+    c0, c1, ... in the order of each component's smallest vertex name."""
+    reach = {v: {v} for v in vertices}
+    changed = True
+    while changed:
+        changed = False
+        for u, w in edges:
+            for src in vertices:
+                if u in reach[src] and w not in reach[src]:
+                    reach[src].add(w)
+                    changed = True
+    sccs = {frozenset(w for w in vertices if v in reach[w] and w in reach[v]) for v in vertices}
+    out = []
+    for comp in sorted(sccs, key=min):
+        pairs = [(e, n) for e, n in zip(edges, names) if e[0] in comp and e[1] in comp]
+        if pairs:
+            out.append((
+                f"c{len(out)}",
+                tuple(v for v in vertices if v in comp),
+                tuple(e for e, _ in pairs),
+                tuple(n for _, n in pairs),
+            ))
+    return out
+
+
+def test_irreducible_components_match_brute_force_definition():
+    rng = random.Random(4417)
+    for trial in range(150):
+        n = rng.randint(1, 9)
+        vs = [f"v{i}" for i in range(n)]
+        rng.shuffle(vs)  # declaration order differs from name order
+        # parallel edges and self-loops come from independent draws
+        edges = [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, 2 * n))]
+        # some edges feed an extra acyclic vertex, one way only
+        if rng.random() < 0.5:
+            vs.append("sink")
+            edges.append((rng.choice(vs[:-1]), "sink"))
+        if trial % 2:
+            names = [f"x{k}" for k in range(len(edges))]
+            rng.shuffle(names)
+        else:
+            names = [f"e{k}" for k in range(len(edges))]
+        g = FiniteGraph(tuple(vs), tuple(edges), tuple(names))
+        want = brute_irreducible_components(vs, edges, names)
+        got = [(cid, c.vertices, c.edges, c.edge_names) for cid, c in irreducible_components(g)]
+        assert got == want
+        strongly = len(want) == 1 and len(want[0][1]) == len(vs)
+        assert is_strongly_connected(g) == strongly
+
+
 # === periods ===
 
 def test_period_hand_cases():
