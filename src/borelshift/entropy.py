@@ -16,6 +16,13 @@ The iteration reads the sparse successor rows of the graph's integer index,
 so its cost per step is linear in the edges; the dense adjacency matrix is
 built only for the characteristic polynomial, at EXACT_VERTEX_CAP vertices
 or fewer.
+
+identify_algebraic turns an enclosure of the largest real root of an integer
+polynomial (a Perron root, by Perron-Frobenius; 1/r for the reversed
+first-return polynomial of a loop schema) into its minimal polynomial and an
+isolating interval: one root inside, no equal nonzero signs at the ends
+(isolates_one_root).  Two such intervals of one minimal polynomial hold the
+same root exactly when it changes sign across, or vanishes on, their overlap.
 """
 
 from __future__ import annotations
@@ -175,8 +182,10 @@ def _poly_eval(coeffs: tuple[int, ...], x: Fraction) -> Fraction:
 
 
 def _bisect_simple_root(coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """One bisection step; requires a sign change across [lo, hi]."""
+    """One bisection step; requires a sign change across [lo, hi] or a root at lo."""
     flo = _poly_eval(coeffs, lo)
+    if flo == 0:
+        return lo, lo
     mid = (lo + hi) / 2
     fmid = _poly_eval(coeffs, mid)
     if fmid == 0:
@@ -186,38 +195,54 @@ def _bisect_simple_root(coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, F
     return mid, hi
 
 
-def _count_roots(coeffs, lo: Fraction, hi: Fraction) -> int:
+def _brackets_root(coeffs, lo: Fraction, hi: Fraction) -> bool:
+    """coeffs does not take the same nonzero sign at lo and at hi."""
+    return _poly_eval(coeffs, lo) * _poly_eval(coeffs, hi) <= 0
+
+
+def _roots_in(poly: sympy.Poly, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of poly in [lo, hi], by continued-fraction isolation
+    (fast at degree 64 and beyond, where Sturm sequences over QQ take seconds)."""
+    return len(poly.intervals(inf=sympy.Rational(lo), sup=sympy.Rational(hi)))
+
+
+def isolates_one_root(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> bool:
+    """The isolating-interval rule: [lo, hi] holds exactly one real root of
+    coeffs, and coeffs does not take the same nonzero sign at both ends."""
     poly = sympy.Poly(list(reversed(coeffs)), _X, domain="QQ")
-    return poly.count_roots(sympy.Rational(lo), sympy.Rational(hi))
+    return lo <= hi and _roots_in(poly, lo, hi) == 1 and _brackets_root(coeffs, lo, hi)
 
 
-def identify_algebraic(coeffs: tuple[int, ...], enclosure: RatInterval, refine) -> ExactAlgebraic:
-    """Minimal polynomial of the unique root of `coeffs` inside `enclosure`.
+def identify_algebraic(coeffs: tuple[int, ...], enclosure: RatInterval) -> ExactAlgebraic:
+    """Minimal polynomial and isolating interval of the largest real root of
+    `coeffs`, which `enclosure` must contain: the Perron root of a
+    characteristic polynomial (Perron-Frobenius), or 1/r for the reversed
+    first-return polynomial (recurrence._entropy_from_root).
 
-    `refine` maps an enclosure to a strictly tighter one still containing the
-    root; it is called until exactly one irreducible factor isolates.
+    Factors once, then halves the enclosure while it holds more than one root
+    of the factors, keeping the upper half whenever a factor has a root there.
+    An enclosure that holds no root raises ArithmeticError.
     """
     poly = sympy.Poly(list(reversed(coeffs)), _X, domain="QQ")
     _, factors = poly.factor_list()
     cands = [f for f, _ in factors if f.degree() >= 1]
     lo, hi = enclosure.lo, enclosure.hi
-    for _ in range(200):
-        hits = []
-        for f in cands:
-            n = f.count_roots(sympy.Rational(lo), sympy.Rational(hi))
-            if n:
-                hits.append((f, n))
+    while True:
+        hits = [(f, n) for f in cands if (n := _roots_in(f, lo, hi))]
+        if not hits:
+            raise ArithmeticError("no root of the polynomial lies in the enclosure")
         if len(hits) == 1 and hits[0][1] == 1:
-            f = hits[0][0]
-            cs = [int(c) for c in f.all_coeffs()]  # descending
-            if cs[0] < 0:
-                cs = [-c for c in cs]
-            return ExactAlgebraic(tuple(reversed(cs)), lo, hi)
-        nxt = refine(RatInterval(lo, hi))
-        if nxt.width >= hi - lo:
-            raise ArithmeticError("enclosure refinement stalled during identification")
-        lo, hi = nxt.lo, nxt.hi
-    raise ArithmeticError("could not isolate an irreducible factor")
+            break
+        cands = [f for f, _ in hits]
+        mid = (lo + hi) / 2
+        if any(_roots_in(f, mid, hi) for f in cands):
+            lo = mid
+        else:
+            hi = mid
+    cs = [int(c) for c in hits[0][0].all_coeffs()]  # descending
+    if cs[0] < 0:
+        cs = [-c for c in cs]
+    return ExactAlgebraic(tuple(reversed(cs)), lo, hi)
 
 
 def _charpoly_coeffs(mat) -> tuple[int, ...]:
@@ -327,15 +352,7 @@ def perron_entropy(c: FiniteGraph, exact_cap: int = EXACT_VERTEX_CAP) -> Extende
     lam_p = collatz_wielandt_enclosure(rows, period=p)
     if len(rows) <= exact_cap:
         coeffs = _charpoly_coeffs(c.adjacency()[0])
-
-        def refine(iv: RatInterval) -> RatInterval:
-            # keep the upper part: the Perron root is the largest real root
-            mid = iv.mid
-            if _count_roots(coeffs, mid, iv.hi) >= 1:
-                return RatInterval(mid, iv.hi)
-            return RatInterval(iv.lo, mid)
-
-        return identify_algebraic(coeffs, _root_enclosure(lam_p, p), refine)
+        return identify_algebraic(coeffs, _root_enclosure(lam_p, p))
     # log(lambda) = log(lambda^p) / p: exact division keeps the width target
     h = log_interval(lam_p, p * ENCLOSURE_WIDTH)
     return IntervalApprox(h.lo / p, h.hi / p)
@@ -385,19 +402,10 @@ def _same_algebraic(a: ExtendedEntropy, b: ExtendedEntropy) -> bool:
         return False
     if a.minpoly != b.minpoly:
         return False
-    lo, hi = min(a.root_lo, b.root_lo), max(a.root_hi, b.root_hi)
-    if _count_roots(a.minpoly, lo, hi) == 1:
-        return True
-    # distinct roots of the same polynomial: separate by refinement
-    ia, ib = a.lambda_enclosure(), b.lambda_enclosure()
-    for _ in range(200):
-        if ia.hi < ib.lo or ib.hi < ia.lo:
-            return False
-        if _count_roots(a.minpoly, min(ia.lo, ib.lo), max(ia.hi, ib.hi)) == 1:
-            return True
-        ia = RatInterval(*_bisect_simple_root(a.minpoly, ia.lo, ia.hi))
-        ib = RatInterval(*_bisect_simple_root(b.minpoly, ib.lo, ib.hi))
-    raise ArithmeticError("root identity could not be settled")
+    # each interval isolates one root, so they hold the same root exactly when
+    # the minpoly has a root in their overlap
+    lo, hi = max(a.root_lo, b.root_lo), min(a.root_hi, b.root_hi)
+    return lo <= hi and _brackets_root(a.minpoly, lo, hi)
 
 
 def entropy_from_log_value(value: Fraction) -> ExtendedEntropy:

@@ -29,6 +29,7 @@ from .entropy import (
     IntervalApprox,
     ZERO_ENTROPY,
     compare_entropy,
+    isolates_one_root,
 )
 from .graphs import irreducible_components, is_single_cycle, period_of_component
 from .presentations import FiniteGraph, LoopSchema, ParseError
@@ -357,9 +358,12 @@ def _parse_entropy_expr(toks: list[str], lineno: int) -> ExtendedEntropy:
         if len(coeffs) < 2 or coeffs[-1] == 0:
             raise ParseError(lineno, "poly needs degree >= 1 with nonzero lead")
         try:
-            return ExactAlgebraic(coeffs, lo, hi)
+            h = ExactAlgebraic(coeffs, lo, hi)
         except (ValueError, ArithmeticError) as exc:
             raise ParseError(lineno, f"bad algebraic entropy: {exc}") from None
+        if not isolates_one_root(coeffs, lo, hi):
+            raise ParseError(lineno, "root-in interval must isolate one root of the polynomial")
+        return h
     if len(toks) == 2:
         try:
             lo, hi = Fraction(toks[0]), Fraction(toks[1])

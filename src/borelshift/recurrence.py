@@ -244,33 +244,18 @@ def _bracket_and_bisect_root(
 
 
 def _entropy_from_root(schema: LoopSchema, root: RatInterval) -> ExtendedEntropy:
-    """Entropy -log r, exact algebraic when the closed-form polynomial is small."""
+    """Entropy -log r, exact algebraic when the closed-form polynomial is small.
+
+    1/r is the largest real root of the reversed _phi_polynomial, as
+    identify_algebraic requires: Phi increases on (0, R), so every other real
+    root is negative or at least R, and its reciprocal below 0 or at most 1/R.
+    """
     if root.lo == root.hi == 1:
         return ZERO_ENTROPY
+    lam = RatInterval(1 / root.hi, 1 / root.lo)
     coeffs = _phi_polynomial(schema)
     if coeffs is not None and len(coeffs) - 1 <= EXACT_DEGREE_CAP:
-        state = {"iv": root}
-
-        def refine(lam_iv: RatInterval) -> RatInterval:
-            r = state["iv"]
-            mid = (r.lo + r.hi) / 2
-            side = _phi_versus_one(schema, mid)
-            if side == "unknown":
-                mid = r.lo + (r.hi - r.lo) * Fraction(29, 64)
-                side = _phi_versus_one(schema, mid)
-            if side == "lt":
-                state["iv"] = RatInterval(mid, r.hi)
-            elif side == "gt":
-                state["iv"] = RatInterval(r.lo, mid)
-            else:
-                raise ArithmeticError("root refinement stalled")
-            r = state["iv"]
-            return RatInterval(1 / r.hi, 1 / r.lo)
-
-        lam = RatInterval(1 / root.hi, 1 / root.lo)
-        rev = tuple(reversed(coeffs))
-        return identify_algebraic(rev, lam, refine)
-    lam = RatInterval(1 / root.hi, 1 / root.lo)
+        return identify_algebraic(tuple(reversed(coeffs)), lam)
     h = log_interval(lam, ENCLOSURE_WIDTH)
     return IntervalApprox(h.lo, h.hi)
 

@@ -162,6 +162,26 @@ def test_compare_tolerance_flag_widens_clusters(capsys, tmp_path):
     assert run(capsys, ["compare", str(a), str(b), "--tol", "0.01"])[0] == 0
 
 
+def test_compare_root_in_interval_without_a_root_exits_65(capsys, tmp_path):
+    # [3, 4] holds no root of x^2 - x - 1
+    a = tmp_path / "a.txt"
+    a.write_text("gen 1 poly -1 -1 1 root-in 3 4 1\n")
+    code, _, err = run(capsys, ["compare", str(a), str(a)])
+    assert code == 65
+    assert "parse error" in err and "Traceback" not in err
+
+
+def test_compare_root_in_at_a_rational_endpoint(capsys, tmp_path):
+    # (x - 2)(x^2 - x - 1) with the root 2 at the left end of [2, 3] is log 2
+    a = tmp_path / "a.txt"
+    a.write_text("gen 1 poly 2 1 -3 1 root-in 2 3 1\n")
+    b = tmp_path / "b.txt"
+    b.write_text("gen 1 log 2 1\n")
+    code, out, _ = run(capsys, ["compare", str(a), str(b)])
+    assert code == 0
+    assert kv(out)["isomorphic"] == "true"
+
+
 # === realize ===
 
 def test_realize_emits_reparseable_presentation(capsys, tmp_path):

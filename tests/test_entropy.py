@@ -136,19 +136,18 @@ def test_collatz_wielandt_encloses_lambda_to_the_period(period):
 
 
 def test_identify_algebraic_picks_the_perron_factor():
-    # charpoly of the golden mean graph times an extra rational factor
-    # (x-1): identification must isolate the factor containing the root
-    coeffs = (1, 0, -2, 1)  # (x^2 - x - 1)(x - 1) = x^3 - 2x^2 + ... expanded below
-    # expand honestly: (x^2 - x - 1)(x - 1) = x^3 - 2x^2 + 1  -> (1, 0, -2, 1)
-    enclosure = RatInterval(Fraction(3, 2), Fraction(17, 10))
-
-    def refine(iv):
-        mid = iv.mid
-        # the root is phi ~ 1.618
-        return RatInterval(iv.lo, mid) if mid > PHI else RatInterval(mid, iv.hi)
-
-    h = identify_algebraic(coeffs, enclosure, refine)
+    # charpoly of the golden mean graph times an extra rational factor:
+    # identification must isolate the factor containing the largest root
+    coeffs = (1, 0, -2, 1)  # (x^2 - x - 1)(x - 1)
+    h = identify_algebraic(coeffs, RatInterval(Fraction(3, 2), Fraction(17, 10)))
     assert h.minpoly == (-1, -1, 1)
+    # (x^2 - x - 1)(2x - 3): the enclosure holds phi and 3/2, and the upper
+    # root is kept
+    h = identify_algebraic((3, 1, -5, 2), RatInterval(Fraction(7, 5), Fraction(17, 10)))
+    assert h.minpoly == (-1, -1, 1)
+    assert h.root_lo > Fraction(3, 2) and h.root_lo < PHI < h.root_hi
+    with pytest.raises(ArithmeticError):
+        identify_algebraic(coeffs, RatInterval(Fraction(2), Fraction(3)))
 
 
 def test_entropy_from_log_value():
@@ -178,6 +177,12 @@ def test_compare_distinct_roots_of_equal_minpoly():
     small = ExactAlgebraic((1, -3, 1), Fraction(1, 4), Fraction(1, 2))
     assert compare_entropy(big, small) == "gt"
     assert compare_entropy(big, big) == "eq"
+    # overlapping intervals around distinct roots, and around the same root
+    low = ExactAlgebraic((1, -3, 1), Fraction(3, 10), Fraction(1))
+    high = ExactAlgebraic((1, -3, 1), Fraction(1, 2), Fraction(3))
+    assert compare_entropy(low, high) == "lt"
+    other_big = ExactAlgebraic((1, -3, 1), Fraction(5, 2), Fraction(4))
+    assert compare_entropy(big, other_big) == "eq"
 
 
 def test_compare_entropy_tolerance_clusters_nearby_values():

@@ -295,6 +295,14 @@ def test_parse_rejects_malformed_lines():
         parse_invariants("gen 1 exotic 3 1\n")
     with pytest.raises(ParseError):
         parse_invariants("gen 1 poly -1 -1 1 root-in 1 1\n")
+    # root-in must isolate exactly one root, with no equal nonzero signs at the ends
+    for bad in (
+        "poly -1 -1 1 root-in 3 4",  # no root
+        "poly 2 1 -3 1 root-in 3/2 3",  # (x-2)(x^2-x-1): two roots
+        "poly 1 -2 1 root-in 0 2",  # (x-1)^2: no sign change
+    ):
+        with pytest.raises(ParseError):
+            parse_invariants(f"gen 1 {bad} 1\n")
 
 
 def test_parse_comments_and_blanks_ignored():
