@@ -36,7 +36,7 @@ from .graphs import (
     entropy_by_loop_count,
     loop_entropy_estimate,
 )
-from .intervals import RatInterval, INF
+from .intervals import RatInterval, INF, PrecisionExhausted
 from .entropy import (
     ExtendedEntropy,
     ExactAlgebraic,

@@ -28,6 +28,7 @@ from .codes import (
     verify_bowen_relation,
 )
 from .entropy import DEFAULT_TOL
+from .intervals import PrecisionExhausted
 from .recurrence import UndecidableAtTolerance
 from .invariants import (
     InconclusiveAtTolerance,
@@ -388,6 +389,7 @@ def main(argv=None) -> int:
         InconclusiveAtTolerance,
         BudgetExhausted,
         NoDistinctLoops,
+        PrecisionExhausted,
     ) as exc:
         print(str(exc), file=sys.stderr)
         return EX_INCONCLUSIVE

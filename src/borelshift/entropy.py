@@ -7,15 +7,22 @@ entropy itself.  Zero and Infinity are explicit so that degenerate components
 and unattained suprema never masquerade as numeric values.
 
 The Perron root of a component of period p is enclosed through lambda^p, by
-Collatz-Wielandt bounds on an exact integer iteration of A^p + I.  A^p is
-block diagonal with primitive blocks of Perron root lambda^p, so the iteration
+Collatz-Wielandt bounds min/max (A^p v)_i / v_i, which hold for every
+positive vector v (Lind & Marcus, Symbolic Dynamics and Coding, 4.2).  Floats
+only choose v: a float power iteration of A^p + I finds it, its entries
+become integers that keep their 53 significant bits, and the bounds are
+computed exactly.  Only when they miss the width target does an exact integer
+iteration of A^p + I continue from that vector; it also finishes the job when
+the Perron vector spans more than floats can hold (entries that underflow
+become 1).  The exact iteration running out of its budget above the target
+raises PrecisionExhausted; no wider enclosure is returned.  A^p is block
+diagonal with primitive blocks of Perron root lambda^p, so the iteration
 converges at the rate of those blocks; iterating A + I instead contracts by
 only |lambda e^{2 pi i/p} + 1| / (lambda + 1) per step, which for long periods
-is a factor close to 1 (Lind & Marcus, Symbolic Dynamics and Coding, 4.5).
-The iteration reads the sparse successor rows of the graph's integer index,
-so its cost per step is linear in the edges; the dense adjacency matrix is
-built only for the characteristic polynomial, at EXACT_VERTEX_CAP vertices
-or fewer.
+is a factor close to 1 (Lind & Marcus 4.5).  Both iterations read the sparse
+successor rows of the graph's integer index, so a step costs time linear in
+the edges; the dense adjacency matrix is built only for the characteristic
+polynomial, at EXACT_VERTEX_CAP vertices or fewer.
 
 identify_algebraic turns an enclosure of the largest real root of an integer
 polynomial (a Perron root, by Perron-Frobenius; 1/r for the reversed
@@ -30,11 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 
 import sympy
 
 from .graphs import is_single_cycle, period_of_component
-from .intervals import RatInterval, log_fraction, log_interval
+from .intervals import PrecisionExhausted, RatInterval, log_fraction, log_interval
 from .presentations import FiniteGraph
 
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -251,6 +259,53 @@ def _charpoly_coeffs(mat) -> tuple[int, ...]:
     return tuple(int(c) for c in reversed(cp.all_coeffs()))  # ascending
 
 
+def _float_seed(rows, period: int, target: float, max_iters: int) -> list[int]:
+    """Positive integer vector from a float power iteration of A^p + I.
+
+    Each row becomes its column list with column j repeated A[i][j] times,
+    one entry per edge of a graph, so a product is a plain sum per row.  The
+    vector is normalised by its maximum after every product with A, so it
+    never overflows; entries may underflow to 0.  Every 4 steps the float
+    Collatz-Wielandt spread max/min of (A^p x)_i / x_i - 1 is taken, and the
+    iteration stops when it reaches `target`, when it stops shrinking (the
+    float noise floor, or a stalled transient; an underflowed entry makes it
+    infinite), or once `max_iters` products with A are done.  The floats
+    become integers that keep all 53 significant bits of every entry, scaled
+    by the smallest entry's exponent; an underflowed entry becomes 1.
+    """
+    cols = [[j for j, m in row for _ in range(m)] for row in rows]
+
+    def apply(vec):
+        get = vec.__getitem__
+        return [sum(map(get, c)) for c in cols]
+
+    x = [1.0] * len(rows)
+    spread = math.inf
+    done = 0
+    while done < max_iters:
+        for _ in range(4):
+            w, scale = apply(x), 1.0  # A^p x / scale
+            for _ in range(period - 1):
+                top = max(w)
+                w, scale = apply([t / top for t in w]), scale * top
+            prev = x
+            y = [a + b / scale for a, b in zip(w, x)]
+            top = max(y)
+            x = [t / top for t in y]
+        done += 4 * period
+        last = spread
+        spread = math.inf
+        if 0.0 not in prev:
+            ratios = list(map(truediv, w, prev))
+            low = min(ratios)
+            if low > 0.0:
+                spread = max(ratios) / low - 1.0
+        if spread <= target or spread >= last:
+            break
+    emin = min(math.frexp(t)[1] for t in x if t > 0.0)
+    return [int(math.ldexp(m, 53)) << (e - emin) if m else 1 for m, e in map(math.frexp, x)]
+
+
 def collatz_wielandt_enclosure(
     rows,
     rel_target: Fraction = Fraction(1, 10**13),
@@ -261,17 +316,23 @@ def collatz_wielandt_enclosure(
     integer matrix A via min/max of (A^p v)_i / v_i over a positive vector v.
 
     A is given by its sparse rows: rows[i] lists (j, A[i][j]) for the nonzero
-    entries, as in FiniteGraph.index().succ.  The vector is iterated under
-    A^p + I, entirely in integer arithmetic, so the returned bounds are exact.
-    They hold for any positive v and any p >= 1 (rho(A^p) = rho(A)^p), so a
-    period other than the true one costs speed, never correctness.  The
-    iteration stops at relative width period * rel_target, the same relative
-    target on rho(A).  `max_iters` and the batch lengths count products with
-    A, which bounds the bits a batch can add before the rescaling check the
-    same way for every period.
+    entries, as in FiniteGraph.index().succ.  The bounds hold for any
+    positive integer v and any p >= 1 (rho(A^p) = rho(A)^p; Lind & Marcus
+    4.2), so floats only choose v and a period other than the true one costs
+    speed, never correctness.  A float power iteration of A^p + I seeds v
+    (_float_seed); the bounds are then computed exactly in integers and
+    fractions.  Only if they miss the relative width period * rel_target,
+    the same relative target on rho(A), does an exact integer iteration of
+    A^p + I continue from v, doubling its batches up to 1024 products.
+    `max_iters` counts products with A, for the float seed and again for the
+    exact iteration; the exact budget running out above the target raises
+    PrecisionExhausted rather than returning wider bounds.  A float seed
+    whose entries underflow (a Perron vector spanning more than 2^1074) or
+    whose spread stalls leaves the exact iteration to finish.
     """
     n = len(rows)
-    v = [1] * n
+    target = period * rel_target
+    v = _float_seed(rows, period, float(target), max_iters)
 
     def apply(vec):
         return [sum(m * vec[j] for j, m in rows[i]) for i in range(n)]
@@ -293,11 +354,15 @@ def collatz_wielandt_enclosure(
             hi = q if hi is None or q > hi else hi
         return lo, hi
 
-    target = period * rel_target
     batch = 4
     done = 0
     lo, hi = bounds(v)
-    while done < max_iters:
+    while hi - lo > target * lo:
+        if done >= max_iters:
+            raise PrecisionExhausted(
+                f"Collatz-Wielandt bounds above relative width {target} "
+                f"after {max_iters} products"
+            )
         steps = max(1, batch // period)
         for _ in range(steps):
             v = step(v)
@@ -307,8 +372,6 @@ def collatz_wielandt_enclosure(
             shift = top - 1024
             v = [max(1, x >> shift) for x in v]
         lo, hi = bounds(v)
-        if hi - lo <= target * lo:
-            break
         batch = min(batch * 2, 1024)
     return RatInterval(lo, hi)
 
@@ -342,8 +405,11 @@ def perron_entropy(c: FiniteGraph, exact_cap: int = EXACT_VERTEX_CAP) -> Extende
 
     Exact algebraic whenever the characteristic polynomial is within reach
     (vertex count <= exact_cap); otherwise a certified interval of width
-    <= 1e-12.  Either way the Perron root is enclosed through lambda^p, p the
-    period of the component (see collatz_wielandt_enclosure).
+    <= ENCLOSURE_WIDTH.  Either way the Perron root is enclosed through
+    lambda^p, p the period of the component, by exact Collatz-Wielandt
+    bounds on a float-seeded vector (collatz_wielandt_enclosure).  A
+    certificate that cannot meet its width within its budget raises
+    PrecisionExhausted; no wider interval is returned.
     """
     p = period_of_component(c)  # raises ValueError unless strongly connected
     if is_single_cycle(c):
@@ -353,8 +419,10 @@ def perron_entropy(c: FiniteGraph, exact_cap: int = EXACT_VERTEX_CAP) -> Extende
     if len(rows) <= exact_cap:
         coeffs = _charpoly_coeffs(c.adjacency()[0])
         return identify_algebraic(coeffs, _root_enclosure(lam_p, p))
-    # log(lambda) = log(lambda^p) / p: exact division keeps the width target
-    h = log_interval(lam_p, p * ENCLOSURE_WIDTH)
+    # log(lambda) = log(lambda^p) / p: exact division keeps the width target.
+    # log(hi) - log(lo) <= (hi - lo) / lo, so the log rounding gets the rest.
+    spread = lam_p.width / lam_p.lo
+    h = log_interval(lam_p, p * ENCLOSURE_WIDTH - spread)
     return IntervalApprox(h.lo / p, h.hi / p)
 
 

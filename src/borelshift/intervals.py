@@ -3,7 +3,9 @@
 Fractions keep every bound exact; mpmath's interval context supplies
 outward-rounded enclosures for the transcendental steps, converted back to
 rationals through the raw mantissa/exponent representation so no float
-round-trip can leak.
+round-trip can leak.  An enclosure that cannot reach its requested width
+within the precision budget raises PrecisionExhausted rather than coming back
+wider than asked.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ class Infinite:
 
 
 INF = Infinite()
+
+
+class PrecisionExhausted(ArithmeticError):
+    """A certified enclosure missed its promised width within its budget."""
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,9 @@ def _frac_to_iv(f: Fraction, ctx):
 
 
 def _certified_unary(fn_name: str, f: Fraction, max_width: Fraction) -> RatInterval:
+    """Enclosure of fn(f) of width <= max_width.  The working precision starts
+    64 bits past the operand's size and doubles; past 2^14 bits of it,
+    PrecisionExhausted is raised."""
     prec = 64
     extra = max(f.numerator.bit_length(), f.denominator.bit_length())
     while True:
@@ -122,8 +131,10 @@ def _certified_unary(fn_name: str, f: Fraction, max_width: Fraction) -> RatInter
             out = _iv_to_interval(val)
         finally:
             ctx.prec = old
-        if out.width <= max_width or prec > 1 << 14:
+        if out.width <= max_width:
             return out
+        if prec > 1 << 14:
+            raise PrecisionExhausted(f"{fn_name}({f}) not enclosed to width {max_width}")
         prec *= 2
 
 

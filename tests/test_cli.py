@@ -1,12 +1,15 @@
 """Command-line verbs, exit codes, and the re-parseable output contract."""
 
 import io
+import random
 import time
+from functools import partial
 
 import pytest
 
 from borelshift import (
     BlockCode,
+    IntervalApprox,
     check_injective,
     cycle_graph,
     format_code,
@@ -20,6 +23,7 @@ from borelshift import (
     parse_invariants,
     parse_relation,
 )
+from borelshift import entropy
 from borelshift.cli import main
 
 
@@ -106,6 +110,51 @@ def test_analyze_many_small_components_scales(capsys, tmp_path):
     assert len(reports) == 5000
     assert all("period=2 entropy=0" in line for line in reports)
     assert elapsed < 5.0
+
+
+def strongly_connected_doc(rng: random.Random, n: int) -> str:
+    """A Hamiltonian cycle plus random chords: n vertices and 2n edges."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    while len(edges) < 2 * n:
+        edges.add((rng.randrange(n), rng.randrange(n)))
+    return "graph\n" + "".join(f"edge v{a} v{b}\n" for a, b in sorted(edges))
+
+
+def test_analyze_interval_generator_line_is_short(capsys, tmp_path):
+    # 300 vertices take the interval path; its endpoints come from a vector
+    # of 53-bit entries, not from thousands of digits of exact iterates
+    doc = tmp_path / "g300.txt"
+    doc.write_text(strongly_connected_doc(random.Random(7), 300))
+    code, out, _ = run(capsys, ["analyze", str(doc)])
+    assert code == 0
+    gens = [line for line in out.splitlines() if line.startswith("gen ")]
+    assert len(gens) == 1
+    assert len(gens[0]) <= 200
+    h = parse_invariants(out).generators[0].entropy
+    assert isinstance(h, IntervalApprox)
+    assert h.hi - h.lo <= entropy.ENCLOSURE_WIDTH
+
+
+def test_analyze_out_of_certificate_budget_exits_2(capsys, monkeypatch, tmp_path):
+    # cycles of coprime lengths 50 and 51 through h mix slowly: within 64
+    # products no enclosure meets its width, and none wider is printed
+    monkeypatch.setattr(
+        entropy,
+        "collatz_wielandt_enclosure",
+        partial(entropy.collatz_wielandt_enclosure, max_iters=64),
+    )
+    lines = ["graph"]
+    for name, length in (("a", 50), ("b", 51)):
+        path = ["h"] + [f"{name}{i}" for i in range(1, length)] + ["h"]
+        lines += [f"edge {u} {v}" for u, v in zip(path, path[1:])]
+    doc = tmp_path / "slow.txt"
+    doc.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, ["analyze", str(doc)])
+    assert code == 2
+    assert "gen " not in out
+    assert "Collatz-Wielandt" in err
 
 
 # === compare ===

@@ -20,8 +20,14 @@ from borelshift import (
     max_entropy,
     perron_entropy,
 )
-from borelshift.entropy import ENCLOSURE_WIDTH, collatz_wielandt_enclosure, identify_algebraic
+from borelshift.entropy import (
+    ENCLOSURE_WIDTH,
+    EXACT_VERTEX_CAP,
+    collatz_wielandt_enclosure,
+    identify_algebraic,
+)
 from borelshift.intervals import (
+    PrecisionExhausted,
     RatInterval,
     exp_fraction,
     exp_interval,
@@ -133,6 +139,69 @@ def test_collatz_wielandt_encloses_lambda_to_the_period(period):
     k = 3 // period  # iv encloses lambda^period, and lambda^3 = 2
     assert iv.lo**k <= 2 <= iv.hi**k
     assert iv.width <= period * Fraction(1, 10**13) * iv.lo
+
+
+def flower(petals):
+    """Hub h with c parallel petals h -> ... -> h of length n per (c, n);
+    a petal of length 1 is a self-loop at h."""
+    edges = []
+    for k, (c, n) in enumerate(petals):
+        for r in range(c):
+            path = ["h"] + [f"p{k}.{r}.{i}" for i in range(n - 1)] + ["h"]
+            edges.extend(zip(path, path[1:]))
+    vertices = sorted({v for e in edges for v in e})
+    return FiniteGraph(tuple(vertices), tuple(edges))
+
+
+def assert_flower_enclosure(petals, p):
+    """The first returns to h are the petals, so 1/lambda is the root of
+    sum c z^n = 1, and y = lambda^-p solves Psi(y) = sum c y^(n/p) = 1, an
+    increasing function: an enclosure [lo, hi] of lambda^p must have
+    Psi(1/hi) <= 1 <= Psi(1/lo), checked in exact rationals."""
+    rows = flower(petals).index().succ
+    iv = collatz_wielandt_enclosure(rows, period=p)
+
+    def psi(y):
+        return sum(c * y ** (n // p) for c, n in petals)
+
+    assert psi(1 / iv.hi) <= 1 <= psi(1 / iv.lo)
+    assert iv.width <= p * Fraction(1, 10**13) * iv.lo
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_collatz_wielandt_encloses_flower_roots(seed):
+    # sizes alternate sides of EXACT_VERTEX_CAP; p divides every petal length
+    rng = random.Random(9000 + seed)
+    p = rng.choice((1, 2, 3, 4))
+    goal = rng.randint(20, EXACT_VERTEX_CAP) if seed % 2 else rng.randint(EXACT_VERTEX_CAP, 390)
+    petals, size = [], 1
+    while size < goal:
+        c = rng.randint(1, 3)
+        n = p * rng.randint(1, max(1, min(40, (goal - size) // c + 1) // p))
+        petals.append((c, n))
+        size += c * (n - 1)
+    assert_flower_enclosure(petals, p)
+
+
+def test_collatz_wielandt_finishes_an_underflowed_float_seed():
+    # 4096 self-loops and one petal of length 201: the Perron vector falls by
+    # a factor lambda ~ 4096 along the petal, about 2^2400 end to end, which
+    # no float vector holds, so the exact iteration has to finish
+    assert_flower_enclosure([(4096, 1), (1, 201)], 1)
+
+
+def test_collatz_wielandt_budget_exhausted_raises():
+    # two cycles of coprime lengths 50 and 51 through h mix slowly: 64
+    # products cannot reach the width target, and no wider bound comes back
+    rows = flower([(1, 50), (1, 51)]).index().succ
+    with pytest.raises(PrecisionExhausted):
+        collatz_wielandt_enclosure(rows, max_iters=64)
+    assert issubclass(PrecisionExhausted, ArithmeticError)
+
+
+def test_log_enclosure_out_of_precision_raises():
+    with pytest.raises(PrecisionExhausted):
+        log_fraction(Fraction(2), Fraction(0))
 
 
 def test_identify_algebraic_picks_the_perron_factor():
