@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 
 from .codes import (
+    BudgetExhausted,
     minimal_relation,
     build_fibered_product_Fm,
     extract_tilde_Xm,
@@ -42,7 +43,6 @@ from .invariants import (
     _parse_entropy_expr,
 )
 from .markers import (
-    BudgetExhausted,
     NoDistinctLoops,
     PreconditionViolated,
     make_subsystem_code,

@@ -3,30 +3,45 @@
 A code labels either the vertices of a simple graph or the edges of a
 multigraph; edge mode is normalized to vertex mode on the line graph.  All
 decision procedures work on the label fiber product: pairs of vertices with
-equal labels, pruned to the part lying on bi-infinite paths.
+equal labels and componentwise edges, pruned to the part lying on bi-infinite
+paths.
 
-  injective      <=>  pruned self-product is contained in the diagonal
+  injective      <=>  the label fiber product is contained in the diagonal
   finite-to-one  <=>  no diamond: no off-diagonal pair both reachable from
                       and co-reachable to the diagonal (domain irreducible)
 
-The compatibility relation of a code is the vertex set of its pruned
-self-product.  From a relation the m-fold fibered product F_m (mutually
-related ordered m-tuples, componentwise edges) and its distinct-entry part
-with exact wiring carry a quotient map onto unordered m-sets; when the wiring
-condition holds that quotient is left and right resolving with exactly m!
-preimages per point.
+The compatibility relation of a code is the vertex set of its label fiber
+product.  From a relation the m-fold fibered product F_m (mutually related
+ordered m-tuples, componentwise edges) and its distinct-entry part with exact
+wiring carry a quotient map onto unordered m-sets; when the wiring condition
+holds that quotient is left and right resolving with exactly m! preimages per
+point.
+
+One builder makes all three products on `GraphIndex` positions, with one
+integer prune; the label fiber product names (`u|v`) only the pairs that
+survive it, and every product keeps its vertices' coordinates in `tuples`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import factorial
 from typing import Optional
 
-from .entropy import ExtendedEntropy, ZERO_ENTROPY, max_entropy, perron_entropy
+from .entropy import DEFAULT_TOL, ExtendedEntropy, ZERO_ENTROPY, max_entropy, perron_entropy
 from .graphs import is_single_cycle, irreducible_components
-from .presentations import FiniteGraph, ParseError
+from .presentations import FiniteGraph, GraphIndex, ParseError
 
-PAIR_SEP = "|"
+# Most mutually related tuples (of any length up to m) that F_m and the
+# distinct-entry product may enumerate.  F_m can grow exponentially in m (the
+# even-shift code has 2^m + 1 states); past the cap the products raise
+# BudgetExhausted instead of allocating more.
+TUPLE_CAP = 100_000
+
+
+class BudgetExhausted(RuntimeError):
+    """A documented size cap was reached before an answer was certified."""
 
 
 @dataclass(frozen=True)
@@ -79,83 +94,129 @@ class BlockCode:
         if keys != want:
             raise ValueError(f"mapping must cover every {self.mode} exactly once")
 
-    def symbol(self, key: str) -> str:
-        return dict(self.mapping)[key]
-
     def labeled(self) -> LabeledGraph:
-        """Vertex-mode normal form (line graph for edge mode)."""
+        """Vertex-mode normal form (line graph for edge mode).
+
+        In edge mode, edge e -> f when head(e) = tail(f), ordered by e and then
+        by f in the domain's edge order.
+        """
         if self.mode == "vertex":
             return LabeledGraph(self.domain, self.mapping)
         g = self.domain
-        heads = {}
-        tails = {}
-        for name, (u, w) in zip(g.edge_names, g.edges):
-            tails[name] = u
-            heads[name] = w
-        verts = tuple(g.edge_names)
+        leaving: dict[str, list[str]] = {}
+        for name, (u, _) in zip(g.edge_names, g.edges):
+            leaving.setdefault(u, []).append(name)
         edges = tuple(
-            (e, f) for e in verts for f in verts if heads[e] == tails[f]
+            (e, f) for e, (_, w) in zip(g.edge_names, g.edges) for f in leaving.get(w, ())
         )
-        line = FiniteGraph(verts, edges)
+        line = FiniteGraph(g.edge_names, edges)
         lm = dict(self.mapping)
-        return LabeledGraph(line, tuple((v, lm[v]) for v in verts))
+        return LabeledGraph(line, tuple((v, lm[v]) for v in g.edge_names))
 
 
-def pair_name(u: str, v: str) -> str:
-    return f"{u}{PAIR_SEP}{v}"
+@dataclass(frozen=True)
+class ProductGraph(FiniteGraph):
+    """Product graph; `tuples[i]` holds the coordinate names of `vertices[i]`."""
+
+    tuples: tuple[tuple[str, ...], ...] = ()
 
 
-def split_pair(name: str) -> tuple[str, str]:
-    u, v = name.split(PAIR_SEP)
-    return u, v
+def _biinfinite(succ: list[list[int]]) -> list[bool]:
+    """Degree-count prune on integer rows of distinct successors: True exactly
+    for the vertices with a predecessor and a successor in the kept part."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for v, row in enumerate(succ):
+        for w in row:
+            pred[w].append(v)
+    outdeg = [len(row) for row in succ]
+    indeg = [len(row) for row in pred]
+    alive = [o > 0 and i > 0 for o, i in zip(outdeg, indeg)]
+    dead = [v for v, ok in enumerate(alive) if not ok]
+    while dead:
+        v = dead.pop()
+        for rows, deg in ((pred, outdeg), (succ, indeg)):
+            for w in rows[v]:
+                if alive[w]:
+                    deg[w] -= 1
+                    if deg[w] == 0:
+                        alive[w] = False
+                        dead.append(w)
+    return alive
 
 
-def label_fiber_product(a: LabeledGraph, b: LabeledGraph) -> FiniteGraph:
-    """Graph on label-equal vertex pairs with componentwise edges."""
+def _tuple_product(
+    idxs: tuple[GraphIndex, ...],
+    tuples: list[tuple[int, ...]],
+    sep: str,
+    *,
+    prune: bool,
+    by_name: bool,
+    wired: bool = False,
+) -> ProductGraph:
+    """Graph on `tuples` (entry k a position of `idxs[k]`), componentwise edges.
+
+    Successors are products of the coordinates' successor rows, extended one
+    coordinate at a time through prefixes of `tuples` and looked up in one
+    tuple -> code dict.  `wired` keeps a -> b only if no a_i -> b_j with
+    i != j is an edge (coordinates in `idxs[0]`); `prune` keeps the
+    bi-infinite part.  Names join coordinate names with `sep`.  Vertices
+    follow `tuples` and only kept ones are named, or, with `by_name`, all are
+    named and sorted.  Edges are sorted and called `e<k>` by rank among the
+    named tuples' edges, as `FiniteGraph.induced` keeps them.
+    """
+    m = len(idxs)
+    code = {t: i for i, t in enumerate(tuples)}
+    prefixes = {t[:k] for t in tuples for k in range(1, m)}
+    rows = [[[w for w, _ in row] for row in idx.succ] for idx in idxs]
+    adj = [set(row) for row in rows[0]] if wired else None
+    succ = []
+    for t in tuples:
+        partial = [()]
+        for k, p in enumerate(t):
+            known = code if k == m - 1 else prefixes
+            partial = [q for r in partial for w in rows[k][p] if (q := r + (w,)) in known]
+        if wired:
+            partial = [
+                q for q in partial
+                if not any(q[j] in adj[a] for i, a in enumerate(t) for j in range(m) if i != j)
+            ]
+        succ.append([code[q] for q in partial])
+    alive = _biinfinite(succ) if prune else [True] * len(tuples)
+    named = [i for i, ok in enumerate(alive) if ok or by_name]
+    coords = {i: tuple(idx.order[p] for idx, p in zip(idxs, tuples[i])) for i in named}
+    names = {i: sep.join(c) for i, c in coords.items()}
+    if by_name:
+        named.sort(key=names.__getitem__)
+    keep = [i for i in named if alive[i]]
+    edges = sorted(
+        (names[i], names[j], alive[i] and alive[j]) for i in named for j in succ[i] if j in names
+    )
+    kept = [(f"e{k}", (u, w)) for k, (u, w, ok) in enumerate(edges) if ok]
+    return ProductGraph(
+        tuple(names[i] for i in keep),
+        tuple(e for _, e in kept),
+        tuple(name for name, _ in kept),
+        tuples=tuple(coords[i] for i in keep),
+    )
+
+
+def label_fiber_product(a: LabeledGraph, b: LabeledGraph) -> ProductGraph:
+    """Label-equal vertex pairs with componentwise edges, pruned to the part
+    on bi-infinite paths.  Built on positions, in `a`'s vertex order and then
+    `b`'s within each label; only the surviving pairs are named `u|v`."""
+    ia, ib = a.graph.index(), b.graph.index()
     la, lb = a._label_map, b._label_map
-    by_label: dict[str, list[str]] = {}
+    by_label: dict[str, list[int]] = {}
     for v in b.graph.vertices:
-        by_label.setdefault(lb[v], []).append(v)
-    verts = [
-        pair_name(u, v)
-        for u in a.graph.vertices
-        for v in by_label.get(la[u], ())
-    ]
-    vset = set(verts)
-    succ_b = {v: b.graph.successors(v) for v in b.graph.vertices}
-    edges = []
-    for u in a.graph.vertices:
-        succ_u = a.graph.successors(u)
-        for v in by_label.get(la[u], ()):
-            for u2 in succ_u:
-                for v2 in succ_b[v]:
-                    if la[u2] == lb[v2]:
-                        edges.append((pair_name(u, v), pair_name(u2, v2)))
-    edges = [(p, q) for p, q in edges if p in vset and q in vset]
-    return FiniteGraph(tuple(verts), tuple(sorted(set(edges))))
+        by_label.setdefault(lb[v], []).append(ib.pos[v])
+    pairs = [(ia.pos[u], v) for u in a.graph.vertices for v in by_label.get(la[u], ())]
+    return _tuple_product((ia, ib), pairs, "|", prune=True, by_name=False)
 
 
 def prune_to_biinfinite(g: FiniteGraph) -> FiniteGraph:
     """Largest subgraph in which every vertex has a predecessor and successor."""
     idx = g.index()
-    outdeg = [len(row) for row in idx.succ]
-    indeg = [len(row) for row in idx.pred]
-    alive = [o > 0 and i > 0 for o, i in zip(outdeg, indeg)]
-    dead = [v for v, ok in enumerate(alive) if not ok]
-    while dead:
-        v = dead.pop()
-        for w, _ in idx.pred[v]:
-            if alive[w]:
-                outdeg[w] -= 1
-                if outdeg[w] == 0:
-                    alive[w] = False
-                    dead.append(w)
-        for w, _ in idx.succ[v]:
-            if alive[w]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    alive[w] = False
-                    dead.append(w)
+    alive = _biinfinite([[w for w, _ in row] for row in idx.succ])
     return g.induced(v for v in g.vertices if alive[idx.pos[v]])
 
 
@@ -198,10 +259,16 @@ def _path_to_cycle(g: FiniteGraph, start: str, forward: bool) -> list[str]:
         path.append(v)
 
 
+def _unzip(prod: ProductGraph, path: list[str]) -> tuple[tuple[str, ...], ...]:
+    """The coordinate paths of a path of product vertices."""
+    coords = dict(zip(prod.vertices, prod.tuples))
+    return tuple(zip(*(coords[q] for q in path)))
+
+
 def check_injective(code: BlockCode) -> InjectivityReport:
     lg = code.labeled()
-    prod = prune_to_biinfinite(label_fiber_product(lg, lg))
-    off = [p for p in prod.vertices if len(set(split_pair(p))) == 2]
+    prod = label_fiber_product(lg, lg)
+    off = [p for p, (u, v) in zip(prod.vertices, prod.tuples) if u != v]
     if not off:
         return InjectivityReport(True)
     off_set = set(off)
@@ -209,17 +276,13 @@ def check_injective(code: BlockCode) -> InjectivityReport:
         cyclic_off = [p for p in comp.vertices if p in off_set]
         if cyclic_off:
             cyc = _find_cycle_through(comp, cyclic_off[0])
-            first = tuple(split_pair(q)[0] for q in cyc)
-            second = tuple(split_pair(q)[1] for q in cyc)
-            return InjectivityReport(False, (first, second), periodic=True)
+            return InjectivityReport(False, _unzip(prod, cyc), periodic=True)
     # off-diagonal pair that only joins diagonal behavior on both sides
     p = off[0]
     back = _path_to_cycle(prod, p, forward=False)
     fwd = _path_to_cycle(prod, p, forward=True)
     spine = list(reversed(back)) + fwd[1:]
-    first = tuple(split_pair(q)[0] for q in spine)
-    second = tuple(split_pair(q)[1] for q in spine)
-    return InjectivityReport(False, (first, second), periodic=False)
+    return InjectivityReport(False, _unzip(prod, spine), periodic=False)
 
 
 @dataclass(frozen=True)
@@ -246,18 +309,15 @@ def _reach(g: FiniteGraph, seeds, forward: bool) -> dict:
 
 def check_finite_to_one(code: BlockCode) -> FiniteToOneReport:
     lg = code.labeled()
-    prod = prune_to_biinfinite(label_fiber_product(lg, lg))
-    diag = [p for p in prod.vertices if len(set(split_pair(p))) == 1]
+    prod = label_fiber_product(lg, lg)
+    diag = [p for p, (u, v) in zip(prod.vertices, prod.tuples) if u == v]
     fwd = _reach(prod, diag, forward=True)
     bwd = _reach(prod, diag, forward=False)
-    for p in prod.vertices:
-        if len(set(split_pair(p))) == 2 and p in fwd and p in bwd:
+    for p, (u, v) in zip(prod.vertices, prod.tuples):
+        if u != v and p in fwd and p in bwd:
             left = _trace(fwd, p)  # diagonal ... -> p
             right = list(reversed(_trace(bwd, p)))  # p -> ... diagonal
-            spine = left + right[1:]
-            first = tuple(split_pair(q)[0] for q in spine)
-            second = tuple(split_pair(q)[1] for q in spine)
-            return FiniteToOneReport(False, (first, second))
+            return FiniteToOneReport(False, _unzip(prod, left + right[1:]))
     return FiniteToOneReport(True)
 
 
@@ -321,8 +381,6 @@ def image_entropy(code: BlockCode) -> ExtendedEntropy:
         values.append(ZERO_ENTROPY if is_single_cycle(comp) else perron_entropy(comp))
     if not values:
         return ZERO_ENTROPY
-    from .entropy import DEFAULT_TOL
-
     return max_entropy(values, DEFAULT_TOL)
 
 
@@ -349,8 +407,7 @@ class SymbolRelation:
 def minimal_relation(code: BlockCode) -> SymbolRelation:
     """Pairs jointly extendable to equal-label bi-infinite paths."""
     lg = code.labeled()
-    prod = prune_to_biinfinite(label_fiber_product(lg, lg))
-    return SymbolRelation.of(split_pair(p) for p in prod.vertices)
+    return SymbolRelation.of(label_fiber_product(lg, lg).tuples)
 
 
 @dataclass(frozen=True)
@@ -366,12 +423,11 @@ class BowenReport:
 def verify_bowen_relation(code: BlockCode, rel: SymbolRelation) -> BowenReport:
     lg = code.labeled()
     lm = lg._label_map
-    prod = prune_to_biinfinite(label_fiber_product(lg, lg))
-    alive = {v for p in prod.vertices for v in split_pair(p)}
+    prod = label_fiber_product(lg, lg)
+    alive = {v for t in prod.tuples for v in t}
     failures = []
     complete = True
-    for p in prod.vertices:
-        u, v = split_pair(p)
+    for u, v in prod.tuples:
         if not rel.holds(u, v):
             complete = False
             failures.append(f"missing extendable pair ({u},{v})")
@@ -394,79 +450,48 @@ def verify_bowen_relation(code: BlockCode, rel: SymbolRelation) -> BowenReport:
     return BowenReport(holds, complete, label_equal, symmetric, reflexive, tuple(failures))
 
 
-def tuple_name(t) -> str:
-    return ",".join(t)
+def _related_tuples(idx: GraphIndex, rel: SymbolRelation, m: int, distinct: bool):
+    """Ordered m-tuples of positions whose entries are pairwise related both
+    ways (distinct entries only, with `distinct`).
 
-
-def split_tuple(name: str) -> tuple[str, ...]:
-    return tuple(name.split(","))
-
-
-def build_fibered_product_Fm(code: BlockCode, rel: SymbolRelation, m: int) -> FiniteGraph:
-    """Graph on mutually related ordered m-tuples with componentwise edges."""
+    Raises BudgetExhausted before the tuples of any length pass TUPLE_CAP.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    lg = code.labeled()
-    g = lg.graph
-    verts = [
-        t
-        for t in _mutually_related_tuples(g.vertices, rel, m)
-    ]
-    vset = {tuple_name(t) for t in verts}
-    succ = {v: g.successors(v) for v in g.vertices}
-    edges = []
-    for t in verts:
-        for nxt in _tuple_successors(t, succ):
-            q = tuple_name(nxt)
-            if q in vset:
-                edges.append((tuple_name(t), q))
-    return FiniteGraph(tuple(sorted(vset)), tuple(sorted(set(edges))))
-
-
-def _mutually_related_tuples(vertices, rel: SymbolRelation, m: int):
-    out = [()]
-    for _ in range(m):
+    pos = idx.pos
+    partners: list[set[int]] = [set() for _ in idx.order]
+    for u, v in rel.pairs:
+        if u in pos and v in pos and (v, u) in rel.pairs:
+            partners[pos[u]].add(pos[v])
+    out: list[tuple[int, ...]] = [()]
+    for k in range(1, m + 1):
         nxt = []
         for t in out:
-            for v in vertices:
-                if all(rel.holds(u, v) and rel.holds(v, u) for u in t):
+            for v in partners[t[0]] if t else range(len(idx.order)):
+                if all(v in partners[u] for u in t) and not (distinct and v in t):
+                    if len(nxt) == TUPLE_CAP:
+                        raise BudgetExhausted(
+                            f"more than TUPLE_CAP = {TUPLE_CAP} mutually related {k}-tuples"
+                        )
                     nxt.append(t + (v,))
         out = nxt
     return out
 
 
-def _tuple_successors(t, succ):
-    choices = [succ[v] for v in t]
-    out = [()]
-    for ch in choices:
-        out = [p + (w,) for p in out for w in ch]
-    return out
+def build_fibered_product_Fm(code: BlockCode, rel: SymbolRelation, m: int) -> ProductGraph:
+    """Graph on mutually related ordered m-tuples with componentwise edges."""
+    idx = code.labeled().graph.index()
+    tuples = _related_tuples(idx, rel, m, distinct=False)
+    return _tuple_product((idx,) * m, tuples, ",", prune=False, by_name=True)
 
 
-def extract_tilde_Xm(code: BlockCode, rel: SymbolRelation, m: int) -> FiniteGraph:
-    """Distinct-entry m-tuples with exact wiring: an edge between tuples needs
-    the base edge a_i -> b_j to exist precisely when i = j."""
-    lg = code.labeled()
-    g = lg.graph
-    has_edge = set(g.edges)
-    verts = [
-        t
-        for t in _mutually_related_tuples(g.vertices, rel, m)
-        if len(set(t)) == m
-    ]
-    vset = {tuple_name(t) for t in verts}
-    edges = []
-    for a in verts:
-        for b in verts:
-            ok = all(
-                ((a[i], b[j]) in has_edge) == (i == j)
-                for i in range(m)
-                for j in range(m)
-            )
-            if ok:
-                edges.append((tuple_name(a), tuple_name(b)))
-    g2 = FiniteGraph(tuple(sorted(vset)), tuple(sorted(set(edges))))
-    return prune_to_biinfinite(g2)
+def extract_tilde_Xm(code: BlockCode, rel: SymbolRelation, m: int) -> ProductGraph:
+    """Distinct-entry m-tuples with exact wiring, pruned to the bi-infinite
+    part: an edge between tuples needs the base edge a_i -> b_j to exist
+    precisely when i = j."""
+    idx = code.labeled().graph.index()
+    tuples = _related_tuples(idx, rel, m, distinct=True)
+    return _tuple_product((idx,) * m, tuples, ",", prune=True, by_name=True, wired=True)
 
 
 @dataclass(frozen=True)
@@ -478,61 +503,44 @@ class ResolvingReport:
     failures: tuple[str, ...] = ()
 
 
+def _lifts_resolve(order, rows, image, kind: str, failures: list) -> bool:
+    """Each tuple's neighbors along `rows` lie over distinct m-sets, and they
+    cover every m-set that its own m-set's tuples reach."""
+    reach: dict[frozenset, set] = {}
+    for v, row in enumerate(rows):
+        reach.setdefault(image[v], set()).update(image[w] for w, _ in row)
+    ok = True
+    for v, row in enumerate(rows):
+        seen: set = set()
+        for w, _ in row:
+            if image[w] in seen:
+                ok = False
+                failures.append(
+                    f"tuple {order[v]} has two {kind}s over set-image {sorted(image[w])}"
+                )
+            seen.add(image[w])
+        if seen != reach[image[v]]:
+            ok = False
+            failures.append(f"tuple {order[v]} misses a set-{kind} lift")
+    return ok
+
+
 def quotient_psi(code: BlockCode, rel: SymbolRelation, m: int) -> ResolvingReport:
     """Check the quotient of the distinct-entry product onto unordered m-sets."""
-    from math import factorial
-
     xm = extract_tilde_Xm(code, rel, m)
-    failures = []
+    failures: list[str] = []
     if not xm.vertices:
         return ResolvingReport(True, True, False, None, ("empty distinct-entry product",))
-    sets = {}
-    for v in xm.vertices:
-        sets.setdefault(frozenset(split_tuple(v)), []).append(v)
+    # vertices are sorted by name, so they are also the index positions
+    image = [frozenset(t) for t in xm.tuples]
     fibers_complete = True
-    for s, tuples in sets.items():
-        if len(tuples) != factorial(m):
+    for s, count in Counter(image).items():
+        if count != factorial(m):
             fibers_complete = False
-            failures.append(
-                f"set {{{','.join(sorted(s))}}} carries {len(tuples)} orderings"
-            )
-    # the quotient graph on sets
-    succ_sets = {}
-    for v in xm.vertices:
-        sv = frozenset(split_tuple(v))
-        for w in xm.successors(v):
-            succ_sets.setdefault(sv, set()).add(frozenset(split_tuple(w)))
-    right = True
-    left = True
-    for v in xm.vertices:
-        seen = {}
-        for w in xm.successors(v):
-            sw = frozenset(split_tuple(w))
-            if sw in seen:
-                right = False
-                failures.append(f"tuple {v} has two successors over set-image {sorted(sw)}")
-            seen[sw] = w
-        want = succ_sets.get(frozenset(split_tuple(v)), set())
-        if set(seen) != want:
-            right = False
-            failures.append(f"tuple {v} misses a set-successor lift")
-    pred_sets = {}
-    for v in xm.vertices:
-        sv = frozenset(split_tuple(v))
-        for w in xm.predecessors(v):
-            pred_sets.setdefault(sv, set()).add(frozenset(split_tuple(w)))
-    for v in xm.vertices:
-        seen = {}
-        for w in xm.predecessors(v):
-            sw = frozenset(split_tuple(w))
-            if sw in seen:
-                left = False
-                failures.append(f"tuple {v} has two predecessors over set-image {sorted(sw)}")
-            seen[sw] = w
-        want = pred_sets.get(frozenset(split_tuple(v)), set())
-        if set(seen) != want:
-            left = False
-            failures.append(f"tuple {v} misses a set-predecessor lift")
+            failures.append(f"set {{{','.join(sorted(s))}}} carries {count} orderings")
+    idx = xm.index()
+    right = _lifts_resolve(idx.order, idx.succ, image, "successor", failures)
+    left = _lifts_resolve(idx.order, idx.pred, image, "predecessor", failures)
     count = factorial(m) if (right and left and fibers_complete) else None
     return ResolvingReport(right, left, fibers_complete, count, tuple(failures))
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import ceil, log
 from typing import Optional
 
-from .codes import BlockCode, LabeledGraph, check_injective, prune_to_biinfinite
+from .codes import BlockCode, BudgetExhausted, LabeledGraph, check_injective, prune_to_biinfinite
 from .entropy import DEFAULT_TOL, ExtendedEntropy, ZERO_ENTROPY, compare_entropy, perron_entropy
 from .graphs import irreducible_components, is_single_cycle
 from .presentations import FiniteGraph
@@ -44,10 +44,6 @@ class PreconditionViolated(ValueError):
 
 class NoDistinctLoops(ValueError):
     """No pair of loops with distinct label words at any base vertex."""
-
-
-class BudgetExhausted(RuntimeError):
-    """Search caps reached without a certified subsystem."""
 
 
 @dataclass(frozen=True)
@@ -74,9 +70,6 @@ class EmbeddingCertificate:
     symbol_map: tuple[tuple[str, str], ...]  # presentation vertex -> domain vertex
     entropy: ExtendedEntropy
     params: Optional[MarkerParams] = None
-
-    def domain_vertex(self, state: str) -> str:
-        return dict(self.symbol_map)[state]
 
 
 def make_subsystem_code(cert: EmbeddingCertificate, lg: LabeledGraph) -> BlockCode:

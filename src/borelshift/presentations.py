@@ -285,13 +285,6 @@ class FiniteGraph:
         ]
         return FiniteGraph(verts, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
-    def renamed(self, mapping) -> "FiniteGraph":
-        return FiniteGraph(
-            tuple(mapping[v] for v in self.vertices),
-            tuple((mapping[v], mapping[w]) for v, w in self.edges),
-            self.edge_names,
-        )
-
 
 ShiftPresentation = Union[FiniteGraph, LoopSchema]
 

@@ -7,6 +7,7 @@ that shares none of its machinery.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from math import gcd
@@ -127,6 +128,102 @@ def random_strongly_connected(rng: random.Random, n_max: int = 8):
         u, v = rng.choice(vs), rng.choice(vs)
         edges.add((u, v))
     return vs, sorted(edges)
+
+
+def line_graph_edges(named_edges: list[tuple[str, str, str]]) -> list[Edge]:
+    """Line graph of a multigraph given as (name, tail, head): e -> f exactly
+    when head(e) = tail(f), tested over all pairs, e-major in edge order."""
+    return [
+        (e, f)
+        for e, _, head in named_edges
+        for f, tail, _ in named_edges
+        if head == tail
+    ]
+
+
+def prune_by_deletion(vertices, edges) -> list:
+    """Delete vertices without a successor or a predecessor until none is left;
+    the survivors keep their order in `vertices`."""
+    alive = list(vertices)
+    while True:
+        keep = [
+            v for v in alive
+            if any(u == v and w in alive for u, w in edges)
+            and any(w == v and u in alive for u, w in edges)
+        ]
+        if keep == alive:
+            return alive
+        alive = keep
+
+
+def label_pair_product(vertices: list[str], edges: list[Edge], labels: dict) -> tuple:
+    """Pruned label fiber product of a labeled graph with itself, by brute force.
+
+    Pairs are all (u, v) with equal labels, in vertex order of u and then of
+    v; an edge joins every two pairs whose coordinates are both edges.
+    Returns the surviving pairs in that order and the edges between them.
+    """
+    pairs = [(u, v) for u in vertices for v in vertices if labels[u] == labels[v]]
+    es = set(edges)
+    pair_edges = [(p, q) for p in pairs for q in pairs if (p[0], q[0]) in es and (p[1], q[1]) in es]
+    alive = prune_by_deletion(pairs, pair_edges)
+    return alive, [(p, q) for p, q in pair_edges if p in alive and q in alive]
+
+
+def related_tuple_graph(vertices: list[str], edges: list[Edge], rel: set, m: int,
+                        wired: bool = False) -> tuple:
+    """F_m by brute force, or with `wired` the pruned distinct-entry product.
+
+    F_m: all m-tuples whose entries are pairwise related both ways, with an
+    edge t -> s when every t_k -> s_k is an edge.  With `wired`: distinct
+    entries only, and t -> s an edge when t_i -> s_j is an edge exactly for
+    i = j, tested over all pairs of tuples, then pruned by deletion.  Returns
+    the tuples and the edges before pruning, and the surviving tuples.
+    """
+    es = set(edges)
+    tuples = [
+        t for t in itertools.product(vertices, repeat=m)
+        if all((t[i], t[j]) in rel and (t[j], t[i]) in rel
+               for i in range(m) for j in range(i + 1, m))
+        and (not wired or len(set(t)) == m)
+    ]
+
+    def joined(t, s) -> bool:
+        if wired:
+            return all(((t[i], s[j]) in es) == (i == j) for i in range(m) for j in range(m))
+        return all((t[i], s[i]) in es for i in range(m))
+
+    tuple_edges = [(t, s) for t in tuples for s in tuples if joined(t, s)]
+    alive = prune_by_deletion(tuples, tuple_edges) if wired else tuples
+    return tuples, tuple_edges, alive
+
+
+def quotient_flags(alive: list[tuple], tuple_edges: list) -> dict:
+    """Resolving flags and fiber completeness of the map t -> set(t), over the
+    surviving tuples, by brute force."""
+    kept = set(alive)
+    succ = {t: [s for a, s in tuple_edges if a == t and s in kept] for t in alive}
+    pred = {t: [a for a, s in tuple_edges if s == t and a in kept] for t in alive}
+
+    def resolving(nbr) -> bool:
+        reach: dict = {}
+        for t in alive:
+            reach.setdefault(frozenset(t), set()).update(frozenset(w) for w in nbr[t])
+        return all(
+            len({frozenset(w) for w in nbr[t]}) == len(nbr[t])
+            and {frozenset(w) for w in nbr[t]} == reach[frozenset(t)]
+            for t in alive
+        )
+
+    m = len(alive[0]) if alive else 0
+    orderings: dict = {}
+    for t in alive:
+        orderings[frozenset(t)] = orderings.get(frozenset(t), 0) + 1
+    return {
+        "right_resolving": resolving(succ),
+        "left_resolving": resolving(pred),
+        "fibers_complete": bool(alive) and all(c == math.factorial(m) for c in orderings.values()),
+    }
 
 
 GOLDEN_ENTROPY = math.log((1 + math.sqrt(5)) / 2)

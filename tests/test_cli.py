@@ -376,6 +376,16 @@ def test_fiberprod_empty_product_prints_no_document(capsys, even_code_file):
     assert "empty" in d["failure"]
 
 
+
+def test_fiberprod_past_tuple_cap_exits_2(capsys, even_code_file):
+    # F_m of the even-shift code has 2^m + 1 states
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["fiberprod", even_code_file, "--m", "40"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    assert "TUPLE_CAP" in err
+
 # === pathology ===
 
 def test_pathology_report_certifies_gap(capsys):

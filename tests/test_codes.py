@@ -6,10 +6,15 @@ of even length.
 """
 
 import itertools
+import random
+import time
+from math import factorial
+
 import pytest
 
 from borelshift import (
     BlockCode,
+    BudgetExhausted,
     FiniteGraph,
     ParseError,
     SymbolRelation,
@@ -34,7 +39,13 @@ from borelshift import (
     verify_bowen_relation,
 )
 
-from helpers import is_even_shift_word
+from helpers import (
+    is_even_shift_word,
+    label_pair_product,
+    line_graph_edges,
+    quotient_flags,
+    related_tuple_graph,
+)
 
 
 def even_code() -> BlockCode:
@@ -253,6 +264,138 @@ def test_quotient_psi_empty_beyond_multiplicity():
     rep = quotient_psi(code, rel, 3)
     assert rep.preimage_count is None
     assert "empty" in rep.failures[0]
+
+
+def test_fibered_product_past_tuple_cap_raises_quickly():
+    code = even_code()  # F_m has 2^m + 1 states
+    start = time.perf_counter()
+    with pytest.raises(BudgetExhausted, match="TUPLE_CAP"):
+        build_fibered_product_Fm(code, minimal_relation(code), 40)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_label_fiber_product_is_pruned_and_keeps_coordinates():
+    # c is transient: it has no predecessor
+    g = FiniteGraph(("c", "a", "b"), (("c", "a"), ("a", "b"), ("b", "a"), ("a", "a")))
+    code = BlockCode(g, (("a", "x"), ("b", "x"), ("c", "x")), mode="vertex")
+    lg = code.labeled()
+    prod = label_fiber_product(lg, lg)
+    assert prod.vertices == prune_to_biinfinite(prod).vertices
+    assert prod.vertices == ("a|a", "a|b", "b|a", "b|b")
+    assert prod.tuples == (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))
+
+
+# === products against brute force ===
+
+NAME_POOL = ("a", "b1", "b10", "b2", "c", "x9", "x10", "z", "e0", "e1")
+
+
+def random_code(rng: random.Random, mode: str) -> BlockCode:
+    """Small random code, its names in non-sorted order.
+
+    Some domains are two or (in vertex mode) three equally labeled copies of
+    one graph, maybe joined by one more edge, so that larger fibers occur.
+    """
+    # three copies of an edge-mode domain make the brute-force products slow
+    copies = rng.choice((1, 1, 2, 3) if mode == "vertex" else (1, 1, 2, 2))
+    suffixes = ("",) if copies == 1 else "ABC"[:copies]
+    symbols = "pqr"[: rng.randint(2, 3)]
+    if mode == "vertex":
+        base = rng.sample(NAME_POOL, rng.randint(2, 5 if copies == 1 else 2))
+        base_edges = {(rng.choice(base), rng.choice(base)) for _ in range(rng.randint(2, 3 * len(base)))}
+        base_labels = {v: rng.choice(symbols) for v in base}
+        labels = {v + s: base_labels[v] for v in base for s in suffixes}
+        vs = [v + s for s in suffixes for v in base]
+        edges = {(u + s, w + s) for s in suffixes for u, w in base_edges}
+        if copies > 1 and rng.random() < 0.5:
+            edges.add((rng.choice(vs), rng.choice(vs)))
+        rng.shuffle(vs)
+        return BlockCode(FiniteGraph(tuple(vs), tuple(sorted(edges))),
+                         tuple((v, labels[v]) for v in vs), mode)
+    base = [f"v{i}" for i in range(rng.randint(1, 3))]
+    base_edges = [(rng.choice(base), rng.choice(base)) for _ in range(rng.randint(1, 4 // copies))]
+    base_edges += [base_edges[0], (base[-1], base[-1])]  # a parallel edge and a self-loop
+    rng.shuffle(base_edges)
+    base_names = rng.sample(NAME_POOL, len(base_edges))
+    base_labels = [rng.choice(symbols) for _ in base_edges]
+    vs, edges, keys, mapping = [v + s for s in suffixes for v in base], [], [], []
+    for s in suffixes:
+        for (u, w), name, sym in zip(base_edges, base_names, base_labels):
+            edges.append((u + s, w + s))
+            keys.append(name + s)
+            mapping.append((name + s, sym))
+    if copies > 1 and rng.random() < 0.5:
+        edges.append((rng.choice(vs), rng.choice(vs)))
+        keys.append("y")
+        mapping.append(("y", rng.choice(symbols)))
+    return BlockCode(FiniteGraph(tuple(vs), tuple(edges), tuple(keys)), tuple(mapping), mode)
+
+
+def names(ts, sep=","):
+    return [sep.join(t) for t in ts]
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_products_match_brute_force(mode):
+    for seed in range(50):
+        rng = random.Random(seed)
+        code = random_code(rng, mode)
+        lg = code.labeled()
+        if mode == "edge":
+            named = [(n, u, w) for n, (u, w) in zip(code.domain.edge_names, code.domain.edges)]
+            assert lg.graph.vertices == code.domain.edge_names, seed
+            assert list(lg.graph.edges) == line_graph_edges(named), seed
+        vertices, edges = list(lg.graph.vertices), list(lg.graph.edges)
+        labels = dict(code.mapping)
+
+        pairs, pair_edges = label_pair_product(vertices, edges, labels)
+        prod = prune_to_biinfinite(label_fiber_product(lg, lg))
+        assert list(prod.vertices) == names(pairs, "|"), seed
+        assert list(prod.edges) == sorted(zip(names((p for p, _ in pair_edges), "|"),
+                                              names((q for _, q in pair_edges), "|"))), seed
+        assert minimal_relation(code).pairs == frozenset(pairs), seed
+
+        # the minimal relation, all label-equal pairs, or random pairs
+        rel = [
+            set(pairs),
+            {(u, v) for u in vertices for v in vertices if labels[u] == labels[v]},
+            {(u, v) for u in vertices for v in vertices if rng.random() < 0.4},
+        ][seed % 3]
+        srel = SymbolRelation.of(rel)
+        for m in (1, 2, 3):
+            tuples, t_edges, _ = related_tuple_graph(vertices, edges, rel, m)
+            fm = build_fibered_product_Fm(code, srel, m)
+            assert list(fm.vertices) == sorted(names(tuples)), (seed, m)
+            assert list(fm.edges) == sorted(
+                zip(names(t for t, _ in t_edges), names(s for _, s in t_edges))), (seed, m)
+        for m in (2, 3):
+            tuples, t_edges, alive = related_tuple_graph(vertices, edges, rel, m, wired=True)
+            xm = extract_tilde_Xm(code, srel, m)
+            kept = set(names(alive))
+            assert list(xm.vertices) == sorted(kept), (seed, m)
+            every = sorted(zip(names(t for t, _ in t_edges), names(s for _, s in t_edges)))
+            # a pruned product keeps each edge's name from the unpruned one
+            want = [(f"e{k}", e) for k, e in enumerate(every) if e[0] in kept and e[1] in kept]
+            assert list(zip(xm.edge_names, xm.edges)) == want, (seed, m)
+            flags = quotient_flags(alive, t_edges)
+            rep = quotient_psi(code, srel, m)
+            got = {k: getattr(rep, k) for k in flags}
+            assert got == flags, (seed, m)
+            assert rep.preimage_count == (factorial(m) if all(flags.values()) else None)
+
+
+def test_line_graph_of_16000_edges_is_linear():
+    rng = random.Random(16000)
+    vs = [f"v{i}" for i in range(4000)]
+    g = FiniteGraph(tuple(vs), tuple((rng.choice(vs), rng.choice(vs)) for _ in range(16000)))
+    code = BlockCode(g, tuple((e, rng.choice("01")) for e in g.edge_names), mode="edge")
+    start = time.perf_counter()
+    lg = code.labeled()
+    assert time.perf_counter() - start < 5.0
+    outdeg = {v: 0 for v in vs}
+    for u, _ in g.edges:
+        outdeg[u] += 1
+    assert len(lg.graph.edges) == sum(outdeg[w] for _, w in g.edges)
 
 
 # === document round trips ===
