@@ -44,7 +44,7 @@ def main():
     tilde = extract_tilde_Xm(code, rel, 2)
     print("pair product states:", sorted(f2.vertices))
     print("distinct-entry states:", sorted(tilde.vertices))
-    psi = quotient_psi(code, rel, 2)
+    psi = quotient_psi(tilde, 2)
     print(
         "quotient: right-resolving",
         psi.right_resolving,

@@ -52,7 +52,6 @@ from .pathology import (
     certify_pathology,
     choose_pathology_parameters,
     control_parameters,
-    build_pathology_graph,
 )
 from .presentations import (
     FiniteGraph,
@@ -231,7 +230,7 @@ def _cmd_fiberprod(args) -> int:
         rel = parse_relation(_read(args.relation))
     fm = build_fibered_product_Fm(code, rel, args.m)
     tilde = extract_tilde_Xm(code, rel, args.m)
-    psi = quotient_psi(code, rel, args.m)
+    psi = quotient_psi(tilde, args.m)
     # tuple states contain the ',' separator; dots keep the document parseable
     rename = {v: v.replace(",", ".") for v in tilde.vertices}
     tilde = FiniteGraph(
@@ -278,7 +277,7 @@ def _cmd_pathology(args) -> int:
     _emit("control", args.control)
     _emit("M", spec.M)
     _emit("m_seq", ",".join(str(m) for m in spec.m_seq))
-    _emit("states", len(build_pathology_graph(spec).domain.vertices))
+    _emit("states", report.states)
     _emit("return_counts_match", report.return_counts_match)
     _emit("estimate", report.estimate)
     _emit("estimate_below_eps", report.estimate_below_eps)

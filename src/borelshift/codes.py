@@ -95,23 +95,32 @@ class BlockCode:
             raise ValueError(f"mapping must cover every {self.mode} exactly once")
 
     def labeled(self) -> LabeledGraph:
-        """Vertex-mode normal form (line graph for edge mode).
+        """Vertex-mode normal form (line graph for edge mode), built on first
+        use and cached, so every check on this code shares one line graph.
 
         In edge mode, edge e -> f when head(e) = tail(f), ordered by e and then
         by f in the domain's edge order.
         """
+        try:
+            return self._labeled
+        except AttributeError:
+            pass
         if self.mode == "vertex":
-            return LabeledGraph(self.domain, self.mapping)
-        g = self.domain
-        leaving: dict[str, list[str]] = {}
-        for name, (u, _) in zip(g.edge_names, g.edges):
-            leaving.setdefault(u, []).append(name)
-        edges = tuple(
-            (e, f) for e, (_, w) in zip(g.edge_names, g.edges) for f in leaving.get(w, ())
-        )
-        line = FiniteGraph(g.edge_names, edges)
-        lm = dict(self.mapping)
-        return LabeledGraph(line, tuple((v, lm[v]) for v in g.edge_names))
+            lg = LabeledGraph(self.domain, self.mapping)
+        else:
+            g = self.domain
+            leaving: dict[str, list[str]] = {}
+            for name, (u, _) in zip(g.edge_names, g.edges):
+                leaving.setdefault(u, []).append(name)
+            edges = tuple(
+                (e, f) for e, (_, w) in zip(g.edge_names, g.edges) for f in leaving.get(w, ())
+            )
+            lm = dict(self.mapping)
+            lg = LabeledGraph(
+                FiniteGraph(g.edge_names, edges), tuple((v, lm[v]) for v in g.edge_names)
+            )
+        object.__setattr__(self, "_labeled", lg)
+        return lg
 
 
 @dataclass(frozen=True)
@@ -525,9 +534,9 @@ def _lifts_resolve(order, rows, image, kind: str, failures: list) -> bool:
     return ok
 
 
-def quotient_psi(code: BlockCode, rel: SymbolRelation, m: int) -> ResolvingReport:
-    """Check the quotient of the distinct-entry product onto unordered m-sets."""
-    xm = extract_tilde_Xm(code, rel, m)
+def quotient_psi(xm: ProductGraph, m: int) -> ResolvingReport:
+    """Check the quotient of the distinct-entry product `xm`, as
+    `extract_tilde_Xm` builds it for this `m`, onto unordered m-sets."""
     failures: list[str] = []
     if not xm.vertices:
         return ResolvingReport(True, True, False, None, ("empty distinct-entry product",))

@@ -22,6 +22,11 @@ flanking base words determines the path segment covering it; unanchored
 2-runs stay ambiguous with many lifts.  Maximality is imposed at word level
 by requiring the lift to enter through a 2-labeled edge and leave through
 one, which is exactly what flanking 2 symbols force.
+
+Lifts are counted, not listed, by one walk on the index of the code's cached
+line graph (`BlockCode.labeled()`), whose positions are the edges, so parallel
+edges stay apart.  The walk keeps a path count per position and at each step
+moves it to the successors carrying the next letter of the word.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Optional
 from .codes import BlockCode
 from .entropy import ExtendedEntropy, IntervalApprox, ZERO_ENTROPY, compare_entropy
 from .graphs import entropy_by_loop_count, first_return_counts, loop_entropy_estimate
-from .presentations import FiniteGraph, LoopSchema
+from .presentations import FiniteGraph, GraphIndex, LoopSchema
 from .recurrence import classify_recurrence
 
 ROOT = "r"
@@ -157,80 +162,58 @@ def truncated_entropy(counts: list[int], depth: int) -> ExtendedEntropy:
     return classify_recurrence(schema).entropy
 
 
-class LabelIndex:
-    """Per-symbol edge lists and per-state outgoing maps for path counting.
+def _symbols(code: BlockCode) -> tuple[GraphIndex, list[str]]:
+    """The index of the code's line graph and the symbol at each position."""
+    lg = code.labeled()
+    idx = lg.graph.index()
+    return idx, [lg.label(e) for e in idx.order]
 
-    mark_sources and mark_targets are the states a 2-labeled edge leaves and
-    enters; anchored_lifts reads them on every call.
+
+def _walk(succ, sym: list[str], starts, word: tuple[str, ...]) -> dict[int, int]:
+    """Paths spelling word from the positions `starts`, counted by end position.
+
+    Each start spells word[0]; each step keeps the successors whose symbol is
+    the next letter.
     """
-
-    def __init__(self, code: BlockCode):
-        self.edges_by_sym: dict[str, list[tuple[str, str]]] = {}
-        self.out_by_state: dict[str, dict[str, list[str]]] = {}
-        sym_of = dict(code.mapping)
-        for name, (u, v) in zip(code.domain.edge_names, code.domain.edges):
-            s = sym_of[name]
-            self.edges_by_sym.setdefault(s, []).append((u, v))
-            self.out_by_state.setdefault(u, {}).setdefault(s, []).append(v)
-        marks = self.edges_by_sym.get(MARK, ())
-        self.mark_sources = frozenset(u for u, _ in marks)
-        self.mark_targets = frozenset(v for _, v in marks)
+    cnt = dict.fromkeys(starts, 1)
+    for letter in word[1:]:
+        nxt: dict[int, int] = {}
+        for p, c in cnt.items():
+            for q, _ in succ[p]:
+                if sym[q] == letter:
+                    nxt[q] = nxt.get(q, 0) + c
+        cnt = nxt
+    return cnt
 
 
-def count_label_paths(
-    code: BlockCode, word: tuple[str, ...], index: Optional[LabelIndex] = None
-) -> int:
+def count_label_paths(code: BlockCode, word: tuple[str, ...]) -> int:
     """Number of paths in the presentation whose edge-label word equals word."""
     if not word:
         return len(code.domain.vertices)
-    if index is None:
-        index = LabelIndex(code)
-    # every state starts one path, so step 1 just counts edges by target
-    cnt: dict[str, int] = {}
-    for _, v in index.edges_by_sym.get(word[0], ()):
-        cnt[v] = cnt.get(v, 0) + 1
-    for sym in word[1:]:
-        if not cnt:
-            return 0
-        nxt: dict[str, int] = {}
-        for u, c in cnt.items():
-            for v in index.out_by_state.get(u, {}).get(sym, ()):
-                nxt[v] = nxt.get(v, 0) + c
-        cnt = nxt
-    return sum(cnt.values())
+    idx, sym = _symbols(code)
+    starts = [p for p, s in enumerate(sym) if s == word[0]]
+    return sum(_walk(idx.succ, sym, starts, word).values())
 
 
-def anchored_lifts(
-    code: BlockCode,
-    word: tuple[str, ...],
-    index: Optional[LabelIndex] = None,
-    cap: int = 4096,
-) -> list[tuple[str, ...]]:
-    """Vertex paths spelling word whose endpoints extend by the 2 marker.
+def anchored_lifts(code: BlockCode, words: list[tuple[str, ...]]) -> list[int]:
+    """Number of lifts of each non-empty word whose ends extend by the 2 marker.
 
-    The start must be the target of some 2-labeled edge and the end the
-    source of one, so the word models a block flanked by maximal 2-runs.
+    A lift starts on an edge that some 2-labeled edge precedes and ends on
+    one that some 2-labeled edge follows, so the word models a block flanked
+    by maximal 2-runs.  The anchor flags and the start positions per symbol
+    are set up once for the whole batch.
     """
-    if index is None:
-        index = LabelIndex(code)
-    frontier = [
-        (u,)
-        for u, _ in index.edges_by_sym.get(word[0], ())
-        if u in index.mark_targets
+    idx, sym = _symbols(code)
+    entered = [any(sym[q] == MARK for q, _ in row) for row in idx.pred]
+    leaves = [any(sym[q] == MARK for q, _ in row) for row in idx.succ]
+    starts: dict[str, list[int]] = {}
+    for p, s in enumerate(sym):
+        if entered[p]:
+            starts.setdefault(s, []).append(p)
+    return [
+        sum(c for p, c in _walk(idx.succ, sym, starts.get(w[0], ()), w).items() if leaves[p])
+        for w in words
     ]
-    frontier = sorted(set(frontier))
-    for sym in word:
-        nxt = [
-            p + (v,)
-            for p in frontier
-            for v in index.out_by_state.get(p[-1], {}).get(sym, ())
-        ]
-        if len(nxt) > cap:
-            raise RuntimeError(f"more than {cap} partial lifts for {''.join(word)}")
-        frontier = nxt
-        if not frontier:
-            return []
-    return [p for p in frontier if p[-1] in index.mark_sources]
 
 
 @dataclass(frozen=True)
@@ -238,6 +221,7 @@ class PathologyReport:
     spec: PathologySpec
     return_counts_match: bool
     window: int
+    states: int  # vertices of the built presentation
     loop_rows: tuple[tuple[int, int], ...]  # (length, loop count) within window
     estimate: float  # loop-entropy estimate over the window
     estimate_below_eps: bool
@@ -258,12 +242,7 @@ def _sampled_pairs(words: list[tuple[str, ...]], cap: int):
     return pairs[::stride][:cap]
 
 
-def certify_pathology(
-    spec: PathologySpec,
-    eps: Fraction,
-    window: int = 40,
-    bordered_cap: int = BORDER_CHECK_CAP,
-) -> PathologyReport:
+def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> PathologyReport:
     """Check every desk-scale claim of the construction against the built graph."""
     code = build_pathology_graph(spec)
     g = code.domain
@@ -287,33 +266,23 @@ def certify_pathology(
     hidden = classify_recurrence(full_schema).entropy
     gap = compare_entropy(hidden, est_iv, Fraction(1, 10**12)) == "gt"
 
-    index = LabelIndex(code)
-    failures: list[str] = []
-    checked = 0
+    blocks: list[tuple[str, tuple[str, ...]]] = []
     for k in range(1, spec.depth + 1):
         m = spec.m_seq[k - 1]
-        for wp, wm in _sampled_pairs(base_words(spec.base, k), bordered_cap):
-            word = wp + (MARK,) * m + wm
-            lifts = anchored_lifts(code, word, index)
-            checked += 1
-            if len(lifts) != 1:
-                failures.append(
-                    f"level {k} pair {''.join(wp)}|{''.join(wm)}: {len(lifts)} lifts"
-                )
+        for wp, wm in _sampled_pairs(base_words(spec.base, k), BORDER_CHECK_CAP):
+            blocks.append((f"level {k} pair {''.join(wp)}|{''.join(wm)}", wp + (MARK,) * m + wm))
     for s in base_words(spec.base, 1):
         for s2 in base_words(spec.base, 1):
-            word = s + (MARK,) * spec.M + s2
-            lifts = anchored_lifts(code, word, index)
-            checked += 1
-            if len(lifts) != 1:
-                failures.append(f"root block {s[0]}|{s2[0]}: {len(lifts)} lifts")
+            blocks.append((f"root block {s[0]}|{s2[0]}", s + (MARK,) * spec.M + s2))
+    block_lifts = anchored_lifts(code, [word for _, word in blocks])
+    failures = [f"{name}: {n} lifts" for (name, _), n in zip(blocks, block_lifts) if n != 1]
 
     witness = None
     lifts = 0
     first = base_words(spec.base, 1)[0][0]
     for t in range(1, max(spec.m_seq) + spec.M):
         word = (first,) + (MARK,) * t
-        lifts = count_label_paths(code, word, index)
+        lifts = count_label_paths(code, word)
         if lifts >= 2:
             witness = word
             break
@@ -322,12 +291,13 @@ def certify_pathology(
         spec=spec,
         return_counts_match=counts_match,
         window=window,
+        states=len(g.vertices),
         loop_rows=tuple((n, c) for n, c, _ in rows),
         estimate=estimate,
         estimate_below_eps=below,
         hidden_entropy=hidden,
         gap_certified=gap,
-        bordered_checked=checked,
+        bordered_checked=len(blocks),
         bordered_unique=not failures,
         bordered_failures=tuple(failures),
         ambiguous_witness=witness,

@@ -249,10 +249,10 @@ def test_criterion_7_bowen_fibered_product():
         golden, (("e0", "1"), ("e1", "0"), ("e2", "0")), mode="edge"
     )
     rel = minimal_relation(code)
-    psi = quotient_psi(code, rel, 2)
+    tilde = extract_tilde_Xm(code, rel, 2)
+    psi = quotient_psi(tilde, 2)
     assert psi.right_resolving and psi.left_resolving
     assert psi.preimage_count == 2
-    tilde = extract_tilde_Xm(code, rel, 2)
     # the ordered-pair shift is a 2-cycle over one unordered fiber, so each
     # quotient word of any length has exactly 2 = m! ordered lifts
     succ = {u: [v for (a, v) in tilde.edges if a == u] for u in tilde.vertices}

@@ -251,7 +251,7 @@ def test_distinct_entry_product_and_quotient():
     rel = minimal_relation(code)
     x2 = extract_tilde_Xm(code, rel, 2)
     assert sorted(x2.vertices) == ["e1,e2", "e2,e1"]
-    rep = quotient_psi(code, rel, 2)
+    rep = quotient_psi(x2, 2)
     assert rep.right_resolving and rep.left_resolving
     assert rep.fibers_complete
     assert rep.preimage_count == 2
@@ -261,7 +261,7 @@ def test_distinct_entry_product_and_quotient():
 def test_quotient_psi_empty_beyond_multiplicity():
     code = even_code()
     rel = minimal_relation(code)
-    rep = quotient_psi(code, rel, 3)
+    rep = quotient_psi(extract_tilde_Xm(code, rel, 3), 3)
     assert rep.preimage_count is None
     assert "empty" in rep.failures[0]
 
@@ -378,7 +378,7 @@ def test_products_match_brute_force(mode):
             want = [(f"e{k}", e) for k, e in enumerate(every) if e[0] in kept and e[1] in kept]
             assert list(zip(xm.edge_names, xm.edges)) == want, (seed, m)
             flags = quotient_flags(alive, t_edges)
-            rep = quotient_psi(code, srel, m)
+            rep = quotient_psi(xm, m)
             got = {k: getattr(rep, k) for k in flags}
             assert got == flags, (seed, m)
             assert rep.preimage_count == (factorial(m) if all(flags.values()) else None)

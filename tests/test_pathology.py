@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from borelshift import (
+    BlockCode,
     FiniteGraph,
     PathologySpec,
     base_words,
@@ -18,7 +19,6 @@ from borelshift import (
     first_return_counts,
 )
 from borelshift.pathology import (
-    LabelIndex,
     _sampled_pairs,
     anchored_lifts,
     count_label_paths,
@@ -109,26 +109,38 @@ def test_first_returns_match_formula():
 
 # === label-path counting ===
 
-def test_count_label_paths_against_exhaustive_enumeration():
-    code = build_pathology_graph(PathologySpec(golden_base(), 3, (4,)))
+def label_paths_by_brute_force(code, length):
+    """(start state, end state, label word) of every edge path of the length."""
     g = code.domain
     sym = dict(code.mapping)
     by_name = dict(zip(g.edge_names, g.edges))
-    index = LabelIndex(code)
+    paths = [((u,), ()) for u in g.vertices]
+    for _ in range(length):
+        nxt = []
+        for verts, word in paths:
+            for name, (a, b) in by_name.items():
+                if a == verts[-1]:
+                    nxt.append((verts + (b,), word + (sym[name],)))
+        paths = nxt
+    return [(verts[0], verts[-1], word) for verts, word in paths]
+
+
+def test_count_label_paths_against_exhaustive_enumeration():
+    code = build_pathology_graph(PathologySpec(golden_base(), 3, (4,)))
     for length in (1, 2, 3, 4):
         brute: dict[tuple, int] = {}
-        paths = [((u,), ()) for u in g.vertices]
-        for _ in range(length):
-            nxt = []
-            for verts, word in paths:
-                for name, (a, b) in by_name.items():
-                    if a == verts[-1]:
-                        nxt.append((verts + (b,), word + (sym[name],)))
-            paths = nxt
-        for _, word in paths:
+        for _, _, word in label_paths_by_brute_force(code, length):
             brute[word] = brute.get(word, 0) + 1
         for word in itertools.product(("0", "1", "2"), repeat=length):
-            assert count_label_paths(code, word, index) == brute.get(word, 0)
+            assert count_label_paths(code, word) == brute.get(word, 0)
+
+
+def test_count_label_paths_keeps_parallel_edges_apart():
+    # two parallel loops labeled 1 at a, and a -> b -> a labeled 0 0
+    g = FiniteGraph(("a", "b"), (("a", "a"), ("a", "a"), ("a", "b"), ("b", "a")))
+    code = BlockCode(g, (("e0", "1"), ("e1", "1"), ("e2", "0"), ("e3", "0")), mode="edge")
+    words = [("1",), ("1", "1"), ("1", "0"), ("0", "0", "1"), ("1", "1", "1")]
+    assert [count_label_paths(code, w) for w in words] == [2, 4, 2, 2, 8]
 
 
 def test_count_label_paths_empty_word_counts_states():
@@ -141,24 +153,42 @@ def test_count_label_paths_empty_word_counts_states():
 def test_bordered_blocks_lift_uniquely():
     spec = depth2_spec()
     code = build_pathology_graph(spec)
-    index = LabelIndex(code)
     # level-k excursion blocks, flanked by base words of length k
-    for k, m in enumerate(spec.m_seq, start=1):
-        for wp in base_words(spec.base, k):
-            for wm in base_words(spec.base, k):
-                word = wp + ("2",) * m + wm
-                assert len(anchored_lifts(code, word, index)) == 1
+    words = [
+        wp + ("2",) * m + wm
+        for k, m in enumerate(spec.m_seq, start=1)
+        for wp in base_words(spec.base, k)
+        for wm in base_words(spec.base, k)
+    ]
     # root blocks, flanked by single symbols
-    for s, s2 in itertools.product("01", repeat=2):
-        word = (s,) + ("2",) * spec.M + (s2,)
-        assert len(anchored_lifts(code, word, index)) == 1
+    words += [(s,) + ("2",) * spec.M + (s2,) for s, s2 in itertools.product("01", repeat=2)]
+    assert len(words) == 17
+    assert anchored_lifts(code, words) == [1] * len(words)
 
 
 def test_unrealized_run_length_has_no_lift():
     spec = depth2_spec()
     code = build_pathology_graph(spec)
     # no connector has 6 marker edges and 6 is not a multiple of M = 5
-    assert anchored_lifts(code, ("0",) + ("2",) * 6 + ("0",)) == []
+    assert anchored_lifts(code, [("0",) + ("2",) * 6 + ("0",)]) == [0]
+
+
+def test_anchored_lifts_against_exhaustive_enumeration():
+    code = build_pathology_graph(PathologySpec(golden_base(), 3, (4,)))
+    g = code.domain
+    sym = dict(code.mapping)
+    marks = [e for name, e in zip(g.edge_names, g.edges) if sym[name] == "2"]
+    after_mark = {v for _, v in marks}
+    before_mark = {u for u, _ in marks}
+    words = []
+    brute: dict[tuple, int] = {}
+    for length in range(1, 6):
+        words += itertools.product(("0", "1", "2"), repeat=length)
+        for start, end, word in label_paths_by_brute_force(code, length):
+            if start in after_mark and end in before_mark:
+                brute[word] = brute.get(word, 0) + 1
+    assert max(brute.values()) > 1  # counts beyond 0 and 1 are exercised
+    assert anchored_lifts(code, words) == [brute.get(w, 0) for w in words]
 
 
 def test_unanchored_run_is_ambiguous():
@@ -173,6 +203,7 @@ def test_unanchored_run_is_ambiguous():
 def test_certify_depth2_window8():
     spec = depth2_spec()
     rep = certify_pathology(spec, Fraction(3, 10), window=8)
+    assert rep.states == 102
     assert rep.return_counts_match
     # only the M-loop fits in the window, so the estimate collapses to 0
     assert rep.estimate == 0.0
