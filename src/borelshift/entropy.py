@@ -30,6 +30,11 @@ first-return polynomial of a loop schema) into its minimal polynomial and an
 isolating interval: one root inside, no equal nonzero signs at the ends
 (isolates_one_root).  Two such intervals of one minimal polynomial hold the
 same root exactly when it changes sign across, or vanishes on, their overlap.
+sympy factors; the roots of a squarefree factor inside [lo, hi] are counted
+locally, in exact integers, by Descartes' rule of signs after the Moebius map
+of (lo, hi) onto (0, inf), halving while the count is not yet 0 or 1
+(Collins & Akritas 1976).  The work depends on the roots near [lo, hi], not
+on all the real roots of the factor.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import truediv
 
 import sympy
@@ -208,17 +214,82 @@ def _brackets_root(coeffs, lo: Fraction, hi: Fraction) -> bool:
     return _poly_eval(coeffs, lo) * _poly_eval(coeffs, hi) <= 0
 
 
-def _roots_in(poly: sympy.Poly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of poly in [lo, hi], by continued-fraction isolation
-    (fast at degree 64 and beyond, where Sturm sequences over QQ take seconds)."""
-    return len(poly.intervals(inf=sympy.Rational(lo), sup=sympy.Rational(hi)))
+def _taylor_shift(coeffs: list[int], a: int) -> list[int]:
+    """Ascending coefficients of p(x + a), by repeated synthetic division:
+    pass i runs Horner's rule c[j] += a c[j + 1] from the top down to j = i."""
+    c = list(coeffs)
+    step = None if a == 1 else (lambda acc, x: acc * a + x)
+    for i in range(len(c) - 1):
+        c[i:] = reversed(list(accumulate(reversed(c[i:]), step)))
+    return c
+
+
+def _sign_variations(coeffs: list[int]) -> int:
+    changes, last = 0, 0
+    for c in coeffs:
+        if c:
+            if last and (c > 0) != (last > 0):
+                changes += 1
+            last = c
+    return changes
+
+
+def _roots_in_unit(q: list[int]) -> int:
+    """Roots of the squarefree integer polynomial q in the open interval (0, 1).
+
+    Descartes' rule bounds them by the sign variations of (1 + t)^d q(1/(1 + t)),
+    the reversal of q shifted by 1; a bound of 0 or 1 is exact.  Otherwise
+    (0, 1) is halved: 2^d q(y/2) carries the left half onto (0, 1), and its
+    shift by 1 the right half, whose constant term vanishes at a root at 1/2.
+    A squarefree q needs finitely many halvings (the two-circle theorem);
+    close roots need many, so the pieces wait on a list, not on the stack.
+    """
+    count, todo = 0, [q]
+    while todo:
+        q = todo.pop()
+        bound = _sign_variations(_taylor_shift(q[::-1], 1))
+        if bound <= 1:
+            count += bound
+            continue
+        d = len(q) - 1
+        left = [c << (d - i) for i, c in enumerate(q)]
+        right = _taylor_shift(left, 1)
+        count += right[0] == 0
+        todo += (left, right)
+    return count
+
+
+def _roots_in(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots in the closed interval [lo, hi] of the squarefree
+    integer polynomial `coeffs` (ascending, nonzero leading coefficient).
+
+    With lo = A/D and hi - lo = B/D, q(y) = D^d p((A + B y)/D) is an integer
+    polynomial whose roots in [0, 1] are those of p in [lo, hi]: scale by D,
+    Taylor-shift by A, scale by B.  The endpoints are tested exactly and the
+    open interval is counted by _roots_in_unit.  A repeated root would keep
+    the sign-variation count above 1 forever, hence the squarefree input.
+    """
+    if lo >= hi:
+        return int(lo == hi and _poly_eval(coeffs, lo) == 0)
+    d = len(coeffs) - 1
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = int(lo * den), int((hi - lo) * den)
+    q = _taylor_shift([c * den ** (d - i) for i, c in enumerate(coeffs)], a)
+    q = [c * b**i for i, c in enumerate(q)]
+    return (q[0] == 0) + (sum(q) == 0) + _roots_in_unit(q)
+
+
+def _int_coeffs(poly: sympy.Poly) -> tuple[int, ...]:
+    """Ascending coefficients of a sympy polynomial with integer coefficients."""
+    return tuple(int(c) for c in reversed(poly.all_coeffs()))
 
 
 def isolates_one_root(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> bool:
     """The isolating-interval rule: [lo, hi] holds exactly one real root of
-    coeffs, and coeffs does not take the same nonzero sign at both ends."""
-    poly = sympy.Poly(list(reversed(coeffs)), _X, domain="QQ")
-    return lo <= hi and _roots_in(poly, lo, hi) == 1 and _brackets_root(coeffs, lo, hi)
+    coeffs, and coeffs does not take the same nonzero sign at both ends.
+    Roots are counted on the squarefree part, which has the same roots."""
+    sqf = sympy.Poly(list(reversed(coeffs)), _X, domain="ZZ").sqf_part()
+    return _roots_in(_int_coeffs(sqf), lo, hi) == 1 and _brackets_root(coeffs, lo, hi)
 
 
 def identify_algebraic(coeffs: tuple[int, ...], enclosure: RatInterval) -> ExactAlgebraic:
@@ -233,7 +304,7 @@ def identify_algebraic(coeffs: tuple[int, ...], enclosure: RatInterval) -> Exact
     """
     poly = sympy.Poly(list(reversed(coeffs)), _X, domain="QQ")
     _, factors = poly.factor_list()
-    cands = [f for f, _ in factors if f.degree() >= 1]
+    cands = [_int_coeffs(f) for f, _ in factors if f.degree() >= 1]
     lo, hi = enclosure.lo, enclosure.hi
     while True:
         hits = [(f, n) for f in cands if (n := _roots_in(f, lo, hi))]
@@ -247,10 +318,10 @@ def identify_algebraic(coeffs: tuple[int, ...], enclosure: RatInterval) -> Exact
             lo = mid
         else:
             hi = mid
-    cs = [int(c) for c in hits[0][0].all_coeffs()]  # descending
-    if cs[0] < 0:
-        cs = [-c for c in cs]
-    return ExactAlgebraic(tuple(reversed(cs)), lo, hi)
+    cs = hits[0][0]
+    if cs[-1] < 0:
+        cs = tuple(-c for c in cs)
+    return ExactAlgebraic(cs, lo, hi)
 
 
 def _charpoly_coeffs(mat) -> tuple[int, ...]:

@@ -120,17 +120,22 @@ def summarize_components(parts) -> list[ComponentSummary]:
     """Irreducible-component summaries of a presentation document.
 
     Finite-graph components are positive recurrent; vertices that lie on no
-    cycle carry no shift-invariant structure and are skipped.
+    cycle carry no shift-invariant structure and are skipped.  A loop schema
+    whose counts and tail repeat an earlier part's is classified once per call.
     """
     from .entropy import perron_entropy
 
     if isinstance(parts, (FiniteGraph, LoopSchema)):
         parts = (parts,)
     out: list[ComponentSummary] = []
+    reports = {}
     for idx, part in enumerate(parts):
         prefix = f"p{idx}." if len(parts) > 1 else ""
         if isinstance(part, LoopSchema):
-            rep = classify_recurrence(part)
+            key = (part.counts, part.tail)
+            if key not in reports:
+                reports[key] = classify_recurrence(part)
+            rep = reports[key]
             out.append(
                 ComponentSummary(
                     rep.period, rep.entropy, rep.mme, rep.recurrence, prefix + "loops"

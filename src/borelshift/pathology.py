@@ -38,7 +38,7 @@ from typing import Optional
 
 from .codes import BlockCode
 from .entropy import ExtendedEntropy, IntervalApprox, ZERO_ENTROPY, compare_entropy
-from .graphs import entropy_by_loop_count, first_return_counts, loop_entropy_estimate
+from .graphs import first_return_counts, loop_entropy_estimate, renewal_loop_counts
 from .presentations import FiniteGraph, GraphIndex, LoopSchema
 from .recurrence import classify_recurrence
 
@@ -254,7 +254,11 @@ def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> P
         expected[n] = c
     counts_match = counts == expected
 
-    rows = entropy_by_loop_count(g, ROOT, window)
+    if window < 1:
+        raise ValueError("l_max must be >= 1")
+    # first returns to ROOT stay in its component: the loop counts follow
+    loops = renewal_loop_counts(counts[: window + 1])
+    rows = [(n, loops[n], log(loops[n]) / n) for n in range(1, window + 1) if loops[n]]
     estimate = loop_entropy_estimate(rows)
     eps_iv = IntervalApprox(eps, eps)
     est_iv = IntervalApprox(

@@ -182,8 +182,11 @@ def realize_invariants(
 
 def _certify(real: Realization, canon: InvariantPair, tol: Fraction):
     by_key: dict[int, list] = {}
+    reports = {}  # one classification per distinct schema
     for role, schema in real.components:
-        r = classify_recurrence(schema)
+        if schema not in reports:
+            reports[schema] = classify_recurrence(schema)
+        r = reports[schema]
         want = POSITIVE_RECURRENT if role == "mme" else TRANSIENT
         if r.recurrence != want:
             raise RealizationCertificationError(

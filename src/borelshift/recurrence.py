@@ -6,10 +6,22 @@ finiteness of r * Phi'(r).  Entropy is -log r for the root, else -log R.
 Every bound is an exact rational enclosure, and a verdict that would need to
 distinguish Phi(R) from 1 below certification width is reported as
 undecidable rather than coerced.
+
+The root of Phi(x) = 1 is bracketed and bisected in exact rationals.  For
+finite and geometric-tailed schemas, where Phi is an exact point value, a
+float bisection first finds r~ and the two points a = r~(1 - 2^-46) and
+b = r~(1 + 2^-46) are checked exactly: Phi(a) < 1 < Phi(b).  Phi has
+nonnegative coefficients, so it increases strictly on (0, R) and diverges
+from R on; every point at or below a is then below the root and every point
+at or above b above it, and only points strictly between a and b are
+evaluated exactly.  The answers, and so the certified interval, are those of
+the plain exact bisection, which runs whenever the floats overflow, a check
+fails, or the tail is damped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -206,22 +218,83 @@ def _phi_versus_one(schema: LoopSchema, x: Fraction) -> str:
     return "unknown"
 
 
+SEED_MARGIN = Fraction(1, 2**46)
+
+
+def _float_bracket(schema: LoopSchema, hi_limit: Fraction) -> Optional[tuple[Fraction, Fraction]]:
+    """Exactly checked bracket (a, b) of the root of Phi(x) = 1 in (0, hi_limit),
+    from a float bisection: Phi(a) < 1 < Phi(b), with a and b within a
+    relative SEED_MARGIN of the float root.  None for a damped tail, a float
+    overflow, or a float root that fails the exact checks."""
+    t = schema.tail
+    if isinstance(t, DampedTail):
+        return None
+    try:
+        terms = [(n, float(c)) for n, c in schema.counts if c]
+        if t is not None:
+            a_f, k_f = float(t.a), float(t.k)
+
+        def phi(x: float) -> float:
+            total = math.fsum(c * x**n for n, c in terms)
+            if t is not None:
+                y = k_f * x
+                if y >= 1.0:
+                    return math.inf
+                total += a_f * y**t.n0 / (1.0 - y**t.stride)
+            return total
+
+        hi = float(hi_limit)
+        lo = hi / 2
+        while not phi(lo) < 1.0:
+            lo /= 2
+            if lo == 0.0:
+                return None
+        while lo < (mid := (lo + hi) / 2) < hi:
+            if phi(mid) < 1.0:
+                lo = mid
+            else:
+                hi = mid
+    except (OverflowError, ZeroDivisionError):
+        return None
+    root = Fraction(lo)
+    a, b = root * (1 - SEED_MARGIN), root * (1 + SEED_MARGIN)
+    if _phi_versus_one(schema, a) != "lt" or _phi_versus_one(schema, b) != "gt":
+        return None
+    return a, b
+
+
 def _bracket_and_bisect_root(
     schema: LoopSchema, hi_limit: Fraction, rel_width: Fraction
 ) -> RatInterval:
     """Root of Phi(x)=1 in (0, hi_limit), certified; Phi(hi_limit) must exceed 1
-    in the limit (walked from below when the endpoint itself diverges)."""
+    in the limit (walked from below when the endpoint itself diverges).
+
+    A float seed (a, b) from _float_bracket answers 'lt' at or below a and
+    'gt' at or above b without evaluating Phi.  Phi increases on (0, R) and
+    Phi(a) < 1 < Phi(b) holds exactly, so these are the exact answers: the
+    steps, and the interval returned, are those of the unseeded bisection.
+    """
+    seed = _float_bracket(schema, hi_limit)
+
+    def side(x: Fraction) -> str:
+        if seed is not None:
+            if x <= seed[0]:
+                return "lt"
+            if x >= seed[1]:
+                return "gt"
+        return _phi_versus_one(schema, x)
+
     lo = hi_limit / 2
-    while _phi_versus_one(schema, lo) != "lt":
+    while side(lo) != "lt":
         lo /= 2
         if lo < Fraction(1, 10**400):
             raise ArithmeticError("failed to bracket root from below")
     hi = hi_limit
-    if _phi_versus_one(schema, hi) != "gt":
+    if side(hi) != "gt":
         j = 1
         while True:
             cand = hi_limit * (1 - Fraction(1, 2**j))
-            if cand > lo and _phi_versus_one(schema, cand) == "gt":
+            if cand > lo and side(cand) == "gt":
                 hi = cand
                 break
             j += 1
@@ -229,14 +302,14 @@ def _bracket_and_bisect_root(
                 raise ArithmeticError("failed to bracket root from above")
     while hi - lo > rel_width * lo:
         mid = (lo + hi) / 2
-        side = _phi_versus_one(schema, mid)
-        if side == "unknown":
+        side_mid = side(mid)
+        if side_mid == "unknown":
             # midpoint collides with the root; nudge off-center
             mid = lo + (hi - lo) * Fraction(29, 64)
-            side = _phi_versus_one(schema, mid)
-            if side == "unknown":
+            side_mid = side(mid)
+            if side_mid == "unknown":
                 return RatInterval(lo, hi)
-        if side == "lt":
+        if side_mid == "lt":
             lo = mid
         else:
             hi = mid

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from borelshift import (
     ExactAlgebraic,
@@ -23,6 +24,8 @@ from borelshift import (
 from borelshift.entropy import (
     ENCLOSURE_WIDTH,
     EXACT_VERTEX_CAP,
+    _X,
+    _roots_in,
     collatz_wielandt_enclosure,
     identify_algebraic,
 )
@@ -217,6 +220,54 @@ def test_identify_algebraic_picks_the_perron_factor():
     assert h.root_lo > Fraction(3, 2) and h.root_lo < PHI < h.root_hi
     with pytest.raises(ArithmeticError):
         identify_algebraic(coeffs, RatInterval(Fraction(2), Fraction(3)))
+
+
+def _random_squarefree(rng: random.Random):
+    """Squarefree integer polynomial (ascending) of degree 1-40 and its
+    rational roots: distinct rational linear factors times a random integer
+    polynomial, reduced to its squarefree part."""
+    roots = sorted({Fraction(rng.randint(-30, 30), rng.randint(1, 5)) for _ in range(rng.randint(0, 6))})
+    cs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 40 - len(roots)) + 1)]
+    if not any(cs):
+        cs[0] = 1
+    for r in roots:  # times (q x - p) for r = p/q, in descending coefficients
+        cs = [a * r.denominator - b * r.numerator for a, b in zip(cs + [0], [0] + cs)]
+    poly = sympy.Poly(cs, _X, domain="ZZ").sqf_part()
+    return tuple(int(c) for c in reversed(poly.all_coeffs())), roots
+
+
+def test_local_root_count_matches_sympy():
+    # the oracle: sympy's isolation of every real root, counted in [lo, hi]
+    rng = random.Random(20261018)
+    seen = {"endpoint": 0, "point": 0, "several": 0}
+    for case in range(250):
+        cs, rational = _random_squarefree(rng)
+        if len(cs) < 2:
+            continue
+        kind = case % 5
+        span = Fraction(rng.randint(0, 40), rng.randint(1, 12))
+        if kind == 0 and rational:
+            lo = rng.choice(rational)
+            hi = lo + span
+        elif kind == 1 and rational:
+            hi = rng.choice(rational)
+            lo = hi - span
+        elif kind == 2:
+            lo = hi = rng.choice(rational) if rational and rng.random() < 0.7 else span
+        elif kind == 3:
+            # around every real root at once
+            bound = 1 + max(abs(Fraction(c, cs[-1])) for c in cs[:-1])
+            lo, hi = -bound, bound
+        else:
+            lo = Fraction(rng.randint(-200, 200), rng.randint(1, 40))
+            hi = lo + span
+        poly = sympy.Poly(list(reversed(cs)), _X, domain="QQ")
+        want = len(poly.intervals(inf=sympy.Rational(lo), sup=sympy.Rational(hi)))
+        assert _roots_in(cs, lo, hi) == want, (cs, lo, hi)
+        seen["endpoint"] += lo < hi and (lo in rational or hi in rational)
+        seen["point"] += lo == hi and want == 1
+        seen["several"] += want >= 2
+    assert min(seen.values()) >= 15, seen
 
 
 def test_entropy_from_log_value():

@@ -20,17 +20,23 @@ from borelshift import (
     ZERO_ENTROPY,
     canonical_invariants,
     check_admissible,
+    classify_recurrence,
+    compare_entropy,
     compute_u_eta,
     decide_almost_borel_iso,
     entropy_from_log_value,
+    format_document,
     format_invariants,
     full_shift_graph,
     golden_mean_graph,
     invariants_of,
+    parse_document,
     parse_invariants,
     perron_entropy,
     summarize_components,
 )
+
+from borelshift import cli, invariants
 
 from helpers import LOG2, LOG3
 
@@ -82,6 +88,23 @@ def test_summarize_components_mixed_document():
     assert len(summaries) == 2
     assert all(s.recurrence == POSITIVE_RECURRENT for s in summaries)
     assert {s.source for s in summaries} == {"p0.c0", "p1.loops"}
+
+
+def test_summarize_classifies_each_distinct_schema_once(monkeypatch):
+    calls = []
+
+    def counting(schema):
+        calls.append(schema)
+        return classify_recurrence(schema)
+
+    monkeypatch.setattr(invariants, "classify_recurrence", counting)
+    twice = LoopSchema(((1, 1), (2, 1)))
+    doc = format_document((twice, twice, twice, LoopSchema(((1, 3),))))
+    summaries = summarize_components(parse_document(doc))
+    assert len(calls) == 2
+    assert [s.source for s in summaries] == ["p0.loops", "p1.loops", "p2.loops", "p3.loops"]
+    assert summaries[0].entropy == summaries[1].entropy == summaries[2].entropy
+    assert summaries[3].entropy.rational_root() == 3
 
 
 def test_summarize_skips_cycle_entropy():
@@ -303,6 +326,28 @@ def test_parse_rejects_malformed_lines():
     ):
         with pytest.raises(ParseError):
             parse_invariants(f"gen 1 {bad} 1\n")
+
+
+def test_parse_root_in_at_an_endpoint():
+    # (x - 2)(x^2 - x - 1): the root 2 sits at the left end of [2, 3]
+    (g,) = parse_invariants("gen 1 poly 2 1 -3 1 root-in 2 3 1\n").generators
+    assert g.entropy.minpoly == (2, 1, -3, 1)
+    assert compare_entropy(g.entropy, LOG2_E) == "eq"
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "poly 4 0 -3 1 root-in 3/2 5/2",  # (x - 2)^2 (x + 1)
+        "poly 1 2 -1 -2 1 root-in 3/2 2",  # (x^2 - x - 1)^2 around the golden mean
+    ],
+)
+def test_parse_rejects_a_double_root(expr, tmp_path):
+    with pytest.raises(ParseError):
+        parse_invariants(f"gen 1 {expr} 1\n")
+    doc = tmp_path / "inv.txt"
+    doc.write_text(f"gen 1 {expr} 1\n")
+    assert cli.main(["compare", str(doc), str(doc)]) == 65
 
 
 def test_parse_comments_and_blanks_ignored():

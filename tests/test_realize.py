@@ -26,6 +26,8 @@ from borelshift import (
     realize_invariants,
 )
 
+from borelshift import realize
+
 from helpers import LOG2, LOG3
 
 LOG2_E = entropy_from_log_value(Fraction(2))
@@ -61,6 +63,19 @@ def test_count_multiplies_components():
     real = realize_invariants(pair((1, LOG2_E, 3)))
     assert len(real.components) == 3
     assert {r for r, _ in real.components} == {"mme"}
+
+
+def test_repeated_schema_is_certified_once(monkeypatch):
+    calls = []
+
+    def counting(schema):
+        calls.append(schema)
+        return classify_recurrence(schema)
+
+    monkeypatch.setattr(realize, "classify_recurrence", counting)
+    real = realize_invariants(pair((1, LOG2_E, 3)))
+    assert len(real.components) == 3
+    assert calls == [real.components[0][1]]
 
 
 # === greedy digits for non-integer targets ===

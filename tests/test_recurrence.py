@@ -1,6 +1,7 @@
 """Vere-Jones trichotomy with certified enclosures, against hand-solved schemas."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from borelshift import (
     summarize_schema,
 )
 from borelshift.intervals import INF
+from borelshift import recurrence
 from borelshift.recurrence import loop_gf_eval, loop_gf_mean_eval, schema_radius
 
 from helpers import LOG2
@@ -185,6 +187,69 @@ def test_null_recurrent_label_reserved():
     # the exact-criticality branch exists but floor tails cannot certify it;
     # the constant stays distinct so reports remain three-valued
     assert NULL_RECURRENT not in (POSITIVE_RECURRENT, TRANSIENT)
+
+
+# === float-seeded root bracket ===
+
+REL = Fraction(1, 2 * 10**13)
+
+
+def _seeded_schemas(rng: random.Random, n: int):
+    """Finite and geometric-tailed schemas whose root lies below the radius."""
+    out = []
+    while len(out) < n:
+        lengths = rng.sample(range(1, 40), rng.randint(1, 6))
+        counts = tuple(sorted((m, rng.randint(1, 10 ** rng.randint(0, 8))) for m in lengths))
+        tail = None
+        if len(out) % 2:
+            k = rng.randint(2, 5)
+            n0 = max(lengths) + rng.randint(1, 5)
+            tail = GeometricTail(Fraction(rng.randint(1, 3), k**n0), k, n0, rng.randint(1, 3))
+        s = LoopSchema(counts, tail)
+        if tail is None:
+            if sum(c for _, c in counts) >= 2:
+                out.append((s, Fraction(1)))
+            continue
+        at_radius = loop_gf_eval(s, schema_radius(s))
+        if at_radius is INF or at_radius.lo > 1:
+            out.append((s, schema_radius(s)))
+    return out
+
+
+def test_seeded_bracket_equals_plain_bisection(monkeypatch):
+    rng = random.Random(9)
+    cases = _seeded_schemas(rng, 40)
+    seeded = [recurrence._bracket_and_bisect_root(s, hi, REL) for s, hi in cases]
+    assert all(recurrence._float_bracket(s, hi) is not None for s, hi in cases)
+    monkeypatch.setattr(recurrence, "_float_bracket", lambda schema, hi_limit: None)
+    plain = [recurrence._bracket_and_bisect_root(s, hi, REL) for s, hi in cases]
+    assert seeded == plain
+
+
+def _assert_root_certified(s, rep):
+    assert loop_gf_eval(s, rep.root.lo).hi < 1 < loop_gf_eval(s, rep.root.hi).lo
+    assert rep.root.width <= REL * rep.root.lo
+
+
+def test_float_overflow_takes_the_exact_path():
+    # 10^310 loops of length 1 overflow a float; the root is about 1e-310
+    s = LoopSchema(((1, 10**310), (2, 1)))
+    assert recurrence._float_bracket(s, Fraction(1)) is None
+    rep = classify_recurrence(s)
+    assert rep.recurrence == POSITIVE_RECURRENT
+    _assert_root_certified(s, rep)
+    assert rep.entropy.minpoly == (-1, -(10**310), 1)
+    assert abs(float(rep.entropy) - 310 * math.log(10)) < 1e-9
+
+
+def test_damped_positive_recurrent_takes_the_exact_path():
+    s = LoopSchema((), DampedTail(Fraction(4), Fraction(2), 2, 1))
+    assert recurrence._float_bracket(s, Fraction(1, 2)) is None
+    rep = classify_recurrence(s)
+    assert rep.recurrence == POSITIVE_RECURRENT
+    lo_val = loop_gf_eval(s, rep.root.lo, Fraction(1, 10**18))
+    hi_val = loop_gf_eval(s, rep.root.hi, Fraction(1, 10**18))
+    assert lo_val.hi < 1 < hi_val.lo
 
 
 # === summaries ===
