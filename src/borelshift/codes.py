@@ -17,15 +17,22 @@ wiring carry a quotient map onto unordered m-sets; when the wiring condition
 holds that quotient is left and right resolving with exactly m! preimages per
 point.
 
-One builder makes all three products on `GraphIndex` positions, with one
-integer prune; the label fiber product names (`u|v`) only the pairs that
-survive it, and every product keeps its vertices' coordinates in `tuples`.
+The label fiber product's candidates are rectangles (each vertex of one
+graph against the bucket of its label in the other), so a pair's code is
+arithmetic and its degrees are sums of products of per-label neighbour
+counts; its degree-count prune lists a pair's neighbours only when it dies,
+and only the survivors are named `u|v`.  F_m and X̃_m start from relation-
+filtered tuples instead and share `_tuple_product`, which builds successor
+rows on `GraphIndex` positions and prunes them with `_biinfinite`.  Every
+product keeps its vertices' coordinates in `tuples`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from math import factorial
 from typing import Optional
 
@@ -159,7 +166,6 @@ def _tuple_product(
     sep: str,
     *,
     prune: bool,
-    by_name: bool,
     wired: bool = False,
 ) -> ProductGraph:
     """Graph on `tuples` (entry k a position of `idxs[k]`), componentwise edges.
@@ -168,10 +174,10 @@ def _tuple_product(
     coordinate at a time through prefixes of `tuples` and looked up in one
     tuple -> code dict.  `wired` keeps a -> b only if no a_i -> b_j with
     i != j is an edge (coordinates in `idxs[0]`); `prune` keeps the
-    bi-infinite part.  Names join coordinate names with `sep`.  Vertices
-    follow `tuples` and only kept ones are named, or, with `by_name`, all are
-    named and sorted.  Edges are sorted and called `e<k>` by rank among the
-    named tuples' edges, as `FiniteGraph.induced` keeps them.
+    bi-infinite part.  Names join coordinate names with `sep`, and vertices
+    are sorted by name.  Edges are sorted and called `e<k>` by rank among all
+    the tuples' edges, as `FiniteGraph.induced` keeps them.  Serves F_m and
+    X̃_m; the label fiber product has its own path.
     """
     m = len(idxs)
     code = {t: i for i, t in enumerate(tuples)}
@@ -191,14 +197,11 @@ def _tuple_product(
             ]
         succ.append([code[q] for q in partial])
     alive = _biinfinite(succ) if prune else [True] * len(tuples)
-    named = [i for i, ok in enumerate(alive) if ok or by_name]
-    coords = {i: tuple(idx.order[p] for idx, p in zip(idxs, tuples[i])) for i in named}
-    names = {i: sep.join(c) for i, c in coords.items()}
-    if by_name:
-        named.sort(key=names.__getitem__)
-    keep = [i for i in named if alive[i]]
+    coords = [tuple(idx.order[p] for idx, p in zip(idxs, t)) for t in tuples]
+    names = [sep.join(c) for c in coords]
+    keep = [i for i in sorted(range(len(tuples)), key=names.__getitem__) if alive[i]]
     edges = sorted(
-        (names[i], names[j], alive[i] and alive[j]) for i in named for j in succ[i] if j in names
+        (names[i], names[j], alive[i] and alive[j]) for i, row in enumerate(succ) for j in row
     )
     kept = [(f"e{k}", (u, w)) for k, (u, w, ok) in enumerate(edges) if ok]
     return ProductGraph(
@@ -209,17 +212,107 @@ def _tuple_product(
     )
 
 
+def _rows_by_label(lg: LabeledGraph, key: list[int]) -> tuple[list[dict], list[dict]]:
+    """Successors and predecessors of each vertex (by index in vertex order),
+    grouped by label, each neighbour w stored as `key[w]`."""
+    at = {v: i for i, v in enumerate(lg.graph.vertices)}
+    lm = lg._label_map
+    succ: list[dict[str, list[int]]] = [{} for _ in at]
+    pred: list[dict[str, list[int]]] = [{} for _ in at]
+    for u, w in lg.graph.edges:
+        i, j = at[u], at[w]
+        succ[i].setdefault(lm[w], []).append(key[j])
+        pred[j].setdefault(lm[u], []).append(key[i])
+    return succ, pred
+
+
 def label_fiber_product(a: LabeledGraph, b: LabeledGraph) -> ProductGraph:
     """Label-equal vertex pairs with componentwise edges, pruned to the part
-    on bi-infinite paths.  Built on positions, in `a`'s vertex order and then
-    `b`'s within each label; only the surviving pairs are named `u|v`."""
-    ia, ib = a.graph.index(), b.graph.index()
+    on bi-infinite paths.
+
+    The candidates are rectangles: each vertex u of `a` meets the bucket of
+    `b`'s vertices with u's label, in `b`'s vertex order.  Pair (u, v) has
+    the code `start[u] + rank[v]`: `start[u]` is the offset of u's block in
+    `a`'s vertex order and `rank[v]` is v's index in its bucket, so no pair
+    is stored.  Neighbours are grouped by label once, as `start` values for
+    `a` and `rank` values for `b`.  The out-degree of (u, v) is the sum over
+    labels s of |succ_s(u)|·|succ_s(v)|, the in-degree the same sum over
+    predecessors, and a pair's neighbours are the sums `x + r`.  The
+    worklist prune of `_biinfinite` runs on these counts; a dead pair lists
+    its neighbours only on the side where it still had live ones.  Survivors
+    keep the code order and are named `u|v`; their edges are sorted and
+    called `e<k>`.  The other products use `_tuple_product`.
+    """
     la, lb = a._label_map, b._label_map
-    by_label: dict[str, list[int]] = {}
-    for v in b.graph.vertices:
-        by_label.setdefault(lb[v], []).append(ib.pos[v])
-    pairs = [(ia.pos[u], v) for u in a.graph.vertices for v in by_label.get(la[u], ())]
-    return _tuple_product((ia, ib), pairs, "|", prune=True, by_name=False)
+    bucket: dict[str, list[int]] = {}
+    rank = []
+    for y, v in enumerate(b.graph.vertices):
+        members = bucket.setdefault(lb[v], [])
+        rank.append(len(members))
+        members.append(y)
+    blocks = [bucket.get(la[u], []) for u in a.graph.vertices]
+    start = list(accumulate(map(len, blocks), initial=0))  # start[-1] counts the pairs
+    a_succ, a_pred = _rows_by_label(a, start)
+    b_succ, b_pred = _rows_by_label(b, rank)
+
+    def degrees(a_rows, b_rows) -> list[int]:
+        columns: dict[tuple[str, str], list[int]] = {}  # (bucket, label) -> counts
+        out: list[int] = []
+        for u, block, row in zip(a.graph.vertices, blocks, a_rows):
+            deg = [0] * len(block)
+            for s, xs in row.items():
+                col = columns.get((la[u], s))
+                if col is None:
+                    col = columns[la[u], s] = [len(b_rows[y].get(s, ())) for y in block]
+                n = len(xs)
+                deg = [d + n * c for d, c in zip(deg, col)]
+            out.extend(deg)
+        return out
+
+    def locate(p: int) -> tuple[int, int]:
+        i = bisect_right(start, p) - 1
+        return i, blocks[i][p - start[i]]
+
+    outdeg, indeg = degrees(a_succ, b_succ), degrees(a_pred, b_pred)
+    alive = [o > 0 and d > 0 for o, d in zip(outdeg, indeg)]
+    dead = [p for p, ok in enumerate(alive) if not ok]
+    while dead:
+        p = dead.pop()
+        # a dead pair's count on one side is 0: no live neighbour there
+        if indeg[p]:
+            a_rows, b_rows, deg = a_pred, b_pred, outdeg
+        elif outdeg[p]:
+            a_rows, b_rows, deg = a_succ, b_succ, indeg
+        else:
+            continue
+        i, y = locate(p)
+        brow = b_rows[y]
+        for s, xs in a_rows[i].items():
+            for r in brow.get(s, ()):
+                for x in xs:
+                    q = x + r
+                    if alive[q]:
+                        deg[q] -= 1
+                        if deg[q] == 0:
+                            alive[q] = False
+                            dead.append(q)
+    kept = {p: locate(p) for p in compress(range(len(alive)), alive)}
+    coords = {p: (a.graph.vertices[i], b.graph.vertices[y]) for p, (i, y) in kept.items()}
+    names = {p: f"{u}|{v}" for p, (u, v) in coords.items()}
+    edges = sorted(
+        (names[p], names[x + r])
+        for p, (i, y) in kept.items()
+        for s, xs in a_succ[i].items()
+        for r in b_succ[y].get(s, ())
+        for x in xs
+        if alive[x + r]
+    )
+    return ProductGraph(
+        tuple(names.values()),
+        tuple(edges),
+        tuple(f"e{k}" for k in range(len(edges))),
+        tuples=tuple(coords.values()),
+    )
 
 
 def prune_to_biinfinite(g: FiniteGraph) -> FiniteGraph:
@@ -491,7 +584,7 @@ def build_fibered_product_Fm(code: BlockCode, rel: SymbolRelation, m: int) -> Pr
     """Graph on mutually related ordered m-tuples with componentwise edges."""
     idx = code.labeled().graph.index()
     tuples = _related_tuples(idx, rel, m, distinct=False)
-    return _tuple_product((idx,) * m, tuples, ",", prune=False, by_name=True)
+    return _tuple_product((idx,) * m, tuples, ",", prune=False)
 
 
 def extract_tilde_Xm(code: BlockCode, rel: SymbolRelation, m: int) -> ProductGraph:
@@ -500,7 +593,7 @@ def extract_tilde_Xm(code: BlockCode, rel: SymbolRelation, m: int) -> ProductGra
     precisely when i = j."""
     idx = code.labeled().graph.index()
     tuples = _related_tuples(idx, rel, m, distinct=True)
-    return _tuple_product((idx,) * m, tuples, ",", prune=True, by_name=True, wired=True)
+    return _tuple_product((idx,) * m, tuples, ",", prune=True, wired=True)
 
 
 @dataclass(frozen=True)

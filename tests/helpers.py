@@ -156,16 +156,18 @@ def prune_by_deletion(vertices, edges) -> list:
         alive = keep
 
 
-def label_pair_product(vertices: list[str], edges: list[Edge], labels: dict) -> tuple:
-    """Pruned label fiber product of a labeled graph with itself, by brute force.
+def label_pair_product(a: tuple, b: tuple) -> tuple:
+    """Pruned label fiber product of two labeled graphs, by brute force.
 
-    Pairs are all (u, v) with equal labels, in vertex order of u and then of
-    v; an edge joins every two pairs whose coordinates are both edges.
+    Each graph is (vertices, edges, labels).  Pairs are all (u, v) with u a
+    vertex of `a`, v one of `b` and equal labels, in vertex order of u and
+    then of v; an edge joins every two pairs whose coordinates are both edges.
     Returns the surviving pairs in that order and the edges between them.
     """
-    pairs = [(u, v) for u in vertices for v in vertices if labels[u] == labels[v]]
-    es = set(edges)
-    pair_edges = [(p, q) for p in pairs for q in pairs if (p[0], q[0]) in es and (p[1], q[1]) in es]
+    (va, ea, la), (vb, eb, lb) = a, b
+    pairs = [(u, v) for u in va for v in vb if la[u] == lb[v]]
+    sa, sb = set(ea), set(eb)
+    pair_edges = [(p, q) for p in pairs for q in pairs if (p[0], q[0]) in sa and (p[1], q[1]) in sb]
     alive = prune_by_deletion(pairs, pair_edges)
     return alive, [(p, q) for p, q in pair_edges if p in alive and q in alive]
 

@@ -8,6 +8,7 @@ of even length.
 import itertools
 import random
 import time
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -16,6 +17,7 @@ from borelshift import (
     BlockCode,
     BudgetExhausted,
     FiniteGraph,
+    LabeledGraph,
     ParseError,
     SymbolRelation,
     build_fibered_product_Fm,
@@ -335,6 +337,23 @@ def names(ts, sep=","):
     return [sep.join(t) for t in ts]
 
 
+def parts(lg: LabeledGraph) -> tuple:
+    return list(lg.graph.vertices), list(lg.graph.edges), dict(lg.labels)
+
+
+def assert_label_product(a: LabeledGraph, b: LabeledGraph, note) -> tuple:
+    """`label_fiber_product(a, b)` equals the brute force as built: pair order,
+    `u|v` names, coordinates, sorted edges and `e<k>` edge names."""
+    pairs, pair_edges = label_pair_product(parts(a), parts(b))
+    prod = label_fiber_product(a, b)
+    assert list(prod.vertices) == names(pairs, "|"), note
+    assert list(prod.tuples) == pairs, note
+    assert list(prod.edges) == sorted(zip(names((p for p, _ in pair_edges), "|"),
+                                          names((q for _, q in pair_edges), "|"))), note
+    assert list(prod.edge_names) == [f"e{k}" for k in range(len(pair_edges))], note
+    return pairs
+
+
 @pytest.mark.parametrize("mode", ["vertex", "edge"])
 def test_products_match_brute_force(mode):
     for seed in range(50):
@@ -348,11 +367,7 @@ def test_products_match_brute_force(mode):
         vertices, edges = list(lg.graph.vertices), list(lg.graph.edges)
         labels = dict(code.mapping)
 
-        pairs, pair_edges = label_pair_product(vertices, edges, labels)
-        prod = prune_to_biinfinite(label_fiber_product(lg, lg))
-        assert list(prod.vertices) == names(pairs, "|"), seed
-        assert list(prod.edges) == sorted(zip(names((p for p, _ in pair_edges), "|"),
-                                              names((q for _, q in pair_edges), "|"))), seed
+        pairs = assert_label_product(lg, lg, seed)
         assert minimal_relation(code).pairs == frozenset(pairs), seed
 
         # the minimal relation, all label-equal pairs, or random pairs
@@ -382,6 +397,34 @@ def test_products_match_brute_force(mode):
             got = {k: getattr(rep, k) for k in flags}
             assert got == flags, (seed, m)
             assert rep.preimage_count == (factorial(m) if all(flags.values()) else None)
+
+
+def test_label_fiber_product_of_two_graphs():
+    """Distinct graphs, so `a`'s block offsets and `b`'s bucket ranks differ:
+    different sizes, a label on one side only, and a side with no bi-infinite
+    part (then the product is empty)."""
+    shapes = Counter()
+    for seed in range(60):
+        rng = random.Random(1000 + seed)
+        a = random_code(rng, rng.choice(("vertex", "edge"))).labeled()
+        b = random_code(rng, rng.choice(("vertex", "edge"))).labeled()
+        if seed % 3 == 1:
+            (v, _), *rest = b.labels
+            b = LabeledGraph(b.graph, ((v, "only"), *rest))
+        elif seed % 3 == 2:
+            # keep only edges forward in vertex order: b is acyclic
+            at = {v: k for k, v in enumerate(b.graph.vertices)}
+            forward = tuple((u, w) for u, w in b.graph.edges if at[u] < at[w])
+            b = LabeledGraph(FiniteGraph(b.graph.vertices, forward), b.labels)
+        if rng.random() < 0.5:
+            a, b = b, a
+        pairs = assert_label_product(a, b, seed)
+        if seed % 3 == 2:
+            assert pairs == [], seed
+        elif pairs and len(a.graph.vertices) != len(b.graph.vertices):
+            shapes["sizes differ"] += 1
+            shapes["one-sided label"] += seed % 3 == 1
+    assert shapes["sizes differ"] >= 10 and shapes["one-sided label"] >= 3, shapes
 
 
 def test_line_graph_of_16000_edges_is_linear():

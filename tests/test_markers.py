@@ -3,6 +3,7 @@ and the certified entropy of the built presentations.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from borelshift import (
     first_return_counts,
     full_shift_graph,
     golden_mean_graph,
+    label_fiber_product,
     make_subsystem_code,
     marker_block_entropy,
     perron_entropy,
@@ -90,6 +92,23 @@ def test_marker_tier_on_non_injective_code():
     sub = make_subsystem_code(cert, code.labeled())
     assert set(sub.labeled().alphabet()) <= {"0", "1"}
     assert check_injective(sub).injective
+
+
+def test_marker_certificate_at_one_quarter_has_diagonal_fiber_product():
+    # the 537-state injective code: its label fiber product is its diagonal
+    code = even_code()
+    cert = synthesize_injective_subsystem(code, point(Fraction(1, 4)))
+    assert cert.tier == "marker"
+    states = cert.presentation.vertices
+    assert len(states) == 537
+    lg = make_subsystem_code(cert, code.labeled()).labeled()
+    start = time.perf_counter()
+    prod = label_fiber_product(lg, lg)
+    assert time.perf_counter() - start < 5.0
+    assert prod.vertices == tuple(f"{v}|{v}" for v in states)
+    assert prod.tuples == tuple((v, v) for v in states)
+    assert list(prod.edges) == sorted((f"{u}|{u}", f"{w}|{w}") for u, w in cert.presentation.edges)
+    assert prod.edge_names == tuple(f"e{k}" for k in range(len(prod.edges)))
 
 
 def test_marker_certificate_entropy_matches_presentation():
