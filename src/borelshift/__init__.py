@@ -83,7 +83,6 @@ from .realize import (
     pair_of_realization,
 )
 from .codes import (
-    LabeledGraph,
     BlockCode,
     SymbolRelation,
     InjectivityReport,

@@ -56,6 +56,7 @@ from .pathology import (
 from .presentations import (
     FiniteGraph,
     ParseError,
+    _content_lines,
     format_document,
     parse_document,
 )
@@ -98,17 +99,18 @@ def _emit(key: str, value, comment: bool = False):
 
 
 def _parse_tol(text: str) -> Fraction:
-    tol = Fraction(text)
+    try:
+        tol = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bad tolerance {text!r}") from None
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     return tol
 
 
 def _first_keyword(text: str) -> str | None:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.split()[0]
+    for _, toks in _content_lines(text):
+        return toks[0]
     return None
 
 
@@ -173,6 +175,8 @@ def _cmd_realize(args) -> int:
 
 def _parse_target(text: str):
     toks = text.split()
+    if not toks:
+        raise ValueError(f"bad target entropy {text!r}")
     if len(toks) == 1 and toks[0] not in ("inf",):
         try:
             x = Fraction(toks[0])
@@ -266,9 +270,15 @@ def _cmd_pathology(args) -> int:
         if len(parts) != 1 or not isinstance(parts[0], FiniteGraph):
             raise ValueError("pathology base must be a single graph section")
         base = parts[0]
-    eps = Fraction(args.eps)
+    try:
+        eps = Fraction(args.eps)
+        eps_float = float(eps)  # the root loop length is log(4) / eps in floats
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"bad epsilon {args.eps!r}") from None
     if eps <= 0:
         raise ValueError("epsilon must be positive")
+    if eps_float == 0:
+        raise ValueError(f"epsilon {args.eps} is below the float range")
     if args.control:
         spec = control_parameters(base, args.depth)
     else:

@@ -1,10 +1,11 @@
 """One-block factor codes on finite presentations, with constructive checks.
 
 A code labels either the vertices of a simple graph or the edges of a
-multigraph; edge mode is normalized to vertex mode on the line graph.  All
-decision procedures work on the label fiber product: pairs of vertices with
-equal labels and componentwise edges, pruned to the part lying on bi-infinite
-paths.
+multigraph.  `BlockCode.labeled()` returns the vertex-mode normal form as a
+vertex-mode `BlockCode`: the code itself in vertex mode, the code on the
+cached line graph in edge mode.  All decision procedures work on the label
+fiber product: pairs of vertices with equal labels and componentwise edges,
+pruned to the part lying on bi-infinite paths.
 
   injective      <=>  the label fiber product is contained in the diagonal
   finite-to-one  <=>  no diamond: no off-diagonal pair both reachable from
@@ -37,8 +38,15 @@ from math import factorial
 from typing import Optional
 
 from .entropy import DEFAULT_TOL, ExtendedEntropy, ZERO_ENTROPY, max_entropy, perron_entropy
-from .graphs import is_single_cycle, irreducible_components
-from .presentations import FiniteGraph, GraphIndex, ParseError
+from .graphs import irreducible_components
+from .presentations import (
+    FiniteGraph,
+    GraphIndex,
+    ParseError,
+    _content_lines,
+    _parse_graph_body,
+    format_presentation,
+)
 
 # Most mutually related tuples (of any length up to m) that F_m and the
 # distinct-entry product may enumerate.  F_m can grow exponentially in m (the
@@ -49,35 +57,6 @@ TUPLE_CAP = 100_000
 
 class BudgetExhausted(RuntimeError):
     """A documented size cap was reached before an answer was certified."""
-
-
-@dataclass(frozen=True)
-class LabeledGraph:
-    """Simple graph with a symbol on each vertex; presents a sofic image."""
-
-    graph: FiniteGraph
-    labels: tuple[tuple[str, str], ...]  # (vertex, symbol), in vertex order
-
-    def __post_init__(self):
-        if self.graph.has_parallel_edges():
-            raise ValueError("labeled graph must be simple; use edge mode upstream")
-        lv = [v for v, _ in self.labels]
-        if sorted(lv) != sorted(self.graph.vertices):
-            raise ValueError("labels must cover the vertices exactly once")
-
-    def label(self, v: str) -> str:
-        return self._label_map[v]
-
-    @property
-    def _label_map(self) -> dict:
-        cached = getattr(self, "_lm_cache", None)
-        if cached is None:
-            cached = dict(self.labels)
-            object.__setattr__(self, "_lm_cache", cached)
-        return cached
-
-    def alphabet(self) -> tuple[str, ...]:
-        return tuple(sorted({s for _, s in self.labels}))
 
 
 @dataclass(frozen=True)
@@ -101,33 +80,46 @@ class BlockCode:
         if keys != want:
             raise ValueError(f"mapping must cover every {self.mode} exactly once")
 
-    def labeled(self) -> LabeledGraph:
-        """Vertex-mode normal form (line graph for edge mode), built on first
-        use and cached, so every check on this code shares one line graph.
+    def labeled(self) -> "BlockCode":
+        """Vertex-mode normal form: the code itself in vertex mode, else the
+        vertex-mode code on the line graph, built on first use and cached, so
+        every check on this code shares one line graph.
 
         In edge mode, edge e -> f when head(e) = tail(f), ordered by e and then
         by f in the domain's edge order.
         """
+        if self.mode == "vertex":
+            return self
         try:
             return self._labeled
         except AttributeError:
             pass
-        if self.mode == "vertex":
-            lg = LabeledGraph(self.domain, self.mapping)
-        else:
-            g = self.domain
-            leaving: dict[str, list[str]] = {}
-            for name, (u, _) in zip(g.edge_names, g.edges):
-                leaving.setdefault(u, []).append(name)
-            edges = tuple(
-                (e, f) for e, (_, w) in zip(g.edge_names, g.edges) for f in leaving.get(w, ())
-            )
-            lm = dict(self.mapping)
-            lg = LabeledGraph(
-                FiniteGraph(g.edge_names, edges), tuple((v, lm[v]) for v in g.edge_names)
-            )
+        g = self.domain
+        leaving: dict[str, list[str]] = {}
+        for name, (u, _) in zip(g.edge_names, g.edges):
+            leaving.setdefault(u, []).append(name)
+        edges = tuple(
+            (e, f) for e, (_, w) in zip(g.edge_names, g.edges) for f in leaving.get(w, ())
+        )
+        lm = self._label_map
+        lg = BlockCode(FiniteGraph(g.edge_names, edges), tuple((v, lm[v]) for v in g.edge_names))
         object.__setattr__(self, "_labeled", lg)
         return lg
+
+    def label(self, key: str) -> str:
+        return self._label_map[key]
+
+    @property
+    def _label_map(self) -> dict:
+        try:
+            return self._lm_cache
+        except AttributeError:
+            lm = dict(self.mapping)
+            object.__setattr__(self, "_lm_cache", lm)
+            return lm
+
+    def alphabet(self) -> tuple[str, ...]:
+        return tuple(sorted({s for _, s in self.mapping}))
 
 
 @dataclass(frozen=True)
@@ -212,23 +204,23 @@ def _tuple_product(
     )
 
 
-def _rows_by_label(lg: LabeledGraph, key: list[int]) -> tuple[list[dict], list[dict]]:
+def _rows_by_label(lg: BlockCode, key: list[int]) -> tuple[list[dict], list[dict]]:
     """Successors and predecessors of each vertex (by index in vertex order),
     grouped by label, each neighbour w stored as `key[w]`."""
-    at = {v: i for i, v in enumerate(lg.graph.vertices)}
+    at = {v: i for i, v in enumerate(lg.domain.vertices)}
     lm = lg._label_map
     succ: list[dict[str, list[int]]] = [{} for _ in at]
     pred: list[dict[str, list[int]]] = [{} for _ in at]
-    for u, w in lg.graph.edges:
+    for u, w in lg.domain.edges:
         i, j = at[u], at[w]
         succ[i].setdefault(lm[w], []).append(key[j])
         pred[j].setdefault(lm[u], []).append(key[i])
     return succ, pred
 
 
-def label_fiber_product(a: LabeledGraph, b: LabeledGraph) -> ProductGraph:
-    """Label-equal vertex pairs with componentwise edges, pruned to the part
-    on bi-infinite paths.
+def label_fiber_product(a: BlockCode, b: BlockCode) -> ProductGraph:
+    """Label-equal vertex pairs of two vertex-mode codes (`labeled()` forms)
+    with componentwise edges, pruned to the part on bi-infinite paths.
 
     The candidates are rectangles: each vertex u of `a` meets the bucket of
     `b`'s vertices with u's label, in `b`'s vertex order.  Pair (u, v) has
@@ -246,11 +238,11 @@ def label_fiber_product(a: LabeledGraph, b: LabeledGraph) -> ProductGraph:
     la, lb = a._label_map, b._label_map
     bucket: dict[str, list[int]] = {}
     rank = []
-    for y, v in enumerate(b.graph.vertices):
+    for y, v in enumerate(b.domain.vertices):
         members = bucket.setdefault(lb[v], [])
         rank.append(len(members))
         members.append(y)
-    blocks = [bucket.get(la[u], []) for u in a.graph.vertices]
+    blocks = [bucket.get(la[u], []) for u in a.domain.vertices]
     start = list(accumulate(map(len, blocks), initial=0))  # start[-1] counts the pairs
     a_succ, a_pred = _rows_by_label(a, start)
     b_succ, b_pred = _rows_by_label(b, rank)
@@ -258,7 +250,7 @@ def label_fiber_product(a: LabeledGraph, b: LabeledGraph) -> ProductGraph:
     def degrees(a_rows, b_rows) -> list[int]:
         columns: dict[tuple[str, str], list[int]] = {}  # (bucket, label) -> counts
         out: list[int] = []
-        for u, block, row in zip(a.graph.vertices, blocks, a_rows):
+        for u, block, row in zip(a.domain.vertices, blocks, a_rows):
             deg = [0] * len(block)
             for s, xs in row.items():
                 col = columns.get((la[u], s))
@@ -297,7 +289,7 @@ def label_fiber_product(a: LabeledGraph, b: LabeledGraph) -> ProductGraph:
                             alive[q] = False
                             dead.append(q)
     kept = {p: locate(p) for p in compress(range(len(alive)), alive)}
-    coords = {p: (a.graph.vertices[i], b.graph.vertices[y]) for p, (i, y) in kept.items()}
+    coords = {p: (a.domain.vertices[i], b.domain.vertices[y]) for p, (i, y) in kept.items()}
     names = {p: f"{u}|{v}" for p, (u, v) in coords.items()}
     edges = sorted(
         (names[p], names[x + r])
@@ -433,7 +425,7 @@ def _trace(parent: dict, v: str) -> list[str]:
 def image_words(code: BlockCode, length: int) -> set[tuple[str, ...]]:
     """All label words of the given length occurring in the image."""
     lg = code.labeled()
-    g = prune_to_biinfinite(lg.graph)
+    g = prune_to_biinfinite(lg.domain)
     lm = lg._label_map
     if length == 0:
         return {()}
@@ -452,7 +444,7 @@ def image_words(code: BlockCode, length: int) -> set[tuple[str, ...]]:
 def image_entropy(code: BlockCode) -> ExtendedEntropy:
     """Entropy of the sofic image, via the determinized label automaton."""
     lg = code.labeled()
-    g = prune_to_biinfinite(lg.graph)
+    g = prune_to_biinfinite(lg.domain)
     if not g.vertices:
         return ZERO_ENTROPY
     lm = lg._label_map
@@ -478,9 +470,7 @@ def image_entropy(code: BlockCode) -> ExtendedEntropy:
             raise ArithmeticError("determinization exceeded the subset budget")
     names = {s: f"s{i}" for i, s in enumerate(sorted(subsets, key=sorted))}
     dfa = FiniteGraph.from_edges([(names[a], names[b]) for a, b in edges])
-    values = []
-    for _, comp in irreducible_components(dfa):
-        values.append(ZERO_ENTROPY if is_single_cycle(comp) else perron_entropy(comp))
+    values = [perron_entropy(comp) for _, comp in irreducible_components(dfa)]
     if not values:
         return ZERO_ENTROPY
     return max_entropy(values, DEFAULT_TOL)
@@ -582,7 +572,7 @@ def _related_tuples(idx: GraphIndex, rel: SymbolRelation, m: int, distinct: bool
 
 def build_fibered_product_Fm(code: BlockCode, rel: SymbolRelation, m: int) -> ProductGraph:
     """Graph on mutually related ordered m-tuples with componentwise edges."""
-    idx = code.labeled().graph.index()
+    idx = code.labeled().domain.index()
     tuples = _related_tuples(idx, rel, m, distinct=False)
     return _tuple_product((idx,) * m, tuples, ",", prune=False)
 
@@ -591,7 +581,7 @@ def extract_tilde_Xm(code: BlockCode, rel: SymbolRelation, m: int) -> ProductGra
     """Distinct-entry m-tuples with exact wiring, pruned to the bi-infinite
     part: an edge between tuples needs the base edge a_i -> b_j to exist
     precisely when i = j."""
-    idx = code.labeled().graph.index()
+    idx = code.labeled().domain.index()
     tuples = _related_tuples(idx, rel, m, distinct=True)
     return _tuple_product((idx,) * m, tuples, ",", prune=True, wired=True)
 
@@ -653,42 +643,34 @@ def quotient_psi(xm: ProductGraph, m: int) -> ResolvingReport:
 def parse_code(text: str) -> BlockCode:
     """Code document: 'code vertex|edge', a graph body, then 'map <key> <sym>'."""
     header_mode = None
-    graph_lines = ["graph"]
+    body = []  # (line number, tokens) of the vertex and edge lines
     mapping = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for i, toks in _content_lines(text):
         if header_mode is None:
             if toks[0] != "code" or len(toks) != 2:
                 raise ParseError(i, "expected 'code vertex' or 'code edge' header")
-            header_mode = toks[1]
+            header_mode, header_line = toks[1], i
             continue
         if toks[0] == "map":
             if len(toks) != 3:
                 raise ParseError(i, "map line is 'map <key> <symbol>'")
             mapping.append((toks[1], toks[2]))
         elif toks[0] in ("vertex", "edge"):
-            graph_lines.append(" ".join(toks))
+            body.append((i, toks))
         elif toks[0] == "graph":
             continue
         else:
             raise ParseError(i, f"unexpected {toks[0]!r} in code document")
     if header_mode is None:
         raise ParseError(1, "empty code document")
-    from .presentations import parse_presentation
-
-    g = parse_presentation("\n".join(graph_lines))
+    g = _parse_graph_body(body, header_line)
     try:
         return BlockCode(g, tuple(mapping), header_mode)
     except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+        raise ParseError(header_line, str(exc)) from None
 
 
 def format_code(code: BlockCode) -> str:
-    from .presentations import format_presentation
-
     lines = [f"code {code.mode}"]
     lines.extend(format_presentation(code.domain).strip().splitlines())
     for k, s in code.mapping:
@@ -699,11 +681,7 @@ def format_code(code: BlockCode) -> str:
 def parse_relation(text: str) -> SymbolRelation:
     pairs = []
     seen = False
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for i, toks in _content_lines(text):
         if toks[0] == "relation":
             seen = True
             continue

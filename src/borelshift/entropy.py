@@ -30,10 +30,13 @@ first-return polynomial of a loop schema) into its minimal polynomial and an
 isolating interval: one root inside, no equal nonzero signs at the ends
 (isolates_one_root).  Two such intervals of one minimal polynomial hold the
 same root exactly when it changes sign across, or vanishes on, their overlap.
-sympy factors; the roots of a squarefree factor inside [lo, hi] are counted
-locally, in exact integers, by Descartes' rule of signs after the Moebius map
-of (lo, hi) onto (0, inf), halving while the count is not yet 0 or 1
-(Collins & Akritas 1976).  The work depends on the roots near [lo, hi], not
+sympy factors, splitting modulo p by Berlekamp's method, which is
+deterministic; its default, Cantor-Zassenhaus, draws random polynomials, so
+its time on one polynomial differs from run to run.  The roots of a
+squarefree factor inside [lo, hi] are counted locally, in exact integers,
+by Descartes' rule of signs after the Moebius map of (lo, hi) onto
+(0, inf), halving while the count is not yet 0 or 1 (Collins & Akritas
+1976).  The work depends on the roots near [lo, hi], not
 on all the real roots of the factor.
 """
 
@@ -46,6 +49,7 @@ from itertools import accumulate
 from operator import truediv
 
 import sympy
+from sympy.polys.polyconfig import using
 
 from .graphs import is_single_cycle, period_of_component
 from .intervals import PrecisionExhausted, RatInterval, log_fraction, log_interval
@@ -68,8 +72,11 @@ class ExtendedEntropy:
         raise NotImplementedError
 
     def __float__(self) -> float:
-        enc = self.log_enclosure()
-        return float(enc.mid)
+        mid = self.log_enclosure().mid
+        try:
+            return float(mid)
+        except OverflowError:  # beyond the float range, as float("1e999") is
+            return math.inf if mid > 0 else -math.inf
 
 
 class ZeroEntropy(ExtendedEntropy):
@@ -303,7 +310,8 @@ def identify_algebraic(coeffs: tuple[int, ...], enclosure: RatInterval) -> Exact
     An enclosure that holds no root raises ArithmeticError.
     """
     poly = sympy.Poly(list(reversed(coeffs)), _X, domain="QQ")
-    _, factors = poly.factor_list()
+    with using(gf_factor_method="berlekamp"):
+        _, factors = poly.factor_list()
     cands = [_int_coeffs(f) for f, _ in factors if f.degree() >= 1]
     lo, hi = enclosure.lo, enclosure.hi
     while True:

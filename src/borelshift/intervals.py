@@ -156,11 +156,6 @@ def log_interval(x: RatInterval, max_width: Fraction = Fraction(1, 10**15)) -> R
     return RatInterval(log_fraction(x.lo, per).lo, log_fraction(x.hi, per).hi)
 
 
-def exp_interval(x: RatInterval, max_width: Fraction = Fraction(1, 10**15)) -> RatInterval:
-    per = max_width / 2
-    return RatInterval(exp_fraction(x.lo, per).lo, exp_fraction(x.hi, per).hi)
-
-
 def approx_exp(x: Fraction, digits: int = 30) -> Fraction:
     """Non-certified rational approximation of e^x, good to ~`digits` places.
 

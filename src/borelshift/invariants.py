@@ -32,7 +32,7 @@ from .entropy import (
     isolates_one_root,
 )
 from .graphs import irreducible_components, is_single_cycle, period_of_component
-from .presentations import FiniteGraph, LoopSchema, ParseError
+from .presentations import FiniteGraph, LoopSchema, ParseError, _content_lines
 from .recurrence import (
     POSITIVE_RECURRENT,
     ComponentSummary,
@@ -302,11 +302,7 @@ def invariants_of(parts, tol: Fraction = DEFAULT_TOL) -> InvariantPair:
 def parse_invariants(text: str) -> InvariantPair:
     gens = []
     seen_any = False
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for i, toks in _content_lines(text):
         if toks[0] != "gen":
             raise ParseError(i, f"expected 'gen', got {toks[0]!r}")
         if len(toks) < 4:

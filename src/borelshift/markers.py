@@ -14,8 +14,12 @@ construction arithmetic:
      prefix cannot be simulated inside gallery stretches.
 
 Every candidate is accepted only if the composed labeling of its presentation
-passes the fiber-product injectivity check and its Perron entropy certifies
-above the target; the marker arithmetic merely steers the search.
+passes the fiber-product injectivity check and its entropy certifies above
+the target; the marker arithmetic merely steers the search.  The first two
+tiers take the Perron entropy of the top irreducible component, computed once
+per component.  The marker tier's entropy comes from classify_recurrence on
+the first-return loop schema at the marker start, after the built graph's
+first-return counts have been checked against that schema.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ from fractions import Fraction
 from math import ceil, log
 from typing import Optional
 
-from .codes import BlockCode, BudgetExhausted, LabeledGraph, check_injective, prune_to_biinfinite
+from .codes import BlockCode, BudgetExhausted, check_injective, prune_to_biinfinite
 from .entropy import DEFAULT_TOL, ExtendedEntropy, ZERO_ENTROPY, compare_entropy, perron_entropy
-from .graphs import irreducible_components, is_single_cycle
-from .presentations import FiniteGraph
+from .graphs import first_return_counts, irreducible_components
+from .presentations import FiniteGraph, LoopSchema
+from .recurrence import classify_recurrence
 
 GALLERY_CAP = 4096
 STATE_CAP = 20000
@@ -55,7 +60,6 @@ class MarkerParams:
     C: int
     N: int
     K: int
-    zeta: Fraction = Fraction(1, 2)
 
     def marker_words(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         m1 = self.ell * self.A + self.ell_tilde * self.C + self.ell
@@ -72,7 +76,7 @@ class EmbeddingCertificate:
     params: Optional[MarkerParams] = None
 
 
-def make_subsystem_code(cert: EmbeddingCertificate, lg: LabeledGraph) -> BlockCode:
+def make_subsystem_code(cert: EmbeddingCertificate, lg: BlockCode) -> BlockCode:
     """Composed 1-block code: subsystem presentation -> image symbols."""
     lm = lg._label_map
     sm = dict(cert.symbol_map)
@@ -80,40 +84,37 @@ def make_subsystem_code(cert: EmbeddingCertificate, lg: LabeledGraph) -> BlockCo
     return BlockCode(cert.presentation, mapping, mode="vertex")
 
 
-def _domain_entropy(lg: LabeledGraph) -> ExtendedEntropy:
-    best = ZERO_ENTROPY
-    for _, comp in irreducible_components(lg.graph):
-        h = ZERO_ENTROPY if is_single_cycle(comp) else perron_entropy(comp)
-        if compare_entropy(h, best, DEFAULT_TOL) == "gt":
-            best = h
-    return best
+def _top_component(
+    g: FiniteGraph, tol: Fraction
+) -> tuple[Optional[FiniteGraph], ExtendedEntropy]:
+    """The irreducible component of g with the largest entropy, and that
+    entropy; the first one wins ties and undecided comparisons, and a graph
+    without one gives (None, 0).  Pruning to the bi-infinite part would
+    leave the components as they are."""
+    best, best_h = None, ZERO_ENTROPY
+    for _, c in irreducible_components(g):
+        h = perron_entropy(c)
+        if best is None or compare_entropy(h, best_h, tol) == "gt":
+            best, best_h = c, h
+    return best, best_h
 
 
 def _certify(
-    presentation: FiniteGraph,
-    symbol_map: dict,
-    lg: LabeledGraph,
+    best: Optional[FiniteGraph],
+    best_h: ExtendedEntropy,
+    lg: BlockCode,
     target: ExtendedEntropy,
     tol: Fraction,
     tier: str,
-    params: Optional[MarkerParams] = None,
 ) -> Optional[EmbeddingCertificate]:
-    pruned = prune_to_biinfinite(presentation)
-    if not pruned.vertices:
-        return None
-    comps = [c for _, c in irreducible_components(pruned)]
-    # keep the top-entropy irreducible core so the certificate is irreducible
-    best, best_h = None, ZERO_ENTROPY
-    for c in comps:
-        h = ZERO_ENTROPY if is_single_cycle(c) else perron_entropy(c)
-        if best is None or compare_entropy(h, best_h, tol) == "gt":
-            best, best_h = c, h
+    """Certificate on the top component `best` (a subgraph of lg's domain),
+    kept so the certificate is irreducible, if it clears the target and the
+    code restricted to it is injective."""
     if best is None or compare_entropy(best_h, target, tol) == "lt":
         return None
-    sm = tuple((v, symbol_map[v]) for v in best.vertices)
-    cert = EmbeddingCertificate(tier, best, sm, best_h, params)
-    code = make_subsystem_code(cert, lg)
-    if not check_injective(code).injective:
+    sm = tuple((v, v) for v in best.vertices)
+    cert = EmbeddingCertificate(tier, best, sm, best_h)
+    if not check_injective(make_subsystem_code(cert, lg)).injective:
         return None
     return cert
 
@@ -126,16 +127,15 @@ def synthesize_injective_subsystem(
 ) -> EmbeddingCertificate:
     """Find a certified injective subsystem with entropy >= target."""
     lg = code.labeled()
-    if not lg.graph.vertices:
+    if not lg.domain.vertices:
         raise PreconditionViolated("empty domain")
-    h_dom = _domain_entropy(lg)
+    top, h_dom = _top_component(lg.domain, tol)
     if compare_entropy(target, h_dom, tol) == "gt":
         raise PreconditionViolated(
             f"target entropy {float(target):.6f} exceeds domain entropy {float(h_dom):.6f}"
         )
 
-    ident = {v: v for v in lg.graph.vertices}
-    cert = _certify(lg.graph, ident, lg, target, tol, "whole-domain")
+    cert = _certify(top, h_dom, lg, target, tol, "whole-domain")
     if cert is not None:
         return cert
 
@@ -147,10 +147,10 @@ def synthesize_injective_subsystem(
 
 
 def _label_injective_tier(
-    lg: LabeledGraph, target: ExtendedEntropy, tol: Fraction
+    lg: BlockCode, target: ExtendedEntropy, tol: Fraction
 ) -> Optional[EmbeddingCertificate]:
     by_symbol: dict[str, list[str]] = {}
-    for v, s in lg.labels:
+    for v, s in lg.mapping:
         by_symbol.setdefault(s, []).append(v)
     symbols = sorted(by_symbol)
     combos = 1
@@ -166,9 +166,8 @@ def _label_injective_tier(
         if i == len(choices):
             if len(picked) < 1:
                 return
-            sub = lg.graph.induced(tuple(picked))
-            ident = {v: v for v in sub.vertices}
-            cert = _certify(sub, ident, lg, target, tol, "label-injective")
+            sub = lg.domain.induced(tuple(picked))
+            cert = _certify(*_top_component(sub, tol), lg, target, tol, "label-injective")
             if cert is not None and (
                 best_cert is None
                 or compare_entropy(cert.entropy, best_cert.entropy, tol) == "gt"
@@ -202,12 +201,12 @@ def _loops_at(g: FiniteGraph, base: str, length: int, cap: int) -> list[tuple[st
 
 
 def find_image_distinct_loops(
-    lg: LabeledGraph, base: str, max_len: int = 6
+    lg: BlockCode, base: str, max_len: int = 6
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Two loops at base whose label words differ; same length preferred."""
     lm = lg._label_map
     for length in range(1, max_len + 1):
-        loops = _loops_at(lg.graph, base, length, cap=512)
+        loops = _loops_at(lg.domain, base, length, cap=512)
         seen = {}
         for w in loops:
             lab = tuple(lm[v] for v in w)
@@ -218,7 +217,7 @@ def find_image_distinct_loops(
     # fall back to distinct lengths
     found = []
     for length in range(1, max_len + 1):
-        loops = _loops_at(lg.graph, base, length, cap=64)
+        loops = _loops_at(lg.domain, base, length, cap=64)
         if loops:
             found.append(loops[0])
         if len(found) >= 2:
@@ -226,7 +225,7 @@ def find_image_distinct_loops(
     raise NoDistinctLoops(f"no two label-distinct loops at {base!r}")
 
 
-def _label_word(lg: LabeledGraph, word: tuple[str, ...]) -> tuple[str, ...]:
+def _label_word(lg: BlockCode, word: tuple[str, ...]) -> tuple[str, ...]:
     lm = lg._label_map
     return tuple(lm[v] for v in word)
 
@@ -238,12 +237,12 @@ def _contains_run(word, pattern, reps: int) -> bool:
 
 
 def _gallery(
-    lg: LabeledGraph, base: str, N: int, ell_label: tuple[str, ...], zeta: Fraction
+    lg: BlockCode, base: str, N: int, ell_label: tuple[str, ...]
 ) -> list[tuple[str, ...]]:
     """Label-distinct loops of length N, excluding words that could simulate a
-    long run of the marker loop label."""
-    loops = _loops_at(lg.graph, base, N, cap=GALLERY_CAP)
-    run_cap = max(1, int(zeta * N) // max(1, len(ell_label)))
+    run of the marker loop label longer than N/2."""
+    loops = _loops_at(lg.domain, base, N, cap=GALLERY_CAP)
+    run_cap = max(1, (N // 2) // max(1, len(ell_label)))
     out = []
     seen_labels = set()
     for w in loops:
@@ -258,7 +257,6 @@ def _gallery(
 
 
 def build_marker_sft(
-    lg: LabeledGraph,
     params: MarkerParams,
     gallery: list[tuple[str, ...]],
     state_cap: int = STATE_CAP,
@@ -331,42 +329,23 @@ def marker_block_entropy(params: MarkerParams, gallery_size: int) -> ExtendedEnt
     """Entropy of X_K from its first-return structure at the marker start.
 
     Returns to the m1 start happen after one m1 block and j >= 0 intervening
-    m2 blocks, G = gallery_size^K choices each, so the root equation is
-    G x^B1 + G x^B2 = 1 with B_a the block lengths.  Solved by certified
-    bisection in exact rationals.
+    m2 blocks, G = gallery_size^K choices each, so with B_a the block lengths
+    G x^B1 / (1 - G x^B2) = 1, that is G x^B1 + G x^B2 = 1: the root equation
+    of the finite loop schema {B1: G, B2: G} ({B: 2G} when B1 = B2 = B),
+    certified by classify_recurrence.
     """
-    from .intervals import RatInterval, log_interval
-    from .entropy import ENCLOSURE_WIDTH, IntervalApprox
-
     m1, m2 = params.marker_words()
     b1 = len(m1) + params.K * params.N
     b2 = len(m2) + params.K * params.N
     big = gallery_size**params.K
-
-    def f(x: Fraction) -> Fraction:
-        return big * x**b1 + big * x**b2 - 1
-
-    lo, hi = Fraction(1, 10**6), Fraction(1)
-    while f(lo) >= 0:
-        lo /= 2
-    rel = Fraction(1, 2 * 10**13)
-    while hi - lo > rel * lo:
-        mid = (lo + hi) / 2
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    lam = RatInterval(1 / hi, 1 / lo)
-    enc = log_interval(lam, ENCLOSURE_WIDTH)
-    return IntervalApprox(enc.lo, enc.hi)
+    counts = ((b1, 2 * big),) if b1 == b2 else ((b1, big), (b2, big))
+    return classify_recurrence(LoopSchema(counts)).entropy
 
 
 def _check_block_structure(
     g: FiniteGraph, params: MarkerParams, gallery_size: int
 ) -> bool:
     """First-return counts of the built graph must match the block formula."""
-    from .graphs import first_return_counts
-
     m1, m2 = params.marker_words()
     b1 = len(m1) + params.K * params.N
     b2 = len(m2) + params.K * params.N
@@ -381,24 +360,17 @@ def _check_block_structure(
     return counts == expected
 
 
-def entropy_floor(params: MarkerParams, gallery_size: int) -> float:
-    """Provable lower bound on h(X_K): at least gallery_size^K blocks of the
-    longer block length, plus the binary marker choice."""
-    m1, m2 = params.marker_words()
-    block = max(len(m1), len(m2)) + params.K * params.N
-    return (params.K * log(gallery_size) + log(2)) / block
-
-
 def _marker_tier(
-    lg: LabeledGraph,
+    lg: BlockCode,
     target: ExtendedEntropy,
     tol: Fraction,
     state_cap: int = STATE_CAP,
 ) -> EmbeddingCertificate:
-    g = prune_to_biinfinite(lg.graph)
+    g = prune_to_biinfinite(lg.domain)
     if not g.vertices:
         raise PreconditionViolated("domain has no bi-infinite part")
-    lg2 = LabeledGraph(g, tuple((v, s) for v, s in lg.labels if v in set(g.vertices)))
+    keep = set(g.vertices)
+    lg2 = BlockCode(g, tuple((v, s) for v, s in lg.mapping if v in keep))
     target_f = float(target)
     last_error = "no feasible marker parameters in budget"
     for base in sorted(g.vertices):
@@ -416,7 +388,7 @@ def _marker_tier(
             if markers_floor + N > state_cap:
                 last_error = BUDGET_MESSAGE
                 break
-            gallery = _gallery(lg2, base, N, ell_lab, Fraction(1, 2))
+            gallery = _gallery(lg2, base, N, ell_lab)
             if len(gallery) < 2:
                 continue
             if log(len(gallery)) <= target_f * N:
@@ -429,7 +401,7 @@ def _marker_tier(
                 K = min(K_CAP, max(1, ceil((target_f * M) / denom) + 1))
                 params = MarkerParams(base, ell, ell_t, A, 2, N, K)
                 try:
-                    sft, symbol = build_marker_sft(lg2, params, gallery, state_cap)
+                    sft, symbol = build_marker_sft(params, gallery, state_cap)
                 except BudgetExhausted as exc:
                     last_error = str(exc)
                     continue

@@ -165,7 +165,7 @@ def truncated_entropy(counts: list[int], depth: int) -> ExtendedEntropy:
 def _symbols(code: BlockCode) -> tuple[GraphIndex, list[str]]:
     """The index of the code's line graph and the symbol at each position."""
     lg = code.labeled()
-    idx = lg.graph.index()
+    idx = lg.domain.index()
     return idx, [lg.label(e) for e in idx.order]
 
 

@@ -116,14 +116,9 @@ class LoopSchema:
             raise ValueError("schema has no loop at all (some c_n >= 1 required)")
 
     def has_loop(self) -> bool:
-        if any(c >= 1 for _, c in self.counts):
-            return True
-        if self.tail is None:
-            return False
-        if isinstance(self.tail, GeometricTail):
-            return True
-        # damped: a*k^n/n^d grows without bound, so some count is eventually >= 1
-        return True
+        # a tail's counts grow without bound (damped ones too: a*k^n/n^d), so
+        # some count is eventually >= 1
+        return self.tail is not None or any(c >= 1 for _, c in self.counts)
 
     def count(self, n: int) -> int:
         for m, c in self.counts:
@@ -145,11 +140,6 @@ class LoopSchema:
                 out[n] += self.tail.count(n)
                 n += self.tail.stride
         return out
-
-    def support_iter(self, limit: int) -> Iterator[int]:
-        for n, c in enumerate(self.counts_upto(limit)):
-            if c > 0:
-                yield n
 
     def is_finite(self) -> bool:
         return self.tail is None

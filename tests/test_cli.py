@@ -456,6 +456,24 @@ def test_malformed_document_exits_65(capsys, tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("argv, status", [
+    (["analyze", "{golden}", "--tol", "1/0"], 64),
+    (["pathology", "--eps", "1/0"], 65),
+    (["pathology", "--eps", "1e999999"], 65),
+    (["pathology", "--depth", "1", "--eps", "1e-999999"], 65),
+    (["embed", "{even}", "--target", ""], 65),
+    (["embed", "{even}", "--target", "1e999999"], 1),  # above the domain entropy
+])
+def test_out_of_range_numbers_exit_with_one_line(
+    capsys, golden_file, even_code_file, argv, status
+):
+    argv = [a.format(golden=golden_file, even=even_code_file) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == status
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("tail_line", ["tail", "tail stride 2"])
 def test_bare_tail_line_exits_65(capsys, tmp_path, tail_line):
     bad = tmp_path / "bad.txt"

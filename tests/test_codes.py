@@ -17,7 +17,6 @@ from borelshift import (
     BlockCode,
     BudgetExhausted,
     FiniteGraph,
-    LabeledGraph,
     ParseError,
     SymbolRelation,
     build_fibered_product_Fm,
@@ -64,12 +63,12 @@ def identity_code() -> BlockCode:
 
 def test_labeled_line_graph_of_edge_code():
     lg = even_code().labeled()
-    assert sorted(lg.graph.vertices) == ["e0", "e1", "e2"]
+    assert sorted(lg.domain.vertices) == ["e0", "e1", "e2"]
     # line graph: e follows f when head(f) = tail(e)
-    assert ("e0", "e1") in lg.graph.edges
-    assert ("e1", "e2") in lg.graph.edges
-    assert ("e2", "e0") in lg.graph.edges
-    assert ("e1", "e1") not in lg.graph.edges
+    assert ("e0", "e1") in lg.domain.edges
+    assert ("e1", "e2") in lg.domain.edges
+    assert ("e2", "e0") in lg.domain.edges
+    assert ("e1", "e1") not in lg.domain.edges
     assert lg.label("e0") == "1" and lg.label("e1") == "0"
     assert lg.alphabet() == ("0", "1")
 
@@ -125,10 +124,10 @@ def test_even_code_not_injective_with_periodic_witness():
     # witness paths are genuine paths of the line graph
     for path in (first, second):
         for u, w in zip(path, path[1:]):
-            assert w in lg.graph.successors(u)
+            assert w in lg.domain.successors(u)
     # the cycle closes up: last vertex connects back to the first
     for path in (first, second):
-        assert path[0] in lg.graph.successors(path[-1])
+        assert path[0] in lg.domain.successors(path[-1])
 
 
 def test_injective_after_symbol_split():
@@ -245,7 +244,7 @@ def test_fibered_product_F1_is_domain():
     rel = minimal_relation(code)
     f1 = build_fibered_product_Fm(code, rel, 1)
     assert sorted(f1.vertices) == ["e0", "e1", "e2"]
-    assert len(f1.edges) == len(code.labeled().graph.edges)
+    assert len(f1.edges) == len(code.labeled().domain.edges)
 
 
 def test_distinct_entry_product_and_quotient():
@@ -337,11 +336,11 @@ def names(ts, sep=","):
     return [sep.join(t) for t in ts]
 
 
-def parts(lg: LabeledGraph) -> tuple:
-    return list(lg.graph.vertices), list(lg.graph.edges), dict(lg.labels)
+def parts(lg: BlockCode) -> tuple:
+    return list(lg.domain.vertices), list(lg.domain.edges), dict(lg.mapping)
 
 
-def assert_label_product(a: LabeledGraph, b: LabeledGraph, note) -> tuple:
+def assert_label_product(a: BlockCode, b: BlockCode, note) -> tuple:
     """`label_fiber_product(a, b)` equals the brute force as built: pair order,
     `u|v` names, coordinates, sorted edges and `e<k>` edge names."""
     pairs, pair_edges = label_pair_product(parts(a), parts(b))
@@ -362,9 +361,9 @@ def test_products_match_brute_force(mode):
         lg = code.labeled()
         if mode == "edge":
             named = [(n, u, w) for n, (u, w) in zip(code.domain.edge_names, code.domain.edges)]
-            assert lg.graph.vertices == code.domain.edge_names, seed
-            assert list(lg.graph.edges) == line_graph_edges(named), seed
-        vertices, edges = list(lg.graph.vertices), list(lg.graph.edges)
+            assert lg.domain.vertices == code.domain.edge_names, seed
+            assert list(lg.domain.edges) == line_graph_edges(named), seed
+        vertices, edges = list(lg.domain.vertices), list(lg.domain.edges)
         labels = dict(code.mapping)
 
         pairs = assert_label_product(lg, lg, seed)
@@ -409,19 +408,19 @@ def test_label_fiber_product_of_two_graphs():
         a = random_code(rng, rng.choice(("vertex", "edge"))).labeled()
         b = random_code(rng, rng.choice(("vertex", "edge"))).labeled()
         if seed % 3 == 1:
-            (v, _), *rest = b.labels
-            b = LabeledGraph(b.graph, ((v, "only"), *rest))
+            (v, _), *rest = b.mapping
+            b = BlockCode(b.domain, ((v, "only"), *rest))
         elif seed % 3 == 2:
             # keep only edges forward in vertex order: b is acyclic
-            at = {v: k for k, v in enumerate(b.graph.vertices)}
-            forward = tuple((u, w) for u, w in b.graph.edges if at[u] < at[w])
-            b = LabeledGraph(FiniteGraph(b.graph.vertices, forward), b.labels)
+            at = {v: k for k, v in enumerate(b.domain.vertices)}
+            forward = tuple((u, w) for u, w in b.domain.edges if at[u] < at[w])
+            b = BlockCode(FiniteGraph(b.domain.vertices, forward), b.mapping)
         if rng.random() < 0.5:
             a, b = b, a
         pairs = assert_label_product(a, b, seed)
         if seed % 3 == 2:
             assert pairs == [], seed
-        elif pairs and len(a.graph.vertices) != len(b.graph.vertices):
+        elif pairs and len(a.domain.vertices) != len(b.domain.vertices):
             shapes["sizes differ"] += 1
             shapes["one-sided label"] += seed % 3 == 1
     assert shapes["sizes differ"] >= 10 and shapes["one-sided label"] >= 3, shapes
@@ -438,7 +437,7 @@ def test_line_graph_of_16000_edges_is_linear():
     outdeg = {v: 0 for v in vs}
     for u, _ in g.edges:
         outdeg[u] += 1
-    assert len(lg.graph.edges) == sum(outdeg[w] for _, w in g.edges)
+    assert len(lg.domain.edges) == sum(outdeg[w] for _, w in g.edges)
 
 
 # === document round trips ===
@@ -466,6 +465,18 @@ def test_parse_code_errors():
     # mapping must cover the keys
     with pytest.raises(ParseError):
         parse_code("code edge\nedge a a\nedge a a x\nmap e0 1\n")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    # comments and blank lines before the graph body still count
+    ("code vertex\n# comment\n\nmap a 0\nvertex a\nedge a a|b\n", 6),
+    ("# a code\ncode edge\nvertex a\n\nedge a a x0\n# note\nmap x0 1\n\nvertex a b\n", 9),
+    ("\n\ncode vertex\nmap a 0\n", 3),  # no vertices: the header's line
+])
+def test_parse_code_reports_graph_errors_at_their_line(text, lineno):
+    with pytest.raises(ParseError) as err:
+        parse_code(text)
+    assert err.value.lineno == lineno
 
 
 def test_parse_relation_errors():

@@ -30,7 +30,7 @@ from borelshift import (
     prune_to_biinfinite,
     synthesize_injective_subsystem,
 )
-from borelshift.markers import entropy_floor
+from borelshift import markers
 
 from helpers import LOG2, two_length_growth_rate
 
@@ -85,7 +85,7 @@ def test_marker_tier_on_non_injective_code():
     assert cert.params is not None
     assert float(cert.entropy) >= 0.2
     # the certificate maps presentation states back into the domain
-    dom = set(code.labeled().graph.vertices)
+    dom = set(code.labeled().domain.vertices)
     covered = dict(cert.symbol_map)
     assert set(covered) == set(cert.presentation.vertices)
     assert set(covered.values()) <= dom
@@ -154,7 +154,7 @@ def test_find_image_distinct_loops_golden():
     lg = even_code().labeled()
     first, second = find_image_distinct_loops(lg, "e0")
     assert {first, second} == {("e0", "e1", "e2"), ("e0", "e0", "e0")}
-    lm = dict(lg.labels)
+    lm = dict(lg.mapping)
     assert [lm[v] for v in first] != [lm[v] for v in second]
 
 
@@ -173,7 +173,7 @@ def test_single_word_gallery_matches_two_length_oracle():
     m1, m2 = p.marker_words()
     b1, b2 = len(m1) + 2, len(m2) + 2
     assert (b1, b2) == (8, 10)
-    g, symbol = build_marker_sft(lg, p, [("e0", "e0")])
+    g, symbol = build_marker_sft(p, [("e0", "e0")])
     counts = first_return_counts(g, "m1.0", b1 + 2 * b2)
     hits = [(i, c) for i, c in enumerate(counts) if c]
     assert hits == [(b1, 1), (b1 + b2, 1), (b1 + 2 * b2, 1)]
@@ -188,7 +188,7 @@ def test_two_word_gallery_counts_are_powers():
     lg = even_code().labeled()
     p = MarkerParams("e0", ("e0", "e1", "e2"), ("e0", "e0", "e0"), A=2, C=1, N=4, K=2)
     gallery = [("e0", "e0", "e1", "e2"), ("e0", "e1", "e2", "e0")]
-    g, _ = build_marker_sft(lg, p, gallery)
+    g, _ = build_marker_sft(p, gallery)
     m1, m2 = p.marker_words()
     b = len(m1) + p.K * p.N  # both blocks have the same length here
     assert len(m2) + p.K * p.N == b
@@ -202,23 +202,40 @@ def test_empty_gallery_rejected():
     lg = even_code().labeled()
     p = MarkerParams("e0", ("e0",), ("e0", "e1", "e2"), A=2, C=1, N=2, K=1)
     with pytest.raises(ValueError):
-        build_marker_sft(lg, p, [])
+        build_marker_sft(p, [])
 
 
 def test_state_budget_enforced():
     lg = even_code().labeled()
     p = MarkerParams("e0", ("e0",), ("e0", "e1", "e2"), A=2, C=1, N=3, K=8000)
     with pytest.raises(BudgetExhausted):
-        build_marker_sft(lg, p, [("e0", "e0", "e0")])
+        build_marker_sft(p, [("e0", "e0", "e0")])
 
 
-# === entropy floor ===
+# === marker entropy ===
 
-def test_entropy_floor_is_a_lower_bound():
-    for gallery_size, params in (
-        (1, MarkerParams("e0", ("e0",), ("e0", "e1", "e2"), 2, 1, 2, 1)),
-        (2, MarkerParams("e0", ("e0", "e1", "e2"), ("e0", "e0", "e0"), 2, 1, 4, 2)),
-        (4, MarkerParams("e0", ("e0", "e1", "e2"), ("e0", "e0", "e0"), 4, 2, 5, 3)),
-    ):
-        h = marker_block_entropy(params, gallery_size)
-        assert entropy_floor(params, gallery_size) <= float(h) + 1e-12
+def test_marker_block_entropy_with_equal_block_lengths():
+    # both blocks are 20 long, so the schema is {20: 2 G} with G = 2^2:
+    # 8 x^20 = 1, an exact root of x^20 - 8, whose entropy is log(8) / 20
+    p = MarkerParams("e0", ("e0", "e1", "e2"), ("e0", "e0", "e0"), A=2, C=1, N=4, K=2)
+    m1, m2 = p.marker_words()
+    assert len(m1) + p.K * p.N == len(m2) + p.K * p.N == 20
+    h = marker_block_entropy(p, 2)
+    assert h.minpoly == (-8,) + (0,) * 19 + (1,)
+    assert abs(float(h) - math.log(8) / 20) < 1e-12
+    gallery = [("e0", "e0", "e1", "e2"), ("e0", "e1", "e2", "e0")]
+    g, _ = build_marker_sft(p, gallery)
+    assert compare_entropy(h, perron_entropy(prune_to_biinfinite(g))) == "eq"
+
+
+def test_domain_component_entropy_is_computed_once(monkeypatch):
+    calls = []
+
+    def counting(c, *args):
+        calls.append(len(c.vertices))
+        return perron_entropy(c, *args)
+
+    monkeypatch.setattr(markers, "perron_entropy", counting)
+    cert = synthesize_injective_subsystem(even_code(), point(Fraction(1, 4)))
+    assert cert.tier == "marker"
+    assert calls.count(3) == 1
