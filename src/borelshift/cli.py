@@ -155,7 +155,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_realize(args) -> int:
     pair = parse_invariants(_read(args.file))
-    real = realize_invariants(pair, args.tol, certify=not args.no_certify)
+    real = realize_invariants(pair, args.tol)
     parts = list(real.parts())
     for fam in real.families:
         if args.member is None:
@@ -235,8 +235,13 @@ def _cmd_fiberprod(args) -> int:
     fm = build_fibered_product_Fm(code, rel, args.m)
     tilde = extract_tilde_Xm(code, rel, args.m)
     psi = quotient_psi(tilde, args.m)
-    # tuple states contain the ',' separator; dots keep the document parseable
-    rename = {v: v.replace(",", ".") for v in tilde.vertices}
+    # tuple states join coordinate names with ',', which no document symbol
+    # may hold; join them instead with the first separator in no coordinate
+    names = {name for t in tilde.tuples for name in t}
+    sep = next((s for s in ".:;~_-+=^@" if not any(s in n for n in names)), None)
+    if sep is None:
+        raise ValueError("every tuple-name separator occurs in some vertex name")
+    rename = {v: sep.join(t) for v, t in zip(tilde.vertices, tilde.tuples)}
     tilde = FiniteGraph(
         tuple(sorted(rename.values())),
         tuple((rename[u], rename[v]) for u, v in tilde.edges),
@@ -337,7 +342,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("realize", help="presentation realizing invariants")
     sp.add_argument("file")
     sp.add_argument("--member", type=int, default=None)
-    sp.add_argument("--no-certify", action="store_true")
     tol_flag(sp)
     sp.set_defaults(func=_cmd_realize)
 

@@ -90,17 +90,8 @@ class ZeroEntropy(ExtendedEntropy):
     def log_enclosure(self, max_width: Fraction = ENCLOSURE_WIDTH) -> RatInterval:
         return RatInterval.point(0)
 
-    def lambda_enclosure(self, max_width: Fraction = ENCLOSURE_WIDTH) -> RatInterval:
-        return RatInterval.point(1)
-
     def __repr__(self):
         return "Entropy(0)"
-
-    def __eq__(self, other):
-        return isinstance(other, ZeroEntropy)
-
-    def __hash__(self):
-        return hash("ZeroEntropy")
 
 
 class InfiniteEntropy(ExtendedEntropy):
@@ -119,12 +110,6 @@ class InfiniteEntropy(ExtendedEntropy):
 
     def __repr__(self):
         return "Entropy(inf)"
-
-    def __eq__(self, other):
-        return isinstance(other, InfiniteEntropy)
-
-    def __hash__(self):
-        return hash("InfiniteEntropy")
 
 
 ZERO_ENTROPY = ZeroEntropy()
@@ -385,12 +370,7 @@ def _float_seed(rows, period: int, target: float, max_iters: int) -> list[int]:
     return [int(math.ldexp(m, 53)) << (e - emin) if m else 1 for m, e in map(math.frexp, x)]
 
 
-def collatz_wielandt_enclosure(
-    rows,
-    rel_target: Fraction = Fraction(1, 10**13),
-    max_iters: int = 60000,
-    period: int = 1,
-) -> RatInterval:
+def collatz_wielandt_enclosure(rows, max_iters: int = 60000, period: int = 1) -> RatInterval:
     """Certified enclosure of rho(A)^period for an irreducible nonnegative
     integer matrix A via min/max of (A^p v)_i / v_i over a positive vector v.
 
@@ -400,8 +380,8 @@ def collatz_wielandt_enclosure(
     4.2), so floats only choose v and a period other than the true one costs
     speed, never correctness.  A float power iteration of A^p + I seeds v
     (_float_seed); the bounds are then computed exactly in integers and
-    fractions.  Only if they miss the relative width period * rel_target,
-    the same relative target on rho(A), does an exact integer iteration of
+    fractions.  Only if they miss the relative width period * 10^-13, the
+    relative target 10^-13 on rho(A), does an exact integer iteration of
     A^p + I continue from v, doubling its batches up to 1024 products.
     `max_iters` counts products with A, for the float seed and again for the
     exact iteration; the exact budget running out above the target raises
@@ -410,7 +390,7 @@ def collatz_wielandt_enclosure(
     whose spread stalls leaves the exact iteration to finish.
     """
     n = len(rows)
-    target = period * rel_target
+    target = period * Fraction(1, 10**13)
     v = _float_seed(rows, period, float(target), max_iters)
 
     def apply(vec):
@@ -479,12 +459,13 @@ def _root_enclosure(enc: RatInterval, p: int) -> RatInterval:
     return RatInterval(outward(enc.lo, -1), outward(enc.hi, 1))
 
 
-def perron_entropy(c: FiniteGraph, exact_cap: int = EXACT_VERTEX_CAP) -> ExtendedEntropy:
+def perron_entropy(c: FiniteGraph) -> ExtendedEntropy:
     """Entropy log(Perron root) of a strongly connected multigraph.
 
-    Exact algebraic whenever the characteristic polynomial is within reach
-    (vertex count <= exact_cap); otherwise a certified interval of width
-    <= ENCLOSURE_WIDTH.  Either way the Perron root is enclosed through
+    ZERO_ENTROPY for a single cycle, and only for one.  Otherwise exact
+    algebraic whenever the characteristic polynomial is within reach (vertex
+    count <= EXACT_VERTEX_CAP), else a certified interval of width <=
+    ENCLOSURE_WIDTH.  Either way the Perron root is enclosed through
     lambda^p, p the period of the component, by exact Collatz-Wielandt
     bounds on a float-seeded vector (collatz_wielandt_enclosure).  A
     certificate that cannot meet its width within its budget raises
@@ -495,7 +476,7 @@ def perron_entropy(c: FiniteGraph, exact_cap: int = EXACT_VERTEX_CAP) -> Extende
         return ZERO_ENTROPY
     rows = c.index().succ
     lam_p = collatz_wielandt_enclosure(rows, period=p)
-    if len(rows) <= exact_cap:
+    if len(rows) <= EXACT_VERTEX_CAP:
         coeffs = _charpoly_coeffs(c.adjacency()[0])
         return identify_algebraic(coeffs, _root_enclosure(lam_p, p))
     # log(lambda) = log(lambda^p) / p: exact division keeps the width target.

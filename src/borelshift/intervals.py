@@ -61,30 +61,11 @@ class RatInterval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __contains__(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
     def __add__(self, other):
         other = _as_interval(other)
         return RatInterval(self.lo + other.lo, self.hi + other.hi)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return RatInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-_as_interval(other))
-
-    def __rsub__(self, other):
-        return _as_interval(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_interval(other)
-        prods = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-        return RatInterval(min(prods), max(prods))
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]~{float(self.mid):.12g}"

@@ -28,10 +28,13 @@ from .entropy import (
     INFINITE_ENTROPY,
     IntervalApprox,
     ZERO_ENTROPY,
+    _brackets_root,
     compare_entropy,
+    entropy_from_log_value,
     isolates_one_root,
+    perron_entropy,
 )
-from .graphs import irreducible_components, is_single_cycle, period_of_component
+from .graphs import irreducible_components, period_of_component
 from .presentations import FiniteGraph, LoopSchema, ParseError, _content_lines
 from .recurrence import (
     POSITIVE_RECURRENT,
@@ -119,12 +122,11 @@ def _cmp(a: ExtendedEntropy, b: ExtendedEntropy, tol: Fraction) -> str:
 def summarize_components(parts) -> list[ComponentSummary]:
     """Irreducible-component summaries of a presentation document.
 
-    Finite-graph components are positive recurrent; vertices that lie on no
-    cycle carry no shift-invariant structure and are skipped.  A loop schema
-    whose counts and tail repeat an earlier part's is classified once per call.
+    Finite-graph components are positive recurrent, with an MME unless their
+    entropy is zero (a single cycle); vertices that lie on no cycle carry no
+    shift-invariant structure and are skipped.  A loop schema whose counts and
+    tail repeat an earlier part's is classified once per call.
     """
-    from .entropy import perron_entropy
-
     if isinstance(parts, (FiniteGraph, LoopSchema)):
         parts = (parts,)
     out: list[ComponentSummary] = []
@@ -143,27 +145,16 @@ def summarize_components(parts) -> list[ComponentSummary]:
             )
             continue
         for cid, sub in irreducible_components(part):
-            if is_single_cycle(sub):
-                out.append(
-                    ComponentSummary(
-                        period_of_component(sub),
-                        ZERO_ENTROPY,
-                        False,
-                        POSITIVE_RECURRENT,
-                        prefix + cid,
-                    )
+            h = perron_entropy(sub)
+            out.append(
+                ComponentSummary(
+                    period_of_component(sub),
+                    h,
+                    h is not ZERO_ENTROPY,
+                    POSITIVE_RECURRENT,
+                    prefix + cid,
                 )
-            else:
-                h = perron_entropy(sub)
-                out.append(
-                    ComponentSummary(
-                        period_of_component(sub),
-                        h,
-                        True,
-                        POSITIVE_RECURRENT,
-                        prefix + cid,
-                    )
-                )
+            )
     return out
 
 
@@ -344,7 +335,7 @@ def _parse_entropy_expr(toks: list[str], lineno: int) -> ExtendedEntropy:
             raise ParseError(lineno, f"bad log argument {toks[1]!r}") from None
         if lam <= 1:
             raise ParseError(lineno, "log argument must exceed 1")
-        return ExactAlgebraic((-lam.numerator, lam.denominator), lam, lam)
+        return entropy_from_log_value(lam)
     if toks[0] == "poly":
         if "root-in" not in toks:
             raise ParseError(lineno, "poly expression needs 'root-in <lo> <hi>'")
@@ -364,6 +355,11 @@ def _parse_entropy_expr(toks: list[str], lineno: int) -> ExtendedEntropy:
             raise ParseError(lineno, f"bad algebraic entropy: {exc}") from None
         if not isolates_one_root(coeffs, lo, hi):
             raise ParseError(lineno, "root-in interval must isolate one root of the polynomial")
+        # the isolated root is the only one in [lo, hi], so it lies at or
+        # below 0 exactly when the polynomial vanishes at lo or 0 or changes
+        # sign between them
+        if lo <= 0 and _brackets_root(coeffs, lo, Fraction(0)):
+            raise ParseError(lineno, "root-in interval must hold a positive root")
         return h
     if len(toks) == 2:
         try:

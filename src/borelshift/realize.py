@@ -144,10 +144,9 @@ def _transient_schema(period: int, h: ExtendedEntropy) -> LoopSchema:
     return LoopSchema(counts=(), tail=tail)
 
 
-def realize_invariants(
-    pair: InvariantPair, tol: Fraction = DEFAULT_TOL, certify: bool = True
-) -> Realization:
-    """Build components realizing the pair; raises on inadmissible input."""
+def realize_invariants(pair: InvariantPair, tol: Fraction = DEFAULT_TOL) -> Realization:
+    """Build components realizing the pair and certify them independently;
+    raises on inadmissible input."""
     rep = check_admissible(pair, tol)
     if not rep.admissible:
         raise UnrealizableEntropy(
@@ -175,8 +174,7 @@ def realize_invariants(
         for _ in range(g.count):
             comps.append(("mme", schema))
     real = Realization(tuple(comps), tuple(fams))
-    if certify:
-        _certify(real, canon, tol)
+    _certify(real, canon, tol)
     return real
 
 

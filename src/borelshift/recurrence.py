@@ -1,11 +1,14 @@
 """Recurrence trichotomy for loop schemas via the first-return generating function.
 
-Phi(x) = sum c_n x^n with radius of convergence R.  Transient iff Phi(R) < 1;
-recurrent iff Phi(r) = 1 for some r <= R; positive vs null recurrent by
-finiteness of r * Phi'(r).  Entropy is -log r for the root, else -log R.
-Every bound is an exact rational enclosure, and a verdict that would need to
-distinguish Phi(R) from 1 below certification width is reported as
-undecidable rather than coerced.
+Phi(x) = sum c_n x^n with radius of convergence R (Vere-Jones 1967).
+Transient iff Phi(R) < 1; recurrent iff Phi(r) = 1 for some r <= R; positive
+vs null recurrent by finiteness of r * Phi'(r).  One evaluator, loop_gf_eval,
+encloses Phi(x) and, weighted, x Phi'(x), the mean return time at the root.
+Entropy is -log r for the root, else -log R.  Every bound is an exact
+rational enclosure, and a verdict that would need to distinguish Phi(R) from
+1 below certification width is reported as undecidable rather than coerced.
+No enclosure of Phi(R) is ever the point 1, so a schema at criticality is
+undecidable too: null recurrence is never certified.
 
 The root of Phi(x) = 1 is bracketed and bisected in exact rationals.  For
 finite and geometric-tailed schemas, where Phi is an exact point value, a
@@ -28,10 +31,10 @@ from typing import Optional, Union
 
 from .entropy import (
     ENCLOSURE_WIDTH,
-    ExactAlgebraic,
     ExtendedEntropy,
     IntervalApprox,
     ZERO_ENTROPY,
+    entropy_from_log_value,
     identify_algebraic,
 )
 from .graphs import schema_period
@@ -80,30 +83,16 @@ def schema_radius(schema: LoopSchema) -> Union[Fraction, Infinite]:
     return Fraction(1) / Fraction(t.k)
 
 
-def _explicit_eval(schema: LoopSchema, x: Fraction) -> Fraction:
-    return sum(c * x**n for n, c in schema.counts if c)
-
-
-def _explicit_deriv_eval(schema: LoopSchema, x: Fraction) -> Fraction:
-    """x * d/dx of the explicit part, i.e. sum n c_n x^n."""
-    return sum(n * c * x**n for n, c in schema.counts if c)
-
-
-def _geometric_tail_sum(t: GeometricTail, x: Fraction) -> Union[Fraction, Infinite]:
+def _geometric_tail(t: GeometricTail, x: Fraction, weighted: bool) -> Union[RatInterval, Infinite]:
+    """sum c_n x^n (times n if weighted) over the tail, closed form."""
     y = Fraction(t.k) * x
     if y >= 1:
         return INF
-    return t.a * y**t.n0 / (1 - y**t.stride)
-
-
-def _geometric_tail_weighted(t: GeometricTail, x: Fraction) -> Union[Fraction, Infinite]:
-    """sum n c_n x^n over the tail, closed form."""
-    y = Fraction(t.k) * x
-    if y >= 1:
-        return INF
-    s = t.stride
-    base = t.a * y**t.n0 / (1 - y**s)
-    return base * t.n0 + t.a * y**t.n0 * s * y**s / (1 - y**s) ** 2
+    ys = y**t.stride
+    total = t.a * y**t.n0 / (1 - ys)
+    if weighted:
+        total *= t.n0 + t.stride * ys / (1 - ys)
+    return RatInterval.point(total)
 
 
 def _damped_tail_enclosure(
@@ -160,42 +149,24 @@ def _damped_tail_enclosure(
 
 
 def loop_gf_eval(
-    schema: LoopSchema, x: Fraction, max_width: Fraction = Fraction(1, 10**18)
+    schema: LoopSchema,
+    x: Fraction,
+    max_width: Fraction = Fraction(1, 10**18),
+    weighted: bool = False,
 ) -> Union[RatInterval, Infinite]:
-    """Certified enclosure of Phi(x), or INF where the series diverges."""
+    """Certified enclosure of Phi(x), or of x Phi'(x) = sum n c_n x^n if
+    weighted; INF where the series diverges."""
     x = Fraction(x)
     if x <= 0:
         raise ValueError("loop_gf_eval needs x > 0")
-    explicit = _explicit_eval(schema, x)
+    explicit = sum((n * c if weighted else c) * x**n for n, c in schema.counts if c)
     t = schema.tail
     if t is None:
         return RatInterval.point(explicit)
     if isinstance(t, GeometricTail):
-        tail = _geometric_tail_sum(t, x)
-        if tail is INF:
-            return INF
-        return RatInterval.point(explicit + tail)
-    tail = _damped_tail_enclosure(t, x, max_width, weighted=False)
-    if tail is INF:
-        return INF
-    return tail + explicit
-
-
-def loop_gf_mean_eval(
-    schema: LoopSchema, x: Fraction, max_width: Fraction = Fraction(1, 10**18)
-) -> Union[RatInterval, Infinite]:
-    """Certified enclosure of x * Phi'(x) = sum n c_n x^n."""
-    x = Fraction(x)
-    explicit = _explicit_deriv_eval(schema, x)
-    t = schema.tail
-    if t is None:
-        return RatInterval.point(explicit)
-    if isinstance(t, GeometricTail):
-        tail = _geometric_tail_weighted(t, x)
-        if tail is INF:
-            return INF
-        return RatInterval.point(explicit + tail)
-    tail = _damped_tail_enclosure(t, x, max_width, weighted=True)
+        tail = _geometric_tail(t, x, weighted)
+    else:
+        tail = _damped_tail_enclosure(t, x, max_width, weighted)
     if tail is INF:
         return INF
     return tail + explicit
@@ -323,8 +294,6 @@ def _entropy_from_root(schema: LoopSchema, root: RatInterval) -> ExtendedEntropy
     identify_algebraic requires: Phi increases on (0, R), so every other real
     root is negative or at least R, and its reciprocal below 0 or at most 1/R.
     """
-    if root.lo == root.hi == 1:
-        return ZERO_ENTROPY
     lam = RatInterval(1 / root.hi, 1 / root.lo)
     coeffs = _phi_polynomial(schema)
     if coeffs is not None and len(coeffs) - 1 <= EXACT_DEGREE_CAP:
@@ -335,42 +304,32 @@ def _entropy_from_root(schema: LoopSchema, root: RatInterval) -> ExtendedEntropy
 
 def _phi_polynomial(schema: LoopSchema) -> Optional[tuple[int, ...]]:
     """Integer polynomial (ascending) whose positive roots include the root of
-    Phi(x) = 1, available for finite and geometric-tailed schemas."""
+    Phi(x) = 1, available for finite and geometric-tailed schemas: E(x) - 1
+    for the explicit part E, and (E(x) - 1)(1 - (kx)^s) + a k^n0 x^n0 with a
+    geometric tail."""
     t = schema.tail
-    if t is None:
-        top = schema.max_explicit_length()
-        coeffs = [0] * (top + 1)
-        coeffs[0] = -1
-        for n, c in schema.counts:
-            coeffs[n] += c
-        return _clear_denominators(coeffs)
-    if isinstance(t, GeometricTail):
-        # (explicit(x) - 1)(1 - (kx)^s) + a k^n0 x^n0 = 0
-        top = max(schema.max_explicit_length(), 0)
-        base = [Fraction(0)] * (top + 1)
-        base[0] = Fraction(-1)
-        for n, c in schema.counts:
+    if isinstance(t, DampedTail):
+        return None
+    base = [-1] + [0] * schema.max_explicit_length()
+    for n, c in schema.counts:
+        if c:
             base[n] += c
-        s = t.stride
-        ks = Fraction(t.k) ** s
-        out = [Fraction(0)] * (top + s + 1)
-        for i, b in enumerate(base):
-            out[i] += b
-            out[i + s] -= b * ks
-        while len(out) <= t.n0:
-            out.append(Fraction(0))
-        out[t.n0] += t.a * Fraction(t.k) ** t.n0
-        return _clear_denominators(out)
-    return None
+    if t is None:
+        return _clear_denominators(base)
+    s = t.stride
+    ks = Fraction(t.k) ** s
+    out = base + [0] * max(s, t.n0 + 1 - len(base))
+    for i, b in enumerate(base):
+        out[i + s] -= b * ks
+    out[t.n0] += t.a * Fraction(t.k) ** t.n0
+    return _clear_denominators(out)
 
 
 def _clear_denominators(coeffs) -> tuple[int, ...]:
-    from math import lcm
-
     fracs = [Fraction(c) for c in coeffs]
     den = 1
     for f in fracs:
-        den = lcm(den, f.denominator)
+        den = math.lcm(den, f.denominator)
     out = [int(f * den) for f in fracs]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
@@ -378,11 +337,23 @@ def _clear_denominators(coeffs) -> tuple[int, ...]:
 
 
 def classify_recurrence(schema: LoopSchema) -> RecurrenceReport:
-    """Vere-Jones trichotomy with certified enclosures throughout."""
+    """Vere-Jones trichotomy with certified enclosures throughout.
+
+    Positive recurrent when Phi crosses 1 strictly inside the disc of
+    convergence: always for a finite schema with two loops or more, whose
+    root lies in (0, 1) since Phi(1) >= 2, and for a tailed schema whose
+    Phi(R) is infinite or certified above 1.  Transient when Phi(R) is
+    certified below 1.  Phi(R) = 1 exactly, where null recurrence lives, is
+    never certified: a geometric tail diverges at R, a finite schema is not
+    evaluated there, and a damped-tail enclosure always has positive width.
+    A schema at criticality therefore raises UndecidableAtTolerance, and
+    NULL_RECURRENT is the reserved third label that no report carries.
+    """
     period = schema_period(schema)
     radius = schema_radius(schema)
     rel = Fraction(1, 2 * 10**13)
 
+    hi_limit, phi_r = Fraction(1), INF
     if schema.tail is None:
         total = sum(c for _, c in schema.counts)
         if total == 1:
@@ -397,46 +368,23 @@ def classify_recurrence(schema: LoopSchema) -> RecurrenceReport:
                 RatInterval.point(n),
                 mme=False,
             )
-        root = _bracket_and_bisect_root(schema, Fraction(1), rel)
-        entropy = _entropy_from_root(schema, root)
-        mean = _mean_return_enclosure(schema, root)
-        return RecurrenceReport(
-            POSITIVE_RECURRENT, entropy, period, radius, root, INF, mean, mme=True
-        )
-
-    r_radius = Fraction(1) / Fraction(schema.tail.k)
-    phi_r = INF
-    for w in (Fraction(1, 8), Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**18)):
-        phi_r = loop_gf_eval(schema, r_radius, w)
-        if phi_r is INF or phi_r.lo > 1 or phi_r.hi < 1 or phi_r.width == 0:
-            break
+    else:
+        hi_limit = radius
+        for w in (Fraction(1, 8), Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**18)):
+            phi_r = loop_gf_eval(schema, radius, w)
+            if phi_r is INF or phi_r.lo > 1 or phi_r.hi < 1:
+                break
     if phi_r is INF or phi_r.lo > 1:
-        # root strictly inside the disc; positive recurrent
-        root = _bracket_and_bisect_root(schema, r_radius, rel)
+        root = _bracket_and_bisect_root(schema, hi_limit, rel)
         entropy = _entropy_from_root(schema, root)
         mean = _mean_return_enclosure(schema, root)
         return RecurrenceReport(
             POSITIVE_RECURRENT, entropy, period, radius, root, phi_r, mean, mme=True
         )
     if phi_r.hi < 1:
-        entropy = _transient_entropy(r_radius)
+        entropy = entropy_from_log_value(1 / radius)
         return RecurrenceReport(
             TRANSIENT, entropy, period, radius, None, phi_r, None, mme=False
-        )
-    if phi_r.lo == phi_r.hi == 1:
-        # certified exact criticality: null recurrent iff R*Phi'(R) diverges
-        mean = loop_gf_mean_eval(schema, r_radius)
-        rec = NULL_RECURRENT if mean is INF else POSITIVE_RECURRENT
-        entropy = _transient_entropy(r_radius)
-        return RecurrenceReport(
-            rec,
-            entropy,
-            period,
-            radius,
-            RatInterval.point(r_radius),
-            phi_r,
-            mean,
-            mme=(rec == POSITIVE_RECURRENT),
         )
     raise UndecidableAtTolerance(
         f"Phi(R) enclosure [{float(phi_r.lo):.12f}, {float(phi_r.hi):.12f}] "
@@ -444,16 +392,9 @@ def classify_recurrence(schema: LoopSchema) -> RecurrenceReport:
     )
 
 
-def _transient_entropy(r_radius: Fraction) -> ExtendedEntropy:
-    k = 1 / r_radius
-    if k == 1:
-        return ZERO_ENTROPY
-    return ExactAlgebraic((-k.numerator, k.denominator), k, k)
-
-
 def _mean_return_enclosure(schema: LoopSchema, root: RatInterval) -> Union[RatInterval, Infinite]:
-    lo_val = loop_gf_mean_eval(schema, root.lo)
-    hi_val = loop_gf_mean_eval(schema, root.hi)
+    lo_val = loop_gf_eval(schema, root.lo, weighted=True)
+    hi_val = loop_gf_eval(schema, root.hi, weighted=True)
     if lo_val is INF or hi_val is INF:
         return INF
     return RatInterval(lo_val.lo, hi_val.hi)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 from math import gcd
 
 Edge = tuple[str, str]
@@ -71,6 +72,38 @@ def first_returns_from_loops(loops: list[int]) -> list[int]:
     for n in range(1, l_max + 1):
         f[n] = loops[n] - sum(f[m] * loops[n - m] for m in range(1, n))
     return f
+
+
+def loop_series_bounds(counts, tail, x: Fraction, weighted: bool = False, terms: int = 300):
+    """(lo, hi) around sum c_n x^n, or sum n c_n x^n if weighted, term by term.
+
+    `counts` lists explicit (n, c_n); `tail` is None, ("geometric", a, k, n0,
+    s) with c_n = a k^n, or ("damped", a, k, d, n0, s) with c_n = floor(a k^n
+    / n^d), on n = n0, n0 + s, ...  lo adds the explicit terms and the first
+    `terms` tail terms one at a time.  hi adds to it a bound on the rest: with
+    N the first omitted length, c_n <= a k^n / N^d for n >= N, whose series
+    is geometric (sum z^j = 1/(1 - z), sum j z^j = z/(1 - z)^2 for z < 1).
+    A geometric tail has d = 0, so its hi is the exact sum.  Needs k x < 1.
+    """
+    def weight(n):
+        return n if weighted else 1
+
+    lo = sum(weight(n) * c * x**n for n, c in counts)
+    if tail is None:
+        return lo, lo
+    if tail[0] == "geometric":
+        _, a, k, n0, s = tail
+        d = 0
+    else:
+        _, a, k, d, n0, s = tail
+    n = n0
+    for _ in range(terms):
+        lo += weight(n) * math.floor(a * Fraction(k) ** n / n**d) * x**n
+        n += s
+    z = (k * x) ** s
+    head = a * (k * x) ** n / Fraction(n) ** d
+    rest = head * (n / (1 - z) + s * z / (1 - z) ** 2) if weighted else head / (1 - z)
+    return lo, lo + rest
 
 
 def is_even_shift_word(word: str) -> bool:

@@ -220,6 +220,21 @@ def test_compare_root_in_interval_without_a_root_exits_65(capsys, tmp_path):
     assert "parse error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["realize", "compare"])
+@pytest.mark.parametrize("expr", ["poly 1 1 root-in -2 1/2", "poly 0 1 root-in -1 1"])
+def test_root_in_around_a_nonpositive_root_exits_65_at_its_line(capsys, tmp_path, verb, expr):
+    # the roots -1 and 0 have no logarithm; the parser names the line
+    a = tmp_path / "a.txt"
+    a.write_text(f"gen 2 log 3 1\ngen 1 {expr} 1\n")
+    code, out, err = run(capsys, [verb, str(a)] + ([str(a)] if verb == "compare" else []))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("parse error: line 2: ") and len(err.splitlines()) == 1
+    # an interval reaching down to 0 around a positive root stays valid
+    a.write_text("gen 1 poly -2 0 1 root-in 0 2 1\n")
+    assert run(capsys, [verb, str(a)] + ([str(a)] if verb == "compare" else []))[0] == 0
+
+
 def test_compare_root_in_at_a_rational_endpoint(capsys, tmp_path):
     # (x - 2)(x^2 - x - 1) with the root 2 at the left end of [2, 3] is log 2
     a = tmp_path / "a.txt"
@@ -367,6 +382,23 @@ def test_fiberprod_pair_shift_and_quotient(capsys, even_code_file):
     assert len(g.edges) == 2
 
 
+def test_fiberprod_dotted_vertex_names_stay_distinct(capsys, tmp_path):
+    # joined with '.', the tuples (a.b, c) and (a, b.c) would both be a.b.c
+    vertices = ["a.b", "c", "a", "b.c"]
+    edges = [("a.b", "a.b"), ("a.b", "a"), ("c", "a.b"), ("c", "c"), ("c", "b.c"),
+             ("a", "a.b"), ("a", "c"), ("b.c", "c"), ("b.c", "b.c")]
+    doc = tmp_path / "dotted.code"
+    doc.write_text(
+        "code vertex\n"
+        + "".join(f"vertex {v}\nmap {v} 0\n" for v in vertices)
+        + "".join(f"edge {u} {w}\n" for u, w in edges)
+    )
+    code, out, _ = run(capsys, ["fiberprod", str(doc)])
+    assert code in (0, 1)
+    (g,) = parse_document(out)
+    assert len(g.vertices) == int(kv(out)["tilde_states"]) > 0
+
+
 def test_fiberprod_empty_product_prints_no_document(capsys, even_code_file):
     code, out, _ = run(capsys, ["fiberprod", even_code_file, "--m", "3"])
     assert code == 1
@@ -440,6 +472,8 @@ def test_usage_errors_exit_64(capsys, even_code_file):
     assert run(capsys, [])[0] == 64
     assert run(capsys, ["frobnicate"])[0] == 64
     assert run(capsys, ["embed", even_code_file])[0] == 64
+    # no switch skips the independent certificate of a realization
+    assert run(capsys, ["realize", even_code_file, "--no-certify"])[0] == 64
 
 
 def test_missing_file_exits_65(capsys, tmp_path):
@@ -472,6 +506,17 @@ def test_out_of_range_numbers_exit_with_one_line(
     assert code == status
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tail", ["", "tail geometric 1/9 3 from 7\n"])
+def test_analyze_ignores_a_zero_explicit_count(capsys, tmp_path, tail):
+    with_zero = tmp_path / "zero.txt"
+    with_zero.write_text(f"loops\ncount 1 2\ncount 5 0\n{tail}")
+    without = tmp_path / "plain.txt"
+    without.write_text(f"loops\ncount 1 2\n{tail}")
+    code, out, err = run(capsys, ["analyze", str(with_zero)])
+    assert (code, err) == (0, "")
+    assert out == run(capsys, ["analyze", str(without)])[1]
 
 
 @pytest.mark.parametrize("tail_line", ["tail", "tail stride 2"])

@@ -21,6 +21,7 @@ from borelshift import (
     max_entropy,
     perron_entropy,
 )
+from borelshift import entropy
 from borelshift.entropy import (
     ENCLOSURE_WIDTH,
     EXACT_VERTEX_CAP,
@@ -118,12 +119,15 @@ def test_period_three_graph_is_exact_cube_root():
     assert h.root_lo**3 <= 2 <= h.root_hi**3
 
 
-def test_interval_fallback_above_exact_cap():
-    for g in (golden_mean_graph(), doubled_three_cycle()):
-        h = perron_entropy(g, exact_cap=1)
+def test_interval_fallback_above_exact_cap(monkeypatch):
+    graphs = (golden_mean_graph(), doubled_three_cycle())
+    exact = [perron_entropy(g) for g in graphs]
+    monkeypatch.setattr(entropy, "EXACT_VERTEX_CAP", 1)
+    for g, want in zip(graphs, exact):
+        h = perron_entropy(g)
         assert isinstance(h, IntervalApprox)
         assert h.hi - h.lo <= ENCLOSURE_WIDTH
-        assert compare_entropy(h, perron_entropy(g)) == "eq"
+        assert compare_entropy(h, want) == "eq"
 
 
 def test_collatz_wielandt_enclosure_tightness():

@@ -25,9 +25,9 @@ from borelshift import (
 )
 from borelshift.intervals import INF
 from borelshift import recurrence
-from borelshift.recurrence import loop_gf_eval, loop_gf_mean_eval, schema_radius
+from borelshift.recurrence import loop_gf_eval, schema_radius
 
-from helpers import LOG2
+from helpers import LOG2, loop_series_bounds
 
 
 # === generating function evaluation ===
@@ -36,7 +36,7 @@ def test_loop_gf_point_values_finite_schema():
     s = LoopSchema(((1, 1), (2, 1)))
     val = loop_gf_eval(s, Fraction(1, 2))
     assert val.lo == val.hi == Fraction(3, 4)
-    mean = loop_gf_mean_eval(s, Fraction(1, 2))
+    mean = loop_gf_eval(s, Fraction(1, 2), weighted=True)
     assert mean.lo == mean.hi == Fraction(1, 2) + 2 * Fraction(1, 4)
 
 
@@ -56,6 +56,42 @@ def test_loop_gf_damped_enclosure_brackets_truth():
     brute = sum(t.count(n) * x**n for n in range(1, 400))
     assert val.lo <= brute <= val.hi
     assert val.width <= Fraction(1, 10**11)
+
+
+def test_loop_gf_eval_matches_term_by_term_sums():
+    # seeded schemas of each kind, zero counts included, at points below the
+    # radius: finite and geometric values are exact, damped ones enclosures
+    rng = random.Random(12)
+    for case in range(60):
+        lengths = rng.sample(range(1, 12), rng.randint(1, 4))
+        counts = tuple(sorted((n, rng.randint(0, 9) if i else rng.randint(1, 9))
+                              for i, n in enumerate(lengths)))
+        n0, s = rng.randint(12, 16), rng.randint(1, 3)
+        kind = ("finite", "geometric", "damped")[case % 3]
+        if kind == "finite":
+            tail, data = None, None
+            x = Fraction(rng.randint(1, 9), 10)
+        else:
+            if kind == "geometric":
+                k = rng.randint(2, 4)
+                a = Fraction(rng.randint(1, 5), k**n0)
+                tail, data = GeometricTail(a, k, n0, s), ("geometric", a, k, n0, s)
+            else:
+                den = rng.randint(2, 3)
+                k = Fraction(rng.randint(den + 1, 3 * den), den)
+                a, d = Fraction(rng.randint(1, 9), rng.randint(1, 4)), rng.randint(1, 3)
+                tail, data = DampedTail(a, k, d, n0, s), ("damped", a, k, d, n0, s)
+            m = rng.randint(1, 3)
+            x = Fraction(m, m + 1) / k
+        schema = LoopSchema(counts, tail)
+        for weighted in (False, True):
+            lo, hi = loop_series_bounds(counts, data, x, weighted)
+            val = loop_gf_eval(schema, x, weighted=weighted)
+            if kind == "damped":
+                assert val.lo <= hi and lo <= val.hi
+                assert val.width <= Fraction(1, 10**17)
+            else:
+                assert val.lo == val.hi == hi
 
 
 def test_schema_radius():
@@ -184,8 +220,9 @@ def test_near_critical_damped_tail_is_undecidable():
 
 
 def test_null_recurrent_label_reserved():
-    # the exact-criticality branch exists but floor tails cannot certify it;
-    # the constant stays distinct so reports remain three-valued
+    # no enclosure of Phi(R) is ever the point 1, so criticality, and with it
+    # null recurrence, is never certified (the undecidable case above); the
+    # label stays distinct so the trichotomy keeps three values
     assert NULL_RECURRENT not in (POSITIVE_RECURRENT, TRANSIENT)
 
 
