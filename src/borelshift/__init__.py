@@ -125,7 +125,6 @@ from .pathology import (
     certify_pathology,
     choose_pathology_parameters,
     control_parameters,
-    truncated_entropy,
     count_label_paths,
     anchored_lifts,
 )

@@ -185,7 +185,10 @@ def _parse_target(text: str):
         from .entropy import IntervalApprox
 
         return IntervalApprox(x, x)
-    return _parse_entropy_expr(toks, 0)
+    try:
+        return _parse_entropy_expr(toks, 0)
+    except ParseError as exc:
+        raise ValueError(f"bad --target {text!r}: {exc.message}") from None
 
 
 def _cmd_embed(args) -> int:

@@ -18,14 +18,15 @@ wiring carry a quotient map onto unordered m-sets; when the wiring condition
 holds that quotient is left and right resolving with exactly m! preimages per
 point.
 
-The label fiber product's candidates are rectangles (each vertex of one
-graph against the bucket of its label in the other), so a pair's code is
+The label fiber product is the code's self product.  Its candidates are
+rectangles (each vertex against the bucket of its label), so a pair's code is
 arithmetic and its degrees are sums of products of per-label neighbour
 counts; its degree-count prune lists a pair's neighbours only when it dies,
 and only the survivors are named `u|v`.  F_m and X̃_m start from relation-
 filtered tuples instead and share `_tuple_product`, which builds successor
 rows on `GraphIndex` positions and prunes them with `_biinfinite`.  Every
-product keeps its vertices' coordinates in `tuples`.
+product keeps its vertices' coordinates in `tuples`.  The checks walk
+`GraphIndex` positions too; names appear only in what they return.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import factorial
 from typing import Optional
 
 from .entropy import DEFAULT_TOL, ExtendedEntropy, ZERO_ENTROPY, max_entropy, perron_entropy
-from .graphs import irreducible_components
+from .graphs import _component_ids, irreducible_components
 from .presentations import (
     FiniteGraph,
     GraphIndex,
@@ -153,44 +154,39 @@ def _biinfinite(succ: list[list[int]]) -> list[bool]:
 
 
 def _tuple_product(
-    idxs: tuple[GraphIndex, ...],
-    tuples: list[tuple[int, ...]],
-    sep: str,
-    *,
-    prune: bool,
-    wired: bool = False,
+    idx: GraphIndex, tuples: list[tuple[int, ...]], m: int, distinct: bool
 ) -> ProductGraph:
-    """Graph on `tuples` (entry k a position of `idxs[k]`), componentwise edges.
+    """Graph on the m-tuples of positions of `idx` in `tuples`, with
+    componentwise edges.
 
     Successors are products of the coordinates' successor rows, extended one
     coordinate at a time through prefixes of `tuples` and looked up in one
-    tuple -> code dict.  `wired` keeps a -> b only if no a_i -> b_j with
-    i != j is an edge (coordinates in `idxs[0]`); `prune` keeps the
-    bi-infinite part.  Names join coordinate names with `sep`, and vertices
-    are sorted by name.  Edges are sorted and called `e<k>` by rank among all
-    the tuples' edges, as `FiniteGraph.induced` keeps them.  Serves F_m and
-    X̃_m; the label fiber product has its own path.
+    tuple -> code dict.  With `distinct` (X̃_m) a -> b is kept only if no
+    a_i -> b_j with i != j is an edge, and only the bi-infinite part is kept.
+    Names join coordinate names with ',', and vertices are sorted by name.
+    Edges are sorted and called `e<k>` by rank among all the tuples' edges,
+    as `FiniteGraph.induced` keeps them.  Serves F_m and X̃_m; the label
+    fiber product has its own path.
     """
-    m = len(idxs)
     code = {t: i for i, t in enumerate(tuples)}
     prefixes = {t[:k] for t in tuples for k in range(1, m)}
-    rows = [[[w for w, _ in row] for row in idx.succ] for idx in idxs]
-    adj = [set(row) for row in rows[0]] if wired else None
+    rows = [[w for w, _ in row] for row in idx.succ]
+    adj = [set(row) for row in rows] if distinct else []
     succ = []
     for t in tuples:
         partial = [()]
         for k, p in enumerate(t):
             known = code if k == m - 1 else prefixes
-            partial = [q for r in partial for w in rows[k][p] if (q := r + (w,)) in known]
-        if wired:
+            partial = [q for r in partial for w in rows[p] if (q := r + (w,)) in known]
+        if distinct:
             partial = [
                 q for q in partial
                 if not any(q[j] in adj[a] for i, a in enumerate(t) for j in range(m) if i != j)
             ]
         succ.append([code[q] for q in partial])
-    alive = _biinfinite(succ) if prune else [True] * len(tuples)
-    coords = [tuple(idx.order[p] for idx, p in zip(idxs, t)) for t in tuples]
-    names = [sep.join(c) for c in coords]
+    alive = _biinfinite(succ) if distinct else [True] * len(tuples)
+    coords = [tuple(idx.order[p] for p in t) for t in tuples]
+    names = [",".join(c) for c in coords]
     keep = [i for i in sorted(range(len(tuples)), key=names.__getitem__) if alive[i]]
     edges = sorted(
         (names[i], names[j], alive[i] and alive[j]) for i, row in enumerate(succ) for j in row
@@ -218,44 +214,46 @@ def _rows_by_label(lg: BlockCode, key: list[int]) -> tuple[list[dict], list[dict
     return succ, pred
 
 
-def label_fiber_product(a: BlockCode, b: BlockCode) -> ProductGraph:
-    """Label-equal vertex pairs of two vertex-mode codes (`labeled()` forms)
-    with componentwise edges, pruned to the part on bi-infinite paths.
+def label_fiber_product(code: BlockCode) -> ProductGraph:
+    """Label-equal vertex pairs of the code's `labeled()` form with
+    componentwise edges, pruned to the part on bi-infinite paths.
 
-    The candidates are rectangles: each vertex u of `a` meets the bucket of
-    `b`'s vertices with u's label, in `b`'s vertex order.  Pair (u, v) has
-    the code `start[u] + rank[v]`: `start[u]` is the offset of u's block in
-    `a`'s vertex order and `rank[v]` is v's index in its bucket, so no pair
-    is stored.  Neighbours are grouped by label once, as `start` values for
-    `a` and `rank` values for `b`.  The out-degree of (u, v) is the sum over
-    labels s of |succ_s(u)|·|succ_s(v)|, the in-degree the same sum over
-    predecessors, and a pair's neighbours are the sums `x + r`.  The
+    The candidates are rectangles: each vertex u meets the bucket of the
+    vertices with u's label, in vertex order.  Pair (u, v) has the code
+    `start[u] + rank[v]`: `start[u]` is the offset of u's block in vertex
+    order and `rank[v]` is v's index in its bucket, so no pair is stored.
+    Neighbours are grouped by label once, as `start` values for the first
+    coordinate and `rank` values for the second.  The out-degree of (u, v) is
+    the sum over labels s of |succ_s(u)|·|succ_s(v)|, the in-degree the same
+    sum over predecessors, and a pair's neighbours are the sums `x + r`.  The
     worklist prune of `_biinfinite` runs on these counts; a dead pair lists
     its neighbours only on the side where it still had live ones.  Survivors
     keep the code order and are named `u|v`; their edges are sorted and
     called `e<k>`.  The other products use `_tuple_product`.
     """
-    la, lb = a._label_map, b._label_map
+    lg = code.labeled()
+    lm = lg._label_map
+    verts = lg.domain.vertices
     bucket: dict[str, list[int]] = {}
     rank = []
-    for y, v in enumerate(b.domain.vertices):
-        members = bucket.setdefault(lb[v], [])
+    for y, v in enumerate(verts):
+        members = bucket.setdefault(lm[v], [])
         rank.append(len(members))
         members.append(y)
-    blocks = [bucket.get(la[u], []) for u in a.domain.vertices]
+    blocks = [bucket[lm[u]] for u in verts]
     start = list(accumulate(map(len, blocks), initial=0))  # start[-1] counts the pairs
-    a_succ, a_pred = _rows_by_label(a, start)
-    b_succ, b_pred = _rows_by_label(b, rank)
+    a_succ, a_pred = _rows_by_label(lg, start)
+    b_succ, b_pred = _rows_by_label(lg, rank)
 
     def degrees(a_rows, b_rows) -> list[int]:
         columns: dict[tuple[str, str], list[int]] = {}  # (bucket, label) -> counts
         out: list[int] = []
-        for u, block, row in zip(a.domain.vertices, blocks, a_rows):
+        for u, block, row in zip(verts, blocks, a_rows):
             deg = [0] * len(block)
             for s, xs in row.items():
-                col = columns.get((la[u], s))
+                col = columns.get((lm[u], s))
                 if col is None:
-                    col = columns[la[u], s] = [len(b_rows[y].get(s, ())) for y in block]
+                    col = columns[lm[u], s] = [len(b_rows[y].get(s, ())) for y in block]
                 n = len(xs)
                 deg = [d + n * c for d, c in zip(deg, col)]
             out.extend(deg)
@@ -289,7 +287,7 @@ def label_fiber_product(a: BlockCode, b: BlockCode) -> ProductGraph:
                             alive[q] = False
                             dead.append(q)
     kept = {p: locate(p) for p in compress(range(len(alive)), alive)}
-    coords = {p: (a.domain.vertices[i], b.domain.vertices[y]) for p, (i, y) in kept.items()}
+    coords = {p: (verts[i], verts[y]) for p, (i, y) in kept.items()}
     names = {p: f"{u}|{v}" for p, (u, v) in coords.items()}
     edges = sorted(
         (names[p], names[x + r])
@@ -323,60 +321,58 @@ class InjectivityReport:
     periodic: bool = False
 
 
-def _find_cycle_through(g: FiniteGraph, start: str) -> Optional[list[str]]:
-    """A directed cycle start -> ... -> start, if one exists."""
+def _find_cycle_through(idx: GraphIndex, comp: list[int], start: int) -> Optional[list[int]]:
+    """A directed cycle start -> ... -> start inside start's component."""
     stack = [(start, [start])]
     seen = set()
     while stack:
         v, path = stack.pop()
-        for w in g.successors(v):
+        for w, _ in idx.succ[v]:
             if w == start:
                 return path
-            if w not in seen:
+            if comp[w] == comp[start] and w not in seen:
                 seen.add(w)
                 stack.append((w, path + [w]))
     return None
 
 
-def _path_to_cycle(g: FiniteGraph, start: str, forward: bool) -> list[str]:
-    """Walk until a vertex repeats; every pruned vertex reaches a cycle."""
+def _path_to_cycle(rows, start: int) -> list[int]:
+    """Follow each row's first entry until a position repeats; every pruned
+    vertex reaches a cycle."""
     path = [start]
-    seen = {start: 0}
-    v = start
+    seen = {start}
     while True:
-        nxt = g.successors(v) if forward else g.predecessors(v)
-        v = nxt[0]
-        if v in seen:
-            path.append(v)
-            return path
-        seen[v] = len(path)
+        v = rows[path[-1]][0][0]
         path.append(v)
+        if v in seen:
+            return path
+        seen.add(v)
 
 
-def _unzip(prod: ProductGraph, path: list[str]) -> tuple[tuple[str, ...], ...]:
-    """The coordinate paths of a path of product vertices."""
+def _unzip(prod: ProductGraph, path: list[int]) -> tuple[tuple[str, ...], ...]:
+    """The coordinate paths of a path of product positions."""
     coords = dict(zip(prod.vertices, prod.tuples))
-    return tuple(zip(*(coords[q] for q in path)))
+    order = prod.index().order
+    return tuple(zip(*(coords[order[i]] for i in path)))
 
 
 def check_injective(code: BlockCode) -> InjectivityReport:
-    lg = code.labeled()
-    prod = label_fiber_product(lg, lg)
-    off = [p for p, (u, v) in zip(prod.vertices, prod.tuples) if u != v]
+    prod = label_fiber_product(code)
+    idx = prod.index()
+    off = [idx.pos[p] for p, (u, v) in zip(prod.vertices, prod.tuples) if u != v]
     if not off:
         return InjectivityReport(True)
-    off_set = set(off)
-    for cid, comp in irreducible_components(prod):
-        cyclic_off = [p for p in comp.vertices if p in off_set]
-        if cyclic_off:
-            cyc = _find_cycle_through(comp, cyclic_off[0])
-            return InjectivityReport(False, _unzip(prod, cyc), periodic=True)
+    comp, _ = _component_ids(idx)
+    # a pair with a successor in its own component lies on a cycle
+    cyclic = [i for i in off if any(comp[j] == comp[i] for j, _ in idx.succ[i])]
+    if cyclic:
+        start = min(cyclic, key=comp.__getitem__)
+        cyc = _find_cycle_through(idx, comp, start)
+        return InjectivityReport(False, _unzip(prod, cyc), periodic=True)
     # off-diagonal pair that only joins diagonal behavior on both sides
-    p = off[0]
-    back = _path_to_cycle(prod, p, forward=False)
-    fwd = _path_to_cycle(prod, p, forward=True)
-    spine = list(reversed(back)) + fwd[1:]
-    return InjectivityReport(False, _unzip(prod, spine), periodic=False)
+    back = _path_to_cycle(idx.pred, off[0])
+    fwd = _path_to_cycle(idx.succ, off[0])
+    return InjectivityReport(False, _unzip(prod, back[::-1] + fwd[1:]), periodic=False)
 
 
 @dataclass(frozen=True)
@@ -386,14 +382,14 @@ class FiniteToOneReport:
     diamond: Optional[tuple[tuple[str, ...], tuple[str, ...]]] = None
 
 
-def _reach(g: FiniteGraph, seeds, forward: bool) -> dict:
-    """BFS tree: vertex -> predecessor on a path from/to the seed set."""
-    parent = {s: None for s in seeds}
-    frontier = list(seeds)
+def _reach(rows, seeds: list[int]) -> dict:
+    """BFS tree along `rows`: position -> its parent on a path from the seeds."""
+    parent = dict.fromkeys(seeds)
+    frontier = seeds
     while frontier:
         nxt = []
         for v in frontier:
-            for w in (g.successors(v) if forward else g.predecessors(v)):
+            for w, _ in rows[v]:
                 if w not in parent:
                     parent[w] = v
                     nxt.append(w)
@@ -402,64 +398,69 @@ def _reach(g: FiniteGraph, seeds, forward: bool) -> dict:
 
 
 def check_finite_to_one(code: BlockCode) -> FiniteToOneReport:
-    lg = code.labeled()
-    prod = label_fiber_product(lg, lg)
-    diag = [p for p, (u, v) in zip(prod.vertices, prod.tuples) if u == v]
-    fwd = _reach(prod, diag, forward=True)
-    bwd = _reach(prod, diag, forward=False)
-    for p, (u, v) in zip(prod.vertices, prod.tuples):
-        if u != v and p in fwd and p in bwd:
-            left = _trace(fwd, p)  # diagonal ... -> p
-            right = list(reversed(_trace(bwd, p)))  # p -> ... diagonal
+    prod = label_fiber_product(code)
+    idx = prod.index()
+    at = [idx.pos[p] for p in prod.vertices]
+    diag = [i for i, (u, v) in zip(at, prod.tuples) if u == v]
+    fwd = _reach(idx.succ, diag)
+    bwd = _reach(idx.pred, diag)
+    for i, (u, v) in zip(at, prod.tuples):
+        if u != v and i in fwd and i in bwd:
+            left = _trace(fwd, i)  # diagonal ... -> i
+            right = _trace(bwd, i)[::-1]  # i -> ... diagonal
             return FiniteToOneReport(False, _unzip(prod, left + right[1:]))
     return FiniteToOneReport(True)
 
 
-def _trace(parent: dict, v: str) -> list[str]:
+def _trace(parent: dict, v: int) -> list[int]:
     out = [v]
     while parent[out[-1]] is not None:
         out.append(parent[out[-1]])
-    return list(reversed(out))
+    return out[::-1]
+
+
+def _pruned_symbols(code: BlockCode) -> tuple[GraphIndex, list[str]]:
+    """The index of the bi-infinite part of the labeled domain and the symbol
+    at each position."""
+    lg = code.labeled()
+    idx = prune_to_biinfinite(lg.domain).index()
+    return idx, [lg.label(v) for v in idx.order]
 
 
 def image_words(code: BlockCode, length: int) -> set[tuple[str, ...]]:
     """All label words of the given length occurring in the image."""
-    lg = code.labeled()
-    g = prune_to_biinfinite(lg.domain)
-    lm = lg._label_map
     if length == 0:
         return {()}
+    idx, sym = _pruned_symbols(code)
     words = set()
-    stack = [((lm[v],), v) for v in g.vertices]
+    stack = [((s,), v) for v, s in enumerate(sym)]
     while stack:
         w, v = stack.pop()
         if len(w) == length:
             words.add(w)
             continue
-        for u in g.successors(v):
-            stack.append((w + (lm[u],), u))
+        for u, _ in idx.succ[v]:
+            stack.append((w + (sym[u],), u))
     return words
 
 
 def image_entropy(code: BlockCode) -> ExtendedEntropy:
     """Entropy of the sofic image, via the determinized label automaton."""
-    lg = code.labeled()
-    g = prune_to_biinfinite(lg.domain)
-    if not g.vertices:
+    idx, sym = _pruned_symbols(code)
+    if not sym:
         return ZERO_ENTROPY
-    lm = lg._label_map
-    seeds = {}
-    for v in g.vertices:
-        seeds.setdefault(lm[v], set()).add(v)
+    seeds: dict[str, set[int]] = {}
+    for v, s in enumerate(sym):
+        seeds.setdefault(s, set()).add(v)
     subsets = {frozenset(s) for s in seeds.values()}
     frontier = list(subsets)
     edges = []
     while frontier:
         s = frontier.pop()
-        succ_by_symbol: dict[str, set] = {}
+        succ_by_symbol: dict[str, set[int]] = {}
         for v in s:
-            for w in g.successors(v):
-                succ_by_symbol.setdefault(lm[w], set()).add(w)
+            for w, _ in idx.succ[v]:
+                succ_by_symbol.setdefault(sym[w], set()).add(w)
         for t in succ_by_symbol.values():
             ft = frozenset(t)
             edges.append((s, ft))
@@ -468,6 +469,7 @@ def image_entropy(code: BlockCode) -> ExtendedEntropy:
                 frontier.append(ft)
         if len(subsets) > 1 << 16:
             raise ArithmeticError("determinization exceeded the subset budget")
+    # positions are in name order, so sorting subsets by position sorts them by name
     names = {s: f"s{i}" for i, s in enumerate(sorted(subsets, key=sorted))}
     dfa = FiniteGraph.from_edges([(names[a], names[b]) for a, b in edges])
     values = [perron_entropy(comp) for _, comp in irreducible_components(dfa)]
@@ -498,8 +500,7 @@ class SymbolRelation:
 
 def minimal_relation(code: BlockCode) -> SymbolRelation:
     """Pairs jointly extendable to equal-label bi-infinite paths."""
-    lg = code.labeled()
-    return SymbolRelation.of(label_fiber_product(lg, lg).tuples)
+    return SymbolRelation.of(label_fiber_product(code).tuples)
 
 
 @dataclass(frozen=True)
@@ -513,9 +514,8 @@ class BowenReport:
 
 
 def verify_bowen_relation(code: BlockCode, rel: SymbolRelation) -> BowenReport:
-    lg = code.labeled()
-    lm = lg._label_map
-    prod = label_fiber_product(lg, lg)
+    lm = code.labeled()._label_map
+    prod = label_fiber_product(code)
     alive = {v for t in prod.tuples for v in t}
     failures = []
     complete = True
@@ -528,7 +528,7 @@ def verify_bowen_relation(code: BlockCode, rel: SymbolRelation) -> BowenReport:
     reflexive = all(rel.holds(v, v) for v in alive)
     if not reflexive:
         failures.append("relation not reflexive on surviving vertices")
-    for (u, v) in rel.pairs:
+    for u, v in rel.members():
         if u not in lm or v not in lm:
             label_equal = False
             failures.append(f"pair ({u},{v}) mentions unknown vertices")
@@ -573,8 +573,7 @@ def _related_tuples(idx: GraphIndex, rel: SymbolRelation, m: int, distinct: bool
 def build_fibered_product_Fm(code: BlockCode, rel: SymbolRelation, m: int) -> ProductGraph:
     """Graph on mutually related ordered m-tuples with componentwise edges."""
     idx = code.labeled().domain.index()
-    tuples = _related_tuples(idx, rel, m, distinct=False)
-    return _tuple_product((idx,) * m, tuples, ",", prune=False)
+    return _tuple_product(idx, _related_tuples(idx, rel, m, False), m, False)
 
 
 def extract_tilde_Xm(code: BlockCode, rel: SymbolRelation, m: int) -> ProductGraph:
@@ -582,8 +581,7 @@ def extract_tilde_Xm(code: BlockCode, rel: SymbolRelation, m: int) -> ProductGra
     part: an edge between tuples needs the base edge a_i -> b_j to exist
     precisely when i = j."""
     idx = code.labeled().domain.index()
-    tuples = _related_tuples(idx, rel, m, distinct=True)
-    return _tuple_product((idx,) * m, tuples, ",", prune=True, wired=True)
+    return _tuple_product(idx, _related_tuples(idx, rel, m, True), m, True)
 
 
 @dataclass(frozen=True)

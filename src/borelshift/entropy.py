@@ -317,9 +317,13 @@ def identify_algebraic(coeffs: tuple[int, ...], enclosure: RatInterval) -> Exact
     return ExactAlgebraic(cs, lo, hi)
 
 
-def _charpoly_coeffs(mat) -> tuple[int, ...]:
-    m = sympy.Matrix(mat)
-    cp = m.charpoly(_X)
+def _charpoly_coeffs(rows) -> tuple[int, ...]:
+    """Characteristic polynomial of the matrix with sparse rows of (j, A[i][j])."""
+    mat = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, m in row:
+            mat[i][j] = m
+    cp = sympy.Matrix(mat).charpoly(_X)
     return tuple(int(c) for c in reversed(cp.all_coeffs()))  # ascending
 
 
@@ -477,7 +481,7 @@ def perron_entropy(c: FiniteGraph) -> ExtendedEntropy:
     rows = c.index().succ
     lam_p = collatz_wielandt_enclosure(rows, period=p)
     if len(rows) <= EXACT_VERTEX_CAP:
-        coeffs = _charpoly_coeffs(c.adjacency()[0])
+        coeffs = _charpoly_coeffs(rows)
         return identify_algebraic(coeffs, _root_enclosure(lam_p, p))
     # log(lambda) = log(lambda^p) / p: exact division keeps the width target.
     # log(hi) - log(lo) <= (hi - lo) / lo, so the log rounding gets the rest.

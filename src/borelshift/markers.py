@@ -187,15 +187,17 @@ def _label_injective_tier(
 def _loops_at(g: FiniteGraph, base: str, length: int, cap: int) -> list[tuple[str, ...]]:
     """Loop words of exactly the given length at base (word = vertices visited,
     starting at base, length symbols, returning to base afterwards)."""
+    idx = g.index()
+    b = idx.pos[base]
     out = []
-    stack = [(base, (base,))]
+    stack = [(b, (b,))]
     while stack and len(out) < cap:
         v, word = stack.pop()
         if len(word) == length:
-            if base in g.successors(v):
-                out.append(word)
+            if any(w == b for w, _ in idx.succ[v]):
+                out.append(tuple(idx.order[i] for i in word))
             continue
-        for w in g.successors(v):
+        for w, _ in idx.succ[v]:
             stack.append((w, word + (w,)))
     return out
 

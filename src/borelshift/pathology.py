@@ -37,7 +37,7 @@ from math import ceil, log
 from typing import Optional
 
 from .codes import BlockCode
-from .entropy import ExtendedEntropy, IntervalApprox, ZERO_ENTROPY, compare_entropy
+from .entropy import ExtendedEntropy, IntervalApprox, compare_entropy
 from .graphs import first_return_counts, loop_entropy_estimate, renewal_loop_counts
 from .presentations import FiniteGraph, GraphIndex, LoopSchema
 from .recurrence import classify_recurrence
@@ -82,11 +82,13 @@ class PathologySpec:
 
 
 def base_words(base: FiniteGraph, n: int) -> list[tuple[str, ...]]:
-    """All vertex words of length n in the base graph, sorted."""
-    words = [(v,) for v in base.vertices]
+    """All vertex words of length n in the base graph, sorted: they are built
+    in position order, which is name order."""
+    idx = base.index()
+    words = [(i,) for i in range(len(idx.order))]
     for _ in range(n - 1):
-        words = [w + (u,) for w in words for u in base.successors(w[-1])]
-    return sorted(words)
+        words = [w + (j,) for w in words for j, _ in idx.succ[w[-1]]]
+    return [tuple(idx.order[i] for i in w) for w in words]
 
 
 def build_pathology_graph(spec: PathologySpec) -> BlockCode:
@@ -145,21 +147,6 @@ def build_pathology_graph(spec: PathologySpec) -> BlockCode:
     g = FiniteGraph(verts, tuple(edges))
     mapping = tuple(zip(g.edge_names, labels))
     return BlockCode(g, mapping, mode="edge")
-
-
-def truncated_return_schema(counts: list[int], depth: int) -> Optional[LoopSchema]:
-    kept = tuple((n, c) for n, c in enumerate(counts[: depth + 1]) if c)
-    if not kept:
-        return None
-    return LoopSchema(counts=kept, tail=None)
-
-
-def truncated_entropy(counts: list[int], depth: int) -> ExtendedEntropy:
-    """Entropy seen from first-return loops of length <= depth, certified."""
-    schema = truncated_return_schema(counts, depth)
-    if schema is None:
-        return ZERO_ENTROPY
-    return classify_recurrence(schema).entropy
 
 
 def _symbols(code: BlockCode) -> tuple[GraphIndex, list[str]]:

@@ -8,7 +8,6 @@ through a line-oriented document format.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
@@ -120,14 +119,6 @@ class LoopSchema:
         # some count is eventually >= 1
         return self.tail is not None or any(c >= 1 for _, c in self.counts)
 
-    def count(self, n: int) -> int:
-        for m, c in self.counts:
-            if m == n:
-                return c
-        if self.tail is not None:
-            return self.tail.count(n)
-        return 0
-
     def counts_upto(self, limit: int) -> list[int]:
         """c_1..c_limit as a list indexed by length (index 0 unused)."""
         out = [0] * (limit + 1)
@@ -140,9 +131,6 @@ class LoopSchema:
                 out[n] += self.tail.count(n)
                 n += self.tail.stride
         return out
-
-    def is_finite(self) -> bool:
-        return self.tail is None
 
     def max_explicit_length(self) -> int:
         return max((n for n, c in self.counts if c > 0), default=0)
@@ -237,30 +225,6 @@ class FiniteGraph:
             idx = GraphIndex.compile(self.vertices, self.edges)
             object.__setattr__(self, "_index", idx)
             return idx
-
-    def successors(self, v: str) -> list[str]:
-        idx = self.index()
-        return [idx.order[j] for j, _ in idx.succ[idx.pos[v]]]
-
-    def predecessors(self, v: str) -> list[str]:
-        idx = self.index()
-        return [idx.order[j] for j, _ in idx.pred[idx.pos[v]]]
-
-    def multiplicity(self, v: str, w: str) -> int:
-        idx = self.index()
-        row = idx.succ[idx.pos[v]]
-        j = idx.pos[w]
-        k = bisect_left(row, (j, 0))
-        return row[k][1] if k < len(row) and row[k][0] == j else 0
-
-    def adjacency(self) -> tuple[list[list[int]], list[str]]:
-        """Multiplicity-weighted adjacency matrix plus the vertex order used."""
-        idx = self.index()
-        mat = [[0] * len(idx.order) for _ in idx.order]
-        for i, row in enumerate(idx.succ):
-            for j, m in row:
-                mat[i][j] = m
-        return mat, list(idx.order)
 
     def has_parallel_edges(self) -> bool:
         return len(set(self.edges)) != len(self.edges)

@@ -237,8 +237,9 @@ def _float_bracket(schema: LoopSchema, hi_limit: Fraction) -> Optional[tuple[Fra
 def _bracket_and_bisect_root(
     schema: LoopSchema, hi_limit: Fraction, rel_width: Fraction
 ) -> RatInterval:
-    """Root of Phi(x)=1 in (0, hi_limit), certified; Phi(hi_limit) must exceed 1
-    in the limit (walked from below when the endpoint itself diverges).
+    """Root of Phi(x)=1 in (0, hi_limit), certified.  classify_recurrence
+    calls it only when Phi(hi_limit) is infinite or certified above 1; an
+    upper end that does not compare 'gt' raises UndecidableAtTolerance.
 
     A float seed (a, b) from _float_bracket answers 'lt' at or below a and
     'gt' at or above b without evaluating Phi.  Phi increases on (0, R) and
@@ -262,15 +263,7 @@ def _bracket_and_bisect_root(
             raise ArithmeticError("failed to bracket root from below")
     hi = hi_limit
     if side(hi) != "gt":
-        j = 1
-        while True:
-            cand = hi_limit * (1 - Fraction(1, 2**j))
-            if cand > lo and side(cand) == "gt":
-                hi = cand
-                break
-            j += 1
-            if j > 5000:
-                raise ArithmeticError("failed to bracket root from above")
+        raise UndecidableAtTolerance("Phi at the upper bracket end is not certified above 1")
     while hi - lo > rel_width * lo:
         mid = (lo + hi) / 2
         side_mid = side(mid)

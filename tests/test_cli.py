@@ -1,9 +1,13 @@
 """Command-line verbs, exit codes, and the re-parseable output contract."""
 
 import io
+import os
 import random
+import subprocess
+import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,7 @@ from borelshift import (
     parse_invariants,
     parse_relation,
 )
+import borelshift
 from borelshift import entropy
 from borelshift.cli import main
 
@@ -309,6 +314,14 @@ def test_embed_rejects_bad_target(capsys, even_code_file):
     assert "target" in err
 
 
+def test_embed_bad_target_expression_names_the_option(capsys, even_code_file):
+    argv = ["embed", even_code_file, "--target", "poly -1 -1 1 root-in 3 4"]
+    code, _, err = run(capsys, argv)
+    assert code == 65
+    assert "--target" in err and "line 0" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_embed_budget_flag(capsys, even_code_file):
     code, _, err = run(
         capsys, ["embed", even_code_file, "--target", "0.2", "--budget", "0"]
@@ -364,6 +377,26 @@ def test_bowen_reports_failures(capsys, tmp_path, even_code_file):
     assert d["holds"] == "false"
     assert d["symmetric"] == "false"
     assert "(e1,e2)" in out
+
+
+def test_bowen_failure_lines_do_not_depend_on_the_hash_seed(tmp_path):
+    code = tmp_path / "code.txt"
+    code.write_text(
+        "code vertex\nvertex a\nvertex b\nvertex c\n"
+        "edge a a\nedge a b\nedge b a\nedge b c\nedge c a\nmap a 0\nmap b 1\nmap c 1\n"
+    )
+    rel = tmp_path / "rel.txt"
+    rel.write_text("relation\npair a b\npair b c\npair c a\npair a c\npair x y\npair b a\n")
+    src = str(Path(borelshift.__file__).parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "borelshift.cli", "bowen", str(code), str(rel)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("failure=") == 11
 
 
 # === fiberprod ===

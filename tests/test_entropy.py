@@ -344,9 +344,12 @@ def test_perron_matches_float_power_iteration():
     for _ in range(25):
         vs, edges = random_strongly_connected(rng, 5)
         g = FiniteGraph(tuple(vs), tuple(edges))
-        mat, order = g.adjacency()
+        at = {u: i for i, u in enumerate(vs)}
+        mat = [[0] * len(vs) for _ in vs]
+        for u, w in edges:
+            mat[at[u]][at[w]] += 1
         # float power iteration on A + I (primitive, so no period oscillation)
-        v = [1.0] * len(order)
+        v = [1.0] * len(vs)
         top = 1.0
         for _ in range(600):
             w = [v[i] + sum(mat[i][j] * v[j] for j in range(len(v))) for i in range(len(v))]

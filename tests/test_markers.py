@@ -103,7 +103,7 @@ def test_marker_certificate_at_one_quarter_has_diagonal_fiber_product():
     assert len(states) == 537
     lg = make_subsystem_code(cert, code.labeled()).labeled()
     start = time.perf_counter()
-    prod = label_fiber_product(lg, lg)
+    prod = label_fiber_product(lg)
     assert time.perf_counter() - start < 5.0
     assert prod.vertices == tuple(f"{v}|{v}" for v in states)
     assert prod.tuples == tuple((v, v) for v in states)

@@ -263,6 +263,13 @@ def test_seeded_bracket_equals_plain_bisection(monkeypatch):
     assert seeded == plain
 
 
+def test_bracket_upper_end_not_above_one_is_undecidable():
+    # Phi(x) = 2x is 1/2 at the upper end 1/4, so no root lies below it
+    s = LoopSchema(((1, 2),))
+    with pytest.raises(UndecidableAtTolerance):
+        recurrence._bracket_and_bisect_root(s, Fraction(1, 4), REL)
+
+
 def _assert_root_certified(s, rep):
     assert loop_gf_eval(s, rep.root.lo).hi < 1 < loop_gf_eval(s, rep.root.hi).lo
     assert rep.root.width <= REL * rep.root.lo
