@@ -11,22 +11,18 @@ from borelshift import (
     LoopSchema,
     UndecidableAtTolerance,
     classify_recurrence,
-    summarize_schema,
 )
 
 
 def show(label: str, schema: LoopSchema):
     try:
-        s = summarize_schema(schema)
+        s = classify_recurrence(schema)
     except UndecidableAtTolerance as exc:
         print(f"{label}: undecidable ({exc})")
         return
-    r = classify_recurrence(schema)
-    mean = r.mean_return
-    mean_txt = "inf" if mean is None else f"[{float(mean.lo):.6f}, {float(mean.hi):.6f}]"
     print(
         f"{label}: {s.recurrence} period={s.period} "
-        f"entropy={float(s.entropy):.6f} mean_return={mean_txt} mme={s.mme}"
+        f"entropy={float(s.entropy):.6f} mme={s.mme}"
     )
 
 

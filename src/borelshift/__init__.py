@@ -36,7 +36,7 @@ from .graphs import (
     entropy_by_loop_count,
     loop_entropy_estimate,
 )
-from .intervals import RatInterval, INF, PrecisionExhausted
+from .intervals import RatInterval, PrecisionExhausted
 from .entropy import (
     ExtendedEntropy,
     ExactAlgebraic,
@@ -54,11 +54,9 @@ from .recurrence import (
     POSITIVE_RECURRENT,
     NULL_RECURRENT,
     TRANSIENT,
-    RecurrenceReport,
     ComponentSummary,
     UndecidableAtTolerance,
     classify_recurrence,
-    summarize_schema,
 )
 from .invariants import (
     Generator,

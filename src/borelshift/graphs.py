@@ -264,6 +264,8 @@ def entropy_by_loop_count(
     Loop counts are the renewal sums over first-return decompositions, which
     for a graph equal the diagonal entries of adjacency powers.
     """
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
     if isinstance(p, LoopSchema):
         f = schema_first_return_counts(p, l_max)
     else:
@@ -276,8 +278,6 @@ def entropy_by_loop_count(
         if comp is None:
             raise ValueError(f"base {b!r} lies on no cycle")
         f = first_return_counts(comp, b, l_max)
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
     l = renewal_loop_counts(f)
     return [(n, l[n], math.log(l[n]) / n) for n in range(1, l_max + 1) if l[n] > 0]
 

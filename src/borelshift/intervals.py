@@ -16,23 +16,6 @@ from fractions import Fraction
 import mpmath
 
 
-class Infinite:
-    """Sentinel for a quantity known to be +infinity."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = Infinite()
-
-
 class PrecisionExhausted(ArithmeticError):
     """A certified enclosure missed its promised width within its budget."""
 

@@ -16,7 +16,7 @@ they differ only in how a realization witnesses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Union
@@ -137,12 +137,7 @@ def summarize_components(parts) -> list[ComponentSummary]:
             key = (part.counts, part.tail)
             if key not in reports:
                 reports[key] = classify_recurrence(part)
-            rep = reports[key]
-            out.append(
-                ComponentSummary(
-                    rep.period, rep.entropy, rep.mme, rep.recurrence, prefix + "loops"
-                )
-            )
+            out.append(replace(reports[key], source=prefix + "loops"))
             continue
         for cid, sub in irreducible_components(part):
             h = perron_entropy(sub)

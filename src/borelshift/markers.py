@@ -66,6 +66,14 @@ class MarkerParams:
         m2 = self.ell * self.A + self.ell_tilde * self.C + self.ell_tilde
         return m1, m2
 
+    def block_structure(self, gallery_size: int) -> tuple[int, int, int]:
+        """(B1, B2, G): the lengths of the m1 and m2 blocks, each a marker
+        followed by K gallery words of length N, and the G = gallery_size^K
+        choices of gallery words in one block."""
+        m1, m2 = self.marker_words()
+        slots = self.K * self.N
+        return len(m1) + slots, len(m2) + slots, gallery_size**self.K
+
 
 @dataclass(frozen=True)
 class EmbeddingCertificate:
@@ -336,10 +344,7 @@ def marker_block_entropy(params: MarkerParams, gallery_size: int) -> ExtendedEnt
     of the finite loop schema {B1: G, B2: G} ({B: 2G} when B1 = B2 = B),
     certified by classify_recurrence.
     """
-    m1, m2 = params.marker_words()
-    b1 = len(m1) + params.K * params.N
-    b2 = len(m2) + params.K * params.N
-    big = gallery_size**params.K
+    b1, b2, big = params.block_structure(gallery_size)
     counts = ((b1, 2 * big),) if b1 == b2 else ((b1, big), (b2, big))
     return classify_recurrence(LoopSchema(counts)).entropy
 
@@ -348,10 +353,7 @@ def _check_block_structure(
     g: FiniteGraph, params: MarkerParams, gallery_size: int
 ) -> bool:
     """First-return counts of the built graph must match the block formula."""
-    m1, m2 = params.marker_words()
-    b1 = len(m1) + params.K * params.N
-    b2 = len(m2) + params.K * params.N
-    big = gallery_size**params.K
+    b1, b2, big = params.block_structure(gallery_size)
     limit = b1 + 2 * b2
     counts = first_return_counts(g, "m1.0", limit)
     expected = [0] * (limit + 1)

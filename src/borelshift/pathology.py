@@ -231,6 +231,8 @@ def _sampled_pairs(words: list[tuple[str, ...]], cap: int):
 
 def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> PathologyReport:
     """Check every desk-scale claim of the construction against the built graph."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
     code = build_pathology_graph(spec)
     g = code.domain
     lengths = spec.return_lengths()
@@ -241,8 +243,6 @@ def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> P
         expected[n] = c
     counts_match = counts == expected
 
-    if window < 1:
-        raise ValueError("l_max must be >= 1")
     # first returns to ROOT stay in its component: the loop counts follow
     loops = renewal_loop_counts(counts[: window + 1])
     rows = [(n, loops[n], log(loops[n]) / n) for n in range(1, window + 1) if loops[n]]

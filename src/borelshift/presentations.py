@@ -188,7 +188,7 @@ class FiniteGraph:
 
     With all multiplicities 1 this presents the vertex shift; parallel edges
     make sense only for the edge shift, and entropy is always computed on the
-    multiplicity-weighted adjacency matrix.
+    adjacency matrix that counts parallel edges.
     """
 
     vertices: tuple[str, ...]

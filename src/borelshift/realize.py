@@ -35,9 +35,11 @@ from .invariants import (
     InvariantPair,
     canonical_invariants,
     check_admissible,
+    compute_u_eta,
+    summarize_components,
 )
 from .presentations import DampedTail, LoopSchema, format_document
-from .recurrence import POSITIVE_RECURRENT, TRANSIENT, classify_recurrence
+from .recurrence import POSITIVE_RECURRENT, TRANSIENT
 
 DIGIT_FLOOR = Fraction(1, 10**13)
 
@@ -180,11 +182,7 @@ def realize_invariants(pair: InvariantPair, tol: Fraction = DEFAULT_TOL) -> Real
 
 def _certify(real: Realization, canon: InvariantPair, tol: Fraction):
     by_key: dict[int, list] = {}
-    reports = {}  # one classification per distinct schema
-    for role, schema in real.components:
-        if schema not in reports:
-            reports[schema] = classify_recurrence(schema)
-        r = reports[schema]
+    for (role, _), r in zip(real.components, summarize_components(real.parts())):
         want = POSITIVE_RECURRENT if role == "mme" else TRANSIENT
         if r.recurrence != want:
             raise RealizationCertificationError(
@@ -216,8 +214,6 @@ def _certify(real: Realization, canon: InvariantPair, tol: Fraction):
 
 def pair_of_realization(real: Realization, tol: Fraction = DEFAULT_TOL) -> InvariantPair:
     """Recompute the invariant pair of a realization, families included."""
-    from .invariants import compute_u_eta, summarize_components
-
     gens = list(compute_u_eta(summarize_components(real.parts()), tol).generators)
     for f in real.families:
         gens.append(Generator(f.period, f.entropy, UNATTAINED))

@@ -2,8 +2,9 @@
 
 Phi(x) = sum c_n x^n with radius of convergence R (Vere-Jones 1967).
 Transient iff Phi(R) < 1; recurrent iff Phi(r) = 1 for some r <= R; positive
-vs null recurrent by finiteness of r * Phi'(r).  One evaluator, loop_gf_eval,
-encloses Phi(x) and, weighted, x Phi'(x), the mean return time at the root.
+vs null recurrent by finiteness of r * Phi'(r).  A root r < R makes r Phi'(r)
+finite, so positive recurrence needs no mean-return enclosure, and the one
+evaluator, loop_gf_eval, encloses Phi(x) alone.
 Entropy is -log r for the root, else -log R.  Every bound is an exact
 rational enclosure, and a verdict that would need to distinguish Phi(R) from
 1 below certification width is reported as undecidable rather than coerced.
@@ -38,7 +39,7 @@ from .entropy import (
     identify_algebraic,
 )
 from .graphs import schema_period
-from .intervals import INF, Infinite, RatInterval, log_interval
+from .intervals import RatInterval, log_interval
 from .presentations import DampedTail, GeometricTail, LoopSchema
 
 POSITIVE_RECURRENT = "positive-recurrent"
@@ -49,19 +50,7 @@ EXACT_DEGREE_CAP = 64
 
 
 class UndecidableAtTolerance(ArithmeticError):
-    """Phi(R) cannot be separated from 1 at certification width."""
-
-
-@dataclass
-class RecurrenceReport:
-    recurrence: str
-    entropy: ExtendedEntropy
-    period: int
-    radius: Union[Fraction, Infinite]
-    root: Optional[RatInterval]
-    phi_at_radius: Union[RatInterval, Infinite, None]
-    mean_return: Union[RatInterval, Infinite, None]
-    mme: bool
+    """Phi cannot be separated from 1 at certification width."""
 
 
 @dataclass(frozen=True)
@@ -75,42 +64,35 @@ class ComponentSummary:
     source: str = ""
 
 
-def schema_radius(schema: LoopSchema) -> Union[Fraction, Infinite]:
-    """Radius of convergence of Phi; 1/k for a tail of ratio k, else infinite."""
+def schema_radius(schema: LoopSchema) -> Union[Fraction, float]:
+    """Radius of convergence of Phi; 1/k for a tail of ratio k, else math.inf."""
     t = schema.tail
     if t is None:
-        return INF
+        return math.inf
     return Fraction(1) / Fraction(t.k)
 
 
-def _geometric_tail(t: GeometricTail, x: Fraction, weighted: bool) -> Union[RatInterval, Infinite]:
-    """sum c_n x^n (times n if weighted) over the tail, closed form."""
+def _geometric_tail(t: GeometricTail, x: Fraction) -> Union[RatInterval, float]:
+    """sum c_n x^n over the tail, closed form."""
     y = Fraction(t.k) * x
     if y >= 1:
-        return INF
-    ys = y**t.stride
-    total = t.a * y**t.n0 / (1 - ys)
-    if weighted:
-        total *= t.n0 + t.stride * ys / (1 - ys)
-    return RatInterval.point(total)
+        return math.inf
+    return RatInterval.point(t.a * y**t.n0 / (1 - y**t.stride))
 
 
 def _damped_tail_enclosure(
-    t: DampedTail, x: Fraction, max_width: Fraction, weighted: bool
-) -> Union[RatInterval, Infinite]:
-    """Enclosure of sum floor(a k^n / n^d) x^n (times n if weighted) over the tail.
+    t: DampedTail, x: Fraction, max_width: Fraction
+) -> Union[RatInterval, float]:
+    """Enclosure of sum floor(a k^n / n^d) x^n over the tail.
 
     At x = 1/k the remainder shrinks only polynomially, so the term count is
     capped; the returned enclosure is then wider than requested but still valid.
     """
     k = Fraction(t.k)
     q = k * x
-    if q > 1:
-        return INF
-    d_eff = t.d - 1 if weighted else t.d
-    if q == 1 and d_eff <= 1:
-        # sum a/n^{d_eff} diverges and the floor correction converges
-        return INF
+    if q > 1 or (q == 1 and t.d <= 1):
+        # at q == 1, sum a/n^d diverges for d <= 1 and the floor correction converges
+        return math.inf
     s = t.stride
     cap = 4096 if q == 1 else 16384
     xs = x**s
@@ -125,23 +107,21 @@ def _damped_tail_enclosure(
         while done < terms:
             c = int(t.a * kp / Fraction(n) ** t.d)
             if c:
-                partial += (n * c if weighted else c) * xp
+                partial += c * xp
             n += s
             xp *= xs
             kp *= ks
             done += 1
         m = n  # first uncomputed support point
         if q < 1:
-            upper_main = t.a * q**m / (1 - q**s) / Fraction(m) ** d_eff
+            upper_main = t.a * q**m / (1 - q**s) / Fraction(m) ** t.d
         else:
-            # q == 1, d_eff >= 2: integral bound on sum over n^{-d_eff}
+            # q == 1, d >= 2: integral bound on sum over n^{-d}
             upper_main = t.a * (
-                Fraction(m) ** (-d_eff) + Fraction(m) ** (1 - d_eff) / (s * (d_eff - 1))
+                Fraction(m) ** (-t.d) + Fraction(m) ** (1 - t.d) / (s * (t.d - 1))
             )
         floor_loss = xp / (1 - xs)
-        if weighted:
-            floor_loss = xp * (Fraction(m) / (1 - xs) + s * xs / (1 - xs) ** 2)
-        lower = partial + max(Fraction(0), t.a * q**m / Fraction(m) ** d_eff - floor_loss)
+        lower = partial + max(Fraction(0), t.a * q**m / Fraction(m) ** t.d - floor_loss)
         upper = partial + upper_main
         if upper - lower <= max_width or terms >= cap:
             return RatInterval(lower, upper)
@@ -149,26 +129,22 @@ def _damped_tail_enclosure(
 
 
 def loop_gf_eval(
-    schema: LoopSchema,
-    x: Fraction,
-    max_width: Fraction = Fraction(1, 10**18),
-    weighted: bool = False,
-) -> Union[RatInterval, Infinite]:
-    """Certified enclosure of Phi(x), or of x Phi'(x) = sum n c_n x^n if
-    weighted; INF where the series diverges."""
+    schema: LoopSchema, x: Fraction, max_width: Fraction = Fraction(1, 10**18)
+) -> Union[RatInterval, float]:
+    """Certified enclosure of Phi(x); math.inf where the series diverges."""
     x = Fraction(x)
     if x <= 0:
         raise ValueError("loop_gf_eval needs x > 0")
-    explicit = sum((n * c if weighted else c) * x**n for n, c in schema.counts if c)
+    explicit = sum(c * x**n for n, c in schema.counts if c)
     t = schema.tail
     if t is None:
         return RatInterval.point(explicit)
     if isinstance(t, GeometricTail):
-        tail = _geometric_tail(t, x, weighted)
+        tail = _geometric_tail(t, x)
     else:
-        tail = _damped_tail_enclosure(t, x, max_width, weighted)
-    if tail is INF:
-        return INF
+        tail = _damped_tail_enclosure(t, x, max_width)
+    if tail == math.inf:
+        return math.inf
     return tail + explicit
 
 
@@ -177,7 +153,7 @@ def _phi_versus_one(schema: LoopSchema, x: Fraction) -> str:
     width = Fraction(1, 10**18)
     for _ in range(4):
         val = loop_gf_eval(schema, x, width)
-        if val is INF:
+        if val == math.inf:
             return "gt"
         if val.hi < 1:
             return "lt"
@@ -239,7 +215,9 @@ def _bracket_and_bisect_root(
 ) -> RatInterval:
     """Root of Phi(x)=1 in (0, hi_limit), certified.  classify_recurrence
     calls it only when Phi(hi_limit) is infinite or certified above 1; an
-    upper end that does not compare 'gt' raises UndecidableAtTolerance.
+    upper end that does not compare 'gt', or a root below 10^-400, raises
+    UndecidableAtTolerance.  The floor bounds the lower walk at about 1,330
+    halvings.
 
     A float seed (a, b) from _float_bracket answers 'lt' at or below a and
     'gt' at or above b without evaluating Phi.  Phi increases on (0, R) and
@@ -260,7 +238,10 @@ def _bracket_and_bisect_root(
     while side(lo) != "lt":
         lo /= 2
         if lo < Fraction(1, 10**400):
-            raise ArithmeticError("failed to bracket root from below")
+            raise UndecidableAtTolerance(
+                "cannot bracket the root of Phi(x) = 1 from below: "
+                "Phi is not certified below 1 above 10^-400"
+            )
     hi = hi_limit
     if side(hi) != "gt":
         raise UndecidableAtTolerance("Phi at the upper bracket end is not certified above 1")
@@ -329,7 +310,7 @@ def _clear_denominators(coeffs) -> tuple[int, ...]:
     return tuple(out)
 
 
-def classify_recurrence(schema: LoopSchema) -> RecurrenceReport:
+def classify_recurrence(schema: LoopSchema) -> ComponentSummary:
     """Vere-Jones trichotomy with certified enclosures throughout.
 
     Positive recurrent when Phi crosses 1 strictly inside the disc of
@@ -340,59 +321,28 @@ def classify_recurrence(schema: LoopSchema) -> RecurrenceReport:
     never certified: a geometric tail diverges at R, a finite schema is not
     evaluated there, and a damped-tail enclosure always has positive width.
     A schema at criticality therefore raises UndecidableAtTolerance, and
-    NULL_RECURRENT is the reserved third label that no report carries.
+    NULL_RECURRENT is the reserved third label that no summary carries.
     """
     period = schema_period(schema)
     radius = schema_radius(schema)
     rel = Fraction(1, 2 * 10**13)
 
-    hi_limit, phi_r = Fraction(1), INF
+    hi_limit, phi_r = Fraction(1), math.inf
     if schema.tail is None:
-        total = sum(c for _, c in schema.counts)
-        if total == 1:
-            n = next(n for n, c in schema.counts if c)
-            return RecurrenceReport(
-                POSITIVE_RECURRENT,
-                ZERO_ENTROPY,
-                period,
-                radius,
-                RatInterval.point(1),
-                INF,
-                RatInterval.point(n),
-                mme=False,
-            )
+        if sum(c for _, c in schema.counts) == 1:
+            return ComponentSummary(period, ZERO_ENTROPY, False, POSITIVE_RECURRENT)
     else:
         hi_limit = radius
         for w in (Fraction(1, 8), Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**18)):
             phi_r = loop_gf_eval(schema, radius, w)
-            if phi_r is INF or phi_r.lo > 1 or phi_r.hi < 1:
+            if phi_r == math.inf or phi_r.lo > 1 or phi_r.hi < 1:
                 break
-    if phi_r is INF or phi_r.lo > 1:
+    if phi_r == math.inf or phi_r.lo > 1:
         root = _bracket_and_bisect_root(schema, hi_limit, rel)
-        entropy = _entropy_from_root(schema, root)
-        mean = _mean_return_enclosure(schema, root)
-        return RecurrenceReport(
-            POSITIVE_RECURRENT, entropy, period, radius, root, phi_r, mean, mme=True
-        )
+        return ComponentSummary(period, _entropy_from_root(schema, root), True, POSITIVE_RECURRENT)
     if phi_r.hi < 1:
-        entropy = entropy_from_log_value(1 / radius)
-        return RecurrenceReport(
-            TRANSIENT, entropy, period, radius, None, phi_r, None, mme=False
-        )
+        return ComponentSummary(period, entropy_from_log_value(1 / radius), False, TRANSIENT)
     raise UndecidableAtTolerance(
         f"Phi(R) enclosure [{float(phi_r.lo):.12f}, {float(phi_r.hi):.12f}] "
         "straddles 1 at certification width"
     )
-
-
-def _mean_return_enclosure(schema: LoopSchema, root: RatInterval) -> Union[RatInterval, Infinite]:
-    lo_val = loop_gf_eval(schema, root.lo, weighted=True)
-    hi_val = loop_gf_eval(schema, root.hi, weighted=True)
-    if lo_val is INF or hi_val is INF:
-        return INF
-    return RatInterval(lo_val.lo, hi_val.hi)
-
-
-def summarize_schema(schema: LoopSchema, source: str = "") -> ComponentSummary:
-    rep = classify_recurrence(schema)
-    return ComponentSummary(rep.period, rep.entropy, rep.mme, rep.recurrence, source)

@@ -74,21 +74,18 @@ def first_returns_from_loops(loops: list[int]) -> list[int]:
     return f
 
 
-def loop_series_bounds(counts, tail, x: Fraction, weighted: bool = False, terms: int = 300):
-    """(lo, hi) around sum c_n x^n, or sum n c_n x^n if weighted, term by term.
+def loop_series_bounds(counts, tail, x: Fraction, terms: int = 300):
+    """(lo, hi) around sum c_n x^n, term by term.
 
     `counts` lists explicit (n, c_n); `tail` is None, ("geometric", a, k, n0,
     s) with c_n = a k^n, or ("damped", a, k, d, n0, s) with c_n = floor(a k^n
     / n^d), on n = n0, n0 + s, ...  lo adds the explicit terms and the first
     `terms` tail terms one at a time.  hi adds to it a bound on the rest: with
     N the first omitted length, c_n <= a k^n / N^d for n >= N, whose series
-    is geometric (sum z^j = 1/(1 - z), sum j z^j = z/(1 - z)^2 for z < 1).
-    A geometric tail has d = 0, so its hi is the exact sum.  Needs k x < 1.
+    is geometric (sum z^j = 1/(1 - z) for z < 1).  A geometric tail has
+    d = 0, so its hi is the exact sum.  Needs k x < 1.
     """
-    def weight(n):
-        return n if weighted else 1
-
-    lo = sum(weight(n) * c * x**n for n, c in counts)
+    lo = sum(c * x**n for n, c in counts)
     if tail is None:
         return lo, lo
     if tail[0] == "geometric":
@@ -98,12 +95,10 @@ def loop_series_bounds(counts, tail, x: Fraction, weighted: bool = False, terms:
         _, a, k, d, n0, s = tail
     n = n0
     for _ in range(terms):
-        lo += weight(n) * math.floor(a * Fraction(k) ** n / n**d) * x**n
+        lo += math.floor(a * Fraction(k) ** n / n**d) * x**n
         n += s
     z = (k * x) ** s
-    head = a * (k * x) ** n / Fraction(n) ** d
-    rest = head * (n / (1 - z) + s * z / (1 - z) ** 2) if weighted else head / (1 - z)
-    return lo, lo + rest
+    return lo, lo + a * (k * x) ** n / Fraction(n) ** d / (1 - z)
 
 
 def is_even_shift_word(word: str) -> bool:

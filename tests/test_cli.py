@@ -479,6 +479,13 @@ def test_pathology_rejects_bad_eps(capsys):
     assert "eps" in err
 
 
+def test_pathology_rejects_window_zero_by_name(capsys):
+    code, out, err = run(capsys, ["pathology", "--window", "0"])
+    assert code == 65
+    assert out == ""
+    assert err == "window must be >= 1\n"
+
+
 def test_pathology_reads_base_file(capsys, tmp_path):
     # the full 2-shift on {a, b} is not the default golden-mean base, so the
     # state count and the witness's base symbol show which base was built
@@ -530,11 +537,15 @@ def test_malformed_document_exits_65(capsys, tmp_path):
     (["pathology", "--depth", "1", "--eps", "1e-999999"], 65),
     (["embed", "{even}", "--target", ""], 65),
     (["embed", "{even}", "--target", "1e999999"], 1),  # above the domain entropy
+    # 10^500 loops of length 1 put the root of Phi(x) = 1 below the bracket floor
+    (["analyze", "{tiny_root}"], 2),
 ])
 def test_out_of_range_numbers_exit_with_one_line(
-    capsys, golden_file, even_code_file, argv, status
+    capsys, tmp_path, golden_file, even_code_file, argv, status
 ):
-    argv = [a.format(golden=golden_file, even=even_code_file) for a in argv]
+    tiny_root = tmp_path / "tiny_root.txt"
+    tiny_root.write_text(f"loops\ncount 1 {10**500}\ncount 2 1\n")
+    argv = [a.format(golden=golden_file, even=even_code_file, tiny_root=tiny_root) for a in argv]
     code, out, err = run(capsys, argv)
     assert code == status
     assert out == ""

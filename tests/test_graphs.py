@@ -260,6 +260,13 @@ def test_entropy_rows_restrict_to_base_component():
     assert loop_entropy_estimate(rows) == pytest.approx(0.0)
 
 
+def test_loop_count_window_is_checked_before_counting():
+    # "a" lies on no cycle, which counting would report; the window comes first
+    g = FiniteGraph.from_edges([("a", "b"), ("b", "b")])
+    with pytest.raises(ValueError, match="l_max must be >= 1"):
+        entropy_by_loop_count(g, "a", 0)
+
+
 def test_loop_estimate_converges_golden_mean():
     rows = entropy_by_loop_count(golden_mean_graph(), "a", 40)
     assert abs(loop_entropy_estimate(rows) - GOLDEN_ENTROPY) < 1e-6

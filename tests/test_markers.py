@@ -173,6 +173,7 @@ def test_single_word_gallery_matches_two_length_oracle():
     m1, m2 = p.marker_words()
     b1, b2 = len(m1) + 2, len(m2) + 2
     assert (b1, b2) == (8, 10)
+    assert p.block_structure(1) == (8, 10, 1)
     g, symbol = build_marker_sft(p, [("e0", "e0")])
     counts = first_return_counts(g, "m1.0", b1 + 2 * b2)
     hits = [(i, c) for i, c in enumerate(counts) if c]
@@ -192,6 +193,7 @@ def test_two_word_gallery_counts_are_powers():
     m1, m2 = p.marker_words()
     b = len(m1) + p.K * p.N  # both blocks have the same length here
     assert len(m2) + p.K * p.N == b
+    assert p.block_structure(len(gallery)) == (b, b, 4)
     counts = first_return_counts(g, "m1.0", 3 * b)
     hits = [(i, c) for i, c in enumerate(counts) if c]
     # G^K = 4 choices per block, big^(j+1) first returns after j+1 blocks

@@ -26,7 +26,7 @@ from borelshift import (
     realize_invariants,
 )
 
-from borelshift import realize
+from borelshift import invariants, realize
 
 from helpers import LOG2, LOG3
 
@@ -72,7 +72,7 @@ def test_repeated_schema_is_certified_once(monkeypatch):
         calls.append(schema)
         return classify_recurrence(schema)
 
-    monkeypatch.setattr(realize, "classify_recurrence", counting)
+    monkeypatch.setattr(invariants, "classify_recurrence", counting)
     real = realize_invariants(pair((1, LOG2_E, 3)))
     assert len(real.components) == 3
     assert calls == [real.components[0][1]]

@@ -21,9 +21,8 @@ from borelshift import (
     compare_entropy,
     golden_mean_graph,
     perron_entropy,
-    summarize_schema,
+    summarize_components,
 )
-from borelshift.intervals import INF
 from borelshift import recurrence
 from borelshift.recurrence import loop_gf_eval, schema_radius
 
@@ -36,8 +35,6 @@ def test_loop_gf_point_values_finite_schema():
     s = LoopSchema(((1, 1), (2, 1)))
     val = loop_gf_eval(s, Fraction(1, 2))
     assert val.lo == val.hi == Fraction(3, 4)
-    mean = loop_gf_eval(s, Fraction(1, 2), weighted=True)
-    assert mean.lo == mean.hi == Fraction(1, 2) + 2 * Fraction(1, 4)
 
 
 def test_loop_gf_geometric_closed_form():
@@ -45,7 +42,7 @@ def test_loop_gf_geometric_closed_form():
     s = LoopSchema((), GeometricTail(Fraction(1, 2), 2, 1))
     val = loop_gf_eval(s, Fraction(1, 4))
     assert val.lo == val.hi == Fraction(1, 2)
-    assert loop_gf_eval(s, Fraction(1, 2)) is INF
+    assert loop_gf_eval(s, Fraction(1, 2)) == math.inf
 
 
 def test_loop_gf_damped_enclosure_brackets_truth():
@@ -84,18 +81,17 @@ def test_loop_gf_eval_matches_term_by_term_sums():
             m = rng.randint(1, 3)
             x = Fraction(m, m + 1) / k
         schema = LoopSchema(counts, tail)
-        for weighted in (False, True):
-            lo, hi = loop_series_bounds(counts, data, x, weighted)
-            val = loop_gf_eval(schema, x, weighted=weighted)
-            if kind == "damped":
-                assert val.lo <= hi and lo <= val.hi
-                assert val.width <= Fraction(1, 10**17)
-            else:
-                assert val.lo == val.hi == hi
+        lo, hi = loop_series_bounds(counts, data, x)
+        val = loop_gf_eval(schema, x)
+        if kind == "damped":
+            assert val.lo <= hi and lo <= val.hi
+            assert val.width <= Fraction(1, 10**17)
+        else:
+            assert val.lo == val.hi == hi
 
 
 def test_schema_radius():
-    assert schema_radius(LoopSchema(((3, 5),))) is INF
+    assert schema_radius(LoopSchema(((3, 5),))) == math.inf
     assert schema_radius(LoopSchema((), GeometricTail(Fraction(1, 2), 2, 1))) == Fraction(1, 2)
     assert schema_radius(LoopSchema((), DampedTail(Fraction(1), Fraction(3, 2), 1, 1))) == Fraction(2, 3)
 
@@ -108,7 +104,6 @@ def test_single_loop_is_zero_entropy_pr():
     assert rep.entropy is ZERO_ENTROPY
     assert rep.period == 5
     assert not rep.mme
-    assert rep.mean_return.lo == rep.mean_return.hi == 5
 
 
 def test_full_shift_schema_exact_log2():
@@ -118,17 +113,12 @@ def test_full_shift_schema_exact_log2():
     assert isinstance(rep.entropy, ExactAlgebraic)
     assert rep.entropy.rational_root() == 2
     assert rep.mme
-    assert rep.mean_return.lo <= 1 <= rep.mean_return.hi
-    assert rep.mean_return.width < Fraction(1, 10**9)
 
 
 def test_golden_schema_matches_golden_graph():
     rep = classify_recurrence(LoopSchema(((1, 1), (2, 1))))
     assert rep.recurrence == POSITIVE_RECURRENT
     assert compare_entropy(rep.entropy, perron_entropy(golden_mean_graph())) == "eq"
-    # mean return = r + 2r^2 with r = 1/phi, i.e. 2 - r
-    want = 2 - 1 / ((1 + math.sqrt(5)) / 2)
-    assert abs(float(rep.mean_return.mid) - want) < 1e-9
     assert rep.period == 1
 
 
@@ -143,16 +133,14 @@ def test_finite_schema_period_two():
 
 def test_geometric_tail_log3_anchor():
     # c_n = 2^(n-1): root of x/(1-2x) = 1 is 1/3, entropy exactly log 3
-    rep = classify_recurrence(LoopSchema((), GeometricTail(Fraction(1, 2), 2, 1)))
+    s = LoopSchema((), GeometricTail(Fraction(1, 2), 2, 1))
+    rep = classify_recurrence(s)
     assert rep.recurrence == POSITIVE_RECURRENT
     assert rep.mme
     assert isinstance(rep.entropy, ExactAlgebraic)
     assert rep.entropy.rational_root() == 3
-    # mean return r * Phi'(r) = 3 exactly at r = 1/3
-    assert rep.mean_return.lo <= 3 <= rep.mean_return.hi
-    assert rep.mean_return.width < Fraction(1, 10**9)
-    assert rep.radius == Fraction(1, 2)
-    assert rep.phi_at_radius is INF
+    assert schema_radius(s) == Fraction(1, 2)
+    assert loop_gf_eval(s, schema_radius(s)) == math.inf
 
 
 def test_geometric_tail_with_explicit_head():
@@ -161,7 +149,7 @@ def test_geometric_tail_with_explicit_head():
     s = LoopSchema(((1, 1),), GeometricTail(Fraction(1), 2, 2))
     rep = classify_recurrence(s)
     assert rep.recurrence == POSITIVE_RECURRENT
-    r = rep.root
+    r = recurrence._bracket_and_bisect_root(s, schema_radius(s), REL)
     val = loop_gf_eval(s, r.lo)
     assert val.lo <= 1
     val = loop_gf_eval(s, r.hi)
@@ -179,13 +167,13 @@ def test_geometric_tail_strided_period():
 
 def test_damped_tail_transient_log2_anchor():
     # floor(2^n / (3 n^2)): Phi(1/2) <= zeta(2)/3 < 1, entropy exactly log 2
-    rep = classify_recurrence(LoopSchema((), DampedTail(Fraction(1, 3), Fraction(2), 2, 1)))
+    s = LoopSchema((), DampedTail(Fraction(1, 3), Fraction(2), 2, 1))
+    rep = classify_recurrence(s)
     assert rep.recurrence == TRANSIENT
     assert isinstance(rep.entropy, ExactAlgebraic)
     assert rep.entropy.rational_root() == 2
     assert not rep.mme
-    assert rep.root is None
-    assert rep.phi_at_radius.hi < 1
+    assert loop_gf_eval(s, schema_radius(s), Fraction(1, 8)).hi < 1
 
 
 def test_damped_tail_transient_larger_coefficient():
@@ -196,11 +184,12 @@ def test_damped_tail_transient_larger_coefficient():
 
 def test_damped_tail_positive_recurrent_when_root_inside():
     # a = 4 pushes Phi past 1 well inside the disc; the root is certified
-    rep = classify_recurrence(LoopSchema((), DampedTail(Fraction(4), Fraction(2), 2, 1)))
+    s = LoopSchema((), DampedTail(Fraction(4), Fraction(2), 2, 1))
+    rep = classify_recurrence(s)
     assert rep.recurrence == POSITIVE_RECURRENT
     assert rep.mme
     assert isinstance(rep.entropy, IntervalApprox)
-    assert rep.root.hi < Fraction(1, 2)
+    assert recurrence._bracket_and_bisect_root(s, schema_radius(s), REL).hi < Fraction(1, 2)
     # entropy above log 2: strictly more loops than the bare ratio suggests
     assert float(rep.entropy) > LOG2
 
@@ -248,7 +237,7 @@ def _seeded_schemas(rng: random.Random, n: int):
                 out.append((s, Fraction(1)))
             continue
         at_radius = loop_gf_eval(s, schema_radius(s))
-        if at_radius is INF or at_radius.lo > 1:
+        if at_radius == math.inf or at_radius.lo > 1:
             out.append((s, schema_radius(s)))
     return out
 
@@ -270,9 +259,24 @@ def test_bracket_upper_end_not_above_one_is_undecidable():
         recurrence._bracket_and_bisect_root(s, Fraction(1, 4), REL)
 
 
-def _assert_root_certified(s, rep):
-    assert loop_gf_eval(s, rep.root.lo).hi < 1 < loop_gf_eval(s, rep.root.hi).lo
-    assert rep.root.width <= REL * rep.root.lo
+def test_bisection_nudges_a_midpoint_at_the_root(monkeypatch):
+    # Phi(x) = x / (1 - 3x) is exactly 1 at 1/4, the first midpoint of
+    # [1/6, 1/3]: the comparison there is "unknown" and the bisection nudges
+    s = LoopSchema((), GeometricTail(Fraction(1, 3), 3, 1))
+    seen = []
+    compare = recurrence._phi_versus_one
+
+    def spy(schema, x):
+        answer = compare(schema, x)
+        seen.append((x, answer))
+        return answer
+
+    monkeypatch.setattr(recurrence, "_phi_versus_one", spy)
+    rep = classify_recurrence(s)
+    assert (Fraction(1, 4), "unknown") in seen
+    assert rep.recurrence == POSITIVE_RECURRENT
+    assert rep.entropy.minpoly == (-4, 1)
+    assert rep.entropy.rational_root() == 4
 
 
 def test_float_overflow_takes_the_exact_path():
@@ -281,7 +285,9 @@ def test_float_overflow_takes_the_exact_path():
     assert recurrence._float_bracket(s, Fraction(1)) is None
     rep = classify_recurrence(s)
     assert rep.recurrence == POSITIVE_RECURRENT
-    _assert_root_certified(s, rep)
+    root = recurrence._bracket_and_bisect_root(s, Fraction(1), REL)
+    assert loop_gf_eval(s, root.lo).hi < 1 < loop_gf_eval(s, root.hi).lo
+    assert root.width <= REL * root.lo
     assert rep.entropy.minpoly == (-1, -(10**310), 1)
     assert abs(float(rep.entropy) - 310 * math.log(10)) < 1e-9
 
@@ -289,19 +295,25 @@ def test_float_overflow_takes_the_exact_path():
 def test_damped_positive_recurrent_takes_the_exact_path():
     s = LoopSchema((), DampedTail(Fraction(4), Fraction(2), 2, 1))
     assert recurrence._float_bracket(s, Fraction(1, 2)) is None
-    rep = classify_recurrence(s)
-    assert rep.recurrence == POSITIVE_RECURRENT
-    lo_val = loop_gf_eval(s, rep.root.lo, Fraction(1, 10**18))
-    hi_val = loop_gf_eval(s, rep.root.hi, Fraction(1, 10**18))
+    assert classify_recurrence(s).recurrence == POSITIVE_RECURRENT
+    root = recurrence._bracket_and_bisect_root(s, Fraction(1, 2), REL)
+    lo_val = loop_gf_eval(s, root.lo, Fraction(1, 10**18))
+    hi_val = loop_gf_eval(s, root.hi, Fraction(1, 10**18))
     assert lo_val.hi < 1 < hi_val.lo
 
 
 # === summaries ===
 
-def test_summarize_schema_carries_source():
-    s = summarize_schema(LoopSchema(((1, 2),)), source="part3")
-    assert s.source == "part3"
+def test_component_summary_source_comes_from_summarize_components():
+    schema = LoopSchema(((1, 2),))
+    rep = classify_recurrence(schema)
+    assert rep.source == ""
+    s = summarize_components((LoopSchema(((2, 4),)), schema))[1]
+    assert s.source == "p1.loops"
     assert s.mme
     assert s.recurrence == POSITIVE_RECURRENT
     assert s.period == 1
     assert abs(float(s.entropy) - LOG2) < 1e-12
+    assert (s.period, s.entropy, s.mme, s.recurrence) == (
+        rep.period, rep.entropy, rep.mme, rep.recurrence
+    )
