@@ -180,30 +180,41 @@ class IntervalApprox(ExtendedEntropy):
         return f"Entropy[{float(self.lo):.12g}, {float(self.hi):.12g}]"
 
 
-def _poly_eval(coeffs: tuple[int, ...], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _sign_at(coeffs, x: Fraction) -> int:
+    """Sign (-1, 0 or 1) of the integer polynomial `coeffs` (ascending) at
+    the rational x = p/q: the sign of the integer sum c_i p^i q^(d - i),
+    which is q^d > 0 times the value.  Horner's rule in integers steps from
+    one nonzero coefficient to the next, so a long sparse polynomial, such
+    as a loop schema's, costs a few powers, not one product per degree."""
+    p, q = x.numerator, x.denominator
+    acc, qk, prev = 0, 1, len(coeffs) - 1
+    for i in range(prev, -1, -1):
+        if coeffs[i]:
+            gap = prev - i
+            qk *= q**gap
+            acc = acc * p**gap + coeffs[i] * qk
+            prev = i
+    acc *= p**prev
+    return (acc > 0) - (acc < 0)
 
 
 def _bisect_simple_root(coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """One bisection step; requires a sign change across [lo, hi] or a root at lo."""
-    flo = _poly_eval(coeffs, lo)
+    flo = _sign_at(coeffs, lo)
     if flo == 0:
         return lo, lo
     mid = (lo + hi) / 2
-    fmid = _poly_eval(coeffs, mid)
+    fmid = _sign_at(coeffs, mid)
     if fmid == 0:
         return mid, mid
-    if (flo < 0) != (fmid < 0):
+    if flo != fmid:
         return lo, mid
     return mid, hi
 
 
 def _brackets_root(coeffs, lo: Fraction, hi: Fraction) -> bool:
     """coeffs does not take the same nonzero sign at lo and at hi."""
-    return _poly_eval(coeffs, lo) * _poly_eval(coeffs, hi) <= 0
+    return _sign_at(coeffs, lo) * _sign_at(coeffs, hi) <= 0
 
 
 def _taylor_shift(coeffs: list[int], a: int) -> list[int]:
@@ -262,7 +273,7 @@ def _roots_in(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> int:
     the sign-variation count above 1 forever, hence the squarefree input.
     """
     if lo >= hi:
-        return int(lo == hi and _poly_eval(coeffs, lo) == 0)
+        return int(lo == hi and _sign_at(coeffs, lo) == 0)
     d = len(coeffs) - 1
     den = math.lcm(lo.denominator, hi.denominator)
     a, b = int(lo * den), int((hi - lo) * den)

@@ -160,36 +160,20 @@ def period_of_component(c: Union[FiniteGraph, LoopSchema]) -> int:
 def schema_period(schema: LoopSchema) -> int:
     """gcd of the loop-length support, tail included.
 
-    Once two consecutive support points of the tail progression carry positive
-    counts, every further tail length is a multiple of their gcd with the
-    stride pattern, so the gcd is exact, not a truncation artifact.
+    A tail's support is n0, n0 + s, ... with s the stride, and its counts are
+    eventually positive.  Two consecutive positive points n and n + s have
+    gcd(n, s) = gcd(n0, s), which divides every support point, so the tail
+    adds gcd(n0, s) to the gcd of the explicit positive lengths.
     """
     g = 0
     for n, c in schema.counts:
         if c > 0:
             g = math.gcd(g, n)
     t = schema.tail
-    if t is None:
-        if g == 0:
-            raise ValueError("schema with no positive count")
-        return g
-    # walk the tail support until two consecutive support points are positive
-    n = t.n0
-    prev_positive = False
-    seen_positive = 0
-    while True:
-        c = t.count(n)
-        if c > 0:
-            g = math.gcd(g, n)
-            seen_positive += 1
-            if prev_positive:
-                break
-            prev_positive = True
-        else:
-            prev_positive = False
-        n += t.stride
-        if n > t.n0 + 10000 * t.stride and seen_positive == 0:
-            raise ValueError("tail support appears empty; cannot certify period")
+    if t is not None:
+        g = math.gcd(g, t.n0, t.stride)
+    if g == 0:
+        raise ValueError("schema with no positive count")
     return g
 
 

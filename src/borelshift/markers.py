@@ -392,6 +392,8 @@ def _marker_tier(
             if markers_floor + N > state_cap:
                 last_error = BUDGET_MESSAGE
                 break
+            if log(GALLERY_CAP) <= target_f * N:
+                break  # no gallery, at most GALLERY_CAP words, clears the target from here on
             gallery = _gallery(lg2, base, N, ell_lab)
             if len(gallery) < 2:
                 continue

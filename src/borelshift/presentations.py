@@ -13,6 +13,13 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
 
+# Largest loop length, tail start n0, tail stride or damped exponent d that a
+# loops document may state.  Bisecting Phi(x) = 1 builds a coefficient list
+# as long as the longest loop, and a tail's integrality check computes k^n0,
+# so larger values would be allocations, not answers.  Counts are not capped.
+LENGTH_CAP = 100_000
+
+
 class ParseError(ValueError):
     """Document syntax or validation error, tagged with a 1-based line number."""
 
@@ -38,10 +45,10 @@ class GeometricTail:
             raise ValueError("geometric tail needs n0 >= 1 and stride >= 1")
         if self.a <= 0:
             raise ValueError("geometric tail coefficient a must be positive")
-        # counts must be integers along the whole support
-        for n in (self.n0, self.n0 + self.stride):
-            if (self.a * Fraction(self.k) ** n).denominator != 1:
-                raise ValueError("geometric tail produces non-integer counts")
+        # counts must be integers along the whole support: a k^n0 is, and k
+        # is an integer, so every a k^(n0 + j stride) is too
+        if (self.a * Fraction(self.k) ** self.n0).denominator != 1:
+            raise ValueError("geometric tail produces non-integer counts")
 
     def count(self, n: int) -> int:
         if n < self.n0 or (n - self.n0) % self.stride:
@@ -107,9 +114,7 @@ class LoopSchema:
             seen.add(n)
         if self.tail is not None:
             for n in seen:
-                if self.tail.count(n) != 0 or (
-                    n >= self.tail.n0 and (n - self.tail.n0) % self.tail.stride == 0
-                ):
+                if n >= self.tail.n0 and (n - self.tail.n0) % self.tail.stride == 0:
                     raise ValueError(f"explicit count at length {n} overlaps tail support")
         if not self.has_loop():
             raise ValueError("schema has no loop at all (some c_n >= 1 required)")
@@ -257,6 +262,13 @@ def _parse_int(tok: str, lineno: int) -> int:
         raise ParseError(lineno, f"bad integer {tok!r}") from None
 
 
+def _parse_capped(tok: str, lineno: int) -> int:
+    n = _parse_int(tok, lineno)
+    if n > LENGTH_CAP:
+        raise ParseError(lineno, f"{n} is above the length cap {LENGTH_CAP}")
+    return n
+
+
 def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -359,7 +371,7 @@ def _parse_loops_body(lines, header_line) -> LoopSchema:
         elif toks[0] == "count":
             if len(toks) != 3:
                 raise ParseError(lineno, "count line is 'count <n> <c>'")
-            counts.append((_parse_int(toks[1], lineno), _parse_int(toks[2], lineno)))
+            counts.append((_parse_capped(toks[1], lineno), _parse_int(toks[2], lineno)))
         elif toks[0] == "tail":
             if tail is not None:
                 raise ParseError(lineno, "second tail line")
@@ -375,7 +387,7 @@ def _parse_loops_body(lines, header_line) -> LoopSchema:
 def _parse_tail(toks, lineno) -> Tail:
     stride = 1
     if len(toks) >= 3 and toks[-2] == "stride":
-        stride = _parse_int(toks[-1], lineno)
+        stride = _parse_capped(toks[-1], lineno)
         toks = toks[:-2]
     if len(toks) < 2:
         raise ParseError(lineno, "tail line needs a family: 'geometric' or 'damped'")
@@ -385,7 +397,7 @@ def _parse_tail(toks, lineno) -> Tail:
             raise ParseError(lineno, "tail line is 'tail geometric <a> <k> from <n0>'")
         a = _parse_fraction(toks[2], lineno)
         k = _parse_int(toks[3], lineno)
-        n0 = _parse_int(toks[5], lineno)
+        n0 = _parse_capped(toks[5], lineno)
         try:
             return GeometricTail(a, k, n0, stride)
         except ValueError as exc:
@@ -396,8 +408,8 @@ def _parse_tail(toks, lineno) -> Tail:
             raise ParseError(lineno, "tail line is 'tail damped <a> <k> <d> from <n0>'")
         a = _parse_fraction(toks[2], lineno)
         k = _parse_fraction(toks[3], lineno)
-        d = _parse_int(toks[4], lineno)
-        n0 = _parse_int(toks[6], lineno)
+        d = _parse_capped(toks[4], lineno)
+        n0 = _parse_capped(toks[6], lineno)
         try:
             return DampedTail(a, k, d, n0, stride)
         except ValueError as exc:

@@ -12,15 +12,11 @@ No enclosure of Phi(R) is ever the point 1, so a schema at criticality is
 undecidable too: null recurrence is never certified.
 
 The root of Phi(x) = 1 is bracketed and bisected in exact rationals.  For
-finite and geometric-tailed schemas, where Phi is an exact point value, a
-float bisection first finds r~ and the two points a = r~(1 - 2^-46) and
-b = r~(1 + 2^-46) are checked exactly: Phi(a) < 1 < Phi(b).  Phi has
-nonnegative coefficients, so it increases strictly on (0, R) and diverges
-from R on; every point at or below a is then below the root and every point
-at or above b above it, and only points strictly between a and b are
-evaluated exactly.  The answers, and so the certified interval, are those of
-the plain exact bisection, which runs whenever the floats overflow, a check
-fails, or the tail is damped.
+finite and geometric-tailed schemas Phi(x) - 1 has, on (0, R), the sign of
+the integer polynomial _phi_polynomial, which entropy._sign_at evaluates in
+integers; at x = R, where Phi diverges, that polynomial is a > 0.  Damped
+tails have no closed form, and their points are decided by refining
+enclosures of Phi(x).
 """
 
 from __future__ import annotations
@@ -28,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Union
 
 from .entropy import (
@@ -35,6 +32,7 @@ from .entropy import (
     ExtendedEntropy,
     IntervalApprox,
     ZERO_ENTROPY,
+    _sign_at,
     entropy_from_log_value,
     identify_algebraic,
 )
@@ -148,66 +146,18 @@ def loop_gf_eval(
     return tail + explicit
 
 
-def _phi_versus_one(schema: LoopSchema, x: Fraction) -> str:
-    """'lt' | 'gt' | 'unknown' comparing Phi(x) with 1, refining as needed."""
+def _phi_versus_one(schema: LoopSchema, x: Fraction) -> int:
+    """Sign of Phi(x) - 1 for a damped schema, refining the enclosure as
+    needed; 0 when four refinements do not separate Phi(x) from 1."""
     width = Fraction(1, 10**18)
     for _ in range(4):
         val = loop_gf_eval(schema, x, width)
-        if val == math.inf:
-            return "gt"
+        if val == math.inf or val.lo > 1:
+            return 1
         if val.hi < 1:
-            return "lt"
-        if val.lo > 1:
-            return "gt"
-        if val.width == 0:
-            return "unknown"  # exactly 1
+            return -1
         width = val.width / Fraction(10**12)
-    return "unknown"
-
-
-SEED_MARGIN = Fraction(1, 2**46)
-
-
-def _float_bracket(schema: LoopSchema, hi_limit: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-    """Exactly checked bracket (a, b) of the root of Phi(x) = 1 in (0, hi_limit),
-    from a float bisection: Phi(a) < 1 < Phi(b), with a and b within a
-    relative SEED_MARGIN of the float root.  None for a damped tail, a float
-    overflow, or a float root that fails the exact checks."""
-    t = schema.tail
-    if isinstance(t, DampedTail):
-        return None
-    try:
-        terms = [(n, float(c)) for n, c in schema.counts if c]
-        if t is not None:
-            a_f, k_f = float(t.a), float(t.k)
-
-        def phi(x: float) -> float:
-            total = math.fsum(c * x**n for n, c in terms)
-            if t is not None:
-                y = k_f * x
-                if y >= 1.0:
-                    return math.inf
-                total += a_f * y**t.n0 / (1.0 - y**t.stride)
-            return total
-
-        hi = float(hi_limit)
-        lo = hi / 2
-        while not phi(lo) < 1.0:
-            lo /= 2
-            if lo == 0.0:
-                return None
-        while lo < (mid := (lo + hi) / 2) < hi:
-            if phi(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-    except (OverflowError, ZeroDivisionError):
-        return None
-    root = Fraction(lo)
-    a, b = root * (1 - SEED_MARGIN), root * (1 + SEED_MARGIN)
-    if _phi_versus_one(schema, a) != "lt" or _phi_versus_one(schema, b) != "gt":
-        return None
-    return a, b
+    return 0
 
 
 def _bracket_and_bisect_root(
@@ -215,27 +165,24 @@ def _bracket_and_bisect_root(
 ) -> RatInterval:
     """Root of Phi(x)=1 in (0, hi_limit), certified.  classify_recurrence
     calls it only when Phi(hi_limit) is infinite or certified above 1; an
-    upper end that does not compare 'gt', or a root below 10^-400, raises
+    upper end whose sign is not positive, or a root below 10^-400, raises
     UndecidableAtTolerance.  The floor bounds the lower walk at about 1,330
     halvings.
 
-    A float seed (a, b) from _float_bracket answers 'lt' at or below a and
-    'gt' at or above b without evaluating Phi.  Phi increases on (0, R) and
-    Phi(a) < 1 < Phi(b) holds exactly, so these are the exact answers: the
-    steps, and the interval returned, are those of the unseeded bisection.
+    Each point x is decided by the sign of Phi(x) - 1: exactly, by
+    _sign_at on _phi_polynomial, for finite and geometric-tailed schemas,
+    and by _phi_versus_one's enclosures for damped ones.  Phi increases on
+    (0, R), so the signs bracket the root.  A sign of 0 at a midpoint (the
+    root itself, or a damped enclosure that straddles 1) nudges the midpoint.
     """
-    seed = _float_bracket(schema, hi_limit)
-
-    def side(x: Fraction) -> str:
-        if seed is not None:
-            if x <= seed[0]:
-                return "lt"
-            if x >= seed[1]:
-                return "gt"
-        return _phi_versus_one(schema, x)
+    coeffs = _phi_polynomial(schema)
+    if coeffs is None:
+        side = partial(_phi_versus_one, schema)
+    else:
+        side = partial(_sign_at, coeffs)
 
     lo = hi_limit / 2
-    while side(lo) != "lt":
+    while side(lo) >= 0:
         lo /= 2
         if lo < Fraction(1, 10**400):
             raise UndecidableAtTolerance(
@@ -243,18 +190,18 @@ def _bracket_and_bisect_root(
                 "Phi is not certified below 1 above 10^-400"
             )
     hi = hi_limit
-    if side(hi) != "gt":
+    if side(hi) <= 0:
         raise UndecidableAtTolerance("Phi at the upper bracket end is not certified above 1")
     while hi - lo > rel_width * lo:
         mid = (lo + hi) / 2
         side_mid = side(mid)
-        if side_mid == "unknown":
+        if side_mid == 0:
             # midpoint collides with the root; nudge off-center
             mid = lo + (hi - lo) * Fraction(29, 64)
             side_mid = side(mid)
-            if side_mid == "unknown":
+            if side_mid == 0:
                 return RatInterval(lo, hi)
-        if side_mid == "lt":
+        if side_mid < 0:
             lo = mid
         else:
             hi = mid
@@ -277,10 +224,11 @@ def _entropy_from_root(schema: LoopSchema, root: RatInterval) -> ExtendedEntropy
 
 
 def _phi_polynomial(schema: LoopSchema) -> Optional[tuple[int, ...]]:
-    """Integer polynomial (ascending) whose positive roots include the root of
-    Phi(x) = 1, available for finite and geometric-tailed schemas: E(x) - 1
-    for the explicit part E, and (E(x) - 1)(1 - (kx)^s) + a k^n0 x^n0 with a
-    geometric tail."""
+    """Integer polynomial (ascending) with the sign of Phi(x) - 1 on (0, R),
+    available for finite and geometric-tailed schemas: E(x) - 1 for the
+    explicit part E, and (E(x) - 1)(1 - (kx)^s) + a k^n0 x^n0 with a
+    geometric tail, whose factor 1 - (kx)^s is positive below R.  Its
+    coefficients are integers, because k and a k^n0 are."""
     t = schema.tail
     if isinstance(t, DampedTail):
         return None
@@ -289,23 +237,13 @@ def _phi_polynomial(schema: LoopSchema) -> Optional[tuple[int, ...]]:
         if c:
             base[n] += c
     if t is None:
-        return _clear_denominators(base)
-    s = t.stride
-    ks = Fraction(t.k) ** s
+        return tuple(base)
+    s, ks = t.stride, t.k**t.stride
     out = base + [0] * max(s, t.n0 + 1 - len(base))
     for i, b in enumerate(base):
         out[i + s] -= b * ks
-    out[t.n0] += t.a * Fraction(t.k) ** t.n0
-    return _clear_denominators(out)
-
-
-def _clear_denominators(coeffs) -> tuple[int, ...]:
-    fracs = [Fraction(c) for c in coeffs]
-    den = 1
-    for f in fracs:
-        den = math.lcm(den, f.denominator)
-    out = [int(f * den) for f in fracs]
-    while len(out) > 1 and out[-1] == 0:
+    out[t.n0] += int(t.a * t.k**t.n0)
+    while out[-1] == 0:
         out.pop()
     return tuple(out)
 

@@ -539,14 +539,31 @@ def test_malformed_document_exits_65(capsys, tmp_path):
     (["embed", "{even}", "--target", "1e999999"], 1),  # above the domain entropy
     # 10^500 loops of length 1 put the root of Phi(x) = 1 below the bracket floor
     (["analyze", "{tiny_root}"], 2),
+    # lengths, tail starts, strides and damped exponents above LENGTH_CAP are
+    # rejected at their line, before any list or power is built
+    (["analyze", "{long_loop}"], 65),
+    (["analyze", "{late_tail}"], 65),
+    (["analyze", "{steep_damping}"], 65),
+    (["analyze", "{wide_stride}"], 65),
 ])
 def test_out_of_range_numbers_exit_with_one_line(
     capsys, tmp_path, golden_file, even_code_file, argv, status
 ):
-    tiny_root = tmp_path / "tiny_root.txt"
-    tiny_root.write_text(f"loops\ncount 1 {10**500}\ncount 2 1\n")
-    argv = [a.format(golden=golden_file, even=even_code_file, tiny_root=tiny_root) for a in argv]
+    docs = {
+        "tiny_root": f"count 1 {10**500}\ncount 2 1",
+        "long_loop": "count 1000000000 1",
+        "late_tail": "tail geometric 1 2 from 1000000000",
+        "steep_damping": "tail damped 1 2 1000000000 from 1",
+        "wide_stride": "tail geometric 1/2 2 from 1 stride 1000000000",
+    }
+    paths = {}
+    for name, body in docs.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(f"loops\n{body}\n")
+    argv = [a.format(golden=golden_file, even=even_code_file, **paths) for a in argv]
+    start = time.monotonic()
     code, out, err = run(capsys, argv)
+    assert time.monotonic() - start < 2
     assert code == status
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -27,6 +27,7 @@ from borelshift.entropy import (
     EXACT_VERTEX_CAP,
     _X,
     _roots_in,
+    _sign_at,
     collatz_wielandt_enclosure,
     identify_algebraic,
 )
@@ -271,6 +272,31 @@ def test_local_root_count_matches_sympy():
         seen["point"] += lo == hi and want == 1
         seen["several"] += want >= 2
     assert min(seen.values()) >= 15, seen
+
+
+def test_sign_at_matches_fraction_horner():
+    # the oracle: Horner's rule in Fractions, on degrees 0 to 80; about a
+    # third of the points are roots, put there as factors (q x - p)
+    rng = random.Random(16)
+    zeros = 0
+    for _ in range(300):
+        roots = [
+            Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(rng.randint(0, 3))
+        ]
+        cs = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 78))]
+        for r in roots:  # times (q x - p), in ascending coefficients
+            cs = [r.denominator * a - r.numerator * b for a, b in zip([0] + cs, cs + [0])]
+        if roots and rng.random() < 0.5:
+            x = rng.choice(roots)
+        else:
+            x = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+        value = Fraction(0)
+        for c in reversed(cs):
+            value = value * x + c
+        want = (value > 0) - (value < 0)
+        assert _sign_at(tuple(cs), x) == want, (cs, x)
+        zeros += want == 0
+    assert zeros >= 50
 
 
 def test_entropy_from_log_value():

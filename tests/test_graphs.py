@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from borelshift import (
+    DampedTail,
     FiniteGraph,
     GeometricTail,
     LoopSchema,
@@ -194,6 +195,35 @@ def test_schema_period_from_support():
     mixed = LoopSchema(((3, 1),), GeometricTail(Fraction(1, 9), 3, 2, stride=2))
     assert schema_period(mixed) == 1
     assert period_of_component(tailed) == 2
+
+
+def test_schema_period_matches_the_tail_support():
+    # the oracle: the gcd of the explicit positive lengths and of the tail
+    # lengths with a positive count, from the tail formulas, over a window
+    # that ends in two positive support points
+    rng = random.Random(31)
+    zero_start = 0
+    for case in range(60):
+        k, n0, s = rng.randint(2, 4), rng.randint(31, 40), rng.randint(1, 4)
+        if case % 2:
+            tail = GeometricTail(Fraction(rng.randint(1, 3), k**n0), k, n0, s)
+            count = lambda n: tail.a * k**n
+        else:
+            a = Fraction(1, 10 ** rng.randint(0, 6))
+            tail = DampedTail(a, Fraction(k + 1, 2), rng.randint(1, 4), n0, s)
+            count = lambda n: math.floor(tail.a * tail.k**n / n**tail.d)
+        lengths = rng.sample(range(1, 31), rng.randint(0, 3))
+        explicit = tuple((m, rng.randint(0, 2)) for m in lengths)
+        support = range(n0, n0 + 200 * s, s)
+        counts = [count(n) for n in support]
+        assert counts[-1] > 0 and counts[-2] > 0
+        zero_start += counts[0] == 0
+        want = 0
+        for n, c in explicit + tuple(zip(support, counts)):
+            if c > 0:
+                want = math.gcd(want, n)
+        assert schema_period(LoopSchema(explicit, tail)) == want
+    assert zero_start >= 5
 
 
 # === loop and first-return counting ===

@@ -148,6 +148,22 @@ def test_budget_exhausted_when_no_marker_material():
         synthesize_injective_subsystem(code, point(0))
 
 
+def test_gallery_length_stops_where_no_gallery_can_clear_the_target(monkeypatch):
+    # a gallery holds at most GALLERY_CAP words, so at target 1/4 no length
+    # N with log(GALLERY_CAP) <= N / 4, that is N >= 34, can clear it; the
+    # galleries are stubbed empty, which every N also skips
+    lengths = []
+
+    def stub(lg, base, N, ell_lab):
+        lengths.append(N)
+        return []
+
+    monkeypatch.setattr(markers, "_gallery", stub)
+    with pytest.raises(BudgetExhausted):
+        synthesize_injective_subsystem(even_code(), point(Fraction(1, 4)), state_cap=100)
+    assert lengths and max(lengths) == 33
+
+
 # === distinct loops ===
 
 def test_find_image_distinct_loops_golden():

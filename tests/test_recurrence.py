@@ -12,13 +12,16 @@ from borelshift import (
     GeometricTail,
     IntervalApprox,
     LoopSchema,
+    MarkerParams,
     NULL_RECURRENT,
     POSITIVE_RECURRENT,
     TRANSIENT,
     UndecidableAtTolerance,
     ZERO_ENTROPY,
+    choose_pathology_parameters,
     classify_recurrence,
     compare_entropy,
+    control_parameters,
     golden_mean_graph,
     perron_entropy,
     summarize_components,
@@ -215,7 +218,7 @@ def test_null_recurrent_label_reserved():
     assert NULL_RECURRENT not in (POSITIVE_RECURRENT, TRANSIENT)
 
 
-# === float-seeded root bracket ===
+# === the sign-test root bracket ===
 
 REL = Fraction(1, 2 * 10**13)
 
@@ -242,14 +245,33 @@ def _seeded_schemas(rng: random.Random, n: int):
     return out
 
 
+def _library_schemas():
+    """Finite schemas the library bisects: marker block returns {B1: G, B2: G}
+    and pathology first returns, hidden and control."""
+    out = []
+    for N, K, gallery in ((2, 1, 3), (3, 2, 5), (4, 3, 486)):
+        params = MarkerParams("e0", ("e0",), ("e0", "e1", "e2"), A=2, C=1, N=N, K=K)
+        b1, b2, big = params.block_structure(gallery)
+        assert b1 != b2
+        out.append(LoopSchema(((b1, big), (b2, big))))
+    for depth in (1, 4, 8):
+        for spec in (
+            choose_pathology_parameters(golden_mean_graph(), Fraction(3, 10), depth),
+            control_parameters(golden_mean_graph(), depth),
+        ):
+            out.append(LoopSchema(tuple(spec.return_lengths())))
+    return [(s, Fraction(1)) for s in out]
+
+
 def test_seeded_bracket_equals_plain_bisection(monkeypatch):
+    # the exact sign of _phi_polynomial and the enclosures of Phi take the
+    # same steps, so they return the same interval
     rng = random.Random(9)
-    cases = _seeded_schemas(rng, 40)
-    seeded = [recurrence._bracket_and_bisect_root(s, hi, REL) for s, hi in cases]
-    assert all(recurrence._float_bracket(s, hi) is not None for s, hi in cases)
-    monkeypatch.setattr(recurrence, "_float_bracket", lambda schema, hi_limit: None)
+    cases = _seeded_schemas(rng, 40) + _library_schemas()
+    signed = [recurrence._bracket_and_bisect_root(s, hi, REL) for s, hi in cases]
+    monkeypatch.setattr(recurrence, "_phi_polynomial", lambda schema: None)
     plain = [recurrence._bracket_and_bisect_root(s, hi, REL) for s, hi in cases]
-    assert seeded == plain
+    assert signed == plain
 
 
 def test_bracket_upper_end_not_above_one_is_undecidable():
@@ -261,19 +283,19 @@ def test_bracket_upper_end_not_above_one_is_undecidable():
 
 def test_bisection_nudges_a_midpoint_at_the_root(monkeypatch):
     # Phi(x) = x / (1 - 3x) is exactly 1 at 1/4, the first midpoint of
-    # [1/6, 1/3]: the comparison there is "unknown" and the bisection nudges
+    # [1/6, 1/3]: the sign there is 0 and the bisection nudges
     s = LoopSchema((), GeometricTail(Fraction(1, 3), 3, 1))
     seen = []
-    compare = recurrence._phi_versus_one
+    sign_at = recurrence._sign_at
 
-    def spy(schema, x):
-        answer = compare(schema, x)
+    def spy(coeffs, x):
+        answer = sign_at(coeffs, x)
         seen.append((x, answer))
         return answer
 
-    monkeypatch.setattr(recurrence, "_phi_versus_one", spy)
+    monkeypatch.setattr(recurrence, "_sign_at", spy)
     rep = classify_recurrence(s)
-    assert (Fraction(1, 4), "unknown") in seen
+    assert (Fraction(1, 4), 0) in seen
     assert rep.recurrence == POSITIVE_RECURRENT
     assert rep.entropy.minpoly == (-4, 1)
     assert rep.entropy.rational_root() == 4
@@ -282,7 +304,6 @@ def test_bisection_nudges_a_midpoint_at_the_root(monkeypatch):
 def test_float_overflow_takes_the_exact_path():
     # 10^310 loops of length 1 overflow a float; the root is about 1e-310
     s = LoopSchema(((1, 10**310), (2, 1)))
-    assert recurrence._float_bracket(s, Fraction(1)) is None
     rep = classify_recurrence(s)
     assert rep.recurrence == POSITIVE_RECURRENT
     root = recurrence._bracket_and_bisect_root(s, Fraction(1), REL)
@@ -294,7 +315,6 @@ def test_float_overflow_takes_the_exact_path():
 
 def test_damped_positive_recurrent_takes_the_exact_path():
     s = LoopSchema((), DampedTail(Fraction(4), Fraction(2), 2, 1))
-    assert recurrence._float_bracket(s, Fraction(1, 2)) is None
     assert classify_recurrence(s).recurrence == POSITIVE_RECURRENT
     root = recurrence._bracket_and_bisect_root(s, Fraction(1, 2), REL)
     lo_val = loop_gf_eval(s, root.lo, Fraction(1, 10**18))
