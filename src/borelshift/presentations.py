@@ -19,6 +19,12 @@ from typing import Iterator, NamedTuple, Optional, Union
 # so larger values would be allocations, not answers.  Counts are not capped.
 LENGTH_CAP = 100_000
 
+# Largest (bits(k.numerator) + bits(k.denominator)) * max(n0, stride) that a
+# tail may state.  The integrality check builds a k^n0 and the damped-tail
+# sums build k^n in steps of k^stride; LENGTH_CAP bounds n0 and stride but not
+# the size of k, so this bounds the integers those powers make.
+TAIL_BITS_CAP = 10_000_000
+
 
 class ParseError(ValueError):
     """Document syntax or validation error, tagged with a 1-based line number."""
@@ -398,6 +404,7 @@ def _parse_tail(toks, lineno) -> Tail:
         a = _parse_fraction(toks[2], lineno)
         k = _parse_int(toks[3], lineno)
         n0 = _parse_capped(toks[5], lineno)
+        _check_tail_size(k, n0, stride, lineno)
         try:
             return GeometricTail(a, k, n0, stride)
         except ValueError as exc:
@@ -410,11 +417,22 @@ def _parse_tail(toks, lineno) -> Tail:
         k = _parse_fraction(toks[3], lineno)
         d = _parse_capped(toks[4], lineno)
         n0 = _parse_capped(toks[6], lineno)
+        _check_tail_size(k, n0, stride, lineno)
         try:
             return DampedTail(a, k, d, n0, stride)
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
     raise ParseError(lineno, f"unknown tail family {toks[1]!r}")
+
+
+def _check_tail_size(k: Union[int, Fraction], n0: int, stride: int, lineno: int) -> None:
+    bits = k.numerator.bit_length() + k.denominator.bit_length()
+    if bits * max(n0, stride) > TAIL_BITS_CAP:
+        raise ParseError(
+            lineno,
+            f"tail ratio of {bits} bits to the power {max(n0, stride)} is above "
+            f"the size cap {TAIL_BITS_CAP} bits",
+        )
 
 
 def format_document(parts) -> str:

@@ -83,6 +83,12 @@ def _damped_tail_enclosure(
 ) -> Union[RatInterval, float]:
     """Enclosure of sum floor(a k^n / n^d) x^n over the tail.
 
+    The terms are summed in integers, 64 and then twice as many per round:
+    with x^n = xn/xd and k^n = kn/kd, each count is the floor division
+    (a.num kn) // (a.den kd n^d), and the partial sum is one integer over
+    xd, so no term takes a gcd.  Fractions are built once per round, to
+    bound the rest from the first uncomputed support point.
+
     At x = 1/k the remainder shrinks only polynomially, so the term count is
     capped; the returned enclosure is then wider than requested but still valid.
     """
@@ -94,22 +100,26 @@ def _damped_tail_enclosure(
     s = t.stride
     cap = 4096 if q == 1 else 16384
     xs = x**s
-    ks = k**s
-    partial = Fraction(0)
     n = t.n0
-    xp = x**n
-    kp = k**n
+    an, ad = t.a.numerator, t.a.denominator
+    kn, kd = k.numerator**n, k.denominator**n
+    xn, xd = x.numerator**n, x.denominator**n
+    kns, kds = k.numerator**s, k.denominator**s
+    xns, xds = x.numerator**s, x.denominator**s
+    num = 0  # the partial sum is num / xd
     done = 0
     terms = 64
     while True:
         while done < terms:
-            c = int(t.a * kp / Fraction(n) ** t.d)
-            if c:
-                partial += c * xp
+            num = (num + an * kn // (ad * kd * n**t.d) * xn) * xds
             n += s
-            xp *= xs
-            kp *= ks
+            xn *= xns
+            xd *= xds
+            kn *= kns
+            kd *= kds
             done += 1
+        partial = Fraction(num, xd)
+        xp = Fraction(xn, xd)
         m = n  # first uncomputed support point
         if q < 1:
             upper_main = t.a * q**m / (1 - q**s) / Fraction(m) ** t.d
@@ -148,7 +158,9 @@ def loop_gf_eval(
 
 def _phi_versus_one(schema: LoopSchema, x: Fraction) -> int:
     """Sign of Phi(x) - 1 for a damped schema, refining the enclosure as
-    needed; 0 when four refinements do not separate Phi(x) from 1."""
+    needed; 0 when four refinements, or an enclosure at its term cap (wider
+    than asked for, and returned again at every smaller width), do not
+    separate Phi(x) from 1."""
     width = Fraction(1, 10**18)
     for _ in range(4):
         val = loop_gf_eval(schema, x, width)
@@ -156,6 +168,8 @@ def _phi_versus_one(schema: LoopSchema, x: Fraction) -> int:
             return 1
         if val.hi < 1:
             return -1
+        if val.width > width:
+            return 0
         width = val.width / Fraction(10**12)
     return 0
 
@@ -273,7 +287,8 @@ def classify_recurrence(schema: LoopSchema) -> ComponentSummary:
         hi_limit = radius
         for w in (Fraction(1, 8), Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**18)):
             phi_r = loop_gf_eval(schema, radius, w)
-            if phi_r == math.inf or phi_r.lo > 1 or phi_r.hi < 1:
+            # wider than w: the term cap is hit, and smaller widths repeat it
+            if phi_r == math.inf or phi_r.lo > 1 or phi_r.hi < 1 or phi_r.width > w:
                 break
     if phi_r == math.inf or phi_r.lo > 1:
         root = _bracket_and_bisect_root(schema, hi_limit, rel)

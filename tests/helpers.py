@@ -101,6 +101,44 @@ def loop_series_bounds(counts, tail, x: Fraction, terms: int = 300):
     return lo, lo + a * (k * x) ** n / Fraction(n) ** d / (1 - z)
 
 
+def damped_enclosure_reference(a, k, d: int, n0: int, s: int, x: Fraction, max_width):
+    """(lo, hi) around sum floor(a k^n / n^d) x^n on n = n0, n0 + s, ...,
+    or math.inf where the series diverges, term by term in Fractions.
+
+    The schedule is the one a damped-tail enclosure follows: 64 terms, then
+    doubling until hi - lo <= max_width or the term count reaches 4096
+    (at k x = 1) or 16384 (below).  With m the first omitted support point
+    and z = k x: hi adds a z^m / m^d / (1 - z^s) below the radius, and the
+    integral bound a (m^-d + m^(1-d) / (s (d - 1))) on it at z = 1; lo adds
+    a z^m / m^d less the floors' loss x^m / (1 - x^s), when positive.
+    """
+    a, k = Fraction(a), Fraction(k)
+    z = k * x
+    if z > 1 or (z == 1 and d <= 1):
+        return math.inf
+    cap = 4096 if z == 1 else 16384
+    total = Fraction(0)
+    n = n0
+    xp, kp = x**n, k**n
+    terms = 64
+    done = 0
+    while True:
+        while done < terms:
+            total += math.floor(a * kp / n**d) * xp
+            n += s
+            xp, kp = xp * x**s, kp * k**s
+            done += 1
+        if z < 1:
+            rest = a * z**n / (1 - z**s) / Fraction(n) ** d
+        else:
+            rest = a * (Fraction(n) ** -d + Fraction(n) ** (1 - d) / (s * (d - 1)))
+        head = a * z**n / Fraction(n) ** d - xp / (1 - x**s)
+        lo, hi = total + max(Fraction(0), head), total + rest
+        if hi - lo <= max_width or terms >= cap:
+            return lo, hi
+        terms *= 2
+
+
 def is_even_shift_word(word: str) -> bool:
     """Maximal 0-blocks lying between two 1s must have even length."""
     first = word.find("1")

@@ -545,6 +545,8 @@ def test_malformed_document_exits_65(capsys, tmp_path):
     (["analyze", "{late_tail}"], 65),
     (["analyze", "{steep_damping}"], 65),
     (["analyze", "{wide_stride}"], 65),
+    # a 4,001-digit ratio from n0 = 100000 would need a power of 1.3e9 bits
+    (["analyze", "{huge_ratio}"], 65),
 ])
 def test_out_of_range_numbers_exit_with_one_line(
     capsys, tmp_path, golden_file, even_code_file, argv, status
@@ -555,6 +557,7 @@ def test_out_of_range_numbers_exit_with_one_line(
         "late_tail": "tail geometric 1 2 from 1000000000",
         "steep_damping": "tail damped 1 2 1000000000 from 1",
         "wide_stride": "tail geometric 1/2 2 from 1 stride 1000000000",
+        "huge_ratio": f"tail geometric 1 {10**4000} from 100000",
     }
     paths = {}
     for name, body in docs.items():

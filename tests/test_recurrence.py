@@ -29,7 +29,7 @@ from borelshift import (
 from borelshift import recurrence
 from borelshift.recurrence import loop_gf_eval, schema_radius
 
-from helpers import LOG2, loop_series_bounds
+from helpers import LOG2, damped_enclosure_reference, loop_series_bounds
 
 
 # === generating function evaluation ===
@@ -91,6 +91,42 @@ def test_loop_gf_eval_matches_term_by_term_sums():
             assert val.width <= Fraction(1, 10**17)
         else:
             assert val.lo == val.hi == hi
+
+
+def test_damped_enclosure_equals_fraction_reference():
+    # the integer sum returns the term-by-term Fraction enclosure exactly:
+    # at the radius (capped or divergent), at dyadic points below it, and
+    # above it, with rational ratios, strides and every certification width
+    widths = (Fraction(1, 8), Fraction(1, 10**9), Fraction(1, 10**18), Fraction(1, 10**30))
+    rng = random.Random(17)
+    cases = [
+        # the term cap at the radius
+        (Fraction(1, 2), Fraction(2), 2, 3, 1, Fraction(1, 2), widths[3]),
+        (Fraction(5, 3), Fraction(3), 3, 1, 1, Fraction(1, 3), widths[2]),
+    ]
+    for case in range(78):
+        den = rng.randint(1, 5)
+        k = Fraction(rng.randint(den + 1, 3 * den + 1), den)
+        a = Fraction(rng.randint(1, 30), rng.randint(1, 7))
+        d, n0, s = rng.randint(1, 4), rng.randint(1, 40), rng.randint(1, 7)
+        w = widths[case % 4]
+        kind = case % 6
+        if kind == 0:
+            # smaller widths at the radius run to the cap: seconds per case in Fractions
+            x, w = 1 / k, widths[0]
+        elif kind == 5:
+            x = Fraction(rng.randint(2**8 + 1, 2**9), 2**8) / k
+        else:
+            j = rng.randint(2, 8)
+            x = Fraction(rng.randint(1, 3 * 2 ** (j - 2)), 2**j) / k
+        cases.append((a, k, d, n0, s, x, w))
+    for a, k, d, n0, s, x, w in cases:
+        got = recurrence._damped_tail_enclosure(DampedTail(a, k, d, n0, s), x, w)
+        want = damped_enclosure_reference(a, k, d, n0, s, x, w)
+        if k * x > 1 or (k * x == 1 and d == 1):
+            assert got == want == math.inf
+        else:
+            assert (got.lo, got.hi) == want
 
 
 def test_schema_radius():
@@ -209,6 +245,27 @@ def test_near_critical_damped_tail_is_undecidable():
     s = LoopSchema((), DampedTail(Fraction(107681, 5503), Fraction(2), 2, 20))
     with pytest.raises(UndecidableAtTolerance):
         classify_recurrence(s)
+
+
+def test_capped_enclosure_is_not_recomputed(monkeypatch):
+    # at the radius this schema's enclosure hits the term cap at width 10^-3,
+    # and every smaller width would return the same interval again, both in
+    # classify_recurrence's radius loop and in a bisection's sign test
+    s = LoopSchema((), DampedTail(Fraction(107681, 5503), Fraction(2), 2, 20))
+    widths = []
+    enclose = recurrence._damped_tail_enclosure
+
+    def spy(t, x, max_width):
+        widths.append(max_width)
+        return enclose(t, x, max_width)
+
+    monkeypatch.setattr(recurrence, "_damped_tail_enclosure", spy)
+    with pytest.raises(UndecidableAtTolerance):
+        classify_recurrence(s)
+    assert widths == [Fraction(1, 8), Fraction(1, 10**3)]
+    widths.clear()
+    assert recurrence._phi_versus_one(s, schema_radius(s)) == 0
+    assert widths == [Fraction(1, 10**18)]
 
 
 def test_null_recurrent_label_reserved():
