@@ -231,12 +231,14 @@ def schema_first_return_counts(schema: LoopSchema, limit: int) -> list[int]:
 
 
 def renewal_loop_counts(f: list[int]) -> list[int]:
-    """Total loop counts from first-return counts: l_n = sum f_m * l_{n-m}."""
+    """Total loop counts from first-return counts: l_n = sum f_m * l_{n-m},
+    summed over the nonzero f_m only."""
     limit = len(f) - 1
+    returns = [(m, c) for m, c in enumerate(f) if m and c]
     l = [0] * (limit + 1)
     l[0] = 1
     for n in range(1, limit + 1):
-        l[n] = sum(f[m] * l[n - m] for m in range(1, n + 1) if f[m])
+        l[n] = sum(c * l[n - m] for m, c in returns if m <= n)
     return l
 
 

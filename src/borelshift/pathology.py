@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import ceil, log
 from typing import Optional
 
-from .codes import BlockCode
+from .codes import BlockCode, BudgetExhausted
 from .entropy import ExtendedEntropy, IntervalApprox, compare_entropy
 from .graphs import first_return_counts, loop_entropy_estimate, renewal_loop_counts
 from .presentations import FiniteGraph, GraphIndex, LoopSchema
@@ -45,6 +45,13 @@ from .recurrence import classify_recurrence
 ROOT = "r"
 MARK = "2"
 BORDER_CHECK_CAP = 400
+
+# Largest number of vertices plus edges that certify_pathology builds.  The
+# default run (golden-mean base, eps 3/10, window 40) makes 151,370 states
+# and 307,633 in all at depth 8; each level multiplies that by about 2.7.
+SIZE_CAP = 400_000
+# Largest loop-count window: the loop counts up to it are summed and logged.
+WINDOW_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -76,9 +83,43 @@ class PathologySpec:
     def return_lengths(self) -> list[tuple[int, int]]:
         """(length, count) of first returns to the root, M-loop included."""
         out = [(self.M, 1)]
-        for k, m in enumerate(self.m_seq, start=1):
-            out.append((2 * k + m, len(base_words(self.base, k)) ** 2))
+        for k, (m, words) in enumerate(zip(self.m_seq, word_counts(self.base)), start=1):
+            out.append((2 * k + m, words**2))
         return sorted(out)
+
+    def size(self) -> int:
+        """Vertices plus edges of build_pathology_graph(self), counted from
+        M, m_seq and the base word counts |Y_k| without building anything;
+        BudgetExhausted as soon as the count passes SIZE_CAP.
+
+        The vertices are the root and M - 1 loop states, one prefix-tree and
+        one co-tree node per base word of length 1..depth, and m_k - 1 per
+        level-k connector; the edges are the M-loop's M, at most one into
+        each tree and co-tree node, and m_k per connector.
+        """
+        size = 2 * self.M
+        for m, words in zip(self.m_seq, word_counts(self.base)):
+            size += 4 * words + words**2 * (2 * m - 1)
+            if size > SIZE_CAP:
+                raise BudgetExhausted(
+                    f"pathology presentation has more than SIZE_CAP = {SIZE_CAP} "
+                    "vertices plus edges"
+                )
+        return size
+
+
+def word_counts(base: FiniteGraph):
+    """|Y_1|, |Y_2|, ...: the number of vertex words of each length in the
+    base graph, by a walk that keeps one count per end vertex."""
+    idx = base.index()
+    ends = [1] * len(idx.order)
+    while True:
+        yield sum(ends)
+        nxt = [0] * len(ends)
+        for i, c in enumerate(ends):
+            for j, _ in idx.succ[i]:
+                nxt[j] += c
+        ends = nxt
 
 
 def base_words(base: FiniteGraph, n: int) -> list[tuple[str, ...]]:
@@ -230,9 +271,16 @@ def _sampled_pairs(words: list[tuple[str, ...]], cap: int):
 
 
 def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> PathologyReport:
-    """Check every desk-scale claim of the construction against the built graph."""
+    """Check every desk-scale claim of the construction against the built graph.
+
+    A window above WINDOW_CAP, or a presentation above SIZE_CAP, raises
+    BudgetExhausted before anything is built.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
+    if window > WINDOW_CAP:
+        raise BudgetExhausted(f"window {window} is above WINDOW_CAP = {WINDOW_CAP}")
+    spec.size()
     code = build_pathology_graph(spec)
     g = code.domain
     lengths = spec.return_lengths()
@@ -296,6 +344,12 @@ def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> P
     )
 
 
+def _check_depth(depth: int) -> None:
+    # m_seq holds one entry per level, so a deeper spec is over the cap alone
+    if depth > SIZE_CAP:
+        raise BudgetExhausted(f"depth {depth} is above SIZE_CAP = {SIZE_CAP}")
+
+
 def choose_pathology_parameters(
     base: FiniteGraph,
     eps: Fraction,
@@ -308,6 +362,7 @@ def choose_pathology_parameters(
     connector lengths then place excursion k at total length window + k,
     nudged upward past multiples of M and collisions.
     """
+    _check_depth(depth)
     M = max(2, ceil(log(4) / float(eps)))
     m_seq: list[int] = []
     used_total = {M}
@@ -329,6 +384,7 @@ def choose_pathology_parameters(
 
 def control_parameters(base: FiniteGraph, depth: int = 8) -> PathologySpec:
     """Negative control: shortest legal loops, nothing hidden from the window."""
+    _check_depth(depth)
     M = 2
     m_seq = [1] * depth  # return lengths 2k+1, all odd, never multiples of 2
     return PathologySpec(base, M, tuple(m_seq))

@@ -19,11 +19,15 @@ from typing import Iterator, NamedTuple, Optional, Union
 # so larger values would be allocations, not answers.  Counts are not capped.
 LENGTH_CAP = 100_000
 
-# Largest (bits(k.numerator) + bits(k.denominator)) * max(n0, stride) that a
-# tail may state.  The integrality check builds a k^n0 and the damped-tail
-# sums build k^n in steps of k^stride; LENGTH_CAP bounds n0 and stride but not
-# the size of k, so this bounds the integers those powers make.
+# Largest bits(k) * n that a tail may reach, with bits(k) the bits of k's
+# numerator plus those of its denominator.  A geometric tail builds k^n0 (its
+# integrality check) and (kx)^stride, so n = max(n0, stride) there.  A
+# damped-tail enclosure sums its first DAMPED_FIRST_TERMS terms before it can
+# stop, building k^n and den(x)^n up to n = n0 + DAMPED_FIRST_TERMS * stride.
+# LENGTH_CAP bounds n0 and stride but not the size of k, so this bounds the
+# integers those powers make.
 TAIL_BITS_CAP = 10_000_000
+DAMPED_FIRST_TERMS = 64
 
 
 class ParseError(ValueError):
@@ -404,7 +408,7 @@ def _parse_tail(toks, lineno) -> Tail:
         a = _parse_fraction(toks[2], lineno)
         k = _parse_int(toks[3], lineno)
         n0 = _parse_capped(toks[5], lineno)
-        _check_tail_size(k, n0, stride, lineno)
+        _check_tail_size(k, max(n0, stride), lineno)
         try:
             return GeometricTail(a, k, n0, stride)
         except ValueError as exc:
@@ -417,7 +421,7 @@ def _parse_tail(toks, lineno) -> Tail:
         k = _parse_fraction(toks[3], lineno)
         d = _parse_capped(toks[4], lineno)
         n0 = _parse_capped(toks[6], lineno)
-        _check_tail_size(k, n0, stride, lineno)
+        _check_tail_size(k, n0 + DAMPED_FIRST_TERMS * stride, lineno)
         try:
             return DampedTail(a, k, d, n0, stride)
         except ValueError as exc:
@@ -425,12 +429,12 @@ def _parse_tail(toks, lineno) -> Tail:
     raise ParseError(lineno, f"unknown tail family {toks[1]!r}")
 
 
-def _check_tail_size(k: Union[int, Fraction], n0: int, stride: int, lineno: int) -> None:
+def _check_tail_size(k: Union[int, Fraction], n: int, lineno: int) -> None:
     bits = k.numerator.bit_length() + k.denominator.bit_length()
-    if bits * max(n0, stride) > TAIL_BITS_CAP:
+    if bits * n > TAIL_BITS_CAP:
         raise ParseError(
             lineno,
-            f"tail ratio of {bits} bits to the power {max(n0, stride)} is above "
+            f"tail ratio of {bits} bits to the power {n} is above "
             f"the size cap {TAIL_BITS_CAP} bits",
         )
 

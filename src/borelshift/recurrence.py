@@ -11,12 +11,13 @@ rational enclosure, and a verdict that would need to distinguish Phi(R) from
 No enclosure of Phi(R) is ever the point 1, so a schema at criticality is
 undecidable too: null recurrence is never certified.
 
-The root of Phi(x) = 1 is bracketed and bisected in exact rationals.  For
-finite and geometric-tailed schemas Phi(x) - 1 has, on (0, R), the sign of
-the integer polynomial _phi_polynomial, which entropy._sign_at evaluates in
-integers; at x = R, where Phi diverges, that polynomial is a > 0.  Damped
-tails have no closed form, and their points are decided by refining
-enclosures of Phi(x).
+One side function per schema gives the sign of Phi(x) - 1, and it decides
+both the upper end (R, or 1 for a finite schema) and every point of the
+exact rational bisection of Phi(x) = 1.  For finite and geometric-tailed
+schemas it is entropy._sign_at on the integer polynomial _phi_polynomial,
+which has that sign on (0, R] (at R, where a geometric Phi diverges, it is
+a > 0).  Damped tails have no closed form; _phi_versus_one refines
+enclosures of Phi(x) on one coarse-first width schedule.
 """
 
 from __future__ import annotations
@@ -38,13 +39,16 @@ from .entropy import (
 )
 from .graphs import schema_period
 from .intervals import RatInterval, log_interval
-from .presentations import DampedTail, GeometricTail, LoopSchema
+from .presentations import DAMPED_FIRST_TERMS, DampedTail, GeometricTail, LoopSchema
 
 POSITIVE_RECURRENT = "positive-recurrent"
 NULL_RECURRENT = "null-recurrent"
 TRANSIENT = "transient"
 
 EXACT_DEGREE_CAP = 64
+
+# the first widths asked of a damped enclosure of Phi(x), coarse first
+_WIDTHS = (Fraction(1, 8), Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**18))
 
 
 class UndecidableAtTolerance(ArithmeticError):
@@ -83,11 +87,11 @@ def _damped_tail_enclosure(
 ) -> Union[RatInterval, float]:
     """Enclosure of sum floor(a k^n / n^d) x^n over the tail.
 
-    The terms are summed in integers, 64 and then twice as many per round:
-    with x^n = xn/xd and k^n = kn/kd, each count is the floor division
-    (a.num kn) // (a.den kd n^d), and the partial sum is one integer over
-    xd, so no term takes a gcd.  Fractions are built once per round, to
-    bound the rest from the first uncomputed support point.
+    The terms are summed in integers, DAMPED_FIRST_TERMS and then twice as
+    many per round: with x^n = xn/xd and k^n = kn/kd, each count is the
+    floor division (a.num kn) // (a.den kd n^d), and the partial sum is one
+    integer over xd, so no term takes a gcd.  Fractions are built once per
+    round, to bound the rest from the first uncomputed support point.
 
     At x = 1/k the remainder shrinks only polynomially, so the term count is
     capped; the returned enclosure is then wider than requested but still valid.
@@ -108,7 +112,7 @@ def _damped_tail_enclosure(
     xns, xds = x.numerator**s, x.denominator**s
     num = 0  # the partial sum is num / xd
     done = 0
-    terms = 64
+    terms = DAMPED_FIRST_TERMS
     while True:
         while done < terms:
             num = (num + an * kn // (ad * kd * n**t.d) * xn) * xds
@@ -157,12 +161,16 @@ def loop_gf_eval(
 
 
 def _phi_versus_one(schema: LoopSchema, x: Fraction) -> int:
-    """Sign of Phi(x) - 1 for a damped schema, refining the enclosure as
-    needed; 0 when four refinements, or an enclosure at its term cap (wider
-    than asked for, and returned again at every smaller width), do not
-    separate Phi(x) from 1."""
-    width = Fraction(1, 10**18)
-    for _ in range(4):
+    """Sign of Phi(x) - 1 for a damped schema, refining the enclosure on one
+    coarse-first schedule: widths 1/8, 10^-3, 10^-9 and 10^-18, then three
+    refinements, each 10^-12 of the last width returned.  Returns 0 when the
+    schedule ends without separating Phi(x) from 1, or as soon as an
+    enclosure comes back wider than asked: it is at its term cap, and every
+    smaller width would return it again.  An enclosure with more terms lies
+    inside one with fewer, so a coarse width that separates decides the same
+    sign as any finer one."""
+    width = _WIDTHS[0]
+    for step in range(7):
         val = loop_gf_eval(schema, x, width)
         if val == math.inf or val.lo > 1:
             return 1
@@ -170,32 +178,21 @@ def _phi_versus_one(schema: LoopSchema, x: Fraction) -> int:
             return -1
         if val.width > width:
             return 0
-        width = val.width / Fraction(10**12)
+        width = _WIDTHS[step + 1] if step < 3 else val.width / Fraction(10**12)
     return 0
 
 
-def _bracket_and_bisect_root(
-    schema: LoopSchema, hi_limit: Fraction, rel_width: Fraction
-) -> RatInterval:
-    """Root of Phi(x)=1 in (0, hi_limit), certified.  classify_recurrence
-    calls it only when Phi(hi_limit) is infinite or certified above 1; an
-    upper end whose sign is not positive, or a root below 10^-400, raises
-    UndecidableAtTolerance.  The floor bounds the lower walk at about 1,330
+def _bracket_and_bisect_root(side, hi: Fraction, rel_width: Fraction) -> RatInterval:
+    """Root of Phi(x) = 1 in (0, hi), certified, where side(x) is the sign of
+    Phi(x) - 1 and side(hi) > 0.  A root below 10^-400 raises
+    UndecidableAtTolerance; the floor bounds the lower walk at about 1,330
     halvings.
 
-    Each point x is decided by the sign of Phi(x) - 1: exactly, by
-    _sign_at on _phi_polynomial, for finite and geometric-tailed schemas,
-    and by _phi_versus_one's enclosures for damped ones.  Phi increases on
-    (0, R), so the signs bracket the root.  A sign of 0 at a midpoint (the
-    root itself, or a damped enclosure that straddles 1) nudges the midpoint.
+    Phi increases on (0, R), so the signs bracket the root.  A sign of 0 at
+    a midpoint (the root itself, or a damped enclosure that straddles 1)
+    nudges the midpoint.
     """
-    coeffs = _phi_polynomial(schema)
-    if coeffs is None:
-        side = partial(_phi_versus_one, schema)
-    else:
-        side = partial(_sign_at, coeffs)
-
-    lo = hi_limit / 2
+    lo = hi / 2
     while side(lo) >= 0:
         lo /= 2
         if lo < Fraction(1, 10**400):
@@ -203,9 +200,6 @@ def _bracket_and_bisect_root(
                 "cannot bracket the root of Phi(x) = 1 from below: "
                 "Phi is not certified below 1 above 10^-400"
             )
-    hi = hi_limit
-    if side(hi) <= 0:
-        raise UndecidableAtTolerance("Phi at the upper bracket end is not certified above 1")
     while hi - lo > rel_width * lo:
         mid = (lo + hi) / 2
         side_mid = side(mid)
@@ -222,15 +216,17 @@ def _bracket_and_bisect_root(
     return RatInterval(lo, hi)
 
 
-def _entropy_from_root(schema: LoopSchema, root: RatInterval) -> ExtendedEntropy:
-    """Entropy -log r, exact algebraic when the closed-form polynomial is small.
+def _entropy_from_root(
+    coeffs: Optional[tuple[int, ...]], root: RatInterval
+) -> ExtendedEntropy:
+    """Entropy -log r, exact algebraic when the closed-form polynomial
+    coeffs (_phi_polynomial's, None for a damped schema) is small.
 
     1/r is the largest real root of the reversed _phi_polynomial, as
     identify_algebraic requires: Phi increases on (0, R), so every other real
     root is negative or at least R, and its reciprocal below 0 or at most 1/R.
     """
     lam = RatInterval(1 / root.hi, 1 / root.lo)
-    coeffs = _phi_polynomial(schema)
     if coeffs is not None and len(coeffs) - 1 <= EXACT_DEGREE_CAP:
         return identify_algebraic(tuple(reversed(coeffs)), lam)
     h = log_interval(lam, ENCLOSURE_WIDTH)
@@ -265,37 +261,35 @@ def _phi_polynomial(schema: LoopSchema) -> Optional[tuple[int, ...]]:
 def classify_recurrence(schema: LoopSchema) -> ComponentSummary:
     """Vere-Jones trichotomy with certified enclosures throughout.
 
-    Positive recurrent when Phi crosses 1 strictly inside the disc of
-    convergence: always for a finite schema with two loops or more, whose
-    root lies in (0, 1) since Phi(1) >= 2, and for a tailed schema whose
-    Phi(R) is infinite or certified above 1.  Transient when Phi(R) is
-    certified below 1.  Phi(R) = 1 exactly, where null recurrence lives, is
-    never certified: a geometric tail diverges at R, a finite schema is not
-    evaluated there, and a damped-tail enclosure always has positive width.
-    A schema at criticality therefore raises UndecidableAtTolerance, and
-    NULL_RECURRENT is the reserved third label that no summary carries.
+    One side function gives the sign of Phi(x) - 1, at the upper end hi (R
+    for a tailed schema, 1 for a finite one) and at every bisection point:
+    _sign_at on _phi_polynomial for finite and geometric-tailed schemas,
+    whose polynomial is total - 1 > 0 at 1 and exactly a > 0 at R, and
+    _phi_versus_one for damped ones.  A positive side(hi) puts the root
+    strictly inside the disc of convergence, so the schema is positive
+    recurrent and the root is bisected; a negative one is transient.
+    Phi(R) = 1 exactly, where null recurrence lives, is never certified: a
+    geometric tail diverges at R, a finite schema is not evaluated there, and
+    a damped-tail enclosure always has positive width.  A side of 0 therefore
+    raises UndecidableAtTolerance, and NULL_RECURRENT is the reserved third
+    label that no summary carries.
     """
     period = schema_period(schema)
-    radius = schema_radius(schema)
-    rel = Fraction(1, 2 * 10**13)
-
-    hi_limit, phi_r = Fraction(1), math.inf
     if schema.tail is None:
         if sum(c for _, c in schema.counts) == 1:
             return ComponentSummary(period, ZERO_ENTROPY, False, POSITIVE_RECURRENT)
+        hi = Fraction(1)
     else:
-        hi_limit = radius
-        for w in (Fraction(1, 8), Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**18)):
-            phi_r = loop_gf_eval(schema, radius, w)
-            # wider than w: the term cap is hit, and smaller widths repeat it
-            if phi_r == math.inf or phi_r.lo > 1 or phi_r.hi < 1 or phi_r.width > w:
-                break
-    if phi_r == math.inf or phi_r.lo > 1:
-        root = _bracket_and_bisect_root(schema, hi_limit, rel)
-        return ComponentSummary(period, _entropy_from_root(schema, root), True, POSITIVE_RECURRENT)
-    if phi_r.hi < 1:
-        return ComponentSummary(period, entropy_from_log_value(1 / radius), False, TRANSIENT)
-    raise UndecidableAtTolerance(
-        f"Phi(R) enclosure [{float(phi_r.lo):.12f}, {float(phi_r.hi):.12f}] "
-        "straddles 1 at certification width"
-    )
+        hi = schema_radius(schema)
+    coeffs = _phi_polynomial(schema)
+    if coeffs is None:
+        side = partial(_phi_versus_one, schema)
+    else:
+        side = partial(_sign_at, coeffs)
+    sign = side(hi)
+    if sign > 0:
+        root = _bracket_and_bisect_root(side, hi, Fraction(1, 2 * 10**13))
+        return ComponentSummary(period, _entropy_from_root(coeffs, root), True, POSITIVE_RECURRENT)
+    if sign < 0:
+        return ComponentSummary(period, entropy_from_log_value(1 / hi), False, TRANSIENT)
+    raise UndecidableAtTolerance("Phi(R) is not separated from 1 at certification width")

@@ -547,6 +547,12 @@ def test_malformed_document_exits_65(capsys, tmp_path):
     (["analyze", "{wide_stride}"], 65),
     # a 4,001-digit ratio from n0 = 100000 would need a power of 1.3e9 bits
     (["analyze", "{huge_ratio}"], 65),
+    # pathology flags whose construction would pass SIZE_CAP or WINDOW_CAP
+    # exit 2 before anything is built: M = 1,386,294,362 root-loop states,
+    # connectors about 10^6 long, and 2.7 times the size per level
+    (["pathology", "--eps", "1e-9"], 2),
+    (["pathology", "--window", "1000000"], 2),
+    (["pathology", "--depth", "30"], 2),
 ])
 def test_out_of_range_numbers_exit_with_one_line(
     capsys, tmp_path, golden_file, even_code_file, argv, status
@@ -570,6 +576,18 @@ def test_out_of_range_numbers_exit_with_one_line(
     assert code == status
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_damped_stride_past_the_first_round_size_exits_65_at_its_line(capsys, tmp_path):
+    # max(n0, stride) = 100000 passes the tail size cap with 3 bits of k, but
+    # the enclosure's first 64-term round would build 2^6400002
+    doc = tmp_path / "stride.txt"
+    doc.write_text("loops\ncount 1 1\ntail damped 1 2 2 from 2 stride 100000\n")
+    start = time.monotonic()
+    code, out, err = run(capsys, ["analyze", str(doc)])
+    assert time.monotonic() - start < 1
+    assert (code, out) == (65, "")
+    assert err.startswith("parse error: line 3: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("tail", ["", "tail geometric 1/9 3 from 7\n"])

@@ -4,11 +4,13 @@ block identifiability, and the certification report.
 
 import itertools
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from borelshift import (
     BlockCode,
+    BudgetExhausted,
     FiniteGraph,
     PathologySpec,
     base_words,
@@ -18,10 +20,14 @@ from borelshift import (
     control_parameters,
     first_return_counts,
 )
+from borelshift import pathology
 from borelshift.pathology import (
+    SIZE_CAP,
+    WINDOW_CAP,
     _sampled_pairs,
     anchored_lifts,
     count_label_paths,
+    word_counts,
 )
 
 
@@ -49,6 +55,17 @@ def test_base_words_are_sorted_paths():
             if all((u, v) in edges for u, v in zip(w, w[1:]))
         ]
         assert base_words(base, 4) == want
+
+
+def test_word_counts_equal_the_word_lists():
+    # golden mean, vertices out of name order, and a sink that ends words
+    bases = (
+        golden_base(),
+        FiniteGraph(("1", "2", "0"), (("0", "0"), ("0", "1"), ("1", "0"), ("1", "2"), ("2", "0"))),
+        FiniteGraph(("0", "1", "3"), (("0", "0"), ("0", "1"), ("1", "0"), ("1", "3"))),
+    )
+    for base in bases:
+        assert list(islice(word_counts(base), 6)) == [len(base_words(base, k)) for k in range(1, 7)]
 
 
 # === spec validation ===
@@ -97,6 +114,40 @@ def test_depth2_graph_shape():
     assert len(g.edges) == 115
     assert "r" in g.vertices
     assert set(dict(code.mapping).values()) == {"0", "1", "2"}
+
+
+def test_size_counts_the_built_presentation():
+    # exact when every base vertex has a successor and a predecessor; a
+    # sink's words do not all extend into the trees, so it is a bound there
+    specs = [depth2_spec(), PathologySpec(golden_base(), 3, (4, 5))]
+    for depth in (1, 3, 5):
+        specs.append(choose_pathology_parameters(golden_base(), Fraction(3, 10), depth, 12))
+        specs.append(control_parameters(golden_base(), depth))
+    for spec in specs:
+        g = build_pathology_graph(spec).domain
+        assert spec.size() == len(g.vertices) + len(g.edges)
+    sink = FiniteGraph(("0", "1", "3"), (("0", "0"), ("0", "1"), ("1", "0"), ("1", "3")))
+    spec = PathologySpec(sink, 5, (7, 8, 9))
+    g = build_pathology_graph(spec).domain
+    assert spec.size() > len(g.vertices) + len(g.edges)
+
+
+def test_over_budget_flags_are_refused_before_building(monkeypatch):
+    def build(spec):
+        raise AssertionError("built past the budget")
+
+    monkeypatch.setattr(pathology, "build_pathology_graph", build)
+    eps = Fraction(3, 10)
+    # depth 9 makes 838,696 vertices plus edges, depth 8 makes 307,633
+    deep = choose_pathology_parameters(golden_base(), eps, 9, 40)
+    with pytest.raises(BudgetExhausted):
+        certify_pathology(deep, eps, 40)
+    assert choose_pathology_parameters(golden_base(), eps, 8, 40).size() <= SIZE_CAP
+    with pytest.raises(BudgetExhausted):
+        certify_pathology(depth2_spec(), eps, WINDOW_CAP + 1)
+    for choose in (control_parameters, lambda base, depth: choose_pathology_parameters(base, eps, depth)):
+        with pytest.raises(BudgetExhausted):
+            choose(golden_base(), SIZE_CAP + 1)
 
 
 def test_first_returns_match_formula():

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -188,7 +189,7 @@ def test_geometric_tail_with_explicit_head():
     s = LoopSchema(((1, 1),), GeometricTail(Fraction(1), 2, 2))
     rep = classify_recurrence(s)
     assert rep.recurrence == POSITIVE_RECURRENT
-    r = recurrence._bracket_and_bisect_root(s, schema_radius(s), REL)
+    r = _bisect(s, schema_radius(s))
     val = loop_gf_eval(s, r.lo)
     assert val.lo <= 1
     val = loop_gf_eval(s, r.hi)
@@ -228,7 +229,7 @@ def test_damped_tail_positive_recurrent_when_root_inside():
     assert rep.recurrence == POSITIVE_RECURRENT
     assert rep.mme
     assert isinstance(rep.entropy, IntervalApprox)
-    assert recurrence._bracket_and_bisect_root(s, schema_radius(s), REL).hi < Fraction(1, 2)
+    assert _bisect(s, schema_radius(s)).hi < Fraction(1, 2)
     # entropy above log 2: strictly more loops than the bare ratio suggests
     assert float(rep.entropy) > LOG2
 
@@ -250,7 +251,7 @@ def test_near_critical_damped_tail_is_undecidable():
 def test_capped_enclosure_is_not_recomputed(monkeypatch):
     # at the radius this schema's enclosure hits the term cap at width 10^-3,
     # and every smaller width would return the same interval again, both in
-    # classify_recurrence's radius loop and in a bisection's sign test
+    # classify_recurrence and in a direct sign test
     s = LoopSchema((), DampedTail(Fraction(107681, 5503), Fraction(2), 2, 20))
     widths = []
     enclose = recurrence._damped_tail_enclosure
@@ -265,7 +266,7 @@ def test_capped_enclosure_is_not_recomputed(monkeypatch):
     assert widths == [Fraction(1, 8), Fraction(1, 10**3)]
     widths.clear()
     assert recurrence._phi_versus_one(s, schema_radius(s)) == 0
-    assert widths == [Fraction(1, 10**18)]
+    assert widths == [Fraction(1, 8), Fraction(1, 10**3)]
 
 
 def test_null_recurrent_label_reserved():
@@ -278,6 +279,18 @@ def test_null_recurrent_label_reserved():
 # === the sign-test root bracket ===
 
 REL = Fraction(1, 2 * 10**13)
+
+
+def _side(schema: LoopSchema):
+    """The sign of Phi(x) - 1 that classify_recurrence bisects on."""
+    coeffs = recurrence._phi_polynomial(schema)
+    if coeffs is None:
+        return partial(recurrence._phi_versus_one, schema)
+    return partial(recurrence._sign_at, coeffs)
+
+
+def _bisect(schema: LoopSchema, hi: Fraction):
+    return recurrence._bracket_and_bisect_root(_side(schema), hi, REL)
 
 
 def _seeded_schemas(rng: random.Random, n: int):
@@ -320,22 +333,56 @@ def _library_schemas():
     return [(s, Fraction(1)) for s in out]
 
 
-def test_seeded_bracket_equals_plain_bisection(monkeypatch):
+def test_seeded_bracket_equals_plain_bisection():
     # the exact sign of _phi_polynomial and the enclosures of Phi take the
     # same steps, so they return the same interval
     rng = random.Random(9)
     cases = _seeded_schemas(rng, 40) + _library_schemas()
-    signed = [recurrence._bracket_and_bisect_root(s, hi, REL) for s, hi in cases]
-    monkeypatch.setattr(recurrence, "_phi_polynomial", lambda schema: None)
-    plain = [recurrence._bracket_and_bisect_root(s, hi, REL) for s, hi in cases]
+    signed = [_bisect(s, hi) for s, hi in cases]
+    plain = [
+        recurrence._bracket_and_bisect_root(partial(recurrence._phi_versus_one, s), hi, REL)
+        for s, hi in cases
+    ]
     assert signed == plain
 
 
-def test_bracket_upper_end_not_above_one_is_undecidable():
-    # Phi(x) = 2x is 1/2 at the upper end 1/4, so no root lies below it
-    s = LoopSchema(((1, 2),))
-    with pytest.raises(UndecidableAtTolerance):
-        recurrence._bracket_and_bisect_root(s, Fraction(1, 4), REL)
+def _finest_first_side(schema: LoopSchema, x: Fraction) -> int:
+    """Sign of Phi(x) - 1 asking the enclosure for width 10^-18 first, then
+    three refinements of 10^-12 of the last width returned: the reference
+    that the coarse-first schedule must agree with."""
+    width = Fraction(1, 10**18)
+    for _ in range(4):
+        val = loop_gf_eval(schema, x, width)
+        if val == math.inf or val.lo > 1:
+            return 1
+        if val.hi < 1:
+            return -1
+        if val.width > width:
+            return 0
+        width = val.width / Fraction(10**12)
+    return 0
+
+
+def test_coarse_first_damped_bisection_equals_finest_first():
+    # an enclosure with more terms lies inside one with fewer, so coarse
+    # widths that separate Phi(x) from 1 decide every point as the finest
+    # width does, on positive-recurrent damped schemas with rational ratios
+    # and strides
+    rng = random.Random(18)
+    for _ in range(40):
+        den = rng.randint(1, 3)
+        k = Fraction(rng.randint(den + 1, 3 * den), den)
+        stride = rng.randint(1, 3)
+        tail = DampedTail(Fraction(rng.randint(1, 4), rng.randint(1, 4)), k,
+                          rng.randint(1, 3), rng.randint(2, 5), stride)
+        # c loops of length 1 with c > k put Phi(R) >= c / k above 1
+        s = LoopSchema(((1, math.floor(k) + rng.randint(1, 3)),), tail)
+        hi = schema_radius(s)
+        assert recurrence._phi_versus_one(s, hi) == _finest_first_side(s, hi) == 1
+        got = recurrence._bracket_and_bisect_root(
+            partial(recurrence._phi_versus_one, s), hi, REL)
+        want = recurrence._bracket_and_bisect_root(partial(_finest_first_side, s), hi, REL)
+        assert got == want
 
 
 def test_bisection_nudges_a_midpoint_at_the_root(monkeypatch):
@@ -363,7 +410,7 @@ def test_float_overflow_takes_the_exact_path():
     s = LoopSchema(((1, 10**310), (2, 1)))
     rep = classify_recurrence(s)
     assert rep.recurrence == POSITIVE_RECURRENT
-    root = recurrence._bracket_and_bisect_root(s, Fraction(1), REL)
+    root = _bisect(s, Fraction(1))
     assert loop_gf_eval(s, root.lo).hi < 1 < loop_gf_eval(s, root.hi).lo
     assert root.width <= REL * root.lo
     assert rep.entropy.minpoly == (-1, -(10**310), 1)
@@ -373,7 +420,7 @@ def test_float_overflow_takes_the_exact_path():
 def test_damped_positive_recurrent_takes_the_exact_path():
     s = LoopSchema((), DampedTail(Fraction(4), Fraction(2), 2, 1))
     assert classify_recurrence(s).recurrence == POSITIVE_RECURRENT
-    root = recurrence._bracket_and_bisect_root(s, Fraction(1, 2), REL)
+    root = _bisect(s, Fraction(1, 2))
     lo_val = loop_gf_eval(s, root.lo, Fraction(1, 10**18))
     hi_val = loop_gf_eval(s, root.hi, Fraction(1, 10**18))
     assert lo_val.hi < 1 < hi_val.lo
