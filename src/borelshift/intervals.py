@@ -44,20 +44,8 @@ class RatInterval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __add__(self, other):
-        other = _as_interval(other)
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]~{float(self.mid):.12g}"
-
-
-def _as_interval(x) -> RatInterval:
-    if isinstance(x, RatInterval):
-        return x
-    return RatInterval.point(Fraction(x))
 
 
 def _raw_to_fraction(raw) -> Fraction:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .entropy import (
@@ -344,6 +344,9 @@ def _parse_entropy_expr(toks: list[str], lineno: int) -> ExtendedEntropy:
             raise ParseError(lineno, "bad poly expression") from None
         if len(coeffs) < 2 or coeffs[-1] == 0:
             raise ParseError(lineno, "poly needs degree >= 1 with nonzero lead")
+        # a minimal polynomial is primitive
+        g = gcd(*coeffs)
+        coeffs = tuple(c // g for c in coeffs)
         try:
             h = ExactAlgebraic(coeffs, lo, hi)
         except (ValueError, ArithmeticError) as exc:
@@ -355,6 +358,10 @@ def _parse_entropy_expr(toks: list[str], lineno: int) -> ExtendedEntropy:
         # sign between them
         if lo <= 0 and _brackets_root(coeffs, lo, Fraction(0)):
             raise ParseError(lineno, "root-in interval must hold a positive root")
+        if len(coeffs) == 2:
+            # a linear minimal polynomial pins its root, as `log` does
+            r = h.rational_root()
+            return ExactAlgebraic(coeffs, r, r)
         return h
     if len(toks) == 2:
         try:

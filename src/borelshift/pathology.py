@@ -150,11 +150,13 @@ def build_pathology_graph(spec: PathologySpec) -> BlockCode:
             add(f"z{i}", f"z{i+1}", MARK)
         add(f"z{spec.M-1}", ROOT, MARK)
 
+    # symbols are joined with ',' and a connector tag's fields separated by
+    # '|', neither of which a symbol may hold, so distinct words stay distinct
     def tnode(prefix: tuple[str, ...]) -> str:
-        return ROOT if not prefix else "t" + "".join(prefix)
+        return ROOT if not prefix else "t" + ",".join(prefix)
 
     def unode(suffix: tuple[str, ...]) -> str:
-        return ROOT if not suffix else "u" + "".join(suffix)
+        return ROOT if not suffix else "u" + ",".join(suffix)
 
     levels = {k: base_words(spec.base, k) for k in range(1, spec.depth + 1)}
 
@@ -176,10 +178,10 @@ def build_pathology_graph(spec: PathologySpec) -> BlockCode:
         m = spec.m_seq[k - 1]
         for wp in levels[k]:
             for wm in levels[k]:
-                tag = f"c{k}." + "".join(wp) + "." + "".join(wm)
+                tag = f"c{k}|{','.join(wp)}|{','.join(wm)}"
                 prev = tnode(wp)
                 for j in range(1, m):
-                    cur = f"{tag}.{j}"
+                    cur = f"{tag}|{j}"
                     add(prev, cur, MARK)
                     prev = cur
                 add(prev, unode(wm), MARK)

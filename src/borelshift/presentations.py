@@ -389,7 +389,8 @@ def _parse_loops_body(lines, header_line) -> LoopSchema:
         else:
             raise ParseError(lineno, f"unexpected {toks[0]!r} in loops body")
     try:
-        return LoopSchema(tuple(counts), tail, base)
+        # in length order, as format_presentation writes them
+        return LoopSchema(tuple(sorted(counts)), tail, base)
     except ValueError as exc:
         raise ParseError(header_line, str(exc)) from None
 

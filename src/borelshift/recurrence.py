@@ -3,8 +3,7 @@
 Phi(x) = sum c_n x^n with radius of convergence R (Vere-Jones 1967).
 Transient iff Phi(R) < 1; recurrent iff Phi(r) = 1 for some r <= R; positive
 vs null recurrent by finiteness of r * Phi'(r).  A root r < R makes r Phi'(r)
-finite, so positive recurrence needs no mean-return enclosure, and the one
-evaluator, loop_gf_eval, encloses Phi(x) alone.
+finite, so positive recurrence needs no mean-return enclosure.
 Entropy is -log r for the root, else -log R.  Every bound is an exact
 rational enclosure, and a verdict that would need to distinguish Phi(R) from
 1 below certification width is reported as undecidable rather than coerced.
@@ -16,8 +15,8 @@ both the upper end (R, or 1 for a finite schema) and every point of the
 exact rational bisection of Phi(x) = 1.  For finite and geometric-tailed
 schemas it is entropy._sign_at on the integer polynomial _phi_polynomial,
 which has that sign on (0, R] (at R, where a geometric Phi diverges, it is
-a > 0).  Damped tails have no closed form; _phi_versus_one refines
-enclosures of Phi(x) on one coarse-first width schedule.
+a > 0).  Damped tails have no closed form; _phi_versus_one walks the
+rounds of the tail's enclosure until one of them decides the sign.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .entropy import (
     ENCLOSURE_WIDTH,
@@ -39,16 +38,13 @@ from .entropy import (
 )
 from .graphs import schema_period
 from .intervals import RatInterval, log_interval
-from .presentations import DAMPED_FIRST_TERMS, DampedTail, GeometricTail, LoopSchema
+from .presentations import DAMPED_FIRST_TERMS, DampedTail, LoopSchema
 
 POSITIVE_RECURRENT = "positive-recurrent"
 NULL_RECURRENT = "null-recurrent"
 TRANSIENT = "transient"
 
 EXACT_DEGREE_CAP = 64
-
-# the first widths asked of a damped enclosure of Phi(x), coarse first
-_WIDTHS = (Fraction(1, 8), Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**18))
 
 
 class UndecidableAtTolerance(ArithmeticError):
@@ -74,33 +70,25 @@ def schema_radius(schema: LoopSchema) -> Union[Fraction, float]:
     return Fraction(1) / Fraction(t.k)
 
 
-def _geometric_tail(t: GeometricTail, x: Fraction) -> Union[RatInterval, float]:
-    """sum c_n x^n over the tail, closed form."""
-    y = Fraction(t.k) * x
-    if y >= 1:
-        return math.inf
-    return RatInterval.point(t.a * y**t.n0 / (1 - y**t.stride))
+def _damped_tail_enclosures(t: DampedTail, x: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
+    """Enclosures (lower, upper) of sum floor(a k^n / n^d) x^n over the tail,
+    one per round; none where the series diverges.
 
+    The terms are summed in integers, DAMPED_FIRST_TERMS in the first round
+    and twice as many in each next one: with x^n = xn/xd and k^n = kn/kd,
+    each count is the floor division (a.num kn) // (a.den kd n^d), and the
+    partial sum is one integer over xd, so no term takes a gcd.  Fractions
+    are built once per round, to bound the rest from the first uncomputed
+    support point.  Each round lies inside the one before.
 
-def _damped_tail_enclosure(
-    t: DampedTail, x: Fraction, max_width: Fraction
-) -> Union[RatInterval, float]:
-    """Enclosure of sum floor(a k^n / n^d) x^n over the tail.
-
-    The terms are summed in integers, DAMPED_FIRST_TERMS and then twice as
-    many per round: with x^n = xn/xd and k^n = kn/kd, each count is the
-    floor division (a.num kn) // (a.den kd n^d), and the partial sum is one
-    integer over xd, so no term takes a gcd.  Fractions are built once per
-    round, to bound the rest from the first uncomputed support point.
-
-    At x = 1/k the remainder shrinks only polynomially, so the term count is
-    capped; the returned enclosure is then wider than requested but still valid.
+    At x = 1/k the remainder shrinks only polynomially, so the rounds stop
+    at 4,096 terms there and at 16,384 below.
     """
     k = Fraction(t.k)
     q = k * x
     if q > 1 or (q == 1 and t.d <= 1):
         # at q == 1, sum a/n^d diverges for d <= 1 and the floor correction converges
-        return math.inf
+        return
     s = t.stride
     cap = 4096 if q == 1 else 16384
     xs = x**s
@@ -133,53 +121,29 @@ def _damped_tail_enclosure(
                 Fraction(m) ** (-t.d) + Fraction(m) ** (1 - t.d) / (s * (t.d - 1))
             )
         floor_loss = xp / (1 - xs)
-        lower = partial + max(Fraction(0), t.a * q**m / Fraction(m) ** t.d - floor_loss)
-        upper = partial + upper_main
-        if upper - lower <= max_width or terms >= cap:
-            return RatInterval(lower, upper)
+        yield (
+            partial + max(Fraction(0), t.a * q**m / Fraction(m) ** t.d - floor_loss),
+            partial + upper_main,
+        )
+        if terms >= cap:
+            return
         terms *= 2
 
 
-def loop_gf_eval(
-    schema: LoopSchema, x: Fraction, max_width: Fraction = Fraction(1, 10**18)
-) -> Union[RatInterval, float]:
-    """Certified enclosure of Phi(x); math.inf where the series diverges."""
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("loop_gf_eval needs x > 0")
-    explicit = sum(c * x**n for n, c in schema.counts if c)
-    t = schema.tail
-    if t is None:
-        return RatInterval.point(explicit)
-    if isinstance(t, GeometricTail):
-        tail = _geometric_tail(t, x)
-    else:
-        tail = _damped_tail_enclosure(t, x, max_width)
-    if tail == math.inf:
-        return math.inf
-    return tail + explicit
-
-
 def _phi_versus_one(schema: LoopSchema, x: Fraction) -> int:
-    """Sign of Phi(x) - 1 for a damped schema, refining the enclosure on one
-    coarse-first schedule: widths 1/8, 10^-3, 10^-9 and 10^-18, then three
-    refinements, each 10^-12 of the last width returned.  Returns 0 when the
-    schedule ends without separating Phi(x) from 1, or as soon as an
-    enclosure comes back wider than asked: it is at its term cap, and every
-    smaller width would return it again.  An enclosure with more terms lies
-    inside one with fewer, so a coarse width that separates decides the same
-    sign as any finer one."""
-    width = _WIDTHS[0]
-    for step in range(7):
-        val = loop_gf_eval(schema, x, width)
-        if val == math.inf or val.lo > 1:
+    """Sign of Phi(x) - 1 for a damped schema: 1 where the tail diverges,
+    else the side of 1 - E(x), E the explicit part, on which the first round
+    of the tail's enclosures that excludes it lies; 0 when the rounds reach
+    their term cap without excluding it.  The rounds nest, so the first that
+    separates decides the same sign as every later one."""
+    gap = 1 - sum(c * x**n for n, c in schema.counts if c)
+    lower = None
+    for lower, upper in _damped_tail_enclosures(schema.tail, x):
+        if lower > gap:
             return 1
-        if val.hi < 1:
+        if upper < gap:
             return -1
-        if val.width > width:
-            return 0
-        width = _WIDTHS[step + 1] if step < 3 else val.width / Fraction(10**12)
-    return 0
+    return 1 if lower is None else 0
 
 
 def _bracket_and_bisect_root(side, hi: Fraction, rel_width: Fraction) -> RatInterval:

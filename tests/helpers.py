@@ -297,3 +297,43 @@ def quotient_flags(alive: list[tuple], tuple_edges: list) -> dict:
 GOLDEN_ENTROPY = math.log((1 + math.sqrt(5)) / 2)
 LOG2 = math.log(2)
 LOG3 = math.log(3)
+
+
+# Seeded document mutations: a token replaced, a line deleted, duplicated,
+# swapped or inserted, or the text truncated.  Token replacements stay small:
+# classifying a loop near LENGTH_CAP takes seconds by design, which a
+# per-input time bound would report as a hang.
+TOKENS = (
+    "0", "1", "2", "3", "7", "-1", "1/2", "3/2", "1/0", "x", "", "e1", "a", "b",
+    "10" * 15, "1e999999", "log", "poly", "root-in", "inf", "geometric", "damped",
+    "from", "stride", "edge", "vertex", "map", "pair", "count", "tail", "gen",
+)
+LINES = (
+    "", "#", "graph", "loops", "code vertex", "relation", "vertex a", "vertex c",
+    "edge a b", "edge b b e3", "map e3 0", "pair e0 e1", "count 2 1", "count 0 1",
+    "tail geometric 1/8 2 from 5", "tail damped 1/4 2 2 from 6", "gen 1 log 3 0",
+    "gen 0 log 2 1", "gen 1 inf 0",
+)
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """One seeded mutation of a document's text."""
+    lines = text.splitlines()
+    op = rng.randrange(6)
+    if op == 0 and lines:
+        i = rng.randrange(len(lines))
+        toks = lines[i].split(" ")
+        toks[rng.randrange(len(toks))] = rng.choice(TOKENS)
+        lines[i] = " ".join(toks)
+    elif op == 1 and lines:
+        del lines[rng.randrange(len(lines))]
+    elif op == 2 and lines:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+    elif op == 3 and len(lines) > 1:
+        i, j = rng.sample(range(len(lines)), 2)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == 4:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(LINES))
+    else:
+        return text[: rng.randrange(len(text) + 1)]
+    return "\n".join(lines) + "\n"

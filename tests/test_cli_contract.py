@@ -17,6 +17,8 @@ from pathlib import Path
 import borelshift
 from borelshift.cli import main
 
+from helpers import mutate
+
 GOLDEN = "graph\nvertex a\nvertex b\nedge a a\nedge a b\nedge b a\n"
 LOOPS = "loops\ncount 1 2\ncount 3 1\ntail geometric 1/4 2 from 4\n"
 EVEN_CODE = (
@@ -38,43 +40,8 @@ VERBS = (
     ("embed", (EVEN_CODE,), ("--target", "1/10"), 0),
 )
 
-# Token replacements stay small: classifying a loop near LENGTH_CAP takes
-# seconds by design, which a per-input time bound would report as a hang.
-TOKENS = (
-    "0", "1", "2", "3", "7", "-1", "1/2", "3/2", "1/0", "x", "", "e1", "a", "b",
-    "10" * 15, "1e999999", "log", "poly", "root-in", "inf", "geometric", "damped",
-    "from", "stride", "edge", "vertex", "map", "pair", "count", "tail", "gen",
-)
-LINES = (
-    "", "#", "graph", "loops", "code vertex", "relation", "vertex a", "vertex c",
-    "edge a b", "edge b b e3", "map e3 0", "pair e0 e1", "count 2 1", "count 0 1",
-    "tail geometric 1/8 2 from 5", "tail damped 1/4 2 2 from 6", "gen 1 log 3 0",
-    "gen 0 log 2 1", "gen 1 inf 0",
-)
 PER_VERB = 60
 SECONDS = 5
-
-
-def mutate(rng: random.Random, text: str) -> str:
-    lines = text.splitlines()
-    op = rng.randrange(6)
-    if op == 0 and lines:
-        i = rng.randrange(len(lines))
-        toks = lines[i].split(" ")
-        toks[rng.randrange(len(toks))] = rng.choice(TOKENS)
-        lines[i] = " ".join(toks)
-    elif op == 1 and lines:
-        del lines[rng.randrange(len(lines))]
-    elif op == 2 and lines:
-        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
-    elif op == 3 and len(lines) > 1:
-        i, j = rng.sample(range(len(lines)), 2)
-        lines[i], lines[j] = lines[j], lines[i]
-    elif op == 4:
-        lines.insert(rng.randrange(len(lines) + 1), rng.choice(LINES))
-    else:
-        return text[: rng.randrange(len(text) + 1)]
-    return "\n".join(lines) + "\n"
 
 
 class _Hung(BaseException):

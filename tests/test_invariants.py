@@ -296,6 +296,16 @@ def test_parse_entropy_expression_forms():
     assert p.generators[4].count is UNATTAINED
 
 
+def test_parse_keeps_poly_primitive():
+    # the gcd 2 is divided out, and the linear minimal polynomial pins its
+    # root at 2, so the text that format_invariants writes parses to it again
+    p = parse_invariants("gen 1 poly -4 2 root-in 1 3 1\n")
+    assert p == parse_invariants("gen 1 log 2 1\n")
+    assert format_invariants(p) == "gen 1 log 2 1\n"
+    q = parse_invariants("gen 1 poly -2 -2 2 root-in 3/2 2 1\n")
+    assert q.generators[0].entropy.minpoly == (-1, -1, 1)
+
+
 def test_parse_rejects_nonpositive_entropy():
     with pytest.raises(ParseError):
         parse_invariants("gen 1 log 1 1\n")

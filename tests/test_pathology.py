@@ -268,6 +268,20 @@ def test_certify_depth2_window8():
     assert rep.witness_lifts >= 2
 
 
+def test_multi_character_symbols_name_distinct_nodes():
+    # the words (a, b) and (ab,) spell the same characters; each still gets
+    # its own tree node and connector, so the presentation has every state
+    base = FiniteGraph(("a", "b", "ab"),
+                       (("a", "a"), ("a", "b"), ("b", "a"), ("b", "ab"), ("ab", "a")))
+    spec = choose_pathology_parameters(base, Fraction(3, 10), 2, 12)
+    g = build_pathology_graph(spec).domain
+    assert spec.size() == len(g.vertices) + len(g.edges) == 806
+    rep = certify_pathology(spec, Fraction(3, 10), window=12)
+    assert rep.states == 386
+    assert rep.return_counts_match and rep.bordered_unique
+    assert rep.estimate_below_eps and rep.gap_certified
+
+
 def test_colliding_connector_lengths_are_detected():
     # equal 2-run lengths at two levels let a level-2 block re-parse through
     # the co-tree, the root, and a level-1 connector

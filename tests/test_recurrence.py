@@ -28,40 +28,56 @@ from borelshift import (
     summarize_components,
 )
 from borelshift import recurrence
-from borelshift.recurrence import loop_gf_eval, schema_radius
+from borelshift.recurrence import schema_radius
 
 from helpers import LOG2, damped_enclosure_reference, loop_series_bounds
 
 
 # === generating function evaluation ===
 
+def _tail_enclosure(t: DampedTail, x: Fraction, width: Fraction):
+    """The first round of the tail's enclosures within `width`, else the
+    last one; math.inf where the series diverges."""
+    got = math.inf
+    for got in recurrence._damped_tail_enclosures(t, x):
+        if got[1] - got[0] <= width:
+            break
+    return got
+
+
 def test_loop_gf_point_values_finite_schema():
+    # Phi(1/2) = 3/4 for f_1 = f_2 = 1, below 1; f_1 = 2 puts Phi(1/2) at 1
     s = LoopSchema(((1, 1), (2, 1)))
-    val = loop_gf_eval(s, Fraction(1, 2))
-    assert val.lo == val.hi == Fraction(3, 4)
+    assert loop_series_bounds(s.counts, None, Fraction(1, 2)) == (Fraction(3, 4),) * 2
+    assert _side(s)(Fraction(1, 2)) == -1
+    assert _side(LoopSchema(((1, 2),)))(Fraction(1, 2)) == 0
 
 
 def test_loop_gf_geometric_closed_form():
     # c_n = 2^(n-1): Phi(x) = x / (1 - 2x) for x < 1/2, divergent at 1/2
     s = LoopSchema((), GeometricTail(Fraction(1, 2), 2, 1))
-    val = loop_gf_eval(s, Fraction(1, 4))
-    assert val.lo == val.hi == Fraction(1, 2)
-    assert loop_gf_eval(s, Fraction(1, 2)) == math.inf
+    tail = ("geometric", Fraction(1, 2), 2, 1, 1)
+    assert loop_series_bounds((), tail, Fraction(1, 4), terms=0)[1] == Fraction(1, 2)
+    side = _side(s)
+    assert (side(Fraction(1, 4)), side(Fraction(1, 3)), side(Fraction(1, 2))) == (-1, 0, 1)
 
 
 def test_loop_gf_damped_enclosure_brackets_truth():
     t = DampedTail(Fraction(1), Fraction(2), 2, 1)
-    s = LoopSchema((), t)
     x = Fraction(1, 3)
-    val = loop_gf_eval(s, x, Fraction(1, 10**12))
     brute = sum(t.count(n) * x**n for n in range(1, 400))
-    assert val.lo <= brute <= val.hi
-    assert val.width <= Fraction(1, 10**11)
+    # every round up to the first within 10^-12 sums fewer than 400 terms
+    for lo, hi in recurrence._damped_tail_enclosures(t, x):
+        assert lo <= brute <= hi
+        if hi - lo <= Fraction(1, 10**12):
+            break
+    assert hi - lo <= Fraction(1, 10**12)
 
 
-def test_loop_gf_eval_matches_term_by_term_sums():
+def test_phi_sign_matches_term_by_term_sums():
     # seeded schemas of each kind, zero counts included, at points below the
-    # radius: finite and geometric values are exact, damped ones enclosures
+    # radius: the sign of Phi(x) - 1 agrees with the term-by-term sums, and
+    # each damped round meets them
     rng = random.Random(12)
     for case in range(60):
         lengths = rng.sample(range(1, 12), rng.randint(1, 4))
@@ -86,18 +102,24 @@ def test_loop_gf_eval_matches_term_by_term_sums():
             x = Fraction(m, m + 1) / k
         schema = LoopSchema(counts, tail)
         lo, hi = loop_series_bounds(counts, data, x)
-        val = loop_gf_eval(schema, x)
+        sign = _side(schema)(x)
         if kind == "damped":
-            assert val.lo <= hi and lo <= val.hi
-            assert val.width <= Fraction(1, 10**17)
+            explicit = loop_series_bounds(counts, None, x)[0]
+            for t_lo, t_hi in recurrence._damped_tail_enclosures(tail, x):
+                assert explicit + t_lo <= hi and lo <= explicit + t_hi
+                if t_hi - t_lo <= Fraction(1, 10**17):
+                    break
+            assert t_hi - t_lo <= Fraction(1, 10**17)
+            assert sign == (lo > 1) - (hi < 1) != 0
         else:
-            assert val.lo == val.hi == hi
+            assert sign == (hi > 1) - (hi < 1)
 
 
 def test_damped_enclosure_equals_fraction_reference():
     # the integer sum returns the term-by-term Fraction enclosure exactly:
     # at the radius (capped or divergent), at dyadic points below it, and
-    # above it, with rational ratios, strides and every certification width
+    # above it, with rational ratios, strides and every certification width;
+    # the enclosure asked for a width is the first round within it, or the last
     widths = (Fraction(1, 8), Fraction(1, 10**9), Fraction(1, 10**18), Fraction(1, 10**30))
     rng = random.Random(17)
     cases = [
@@ -122,12 +144,12 @@ def test_damped_enclosure_equals_fraction_reference():
             x = Fraction(rng.randint(1, 3 * 2 ** (j - 2)), 2**j) / k
         cases.append((a, k, d, n0, s, x, w))
     for a, k, d, n0, s, x, w in cases:
-        got = recurrence._damped_tail_enclosure(DampedTail(a, k, d, n0, s), x, w)
+        got = _tail_enclosure(DampedTail(a, k, d, n0, s), x, w)
         want = damped_enclosure_reference(a, k, d, n0, s, x, w)
         if k * x > 1 or (k * x == 1 and d == 1):
             assert got == want == math.inf
         else:
-            assert (got.lo, got.hi) == want
+            assert got == want
 
 
 def test_schema_radius():
@@ -180,7 +202,8 @@ def test_geometric_tail_log3_anchor():
     assert isinstance(rep.entropy, ExactAlgebraic)
     assert rep.entropy.rational_root() == 3
     assert schema_radius(s) == Fraction(1, 2)
-    assert loop_gf_eval(s, schema_radius(s)) == math.inf
+    # Phi diverges at the radius
+    assert _side(s)(schema_radius(s)) == 1
 
 
 def test_geometric_tail_with_explicit_head():
@@ -190,10 +213,8 @@ def test_geometric_tail_with_explicit_head():
     rep = classify_recurrence(s)
     assert rep.recurrence == POSITIVE_RECURRENT
     r = _bisect(s, schema_radius(s))
-    val = loop_gf_eval(s, r.lo)
-    assert val.lo <= 1
-    val = loop_gf_eval(s, r.hi)
-    assert val.hi >= 1
+    phi = partial(loop_series_bounds, s.counts, ("geometric", Fraction(1), 2, 2, 1))
+    assert phi(r.lo)[1] <= 1 <= phi(r.hi)[1]
 
 
 def test_geometric_tail_strided_period():
@@ -213,7 +234,8 @@ def test_damped_tail_transient_log2_anchor():
     assert isinstance(rep.entropy, ExactAlgebraic)
     assert rep.entropy.rational_root() == 2
     assert not rep.mme
-    assert loop_gf_eval(s, schema_radius(s), Fraction(1, 8)).hi < 1
+    at_radius = damped_enclosure_reference(Fraction(1, 3), 2, 2, 1, 1, Fraction(1, 2), Fraction(1, 8))
+    assert at_radius[1] < 1
 
 
 def test_damped_tail_transient_larger_coefficient():
@@ -248,25 +270,25 @@ def test_near_critical_damped_tail_is_undecidable():
         classify_recurrence(s)
 
 
-def test_capped_enclosure_is_not_recomputed(monkeypatch):
-    # at the radius this schema's enclosure hits the term cap at width 10^-3,
-    # and every smaller width would return the same interval again, both in
-    # classify_recurrence and in a direct sign test
+def test_near_critical_sign_walks_the_rounds_once(monkeypatch):
+    # at the radius no round of this schema's enclosure excludes 1: one sign
+    # test walks the rounds once, 64 terms doubled up to the 4,096-term cap,
+    # and returns 0
     s = LoopSchema((), DampedTail(Fraction(107681, 5503), Fraction(2), 2, 20))
-    widths = []
-    enclose = recurrence._damped_tail_enclosure
+    walks, rounds = [], []
+    enclose = recurrence._damped_tail_enclosures
 
-    def spy(t, x, max_width):
-        widths.append(max_width)
-        return enclose(t, x, max_width)
+    def spy(t, x):
+        walks.append(x)
+        for r in enclose(t, x):
+            rounds.append(r)
+            yield r
 
-    monkeypatch.setattr(recurrence, "_damped_tail_enclosure", spy)
-    with pytest.raises(UndecidableAtTolerance):
-        classify_recurrence(s)
-    assert widths == [Fraction(1, 8), Fraction(1, 10**3)]
-    widths.clear()
+    monkeypatch.setattr(recurrence, "_damped_tail_enclosures", spy)
     assert recurrence._phi_versus_one(s, schema_radius(s)) == 0
-    assert widths == [Fraction(1, 8), Fraction(1, 10**3)]
+    assert walks == [schema_radius(s)]
+    assert len(rounds) == 7
+    assert all(lo < 1 < hi for lo, hi in rounds)
 
 
 def test_null_recurrent_label_reserved():
@@ -308,9 +330,8 @@ def _seeded_schemas(rng: random.Random, n: int):
         if tail is None:
             if sum(c for _, c in counts) >= 2:
                 out.append((s, Fraction(1)))
-            continue
-        at_radius = loop_gf_eval(s, schema_radius(s))
-        if at_radius == math.inf or at_radius.lo > 1:
+        else:
+            # a geometric Phi diverges at the radius
             out.append((s, schema_radius(s)))
     return out
 
@@ -333,52 +354,73 @@ def _library_schemas():
     return [(s, Fraction(1)) for s in out]
 
 
+def _plain_side(schema: LoopSchema, x: Fraction) -> int:
+    """Sign of Phi(x) - 1 from the closed-form sum of helpers, below the
+    radius of a finite or geometric-tailed schema."""
+    t = schema.tail
+    data = None if t is None else ("geometric", t.a, t.k, t.n0, t.stride)
+    value = loop_series_bounds(schema.counts, data, x, terms=0)[1]
+    return (value > 1) - (value < 1)
+
+
 def test_seeded_bracket_equals_plain_bisection():
-    # the exact sign of _phi_polynomial and the enclosures of Phi take the
-    # same steps, so they return the same interval
+    # the exact sign of _phi_polynomial and the value of Phi take the same
+    # steps, so they return the same interval
     rng = random.Random(9)
     cases = _seeded_schemas(rng, 40) + _library_schemas()
     signed = [_bisect(s, hi) for s, hi in cases]
     plain = [
-        recurrence._bracket_and_bisect_root(partial(recurrence._phi_versus_one, s), hi, REL)
+        recurrence._bracket_and_bisect_root(partial(_plain_side, s), hi, REL)
         for s, hi in cases
     ]
     assert signed == plain
 
 
 def _finest_first_side(schema: LoopSchema, x: Fraction) -> int:
-    """Sign of Phi(x) - 1 asking the enclosure for width 10^-18 first, then
-    three refinements of 10^-12 of the last width returned: the reference
-    that the coarse-first schedule must agree with."""
+    """Sign of Phi(x) - 1 asking the tail's enclosure for width 10^-18
+    first, then three refinements of 10^-12 of the last width reached: the
+    reference that the round loop must agree with."""
+    explicit = loop_series_bounds(schema.counts, None, x)[0]
     width = Fraction(1, 10**18)
     for _ in range(4):
-        val = loop_gf_eval(schema, x, width)
-        if val == math.inf or val.lo > 1:
+        val = _tail_enclosure(schema.tail, x, width)
+        if val == math.inf or explicit + val[0] > 1:
             return 1
-        if val.hi < 1:
+        if explicit + val[1] < 1:
             return -1
-        if val.width > width:
+        if val[1] - val[0] > width:
             return 0
-        width = val.width / Fraction(10**12)
+        width = (val[1] - val[0]) / Fraction(10**12)
     return 0
 
 
 def test_coarse_first_damped_bisection_equals_finest_first():
-    # an enclosure with more terms lies inside one with fewer, so coarse
-    # widths that separate Phi(x) from 1 decide every point as the finest
-    # width does, on positive-recurrent damped schemas with rational ratios
-    # and strides
+    # an enclosure with more terms lies inside one with fewer, so the first
+    # round that separates Phi(x) from 1 decides every point as the finest
+    # width does: on positive-recurrent damped schemas with rational ratios
+    # and strides, on transient ones, and on d = 1 tails, divergent at R
     rng = random.Random(18)
-    for _ in range(40):
+    for case in range(56):
         den = rng.randint(1, 3)
         k = Fraction(rng.randint(den + 1, 3 * den), den)
         stride = rng.randint(1, 3)
-        tail = DampedTail(Fraction(rng.randint(1, 4), rng.randint(1, 4)), k,
-                          rng.randint(1, 3), rng.randint(2, 5), stride)
-        # c loops of length 1 with c > k put Phi(R) >= c / k above 1
-        s = LoopSchema(((1, math.floor(k) + rng.randint(1, 3)),), tail)
+        a = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+        if case < 40:
+            tail = DampedTail(a, k, rng.randint(1, 3), rng.randint(2, 5), stride)
+            # c loops of length 1 with c > k put Phi(R) >= c / k above 1
+            s = LoopSchema(((1, math.floor(k) + rng.randint(1, 3)),), tail)
+        elif case < 48:
+            # a <= 4 and d >= 3 from n0 >= 2: Phi(R) <= 4 (zeta(3) - 1) < 1
+            s = LoopSchema((), DampedTail(a, k, rng.randint(3, 4), rng.randint(2, 5), stride))
+        else:
+            # 4 a + 4 >= 5 keeps the root well inside the disc, so the rounds stay short
+            s = LoopSchema((), DampedTail(4 * a + 4, k, 1, rng.randint(2, 3), stride))
         hi = schema_radius(s)
-        assert recurrence._phi_versus_one(s, hi) == _finest_first_side(s, hi) == 1
+        sign = recurrence._phi_versus_one(s, hi)
+        assert sign == _finest_first_side(s, hi) == (-1 if 40 <= case < 48 else 1)
+        if sign < 0:
+            assert classify_recurrence(s).recurrence == TRANSIENT
+            continue
         got = recurrence._bracket_and_bisect_root(
             partial(recurrence._phi_versus_one, s), hi, REL)
         want = recurrence._bracket_and_bisect_root(partial(_finest_first_side, s), hi, REL)
@@ -411,7 +453,8 @@ def test_float_overflow_takes_the_exact_path():
     rep = classify_recurrence(s)
     assert rep.recurrence == POSITIVE_RECURRENT
     root = _bisect(s, Fraction(1))
-    assert loop_gf_eval(s, root.lo).hi < 1 < loop_gf_eval(s, root.hi).lo
+    phi = partial(loop_series_bounds, s.counts, None)
+    assert phi(root.lo)[0] < 1 < phi(root.hi)[0]
     assert root.width <= REL * root.lo
     assert rep.entropy.minpoly == (-1, -(10**310), 1)
     assert abs(float(rep.entropy) - 310 * math.log(10)) < 1e-9
@@ -421,9 +464,8 @@ def test_damped_positive_recurrent_takes_the_exact_path():
     s = LoopSchema((), DampedTail(Fraction(4), Fraction(2), 2, 1))
     assert classify_recurrence(s).recurrence == POSITIVE_RECURRENT
     root = _bisect(s, Fraction(1, 2))
-    lo_val = loop_gf_eval(s, root.lo, Fraction(1, 10**18))
-    hi_val = loop_gf_eval(s, root.hi, Fraction(1, 10**18))
-    assert lo_val.hi < 1 < hi_val.lo
+    phi = partial(loop_series_bounds, (), ("damped", Fraction(4), 2, 2, 1, 1))
+    assert phi(root.lo)[1] < 1 < phi(root.hi)[0]
 
 
 # === summaries ===
