@@ -59,6 +59,7 @@ from .presentations import (
     _content_lines,
     format_document,
     parse_document,
+    parse_rational,
 )
 from .realize import UnrealizableEntropy, realize_invariants
 
@@ -99,10 +100,7 @@ def _emit(key: str, value, comment: bool = False):
 
 
 def _parse_tol(text: str) -> Fraction:
-    try:
-        tol = Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"bad tolerance {text!r}") from None
+    tol = parse_rational(text)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     return tol
@@ -179,8 +177,8 @@ def _parse_target(text: str):
         raise ValueError(f"bad target entropy {text!r}")
     if len(toks) == 1 and toks[0] not in ("inf",):
         try:
-            x = Fraction(toks[0])
-        except (ValueError, ZeroDivisionError):
+            x = parse_rational(toks[0])
+        except ValueError:
             raise ValueError(f"bad target entropy {text!r}") from None
         from .entropy import IntervalApprox
 
@@ -279,9 +277,9 @@ def _cmd_pathology(args) -> int:
             raise ValueError("pathology base must be a single graph section")
         base = parts[0]
     try:
-        eps = Fraction(args.eps)
+        eps = parse_rational(args.eps)
         eps_float = float(eps)  # the root loop length is log(4) / eps in floats
-    except (ValueError, ZeroDivisionError, OverflowError):
+    except (ValueError, OverflowError):
         raise ValueError(f"bad epsilon {args.eps!r}") from None
     if eps <= 0:
         raise ValueError("epsilon must be positive")

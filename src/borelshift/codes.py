@@ -31,10 +31,9 @@ product keeps its vertices' coordinates in `tuples`.  The checks walk
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import factorial
 from typing import Optional
 
@@ -222,14 +221,15 @@ def label_fiber_product(code: BlockCode) -> ProductGraph:
     vertices with u's label, in vertex order.  Pair (u, v) has the code
     `start[u] + rank[v]`: `start[u]` is the offset of u's block in vertex
     order and `rank[v]` is v's index in its bucket, so no pair is stored.
-    Neighbours are grouped by label once, as `start` values for the first
-    coordinate and `rank` values for the second.  The out-degree of (u, v) is
-    the sum over labels s of |succ_s(u)|·|succ_s(v)|, the in-degree the same
-    sum over predecessors, and a pair's neighbours are the sums `x + r`.  The
-    worklist prune of `_biinfinite` runs on these counts; a dead pair lists
-    its neighbours only on the side where it still had live ones.  Survivors
-    keep the code order and are named `u|v`; their edges are sorted and
-    called `e<k>`.  The other products use `_tuple_product`.
+    Neighbours are grouped by label once, as vertex indices j for the first
+    coordinate and `rank` values r for the second.  The out-degree of (u, v)
+    is the sum over labels s of |succ_s(u)|·|succ_s(v)|, the in-degree the
+    same sum over predecessors, and a pair's neighbours are the codes
+    `start[j] + r`.  The worklist prune of `_biinfinite` runs on these
+    counts; each dead pair carries its block index, and lists its neighbours
+    only on the side where it still had live ones.  Survivors, read off the
+    blocks in code order, are named `u|v`; their edges are sorted and called
+    `e<k>`.  The other products use `_tuple_product`.
     """
     lg = code.labeled()
     lm = lg._label_map
@@ -242,7 +242,7 @@ def label_fiber_product(code: BlockCode) -> ProductGraph:
         members.append(y)
     blocks = [bucket[lm[u]] for u in verts]
     start = list(accumulate(map(len, blocks), initial=0))  # start[-1] counts the pairs
-    a_succ, a_pred = _rows_by_label(lg, start)
+    a_succ, a_pred = _rows_by_label(lg, range(len(verts)))
     b_succ, b_pred = _rows_by_label(lg, rank)
 
     def degrees(a_rows, b_rows) -> list[int]:
@@ -259,15 +259,13 @@ def label_fiber_product(code: BlockCode) -> ProductGraph:
             out.extend(deg)
         return out
 
-    def locate(p: int) -> tuple[int, int]:
-        i = bisect_right(start, p) - 1
-        return i, blocks[i][p - start[i]]
-
     outdeg, indeg = degrees(a_succ, b_succ), degrees(a_pred, b_pred)
     alive = [o > 0 and d > 0 for o, d in zip(outdeg, indeg)]
-    dead = [p for p, ok in enumerate(alive) if not ok]
+    dead = [
+        (p, i) for i in range(len(blocks)) for p in range(start[i], start[i + 1]) if not alive[p]
+    ]
     while dead:
-        p = dead.pop()
+        p, i = dead.pop()
         # a dead pair's count on one side is 0: no live neighbour there
         if indeg[p]:
             a_rows, b_rows, deg = a_pred, b_pred, outdeg
@@ -275,27 +273,35 @@ def label_fiber_product(code: BlockCode) -> ProductGraph:
             a_rows, b_rows, deg = a_succ, b_succ, indeg
         else:
             continue
-        i, y = locate(p)
-        brow = b_rows[y]
-        for s, xs in a_rows[i].items():
-            for r in brow.get(s, ()):
-                for x in xs:
+        brow = b_rows[blocks[i][p - start[i]]]
+        for s, js in a_rows[i].items():
+            rs = brow.get(s)
+            if not rs:
+                continue
+            for j in js:
+                x = start[j]
+                for r in rs:
                     q = x + r
                     if alive[q]:
                         deg[q] -= 1
                         if deg[q] == 0:
                             alive[q] = False
-                            dead.append(q)
-    kept = {p: locate(p) for p in compress(range(len(alive)), alive)}
+                            dead.append((q, j))
+    kept = {
+        p: (i, y)
+        for i, block in enumerate(blocks)
+        for p, y in enumerate(block, start[i])
+        if alive[p]
+    }
     coords = {p: (verts[i], verts[y]) for p, (i, y) in kept.items()}
     names = {p: f"{u}|{v}" for p, (u, v) in coords.items()}
     edges = sorted(
-        (names[p], names[x + r])
+        (names[p], names[q])
         for p, (i, y) in kept.items()
-        for s, xs in a_succ[i].items()
+        for s, js in a_succ[i].items()
         for r in b_succ[y].get(s, ())
-        for x in xs
-        if alive[x + r]
+        for q in (start[j] + r for j in js)
+        if alive[q]
     )
     return ProductGraph(
         tuple(names.values()),

@@ -26,24 +26,28 @@ polynomial, at EXACT_VERTEX_CAP vertices or fewer.
 
 identify_algebraic turns an enclosure of the largest real root of an integer
 polynomial (a Perron root, by Perron-Frobenius; 1/r for the reversed
-first-return polynomial of a loop schema) into its minimal polynomial and an
-isolating interval: one root inside, no equal nonzero signs at the ends
-(isolates_one_root).  Two such intervals of one minimal polynomial hold the
-same root exactly when it changes sign across, or vanishes on, their overlap.
-sympy factors, splitting modulo p by Berlekamp's method, which is
-deterministic; its default, Cantor-Zassenhaus, draws random polynomials, so
-its time on one polynomial differs from run to run.  The roots of a
-squarefree factor inside [lo, hi] are counted locally, in exact integers,
-by Descartes' rule of signs after the Moebius map of (lo, hi) onto
-(0, inf), halving while the count is not yet 0 or 1 (Collins & Akritas
-1976).  The work depends on the roots near [lo, hi], not
-on all the real roots of the factor.
+first-return polynomial of a loop schema) into an isolating interval: one root
+inside, no equal nonzero signs at the ends (isolates_one_root).  It works on
+the squarefree part, which has the same roots: the roots inside [lo, hi] are
+counted locally, in exact integers, by Descartes' rule of signs after the
+Moebius map of (lo, hi) onto (0, inf), halving while the count is not yet 0
+or 1 (Collins & Akritas 1976).  The work depends on the roots near [lo, hi],
+not on all the real roots of the polynomial.  A rational root is found by its
+denominator, which divides the leading coefficient, and becomes a linear
+polynomial.  Nothing is factored: the minimal polynomial is needed only where
+a `poly` line is written, and ExactAlgebraic.minpoly factors on first read.
+sympy splits modulo p by Berlekamp's method, which is deterministic; its
+default, Cantor-Zassenhaus, draws random polynomials, so its time on one
+polynomial differs from run to run.  Two isolating intervals of one
+polynomial hold the same root exactly when it changes sign across, or
+vanishes on, their overlap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 from operator import truediv
@@ -118,27 +122,43 @@ INFINITE_ENTROPY = InfiniteEntropy()
 
 @dataclass(frozen=True)
 class ExactAlgebraic(ExtendedEntropy):
-    """Entropy log(lambda) with minpoly(lambda) and an isolating interval.
+    """Entropy log(lambda) for the root lambda of `poly` in [root_lo, root_hi].
 
-    `minpoly` is the ascending integer coefficient tuple of the minimal
-    polynomial, primitive with positive leading coefficient.  The interval
-    [root_lo, root_hi] contains exactly that one root of minpoly and its
-    endpoints are not roots (unless degenerate, when the root is rational).
+    `poly` is an ascending integer coefficient tuple with positive leading
+    coefficient.  The interval [root_lo, root_hi] holds exactly one real root
+    of poly, and poly does not take the same nonzero sign at both ends (a
+    point interval when the root is pinned).  From identify_algebraic, poly
+    is a squarefree polynomial, linear exactly when lambda is rational;
+    parsed from a document, it is the document's polynomial, which stands as
+    the minimal polynomial.  Either way poly is the minimal polynomial times
+    a factor with no root in the interval, so every sign, bisection step and
+    enclosure is the same on both.
+
+    `minpoly`, the minimal polynomial (primitive, positive leading
+    coefficient), is split off poly on first read and kept; with `minimal`
+    set, as by the parser, it is poly itself.  Only printing reads it.
     """
 
-    minpoly: tuple[int, ...]
+    poly: tuple[int, ...]
     root_lo: Fraction
     root_hi: Fraction
+    minimal: bool = field(default=True, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.minpoly) < 2 or self.minpoly[-1] <= 0:
+        if len(self.poly) < 2 or self.poly[-1] <= 0:
             raise ValueError("minpoly must be nonconstant with positive leading coefficient")
         if self.root_lo > self.root_hi or self.root_hi <= 0:
             raise ValueError("isolating interval must be nonempty and positive")
 
+    @cached_property
+    def minpoly(self) -> tuple[int, ...]:
+        if self.minimal or len(self.poly) == 2:
+            return self.poly
+        return _minimal_factor(self.poly, self.root_lo, self.root_hi)
+
     def rational_root(self) -> Fraction | None:
-        if len(self.minpoly) == 2:
-            c0, c1 = self.minpoly
+        if len(self.poly) == 2:
+            c0, c1 = self.poly
             return Fraction(-c0, c1)
         return None
 
@@ -148,7 +168,7 @@ class ExactAlgebraic(ExtendedEntropy):
             return RatInterval.point(r)
         lo, hi = self.root_lo, self.root_hi
         while hi - lo > max_width:
-            lo, hi = _bisect_simple_root(self.minpoly, lo, hi)
+            lo, hi = _bisect_simple_root(self.poly, lo, hi)
         return RatInterval(lo, hi)
 
     def log_enclosure(self, max_width: Fraction = ENCLOSURE_WIDTH) -> RatInterval:
@@ -287,45 +307,80 @@ def _int_coeffs(poly: sympy.Poly) -> tuple[int, ...]:
     return tuple(int(c) for c in reversed(poly.all_coeffs()))
 
 
+def _squarefree(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive squarefree part, with positive leading coefficient: the
+    same roots, each simple."""
+    sqf = _int_coeffs(sympy.Poly(list(reversed(coeffs)), _X, domain="ZZ").sqf_part())
+    return sqf if sqf[-1] > 0 else tuple(-c for c in sqf)
+
+
 def isolates_one_root(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> bool:
     """The isolating-interval rule: [lo, hi] holds exactly one real root of
     coeffs, and coeffs does not take the same nonzero sign at both ends.
     Roots are counted on the squarefree part, which has the same roots."""
-    sqf = sympy.Poly(list(reversed(coeffs)), _X, domain="ZZ").sqf_part()
-    return _roots_in(_int_coeffs(sqf), lo, hi) == 1 and _brackets_root(coeffs, lo, hi)
+    return _roots_in(_squarefree(coeffs), lo, hi) == 1 and _brackets_root(coeffs, lo, hi)
 
 
 def identify_algebraic(coeffs: tuple[int, ...], enclosure: RatInterval) -> ExactAlgebraic:
-    """Minimal polynomial and isolating interval of the largest real root of
-    `coeffs`, which `enclosure` must contain: the Perron root of a
-    characteristic polynomial (Perron-Frobenius), or 1/r for the reversed
-    first-return polynomial (recurrence._entropy_from_root).
+    """Isolating interval of the largest real root of `coeffs`, which
+    `enclosure` must contain: the Perron root of a characteristic polynomial
+    (Perron-Frobenius), or 1/r for the reversed first-return polynomial
+    (recurrence._entropy_from_root).
 
-    Factors once, then halves the enclosure while it holds more than one root
-    of the factors, keeping the upper half whenever a factor has a root there.
-    An enclosure that holds no root raises ArithmeticError.
+    Halves the enclosure while it holds more than one root of the squarefree
+    part, keeping the upper half whenever that holds a root; the roots of the
+    squarefree part are those of all the irreducible factors, so these are
+    the intervals a split into factors would give.  A rational root comes
+    back with its linear minimal polynomial (_rational_root), any other with
+    the squarefree part, whose minimal factor ExactAlgebraic.minpoly splits
+    off only when it is read.  An enclosure that holds no root raises
+    ArithmeticError.
     """
-    poly = sympy.Poly(list(reversed(coeffs)), _X, domain="QQ")
-    with using(gf_factor_method="berlekamp"):
-        _, factors = poly.factor_list()
-    cands = [_int_coeffs(f) for f, _ in factors if f.degree() >= 1]
+    sqf = _squarefree(coeffs)
     lo, hi = enclosure.lo, enclosure.hi
-    while True:
-        hits = [(f, n) for f in cands if (n := _roots_in(f, lo, hi))]
-        if not hits:
+    while (n := _roots_in(sqf, lo, hi)) != 1:
+        if n == 0:
             raise ArithmeticError("no root of the polynomial lies in the enclosure")
-        if len(hits) == 1 and hits[0][1] == 1:
-            break
-        cands = [f for f, _ in hits]
         mid = (lo + hi) / 2
-        if any(_roots_in(f, mid, hi) for f in cands):
+        if _roots_in(sqf, mid, hi):
             lo = mid
         else:
             hi = mid
-    cs = hits[0][0]
-    if cs[-1] < 0:
-        cs = tuple(-c for c in cs)
-    return ExactAlgebraic(cs, lo, hi)
+    r = _rational_root(sqf, lo, hi)
+    if r is not None:
+        return ExactAlgebraic((-r.numerator, r.denominator), lo, hi)
+    return ExactAlgebraic(sqf, lo, hi, minimal=False)
+
+
+def _rational_root(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> Fraction | None:
+    """The one root of the squarefree `coeffs` in [lo, hi], if it is rational.
+
+    A rational root p/q in lowest terms has q dividing the leading
+    coefficient l (Gauss's lemma), so it is m/l for an integer m.  A copy of
+    the interval is bisected until it is shorter than 1/l; then it holds at
+    most one such m/l, and one exact sign test decides.
+    """
+    lead = coeffs[-1]
+    while (hi - lo) * lead >= 1:
+        lo, hi = _bisect_simple_root(coeffs, lo, hi)
+    m = math.ceil(lo * lead)
+    if m <= hi * lead and _sign_at(coeffs, Fraction(m, lead)) == 0:
+        return Fraction(m, lead)
+    return None
+
+
+def _minimal_factor(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> tuple[int, ...]:
+    """The irreducible factor of `coeffs` with a root in [lo, hi], primitive
+    with positive leading coefficient: sympy factors over Z, splitting modulo
+    p by Berlekamp's method.  This is the only factorization in the package."""
+    poly = sympy.Poly(list(reversed(coeffs)), _X, domain="QQ")
+    with using(gf_factor_method="berlekamp"):
+        _, factors = poly.factor_list()
+    for f, _ in factors:
+        cs = _int_coeffs(f)
+        if len(cs) > 1 and _roots_in(cs, lo, hi):
+            return cs if cs[-1] > 0 else tuple(-c for c in cs)
+    raise ArithmeticError("no factor of the polynomial has a root in the interval")
 
 
 def _charpoly_coeffs(rows) -> tuple[int, ...]:
@@ -505,9 +560,9 @@ def compare_entropy(a: ExtendedEntropy, b: ExtendedEntropy, tol: Fraction = DEFA
     """Compare at tolerance: 'eq' | 'lt' | 'gt' | 'unknown'.
 
     'eq' certifies |a-b| <= tol, 'lt'/'gt' certify |a-b| > tol with the given
-    order.  Exact algebraic pairs short-circuit through minimal polynomial
-    identity; 'unknown' survives only when the true difference straddles the
-    tolerance beyond refinement reach.
+    order.  Exact algebraic pairs of one polynomial short-circuit when their
+    intervals hold the same root; 'unknown' survives only when the true
+    difference straddles the tolerance beyond refinement reach.
     """
     a_inf = not a.is_finite()
     b_inf = not b.is_finite()
@@ -543,12 +598,12 @@ def _same_algebraic(a: ExtendedEntropy, b: ExtendedEntropy) -> bool:
         return True
     if not (isinstance(a, ExactAlgebraic) and isinstance(b, ExactAlgebraic)):
         return False
-    if a.minpoly != b.minpoly:
+    if a.poly != b.poly:
         return False
     # each interval isolates one root, so they hold the same root exactly when
-    # the minpoly has a root in their overlap
+    # the polynomial has a root in their overlap
     lo, hi = max(a.root_lo, b.root_lo), min(a.root_hi, b.root_hi)
-    return lo <= hi and _brackets_root(a.minpoly, lo, hi)
+    return lo <= hi and _brackets_root(a.poly, lo, hi)
 
 
 def entropy_from_log_value(value: Fraction) -> ExtendedEntropy:

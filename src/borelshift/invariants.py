@@ -35,7 +35,7 @@ from .entropy import (
     perron_entropy,
 )
 from .graphs import irreducible_components, period_of_component
-from .presentations import FiniteGraph, LoopSchema, ParseError, _content_lines
+from .presentations import FiniteGraph, LoopSchema, ParseError, _content_lines, parse_rational
 from .recurrence import (
     POSITIVE_RECURRENT,
     ComponentSummary,
@@ -325,8 +325,8 @@ def _parse_entropy_expr(toks: list[str], lineno: int) -> ExtendedEntropy:
         return INFINITE_ENTROPY
     if toks[0] == "log" and len(toks) == 2:
         try:
-            lam = Fraction(toks[1])
-        except (ValueError, ZeroDivisionError):
+            lam = parse_rational(toks[1])
+        except ValueError:
             raise ParseError(lineno, f"bad log argument {toks[1]!r}") from None
         if lam <= 1:
             raise ParseError(lineno, "log argument must exceed 1")
@@ -339,8 +339,8 @@ def _parse_entropy_expr(toks: list[str], lineno: int) -> ExtendedEntropy:
             raise ParseError(lineno, "poly expression needs 'root-in <lo> <hi>'")
         try:
             coeffs = tuple(int(t) for t in toks[1:cut])
-            lo, hi = Fraction(toks[cut + 1]), Fraction(toks[cut + 2])
-        except (ValueError, ZeroDivisionError):
+            lo, hi = parse_rational(toks[cut + 1]), parse_rational(toks[cut + 2])
+        except ValueError:
             raise ParseError(lineno, "bad poly expression") from None
         if len(coeffs) < 2 or coeffs[-1] == 0:
             raise ParseError(lineno, "poly needs degree >= 1 with nonzero lead")
@@ -365,8 +365,8 @@ def _parse_entropy_expr(toks: list[str], lineno: int) -> ExtendedEntropy:
         return h
     if len(toks) == 2:
         try:
-            lo, hi = Fraction(toks[0]), Fraction(toks[1])
-        except (ValueError, ZeroDivisionError):
+            lo, hi = parse_rational(toks[0]), parse_rational(toks[1])
+        except ValueError:
             raise ParseError(lineno, "bad entropy interval") from None
         if not lo <= hi:
             raise ParseError(lineno, "entropy interval needs lo <= hi")

@@ -8,6 +8,7 @@ through a line-oriented document format.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
@@ -28,6 +29,19 @@ LENGTH_CAP = 100_000
 # integers those powers make.
 TAIL_BITS_CAP = 10_000_000
 DAMPED_FIRST_TERMS = 64
+
+# Most decimal digits that the numerator or the denominator of a rational
+# token may have, counted as the token writes them: `p/q` has those of p and
+# of q; a decimal `i.fEx` is the integer `if` times 10^(x - len(f)), so its
+# numerator is `if` (leading zeros dropped, trailing ones moved into the
+# power) times the power when that is positive, and its denominator is the
+# power when it is negative.  str() writes no integer of more than 4300
+# digits, so a larger number could be read but not written out; and
+# Fraction builds 10^x first, so parse_rational checks the cap on the text.
+NUMBER_DIGITS_CAP = 4000
+
+# a superset of the syntax Fraction accepts, for reading the sizes only
+_RATIONAL = re.compile(r"\s*[-+]?([\d_]*)(?:/([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*")
 
 
 class ParseError(ValueError):
@@ -258,11 +272,40 @@ class FiniteGraph:
 ShiftPresentation = Union[FiniteGraph, LoopSchema]
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), for every rational that a document or a flag states.
+
+    A number whose numerator or denominator, as written, has more than
+    NUMBER_DIGITS_CAP digits raises ValueError before any Fraction or power
+    of ten is built; so does text that Fraction refuses, a zero denominator
+    included, with the message `bad rational ...`.
+    """
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"bad rational {text!r}")
+    whole, den, frac, exp = (g.replace("_", "") if g else "" for g in m.groups())
+    if den:
+        sizes = [len(whole.lstrip("0")), len(den.lstrip("0"))]
+    elif len(exp.lstrip("+-").lstrip("0")) > len(str(len(text) + NUMBER_DIGITS_CAP)):
+        sizes = [NUMBER_DIGITS_CAP + 1]  # |x| - len(f) is above the cap: no int(x) needed
+    else:
+        digits = (whole + frac).lstrip("0")
+        trimmed = digits.rstrip("0")
+        e = int(exp or 0) - len(frac) + len(digits) - len(trimmed)
+        sizes = [len(trimmed) + max(e, 0), 1 + max(-e, 0)]
+    if max(sizes) > NUMBER_DIGITS_CAP:
+        raise ValueError(f"number {text!r} has more than {NUMBER_DIGITS_CAP} digits")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad rational {text!r}") from None
+
+
 def _parse_fraction(tok: str, lineno: int) -> Fraction:
     try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(lineno, f"bad rational {tok!r}") from None
+        return parse_rational(tok)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def _parse_int(tok: str, lineno: int) -> int:

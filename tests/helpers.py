@@ -13,7 +13,45 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import sympy
+
 Edge = tuple[str, str]
+
+
+def factor_first_isolation(coeffs, lo: Fraction, hi: Fraction):
+    """(minimal polynomial, lo, hi) of the largest root of the integer
+    polynomial `coeffs` (ascending) in [lo, hi], factoring first.
+
+    sympy's factor_list splits the polynomial; each irreducible factor's
+    roots in a closed interval are counted by Sturm sequences (count_roots);
+    the interval is halved while more than one root of the factors lies in
+    it, keeping the upper half whenever a factor has a root there.  The
+    factor comes back primitive with a positive leading coefficient.  Raises
+    ArithmeticError when no root lies in [lo, hi].
+    """
+    x = sympy.Symbol("x")
+    _, pairs = sympy.Poly(list(reversed(coeffs)), x).factor_list()
+    factors = [f for f, _ in pairs if f.degree() >= 1]
+
+    def count(f, a, b):
+        return f.count_roots(
+            sympy.Rational(a.numerator, a.denominator), sympy.Rational(b.numerator, b.denominator)
+        )
+
+    while True:
+        hits = [(f, n) for f in factors if (n := count(f, lo, hi))]
+        if not hits:
+            raise ArithmeticError("no root in the interval")
+        if len(hits) == 1 and hits[0][1] == 1:
+            break
+        factors = [f for f, _ in hits]
+        mid = (lo + hi) / 2
+        if any(count(f, mid, hi) for f in factors):
+            lo = mid
+        else:
+            hi = mid
+    cs = tuple(int(c) for c in reversed(hits[0][0].all_coeffs()))
+    return (cs if cs[-1] > 0 else tuple(-c for c in cs)), lo, hi
 
 
 def simple_cycle_lengths(vertices: list[str], edges: list[Edge]) -> list[int]:

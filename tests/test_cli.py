@@ -536,7 +536,7 @@ def test_malformed_document_exits_65(capsys, tmp_path):
     (["pathology", "--eps", "1e999999"], 65),
     (["pathology", "--depth", "1", "--eps", "1e-999999"], 65),
     (["embed", "{even}", "--target", ""], 65),
-    (["embed", "{even}", "--target", "1e999999"], 1),  # above the domain entropy
+    (["embed", "{even}", "--target", "1e3999"], 1),  # above the domain entropy
     # 10^500 loops of length 1 put the root of Phi(x) = 1 below the bracket floor
     (["analyze", "{tiny_root}"], 2),
     # lengths, tail starts, strides and damped exponents above LENGTH_CAP are
@@ -553,6 +553,13 @@ def test_malformed_document_exits_65(capsys, tmp_path):
     (["pathology", "--eps", "1e-9"], 2),
     (["pathology", "--window", "1000000"], 2),
     (["pathology", "--depth", "30"], 2),
+    # rationals past NUMBER_DIGITS_CAP are refused before a Fraction or a
+    # power of ten is built: Fraction("1e100000000") alone would not finish
+    (["embed", "{even}", "--target", "1e999999"], 65),
+    (["embed", "{even}", "--target", "poly -3 0 1 root-in 1 1e100000000"], 65),
+    (["analyze", "{golden}", "--tol", "1e-100000000"], 64),
+    (["pathology", "--eps", "1e-100000000"], 65),
+    (["analyze", "{huge_exponent}"], 65),
 ])
 def test_out_of_range_numbers_exit_with_one_line(
     capsys, tmp_path, golden_file, even_code_file, argv, status
@@ -564,6 +571,7 @@ def test_out_of_range_numbers_exit_with_one_line(
         "steep_damping": "tail damped 1 2 1000000000 from 1",
         "wide_stride": "tail geometric 1/2 2 from 1 stride 1000000000",
         "huge_ratio": f"tail geometric 1 {10**4000} from 100000",
+        "huge_exponent": "count 1 2\ntail geometric 1e100000000 2 from 3",
     }
     paths = {}
     for name, body in docs.items():

@@ -8,20 +8,28 @@ import pytest
 import sympy
 
 from borelshift import (
+    BlockCode,
     ExactAlgebraic,
     FiniteGraph,
     INFINITE_ENTROPY,
     IntervalApprox,
+    PathologySpec,
     ZERO_ENTROPY,
+    certify_pathology,
+    cli,
     compare_entropy,
     cycle_graph,
+    entropy,
     entropy_from_log_value,
     full_shift_graph,
     golden_mean_graph,
+    image_entropy,
     max_entropy,
+    parse_invariants,
     perron_entropy,
+    realize_invariants,
+    synthesize_injective_subsystem,
 )
-from borelshift import entropy
 from borelshift.entropy import (
     ENCLOSURE_WIDTH,
     EXACT_VERTEX_CAP,
@@ -38,8 +46,10 @@ from borelshift.intervals import (
     log_fraction,
     log_interval,
 )
+from borelshift.presentations import GeometricTail, LoopSchema
+from borelshift.recurrence import _phi_polynomial
 
-from helpers import GOLDEN_ENTROPY, random_strongly_connected
+from helpers import GOLDEN_ENTROPY, factor_first_isolation, random_strongly_connected
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -224,6 +234,106 @@ def test_identify_algebraic_picks_the_perron_factor():
     assert h.root_lo > Fraction(3, 2) and h.root_lo < PHI < h.root_hi
     with pytest.raises(ArithmeticError):
         identify_algebraic(coeffs, RatInterval(Fraction(2), Fraction(3)))
+
+
+def _ascending(expr) -> tuple[int, ...]:
+    return tuple(int(c) for c in reversed(sympy.Poly(expr, _X).all_coeffs()))
+
+
+def _random_factor(rng: random.Random):
+    """A random integer polynomial of degree 1-4, as a sympy expression."""
+    cs = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))] + [rng.choice((1, 1, 2, 3))]
+    return sum(c * _X**i for i, c in enumerate(cs))
+
+
+def _isolation_cases(rng: random.Random):
+    """Seeded (coeffs, kind) pairs; every polynomial has a positive real root."""
+    special = [_X, _X - 1, _X + 1] + [sympy.cyclotomic_poly(n, _X) for n in range(3, 13)]
+    for _ in range(24):
+        expr = _X**2 - rng.randint(2, 12)  # a positive root is always there
+        for f in [_random_factor(rng) for _ in range(rng.randint(1, 3))] + rng.sample(special, 3):
+            expr *= f ** rng.choice((1, 1, 2, 3))
+        yield _ascending(sympy.expand(expr)), "product"
+    for _ in range(12):
+        g = sympy.expand(_random_factor(rng) * _random_factor(rng))
+        yield _ascending(sympy.expand((2 * _X - 3) ** rng.choice((1, 2)) * g)), "two_x_minus_3"
+    for _ in range(16):
+        vs, edges = random_strongly_connected(rng, 6)
+        at = {v: i for i, v in enumerate(vs)}
+        mat = sympy.zeros(len(vs))
+        for u, v in edges:
+            mat[at[u], at[v]] += 1
+        yield _ascending(mat.charpoly(_X).as_expr()), "charpoly"
+    for case in range(12):
+        counts = {rng.randint(1, 7): rng.randint(1, 4) for _ in range(rng.randint(1, 3))}
+        counts = tuple(sorted(counts.items()))
+        tail = None
+        if case % 2:
+            k = rng.randint(2, 3)
+            n0 = counts[-1][0] + rng.randint(1, 4)  # past every explicit length
+            tail = GeometricTail(Fraction(rng.randint(1, 3), k), k, n0, rng.randint(1, 2))
+        coeffs = _phi_polynomial(LoopSchema(counts, tail))
+        yield tuple(reversed(coeffs)), "phi"
+
+
+def test_identify_algebraic_equals_the_factor_first_reference():
+    # the oracle factors first (tests/helpers.factor_first_isolation); the
+    # library halves on the squarefree part and factors only when minpoly is read
+    rng = random.Random(20261019)
+    width = Fraction(1, 10**30)
+    seen = {"cases": 0, "rational": 0, "repeated": 0, "lead_not_one": 0}
+    for coeffs, kind in _isolation_cases(rng):
+        poly = sympy.Poly(list(reversed(coeffs)), _X)
+        roots = [(a, b) for (a, b), _ in poly.intervals() if a >= 0 and b > 0]
+        if not roots:
+            continue
+        a, b = rng.choice(roots)
+        if kind == "two_x_minus_3" and rng.random() < 0.6:
+            a = b = sympy.Rational(3, 2)
+        margin = [Fraction(rng.randint(0, 12), rng.randint(1, 8)) * rng.randint(0, 1) for _ in "lh"]
+        lo = Fraction(int(a.p), int(a.q)) - margin[0]
+        hi = Fraction(int(b.p), int(b.q)) + margin[1]
+        h = identify_algebraic(coeffs, RatInterval(lo, hi))
+        want = ExactAlgebraic(*factor_first_isolation(coeffs, lo, hi))
+        assert (h.minpoly, h.root_lo, h.root_hi) == (want.minpoly, want.root_lo, want.root_hi), (
+            coeffs, lo, hi)
+        assert h.rational_root() == want.rational_root()
+        assert h.log_enclosure(width) == want.log_enclosure(width)
+        seen["cases"] += 1
+        seen["rational"] += want.rational_root() is not None
+        seen["repeated"] += poly.sqf_part().degree() < poly.degree()
+        seen["lead_not_one"] += want.minpoly[-1] > 1
+    assert seen["cases"] >= 60 and min(seen.values()) >= 5, seen
+
+
+def test_only_printing_factors(monkeypatch, tmp_path, capsys):
+    calls = []
+    split = entropy._minimal_factor
+    monkeypatch.setattr(entropy, "_minimal_factor", lambda *args: calls.append(args) or split(*args))
+    # certification: realize, image entropy, pathology, the marker tier
+    sqrt3 = parse_invariants("gen 1 poly -3 0 1 root-in 1 2 1\n")
+    real = realize_invariants(sqrt3)
+    golden = golden_mean_graph()
+    even = BlockCode(golden, (("e0", "1"), ("e1", "0"), ("e2", "0")), mode="edge")
+    image_entropy(even)
+    certify_pathology(PathologySpec(golden, 5, (7, 8)), Fraction(3, 10), window=8)
+    quarter = IntervalApprox(Fraction(1, 4), Fraction(1, 4))
+    assert synthesize_injective_subsystem(even, quarter).tier == "marker"
+    assert calls == []
+    # analyze factors once per printed poly line: a degree-52 minimal
+    # polynomial split off a degree-54 first-return polynomial
+    doc = tmp_path / "realized.txt"
+    doc.write_text(real.document())
+    assert cli.main(["analyze", str(doc)]) == 0
+    polys = [line for line in capsys.readouterr().out.splitlines() if " poly " in line]
+    assert len(polys) == len(calls) == 1
+    assert len(calls[0][0]) == 55 and len(polys[0].split("root-in")[0].split()) == 3 + 53
+    # a read is kept
+    calls.clear()
+    h = identify_algebraic((1, -3, 0, 1), RatInterval(Fraction(1), Fraction(2)))  # x^3 - 3x + 1
+    assert calls == []
+    assert h.minpoly == h.minpoly == (1, -3, 0, 1)
+    assert len(calls) == 1
 
 
 def _random_squarefree(rng: random.Random):

@@ -20,6 +20,8 @@ from borelshift import (
     parse_presentation,
 )
 
+from borelshift.presentations import NUMBER_DIGITS_CAP, parse_rational
+
 from helpers import random_strongly_connected
 
 
@@ -233,3 +235,56 @@ def test_format_parse_round_trip_random_graphs():
         vs, edges = random_strongly_connected(rng, 6)
         g = FiniteGraph(tuple(vs), tuple(edges))
         assert parse_presentation(format_presentation(g)) == g
+
+
+# === rational tokens ===
+
+def test_parse_rational_is_fraction_below_the_digit_cap():
+    # seeded short tokens over Fraction's alphabet: the reader accepts what
+    # Fraction accepts, with the same value, and refuses a value past the cap;
+    # a zero written with an exponent past the cap (0e5000) is skipped, as
+    # the cap counts the digits as written
+    rng = random.Random(20)
+    alphabet = "0123456789_./eE+- "
+    limit = 10**NUMBER_DIGITS_CAP
+    accepted = 0
+    for _ in range(5000):
+        tok = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+        try:
+            want = Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            want = None
+        if want == 0 and "e" in tok.lower():
+            continue
+        if want is not None and max(abs(want.numerator), want.denominator) >= limit:
+            want = None
+        try:
+            got = parse_rational(tok)
+        except ValueError:
+            got = None
+        assert got == want, tok
+        accepted += got is not None
+    assert accepted > 500
+
+
+@pytest.mark.parametrize("tok, ok", [
+    ("9" * NUMBER_DIGITS_CAP, True),
+    ("9" * (NUMBER_DIGITS_CAP + 1), False),
+    (f"1/{'7' * NUMBER_DIGITS_CAP}", True),
+    (f"1/{'7' * (NUMBER_DIGITS_CAP + 1)}", False),
+    (f"1e{NUMBER_DIGITS_CAP - 1}", True),
+    (f"1e{NUMBER_DIGITS_CAP}", False),
+    (f"1e-{NUMBER_DIGITS_CAP - 1}", True),
+    (f"1e-{NUMBER_DIGITS_CAP}", False),
+    (f"2.50e{NUMBER_DIGITS_CAP - 1}", True),  # 25 times 10^3998: trailing zeros move
+    (f"2.5e{NUMBER_DIGITS_CAP}", False),
+    ("1e100000000", False),
+    ("1e-100000000", False),
+    ("1e" + "9" * 5000, False),
+])
+def test_parse_rational_digit_cap(tok, ok):
+    if ok:
+        assert parse_rational(tok) == Fraction(tok)
+    else:
+        with pytest.raises(ValueError, match="digits"):
+            parse_rational(tok)

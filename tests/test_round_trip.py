@@ -5,6 +5,9 @@ ParseError or parse to a value v with parse(format(v)) == v.
 """
 
 import random
+import time
+
+import pytest
 
 from borelshift import (
     ParseError,
@@ -17,6 +20,8 @@ from borelshift import (
     parse_invariants,
     parse_relation,
 )
+
+from borelshift.presentations import NUMBER_DIGITS_CAP
 
 from helpers import mutate
 
@@ -121,3 +126,31 @@ def test_documents_and_their_mutations_round_trip():
                 assert parse(fmt(value)) == value, text
     # most seeds and many mutations parse, so the property is not vacuous
     assert parsed > len(KINDS) * SEEDS
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_invariants, "gen 1 log 1e5000 1\n"),
+    (parse_invariants, "gen 1 1 1e5000 1\n"),
+    (parse_invariants, "gen 1 poly -3 0 1 root-in 1 1e-5000 1\n"),
+    (parse_document, "loops\ntail geometric 1e5000 2 from 3\n"),
+    (parse_document, "loops\ncount 1 2\ntail geometric 1e100000000 2 from 3\n"),
+    (parse_document, "loops\ntail damped 1e-5000 2 2 from 3\n"),
+])
+def test_numbers_too_long_to_write_are_refused_at_their_line(parse, text):
+    # 10^5000 has 5001 digits, past NUMBER_DIGITS_CAP, so no formatter could
+    # write it back; the reader refuses it from its text, in well under 2 s
+    start = time.monotonic()
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert time.monotonic() - start < 2
+    assert exc.value.lineno == len(text.splitlines())
+
+
+def test_numbers_at_the_digit_cap_round_trip():
+    for text, parse, fmt in (
+        (f"gen 1 log 1e{NUMBER_DIGITS_CAP - 1} 1\n", parse_invariants, format_invariants),
+        (f"loops\ntail geometric {10 ** (NUMBER_DIGITS_CAP - 1)} 2 from 3\n", parse_document,
+         format_document),
+    ):
+        value = parse(text)
+        assert parse(fmt(value)) == value
