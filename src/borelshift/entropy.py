@@ -35,11 +35,14 @@ or 1 (Collins & Akritas 1976).  The work depends on the roots near [lo, hi],
 not on all the real roots of the polynomial.  A rational root is found by its
 denominator, which divides the leading coefficient, and becomes a linear
 polynomial.  Nothing is factored: the minimal polynomial is needed only where
-a `poly` line is written, and ExactAlgebraic.minpoly factors on first read.
-sympy splits modulo p by Berlekamp's method, which is deterministic; its
-default, Cantor-Zassenhaus, draws random polynomials, so its time on one
-polynomial differs from run to run.  Two isolating intervals of one
-polynomial hold the same root exactly when it changes sign across, or
+a `poly` line is written, and ExactAlgebraic.minpoly splits it off on first
+read (_minimal_factor).  Most such polynomials are irreducible once x, x - 1
+and x + 1 are divided out, and a degree sieve modulo a few small primes
+proves it (Musser 1978) with no lifting.  Only where the sieve cannot decide
+does sympy factor over Z, splitting modulo p by Berlekamp's method, which is
+deterministic; its default, Cantor-Zassenhaus, draws random polynomials, so
+its time on one polynomial differs from run to run.  Two isolating intervals
+of one polynomial hold the same root exactly when it changes sign across, or
 vanishes on, their overlap.
 """
 
@@ -50,7 +53,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
-from operator import truediv
+from operator import mul, truediv
 
 import sympy
 from sympy.polys.polyconfig import using
@@ -62,6 +65,13 @@ from .presentations import FiniteGraph
 DEFAULT_TOL = Fraction(1, 10**9)
 ENCLOSURE_WIDTH = Fraction(1, 10**12)
 EXACT_VERTEX_CAP = 60
+SIEVE_PRIME_BUDGET = 10  # usable primes the degree sieve tries before sympy factors
+
+# enough odd primes that SIEVE_PRIME_BUDGET of them divide neither the
+# leading coefficient nor the discriminant of any polynomial met in practice
+_SIEVE_PRIMES = tuple(
+    p for p in range(3, 200, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+)
 
 _X = sympy.symbols("x")
 
@@ -370,17 +380,141 @@ def _rational_root(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> Fract
 
 
 def _minimal_factor(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> tuple[int, ...]:
-    """The irreducible factor of `coeffs` with a root in [lo, hi], primitive
-    with positive leading coefficient: sympy factors over Z, splitting modulo
-    p by Berlekamp's method.  This is the only factorization in the package."""
-    poly = sympy.Poly(list(reversed(coeffs)), _X, domain="QQ")
+    """The irreducible factor of `coeffs` with the root in [lo, hi], for a
+    primitive squarefree `coeffs` with positive leading coefficient (as
+    ExactAlgebraic.poly is); it comes back the same way.  This is the only
+    factorization in the package, and most of its calls need no factoring.
+
+    The factors x, x - 1 and x + 1 are divided out by exact tests; a root at
+    0 or +-1 inside [lo, hi] is the answer itself.  By Gauss's lemma the
+    quotient of a primitive polynomial by a monic one is primitive, and it
+    keeps the root.  What is left is certified irreducible when it can be
+    (_certify_irreducible), by Musser's degree sieve (D. R. Musser, On the
+    efficiency of a polynomial irreducibility test, J. ACM 25, 1978): a
+    prime p that does not divide the leading coefficient keeps the degree
+    of every factor over Z, so that degree is a sum of degrees of the
+    irreducible factors modulo p.  When, for at most SIEVE_PRIME_BUDGET
+    usable primes, no degree strictly between 0 and the degree of the
+    polynomial is such a sum for all of them, the polynomial is its own
+    minimal factor.  Otherwise sympy factors it over Z (Berlekamp modulo p,
+    which is deterministic, then Hensel lifting and recombination).
+    """
+    f = list(coeffs)
+    for r in (0, 1, -1):
+        if _sign_at(f, r) == 0:
+            if lo <= r <= hi:
+                return (-r, 1)
+            f = list(accumulate(reversed(f), lambda acc, c: acc * r + c))[-2::-1]
+    if len(f) == 2 or (len(f) > 2 and _certify_irreducible(f)):
+        return tuple(f)
+    poly = sympy.Poly(list(reversed(f)), _X, domain="QQ")
     with using(gf_factor_method="berlekamp"):
         _, factors = poly.factor_list()
-    for f, _ in factors:
-        cs = _int_coeffs(f)
+    for g, _ in factors:
+        cs = _int_coeffs(g)
         if len(cs) > 1 and _roots_in(cs, lo, hi):
             return cs if cs[-1] > 0 else tuple(-c for c in cs)
     raise ArithmeticError("no factor of the polynomial has a root in the interval")
+
+
+def _certify_irreducible(f: list[int]) -> bool:
+    """True when the degree sieve proves the squarefree integer polynomial f
+    (ascending, degree n >= 2) irreducible over Q; False when it cannot.
+
+    A bitmask holds the degrees a factor of f may still have.  Each usable
+    prime p (p does not divide the leading coefficient and f is squarefree
+    modulo p) ANDs in the subset sums of the degrees of f's irreducible
+    factors modulo p; f is certified once no degree strictly between 0 and n
+    is left, and the sieve gives up after SIEVE_PRIME_BUDGET usable primes.
+    When f(x) = g(x^k) with g certified irreducible, every factor of f has a
+    degree that is a multiple of deg g (a root a of f has a^k a root of g,
+    and Q(a^k) lies in Q(a)), so the mask starts from those multiples.
+    """
+    n = len(f) - 1
+    k = math.gcd(*(i for i, c in enumerate(f) if c))
+    allowed = (1 << (n + 1)) - 1
+    if k > 1 and _certify_irreducible(f[::k]):
+        allowed = sum(1 << i for i in range(0, n + 1, n // k))
+    inner = (1 << n) - 2  # degrees 1 .. n - 1
+    used = 0
+    for p in _SIEVE_PRIMES:
+        if not allowed & inner or used == SIEVE_PRIME_BUDGET:
+            break
+        mask = _degree_sums_mod(f, p)
+        if mask is not None:
+            allowed &= mask
+            used += 1
+    return not allowed & inner
+
+
+def _degree_sums_mod(f: list[int], p: int) -> int | None:
+    """Bitmask of the subset sums of the degrees of the irreducible factors
+    of f modulo the odd prime p; None when p divides the leading coefficient
+    or f is not squarefree modulo p.
+
+    Distinct-degree factorization on plain integer lists: h = x^(p^d) mod f
+    comes from the one before through the Frobenius matrix, whose row j is
+    x^(pj) mod f (over F_p, h(x)^p = h(x^p)), and gcd(rest, h - x) is the
+    product of the factors of degree d still in rest.
+    """
+    n = len(f) - 1
+    fp = [c % p for c in f]
+    if not fp[-1]:
+        return None
+    if len(_gcd_mod(fp, _trim([i * c % p for i, c in enumerate(fp)][1:]), p)) > 1:
+        return None
+    inv = pow(fp[-1], -1, p)
+    xn = [-c * inv % p for c in fp[:-1]]  # x^n = sum xn[i] x^i mod f
+    rows, r = [], [1] + [0] * (n - 1)
+    for i in range(p * (n - 1) + 1):
+        if i % p == 0:
+            rows.append(r)
+        top = r[-1]
+        r = [0] + r[:-1]
+        if top:
+            r = [(a + top * b) % p for a, b in zip(r, xn)]
+    cols = list(zip(*rows))
+    mask, rest, h, d = 1, fp, [0, 1] + [0] * (n - 2), 0
+    while 2 * (d + 1) < len(rest):
+        d += 1
+        h = [sum(map(mul, h, col)) % p for col in cols]
+        g = _gcd_mod(rest, _trim([h[0], (h[1] - 1) % p, *h[2:]]), p)
+        if len(g) > 1:
+            for _ in range((len(g) - 1) // d):
+                mask |= mask << d
+            rest = _divmod_mod(rest, g, p)[0]
+    if len(rest) > 1:
+        mask |= mask << (len(rest) - 1)
+    return mask
+
+
+def _trim(a: list[int]) -> list[int]:
+    """a without its zero leading coefficients, trimmed in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over F_p (ascending lists, b with a
+    nonzero leading coefficient), each step scaled by b's leading inverse."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quo = [0] * max(0, len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] * inv % p
+        if c:
+            quo[i - db] = c
+            a[i - db : i] = [(x - c * y) % p for x, y in zip(a[i - db : i], b)]
+    return quo, _trim(a[:db])
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """A greatest common divisor of a and b over F_p, by Euclid."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return a
 
 
 def _charpoly_coeffs(rows) -> tuple[int, ...]:

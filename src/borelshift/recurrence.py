@@ -154,7 +154,9 @@ def _bracket_and_bisect_root(side, hi: Fraction, rel_width: Fraction) -> RatInte
 
     Phi increases on (0, R), so the signs bracket the root.  A sign of 0 at
     a midpoint (the root itself, or a damped enclosure that straddles 1)
-    nudges the midpoint.
+    nudges the midpoint; a sign of 0 there too leaves the interval wider
+    than rel_width and raises UndecidableAtTolerance.  Phi - 1 of a finite
+    or geometric schema has one root, so only damped enclosures get there.
     """
     lo = hi / 2
     while side(lo) >= 0:
@@ -172,7 +174,10 @@ def _bracket_and_bisect_root(side, hi: Fraction, rel_width: Fraction) -> RatInte
             mid = lo + (hi - lo) * Fraction(29, 64)
             side_mid = side(mid)
             if side_mid == 0:
-                return RatInterval(lo, hi)
+                raise UndecidableAtTolerance(
+                    "the sign of Phi(x) - 1 is not certified near its root: "
+                    f"the root interval stays above relative width {rel_width}"
+                )
         if side_mid < 0:
             lo = mid
         else:

@@ -219,9 +219,9 @@ def count_label_words(edges: list[Edge], labels: dict[Edge, str], length: int) -
     return {word for word, _ in words}
 
 
-def random_strongly_connected(rng: random.Random, n_max: int = 8):
+def random_strongly_connected(rng: random.Random, n_max: int = 8, n_min: int = 2):
     """Simple strongly connected digraph: a full cycle plus random chords."""
-    n = rng.randint(2, n_max)
+    n = rng.randint(n_min, n_max)
     vs = [f"v{i}" for i in range(n)]
     shuffled = vs[:]
     rng.shuffle(shuffled)

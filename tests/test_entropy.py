@@ -16,6 +16,7 @@ from borelshift import (
     PathologySpec,
     ZERO_ENTROPY,
     certify_pathology,
+    classify_recurrence,
     cli,
     compare_entropy,
     cycle_graph,
@@ -334,6 +335,95 @@ def test_only_printing_factors(monkeypatch, tmp_path, capsys):
     assert calls == []
     assert h.minpoly == h.minpoly == (1, -3, 0, 1)
     assert len(calls) == 1
+
+
+def _sieve_cases(rng: random.Random):
+    """Seeded integer polynomials for _minimal_factor: products of random
+    factors, compositions g(x^k), binomials x^n - a with small primes in a
+    (so that they divide the discriminant), and leading coefficients above
+    1.  A polynomial with no real root is skipped by the caller."""
+    # its minimal factor has degree 4; a sieve that skips a leading inverse
+    # in a gcd certifies it
+    yield (-1, 0, -1, -2, 0, -2, 1, -2, 1)
+    special = [_X, _X - 1, _X + 1, _X**2 + 1, _X**2 + _X + 1]
+    for _ in range(80):
+        expr = sympy.Integer(1)
+        for _ in range(rng.randint(1, 3)):
+            expr *= _random_factor(rng)
+        if rng.random() < 0.5:
+            expr *= rng.choice(special)
+        yield _ascending(sympy.expand(expr))
+    for _ in range(50):
+        k = rng.randint(2, 4)
+        g = _random_factor(rng) * rng.choice((1, 1, _random_factor(rng)))
+        yield _ascending(sympy.expand(g.subs(_X, _X**k) * rng.choice((1, 1, _X - 1, _X + 2))))
+    for _ in range(40):
+        a = rng.choice((2, 3, 5, 6, 7, 12, 15, 45, 105)) * rng.choice((1, 1, 4, 8, 9, 16, 27, -1))
+        yield _ascending(rng.randint(1, 3) * _X ** rng.randint(2, 12) - a)
+    for _ in range(60):
+        n = rng.randint(3, 20)
+        cs = [rng.randint(-9, 9) for _ in range(n)] + [rng.randint(1, 12)]
+        cs[0] = cs[0] or 1
+        yield tuple(cs)
+
+
+def test_minimal_factor_sieve_agrees_with_factoring(monkeypatch):
+    # every answer equals the factor-first reference, no reducible polynomial
+    # is ever certified, and both the sieve and the fallback are exercised
+    certified = []
+    certify = entropy._certify_irreducible
+
+    def spy(f):
+        answer = certify(f)
+        if answer:
+            certified.append(tuple(f))
+        return answer
+
+    factored = []
+    factor_list = sympy.Poly.factor_list
+    monkeypatch.setattr(entropy, "_certify_irreducible", spy)
+
+    def counted(self, *args, **kwargs):
+        factored.append(self)
+        return factor_list(self, *args, **kwargs)
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", counted)
+    rng = random.Random(20261020)
+    paths = {"sieve": 0, "fallback": 0}
+    for coeffs in _sieve_cases(rng):
+        roots = sympy.Poly(list(reversed(coeffs)), _X).intervals()
+        if not roots:
+            continue
+        (a, b), _ = rng.choice(roots)
+        lo, hi = Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
+        want, lo, hi = factor_first_isolation(coeffs, lo, hi)
+        before = len(factored)
+        got = entropy._minimal_factor(entropy._squarefree(coeffs), lo, hi)
+        assert got == want, (coeffs, lo, hi)
+        paths["fallback" if len(factored) > before else "sieve"] += 1
+    for f in certified:
+        assert sympy.Poly(list(reversed(f)), _X).is_irreducible, f
+    assert sum(paths.values()) >= 200 and min(paths.values()) >= 20, paths
+
+
+def test_sieve_certifies_without_factoring(monkeypatch):
+    # a 40-vertex graph's Perron root and a period-2 schema's root (its
+    # first-return polynomial is a polynomial in x^2) are certified by the
+    # sieve alone: factoring raises
+    rng = random.Random(3)
+    vs, edges = random_strongly_connected(rng, 40, 40)
+    graph = FiniteGraph(vs, edges)
+    (schema,) = realize_invariants(parse_invariants("gen 2 7/10 7/10 1\n")).parts()
+    values = [perron_entropy(graph), classify_recurrence(schema).entropy]
+    wants = [factor_first_isolation(h.poly, h.root_lo, h.root_hi)[0] for h in values]
+    assert [len(w) - 1 for w in wants] == [39, 42]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor_list called")
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
+    for h, want in zip(values, wants):
+        assert entropy._minimal_factor(h.poly, h.root_lo, h.root_hi) == want
 
 
 def _random_squarefree(rng: random.Random):

@@ -447,6 +447,24 @@ def test_bisection_nudges_a_midpoint_at_the_root(monkeypatch):
     assert rep.entropy.rational_root() == 4
 
 
+def _banded_side(lo: Fraction, hi: Fraction, x: Fraction) -> int:
+    """-1 below lo, 0 on [lo, hi], 1 above: a damped enclosure that
+    straddles 1 across a whole band."""
+    return (x > hi) - (x < lo)
+
+
+def test_bisection_refuses_a_wide_undecided_band():
+    # the midpoint 5/8 of [1/4, 1] and its nudge 151/256 both give 0
+    side = partial(_banded_side, Fraction(1, 3), Fraction(2, 3))
+    with pytest.raises(UndecidableAtTolerance):
+        recurrence._bracket_and_bisect_root(side, Fraction(1), REL)
+    # a band far narrower than the width target is stepped over by the nudge
+    band = Fraction(1, 10**20)
+    side = partial(_banded_side, Fraction(5, 8) - band, Fraction(5, 8) + band)
+    root = recurrence._bracket_and_bisect_root(side, Fraction(1), REL)
+    assert root.lo <= Fraction(5, 8) <= root.hi and root.width <= REL * root.lo
+
+
 def test_float_overflow_takes_the_exact_path():
     # 10^310 loops of length 1 overflow a float; the root is about 1e-310
     s = LoopSchema(((1, 10**310), (2, 1)))
