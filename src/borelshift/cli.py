@@ -380,10 +380,13 @@ def build_parser() -> _Parser:
     return p
 
 
+# built once per process: it holds no input, and a build costs more than a parse
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

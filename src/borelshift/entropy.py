@@ -21,14 +21,17 @@ converges at the rate of those blocks; iterating A + I instead contracts by
 only |lambda e^{2 pi i/p} + 1| / (lambda + 1) per step, which for long periods
 is a factor close to 1 (Lind & Marcus 4.5).  Both iterations read the sparse
 successor rows of the graph's integer index, so a step costs time linear in
-the edges; the dense adjacency matrix is built only for the characteristic
-polynomial, at EXACT_VERTEX_CAP vertices or fewer.
+the edges.  So does the characteristic polynomial, at EXACT_VERTEX_CAP
+vertices or fewer: Berkowitz's division-free method grows it one vertex at a
+time in plain integers, and no dense matrix is built (_charpoly_coeffs).
 
 identify_algebraic turns an enclosure of the largest real root of an integer
 polynomial (a Perron root, by Perron-Frobenius; 1/r for the reversed
 first-return polynomial of a loop schema) into an isolating interval: one root
 inside, no equal nonzero signs at the ends (isolates_one_root).  It works on
-the squarefree part, which has the same roots: the roots inside [lo, hi] are
+the squarefree part f / gcd(f, f'), which has the same roots; the gcd is the
+heuristic integer gcd GCDHEU, each answer checked by exact division
+(_poly_gcd).  The roots inside [lo, hi] are
 counted locally, in exact integers, by Descartes' rule of signs after the
 Moebius map of (lo, hi) onto (0, inf), halving while the count is not yet 0
 or 1 (Collins & Akritas 1976).  The work depends on the roots near [lo, hi],
@@ -39,9 +42,12 @@ a `poly` line is written, and ExactAlgebraic.minpoly splits it off on first
 read (_minimal_factor).  Most such polynomials are irreducible once x, x - 1
 and x + 1 are divided out, and a degree sieve modulo a few small primes
 proves it (Musser 1978) with no lifting.  Only where the sieve cannot decide
-does sympy factor over Z, splitting modulo p by Berlekamp's method, which is
-deterministic; its default, Cantor-Zassenhaus, draws random polynomials, so
-its time on one polynomial differs from run to run.  Two isolating intervals
+is the polynomial factored over Z, by Zassenhaus's method in plain integers:
+split modulo the sieve's prime with the fewest factors (Cantor-Zassenhaus,
+drawing from a generator seeded by the prime, so one polynomial takes the same
+work on every run), Hensel lifting, and recombination (_zassenhaus).  sympy
+is imported only in the gcd's fallback, when GCDHEU gives up, so the
+processes that use this module do not load it.  Two isolating intervals
 of one polynomial hold the same root exactly when it changes sign across, or
 vanishes on, their overlap.
 """
@@ -49,14 +55,12 @@ vanishes on, their overlap.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import mul, truediv
-
-import sympy
-from sympy.polys.polyconfig import using
 
 from .graphs import is_single_cycle, period_of_component
 from .intervals import PrecisionExhausted, RatInterval, log_fraction, log_interval
@@ -65,15 +69,14 @@ from .presentations import FiniteGraph
 DEFAULT_TOL = Fraction(1, 10**9)
 ENCLOSURE_WIDTH = Fraction(1, 10**12)
 EXACT_VERTEX_CAP = 60
-SIEVE_PRIME_BUDGET = 10  # usable primes the degree sieve tries before sympy factors
+SIEVE_PRIME_BUDGET = 10  # usable primes the degree sieve tries before factoring
+_GCD_POINTS = 6  # evaluation points the heuristic gcd tries before sympy's gcd
 
 # enough odd primes that SIEVE_PRIME_BUDGET of them divide neither the
 # leading coefficient nor the discriminant of any polynomial met in practice
 _SIEVE_PRIMES = tuple(
     p for p in range(3, 200, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))
 )
-
-_X = sympy.symbols("x")
 
 
 class ExtendedEntropy:
@@ -312,16 +315,103 @@ def _roots_in(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> int:
     return (q[0] == 0) + (sum(q) == 0) + _roots_in_unit(q)
 
 
-def _int_coeffs(poly: sympy.Poly) -> tuple[int, ...]:
-    """Ascending coefficients of a sympy polynomial with integer coefficients."""
-    return tuple(int(c) for c in reversed(poly.all_coeffs()))
+def _primitive(f) -> tuple[int, ...]:
+    """The nonzero integer polynomial f (ascending) divided by its content,
+    with a positive leading coefficient."""
+    c = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+    return tuple(a // c for a in f)
 
 
 def _squarefree(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """Primitive squarefree part, with positive leading coefficient: the
-    same roots, each simple."""
-    sqf = _int_coeffs(sympy.Poly(list(reversed(coeffs)), _X, domain="ZZ").sqf_part())
-    return sqf if sqf[-1] > 0 else tuple(-c for c in sqf)
+    same roots, each simple.  It is f / gcd(f, f') for the nonconstant f."""
+    f = _primitive(coeffs)
+    return _primitive(_exact_quotient(f, _poly_gcd(f, [i * c for i, c in enumerate(f)][1:])))
+
+
+def _poly_gcd(f, g) -> tuple[int, ...]:
+    """Greatest common divisor of the nonzero integer polynomials f and g
+    (ascending), primitive, with a positive leading coefficient.
+
+    The heuristic gcd GCDHEU (B. W. Char, K. O. Geddes and G. H. Gonnet,
+    J. Symbolic Comput. 7, 1989), with sympy's start point and update rule
+    for the evaluation point xi (_gcd_candidates).  Each candidate is
+    checked by exact division, and one that divides both f and g is the gcd.
+    The start point has xi > 2 (1 + |f|/lc(f)) for f or for g, so every
+    root of that polynomial has modulus below xi/2, and every nonconstant k
+    dividing it has |k(xi)| > xi/2, more than any balanced base-xi digit; a
+    candidate that divides both but misses a factor k of the gcd would need
+    such a digit.  When _GCD_POINTS evaluation points all fail, sympy's gcd
+    decides.
+    """
+    f, g = _primitive(f), _primitive(g)
+    if len(f) == 1 or len(g) == 1:
+        return (1,)
+    nf, ng = max(map(abs, f)), max(map(abs, g))
+    b = 2 * min(nf, ng) + 29
+    xi = max(min(b, 99 * math.isqrt(b)), 2 * min(nf // f[-1], ng // g[-1]) + 4)
+    for _ in range(_GCD_POINTS):
+        for h in _gcd_candidates(f, g, xi):
+            if h is not None:
+                h = _primitive(h)
+                if _exact_quotient(f, h) is not None and _exact_quotient(g, h) is not None:
+                    return h
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    import sympy  # only where the heuristic gives up
+
+    x = sympy.Symbol("x")
+    h = sympy.Poly(f[::-1], x, domain="ZZ").gcd(sympy.Poly(g[::-1], x, domain="ZZ"))
+    return _primitive([int(c) for c in reversed(h.all_coeffs())])
+
+
+def _gcd_candidates(f, g, xi: int):
+    """GCDHEU's candidates for gcd(f, g) from the values at xi, none when
+    one of them is 0: the balanced base-xi digits of gamma = gcd(f(xi),
+    g(xi)), then f and g divided by the digits of their cofactors f(xi) /
+    gamma and g(xi) / gamma (None where that division is not exact)."""
+    ff, gg = _value_at(f, xi), _value_at(g, xi)
+    if ff and gg:
+        gamma = math.gcd(ff, gg)
+        yield _balanced_digits(gamma, xi)
+        yield _exact_quotient(f, _balanced_digits(ff // gamma, xi))
+        yield _exact_quotient(g, _balanced_digits(gg // gamma, xi))
+
+
+def _value_at(f, x: int) -> int:
+    """f(x) for the integer x, by Horner's rule."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _balanced_digits(v: int, xi: int) -> list[int]:
+    """Ascending digits of v in base xi, each in (-xi/2, xi/2]: the integer
+    polynomial with value v at xi whose coefficients are smallest."""
+    out = []
+    while v:
+        v, d = divmod(v, xi)
+        if d > xi // 2:
+            d -= xi
+            v += 1
+        out.append(d)
+    return out
+
+
+def _exact_quotient(a, b) -> list[int] | None:
+    """a / b for integer polynomials (ascending, b with a nonzero leading
+    coefficient), or None when b does not divide a in Z[x]."""
+    a = list(a)
+    db, lead = len(b) - 1, b[-1]
+    quo = [0] * max(0, len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c, r = divmod(a[i], lead)
+        if r:
+            return None
+        if c:
+            quo[i - db] = c
+            a[i - db : i] = [x - c * y for x, y in zip(a[i - db : i], b)]
+    return None if any(a[:db]) else quo
 
 
 def isolates_one_root(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> bool:
@@ -396,28 +486,22 @@ def _minimal_factor(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> tupl
     irreducible factors modulo p.  When, for at most SIEVE_PRIME_BUDGET
     usable primes, no degree strictly between 0 and the degree of the
     polynomial is such a sum for all of them, the polynomial is its own
-    minimal factor.  Otherwise sympy factors it over Z (Berlekamp modulo p,
-    which is deterministic, then Hensel lifting and recombination).
+    minimal factor.  Otherwise it is factored over Z, in plain integers
+    (_zassenhaus).
     """
     f = list(coeffs)
     for r in (0, 1, -1):
         if _sign_at(f, r) == 0:
             if lo <= r <= hi:
                 return (-r, 1)
-            f = list(accumulate(reversed(f), lambda acc, c: acc * r + c))[-2::-1]
-    if len(f) == 2 or (len(f) > 2 and _certify_irreducible(f)):
+            f = _exact_quotient(f, (-r, 1))
+    splits = []
+    if len(f) == 2 or (len(f) > 2 and _certify_irreducible(f, splits)):
         return tuple(f)
-    poly = sympy.Poly(list(reversed(f)), _X, domain="QQ")
-    with using(gf_factor_method="berlekamp"):
-        _, factors = poly.factor_list()
-    for g, _ in factors:
-        cs = _int_coeffs(g)
-        if len(cs) > 1 and _roots_in(cs, lo, hi):
-            return cs if cs[-1] > 0 else tuple(-c for c in cs)
-    raise ArithmeticError("no factor of the polynomial has a root in the interval")
+    return _zassenhaus(f, lo, hi, splits)
 
 
-def _certify_irreducible(f: list[int]) -> bool:
+def _certify_irreducible(f: list[int], splits: list | None = None) -> bool:
     """True when the degree sieve proves the squarefree integer polynomial f
     (ascending, degree n >= 2) irreducible over Q; False when it cannot.
 
@@ -429,6 +513,8 @@ def _certify_irreducible(f: list[int]) -> bool:
     When f(x) = g(x^k) with g certified irreducible, every factor of f has a
     degree that is a multiple of deg g (a root a of f has a^k a root of g,
     and Q(a^k) lies in Q(a)), so the mask starts from those multiples.
+    Each usable prime's distinct-degree split is appended to `splits`, when
+    given, as (p, parts), for _zassenhaus to choose from.
     """
     n = len(f) - 1
     k = math.gcd(*(i for i, c in enumerate(f) if c))
@@ -440,17 +526,30 @@ def _certify_irreducible(f: list[int]) -> bool:
     for p in _SIEVE_PRIMES:
         if not allowed & inner or used == SIEVE_PRIME_BUDGET:
             break
-        mask = _degree_sums_mod(f, p)
-        if mask is not None:
-            allowed &= mask
+        parts = _distinct_degree_mod(f, p)
+        if parts is not None:
+            allowed &= _degree_sums(parts)
             used += 1
+            if splits is not None:
+                splits.append((p, parts))
     return not allowed & inner
 
 
-def _degree_sums_mod(f: list[int], p: int) -> int | None:
+def _degree_sums(parts: list[tuple[int, list[int]]]) -> int:
     """Bitmask of the subset sums of the degrees of the irreducible factors
-    of f modulo the odd prime p; None when p divides the leading coefficient
-    or f is not squarefree modulo p.
+    modulo p, from their distinct-degree split (_distinct_degree_mod)."""
+    mask = 1
+    for d, g in parts:
+        for _ in range((len(g) - 1) // d):
+            mask |= mask << d
+    return mask
+
+
+def _distinct_degree_mod(f: list[int], p: int) -> list[tuple[int, list[int]]] | None:
+    """Pairs (d, g): g is the monic product of the irreducible factors of
+    degree d of f modulo the odd prime p, one pair for each d that occurs;
+    None when p divides the leading coefficient or f is not squarefree
+    modulo p.
 
     Distinct-degree factorization on plain integer lists: h = x^(p^d) mod f
     comes from the one before through the Frobenius matrix, whose row j is
@@ -474,18 +573,148 @@ def _degree_sums_mod(f: list[int], p: int) -> int | None:
         if top:
             r = [(a + top * b) % p for a, b in zip(r, xn)]
     cols = list(zip(*rows))
-    mask, rest, h, d = 1, fp, [0, 1] + [0] * (n - 2), 0
+    parts, rest, h, d = [], fp, [0, 1] + [0] * (n - 2), 0
     while 2 * (d + 1) < len(rest):
         d += 1
         h = [sum(map(mul, h, col)) % p for col in cols]
         g = _gcd_mod(rest, _trim([h[0], (h[1] - 1) % p, *h[2:]]), p)
         if len(g) > 1:
-            for _ in range((len(g) - 1) // d):
-                mask |= mask << d
+            parts.append((d, _monic_mod(g, p)))
             rest = _divmod_mod(rest, g, p)[0]
     if len(rest) > 1:
-        mask |= mask << (len(rest) - 1)
-    return mask
+        parts.append((len(rest) - 1, _monic_mod(rest, p)))
+    return parts
+
+
+def _zassenhaus(f: list[int], lo: Fraction, hi: Fraction, splits) -> tuple[int, ...]:
+    """The irreducible factor of f with the root in [lo, hi], by Zassenhaus's
+    method, for a primitive squarefree f (ascending) with positive leading
+    coefficient l and f(0) != 0; it comes back primitive with positive
+    leading coefficient.
+
+    `splits` holds pairs (p, _distinct_degree_mod(f, p)) for the primes the
+    degree sieve used; the prime with the fewest irreducible factors is
+    taken.  f is split modulo p (_equal_degree_mod), the monic factors are
+    lifted to f = l g_1 ... g_r modulo p^k (_hensel_lift), and p^k is more than
+    twice l 2^n |f|_2, a bound on l / lc(g) times any factor g of f over Z
+    (Mignotte).  Recombination tries the products l g_S of subsets S of the
+    lifted factors, smallest first: one whose balanced residues form a
+    polynomial dividing f is a factor over Z, and no smaller subset gives
+    one, so it is irreducible.  The first with the root is the answer; a
+    factor without it is divided out, and what is left when no subset of at
+    most half the factors divides it is irreducible.  A candidate is first
+    checked on its constant term, which must divide l f(0).
+    """
+    if not splits:
+        raise ArithmeticError("no usable prime below 200 for the polynomial")
+    _, p, parts = min((sum((len(g) - 1) // d for d, g in parts), p, parts) for p, parts in splits)
+    rng = random.Random(p)  # seeded: the same splitting on every run
+    factors = [g for d, part in parts for g in _equal_degree_mod(part, d, p, rng)]
+    bound = 2 * f[-1] * (math.isqrt(sum(c * c for c in f)) + 1) << (len(f) - 1)
+    k = 1
+    while p**k <= bound:
+        k += 1
+    m = p**k
+    factors = _hensel_lift(f, factors, p, k)
+    f, s = list(f), 1
+    while 2 * s <= len(factors):
+        for subset in combinations(range(len(factors)), s):
+            lead = f[-1]
+            c0 = lead
+            for i in subset:
+                c0 = c0 * factors[i][0] % m
+            c0 = c0 - m if 2 * c0 > m else c0
+            if not c0 or lead * f[0] % c0:
+                continue
+            h = [lead]
+            for i in subset:
+                h = _mul_mod(h, factors[i], m)
+            g = _primitive([c - m if 2 * c > m else c for c in h])
+            q = _exact_quotient(f, g)
+            if q is None:
+                continue
+            if _roots_in(g, lo, hi):
+                return g
+            f = q
+            factors = [a for i, a in enumerate(factors) if i not in subset]
+            break
+        else:
+            s += 1
+    return tuple(f)
+
+
+def _equal_degree_mod(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """The monic irreducible factors of g over F_p, for the odd prime p and a
+    monic squarefree g whose irreducible factors all have degree d.
+
+    Cantor-Zassenhaus splitting: for a polynomial a drawn from rng,
+    a^((p^d - 1)/2) is 1 modulo about half of the factors and not modulo the
+    rest, so gcd(g, a^((p^d - 1)/2) - 1) splits g with probability about 1/2.
+    """
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        if len(a) < 2:
+            continue
+        b, e = [1], (p**d - 1) // 2
+        while e:  # b = a^e mod g, by squaring
+            if e & 1:
+                b = _divmod_mod(_mul_mod(b, a, p), g, p)[1]
+            a = _divmod_mod(_mul_mod(a, a, p), g, p)[1]
+            e >>= 1
+        b[0] = (b[0] - 1) % p  # b is not 0: g is squarefree and does not divide a
+        h = _gcd_mod(g, _trim(b), p)
+        if 1 < len(h) < len(g):
+            h = _monic_mod(h, p)
+            rest = _divmod_mod(g, h, p)[0]
+            return _equal_degree_mod(h, d, p, rng) + _equal_degree_mod(rest, d, p, rng)
+
+
+def _hensel_lift(f: list[int], factors: list[list[int]], p: int, k: int) -> list[list[int]]:
+    """Monic G_i with G_i = g_i modulo p and f = lc(f) G_1 ... G_r modulo
+    p^k, from the pairwise coprime monic factors g_i of f modulo p (lc(f)
+    a unit modulo p).
+
+    Multifactor lifting on a balanced tree, as in sympy's
+    dup_zz_hensel_lift: f = g h with g = lc(f) times the first half of the
+    factors and h the product of the rest is lifted by quadratic steps to a
+    modulus at least p^k (_hensel_step), and each half is lifted the same
+    way from its part of f.
+    """
+    m = p**k
+    if len(factors) == 1:
+        inv = pow(f[-1], -1, m)
+        return [[c * inv % m for c in f]]
+    half = len(factors) // 2
+    g = [f[-1] % p]
+    for a in factors[:half]:
+        g = _mul_mod(g, a, p)
+    h = [1]
+    for a in factors[half:]:
+        h = _mul_mod(h, a, p)
+    s, t = _gcdex_mod(g, h, p)
+    q = p
+    while q < m:
+        g, h, s, t = _hensel_step(q, f, g, h, s, t)
+        q *= q
+    return _hensel_lift(g, factors[:half], p, k) + _hensel_lift(h, factors[half:], p, k)
+
+
+def _hensel_step(m: int, f, g, h, s, t):
+    """From f = g h and s g + t h = 1 modulo m, with h monic, the same
+    equations modulo m^2, h still monic and of the same degree (J. von zur
+    Gathen and J. Gerhard, Modern Computer Algebra, Algorithm 15.10)."""
+    mm = m * m
+    e = _sub_mod(f, _mul_mod(g, h, mm), mm)
+    q, r = _divmod_mod(_mul_mod(s, e, mm), h, mm)
+    g = _add_mod(g, _add_mod(_mul_mod(t, e, mm), _mul_mod(q, g, mm), mm), mm)
+    h = _add_mod(h, r, mm)
+    b = _sub_mod(_add_mod(_mul_mod(s, g, mm), _mul_mod(t, h, mm), mm), [1], mm)
+    c, d = _divmod_mod(_mul_mod(s, b, mm), h, mm)
+    s = _sub_mod(s, d, mm)
+    t = _sub_mod(t, _add_mod(_mul_mod(t, b, mm), _mul_mod(c, g, mm), mm), mm)
+    return g, h, s, t
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -496,8 +725,9 @@ def _trim(a: list[int]) -> list[int]:
 
 
 def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b over F_p (ascending lists, b with a
-    nonzero leading coefficient), each step scaled by b's leading inverse."""
+    """Quotient and remainder of a by b modulo p (ascending lists, b with a
+    leading coefficient invertible modulo p), each step scaled by b's leading
+    inverse.  p is prime, or any modulus when b is monic (_hensel_step)."""
     a = list(a)
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
@@ -517,14 +747,92 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _gcdex_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """s and t with s a + t b = 1 over F_p, for coprime a and b, by the
+    extended Euclidean algorithm."""
+    s0, s1, t0, t1 = [1], [], [], [1]
+    while b:
+        q, r = _divmod_mod(a, b, p)
+        a, b = b, r
+        s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
+        t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
+    inv = pow(a[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _monic_mod(a: list[int], p: int) -> list[int]:
+    """a divided by its leading coefficient over F_p."""
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _mul_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    """The product of a and b modulo m (ascending lists, [] for 0)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _trim([c % m for c in out])
+
+
+def _add_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    """a + b modulo m."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([(x + y) % m for x, y in zip(a, b)] + [x % m for x in a[len(b) :]])
+
+
+def _sub_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    """a - b modulo m."""
+    return _add_mod(a, [-y for y in b], m)
+
+
 def _charpoly_coeffs(rows) -> tuple[int, ...]:
-    """Characteristic polynomial of the matrix with sparse rows of (j, A[i][j])."""
-    mat = [[0] * len(rows) for _ in rows]
+    """Characteristic polynomial det(xI - A), ascending, of the integer
+    matrix A with sparse rows of (j, A[i][j]), j ascending.
+
+    Berkowitz's division-free method (S. J. Berkowitz, Inf. Process. Lett.
+    18, 1984), in plain integers.  The leading block A_k grows one vertex at
+    a time.  With a the new diagonal entry and r and c the new row and column
+    inside the block, det(xI - A_(k+1)) is, in descending coefficients, the
+    first k + 2 of the product of det(xI - A_k) with the Toeplitz column
+    1, -a, -r c, -r A_k c, ..., -r A_k^(k-1) c.  The row vectors r A_k^m
+    read the sparse rows, so a step of the block costs its edges, not k^2.
+    """
+    n = len(rows)
+    cols = [[] for _ in rows]
     for i, row in enumerate(rows):
         for j, m in row:
-            mat[i][j] = m
-    cp = sympy.Matrix(mat).charpoly(_X)
-    return tuple(int(c) for c in reversed(cp.all_coeffs()))  # ascending
+            cols[j].append((i, m))
+    poly = [1]  # descending coefficients of det(xI - A_k)
+    for k in range(n):
+        t = [1, -sum(m for j, m in rows[k] if j == k)]
+        c = [(i, m) for i, m in cols[k] if i < k]
+        u = [0] * k  # r A_k^m
+        for j, m in rows[k]:
+            if j < k:
+                u[j] = m
+        while c and any(u):
+            t.append(-sum(m * u[i] for i, m in c))
+            if len(t) == k + 2:
+                break
+            w = [0] * k
+            for i, ui in enumerate(u):
+                if ui:
+                    for j, m in rows[i]:
+                        if j >= k:
+                            break
+                        w[j] += ui * m
+            u = w
+        t += [0] * (k + 2 - len(t))
+        poly = [
+            sum(t[i - j] * poly[j] for j in range(min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return tuple(reversed(poly))
 
 
 def _float_seed(rows, period: int, target: float, max_iters: int) -> list[int]:

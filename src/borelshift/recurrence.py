@@ -217,7 +217,7 @@ def _phi_polynomial(schema: LoopSchema) -> Optional[tuple[int, ...]]:
             base[n] += c
     if t is None:
         return tuple(base)
-    s, ks = t.stride, t.k**t.stride
+    s, ks = t.stride, int(t.k) ** t.stride
     out = base + [0] * max(s, t.n0 + 1 - len(base))
     for i, b in enumerate(base):
         out[i + s] -= b * ks

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from borelshift import (
     parse_relation,
 )
 import borelshift
-from borelshift import entropy
+from borelshift import cli, entropy
 from borelshift.cli import main
 
 
@@ -514,6 +515,74 @@ def test_usage_errors_exit_64(capsys, even_code_file):
     assert run(capsys, ["embed", even_code_file])[0] == 64
     # no switch skips the independent certificate of a realization
     assert run(capsys, ["realize", even_code_file, "--no-certify"])[0] == 64
+
+
+def test_parser_keeps_no_flag_between_calls(capsys, monkeypatch, tmp_path):
+    # the parser is built once per process: a --tol given to one call must
+    # not become the default of the next, and usage errors still exit 64
+    tols = []
+    decide = cli.decide_almost_borel_iso
+
+    def spy(a, b, tol):
+        tols.append(tol)
+        return decide(a, b, tol)
+
+    monkeypatch.setattr(cli, "decide_almost_borel_iso", spy)
+    a = tmp_path / "a.txt"
+    a.write_text("gen 1 log 2 1\n")
+    b = tmp_path / "b.txt"
+    b.write_text("gen 1 log 201/100 1\n")
+    assert run(capsys, ["compare", str(a), str(b), "--tol", "1e-3"])[0] == 1
+    assert run(capsys, ["compare", str(a), str(b), "--tol", "0.01"])[0] == 0
+    assert run(capsys, ["compare", str(a), "--tol", "0.01"])[0] == 64
+    assert run(capsys, ["compare", str(a), str(b)])[0] == 1
+    assert tols == [Fraction(1, 1000), Fraction(1, 100), entropy.DEFAULT_TOL]
+
+
+_COLD_CHILD = """
+import contextlib, io, sys
+from borelshift.cli import main
+golden, code, sqrt3, realized = sys.argv[1:]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["analyze", golden], ["bowen", code], ["fiberprod", code, "--m", "2"]):
+        codes.append(main(argv))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(main(["realize", sqrt3]))
+with open(realized, "w") as fh:
+    fh.write(out.getvalue())
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(main(["analyze", realized]))
+print(codes, "sympy" in sys.modules)
+print(out.getvalue().splitlines()[-1])
+"""
+
+# what the realized sqrt(3) schema analyzes to: its minimal factor, of degree 52
+_SQRT3_LINE = (
+    "gen 1 poly -1 0 1 -1 0 1 -1 0 1 -1 -1 2 -2 0 2 -3 1 1 -2 1 1 -3 2 1 -3 2 1 -4 3 1 -4 3 0"
+    " -3 3 -1 -2 3 -1 -2 3 -1 -3 3 0 -3 3 -1 -2 2 0 -2 1"
+    " root-in 8796093022208/5078426674189 35184372088832/20313706696755 1"
+)
+
+
+def test_cold_process_never_imports_sympy(golden_file, even_code_file, tmp_path):
+    # the library computes in plain integers; sympy is imported only where
+    # the heuristic gcd gives up, which none of these verbs reaches.  The
+    # realized sqrt(3) schema's first-return polynomial has the cofactor
+    # x^2 + x + 1, so the degree sieve cannot certify it and it is factored
+    src = str(Path(borelshift.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    sqrt3 = tmp_path / "sqrt3.txt"
+    sqrt3.write_text("gen 1 poly -3 0 1 root-in 1 2 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_CHILD, golden_file, even_code_file, str(sqrt3),
+         str(tmp_path / "sqrt3_realized.txt")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0] False", _SQRT3_LINE], proc.stdout
 
 
 def test_missing_file_exits_65(capsys, tmp_path):

@@ -34,7 +34,6 @@ from borelshift import (
 from borelshift.entropy import (
     ENCLOSURE_WIDTH,
     EXACT_VERTEX_CAP,
-    _X,
     _roots_in,
     _sign_at,
     collatz_wielandt_enclosure,
@@ -53,6 +52,7 @@ from borelshift.recurrence import _phi_polynomial
 from helpers import GOLDEN_ENTROPY, factor_first_isolation, random_strongly_connected
 
 PHI = (1 + math.sqrt(5)) / 2
+_X = sympy.Symbol("x")
 
 
 # === certified log/exp enclosures ===
@@ -373,21 +373,21 @@ def test_minimal_factor_sieve_agrees_with_factoring(monkeypatch):
     certified = []
     certify = entropy._certify_irreducible
 
-    def spy(f):
-        answer = certify(f)
+    def spy(f, *rest):
+        answer = certify(f, *rest)
         if answer:
             certified.append(tuple(f))
         return answer
 
     factored = []
-    factor_list = sympy.Poly.factor_list
+    zassenhaus = entropy._zassenhaus
     monkeypatch.setattr(entropy, "_certify_irreducible", spy)
 
-    def counted(self, *args, **kwargs):
-        factored.append(self)
-        return factor_list(self, *args, **kwargs)
+    def counted(f, *rest):
+        factored.append(f)
+        return zassenhaus(f, *rest)
 
-    monkeypatch.setattr(sympy.Poly, "factor_list", counted)
+    monkeypatch.setattr(entropy, "_zassenhaus", counted)
     rng = random.Random(20261020)
     paths = {"sieve": 0, "fallback": 0}
     for coeffs in _sieve_cases(rng):
@@ -418,12 +418,48 @@ def test_sieve_certifies_without_factoring(monkeypatch):
     wants = [factor_first_isolation(h.poly, h.root_lo, h.root_hi)[0] for h in values]
     assert [len(w) - 1 for w in wants] == [39, 42]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("factor_list called")
+    def refuse(*args):
+        raise AssertionError("_zassenhaus called")
 
-    monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
+    monkeypatch.setattr(entropy, "_zassenhaus", refuse)
     for h, want in zip(values, wants):
         assert entropy._minimal_factor(h.poly, h.root_lo, h.root_hi) == want
+
+
+def test_modular_split_and_hensel_lift():
+    # the oracle: sympy's factorization over F_p.  The split has the
+    # distinct-degree counts, and the lifted factors keep f = lc(f) G_1 ... G_r
+    # modulo p^k, each G_i monic and equal to its factor modulo p
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly
+
+    rng = random.Random(20261024)
+    seen = {"cases": 0, "several": 0, "same_degree": 0}
+    for coeffs in _sieve_cases(rng):
+        f = list(entropy._squarefree(coeffs))
+        if len(f) < 3:
+            continue
+        p, parts = next(
+            (p, parts) for p in entropy._SIEVE_PRIMES
+            if (parts := entropy._distinct_degree_mod(f, p)) is not None
+        )
+        factors = [
+            g for d, part in parts for g in entropy._equal_degree_mod(part, d, p, random.Random(p))
+        ]
+        _, want = gf_factor_sqf(gf_from_int_poly(f[::-1], p), p, ZZ)
+        assert sorted(factors) == sorted([int(c) for c in reversed(g)] for g in want), (f, p)
+        assert len(factors) == sum((len(g) - 1) // d for d, g in parts)
+        k = rng.randint(1, 12)
+        lifted = entropy._hensel_lift(f, factors, p, k)
+        product = [f[-1]]
+        for g, lift in zip(factors, lifted):
+            assert lift[-1] == 1 and [c % p for c in lift] == g
+            product = entropy._mul_mod(product, lift, p**k)
+        assert product == [c % p**k for c in f], (f, p, k)
+        seen["cases"] += 1
+        seen["several"] += len(factors) > 2
+        seen["same_degree"] += any(len(g) - 1 > d for d, g in parts)
+    assert seen["cases"] >= 150 and min(seen.values()) >= 20, seen
 
 
 def _random_squarefree(rng: random.Random):
@@ -497,6 +533,109 @@ def test_sign_at_matches_fraction_horner():
         assert _sign_at(tuple(cs), x) == want, (cs, x)
         zeros += want == 0
     assert zeros >= 50
+
+
+def _seeded_multigraphs(rng: random.Random):
+    """Seeded multigraphs on 1 to EXACT_VERTEX_CAP vertices: single cycles,
+    and random graphs with self-loops and edge multiplicities 1 to 3."""
+    for n in (1, 2, 7, 30, EXACT_VERTEX_CAP):
+        yield cycle_graph(n)
+    for case in range(110):
+        n = EXACT_VERTEX_CAP if case % 20 == 0 else rng.randint(1, EXACT_VERTEX_CAP)
+        vs = [f"v{i}" for i in range(n)]
+        edges = [(v, v) for v in rng.sample(vs, rng.randint(0, min(n, 3)))]
+        for _ in range(rng.randint(n, 3 * n)):
+            u, v = rng.choice(vs), rng.choice(vs)
+            edges += [(u, v)] * rng.choice((1, 1, 2, 3))
+        yield FiniteGraph(vs, edges)
+
+
+def test_charpoly_equals_sympy():
+    # the oracle: sympy's charpoly of the dense adjacency matrix
+    rng = random.Random(20261021)
+    seen = {"graphs": 0, "cap": 0, "loops": 0, "multiple": 0}
+    for g in _seeded_multigraphs(rng):
+        rows = g.index().succ
+        n = len(rows)
+        mat = sympy.zeros(n)
+        for i, row in enumerate(rows):
+            for j, m in row:
+                mat[i, j] = m
+        want = _ascending(mat.charpoly(_X).as_expr())
+        assert entropy._charpoly_coeffs(rows) == want, rows
+        seen["graphs"] += 1
+        seen["cap"] += n == EXACT_VERTEX_CAP
+        seen["loops"] += any(j == i for i, row in enumerate(rows) for j, _ in row)
+        seen["multiple"] += any(m > 1 for row in rows for _, m in row)
+    assert seen["graphs"] >= 100 and min(seen.values()) >= 5, seen
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            out[i + j] += p * q
+    return out
+
+
+def _squarefree_cases(rng: random.Random):
+    """Seeded integer polynomials (ascending): products of random factors
+    with multiplicities 1 to 3, times powers of x, a content and a sign,
+    and a few of degree 500 to 1,000."""
+    for case in range(230):
+        big = case % 40 == 0
+        f = [rng.randint(1, 12) * rng.choice((1, 1, -1))]  # content and sign
+        for _ in range(rng.randint(1, 4)):
+            g = [rng.randint(-6, 6) for _ in range(rng.randint(1, 5))] + [rng.choice((1, 2, 3))]
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                f = _poly_mul(f, g)
+        if big:
+            g = [rng.randint(-3, 3) for _ in range(rng.randint(250, 480))] + [1]
+            f = _poly_mul(f, _poly_mul(g, g))
+        if rng.random() < 0.3:
+            f = [0] * rng.randint(1, 4) + f
+        yield tuple(f)
+
+
+def _sympy_squarefree(f):
+    sqf = sympy.Poly(list(reversed(f)), _X, domain="ZZ").sqf_part()
+    cs = tuple(int(c) for c in reversed(sqf.all_coeffs()))
+    return cs if cs[-1] > 0 else tuple(-c for c in cs)
+
+
+def test_squarefree_equals_sympy():
+    # the oracle: sympy's sqf_part, with a positive leading coefficient
+    rng = random.Random(20261022)
+    seen = {"cases": 0, "repeated": 0, "x_power": 0, "content": 0, "negative": 0, "deg500": 0}
+    for f in _squarefree_cases(rng):
+        want = _sympy_squarefree(f)
+        assert entropy._squarefree(f) == want, f
+        seen["cases"] += 1
+        seen["repeated"] += len(want) < len(f)
+        seen["x_power"] += f[0] == 0
+        seen["content"] += math.gcd(*f) > 1
+        seen["negative"] += f[-1] < 0
+        seen["deg500"] += len(f) > 500
+    assert seen["cases"] >= 200 and min(seen.values()) >= 5, seen
+
+
+def test_squarefree_falls_back_to_sympy_gcd(monkeypatch):
+    # with no evaluation point to try, the heuristic gcd hands every pair to sympy
+    called = []
+    gcd = sympy.Poly.gcd
+
+    def spy(self, other):
+        called.append(self)
+        return gcd(self, other)
+
+    monkeypatch.setattr(entropy, "_GCD_POINTS", 0)
+    monkeypatch.setattr(sympy.Poly, "gcd", spy)
+    rng = random.Random(20261023)
+    cases = [f for f, _ in zip(_squarefree_cases(rng), range(30)) if len(f) < 100]
+    for f in cases:
+        assert entropy._squarefree(f) == _sympy_squarefree(f), f
+    # a linear f has a constant derivative, whose gcd needs no evaluation
+    assert len(called) == sum(len(f) > 2 for f in cases) > 20
 
 
 def test_entropy_from_log_value():

@@ -376,6 +376,22 @@ def test_seeded_bracket_equals_plain_bisection():
     assert signed == plain
 
 
+def test_phi_polynomial_coefficients_are_ints():
+    # a ratio given as Fraction(k), as a caller may build a tail, still gives
+    # plain ints, which the integer gcd of the squarefree part needs
+    rng = random.Random(12)
+    cases = [s for s, _ in _seeded_schemas(rng, 40)]
+    cases += [
+        LoopSchema(s.counts, GeometricTail(s.tail.a, Fraction(s.tail.k), s.tail.n0, s.tail.stride))
+        for s in cases
+        if s.tail is not None
+    ]
+    assert sum(s.tail is not None for s in cases) == 40
+    for s in cases:
+        coeffs = recurrence._phi_polynomial(s)
+        assert all(type(c) is int for c in coeffs), (s, coeffs)
+
+
 def _finest_first_side(schema: LoopSchema, x: Fraction) -> int:
     """Sign of Phi(x) - 1 asking the tail's enclosure for width 10^-18
     first, then three refinements of 10^-12 of the last width reached: the
