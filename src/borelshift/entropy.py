@@ -30,9 +30,9 @@ polynomial (a Perron root, by Perron-Frobenius; 1/r for the reversed
 first-return polynomial of a loop schema) into an isolating interval: one root
 inside, no equal nonzero signs at the ends (isolates_one_root).  It works on
 the squarefree part f / gcd(f, f'), which has the same roots; the gcd is the
-heuristic integer gcd GCDHEU, each answer checked by exact division
-(_poly_gcd).  The roots inside [lo, hi] are
-counted locally, in exact integers, by Descartes' rule of signs after the
+heuristic integer gcd GCDHEU, which draws points until a candidate passes
+exact division, and needs no fallback (_poly_gcd).  The roots inside [lo, hi]
+are counted locally, in exact integers, by Descartes' rule of signs after the
 Moebius map of (lo, hi) onto (0, inf), halving while the count is not yet 0
 or 1 (Collins & Akritas 1976).  The work depends on the roots near [lo, hi],
 not on all the real roots of the polynomial.  A rational root is found by its
@@ -45,11 +45,10 @@ proves it (Musser 1978) with no lifting.  Only where the sieve cannot decide
 is the polynomial factored over Z, by Zassenhaus's method in plain integers:
 split modulo the sieve's prime with the fewest factors (Cantor-Zassenhaus,
 drawing from a generator seeded by the prime, so one polynomial takes the same
-work on every run), Hensel lifting, and recombination (_zassenhaus).  sympy
-is imported only in the gcd's fallback, when GCDHEU gives up, so the
-processes that use this module do not load it.  Two isolating intervals
-of one polynomial hold the same root exactly when it changes sign across, or
-vanishes on, their overlap.
+work on every run), Hensel lifting, and recombination (_zassenhaus).  All of
+this is plain integer arithmetic: the package needs no computer algebra
+system.  Two isolating intervals of one polynomial hold the same root exactly
+when it changes sign across, or vanishes on, their overlap.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ DEFAULT_TOL = Fraction(1, 10**9)
 ENCLOSURE_WIDTH = Fraction(1, 10**12)
 EXACT_VERTEX_CAP = 60
 SIEVE_PRIME_BUDGET = 10  # usable primes the degree sieve tries before factoring
-_GCD_POINTS = 6  # evaluation points the heuristic gcd tries before sympy's gcd
 
 # enough odd primes that SIEVE_PRIME_BUDGET of them divide neither the
 # leading coefficient nor the discriminant of any polynomial met in practice
@@ -335,14 +333,16 @@ def _poly_gcd(f, g) -> tuple[int, ...]:
 
     The heuristic gcd GCDHEU (B. W. Char, K. O. Geddes and G. H. Gonnet,
     J. Symbolic Comput. 7, 1989), with sympy's start point and update rule
-    for the evaluation point xi (_gcd_candidates).  Each candidate is
-    checked by exact division, and one that divides both f and g is the gcd.
-    The start point has xi > 2 (1 + |f|/lc(f)) for f or for g, so every
-    root of that polynomial has modulus below xi/2, and every nonconstant k
-    dividing it has |k(xi)| > xi/2, more than any balanced base-xi digit; a
-    candidate that divides both but misses a factor k of the gcd would need
-    such a digit.  When _GCD_POINTS evaluation points all fail, sympy's gcd
-    decides.
+    for the evaluation point xi (_gcd_candidates).  A candidate that divides
+    both f and g is the gcd: the start point has xi > 2 (1 + |f|/lc(f)) for
+    f or for g, so every root of that polynomial has modulus below xi/2, and
+    every nonconstant k dividing it has |k(xi)| > xi/2, more than any
+    balanced base-xi digit, which a candidate missing k would need.  Points
+    are drawn until a candidate divides both, and one does: with f = h fb
+    and g = h gb for the gcd h, gcd(f(xi), g(xi)) = |h(xi)| delta, where
+    delta divides the resultant R = u fb + v gb of fb and gb.  Once xi > 2
+    |R| |h|_inf is no root of f g, the balanced digits are those of +-delta
+    h, whose primitive part is h; each point has a quarter more bits.
     """
     f, g = _primitive(f), _primitive(g)
     if len(f) == 1 or len(g) == 1:
@@ -350,18 +350,13 @@ def _poly_gcd(f, g) -> tuple[int, ...]:
     nf, ng = max(map(abs, f)), max(map(abs, g))
     b = 2 * min(nf, ng) + 29
     xi = max(min(b, 99 * math.isqrt(b)), 2 * min(nf // f[-1], ng // g[-1]) + 4)
-    for _ in range(_GCD_POINTS):
+    while True:
         for h in _gcd_candidates(f, g, xi):
             if h is not None:
                 h = _primitive(h)
                 if _exact_quotient(f, h) is not None and _exact_quotient(g, h) is not None:
                     return h
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-    import sympy  # only where the heuristic gives up
-
-    x = sympy.Symbol("x")
-    h = sympy.Poly(f[::-1], x, domain="ZZ").gcd(sympy.Poly(g[::-1], x, domain="ZZ"))
-    return _primitive([int(c) for c in reversed(h.all_coeffs())])
 
 
 def _gcd_candidates(f, g, xi: int):
@@ -603,10 +598,11 @@ def _zassenhaus(f: list[int], lo: Fraction, hi: Fraction, splits) -> tuple[int, 
     one, so it is irreducible.  The first with the root is the answer; a
     factor without it is divided out, and what is left when no subset of at
     most half the factors divides it is irreducible.  A candidate is first
-    checked on its constant term, which must divide l f(0).
+    checked on its constant term, which must divide l f(0).  With no usable
+    prime below 200, PrecisionExhausted is raised and nothing is factored.
     """
     if not splits:
-        raise ArithmeticError("no usable prime below 200 for the polynomial")
+        raise PrecisionExhausted("no usable prime below 200 for the minimal polynomial")
     _, p, parts = min((sum((len(g) - 1) // d for d, g in parts), p, parts) for p, parts in splits)
     rng = random.Random(p)  # seeded: the same splitting on every run
     factors = [g for d, part in parts for g in _equal_degree_mod(part, d, p, rng)]

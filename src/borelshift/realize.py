@@ -112,17 +112,18 @@ def _greedy_pr_schema(period: int, h_target: Fraction) -> LoopSchema:
     if h_target <= 0:
         raise UnrealizableEntropy("realization needs strictly positive entropy")
     y = approx_exp(-period * h_target)
+    n, m = y.numerator, y.denominator
     counts: list[tuple[int, int]] = []
-    rem = Fraction(1)
+    # over the common denominator m^j: rem = r / m^j and y^j = nj / m^j
+    r, nj, mj = m, n, m
     j = 1
-    yj = y
-    while yj >= DIGIT_FLOOR or j == 1:
-        d = int(rem / yj)
+    while nj * DIGIT_FLOOR.denominator >= DIGIT_FLOOR.numerator * mj or j == 1:
+        d = r // nj
         if d:
             counts.append((j * period, d))
-            rem -= d * yj
+            r -= d * nj
         j += 1
-        yj *= y
+        r, nj, mj = r * m, nj * n, mj * m
     total = sum(c for _, c in counts)
     if total < 2:
         raise UnrealizableEntropy("entropy too close to zero for a certified schema")

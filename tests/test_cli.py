@@ -1,6 +1,7 @@
 """Command-line verbs, exit codes, and the re-parseable output contract."""
 
 import io
+import math
 import os
 import random
 import subprocess
@@ -161,6 +162,22 @@ def test_analyze_out_of_certificate_budget_exits_2(capsys, monkeypatch, tmp_path
     assert code == 2
     assert "gen " not in out
     assert "Collatz-Wielandt" in err
+
+
+def test_no_usable_sieve_prime_exits_2(capsys, tmp_path):
+    # m is the product of the odd primes below 200.  Modulo each of them the
+    # reversed first-return polynomial x^4 - c1 x^3 - c2 x^2 - c3 x - c4 is
+    # (x - 2)^2 (x^2 + 1), never squarefree, so no prime can factor it
+    primes = [p for p in range(3, 200, 2) if all(p % q for q in range(3, p, 2))]
+    m = math.prod(primes)
+    doc = tmp_path / "no_prime.txt"
+    doc.write_text("loops\n" + "".join(
+        f"count {n} {c % m}\n" for n, c in enumerate((4, -5, 4, -4), 1)
+    ))
+    code, out, err = run(capsys, ["analyze", str(doc)])
+    assert code == 2
+    assert out.startswith("# component=") and "gen " not in out
+    assert len(err.splitlines()) == 1 and "usable prime" in err
 
 
 # === compare ===
@@ -541,22 +558,30 @@ def test_parser_keeps_no_flag_between_calls(capsys, monkeypatch, tmp_path):
 
 _COLD_CHILD = """
 import contextlib, io, sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
 from borelshift.cli import main
-golden, code, sqrt3, realized = sys.argv[1:]
+golden, code, sqrt3, realized, inv = sys.argv[1:]
 codes = []
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["analyze", golden], ["bowen", code], ["fiberprod", code, "--m", "2"]):
+
+def run(argv, path=None):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         codes.append(main(argv))
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    codes.append(main(["realize", sqrt3]))
-with open(realized, "w") as fh:
-    fh.write(out.getvalue())
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    codes.append(main(["analyze", realized]))
-print(codes, "sympy" in sys.modules)
-print(out.getvalue().splitlines()[-1])
+    if path:
+        with open(path, "w") as fh:
+            fh.write(out.getvalue())
+    return out.getvalue()
+
+run(["analyze", golden])
+run(["bowen", code])
+run(["fiberprod", code, "--m", "2"])
+run(["embed", code, "--target", "1/4"])
+run(["pathology", "--depth", "2", "--window", "12"])
+run(["realize", sqrt3], realized)
+last = run(["analyze", realized], inv).splitlines()[-1]
+run(["compare", inv, sqrt3])
+print(codes)
+print(last)
 """
 
 # what the realized sqrt(3) schema analyzes to: its minimal factor, of degree 52
@@ -568,21 +593,21 @@ _SQRT3_LINE = (
 
 
 def test_cold_process_never_imports_sympy(golden_file, even_code_file, tmp_path):
-    # the library computes in plain integers; sympy is imported only where
-    # the heuristic gcd gives up, which none of these verbs reaches.  The
-    # realized sqrt(3) schema's first-return polynomial has the cofactor
-    # x^2 + x + 1, so the degree sieve cannot certify it and it is factored
+    # the library computes in plain integers: a child in which sympy cannot
+    # be imported runs all seven verbs.  The realized sqrt(3) schema's
+    # first-return polynomial has the cofactor x^2 + x + 1, so the degree
+    # sieve cannot certify it and it is factored
     src = str(Path(borelshift.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     sqrt3 = tmp_path / "sqrt3.txt"
     sqrt3.write_text("gen 1 poly -3 0 1 root-in 1 2 1\n")
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_CHILD, golden_file, even_code_file, str(sqrt3),
-         str(tmp_path / "sqrt3_realized.txt")],
+         str(tmp_path / "sqrt3_realized.txt"), str(tmp_path / "sqrt3_inv.txt")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0] False", _SQRT3_LINE], proc.stdout
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0]", _SQRT3_LINE], proc.stdout
 
 
 def test_missing_file_exits_65(capsys, tmp_path):

@@ -619,23 +619,34 @@ def test_squarefree_equals_sympy():
     assert seen["cases"] >= 200 and min(seen.values()) >= 5, seen
 
 
-def test_squarefree_falls_back_to_sympy_gcd(monkeypatch):
-    # with no evaluation point to try, the heuristic gcd hands every pair to sympy
-    called = []
-    gcd = sympy.Poly.gcd
+def test_heuristic_gcd_past_its_first_point(monkeypatch):
+    # the oracle: sympy's gcd, primitive with a positive leading coefficient.
+    # Pairs (a h, b h) for random factors, h of degree 4-6 with larger
+    # coefficients; a spy counts the points each gcd draws, and some pairs
+    # need a second or a third
+    points = []
+    candidates = entropy._gcd_candidates
 
-    def spy(self, other):
-        called.append(self)
-        return gcd(self, other)
+    def spy(f, g, xi):
+        points.append(xi)
+        return candidates(f, g, xi)
 
-    monkeypatch.setattr(entropy, "_GCD_POINTS", 0)
-    monkeypatch.setattr(sympy.Poly, "gcd", spy)
-    rng = random.Random(20261023)
-    cases = [f for f, _ in zip(_squarefree_cases(rng), range(30)) if len(f) < 100]
-    for f in cases:
-        assert entropy._squarefree(f) == _sympy_squarefree(f), f
-    # a linear f has a constant derivative, whose gcd needs no evaluation
-    assert len(called) == sum(len(f) > 2 for f in cases) > 20
+    def factor(lo, hi, c):
+        return [rng.randint(-c, c) for _ in range(rng.randint(lo, hi))] + [rng.choice((1, 1, 2, 3))]
+
+    monkeypatch.setattr(entropy, "_gcd_candidates", spy)
+    rng = random.Random(20261019)
+    drawn = {}
+    for _ in range(3000):
+        h, a, b = factor(4, 6, 9), factor(2, 4, 3), factor(2, 4, 3)
+        f, g = _poly_mul(a, h), _poly_mul(b, h)
+        points.clear()
+        got = entropy._poly_gcd(f, g)
+        want = sympy.Poly(f[::-1], _X, domain="ZZ").gcd(sympy.Poly(g[::-1], _X, domain="ZZ"))
+        cs = tuple(int(c) for c in reversed(want.primitive()[1].all_coeffs()))
+        assert got == (cs if cs[-1] > 0 else tuple(-c for c in cs)), (f, g)
+        drawn[len(points)] = drawn.get(len(points), 0) + 1
+    assert drawn.get(2, 0) >= 20 and drawn.get(3, 0) >= 3, drawn
 
 
 def test_entropy_from_log_value():
