@@ -23,10 +23,10 @@ flanking base words determines the path segment covering it; unanchored
 by requiring the lift to enter through a 2-labeled edge and leave through
 one, which is exactly what flanking 2 symbols force.
 
-Lifts are counted, not listed, by one walk on the index of the code's cached
-line graph (`BlockCode.labeled()`), whose positions are the edges, so parallel
-edges stay apart.  The walk keeps a path count per position and at each step
-moves it to the successors carrying the next letter of the word.
+Lifts are counted, not listed, by a walk on the presentation itself: per-label
+successor rows on the positions of its own `GraphIndex`, one entry per edge, so
+parallel edges stay apart.  The walk keeps a path count per end vertex and at
+each step moves it along the edges spelling the next letter of the word.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Optional
 from .codes import BlockCode, BudgetExhausted
 from .entropy import ExtendedEntropy, IntervalApprox, compare_entropy
 from .graphs import first_return_counts, loop_entropy_estimate, renewal_loop_counts
-from .presentations import FiniteGraph, GraphIndex, LoopSchema
+from .presentations import FiniteGraph, LoopSchema
 from .recurrence import classify_recurrence
 
 ROOT = "r"
@@ -192,58 +192,107 @@ def build_pathology_graph(spec: PathologySpec) -> BlockCode:
     return BlockCode(g, mapping, mode="edge")
 
 
-def _symbols(code: BlockCode) -> tuple[GraphIndex, list[str]]:
-    """The index of the code's line graph and the symbol at each position."""
-    lg = code.labeled()
-    idx = lg.domain.index()
-    return idx, [lg.label(e) for e in idx.order]
+class _LabelWalk:
+    """Per-label successor rows of a code's presentation, on the positions of
+    its domain's `GraphIndex`, for counting edge paths by the word they spell.
 
-
-def _walk(succ, sym: list[str], starts, word: tuple[str, ...]) -> dict[int, int]:
-    """Paths spelling word from the positions `starts`, counted by end position.
-
-    Each start spells word[0]; each step keeps the successors whose symbol is
-    the next letter.
+    `rows[a][v]` lists the ends of the edges from v that spell a, once per
+    edge, so parallel edges count apart.  In edge mode an edge spells its own
+    label; in vertex mode an edge v -> w spells the label of w, and a walk's
+    first letter picks its start vertices instead of moving.  Counts are kept
+    per end vertex.
     """
-    cnt = dict.fromkeys(starts, 1)
-    for letter in word[1:]:
+
+    def __init__(self, code: BlockCode):
+        g = code.domain
+        idx = g.index()
+        n = len(idx.order)
+        if code.mode == "edge":
+            pos = idx.pos
+            self.vertex_sym = None
+            arcs = ((code.label(e), pos[u], pos[v]) for (u, v), e in zip(g.edges, g.edge_names))
+        else:
+            sym = [code.label(v) for v in idx.order]
+            self.vertex_sym = sym
+            arcs = ((sym[j], i, j) for i, row in enumerate(idx.succ) for j, _ in row)
+        self.rows: dict[str, list] = {}
+        for a, i, j in arcs:
+            row = self.rows.get(a)
+            if row is None:
+                row = self.rows[a] = [()] * n
+            if row[i]:
+                row[i].append(j)
+            else:
+                row[i] = [j]
+        self.positions = range(n)
+        marks = self.rows.get(MARK, ())
+        # a lift enters where a 2-labeled edge ends and leaves where one starts
+        self.leaves = {v for v, row in enumerate(marks) if row}
+        if self.vertex_sym is None:
+            self.entered = sorted({w for row in marks for w in row})
+        else:
+            self.entered = sorted(
+                {j for i, s in enumerate(self.vertex_sym) if s == MARK for j, _ in idx.succ[i]}
+            )
+
+    def start(self, starts, letter: str) -> dict[int, int]:
+        """Paths from the positions `starts` spelling the one-letter word."""
+        if self.vertex_sym is not None:
+            return {v: 1 for v in starts if self.vertex_sym[v] == letter}
+        return self.step(dict.fromkeys(starts, 1), letter)
+
+    def step(self, cnt: dict[int, int], letter: str) -> dict[int, int]:
+        """Extend every counted path by one edge spelling letter."""
+        row = self.rows.get(letter)
         nxt: dict[int, int] = {}
+        if row is None:
+            return nxt
         for p, c in cnt.items():
-            for q, _ in succ[p]:
-                if sym[q] == letter:
-                    nxt[q] = nxt.get(q, 0) + c
-        cnt = nxt
-    return cnt
+            for q in row[p]:
+                nxt[q] = nxt.get(q, 0) + c
+        return nxt
 
 
 def count_label_paths(code: BlockCode, word: tuple[str, ...]) -> int:
-    """Number of paths in the presentation whose edge-label word equals word."""
+    """Number of paths in the presentation whose label word equals word."""
     if not word:
         return len(code.domain.vertices)
-    idx, sym = _symbols(code)
-    starts = [p for p, s in enumerate(sym) if s == word[0]]
-    return sum(_walk(idx.succ, sym, starts, word).values())
+    walk = _LabelWalk(code)
+    cnt = walk.start(walk.positions, word[0])
+    for letter in word[1:]:
+        cnt = walk.step(cnt, letter)
+    return sum(cnt.values())
 
 
-def anchored_lifts(code: BlockCode, words: list[tuple[str, ...]]) -> list[int]:
+def anchored_lifts(
+    code: BlockCode, words: list[tuple[str, ...]], walk: Optional[_LabelWalk] = None
+) -> list[int]:
     """Number of lifts of each non-empty word whose ends extend by the 2 marker.
 
-    A lift starts on an edge that some 2-labeled edge precedes and ends on
-    one that some 2-labeled edge follows, so the word models a block flanked
-    by maximal 2-runs.  The anchor flags and the start positions per symbol
-    are set up once for the whole batch.
+    A lift starts where some 2-labeled edge ends and ends where one starts,
+    so the word models a block flanked by maximal 2-runs.  The batch is
+    walked in sorted order, and each word keeps the path counts of the prefix
+    it shares with the word before it.  `walk` is the code's `_LabelWalk`,
+    built here when not given.
     """
-    idx, sym = _symbols(code)
-    entered = [any(sym[q] == MARK for q, _ in row) for row in idx.pred]
-    leaves = [any(sym[q] == MARK for q, _ in row) for row in idx.succ]
-    starts: dict[str, list[int]] = {}
-    for p, s in enumerate(sym):
-        if entered[p]:
-            starts.setdefault(s, []).append(p)
-    return [
-        sum(c for p, c in _walk(idx.succ, sym, starts.get(w[0], ()), w).items() if leaves[p])
-        for w in words
-    ]
+    if walk is None:
+        walk = _LabelWalk(code)
+    out = [0] * len(words)
+    path: list[dict[int, int]] = []  # path[i]: counts for the first i + 1 letters
+    prev: tuple[str, ...] = ()
+    for n in sorted(range(len(words)), key=words.__getitem__):
+        word = words[n]
+        keep = 0
+        while keep < min(len(word), len(prev)) and word[keep] == prev[keep]:
+            keep += 1
+        del path[keep:]
+        if not path:
+            path.append(walk.start(walk.entered, word[0]))
+        for letter in word[len(path):]:
+            path.append(walk.step(path[-1], letter))
+        out[n] = sum(c for p, c in path[-1].items() if p in walk.leaves)
+        prev = word
+    return out
 
 
 @dataclass(frozen=True)
@@ -315,17 +364,20 @@ def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> P
     for s in base_words(spec.base, 1):
         for s2 in base_words(spec.base, 1):
             blocks.append((f"root block {s[0]}|{s2[0]}", s + (MARK,) * spec.M + s2))
-    block_lifts = anchored_lifts(code, [word for _, word in blocks])
+    walk = _LabelWalk(code)
+    block_lifts = anchored_lifts(code, [word for _, word in blocks], walk)
     failures = [f"{name}: {n} lifts" for (name, _), n in zip(blocks, block_lifts) if n != 1]
 
+    # the paths spelling (first,) + (2,) * t, extended one marker edge per t
     witness = None
     lifts = 0
     first = base_words(spec.base, 1)[0][0]
+    cnt = walk.start(walk.positions, first)
     for t in range(1, max(spec.m_seq) + spec.M):
-        word = (first,) + (MARK,) * t
-        lifts = count_label_paths(code, word)
+        cnt = walk.step(cnt, MARK)
+        lifts = sum(cnt.values())
         if lifts >= 2:
-            witness = word
+            witness = (first,) + (MARK,) * t
             break
 
     return PathologyReport(

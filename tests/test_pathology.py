@@ -3,6 +3,7 @@ block identifiability, and the certification report.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -161,19 +162,57 @@ def test_first_returns_match_formula():
 # === label-path counting ===
 
 def label_paths_by_brute_force(code, length):
-    """(start state, end state, label word) of every edge path of the length."""
+    """(start state, end state, label word) of every path of the length: edge
+    paths of an edge-mode code, vertex paths of a vertex-mode one."""
     g = code.domain
     sym = dict(code.mapping)
-    by_name = dict(zip(g.edge_names, g.edges))
-    paths = [((u,), ()) for u in g.vertices]
+    out: dict[str, list[tuple[str, str]]] = {}
+    if code.mode == "edge":
+        for name, (a, b) in zip(g.edge_names, g.edges):
+            out.setdefault(a, []).append((b, sym[name]))
+        paths = [((u,), ()) for u in g.vertices]
+    else:
+        for a, b in g.edges:
+            out.setdefault(a, []).append((b, sym[b]))
+        paths = [((u,), (sym[u],)) for u in g.vertices]
+        length -= 1
     for _ in range(length):
-        nxt = []
-        for verts, word in paths:
-            for name, (a, b) in by_name.items():
-                if a == verts[-1]:
-                    nxt.append((verts + (b,), word + (sym[name],)))
-        paths = nxt
+        paths = [(verts + (b,), word + (s,)) for verts, word in paths for b, s in out.get(verts[-1], ())]
     return [(verts[0], verts[-1], word) for verts, word in paths]
+
+
+def marker_ends(code):
+    """The states a 2-labeled step ends at and those one starts from."""
+    g = code.domain
+    sym = dict(code.mapping)
+    if code.mode == "edge":
+        marks = [e for name, e in zip(g.edge_names, g.edges) if sym[name] == "2"]
+        return {v for _, v in marks}, {u for u, _ in marks}
+    return {v for u, v in g.edges if sym[u] == "2"}, {u for u, v in g.edges if sym[v] == "2"}
+
+
+def anchored_by_brute_force(code, lengths):
+    """Lifts of every label word of the lengths that start where a 2-labeled
+    step ends and end where one starts, counted path by path."""
+    after_mark, before_mark = marker_ends(code)
+    brute: dict[tuple, int] = {}
+    for length in lengths:
+        for start, end, word in label_paths_by_brute_force(code, length):
+            if start in after_mark and end in before_mark:
+                brute[word] = brute.get(word, 0) + 1
+    return brute
+
+
+def parallel_code(loop_label: str) -> BlockCode:
+    """Two parallel loops at a carrying loop_label, and a -> b -> a labeled 0 0."""
+    g = FiniteGraph(("a", "b"), (("a", "a"), ("a", "a"), ("a", "b"), ("b", "a")))
+    labels = (loop_label, loop_label, "0", "0")
+    return BlockCode(g, tuple((f"e{i}", s) for i, s in enumerate(labels)), mode="edge")
+
+
+def vertex_code() -> BlockCode:
+    g = FiniteGraph(("a", "b", "c"), (("a", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")))
+    return BlockCode(g, (("a", "2"), ("b", "0"), ("c", "2")), mode="vertex")
 
 
 def test_count_label_paths_against_exhaustive_enumeration():
@@ -187,11 +226,26 @@ def test_count_label_paths_against_exhaustive_enumeration():
 
 
 def test_count_label_paths_keeps_parallel_edges_apart():
-    # two parallel loops labeled 1 at a, and a -> b -> a labeled 0 0
-    g = FiniteGraph(("a", "b"), (("a", "a"), ("a", "a"), ("a", "b"), ("b", "a")))
-    code = BlockCode(g, (("e0", "1"), ("e1", "1"), ("e2", "0"), ("e3", "0")), mode="edge")
+    code = parallel_code("1")
     words = [("1",), ("1", "1"), ("1", "0"), ("0", "0", "1"), ("1", "1", "1")]
     assert [count_label_paths(code, w) for w in words] == [2, 4, 2, 2, 8]
+
+
+def test_vertex_mode_codes_count_vertex_paths():
+    # a vertex-mode code spells the labels of the vertices its paths visit
+    code = vertex_code()
+    words = [("2",), ("2", "0"), ("0", "2", "2"), ("2", "2")]
+    assert [count_label_paths(code, w) for w in words] == [2, 1, 2, 2]
+    anchored = [("2",), ("0",), ("0", "2")]
+    assert anchored_lifts(code, anchored) == [1, 1, 2]
+    for length in (1, 2, 3, 4):
+        brute: dict[tuple, int] = {}
+        for _, _, word in label_paths_by_brute_force(code, length):
+            brute[word] = brute.get(word, 0) + 1
+        all_words = list(itertools.product(("0", "2"), repeat=length))
+        assert [count_label_paths(code, w) for w in all_words] == [brute.get(w, 0) for w in all_words]
+        lifts = anchored_by_brute_force(code, [length])
+        assert anchored_lifts(code, all_words) == [lifts.get(w, 0) for w in all_words]
 
 
 def test_count_label_paths_empty_word_counts_states():
@@ -226,20 +280,45 @@ def test_unrealized_run_length_has_no_lift():
 
 def test_anchored_lifts_against_exhaustive_enumeration():
     code = build_pathology_graph(PathologySpec(golden_base(), 3, (4,)))
-    g = code.domain
-    sym = dict(code.mapping)
-    marks = [e for name, e in zip(g.edge_names, g.edges) if sym[name] == "2"]
-    after_mark = {v for _, v in marks}
-    before_mark = {u for u, _ in marks}
     words = []
-    brute: dict[tuple, int] = {}
     for length in range(1, 6):
         words += itertools.product(("0", "1", "2"), repeat=length)
-        for start, end, word in label_paths_by_brute_force(code, length):
-            if start in after_mark and end in before_mark:
-                brute[word] = brute.get(word, 0) + 1
+    brute = anchored_by_brute_force(code, range(1, 6))
     assert max(brute.values()) > 1  # counts beyond 0 and 1 are exercised
     assert anchored_lifts(code, words) == [brute.get(w, 0) for w in words]
+
+
+def test_anchored_batches_equal_singleton_calls():
+    # a batch shares path counts between words with a common prefix; shuffled
+    # batches with duplicates, prefixes of other words, one-letter words and
+    # words without a lift must give each word its own count
+    spec = depth2_spec()
+    blocks = [
+        wp + ("2",) * m + wm
+        for k, m in enumerate(spec.m_seq, start=1)
+        for wp in base_words(spec.base, k)
+        for wm in base_words(spec.base, k)
+    ]
+    prefixes = [b[:i] for b in blocks[::4] for i in range(1, len(b))]
+    no_lift = [("0",) + ("2",) * 6 + ("0",), ("1", "2", "1"), ("0", "2", "1")]
+    cases = [
+        (build_pathology_graph(spec), blocks + prefixes + no_lift + [("0",), ("1",), ("2",)]),
+        # the parallel loops carry the marker, so lifts through them count twice
+        (parallel_code("2"), [w for n in (1, 2, 3, 4) for w in itertools.product("02", repeat=n)]),
+        (parallel_code("1"), [("1",), ("0", "0"), ("1", "0", "0", "1")]),
+        (vertex_code(), [w for n in (1, 2, 3) for w in itertools.product("02", repeat=n)]),
+    ]
+    assert anchored_lifts(cases[0][0], no_lift) == [0, 0, 0]
+    rng = random.Random(5)
+    for code, words in cases:
+        brute = anchored_by_brute_force(code, {len(w) for w in words})
+        batch = words + rng.sample(words, len(words) // 2)
+        rng.shuffle(batch)
+        assert any(a != b and a[: len(b)] == b for a in batch for b in batch)
+        want = [brute.get(w, 0) for w in batch]
+        assert anchored_lifts(code, batch) == want
+        assert [anchored_lifts(code, [w])[0] for w in batch] == want
+    assert max(anchored_by_brute_force(parallel_code("2"), [3]).values()) == 8
 
 
 def test_unanchored_run_is_ambiguous():
