@@ -19,11 +19,13 @@ raises PrecisionExhausted; no wider enclosure is returned.  A^p is block
 diagonal with primitive blocks of Perron root lambda^p, so the iteration
 converges at the rate of those blocks; iterating A + I instead contracts by
 only |lambda e^{2 pi i/p} + 1| / (lambda + 1) per step, which for long periods
-is a factor close to 1 (Lind & Marcus 4.5).  Both iterations read the sparse
-successor rows of the graph's integer index, so a step costs time linear in
-the edges.  So does the characteristic polynomial, at EXACT_VERTEX_CAP
-vertices or fewer: Berkowitz's division-free method grows it one vertex at a
-time in plain integers, and no dense matrix is built (_charpoly_coeffs).
+is a factor close to 1 (Lind & Marcus 4.5).  Both iterations take whole-vector
+products: per group of rows of one length, one itemgetter gather and one
+map(add) per column, added left to right as sum() adds on Python 3.11 (3.12
+compensates), so every Python prints the same interval.  A step costs time
+linear in the edges; so does each vertex that Berkowitz's division-free method
+adds to the characteristic polynomial, at EXACT_VERTEX_CAP vertices or fewer,
+in plain integers with no dense matrix (_charpoly_coeffs).
 
 identify_algebraic turns an enclosure of the largest real root of an integer
 polynomial (a Perron root, by Perron-Frobenius; 1/r for the reversed
@@ -58,8 +60,8 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, combinations
-from operator import mul, truediv
+from itertools import accumulate, combinations, groupby, repeat
+from operator import add, itemgetter, mul, truediv
 
 from .graphs import is_single_cycle, period_of_component
 from .intervals import PrecisionExhausted, RatInterval, log_fraction, log_interval
@@ -831,39 +833,75 @@ def _charpoly_coeffs(rows) -> tuple[int, ...]:
     return tuple(reversed(poly))
 
 
-def _float_seed(rows, period: int, target: float, max_iters: int) -> list[int]:
-    """Positive integer vector from a float power iteration of A^p + I.
+def _gather_plan(rows) -> tuple[list[int], list]:
+    """Rows of A grouped by length, for whole-vector products (_product).
 
-    Each row becomes its column list with column j repeated A[i][j] times,
-    one entry per edge of a graph, so a product is a plain sum per row.  The
-    vector is normalised by its maximum after every product with A, so it
-    never overflows; entries may underflow to 0.  Every 4 steps the float
-    Collatz-Wielandt spread max/min of (A^p x)_i / x_i - 1 is taken, and the
-    iteration stops when it reaches `target`, when it stops shrinking (the
-    float noise floor, or a stalled transient; an underflowed entry makes it
-    infinite), or once `max_iters` products with A are done.  The floats
-    become integers that keep all 53 significant bits of every entry, scaled
-    by the smallest entry's exponent; an underflowed entry becomes 1.
+    Each row becomes its column list, column j repeated A[i][j] times, one
+    entry per edge.  Rows are renumbered so that each length group is
+    contiguous; `order[k]` is the row at plan position k.  A group is (size,
+    gathers): gather t picks, as a tuple, the t-th column of each of its rows.
     """
     cols = [[j for j, m in row for _ in range(m)] for row in rows]
+    order = sorted(range(len(rows)), key=lambda i: len(cols[i]))
+    pos = {i: k for k, i in enumerate(order)}
+    groups = []
+    for _, members in groupby(order, key=lambda i: len(cols[i])):
+        at = [[pos[j] for j in cols[i]] for i in members]
+        # itemgetter of one index returns the item, not a 1-tuple
+        gathers = [itemgetter(*t) if len(t) > 1 else (lambda v, i=t[0]: (v[i],)) for t in zip(*at)]
+        groups.append((len(at), gathers))
+    return order, groups
 
-    def apply(vec):
-        get = vec.__getitem__
-        return [sum(map(get, c)) for c in cols]
 
-    x = [1.0] * len(rows)
+def _product(groups, vec: list, plus: list | None = None) -> list:
+    """A vec, or A vec + plus, in plan order.  Each entry adds its row's
+    columns left to right, then plus, one map(add) per column of a group:
+    as sum() adds floats on Python 3.11 (3.12 compensates).  The lazy chain
+    becomes a list every 256 columns, which bounds its depth."""
+    out, start = [], 0
+    for size, gathers in groups:
+        terms = [g(vec) for g in gathers]
+        if plus is not None:
+            terms.append(plus[start : start + size])
+        start += size
+        acc = terms[0] if terms else repeat(0, size)  # an empty row sums to 0
+        for k, t in enumerate(terms[1:], 1):
+            acc = map(add, acc, t) if k % 256 else list(map(add, acc, t))
+        out.extend(acc)
+    return out
+
+
+def _float_seed(groups, period: int, target: float, max_iters: int) -> list[int]:
+    """Positive integer vector, in plan order, from a float power iteration
+    of A^p + I in whole-vector products (_product).
+
+    The vector is normalised by its maximum after every product with A, so
+    it never overflows; entries may underflow to 0.  Every 4 steps (the
+    fourth adds I apart from A^p x) the float Collatz-Wielandt spread
+    max/min of (A^p x)_i / x_i - 1 is taken, and the iteration stops when it
+    reaches `target`, when it stops shrinking (the float noise floor, or a
+    stalled transient; an underflowed entry makes it infinite), or once
+    `max_iters` products with A are done.  The floats become integers that
+    keep all 53 significant bits of every entry, scaled by the smallest
+    entry's exponent; an underflowed entry becomes 1.
+    """
+    x = [1.0] * sum(size for size, _ in groups)
     spread = math.inf
     done = 0
     while done < max_iters:
-        for _ in range(4):
-            w, scale = apply(x), 1.0  # A^p x / scale
+        for k in range(4):
+            w, scale = x, 1.0  # A^(p-1) x / scale
             for _ in range(period - 1):
-                top = max(w)
-                w, scale = apply([t / top for t in w]), scale * top
-            prev = x
-            y = [a + b / scale for a, b in zip(w, x)]
-            top = max(y)
-            x = [t / top for t in y]
+                top = max(w := _product(groups, w))
+                w, scale = list(map(truediv, w, repeat(top))), scale * top
+            plus = x if scale == 1.0 else list(map(truediv, x, repeat(scale)))
+            if k < 3:
+                y = _product(groups, w, plus)
+            else:
+                w = _product(groups, w)  # A^p x / scale
+                y = list(map(add, w, plus))
+            prev, top = x, max(y)
+            x = list(map(truediv, y, repeat(top)))
         done += 4 * period
         last = spread
         spread = math.inf
@@ -887,39 +925,39 @@ def collatz_wielandt_enclosure(rows, max_iters: int = 60000, period: int = 1) ->
     positive integer v and any p >= 1 (rho(A^p) = rho(A)^p; Lind & Marcus
     4.2), so floats only choose v and a period other than the true one costs
     speed, never correctness.  A float power iteration of A^p + I seeds v
-    (_float_seed); the bounds are then computed exactly in integers and
-    fractions.  Only if they miss the relative width period * 10^-13, the
-    relative target 10^-13 on rho(A), does an exact integer iteration of
-    A^p + I continue from v, doubling its batches up to 1024 products.
+    (_float_seed); the bounds are then computed exactly, the least and
+    greatest ratio found by cross-multiplying integers.  Only if they miss
+    the relative width period * 10^-13, the relative target 10^-13 on
+    rho(A), does an exact integer iteration of A^p + I continue from v,
+    doubling its batches up to 1024 products.  Both iterations take
+    whole-vector products in one plan order of the rows (_gather_plan).
     `max_iters` counts products with A, for the float seed and again for the
     exact iteration; the exact budget running out above the target raises
     PrecisionExhausted rather than returning wider bounds.  A float seed
     whose entries underflow (a Perron vector spanning more than 2^1074) or
     whose spread stalls leaves the exact iteration to finish.
     """
-    n = len(rows)
     target = period * Fraction(1, 10**13)
-    v = _float_seed(rows, period, float(target), max_iters)
-
-    def apply(vec):
-        return [sum(m * vec[j] for j, m in rows[i]) for i in range(n)]
+    groups = _gather_plan(rows)[1]
+    v = _float_seed(groups, period, float(target), max_iters)
 
     def step(vec):
         w = vec
         for _ in range(period - 1):
-            w = apply(w)
-        return [vec[i] + sum(m * w[j] for j, m in rows[i]) for i in range(n)]
+            w = _product(groups, w)
+        return _product(groups, w, vec)
 
     def bounds(vec):
         w = vec
         for _ in range(period):
-            w = apply(w)
-        lo = hi = None
-        for i in range(n):
-            q = Fraction(w[i], vec[i])
-            lo = q if lo is None or q < lo else lo
-            hi = q if hi is None or q > hi else hi
-        return lo, hi
+            w = _product(groups, w)
+        lo = hi = 0
+        for i in range(1, len(w)):
+            if w[i] * vec[lo] < w[lo] * vec[i]:
+                lo = i
+            elif w[i] * vec[hi] > w[hi] * vec[i]:
+                hi = i
+        return Fraction(w[lo], vec[lo]), Fraction(w[hi], vec[hi])
 
     batch = 4
     done = 0

@@ -126,15 +126,16 @@ def irreducible_components(p: ShiftPresentation) -> list[tuple[str, ShiftPresent
     return out
 
 
-def _distances(idx: GraphIndex) -> list[int]:
-    """Breadth-first distance of every position from position 0 (-1: unreached)."""
-    dist = [-1] * len(idx.order)
+def _distances(rows) -> list[int]:
+    """Breadth-first distance of every position from position 0 along the
+    sparse rows, successor or predecessor (-1: unreached)."""
+    dist = [-1] * len(rows)
     dist[0] = 0
     queue = [0]
     while queue:
         nxt = []
         for v in queue:
-            for w, _ in idx.succ[v]:
+            for w, _ in rows[v]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     nxt.append(w)
@@ -146,10 +147,10 @@ def period_of_component(c: Union[FiniteGraph, LoopSchema]) -> int:
     """gcd of all cycle lengths of an irreducible presentation."""
     if isinstance(c, LoopSchema):
         return schema_period(c)
-    if not is_strongly_connected(c):
-        raise ValueError("period is defined for strongly connected graphs only")
     idx = c.index()
-    dist = _distances(idx)
+    # strongly connected: an edge, and position 0 reaches and is reached by all
+    if not c.edges or min(dist := _distances(idx.succ)) < 0 or min(_distances(idx.pred)) < 0:
+        raise ValueError("period is defined for strongly connected graphs only")
     g = 0
     for v, row in enumerate(idx.succ):
         for w, _ in row:
@@ -181,7 +182,7 @@ def cyclic_classes(c: FiniteGraph, period: int | None = None) -> list[list[str]]
     """Partition D_0..D_{p-1} with every edge moving one class forward."""
     p = period if period is not None else period_of_component(c)
     idx = c.index()
-    dist = _distances(idx)
+    dist = _distances(idx.succ)
     if min(dist) < 0:
         raise ValueError("cyclic classes are defined for strongly connected graphs only")
     classes = [[] for _ in range(p)]

@@ -7,8 +7,10 @@ that shares none of its machinery.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -175,6 +177,100 @@ def damped_enclosure_reference(a, k, d: int, n0: int, s: int, x: Fraction, max_w
         if hi - lo <= max_width or terms >= cap:
             return lo, hi
         terms *= 2
+
+
+def float_seed_reference(rows, period: int, max_iters: int) -> list[int]:
+    """The float seed of a Collatz-Wielandt enclosure of rho(A)^period,
+    computed one row at a time: a copy of the row-at-a-time iteration that
+    whole-vector products replaced in the library.
+
+    Each float product is one sum per row over its column list (column j
+    repeated A[i][j] times).  The sums run left to right from the integer
+    0, as sum() does on Python 3.11; from 3.12 on sum() of floats is
+    compensated, so the sum is spelled out as reduce(add).
+    """
+    target = float(period * Fraction(1, 10**13))
+    cols = [[j for j, m in row for _ in range(m)] for row in rows]
+
+    def apply(vec):
+        get = vec.__getitem__
+        return [functools.reduce(operator.add, map(get, c), 0) for c in cols]
+
+    x = [1.0] * len(rows)
+    spread = math.inf
+    done = 0
+    while done < max_iters:
+        for _ in range(4):
+            w, scale = apply(x), 1.0
+            for _ in range(period - 1):
+                top = max(w)
+                w, scale = apply([t / top for t in w]), scale * top
+            prev = x
+            y = [a + b / scale for a, b in zip(w, x)]
+            top = max(y)
+            x = [t / top for t in y]
+        done += 4 * period
+        last = spread
+        spread = math.inf
+        if 0.0 not in prev:
+            ratios = [a / b for a, b in zip(w, prev)]
+            low = min(ratios)
+            if low > 0.0:
+                spread = max(ratios) / low - 1.0
+        if spread <= target or spread >= last:
+            break
+    emin = min(math.frexp(t)[1] for t in x if t > 0.0)
+    return [int(math.ldexp(m, 53)) << (e - emin) if m else 1 for m, e in map(math.frexp, x)]
+
+
+def collatz_wielandt_reference(rows, max_iters: int = 60000, period: int = 1):
+    """(lo, hi): the Collatz-Wielandt bounds on rho(A)^period from the
+    float seed of float_seed_reference, with the exact iteration of A^p + I
+    one generator sum per row and the bounds the min and max over one
+    Fraction per row, as the library computed them row at a time.  Raises
+    ArithmeticError with the library's message when the exact budget runs
+    out.
+    """
+    n = len(rows)
+    target = period * Fraction(1, 10**13)
+
+    def apply(vec):
+        return [sum(m * vec[j] for j, m in rows[i]) for i in range(n)]
+
+    def step(vec):
+        w = vec
+        for _ in range(period - 1):
+            w = apply(w)
+        return [vec[i] + sum(m * w[j] for j, m in rows[i]) for i in range(n)]
+
+    def bounds(vec):
+        w = vec
+        for _ in range(period):
+            w = apply(w)
+        ratios = [Fraction(w[i], vec[i]) for i in range(n)]
+        return min(ratios), max(ratios)
+
+    v = float_seed_reference(rows, period, max_iters)
+    batch = 4
+    done = 0
+    lo, hi = bounds(v)
+    while hi - lo > target * lo:
+        if done >= max_iters:
+            raise ArithmeticError(
+                f"Collatz-Wielandt bounds above relative width {target} "
+                f"after {max_iters} products"
+            )
+        steps = max(1, batch // period)
+        for _ in range(steps):
+            v = step(v)
+        done += steps * period
+        top = max(v).bit_length()
+        if top > 4096:
+            shift = top - 1024
+            v = [max(1, x >> shift) for x in v]
+        lo, hi = bounds(v)
+        batch = min(batch * 2, 1024)
+    return lo, hi
 
 
 def is_even_shift_word(word: str) -> bool:

@@ -1,5 +1,6 @@
 """Exact Perron entropies, certified comparisons, and interval plumbing."""
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -49,7 +50,13 @@ from borelshift.intervals import (
 from borelshift.presentations import GeometricTail, LoopSchema
 from borelshift.recurrence import _phi_polynomial
 
-from helpers import GOLDEN_ENTROPY, factor_first_isolation, random_strongly_connected
+from helpers import (
+    GOLDEN_ENTROPY,
+    collatz_wielandt_reference,
+    factor_first_isolation,
+    float_seed_reference,
+    random_strongly_connected,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 _X = sympy.Symbol("x")
@@ -215,6 +222,71 @@ def test_collatz_wielandt_budget_exhausted_raises():
     with pytest.raises(PrecisionExhausted):
         collatz_wielandt_enclosure(rows, max_iters=64)
     assert issubclass(PrecisionExhausted, ArithmeticError)
+
+
+def periodic_rows(rng: random.Random, p: int) -> list:
+    """Sparse rows of a strongly connected multigraph whose edges all move
+    one of p classes forward: a closed walk through every vertex, then
+    random edges of multiplicity 1-3 (loops too when p = 1)."""
+    sizes = [rng.randint(1, 5) for _ in range(p)]
+    first = [sum(sizes[:c]) for c in range(p)]
+    m = max(sizes)
+    walk = [first[t % p] + (t // p) % sizes[t % p] for t in range(p * m)] + [0]
+    mult = collections.Counter(zip(walk, walk[1:]))
+    for _ in range(rng.randint(0, 2 * sum(sizes))):
+        c = rng.randrange(p)
+        i = first[c] + rng.randrange(sizes[c])
+        j = first[(c + 1) % p] + rng.randrange(sizes[(c + 1) % p])
+        mult[i, j] += rng.randint(1, 3)
+    rows = [[] for _ in range(sum(sizes))]
+    for (i, j), k in sorted(mult.items()):
+        rows[i].append((j, k))
+    return rows
+
+
+def _library_seed(rows, period, max_iters):
+    """entropy._float_seed's vector, moved from plan order to row order."""
+    order, groups = entropy._gather_plan(rows)
+    seed = entropy._float_seed(groups, period, float(period * Fraction(1, 10**13)), max_iters)
+    by_row = [0] * len(rows)
+    for k, i in enumerate(order):
+        by_row[i] = seed[k]
+    return by_row
+
+
+def _outcome(fn, exhausted):
+    try:
+        return fn()
+    except exhausted as exc:
+        return "exhausted", str(exc)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def test_whole_vector_iterates_equal_the_row_at_a_time_reference():
+    cases = []
+    rng = random.Random(2600)
+    for k in range(108):
+        p = 1 + k % 6
+        cases.append((periodic_rows(rng, p), p, 60000))
+    # one vertex with m loops; at 100,000 columns a chain of lazy map(add)s
+    # that deep would overflow the C stack
+    cases += [([[(0, m)]], 1, 60000) for m in (1, 2, 3, 7, 100_000)]
+    cases.append((flower([(4096, 1), (1, 201)]).index().succ, 1, 60000))  # underflow
+    cases += [([[(0, 1), (1, 1)], []], 1, 64), ([[]], 1, 64), ([], 1, 64)]  # no successors
+    one_row_groups = 0
+    for rows, p, budget in cases:
+        one_row_groups += any(size == 1 for size, _ in entropy._gather_plan(rows)[1])
+        want = _outcome(lambda: float_seed_reference(rows, p, budget), ArithmeticError)
+        assert _outcome(lambda: _library_seed(rows, p, budget), PrecisionExhausted) == want
+        want = _outcome(lambda: collatz_wielandt_reference(rows, budget, p), ArithmeticError)
+        got = _outcome(
+            lambda: collatz_wielandt_enclosure(rows, budget, p), PrecisionExhausted
+        )
+        if isinstance(got, RatInterval):
+            got = got.lo, got.hi
+        assert got == want, (len(rows), p)
+    assert one_row_groups >= 10
 
 
 def test_log_enclosure_out_of_precision_raises():

@@ -165,6 +165,27 @@ def test_period_matches_cycle_gcd_oracle():
         assert period_of_component(g) == period_by_cycles(vs, edges)
 
 
+def test_period_refuses_exactly_what_is_not_strongly_connected():
+    # no edge: refused before any search indexes position 0
+    for g in (FiniteGraph((), ()), FiniteGraph(("a",), ())):
+        with pytest.raises(ValueError):
+            period_of_component(g)
+    rng = random.Random(2601)
+    strong = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        vs = [f"v{i}" for i in range(n)]
+        edges = [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(1, 3 * n))]
+        g = FiniteGraph(tuple(vs), tuple(edges))
+        if is_strongly_connected(g):
+            strong += 1
+            assert period_of_component(g) == period_by_cycles(vs, edges)
+        else:
+            with pytest.raises(ValueError):
+                period_of_component(g)
+    assert 30 <= strong <= 270
+
+
 def test_cyclic_classes_partition_and_rotate():
     g = cycle_graph(6)
     classes = cyclic_classes(g)
