@@ -42,6 +42,9 @@ from .presentations import DampedTail, LoopSchema, format_document
 from .recurrence import POSITIVE_RECURRENT, TRANSIENT
 
 DIGIT_FLOOR = Fraction(1, 10**13)
+# the greedy seed e^(-p h) is a 30-digit approx_exp, which falls to its 10^-31
+# grid once p h passes 31 ln 10 = 71.4
+SEED_EXPONENT_CAP = 71
 
 
 class UnrealizableEntropy(ValueError):
@@ -111,6 +114,11 @@ def _greedy_pr_schema(period: int, h_target: Fraction) -> LoopSchema:
     """PR schema of period p with root within ~1e-12 of e^{-h_target}."""
     if h_target <= 0:
         raise UnrealizableEntropy("realization needs strictly positive entropy")
+    if period * h_target > SEED_EXPONENT_CAP:
+        raise UnrealizableEntropy(
+            f"period times entropy above {SEED_EXPONENT_CAP},"
+            " the limit of the 30-digit seed e^(-p h)"
+        )
     y = approx_exp(-period * h_target)
     n, m = y.numerator, y.denominator
     counts: list[tuple[int, int]] = []

@@ -297,6 +297,27 @@ def test_realize_family_needs_member_flag(capsys, tmp_path):
     assert parse_document(out)
 
 
+def test_realize_names_the_seed_limit_and_realizes_up_to_it(capsys, tmp_path):
+    over = tmp_path / "over.txt"
+    over.write_text("gen 5 15 15 1\n")
+    code, _, err = run(capsys, ["realize", str(over)])
+    assert code == 1 and "above 71" in err
+    # p h = 70: the seed e^-70 = 4e-31 still stands above the 10^-31 grid
+    inv = tmp_path / "inv.txt"
+    inv.write_text("gen 1 70 70 1\n")
+    code, out, _ = run(capsys, ["realize", str(inv)])
+    assert code == 0
+    doc = tmp_path / "doc.txt"
+    doc.write_text(out)
+    code, out, _ = run(capsys, ["analyze", str(doc)])
+    assert code == 0
+    reinv = tmp_path / "reinv.txt"
+    reinv.write_text(out)
+    code, out, _ = run(capsys, ["compare", str(reinv), str(inv)])
+    assert code == 0
+    assert kv(out)["isomorphic"] == "true"
+
+
 def test_realize_inadmissible_pair_exits_one(capsys, tmp_path):
     inv = tmp_path / "inv.txt"
     inv.write_text("gen 1 inf 2\n")
@@ -559,6 +580,7 @@ def test_parser_keeps_no_flag_between_calls(capsys, monkeypatch, tmp_path):
 _COLD_CHILD = """
 import contextlib, io, sys
 sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+sys.modules["mpmath"] = None  # and of mpmath
 from borelshift.cli import main
 golden, code, sqrt3, realized, inv = sys.argv[1:]
 codes = []
@@ -593,10 +615,10 @@ _SQRT3_LINE = (
 
 
 def test_cold_process_never_imports_sympy(golden_file, even_code_file, tmp_path):
-    # the library computes in plain integers: a child in which sympy cannot
-    # be imported runs all seven verbs.  The realized sqrt(3) schema's
-    # first-return polynomial has the cofactor x^2 + x + 1, so the degree
-    # sieve cannot certify it and it is factored
+    # the library computes in plain integers: a child in which neither sympy
+    # nor mpmath can be imported runs all seven verbs.  The realized sqrt(3)
+    # schema's first-return polynomial has the cofactor x^2 + x + 1, so the
+    # degree sieve cannot certify it and it is factored
     src = str(Path(borelshift.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     sqrt3 = tmp_path / "sqrt3.txt"
@@ -654,6 +676,13 @@ def test_malformed_document_exits_65(capsys, tmp_path):
     (["analyze", "{golden}", "--tol", "1e-100000000"], 64),
     (["pathology", "--eps", "1e-100000000"], 65),
     (["analyze", "{huge_exponent}"], 65),
+    # realize's 30-digit seed e^(-p h) falls to its 10^-31 grid past p h = 71.4
+    # (0 at p h = 75, 10^-31 at 72): refused by name, not a traceback
+    (["realize", "{seed_zero}"], 1),
+    (["realize", "{seed_on_grid}"], 1),
+    (["realize", "{seed_past_grid}"], 1),
+    # e^(10^100) misses the seed's width at every precision: no 2^(1.4e100) is built
+    (["realize", "{googol_transient}"], 2),
 ])
 def test_out_of_range_numbers_exit_with_one_line(
     capsys, tmp_path, golden_file, even_code_file, argv, status
@@ -666,11 +695,15 @@ def test_out_of_range_numbers_exit_with_one_line(
         "wide_stride": "tail geometric 1/2 2 from 1 stride 1000000000",
         "huge_ratio": f"tail geometric 1 {10**4000} from 100000",
         "huge_exponent": "count 1 2\ntail geometric 1e100000000 2 from 3",
+        "seed_zero": "gen 5 15 15 1",
+        "seed_on_grid": "gen 2 36 36 1",
+        "seed_past_grid": "gen 1 72 72 1",
+        "googol_transient": "gen 1 1e100 1e100 0",
     }
     paths = {}
     for name, body in docs.items():
         paths[name] = tmp_path / f"{name}.txt"
-        paths[name].write_text(f"loops\n{body}\n")
+        paths[name].write_text(f"{body}\n" if body.startswith("gen ") else f"loops\n{body}\n")
     argv = [a.format(golden=golden_file, even=even_code_file, **paths) for a in argv]
     start = time.monotonic()
     code, out, err = run(capsys, argv)

@@ -3,8 +3,10 @@
 import collections
 import math
 import random
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
@@ -26,6 +28,7 @@ from borelshift import (
     full_shift_graph,
     golden_mean_graph,
     image_entropy,
+    intervals,
     max_entropy,
     parse_invariants,
     perron_entropy,
@@ -87,6 +90,120 @@ def test_interval_transforms_preserve_containment():
     # outward rounding both ways keeps the original interval inside
     assert exp_fraction(out.lo, Fraction(1, 10**9)).lo <= Fraction(3, 2)
     assert Fraction(8, 5) <= exp_fraction(out.hi, Fraction(1, 10**9)).hi
+
+
+def _directed_oracle(fn, f, max_width):
+    """mpmath's value of fn at the P-bit floor and ceiling of f, computed 700
+    bits past P and rounded down and up to P bits, on the library's schedule
+    P = prec + max(bits(num), bits(den)), prec = 64, 128, ..."""
+    n, d = f.numerator, f.denominator
+    prec = 64
+    while True:
+        p = prec + max(n.bit_length(), d.bit_length())
+        ends = []
+        for rnd in (mpmath.libmp.round_floor, mpmath.libmp.round_ceiling):
+            x = mpmath.libmp.from_rational(n, d, p, rnd)
+            y = mpmath.libmp.mpf_pos(fn(x, p + 700), p, rnd)
+            ends.append(Fraction(*mpmath.libmp.to_rational(y)))
+        if ends[1] - ends[0] <= max_width:
+            return ends
+        prec *= 2
+
+
+def test_log_and_exp_ends_are_the_exact_directed_roundings():
+    rng = random.Random(20261019)
+    big = 10**300
+    logs = [Fraction(rng.getrandbits(rng.randint(1, 60)) + 1, rng.getrandbits(rng.randint(1, 60)) + 1)
+            for _ in range(500)]
+    logs += [Fraction(rng.randrange(1, 2**rng.randint(1, 48))) for _ in range(200)]
+    logs += [Fraction(2**k + s * rng.randint(1, 3), 2**k) for k in range(2, 102) for s in (-1, 1)]
+    logs += [Fraction(3 * 2**k + 1, 2**k) for k in range(1, 151)]
+    logs += [Fraction(big + rng.randrange(10**6), rng.randint(1, 1000)) for _ in range(50)]
+    logs += [Fraction(rng.randint(1, 1000), big + rng.randrange(10**6)) for _ in range(50)]
+    logs += [Fraction(90535), Fraction(1), Fraction(2), Fraction(1, 2)]
+    exps = [Fraction(rng.getrandbits(40), rng.getrandbits(rng.randint(1, 40)) + 1) % 50 for _ in range(300)]
+    exps += [Fraction(rng.randint(1, 700)) for _ in range(100)]
+    exps += [Fraction(s, 2**k) for k in range(1, 101) for s in (-1, 1)]
+    exps += [Fraction(3 * 2**k + 1, 2**k) for k in range(1, 101)]
+    exps += [-x for x in exps] + [Fraction(0)]
+    assert len(logs) + len(exps) >= 2000
+    cases = [(log_fraction, mpmath.libmp.mpf_log, f) for f in logs]
+    cases += [(exp_fraction, mpmath.libmp.mpf_exp, x) for x in exps]
+    for i, (fn, oracle, f) in enumerate(cases):
+        width = Fraction(1, 10 ** (15 if i % 2 else 40))
+        enc = fn(f, width)
+        assert [enc.lo, enc.hi] == _directed_oracle(oracle, f, width), (fn.__name__, f)
+        assert enc.width <= width
+
+
+def test_log_of_90535_contains_its_value():
+    # mpmath's interval log, rounded from a 20-guard-bit approximation, put the
+    # upper end 1.8e-30 below log 90535
+    enc = log_fraction(Fraction(90535))
+    mpmath.mp.prec = 700
+    try:
+        value = Fraction(*mpmath.libmp.to_rational(mpmath.log(90535)._mpf_))
+        assert enc.lo <= value <= enc.hi
+    finally:
+        mpmath.mp.prec = 53
+
+
+def test_exp_of_a_googol_runs_out_of_precision_quickly():
+    # every round's width is decided on the (mantissa, exponent) pairs; no
+    # power of two of 1.4e100 bits is built
+    start = time.monotonic()
+    with pytest.raises(PrecisionExhausted):
+        exp_fraction(Fraction(10**100))
+    assert time.monotonic() - start < 1
+
+
+def test_round_is_the_directed_rounding_of_a_ratio():
+    rng = random.Random(3)
+    for _ in range(3000):
+        p = rng.randint(1, 80)
+        if rng.random() < 0.3:  # exact values of p + 1 bits: the dropped bit is all that is lost
+            n, d = rng.getrandbits(p) | 1 << p, 1
+        else:
+            n, d = rng.getrandbits(rng.randint(1, 200)) or 1, rng.getrandbits(rng.randint(1, 100)) + 1
+        n *= rng.choice((-1, 1))
+        s = rng.randint(-50, 50)
+        for up, rnd in ((False, mpmath.libmp.round_floor), (True, mpmath.libmp.round_ceiling)):
+            m, e = intervals._round(n, d, s, p, up)
+            want = Fraction(*mpmath.libmp.to_rational(mpmath.libmp.from_rational(n, d, p, rnd)))
+            assert m * Fraction(2) ** e == want * Fraction(2) ** s, (n, d, s, p, up)
+            assert abs(m).bit_length() == p
+
+
+def test_fixed_point_series_stay_within_their_loss_bounds():
+    # at small scales the bounds are nearly tight: dropping any loss term
+    # from err lets some true value escape [a, a + err]
+    rng = random.Random(7)
+    mpmath.mp.prec = 300
+    try:
+        for w in range(0, 40):
+            for _ in range(60):
+                v = rng.randint(3, 2**rng.randint(2, 50))
+                u = rng.randint(0, v // 3)
+                a, err = intervals._atanh(u, v, w)
+                value = mpmath.atanh(mpmath.mpf(u) / v) * 2**w
+                assert a <= value <= a + err, (u, v, w)
+                r = rng.randrange(2**w)
+                a, err = intervals._exp_series(r, w)
+                value = mpmath.exp(mpmath.mpf(r) / 2**w) * 2**w
+                assert a <= value <= a + err, (r, w)
+        for w in range(0, 200):
+            lo, hi = intervals._ln2(w)
+            assert lo <= mpmath.log(2) * 2**w <= hi, w
+            m, e = rng.randint(1, 2**40), rng.randint(-80, 80)
+            (lo, _, s), (hi, _, _) = intervals._log_ends(m, e, w)
+            assert lo <= mpmath.log(mpmath.mpf(m) * mpmath.mpf(2) ** e) * 2**-s <= hi, (m, e, w)
+            m, e = rng.randint(1, 2**20), rng.randint(-30, 4)
+            for m in (m, -m):
+                (lo, d, s), (hi, d2, s2) = intervals._exp_ends(m, e, w + 64)
+                value = mpmath.exp(mpmath.mpf(m) * mpmath.mpf(2) ** e)
+                assert lo * mpmath.mpf(2) ** s / d <= value <= hi * mpmath.mpf(2) ** s2 / d2, (m, e, w)
+    finally:
+        mpmath.mp.prec = 53
 
 
 # === exact algebraic values ===
