@@ -16,19 +16,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .codes import (
-    BudgetExhausted,
-    minimal_relation,
-    build_fibered_product_Fm,
-    extract_tilde_Xm,
-    format_code,
-    parse_code,
-    parse_relation,
-    format_relation,
-    quotient_psi,
-    verify_bowen_relation,
-)
-from .entropy import DEFAULT_TOL
+from .entropy import DEFAULT_TOL, IntervalApprox
 from .intervals import PrecisionExhausted
 from .recurrence import UndecidableAtTolerance
 from .invariants import (
@@ -42,17 +30,6 @@ from .invariants import (
     compute_u_eta,
     _parse_entropy_expr,
 )
-from .markers import (
-    NoDistinctLoops,
-    PreconditionViolated,
-    make_subsystem_code,
-    synthesize_injective_subsystem,
-)
-from .pathology import (
-    certify_pathology,
-    choose_pathology_parameters,
-    control_parameters,
-)
 from .presentations import (
     FiniteGraph,
     ParseError,
@@ -61,7 +38,9 @@ from .presentations import (
     parse_document,
     parse_rational,
 )
-from .realize import UnrealizableEntropy, realize_invariants
+
+# codes, markers, pathology and realize are imported by the verbs that use
+# them, so that analyze and compare never load them
 
 EX_OK = 0
 EX_FALSE = 1
@@ -152,6 +131,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .realize import realize_invariants
+
     pair = parse_invariants(_read(args.file))
     real = realize_invariants(pair, args.tol)
     parts = list(real.parts())
@@ -180,8 +161,6 @@ def _parse_target(text: str):
             x = parse_rational(toks[0])
         except ValueError:
             raise ValueError(f"bad target entropy {text!r}") from None
-        from .entropy import IntervalApprox
-
         return IntervalApprox(x, x)
     try:
         return _parse_entropy_expr(toks, 0)
@@ -190,6 +169,9 @@ def _parse_target(text: str):
 
 
 def _cmd_embed(args) -> int:
+    from .codes import format_code, parse_code
+    from .markers import make_subsystem_code, synthesize_injective_subsystem
+
     code = parse_code(_read(args.file))
     target = _parse_target(args.target)
     if args.budget is not None and args.budget < 1:
@@ -208,6 +190,10 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_bowen(args) -> int:
+    from .codes import (
+        format_relation, minimal_relation, parse_code, parse_relation, verify_bowen_relation,
+    )
+
     code = parse_code(_read(args.file))
     if args.relation is None:
         rel = minimal_relation(code)
@@ -228,6 +214,11 @@ def _cmd_bowen(args) -> int:
 
 
 def _cmd_fiberprod(args) -> int:
+    from .codes import (
+        build_fibered_product_Fm, extract_tilde_Xm, minimal_relation, parse_code,
+        parse_relation, quotient_psi,
+    )
+
     code = parse_code(_read(args.file))
     if args.relation is None:
         rel = minimal_relation(code)
@@ -269,6 +260,8 @@ def _default_pathology_base() -> FiniteGraph:
 
 
 def _cmd_pathology(args) -> int:
+    from .pathology import certify_pathology, choose_pathology_parameters, control_parameters
+
     if args.base is None:
         base = _default_pathology_base()
     else:
@@ -384,6 +377,21 @@ def build_parser() -> _Parser:
 _PARSER = build_parser()
 
 
+def _loaded(*names: str) -> tuple:
+    """The classes named `module.Class` whose module this process has loaded.
+
+    An except clause is evaluated only once an exception reaches it, and an
+    exception from a module never loaded cannot have been raised.
+    """
+    found = []
+    for name in names:
+        module, cls = name.split(".")
+        mod = sys.modules.get(f"{__package__}.{module}")
+        if mod is not None:
+            found.append(getattr(mod, cls))
+    return tuple(found)
+
+
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
@@ -398,15 +406,14 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return EX_DATA
-    except (UnrealizableEntropy, PreconditionViolated) as exc:
+    except _loaded("realize.UnrealizableEntropy", "markers.PreconditionViolated") as exc:
         print(str(exc), file=sys.stderr)
         return EX_FALSE
     except (
         UndecidableAtTolerance,
         InconclusiveAtTolerance,
-        BudgetExhausted,
-        NoDistinctLoops,
         PrecisionExhausted,
+        *_loaded("codes.BudgetExhausted", "markers.NoDistinctLoops"),
     ) as exc:
         print(str(exc), file=sys.stderr)
         return EX_INCONCLUSIVE

@@ -1005,7 +1005,7 @@ def _root_enclosure(enc: RatInterval, p: int) -> RatInterval:
     return RatInterval(outward(enc.lo, -1), outward(enc.hi, 1))
 
 
-def perron_entropy(c: FiniteGraph) -> ExtendedEntropy:
+def perron_entropy(c: FiniteGraph, *, _period: int | None = None) -> ExtendedEntropy:
     """Entropy log(Perron root) of a strongly connected multigraph.
 
     ZERO_ENTROPY for a single cycle, and only for one.  Otherwise exact
@@ -1016,8 +1016,11 @@ def perron_entropy(c: FiniteGraph) -> ExtendedEntropy:
     bounds on a float-seeded vector (collatz_wielandt_enclosure).  A
     certificate that cannot meet its width within its budget raises
     PrecisionExhausted; no wider interval is returned.
+
+    `_period` is for callers in this package that have already computed
+    period_of_component(c), strong-connectivity check included.
     """
-    p = period_of_component(c)  # raises ValueError unless strongly connected
+    p = period_of_component(c) if _period is None else _period
     if is_single_cycle(c):
         return ZERO_ENTROPY
     rows = c.index().succ

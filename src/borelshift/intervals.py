@@ -147,18 +147,21 @@ def _ziv(ends, x: tuple[int, int], p: int, up: bool) -> tuple[int, int]:
 def _certified_unary(name: str, ends, f: Fraction, max_width: Fraction) -> RatInterval:
     """Enclosure of width <= max_width.  The precision starts 64 bits past the
     operand's size and doubles; past 2^14 bits of it, PrecisionExhausted is
-    raised, and at once if the last round cannot meet the width either."""
+    raised, and at once if the last round cannot meet the width either, or if
+    the value is too near zero for its ends to be written as fractions."""
     prec = 64
     n, d = f.numerator, f.denominator
     extra = max(n.bit_length(), d.bit_length())
-    cap = (1 << 15) + extra + max_width.numerator.bit_length() - max_width.denominator.bit_length()
+    span = (1 << 15) + extra
+    cap = span + max_width.numerator.bit_length() - max_width.denominator.bit_length()
     while True:
         p = prec + extra
         lo, hi = (_ziv(ends, _round(n, d, 0, p, up), p, up) for up in (False, True))
         # distinct ends of the last round straddle a unit in the last place of a value
-        # no nearer zero than this round's nearer end m 2^e: 2^(e + p - 2^15 - extra)
+        # no nearer zero than this round's nearer end m 2^e: 2^(e + p - 2^15 - extra);
+        # below 2^-span, the ends' denominators 2^-e would outgrow the span
         m, e = lo if lo[0] > 0 else hi
-        if lo != hi and (max_width <= 0 or e + p > cap):
+        if lo != hi and (max_width <= 0 or e + p > cap or e + p < -span):
             break
         out = RatInterval(*(Fraction(m << max(e, 0), 1 << max(-e, 0)) for m, e in (lo, hi)))
         if out.width <= max_width:

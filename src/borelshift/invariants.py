@@ -140,15 +140,10 @@ def summarize_components(parts) -> list[ComponentSummary]:
             out.append(replace(reports[key], source=prefix + "loops"))
             continue
         for cid, sub in irreducible_components(part):
-            h = perron_entropy(sub)
+            p = period_of_component(sub)
+            h = perron_entropy(sub, _period=p)
             out.append(
-                ComponentSummary(
-                    period_of_component(sub),
-                    h,
-                    h is not ZERO_ENTROPY,
-                    POSITIVE_RECURRENT,
-                    prefix + cid,
-                )
+                ComponentSummary(p, h, h is not ZERO_ENTROPY, POSITIVE_RECURRENT, prefix + cid)
             )
     return out
 

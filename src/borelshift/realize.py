@@ -45,6 +45,10 @@ DIGIT_FLOOR = Fraction(1, 10**13)
 # the greedy seed e^(-p h) is a 30-digit approx_exp, which falls to its 10^-31
 # grid once p h passes 31 ln 10 = 71.4
 SEED_EXPONENT_CAP = 71
+# a transient schema's tail ratio k = e^h prints with about h / ln 10 + 31
+# digits, which must stay within presentations.NUMBER_DIGITS_CAP = 4000 for the
+# document to read back: h <= 9139
+TRANSIENT_ENTROPY_CAP = 9000
 
 
 class UnrealizableEntropy(ValueError):
@@ -146,7 +150,13 @@ def _pr_schema(period: int, h: ExtendedEntropy) -> LoopSchema:
 
 
 def _transient_schema(period: int, h: ExtendedEntropy) -> LoopSchema:
-    k = approx_exp(_entropy_midpoint(h))
+    h_mid = _entropy_midpoint(h)
+    if h_mid > TRANSIENT_ENTROPY_CAP:
+        raise UnrealizableEntropy(
+            f"transient entropy above {TRANSIENT_ENTROPY_CAP},"
+            " the limit of a printable tail ratio e^h"
+        )
+    k = approx_exp(h_mid)
     if k <= 1:
         raise UnrealizableEntropy("transient realization needs entropy > 0")
     tail = DampedTail(

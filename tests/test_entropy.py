@@ -150,10 +150,12 @@ def test_log_of_90535_contains_its_value():
 
 def test_exp_of_a_googol_runs_out_of_precision_quickly():
     # every round's width is decided on the (mantissa, exponent) pairs; no
-    # power of two of 1.4e100 bits is built
+    # power of two of 1.4e100 bits is built, as a numerator for e^(10^100)
+    # or as a denominator for e^(-10^100), whose width alone would be met
     start = time.monotonic()
-    with pytest.raises(PrecisionExhausted):
-        exp_fraction(Fraction(10**100))
+    for x in (10**100, -(10**100)):
+        with pytest.raises(PrecisionExhausted):
+            exp_fraction(Fraction(x))
     assert time.monotonic() - start < 1
 
 

@@ -36,7 +36,8 @@ from borelshift import (
     summarize_components,
 )
 
-from borelshift import cli, invariants
+from borelshift import cli, entropy, invariants
+from borelshift.graphs import period_of_component
 
 from helpers import LOG2, LOG3
 
@@ -105,6 +106,38 @@ def test_summarize_classifies_each_distinct_schema_once(monkeypatch):
     assert [s.source for s in summaries] == ["p0.loops", "p1.loops", "p2.loops", "p3.loops"]
     assert summaries[0].entropy == summaries[1].entropy == summaries[2].entropy
     assert summaries[3].entropy.rational_root() == 3
+
+
+def test_summarize_computes_each_component_period_once(monkeypatch, tmp_path, capsys):
+    # perron_entropy takes the period that summarize_components computed
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return period_of_component(c)
+
+    monkeypatch.setattr(invariants, "period_of_component", counting)
+    monkeypatch.setattr(entropy, "period_of_component", counting)
+    forest = FiniteGraph.from_edges(
+        [("a", "a"), ("a", "b"), ("b", "a")]  # golden mean, period 1
+        + [("c", "e"), ("c", "f"), ("d", "e"), ("e", "c"), ("e", "d"), ("f", "c")]
+        + [("g", "h"), ("h", "i"), ("i", "g"), ("j", "a")]  # a 3-cycle, a transient j
+    )
+    doc = tmp_path / "forest.txt"
+    doc.write_text(format_document([forest]))
+    assert cli.main(["analyze", str(doc)]) == 0
+    assert len(calls) == 3
+    golden = (
+        "4102203514056929112968507164101/2535301200456458802993406410752"
+        " 7286977268806843/4503599627370496"
+    )
+    assert capsys.readouterr().out == (
+        "# component=c0 period=1 entropy=0.48121182506 recurrence=positive-recurrent mme=true\n"
+        "# component=c1 period=2 entropy=0.48121182506 recurrence=positive-recurrent mme=true\n"
+        "# component=c2 period=3 entropy=0 recurrence=positive-recurrent mme=false\n"
+        f"gen 1 poly -1 -1 1 root-in {golden} 1\n"
+        f"gen 2 poly -1 -1 1 root-in {golden} 1\n"
+    )
 
 
 def test_summarize_skips_cycle_entropy():
