@@ -9,17 +9,20 @@ and unattained suprema never masquerade as numeric values.
 The Perron root of a component of period p is enclosed through lambda^p, by
 Collatz-Wielandt bounds min/max (A^p v)_i / v_i, which hold for every
 positive vector v (Lind & Marcus, Symbolic Dynamics and Coding, 4.2).  Floats
-only choose v: a float power iteration of A^p + I finds it, its entries
-become integers that keep their 53 significant bits, and the bounds are
-computed exactly.  Only when they miss the width target does an exact integer
-iteration of A^p + I continue from that vector; it also finishes the job when
-the Perron vector spans more than floats can hold (entries that underflow
-become 1).  The exact iteration running out of its budget above the target
-raises PrecisionExhausted; no wider enclosure is returned.  A^p is block
-diagonal with primitive blocks of Perron root lambda^p, so the iteration
-converges at the rate of those blocks; iterating A + I instead contracts by
-only |lambda e^{2 pi i/p} + 1| / (lambda + 1) per step, which for long periods
-is a factor close to 1 (Lind & Marcus 4.5).  Both iterations take whole-vector
+only choose v: a float power iteration finds it, its entries become integers
+that keep their 53 significant bits, and the bounds are computed exactly.
+The float iteration runs on A^p unshifted while that contracts fast, and on
+A^p + I once it does not (a second eigenvalue near -lambda, as in a nearly
+bipartite graph), rescaling once per check of four steps (_float_seed).  Only
+when the bounds miss the width target does an exact integer iteration of
+A^p + I continue from that vector; it also finishes the job when the Perron
+vector spans more than floats can hold (entries that underflow become 1).
+The exact iteration running out of its budget above the target raises
+PrecisionExhausted; no wider enclosure is returned.  A^p is block diagonal
+with primitive blocks of Perron root lambda^p, so the iteration converges at
+the rate of those blocks; iterating A + I instead contracts by only
+|lambda e^{2 pi i/p} + 1| / (lambda + 1) per step, which for long periods is a
+factor close to 1 (Lind & Marcus 4.5).  Both iterations take whole-vector
 products: per group of rows of one length, one itemgetter gather and one
 map(add) per column, added left to right as sum() adds on Python 3.11 (3.12
 compensates), so every Python prints the same interval.  A step costs time
@@ -89,6 +92,11 @@ class ExtendedEntropy:
         raise NotImplementedError
 
     def __float__(self) -> float:
+        return self._float
+
+    @cached_property
+    def _float(self) -> float:
+        # once per value: sort keys and printing call float() on one value many times
         mid = self.log_enclosure().mid
         try:
             return float(mid)
@@ -873,35 +881,52 @@ def _product(groups, vec: list, plus: list | None = None) -> list:
 
 def _float_seed(groups, period: int, target: float, max_iters: int) -> list[int]:
     """Positive integer vector, in plan order, from a float power iteration
-    of A^p + I in whole-vector products (_product).
+    of A^p in whole-vector products (_product): unshifted while it converges
+    fast, then of A^p + I.
 
-    The vector is normalised by its maximum after every product with A, so
-    it never overflows; entries may underflow to 0.  Every 4 steps (the
-    fourth adds I apart from A^p x) the float Collatz-Wielandt spread
-    max/min of (A^p x)_i / x_i - 1 is taken, and the iteration stops when it
-    reaches `target`, when it stops shrinking (the float noise floor, or a
-    stalled transient; an underflowed entry makes it infinite), or once
-    `max_iters` products with A are done.  The floats become integers that
-    keep all 53 significant bits of every entry, scaled by the smallest
-    entry's exponent; an underflowed entry becomes 1.
+    A check is 4 applications of A^p followed by the float Collatz-Wielandt
+    spread max/min of (A^p x)_i / x_i - 1 over the last one.  Unshifted, the
+    iteration contracts by |lambda_2| / lambda per application, but not at
+    all where another eigenvalue of A^p has modulus near lambda^p (a nearly
+    bipartite graph); adding I mends that at the price of the slower
+    (|lambda_2| + 1) / (lambda + 1) (Golub & Van Loan, Matrix Computations,
+    7.3).  So the iteration starts unshifted and stays so while each check
+    at least halves the spread; after two slow checks in a row it goes on
+    from the same vector with A^p + I, which stops on the target or once the
+    spread stops shrinking (the float noise floor, or a stalled transient;
+    an underflowed entry makes it infinite), as does `max_iters` products
+    with A.  A matrix with an empty row starts with A^p + I: the row's ratio
+    is 0 unshifted.
+
+    The vector is normalised by its maximum once per check: entries grow by
+    at most (R + 1)^(4p) in a check, R the largest row sum, which stays far
+    from overflow unless 4p log2(R + 1) >= 900, where it is normalised after
+    every product with A instead.  Entries may underflow to 0.  The floats
+    become integers that keep all 53 significant bits of every entry, scaled
+    by the smallest entry's exponent; an underflowed entry becomes 1.
     """
+    each = 4 * period * math.log2(len(groups[-1][1]) + 1 if groups else 1) >= 900
     x = [1.0] * sum(size for size, _ in groups)
+    shifted = not all(gathers for _, gathers in groups)
+    slow = 0  # checks in a row that did not halve the spread
     spread = math.inf
     done = 0
     while done < max_iters:
         for k in range(4):
-            w, scale = x, 1.0  # A^(p-1) x / scale
+            prev, w, scale = x, x, 1.0
             for _ in range(period - 1):
-                top = max(w := _product(groups, w))
-                w, scale = list(map(truediv, w, repeat(top))), scale * top
-            plus = x if scale == 1.0 else list(map(truediv, x, repeat(scale)))
-            if k < 3:
-                y = _product(groups, w, plus)
+                w = _product(groups, w)
+                if each:
+                    top = max(w)
+                    w, scale = list(map(truediv, w, repeat(top))), scale * top
+            w = _product(groups, w)  # A^p x / scale
+            if shifted:
+                x = list(map(add, w, prev if scale == 1.0 else map(truediv, prev, repeat(scale))))
             else:
-                w = _product(groups, w)  # A^p x / scale
-                y = list(map(add, w, plus))
-            prev, top = x, max(y)
-            x = list(map(truediv, y, repeat(top)))
+                x = w
+            if each or k == 3:
+                top = max(x)
+                x = list(map(truediv, x, repeat(top)))
         done += 4 * period
         last = spread
         spread = math.inf
@@ -910,8 +935,15 @@ def _float_seed(groups, period: int, target: float, max_iters: int) -> list[int]
             low = min(ratios)
             if low > 0.0:
                 spread = max(ratios) / low - 1.0
-        if spread <= target or spread >= last:
+        if spread <= target:
             break
+        if shifted:
+            if spread >= last:
+                break
+        else:
+            slow = 0 if spread <= last / 2 else slow + 1
+            if slow == 2:  # the shifted iteration's first check cannot stall
+                shifted, spread = True, math.inf
     emin = min(math.frexp(t)[1] for t in x if t > 0.0)
     return [int(math.ldexp(m, 53)) << (e - emin) if m else 1 for m, e in map(math.frexp, x)]
 
@@ -924,7 +956,8 @@ def collatz_wielandt_enclosure(rows, max_iters: int = 60000, period: int = 1) ->
     entries, as in FiniteGraph.index().succ.  The bounds hold for any
     positive integer v and any p >= 1 (rho(A^p) = rho(A)^p; Lind & Marcus
     4.2), so floats only choose v and a period other than the true one costs
-    speed, never correctness.  A float power iteration of A^p + I seeds v
+    speed, never correctness.  A float power iteration of A^p, unshifted
+    while each check halves its spread and then of A^p + I, seeds v
     (_float_seed); the bounds are then computed exactly, the least and
     greatest ratio found by cross-multiplying integers.  Only if they miss
     the relative width period * 10^-13, the relative target 10^-13 on

@@ -194,19 +194,31 @@ def _label_injective_tier(
 
 def _loops_at(g: FiniteGraph, base: str, length: int, cap: int) -> list[tuple[str, ...]]:
     """Loop words of exactly the given length at base (word = vertices visited,
-    starting at base, length symbols, returning to base afterwards)."""
+    starting at base, length symbols, returning to base afterwards), at most
+    cap of them, in depth-first order with each vertex's successors taken
+    last first.  One path list is extended and cut back; a word is built only
+    for a loop found."""
     idx = g.index()
     b = idx.pos[base]
-    out = []
-    stack = [(b, (b,))]
-    while stack and len(out) < cap:
-        v, word = stack.pop()
-        if len(word) == length:
-            if any(w == b for w, _ in idx.succ[v]):
-                out.append(tuple(idx.order[i] for i in word))
-            continue
-        for w, _ in idx.succ[v]:
-            stack.append((w, word + (w,)))
+    succ = [[w for w, _ in row] for row in idx.succ]
+    closes = [b in row for row in succ]
+    name = idx.order.__getitem__
+    out: list[tuple[str, ...]] = []
+    path = [b]
+    todo: list[list[int]] = []  # per vertex on the path, successors not yet taken
+    while len(out) < cap:
+        if len(path) == length:
+            if closes[path[-1]]:
+                out.append(tuple(map(name, path)))
+            path.pop()
+        else:
+            todo.append(succ[path[-1]][:])
+        while todo and not todo[-1]:
+            todo.pop()
+            path.pop()
+        if not todo:
+            break
+        path.append(todo[-1].pop())
     return out
 
 
@@ -240,26 +252,24 @@ def _label_word(lg: BlockCode, word: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(lm[v] for v in word)
 
 
-def _contains_run(word, pattern, reps: int) -> bool:
-    needle = pattern * reps
-    n, m = len(word), len(needle)
-    return any(word[i : i + m] == needle for i in range(n - m + 1))
-
-
 def _gallery(
     lg: BlockCode, base: str, N: int, ell_label: tuple[str, ...]
 ) -> list[tuple[str, ...]]:
     """Label-distinct loops of length N, excluding words that could simulate a
-    run of the marker loop label longer than N/2."""
+    run of the marker loop label longer than N/2.  Each label is spelled as
+    one character, so a label word is a string and the run test one
+    substring search of the word read twice around."""
     loops = _loops_at(lg.domain, base, N, cap=GALLERY_CAP)
     run_cap = max(1, (N // 2) // max(1, len(ell_label)))
+    lm = lg._label_map
+    spelling = {a: chr(k) for k, a in enumerate(dict.fromkeys([*ell_label, *lm.values()]))}
+    letter = {v: spelling[a] for v, a in lm.items()}.__getitem__
+    run = "".join(map(spelling.__getitem__, ell_label)) * (run_cap + 1)
     out = []
     seen_labels = set()
     for w in loops:
-        lab = _label_word(lg, w)
-        if lab in seen_labels:
-            continue
-        if _contains_run(lab + lab, ell_label, run_cap + 1):
+        lab = "".join(map(letter, w))
+        if lab in seen_labels or run in lab + lab:
             continue
         seen_labels.add(lab)
         out.append(w)

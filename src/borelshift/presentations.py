@@ -473,8 +473,13 @@ def _parse_tail(toks, lineno) -> Tail:
     raise ParseError(lineno, f"unknown tail family {toks[1]!r}")
 
 
+def tail_bits(k: Union[int, Fraction]) -> int:
+    """bits(k), which TAIL_BITS_CAP bounds times the largest power of k."""
+    return k.numerator.bit_length() + k.denominator.bit_length()
+
+
 def _check_tail_size(k: Union[int, Fraction], n: int, lineno: int) -> None:
-    bits = k.numerator.bit_length() + k.denominator.bit_length()
+    bits = tail_bits(k)
     if bits * n > TAIL_BITS_CAP:
         raise ParseError(
             lineno,

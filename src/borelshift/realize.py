@@ -38,7 +38,14 @@ from .invariants import (
     compute_u_eta,
     summarize_components,
 )
-from .presentations import DampedTail, LoopSchema, format_document
+from .presentations import (
+    DAMPED_FIRST_TERMS,
+    TAIL_BITS_CAP,
+    DampedTail,
+    LoopSchema,
+    format_document,
+    tail_bits,
+)
 from .recurrence import POSITIVE_RECURRENT, TRANSIENT
 
 DIGIT_FLOOR = Fraction(1, 10**13)
@@ -159,6 +166,13 @@ def _transient_schema(period: int, h: ExtendedEntropy) -> LoopSchema:
     k = approx_exp(h_mid)
     if k <= 1:
         raise UnrealizableEntropy("transient realization needs entropy > 0")
+    size = tail_bits(k) * (period + DAMPED_FIRST_TERMS * period)
+    if size > TAIL_BITS_CAP:
+        # the reader refuses such a tail too, and certifying it would not finish
+        raise UnrealizableEntropy(
+            f"transient tail at period {period}: its first damped round of {size} bits"
+            f" is above TAIL_BITS_CAP = {TAIL_BITS_CAP}"
+        )
     tail = DampedTail(
         a=Fraction(period * period, 2), k=k, d=2, n0=period, stride=period
     )

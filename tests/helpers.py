@@ -181,8 +181,10 @@ def damped_enclosure_reference(a, k, d: int, n0: int, s: int, x: Fraction, max_w
 
 def float_seed_reference(rows, period: int, max_iters: int) -> list[int]:
     """The float seed of a Collatz-Wielandt enclosure of rho(A)^period,
-    computed one row at a time: a copy of the row-at-a-time iteration that
-    whole-vector products replaced in the library.
+    computed one row at a time: a copy of the library's iteration, unshifted
+    while each check of 4 applications of A^p at least halves the spread,
+    then of A^p + I after two slow checks in a row (from the start when a
+    row is empty), normalised once per check unless 4p log2(R + 1) >= 900.
 
     Each float product is one sum per row over its column list (column j
     repeated A[i][j] times).  The sums run left to right from the integer
@@ -191,24 +193,31 @@ def float_seed_reference(rows, period: int, max_iters: int) -> list[int]:
     """
     target = float(period * Fraction(1, 10**13))
     cols = [[j for j, m in row for _ in range(m)] for row in rows]
+    each = 4 * period * math.log2(max(map(len, cols), default=0) + 1) >= 900
 
     def apply(vec):
         get = vec.__getitem__
         return [functools.reduce(operator.add, map(get, c), 0) for c in cols]
 
     x = [1.0] * len(rows)
+    shifted = not all(cols)
+    slow = 0
     spread = math.inf
     done = 0
     while done < max_iters:
-        for _ in range(4):
+        for k in range(4):
             w, scale = apply(x), 1.0
             for _ in range(period - 1):
-                top = max(w)
-                w, scale = apply([t / top for t in w]), scale * top
+                if each:
+                    top = max(w)
+                    w, scale = [t / top for t in w], scale * top
+                w = apply(w)
             prev = x
-            y = [a + b / scale for a, b in zip(w, x)]
-            top = max(y)
-            x = [t / top for t in y]
+            y = [a + b / scale for a, b in zip(w, x)] if shifted else w
+            if each or k == 3:
+                top = max(y)
+                y = [t / top for t in y]
+            x = y
         done += 4 * period
         last = spread
         spread = math.inf
@@ -217,8 +226,15 @@ def float_seed_reference(rows, period: int, max_iters: int) -> list[int]:
             low = min(ratios)
             if low > 0.0:
                 spread = max(ratios) / low - 1.0
-        if spread <= target or spread >= last:
+        if spread <= target:
             break
+        if shifted:
+            if spread >= last:
+                break
+        else:
+            slow = 0 if spread <= last / 2 else slow + 1
+            if slow == 2:
+                shifted, spread = True, math.inf
     emin = min(math.frexp(t)[1] for t in x if t > 0.0)
     return [int(math.ldexp(m, 53)) << (e - emin) if m else 1 for m, e in map(math.frexp, x)]
 

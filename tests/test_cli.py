@@ -819,6 +819,9 @@ def test_malformed_document_exits_65(capsys, tmp_path):
     # before e^h is built (no 2^(1.4e100) for a googol)
     (["realize", "{googol_transient}"], 1),
     (["realize", "{transient_past_cap}"], 1),
+    # at period 12 the transient tail's first damped round, (n0 + 64 stride) bits(k),
+    # passes TAIL_BITS_CAP: the reader would refuse it, and certifying it would not finish
+    (["realize", "{transient_tail_past_cap}"], 1),
 ])
 def test_out_of_range_numbers_exit_with_one_line(
     capsys, tmp_path, golden_file, even_code_file, argv, status
@@ -836,6 +839,7 @@ def test_out_of_range_numbers_exit_with_one_line(
         "seed_past_grid": "gen 1 72 72 1",
         "googol_transient": "gen 1 1e100 1e100 0",
         "transient_past_cap": "gen 1 20000 20000 0",
+        "transient_tail_past_cap": "gen 12 9000 9000 0",
     }
     paths = {}
     for name, body in docs.items():

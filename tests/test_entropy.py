@@ -388,11 +388,19 @@ def test_whole_vector_iterates_equal_the_row_at_a_time_reference():
     for k in range(108):
         p = 1 + k % 6
         cases.append((periodic_rows(rng, p), p, 60000))
+    # periods long enough that a check of 4p products could overflow
+    # (4p log2(R + 1) >= 900): normalised after every product instead
+    long_periods = [(periodic_rows(rng, p), p, 60000) for p in (150, 160, 230)]
+    for rows, p, _ in long_periods:
+        assert 4 * p * math.log2(max(sum(m for _, m in row) for row in rows) + 1) >= 900
+    cases += long_periods
     # one vertex with m loops; at 100,000 columns a chain of lazy map(add)s
     # that deep would overflow the C stack
     cases += [([[(0, m)]], 1, 60000) for m in (1, 2, 3, 7, 100_000)]
     cases.append((flower([(4096, 1), (1, 201)]).index().succ, 1, 60000))  # underflow
     cases += [([[(0, 1), (1, 1)], []], 1, 64), ([[]], 1, 64), ([], 1, 64)]  # no successors
+    cases.append((flower([(1, 50), (1, 51)]).index().succ, 1, 64))  # budget spent
+    cases += [(rows, 1, 60000) for rows, _ in _seed_cases().values()]  # shifted mid-way
     one_row_groups = 0
     for rows, p, budget in cases:
         one_row_groups += any(size == 1 for size, _ in entropy._gather_plan(rows)[1])
@@ -406,6 +414,133 @@ def test_whole_vector_iterates_equal_the_row_at_a_time_reference():
             got = got.lo, got.hi
         assert got == want, (len(rows), p)
     assert one_row_groups >= 10
+
+
+def _sparse_rows(n, edges) -> list:
+    rows = [collections.Counter() for _ in range(n)]
+    for i, j in edges:
+        rows[i][j] += 1
+    return [sorted(r.items()) for r in rows]
+
+
+def near_bipartite_rows(rng: random.Random, a: int, b: int, inside: int) -> list:
+    """A random bipartite digraph on sides 0..a-1 and a..a+b-1 (a closed walk
+    alternating sides through every vertex, then cross edges up to 3(a + b)),
+    plus `inside` edges within the first side: aperiodic, with an eigenvalue
+    near -lambda."""
+    left, right = list(range(a)), list(range(a, a + b))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    edges = set()
+    for i in range(max(a, b)):
+        edges |= {(left[i % a], right[i % b]), (right[i % b], left[(i + 1) % a])}
+    while len(edges) < 3 * (a + b):
+        u, v = rng.randrange(a), a + rng.randrange(b)
+        edges.add((u, v) if rng.random() < 0.5 else (v, u))
+    while len(edges) < 3 * (a + b) + inside:
+        edges.add((rng.randrange(a), rng.randrange(a)))
+    return _sparse_rows(a + b, edges)
+
+
+def tripartite_plus_one_rows(rng: random.Random, t: int) -> list:
+    """Three sides of t vertices, every edge one side forward, plus one edge
+    within the first side: aperiodic, with eigenvalues near lambda e^(2 pi i/3)."""
+    edges = set()
+    for i in range(t):
+        edges |= {(i, t + i), (t + i, 2 * t + i), (2 * t + i, (i + 1) % t)}
+    while len(edges) < 9 * t:
+        c = rng.randrange(3)
+        edges.add((c * t + rng.randrange(t), (c + 1) % 3 * t + rng.randrange(t)))
+    edges.add((0, 1))
+    return _sparse_rows(3 * t, edges)
+
+
+def cycle_plus_chords_rows(rng: random.Random, n: int) -> list:
+    """Shaped like perfbench's random_graph_doc: a Hamiltonian cycle through
+    a shuffled order, then distinct random edges up to 2n."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    while len(edges) < 2 * n:
+        edges.add((rng.randrange(n), rng.randrange(n)))
+    return _sparse_rows(n, edges)
+
+
+def _seed_cases() -> dict:
+    """name -> (rows, products the float seed took when it iterated A + I
+    from the start, normalised after every product)."""
+    shifted = {
+        "near-bipartite 0 1": 64, "near-bipartite 0 10": 60, "near-bipartite 0 60": 48,
+        "near-bipartite 1 1": 52, "near-bipartite 1 10": 56, "near-bipartite 1 60": 40,
+        "near-bipartite 2 1": 76, "near-bipartite 2 10": 64, "near-bipartite 2 60": 44,
+        "tripartite 0": 72, "tripartite 1": 72,
+        "flower (2, 3)": 28, "flower (5, 7)": 148, "flower (20, 21)": 2312,
+        "random 0": 112, "random 1": 120, "random 2": 120, "random 3": 156,
+    }
+    rows = {}
+    for seed in range(3):
+        for inside in (1, 10, 60):
+            rows[f"near-bipartite {seed} {inside}"] = near_bipartite_rows(
+                random.Random(seed), 20, 20, inside
+            )
+    for seed in range(2):
+        rows[f"tripartite {seed}"] = tripartite_plus_one_rows(random.Random(seed), 12)
+    for lengths in ((2, 3), (5, 7), (20, 21)):
+        rows[f"flower {lengths}"] = flower([(1, n) for n in lengths]).index().succ
+    for seed in range(4):
+        rows[f"random {seed}"] = cycle_plus_chords_rows(random.Random(seed), 100)
+    return {name: (rows[name], shifted[name]) for name in rows}
+
+
+def _perron_root_in(rows, lo: Fraction, hi: Fraction) -> bool:
+    """sympy: the characteristic polynomial chi of A is monic with
+    chi(lo) <= 0, and chi(y + hi) has no negative coefficient, so no real
+    root above hi: the largest real root, the Perron root, is in [lo, hi]."""
+    n = len(rows)
+    mat = sympy.SparseMatrix(n, n, {(i, j): m for i, row in enumerate(rows) for j, m in row})
+    chi = mat.charpoly(_X).set_domain(sympy.QQ)
+    rat = lambda q: sympy.Rational(q.numerator, q.denominator)  # noqa: E731
+    return chi.eval(rat(lo)) <= 0 and min(chi.shift(rat(hi)).all_coeffs()) >= 0
+
+
+def test_unshifted_float_seed_counts_products(monkeypatch):
+    # the float seed iterates A unshifted while each check halves the spread:
+    # fewer products on graphs shaped like the benchmark's random graphs, and
+    # at most 64 more where an eigenvalue near lambda in modulus stalls it
+    products = []
+    product = entropy._product
+
+    def counting(*args):
+        products.append(1)
+        return product(*args)
+
+    monkeypatch.setattr(entropy, "_product", counting)
+    target = float(Fraction(1, 10**13))
+    for name, (rows, shifted) in _seed_cases().items():
+        products.clear()
+        entropy._float_seed(entropy._gather_plan(rows)[1], 1, target, 60000)
+        if name.startswith("random"):
+            assert len(products) < shifted, name
+        else:
+            assert len(products) <= shifted + 64, name
+        iv = collatz_wielandt_enclosure(rows)
+        assert _perron_root_in(rows, iv.lo, iv.hi), name
+
+
+def test_float_of_an_entropy_is_computed_once_per_value(monkeypatch):
+    # sort keys and printing call float() on one value many times
+    calls = []
+    for cls in (ExactAlgebraic, IntervalApprox):
+        monkeypatch.setattr(
+            cls, "log_enclosure",
+            lambda self, *args, _f=cls.log_enclosure: calls.append(self) or _f(self, *args),
+        )
+    golden = ExactAlgebraic((-1, -1, 1), Fraction(1), Fraction(2))
+    box = IntervalApprox(Fraction(1, 3), Fraction(1, 2))
+    for _ in range(3):
+        assert float(golden) == pytest.approx(math.log(PHI), abs=1e-12)
+        assert float(box) == 5 / 12
+    assert calls == [golden, box]
 
 
 def test_log_enclosure_out_of_precision_raises():

@@ -127,10 +127,8 @@ def test_summarize_computes_each_component_period_once(monkeypatch, tmp_path, ca
     doc.write_text(format_document([forest]))
     assert cli.main(["analyze", str(doc)]) == 0
     assert len(calls) == 3
-    golden = (
-        "4102203514056929112968507164101/2535301200456458802993406410752"
-        " 7286977268806843/4503599627370496"
-    )
+    # x^2 - x - 1 is negative at the lower end and positive at the upper, both positive
+    golden = "9007199254740992/5566755282872779 14573954537613771/9007199254740992"
     assert capsys.readouterr().out == (
         "# component=c0 period=1 entropy=0.48121182506 recurrence=positive-recurrent mme=true\n"
         "# component=c1 period=2 entropy=0.48121182506 recurrence=positive-recurrent mme=true\n"

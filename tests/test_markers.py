@@ -3,6 +3,7 @@ and the certified entropy of the built presentations.
 """
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from borelshift import (
 )
 from borelshift import markers
 
-from helpers import LOG2, two_length_growth_rate
+from helpers import LOG2, random_strongly_connected, two_length_growth_rate
 
 
 def even_code() -> BlockCode:
@@ -257,3 +258,67 @@ def test_domain_component_entropy_is_computed_once(monkeypatch):
     cert = synthesize_injective_subsystem(even_code(), point(Fraction(1, 4)))
     assert cert.tier == "marker"
     assert calls.count(3) == 1
+
+
+# === loop words: one path list, one substring search ===
+
+def _loops_at_by_tuples(g, base, length, cap):
+    """The stack search markers._loops_at replaced: each stack entry carries
+    its whole word, extended by tuple concatenation."""
+    idx = g.index()
+    b = idx.pos[base]
+    out = []
+    stack = [(b, (b,))]
+    while stack and len(out) < cap:
+        v, word = stack.pop()
+        if len(word) == length:
+            if any(w == b for w, _ in idx.succ[v]):
+                out.append(tuple(idx.order[i] for i in word))
+            continue
+        for w, _ in idx.succ[v]:
+            stack.append((w, word + (w,)))
+    return out
+
+
+def _gallery_by_slices(lg, base, N, ell_label):
+    """The gallery filter markers._gallery replaced: label words as tuples,
+    the run test one slice comparison per offset."""
+    loops = _loops_at_by_tuples(lg.domain, base, N, markers.GALLERY_CAP)
+    run_cap = max(1, (N // 2) // max(1, len(ell_label)))
+    needle = ell_label * (run_cap + 1)
+    out, seen = [], set()
+    for w in loops:
+        lab = tuple(lg.label(v) for v in w)
+        word = lab + lab
+        if lab in seen or any(
+            word[i : i + len(needle)] == needle for i in range(len(word) - len(needle) + 1)
+        ):
+            continue
+        seen.add(lab)
+        out.append(w)
+    return out
+
+
+def test_loop_search_and_gallery_equal_the_tuple_versions():
+    rng = random.Random(4100)
+    loops = galleries = 0
+    for _ in range(120):
+        vs, edges = random_strongly_connected(rng, n_max=7)
+        if rng.random() < 0.3:  # a vertex with no successors
+            vs = vs + ["sink"]
+            edges = edges + [(rng.choice(vs[:-1]), "sink")]
+        g = FiniteGraph(tuple(vs), tuple(edges))
+        # labels of one and of two characters: "ab" is one symbol, not "a" then "b"
+        lg = BlockCode(g, tuple((v, rng.choice(("a", "b", "ab"))) for v in vs))
+        base = rng.choice(vs)
+        for length in range(1, 9):
+            cap = rng.choice((1, 5, 64, 10**6))
+            want = _loops_at_by_tuples(g, base, length, cap)
+            assert markers._loops_at(g, base, length, cap) == want, (vs, edges, base, length)
+            loops += len(want)
+        for N in range(2, 9):
+            ell = tuple(rng.choice(("a", "b", "ab")) for _ in range(rng.randint(1, 3)))
+            want = _gallery_by_slices(lg, base, N, ell)
+            assert markers._gallery(lg, base, N, ell) == want, (vs, edges, base, N, ell)
+            galleries += len(want)
+    assert loops > 2000 and galleries > 1000
