@@ -499,8 +499,8 @@ def _perron_root_in(rows, lo: Fraction, hi: Fraction) -> bool:
     n = len(rows)
     mat = sympy.SparseMatrix(n, n, {(i, j): m for i, row in enumerate(rows) for j, m in row})
     chi = mat.charpoly(_X).set_domain(sympy.QQ)
-    rat = lambda q: sympy.Rational(q.numerator, q.denominator)  # noqa: E731
-    return chi.eval(rat(lo)) <= 0 and min(chi.shift(rat(hi)).all_coeffs()) >= 0
+    lo, hi = (sympy.Rational(q.numerator, q.denominator) for q in (lo, hi))
+    return chi.eval(lo) <= 0 and min(chi.shift(hi).all_coeffs()) >= 0
 
 
 def test_unshifted_float_seed_counts_products(monkeypatch):
