@@ -46,7 +46,12 @@ polynomial.  Nothing is factored: the minimal polynomial is needed only where
 a `poly` line is written, and ExactAlgebraic.minpoly splits it off on first
 read (_minimal_factor).  Most such polynomials are irreducible once x, x - 1
 and x + 1 are divided out, and a degree sieve modulo a few small primes
-proves it (Musser 1978) with no lifting.  Only where the sieve cannot decide
+proves it (Musser 1978) with no lifting.  Its distinct-degree split takes one
+gcd per block of about sqrt(n) degrees, splitting a block only when that gcd
+is not 1 (Kaltofen & Shoup 1998), and holds each residue modulo the
+polynomial as one integer with a fixed-width slot per coefficient (Kronecker
+substitution), so that a Frobenius step or a product modulo the polynomial
+is a few integer operations (_Residues).  Only where the sieve cannot decide
 is the polynomial factored over Z, by Zassenhaus's method in plain integers:
 split modulo the sieve's prime with the fewest factors (Cantor-Zassenhaus,
 drawing from a generator seeded by the prime, so one polynomial takes the same
@@ -60,6 +65,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -556,39 +563,125 @@ def _distinct_degree_mod(f: list[int], p: int) -> list[tuple[int, list[int]]] | 
     None when p divides the leading coefficient or f is not squarefree
     modulo p.
 
-    Distinct-degree factorization on plain integer lists: h = x^(p^d) mod f
-    comes from the one before through the Frobenius matrix, whose row j is
-    x^(pj) mod f (over F_p, h(x)^p = h(x^p)), and gcd(rest, h - x) is the
-    product of the factors of degree d still in rest.
+    Distinct-degree factorization with one gcd per block of degrees (E.
+    Kaltofen and V. Shoup, Math. Comp. 67, 1998): h_d = x^(p^d) mod f comes
+    from h_(d-1) by the Frobenius rows x^(pj) mod f (over F_p, h(x)^p =
+    h(x^p)), and h_d - x is divisible by exactly the factors whose degree
+    divides d.  The factors h_d - x of a block of degrees are multiplied
+    modulo f, and one gcd of rest with that product (valid modulo f, since
+    rest divides f) holds every factor of rest with a degree in the block,
+    all smaller degrees being gone.  Only when it is not 1 is it split
+    degree by degree, ascending, one gcd each; the last degree takes what
+    is left, and so does any degree e once what is left has degree below
+    2e (it is then one irreducible factor).  A block is ceil(sqrt(deg
+    rest)) degrees long and stops at half of deg rest; what is left of rest
+    after the last block is irreducible.  Residues modulo f are packed
+    integers (_Residues): a Frobenius apply h <- sum h_j row_j is one packed
+    sum and one unpack, and a product modulo f one integer product and one
+    packed reduction.  The split is unique, so any order of work gives the
+    same pairs.
     """
-    n = len(f) - 1
     fp = [c % p for c in f]
     if not fp[-1]:
         return None
     if len(_gcd_mod(fp, _trim([i * c % p for i, c in enumerate(fp)][1:]), p)) > 1:
         return None
-    inv = pow(fp[-1], -1, p)
-    xn = [-c * inv % p for c in fp[:-1]]  # x^n = sum xn[i] x^i mod f
-    rows, r = [], [1] + [0] * (n - 1)
-    for i in range(p * (n - 1) + 1):
-        if i % p == 0:
-            rows.append(r)
-        top = r[-1]
-        r = [0] + r[:-1]
-        if top:
-            r = [(a + top * b) % p for a, b in zip(r, xn)]
-    cols = list(zip(*rows))
-    parts, rest, h, d = [], fp, [0, 1] + [0] * (n - 2), 0
+    parts, rest, d = [], fp, 0
+    if len(fp) > 2:  # degree 2 or more: the loop below runs
+        ring, h = _Residues(fp, p), [0, 1] + [0] * (len(fp) - 3)
     while 2 * (d + 1) < len(rest):
-        d += 1
-        h = [sum(map(mul, h, col)) % p for col in cols]
-        g = _gcd_mod(rest, _trim([h[0], (h[1] - 1) % p, *h[2:]]), p)
-        if len(g) > 1:
-            parts.append((d, _monic_mod(g, p)))
-            rest = _divmod_mod(rest, g, p)[0]
+        # degrees d + 1 .. last: about sqrt(deg rest) of them, at most deg rest / 2
+        last = min(d + math.isqrt(len(rest) - 2) + 1, (len(rest) - 1) // 2)
+        block, product = [], None
+        for e in range(d + 1, last + 1):
+            h = ring.frobenius(h)
+            hx = [h[0], (h[1] - 1) % p, *h[2:]]
+            block.append((e, hx))
+            packed = ring.pack(hx)
+            product = packed if product is None else ring.mul(product, packed)
+        d = last
+        g = _gcd_mod(rest, _trim(ring.unpack(product)), p)
+        for e, hx in block:
+            if len(g) == 1:
+                break
+            # every factor of g has degree e or more: below 2e, g is one of them
+            if 2 * e > len(g) - 1:
+                e, ge = len(g) - 1, g
+            else:
+                ge = g if e == last else _gcd_mod(g, _trim(hx), p)
+            if len(ge) > 1:
+                parts.append((e, _monic_mod(ge, p)))
+                rest = _divmod_mod(rest, ge, p)[0]
+                g = _divmod_mod(g, ge, p)[0]
     if len(rest) > 1:
         parts.append((len(rest) - 1, _monic_mod(rest, p)))
     return parts
+
+
+class _Residues:
+    """F_p[x] modulo f, for f of degree n >= 2 whose leading coefficient is
+    a unit modulo p, on packed integers (Kronecker substitution; J. von zur
+    Gathen and J. Gerhard, Modern Computer Algebra, 8.4).
+
+    A residue, a polynomial of degree below n with coefficients in [0, p),
+    is one int: coefficient i in bits [iw, (i + 1)w), w the bit width of the
+    array typecode `code`.  Packing goes through array(...).tobytes() and
+    int.from_bytes, unpacking through int.to_bytes and memoryview.cast, in
+    native byte order (with the items reversed on a big-endian host).  The
+    widest slot needed is a coefficient of a product of two residues with
+    its high half folded back, at most (2n - 1)(p - 1)^2, more than the sum
+    of n residues times coefficients in a Frobenius apply: w holds it, so
+    no slot carries into the next.
+
+    `high[i]` is x^(n + i) mod f for i < n - 1, and a product reduces as its
+    low n slots plus one packed sum of its high coefficients times `high`.
+    `rows[j]` is x^(pj) mod f: below degree 2n - 1 a monomial or a `high`
+    row, above it the row before times x^p mod f.
+    """
+
+    def __init__(self, f: list[int], p: int):
+        n = self.n = len(f) - 1
+        self.p = p
+        bound = (2 * n - 1) * (p - 1) ** 2
+        self.code = next(c for c in "BHIQ" if bound < 256 ** array(c).itemsize)
+        self.size = array(self.code).itemsize
+        self.step = 1 if sys.byteorder == "little" else -1
+        self.width = n * 8 * self.size  # bits of a residue
+        inv = pow(f[-1], -1, p)
+        xn = [-c * inv % p for c in f[:-1]]
+        powers, r = [], xn  # x^k mod f for k = n, ..., max(2n - 2, p)
+        for _ in range(max(n - 1, p - n + 1)):
+            powers.append(r)
+            top = r[-1]
+            r = [0] + r[:-1]
+            if top:
+                r = [(a + top * b) % p for a, b in zip(r, xn)]
+        self.high = [self.pack(r) for r in powers[: n - 1]]
+        small = [1 << (8 * self.size * k) for k in range(n)] + self.high  # x^k, k <= 2n - 2
+        xp = small[p] if p < len(small) else self.pack(powers[p - n])
+        self.rows = [1]
+        for j in range(p, p * n, p):
+            self.rows.append(small[j] if j < len(small) else self.mul(self.rows[-1], xp))
+
+    def pack(self, a: list[int]) -> int:
+        return int.from_bytes(array(self.code, a[:: self.step]).tobytes(), sys.byteorder)
+
+    def unpack(self, v: int, slots: int | None = None) -> list[int]:
+        """The coefficients of v, `slots` of them (n by default), modulo p."""
+        data = v.to_bytes((slots or self.n) * self.size, sys.byteorder)
+        p = self.p
+        return [c % p for c in memoryview(data).cast(self.code)[:: self.step]]
+
+    def mul(self, a: int, b: int) -> int:
+        """a b mod f, for packed residues."""
+        c = a * b
+        high = self.unpack(c >> self.width, self.n - 1)
+        low = c & ((1 << self.width) - 1)
+        return self.pack(self.unpack(sum(map(mul, high, self.high), low)))
+
+    def frobenius(self, h: list[int]) -> list[int]:
+        """h^p mod f = h(x^p) mod f, for the coefficients h of a residue."""
+        return self.unpack(sum(map(mul, h, self.rows)))
 
 
 def _zassenhaus(f: list[int], lo: Fraction, hi: Fraction, splits) -> tuple[int, ...]:

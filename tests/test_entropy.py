@@ -748,8 +748,85 @@ def test_sieve_certifies_without_factoring(monkeypatch):
         raise AssertionError("_zassenhaus called")
 
     monkeypatch.setattr(entropy, "_zassenhaus", refuse)
+    gcds = []
+    gcd_mod = entropy._gcd_mod
+
+    def counted(*args):
+        gcds[-1] += 1
+        return gcd_mod(*args)
+
+    monkeypatch.setattr(entropy, "_gcd_mod", counted)
     for h, want in zip(values, wants):
+        gcds.append(0)
         assert entropy._minimal_factor(h.poly, h.root_lo, h.root_hi) == want
+    # one gcd per block of degrees: a gcd per degree took 73 and 41 here, and
+    # at most two thirds of that is allowed (the blocks take 29 and 20)
+    assert gcds[0] <= 48 and gcds[1] <= 27, gcds
+
+
+def _ddf_oracle(f, p):
+    """sympy's distinct-degree split of f modulo p, as (d, monic product of
+    the factors of degree d, ascending), or None when p divides the leading
+    coefficient or f is not squarefree modulo p."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_from_int_poly, gf_monic, gf_sqf_p
+
+    g = gf_from_int_poly(list(reversed(f)), p)
+    if len(g) != len(f) or not gf_sqf_p(g, p, ZZ):
+        return None
+    return [(d, [int(c) for c in reversed(h)]) for h, d in gf_ddf_zassenhaus(gf_monic(g, p, ZZ)[1], p, ZZ)]
+
+
+def _ddf_cases(rng: random.Random):
+    """Seeded (f, p) pairs of degree 2-64 for every sieve prime: dense random
+    polynomials, products of random factors (several factors of one degree
+    modulo p), the widest slot (p = 199 at degree 64), leading coefficients
+    divisible by p, and polynomials with a square factor modulo p."""
+
+    def dense(n):
+        return [rng.randint(-10**6, 10**6) for _ in range(n)] + [rng.randint(1, 10**6)]
+
+    def product(n):
+        cs = [1]
+        while len(cs) - 1 < n:
+            k = min(rng.randint(1, 8), n - len(cs) + 1)
+            cs = _poly_mul(cs, [rng.randint(-9, 9) for _ in range(k)] + [rng.randint(1, 3)])
+        return cs
+
+    for p in entropy._SIEVE_PRIMES:
+        for n in (2, 64, *(rng.randint(2, 64) for _ in range(4))):
+            yield (dense if rng.random() < 0.5 else product)(n), p
+        f = dense(rng.randint(2, 64))
+        f[-1] = p * rng.randint(1, 9)  # p divides the leading coefficient
+        yield f, p
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1]
+        f = _poly_mul(_poly_mul(g, g), product(rng.randint(0, 20)))
+        # a square factor modulo p, hidden over Z below the leading term
+        yield [c + p * rng.randint(-5, 5) for c in f[:-1]] + f[-1:], p
+    for _ in range(6):
+        yield (dense if rng.random() < 0.5 else product)(64), 199
+
+
+def test_distinct_degree_split_equals_sympy():
+    rng = random.Random(20261030)
+    seen, primes = collections.Counter(), set()
+    for f, p in _ddf_cases(rng):
+        want = _ddf_oracle(f, p)
+        assert entropy._distinct_degree_mod(f, p) == want, (f, p)
+        n = len(f) - 1
+        seen["cases"] += 1
+        primes.add(p)
+        if want is None:
+            seen["lead" if f[-1] % p == 0 else "square"] += 1
+            continue
+        seen["p > n"] += p > n
+        seen["widest"] += p == 199 and n == 64
+        seen["several degrees"] += len(want) >= 3
+        seen["one degree, several factors"] += any(len(g) - 1 > d for d, g in want)
+    assert seen["cases"] >= 300 and len(primes) == len(entropy._SIEVE_PRIMES), seen
+    for key in ("lead", "square", "p > n", "several degrees", "one degree, several factors"):
+        assert seen[key] >= 20, (key, seen)
+    assert seen["widest"] >= 5, seen
 
 
 def test_modular_split_and_hensel_lift():
