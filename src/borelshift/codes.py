@@ -38,7 +38,7 @@ from math import factorial
 from typing import Optional
 
 from .entropy import DEFAULT_TOL, ExtendedEntropy, ZERO_ENTROPY, max_entropy, perron_entropy
-from .graphs import _component_ids, irreducible_components
+from .graphs import _component_ids, _walk, irreducible_components
 from .presentations import (
     FiniteGraph,
     GraphIndex,
@@ -53,6 +53,10 @@ from .presentations import (
 # even-shift code has 2^m + 1 states); past the cap the products raise
 # BudgetExhausted instead of allocating more.
 TUPLE_CAP = 100_000
+# Longest tuples F_m and the distinct-entry product may build.  TUPLE_CAP
+# bounds how many tuples there are, not how long: without this cap a relation
+# that does not branch keeps F_m small while its prefixes grow as m^2.
+M_CAP = 64
 
 
 class BudgetExhausted(RuntimeError):
@@ -328,17 +332,18 @@ class InjectivityReport:
 
 
 def _find_cycle_through(idx: GraphIndex, comp: list[int], start: int) -> Optional[list[int]]:
-    """A directed cycle start -> ... -> start inside start's component."""
-    stack = [(start, [start])]
-    seen = set()
+    """A directed cycle start -> ... -> start inside start's component, found
+    depth first; each position keeps the parent that first reached it."""
+    parent = [-1] * len(comp)
+    stack = [start]
     while stack:
-        v, path = stack.pop()
+        v = stack.pop()
         for w, _ in idx.succ[v]:
             if w == start:
-                return path
-            if comp[w] == comp[start] and w not in seen:
-                seen.add(w)
-                stack.append((w, path + [w]))
+                return _trace(parent, v)
+            if parent[w] < 0 and comp[w] == comp[start]:
+                parent[w] = v
+                stack.append(w)
     return None
 
 
@@ -388,39 +393,25 @@ class FiniteToOneReport:
     diamond: Optional[tuple[tuple[str, ...], tuple[str, ...]]] = None
 
 
-def _reach(rows, seeds: list[int]) -> dict:
-    """BFS tree along `rows`: position -> its parent on a path from the seeds."""
-    parent = dict.fromkeys(seeds)
-    frontier = seeds
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w, _ in rows[v]:
-                if w not in parent:
-                    parent[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    return parent
-
-
 def check_finite_to_one(code: BlockCode) -> FiniteToOneReport:
     prod = label_fiber_product(code)
     idx = prod.index()
     at = [idx.pos[p] for p in prod.vertices]
     diag = [i for i, (u, v) in zip(at, prod.tuples) if u == v]
-    fwd = _reach(idx.succ, diag)
-    bwd = _reach(idx.pred, diag)
+    fdist, fwd = _walk(idx.succ, diag)
+    bdist, bwd = _walk(idx.pred, diag)
     for i, (u, v) in zip(at, prod.tuples):
-        if u != v and i in fwd and i in bwd:
+        if u != v and fdist[i] >= 0 and bdist[i] >= 0:
             left = _trace(fwd, i)  # diagonal ... -> i
             right = _trace(bwd, i)[::-1]  # i -> ... diagonal
             return FiniteToOneReport(False, _unzip(prod, left + right[1:]))
     return FiniteToOneReport(True)
 
 
-def _trace(parent: dict, v: int) -> list[int]:
+def _trace(parent: list[int], v: int) -> list[int]:
+    """The path from the root of v's parent chain (parent -1) to v."""
     out = [v]
-    while parent[out[-1]] is not None:
+    while parent[out[-1]] >= 0:
         out.append(parent[out[-1]])
     return out[::-1]
 
@@ -552,10 +543,13 @@ def _related_tuples(idx: GraphIndex, rel: SymbolRelation, m: int, distinct: bool
     """Ordered m-tuples of positions whose entries are pairwise related both
     ways (distinct entries only, with `distinct`).
 
-    Raises BudgetExhausted before the tuples of any length pass TUPLE_CAP.
+    Raises BudgetExhausted for m above M_CAP, before anything is built, and
+    before the tuples of any length pass TUPLE_CAP.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > M_CAP:
+        raise BudgetExhausted(f"m = {m} is above M_CAP = {M_CAP}")
     pos = idx.pos
     partners: list[set[int]] = [set() for _ in idx.order]
     for u, v in rel.pairs:

@@ -2,72 +2,58 @@
 
 Everything here walks a graph through its compiled integer index
 (`FiniteGraph.index()`): vertex positions in sorted name order and sparse
-successor and predecessor rows of (position, multiplicity).  One Tarjan pass
-gives every vertex a component id, so splitting a graph into its irreducible
-components is linear in vertices plus edges however many components it has.
+successor and predecessor rows of (position, multiplicity).  Kosaraju's two
+passes give every vertex a component id, so splitting a graph into its
+irreducible components is linear in vertices plus edges however many
+components it has.  One breadth-first walk, `_walk`, serves the rest.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Optional, Union
 
 from .presentations import FiniteGraph, GraphIndex, LoopSchema, ShiftPresentation
 
 
 def _component_ids(idx: GraphIndex) -> tuple[list[int], int]:
-    """Tarjan's algorithm, iterative, on the integer index.
-
-    Returns the component id of every vertex position and the number of
-    components; ids are numbered by each component's smallest position.
-    """
+    """Kosaraju's two passes, iterative, on the integer index: a depth-first
+    search along `succ` lists the positions in finishing order, then a walk
+    along `pred` from each unlabelled position, latest finished first, labels
+    its component.  Returns the component id of every position and the number
+    of components; ids are renumbered by each component's smallest position,
+    so any component algorithm gives the same ids."""
     n = len(idx.order)
     succ = idx.succ
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    found = [-1] * n  # completion number of each vertex's component
-    done = 0
-    counter = 0
-
+    seen = [False] * n
+    finished: list[int] = []
     for root in range(n):
-        if index[root] >= 0:
+        if seen[root]:
             continue
+        seen[root] = True
         work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
         while work:
             v, it = work[-1]
-            advanced = False
             for w, _ in it:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
+                if not seen[w]:
+                    seen[w] = True
                     work.append((w, iter(succ[w])))
-                    advanced = True
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    found[w] = done
-                    if w == v:
-                        break
-                done += 1
+            else:
+                work.pop()
+                finished.append(v)
+    found = [-1] * n
+    done = 0
+    for root in reversed(finished):
+        if found[root] < 0:
+            found[root] = done
+            stack = [root]
+            while stack:
+                for w, _ in idx.pred[stack.pop()]:
+                    if found[w] < 0:
+                        found[w] = done
+                        stack.append(w)
+            done += 1
     # scanning positions upward meets each component first at its smallest member
     first: dict[int, int] = {}
     return [first.setdefault(c, len(first)) for c in found], done
@@ -86,7 +72,7 @@ def strongly_connected_components(graph: FiniteGraph) -> list[list[str]]:
 
 def is_strongly_connected(graph: FiniteGraph) -> bool:
     """One component, and it carries an edge (so a single vertex needs a loop)."""
-    return bool(graph.edges) and _component_ids(graph.index())[1] == 1
+    return _levels(graph) is not None
 
 
 def component_has_cycle(graph: FiniteGraph, comp: list[str]) -> bool:
@@ -126,33 +112,46 @@ def irreducible_components(p: ShiftPresentation) -> list[tuple[str, ShiftPresent
     return out
 
 
-def _distances(rows) -> list[int]:
-    """Breadth-first distance of every position from position 0 along the
-    sparse rows, successor or predecessor (-1: unreached)."""
+def _walk(rows, seeds: list[int]) -> tuple[list[int], list[int]]:
+    """Breadth-first walk from the seed positions along the sparse rows,
+    successor or predecessor: every position's distance from the seeds and
+    its parent on a shortest path (-1 for both when unreached, parent -1 at a
+    seed).  Each level is scanned in the order it was reached."""
     dist = [-1] * len(rows)
-    dist[0] = 0
-    queue = [0]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w, _ in rows[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        queue = nxt
-    return dist
+    parent = [-1] * len(rows)
+    for s in seeds:
+        dist[s] = 0
+    queue = list(seeds)
+    for v in queue:  # the queue grows behind the scan
+        d = dist[v] + 1
+        for w, _ in rows[v]:
+            if dist[w] < 0:
+                dist[w] = d
+                parent[w] = v
+                queue.append(w)
+    return dist, parent
+
+
+def _levels(c: FiniteGraph) -> Optional[list[int]]:
+    """Distances from position 0 along `succ` when `c` is strongly connected,
+    else None.  Strongly connected: an edge, and position 0 reaches and is
+    reached by every position."""
+    if not c.edges:
+        return None
+    idx = c.index()
+    dist = _walk(idx.succ, [0])[0]
+    return None if min(dist) < 0 or min(_walk(idx.pred, [0])[0]) < 0 else dist
 
 
 def period_of_component(c: Union[FiniteGraph, LoopSchema]) -> int:
     """gcd of all cycle lengths of an irreducible presentation."""
     if isinstance(c, LoopSchema):
         return schema_period(c)
-    idx = c.index()
-    # strongly connected: an edge, and position 0 reaches and is reached by all
-    if not c.edges or min(dist := _distances(idx.succ)) < 0 or min(_distances(idx.pred)) < 0:
+    dist = _levels(c)
+    if dist is None:
         raise ValueError("period is defined for strongly connected graphs only")
     g = 0
-    for v, row in enumerate(idx.succ):
+    for v, row in enumerate(c.index().succ):
         for w, _ in row:
             g = math.gcd(g, dist[v] + 1 - dist[w])
     return g
@@ -181,10 +180,10 @@ def schema_period(schema: LoopSchema) -> int:
 def cyclic_classes(c: FiniteGraph, period: int | None = None) -> list[list[str]]:
     """Partition D_0..D_{p-1} with every edge moving one class forward."""
     p = period if period is not None else period_of_component(c)
-    idx = c.index()
-    dist = _distances(idx.succ)
-    if min(dist) < 0:
+    dist = _levels(c)
+    if dist is None:
         raise ValueError("cyclic classes are defined for strongly connected graphs only")
+    idx = c.index()
     classes = [[] for _ in range(p)]
     for i, v in enumerate(idx.order):
         classes[dist[i] % p].append(v)

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log
+from itertools import product
+from math import ceil, log, prod
 from typing import Optional
 
 from .codes import BlockCode, BudgetExhausted, check_injective, prune_to_biinfinite
@@ -161,31 +162,20 @@ def _label_injective_tier(
     for v, s in lg.mapping:
         by_symbol.setdefault(s, []).append(v)
     symbols = sorted(by_symbol)
-    combos = 1
-    for s in symbols:
-        combos *= len(by_symbol[s]) + 1
-    if combos > GALLERY_CAP:
+    if prod(len(by_symbol[s]) + 1 for s in symbols) > GALLERY_CAP:
         return None
     best_cert = None
-    choices = [[None] + by_symbol[s] for s in symbols]
-
-    def rec(i, picked):
-        nonlocal best_cert
-        if i == len(choices):
-            if len(picked) < 1:
-                return
-            sub = lg.domain.induced(tuple(picked))
-            cert = _certify(*_top_component(sub, tol), lg, target, tol, "label-injective")
-            if cert is not None and (
-                best_cert is None
-                or compare_entropy(cert.entropy, best_cert.entropy, tol) == "gt"
-            ):
-                best_cert = cert
-            return
-        for c in choices[i]:
-            rec(i + 1, picked + ([c] if c else []))
-
-    rec(0, [])
+    # one pick per symbol, None for none; the first symbol varies slowest
+    for combo in product(*([None] + by_symbol[s] for s in symbols)):
+        picked = tuple(c for c in combo if c)
+        if not picked:
+            continue
+        sub = lg.domain.induced(picked)
+        cert = _certify(*_top_component(sub, tol), lg, target, tol, "label-injective")
+        if cert is not None and (
+            best_cert is None or compare_entropy(cert.entropy, best_cert.entropy, tol) == "gt"
+        ):
+            best_cert = cert
     return best_cert
 
 

@@ -40,6 +40,7 @@ from .invariants import (
 )
 from .presentations import (
     DAMPED_FIRST_TERMS,
+    NUMBER_DIGITS_CAP,
     TAIL_BITS_CAP,
     DampedTail,
     LoopSchema,
@@ -78,6 +79,13 @@ class FamilySchema:
         if j < 1:
             raise ValueError("family index starts at 1")
         if self.entropy is INFINITE_ENTROPY:
+            # 2^(3d) < 10^d: up to j p = 3 * NUMBER_DIGITS_CAP, 2^(j p) prints within the cap
+            if j * self.period > 3 * NUMBER_DIGITS_CAP:
+                raise ValueError(
+                    f"family member {j} of period {self.period}: J * p is above 3 *"
+                    f" NUMBER_DIGITS_CAP = {3 * NUMBER_DIGITS_CAP}, so 2^(J p) loops may not"
+                    " print within NUMBER_DIGITS_CAP digits"
+                )
             return LoopSchema(counts=((self.period, 2 ** (j * self.period)),), tail=None)
         if j > 35:
             raise ValueError("family index too deep to certify below the supremum")

@@ -298,6 +298,20 @@ def test_realize_family_needs_member_flag(capsys, tmp_path):
     assert parse_document(out)
 
 
+def test_realize_family_member_past_the_digit_cap_exits_65(capsys, tmp_path):
+    inv = tmp_path / "inv.txt"
+    inv.write_text("gen 1 inf 0\n")
+    # 2^40000 loops would print with 12,042 digits: refused before the power is built
+    code, out, err = run(capsys, ["realize", str(inv), "--member", "40000"])
+    assert code == 65
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "NUMBER_DIGITS_CAP" in err
+    # 2^12000 prints with 3,613 digits and reads back
+    code, out, _ = run(capsys, ["realize", str(inv), "--member", "12000"])
+    assert code == 0
+    assert parse_document(out)
+
+
 def test_realize_names_the_seed_limit_and_realizes_up_to_it(capsys, tmp_path):
     over = tmp_path / "over.txt"
     over.write_text("gen 5 15 15 1\n")
@@ -490,6 +504,19 @@ def test_fiberprod_past_tuple_cap_exits_2(capsys, even_code_file):
     assert code == 2
     assert out == ""
     assert "TUPLE_CAP" in err
+
+
+def test_fiberprod_past_m_cap_exits_2(capsys, tmp_path):
+    # the golden-mean code relates each vertex to itself alone: F_m stays at 2
+    # states, but every tuple and prefix grows with m
+    doc = tmp_path / "golden.code"
+    doc.write_text("code vertex\nvertex a\nvertex b\nedge a a\nedge a b\nedge b a\nmap a 0\nmap b 1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["fiberprod", str(doc), "--m", "8000"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    assert "M_CAP" in err
 
 # === pathology ===
 
