@@ -18,13 +18,15 @@ wiring carry a quotient map onto unordered m-sets; when the wiring condition
 holds that quotient is left and right resolving with exactly m! preimages per
 point.
 
-The label fiber product is the code's self product.  Its candidates are
-rectangles (each vertex against the bucket of its label), so a pair's code is
-arithmetic and its degrees are sums of products of per-label neighbour
-counts; its degree-count prune lists a pair's neighbours only when it dies,
-and only the survivors are named `u|v`.  F_m and X̃_m start from relation-
-filtered tuples instead and share `_tuple_product`, which builds successor
-rows on `GraphIndex` positions and prunes them with `_biinfinite`.  Every
+The label fiber product is the code's self product.  It builds only the
+label-equal pairs reachable from a pair whose first coordinate lies in a rome
+of the labeled domain (`graphs.rome`, a vertex set meeting every cycle):
+behind a pair on a bi-infinite path lies a product cycle, whose first
+coordinate meets the rome, so no survivor is missed, and on an injective
+certificate the reached pairs are a small part of all label-equal pairs.  F_m
+and X̃_m start from relation-filtered tuples instead and share
+`_tuple_product`.  All three build successor rows on `GraphIndex` positions,
+and one prune, `_biinfinite`, serves them and `prune_to_biinfinite`.  Every
 product keeps its vertices' coordinates in `tuples`.  The checks walk
 `GraphIndex` positions too; names appear only in what they return.
 """
@@ -33,12 +35,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from math import factorial
 from typing import Optional
 
 from .entropy import DEFAULT_TOL, ExtendedEntropy, ZERO_ENTROPY, max_entropy, perron_entropy
-from .graphs import _component_ids, _walk, irreducible_components
+from .graphs import _component_ids, _walk, irreducible_components, rome
 from .presentations import (
     FiniteGraph,
     GraphIndex,
@@ -203,115 +204,72 @@ def _tuple_product(
     )
 
 
-def _rows_by_label(lg: BlockCode, key: list[int]) -> tuple[list[dict], list[dict]]:
-    """Successors and predecessors of each vertex (by index in vertex order),
-    grouped by label, each neighbour w stored as `key[w]`."""
-    at = {v: i for i, v in enumerate(lg.domain.vertices)}
-    lm = lg._label_map
-    succ: list[dict[str, list[int]]] = [{} for _ in at]
-    pred: list[dict[str, list[int]]] = [{} for _ in at]
-    for u, w in lg.domain.edges:
-        i, j = at[u], at[w]
-        succ[i].setdefault(lm[w], []).append(key[j])
-        pred[j].setdefault(lm[u], []).append(key[i])
-    return succ, pred
+def _rows_by_label(idx: GraphIndex, sym: list[str]) -> list[dict[str, list[int]]]:
+    """The successors of each position of `idx`, grouped by their symbol."""
+    rows: list[dict[str, list[int]]] = [{} for _ in sym]
+    for row, succ in zip(rows, idx.succ):
+        for w, _ in succ:
+            row.setdefault(sym[w], []).append(w)
+    return rows
 
 
 def label_fiber_product(code: BlockCode) -> ProductGraph:
     """Label-equal vertex pairs of the code's `labeled()` form with
     componentwise edges, pruned to the part on bi-infinite paths.
 
-    The candidates are rectangles: each vertex u meets the bucket of the
-    vertices with u's label, in vertex order.  Pair (u, v) has the code
-    `start[u] + rank[v]`: `start[u]` is the offset of u's block in vertex
-    order and `rank[v]` is v's index in its bucket, so no pair is stored.
-    Neighbours are grouped by label once, as vertex indices j for the first
-    coordinate and `rank` values r for the second.  The out-degree of (u, v)
-    is the sum over labels s of |succ_s(u)|·|succ_s(v)|, the in-degree the
-    same sum over predecessors, and a pair's neighbours are the codes
-    `start[j] + r`.  The worklist prune of `_biinfinite` runs on these
-    counts; each dead pair carries its block index, and lists its neighbours
-    only on the side where it still had live ones.  Survivors, read off the
-    blocks in code order, are named `u|v`; their edges are sorted and called
-    `e<k>`.  The other products use `_tuple_product`.
+    Only the pairs reachable from a seed are built, where a seed is a pair
+    (r, y) with r in a rome of the labeled domain (`graphs.rome`) and y of
+    r's label.  That is exact.  A pair on a bi-infinite product path has a
+    product cycle behind it, whose first coordinate is a closed walk of the
+    domain and so meets the rome: every survivor is reached.  Every
+    successor of a reached pair is reached too, so the reached pairs carry
+    all their successor rows, and `_biinfinite` on them keeps exactly the
+    survivors.  Neighbours are grouped by label once, on `GraphIndex`
+    positions, and a pair's successors are the pairs of equally labeled
+    successors.  Survivors are ordered by the domain's vertex order of the
+    first coordinate and then of the second and named `u|v`; their edges
+    are sorted and called `e<k>`.  The other products use `_tuple_product`.
     """
     lg = code.labeled()
-    lm = lg._label_map
-    verts = lg.domain.vertices
+    idx = lg.domain.index()
+    n = len(idx.order)
+    sym = [lg.label(v) for v in idx.order]
+    rows = _rows_by_label(idx, sym)
     bucket: dict[str, list[int]] = {}
-    rank = []
-    for y, v in enumerate(verts):
-        members = bucket.setdefault(lm[v], [])
-        rank.append(len(members))
-        members.append(y)
-    blocks = [bucket[lm[u]] for u in verts]
-    start = list(accumulate(map(len, blocks), initial=0))  # start[-1] counts the pairs
-    a_succ, a_pred = _rows_by_label(lg, range(len(verts)))
-    b_succ, b_pred = _rows_by_label(lg, rank)
-
-    def degrees(a_rows, b_rows) -> list[int]:
-        columns: dict[tuple[str, str], list[int]] = {}  # (bucket, label) -> counts
-        out: list[int] = []
-        for u, block, row in zip(verts, blocks, a_rows):
-            deg = [0] * len(block)
-            for s, xs in row.items():
-                col = columns.get((lm[u], s))
-                if col is None:
-                    col = columns[lm[u], s] = [len(b_rows[y].get(s, ())) for y in block]
-                n = len(xs)
-                deg = [d + n * c for d, c in zip(deg, col)]
-            out.extend(deg)
-        return out
-
-    outdeg, indeg = degrees(a_succ, b_succ), degrees(a_pred, b_pred)
-    alive = [o > 0 and d > 0 for o, d in zip(outdeg, indeg)]
-    dead = [
-        (p, i) for i in range(len(blocks)) for p in range(start[i], start[i + 1]) if not alive[p]
-    ]
-    while dead:
-        p, i = dead.pop()
-        # a dead pair's count on one side is 0: no live neighbour there
-        if indeg[p]:
-            a_rows, b_rows, deg = a_pred, b_pred, outdeg
-        elif outdeg[p]:
-            a_rows, b_rows, deg = a_succ, b_succ, indeg
-        else:
-            continue
-        brow = b_rows[blocks[i][p - start[i]]]
-        for s, js in a_rows[i].items():
-            rs = brow.get(s)
-            if not rs:
-                continue
-            for j in js:
-                x = start[j]
-                for r in rs:
-                    q = x + r
-                    if alive[q]:
-                        deg[q] -= 1
-                        if deg[q] == 0:
-                            alive[q] = False
-                            dead.append((q, j))
-    kept = {
-        p: (i, y)
-        for i, block in enumerate(blocks)
-        for p, y in enumerate(block, start[i])
-        if alive[p]
-    }
-    coords = {p: (verts[i], verts[y]) for p, (i, y) in kept.items()}
-    names = {p: f"{u}|{v}" for p, (u, v) in coords.items()}
-    edges = sorted(
-        (names[p], names[q])
-        for p, (i, y) in kept.items()
-        for s, js in a_succ[i].items()
-        for r in b_succ[y].get(s, ())
-        for q in (start[j] + r for j in js)
-        if alive[q]
+    for p, s in enumerate(sym):
+        bucket.setdefault(s, []).append(p)
+    pairs = [(r, y) for r in rome(idx) for y in bucket[sym[r]]]
+    seen = {r * n + y: k for k, (r, y) in enumerate(pairs)}
+    succ = []
+    for p, q in pairs:  # the list grows behind the scan
+        out = []
+        row = rows[q]
+        for s, ws in rows[p].items():
+            xs = row.get(s, ())
+            for w in ws:
+                for x in xs:
+                    key = w * n + x
+                    k = seen.get(key)
+                    if k is None:
+                        k = seen[key] = len(pairs)
+                        pairs.append((w, x))
+                    out.append(k)
+        succ.append(out)
+    alive = _biinfinite(succ)
+    at = {v: i for i, v in enumerate(lg.domain.vertices)}
+    rank = [at[v] for v in idx.order]
+    kept = sorted(
+        (k for k, ok in enumerate(alive) if ok),
+        key=lambda k: (rank[pairs[k][0]], rank[pairs[k][1]]),
     )
+    coords = [(idx.order[pairs[k][0]], idx.order[pairs[k][1]]) for k in kept]
+    names = {k: "|".join(c) for k, c in zip(kept, coords)}
+    edges = sorted((names[k], names[j]) for k in kept for j in succ[k] if alive[j])
     return ProductGraph(
         tuple(names.values()),
         tuple(edges),
         tuple(f"e{k}" for k in range(len(edges))),
-        tuples=tuple(coords.values()),
+        tuples=tuple(coords),
     )
 
 

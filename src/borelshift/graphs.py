@@ -5,11 +5,13 @@ Everything here walks a graph through its compiled integer index
 successor and predecessor rows of (position, multiplicity).  Kosaraju's two
 passes give every vertex a component id, so splitting a graph into its
 irreducible components is linear in vertices plus edges however many
-components it has.  One breadth-first walk, `_walk`, serves the rest.
+components it has.  One breadth-first walk, `_walk`, serves the rest, and
+`rome` finds a vertex set meeting every cycle by greedy reduction.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Optional, Union
 
@@ -130,6 +132,63 @@ def _walk(rows, seeds: list[int]) -> tuple[list[int], list[int]]:
                 parent[w] = v
                 queue.append(w)
     return dist, parent
+
+
+def rome(idx: GraphIndex) -> list[int]:
+    """A rome: positions whose removal leaves the graph acyclic, ascending.
+
+    Greedy reduction on copies of the rows, multiplicities dropped.  A vertex
+    with a self-loop joins the rome and is removed; a source or a sink is
+    removed; a vertex whose one in-edge is u -> v and one out-edge v -> w is
+    bypassed by u -> w.  These keep every cycle of the rest of the graph,
+    shortened past bypassed vertices, so the rome of the reduced graph is one
+    of the original.  When none applies, the vertex with the largest
+    in-degree times out-degree (the smallest position on ties) joins the
+    rome.  Every changed vertex is looked at again; the heap holds stale
+    entries, skipped when their product is no longer the vertex's.
+    """
+    succ = [{w for w, _ in row} for row in idx.succ]
+    pred = [{w for w, _ in row} for row in idx.pred]
+    alive = [True] * len(succ)
+    work = list(range(len(succ) - 1, -1, -1))
+    heap: list[tuple[int, int]] = []
+    out = []
+
+    def remove(v: int) -> None:
+        alive[v] = False
+        for w in succ[v]:
+            pred[w].discard(v)
+            work.append(w)
+        for u in pred[v]:
+            succ[u].discard(v)
+            work.append(u)
+
+    while True:
+        while work:
+            v = work.pop()
+            if not alive[v]:
+                continue
+            s, p = succ[v], pred[v]
+            if v in s:
+                out.append(v)
+                remove(v)
+            elif not s or not p:
+                remove(v)
+            elif len(s) == 1 and len(p) == 1:
+                (w,), (u,) = s, p
+                remove(v)
+                succ[u].add(w)
+                pred[w].add(u)
+            else:
+                heapq.heappush(heap, (-len(s) * len(p), v))
+        while heap:
+            key, v = heapq.heappop(heap)
+            if alive[v] and key == -len(succ[v]) * len(pred[v]):
+                break
+        else:
+            return sorted(out)
+        out.append(v)
+        remove(v)
 
 
 def _levels(c: FiniteGraph) -> Optional[list[int]]:

@@ -388,6 +388,46 @@ def label_pair_product(a: tuple, b: tuple) -> tuple:
     return alive, [(p, q) for p, q in pair_edges if p in alive and q in alive]
 
 
+def label_pairs_by_worklist(vertices, edges, labels) -> tuple:
+    """Pruned label fiber product of one labeled graph with itself, from all
+    label-equal pairs, by a worklist of degree counts: linear in the pairs
+    and their edges, where `label_pair_product` is quadratic in the pairs.
+
+    A pair loses a degree when a neighbour dies, and dies when its in- or
+    out-degree reaches 0.  Returns the surviving pairs in vertex order of the
+    first coordinate and then of the second, and the edges between them.
+    """
+    succ = {v: [] for v in vertices}
+    for u, w in edges:
+        succ[u].append(w)
+    bucket = {}
+    for v in vertices:
+        bucket.setdefault(labels[v], []).append(v)
+    pairs = [(u, v) for u in vertices for v in bucket[labels[u]]]
+    out = {p: [] for p in pairs}
+    into = {p: [] for p in pairs}
+    for u, v in pairs:
+        for x in succ[u]:
+            for y in succ[v]:
+                if labels[x] == labels[y]:
+                    out[u, v].append((x, y))
+                    into[x, y].append((u, v))
+    outdeg = {p: len(out[p]) for p in pairs}
+    indeg = {p: len(into[p]) for p in pairs}
+    dead = [p for p in pairs if not (outdeg[p] and indeg[p])]
+    gone = set(dead)
+    while dead:
+        p = dead.pop()
+        for nbrs, deg in ((out, indeg), (into, outdeg)):
+            for q in nbrs[p]:
+                deg[q] -= 1
+                if deg[q] == 0 and q not in gone:
+                    gone.add(q)
+                    dead.append(q)
+    alive = [p for p in pairs if p not in gone]
+    return alive, [(p, q) for p in alive for q in out[p] if q not in gone]
+
+
 def related_tuple_graph(vertices: list[str], edges: list[Edge], rel: set, m: int,
                         wired: bool = False) -> tuple:
     """F_m by brute force, or with `wired` the pruned distinct-entry product.

@@ -345,6 +345,40 @@ def random_code(rng: random.Random, mode: str) -> BlockCode:
     return BlockCode(FiniteGraph(tuple(vs), tuple(edges), tuple(keys)), tuple(mapping), mode)
 
 
+def lockstep_code(rng: random.Random, mode: str) -> BlockCode:
+    """Small random code whose domain is hubs joined by chains, many of them
+    labeled by the same word, so that pairs of chains move in lockstep.
+
+    In vertex mode a chain's interior vertices carry the word; in edge mode
+    its edges do, and one-edge chains between the same hubs are parallel
+    edges.  A hub may carry a self-loop.  Vertices are declared shuffled.
+    """
+    hubs = [f"h{i}" for i in range(rng.randint(1, 2))]
+    words = ["".join(rng.choice("pq") for _ in range(rng.randint(1, 4))) for _ in range(2)]
+    vs, edges, labels = list(hubs), [], {h: rng.choice("pq") for h in hubs}
+    for c in range(rng.randint(2, 3)):
+        word = rng.choice(words)
+        inner = [f"c{c}_{i}" for i in range(len(word) if mode == "vertex" else len(word) - 1)]
+        vs += inner
+        walk = [rng.choice(hubs), *inner, rng.choice(hubs)]
+        if mode == "vertex":
+            labels.update(zip(inner, word))
+        else:  # edges are labeled by their index
+            labels.update(zip(range(len(edges), len(edges) + len(word)), word))
+        edges += zip(walk, walk[1:])
+    if rng.random() < 0.3:
+        h = rng.choice(hubs)
+        labels[len(edges)] = rng.choice("pq")
+        edges.append((h, h))
+    rng.shuffle(vs)
+    if mode == "vertex":
+        edges = sorted(set(edges))
+        return BlockCode(FiniteGraph(tuple(vs), tuple(edges)), tuple((v, labels[v]) for v in vs), mode)
+    keys = [f"x{k}" for k in range(len(edges))]
+    return BlockCode(FiniteGraph(tuple(vs), tuple(edges), tuple(keys)),
+                     tuple((keys[k], labels[k]) for k in range(len(edges))), mode)
+
+
 def names(ts, sep=","):
     return [sep.join(t) for t in ts]
 
@@ -355,9 +389,9 @@ def parts(lg: BlockCode) -> tuple:
 
 @pytest.mark.parametrize("mode", ["vertex", "edge"])
 def test_products_match_brute_force(mode):
-    for seed in range(50):
+    for seed in range(100):
         rng = random.Random(seed)
-        code = random_code(rng, mode)
+        code = random_code(rng, mode) if seed < 50 else lockstep_code(rng, mode)
         lg = code.labeled()
         if mode == "edge":
             named = [(n, u, w) for n, (u, w) in zip(code.domain.edge_names, code.domain.edges)]

@@ -27,6 +27,7 @@ from borelshift import (
     schema_period,
     strongly_connected_components,
 )
+from borelshift.graphs import rome
 
 from helpers import (
     GOLDEN_ENTROPY,
@@ -145,6 +146,98 @@ def test_irreducible_components_match_brute_force_definition():
         assert got == want
         strongly = len(want) == 1 and len(want[0][1]) == len(vs)
         assert is_strongly_connected(g) == strongly
+
+
+# === romes ===
+
+def kahn_sorts(vertices, edges) -> bool:
+    """True iff Kahn's algorithm orders every vertex: the graph is acyclic."""
+    indeg = {v: 0 for v in vertices}
+    succ = {v: [] for v in vertices}
+    for u, w in edges:
+        succ[u].append(w)
+        indeg[w] += 1
+    ready = [v for v in vertices if indeg[v] == 0]
+    done = 0
+    while ready:
+        v = ready.pop()
+        done += 1
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return done == len(vertices)
+
+
+def rome_graph(rng: random.Random, kind: str) -> FiniteGraph:
+    """A seeded graph of one kind, its vertices declared in shuffled order.
+
+    "random": any edges, so self-loops, parallel edges, sources and sinks;
+    "forest": disjoint cycles of lengths 1-5, joined one way, with tree
+    vertices hanging in and out; "flower": cycles of lengths 1-5 through one
+    centre, maybe doubled into parallel edges; "acyclic": edges only forward
+    in the declaration order, parallel ones included.
+    """
+    if kind == "flower":
+        vs, edges = ["c"], []
+        for k in range(rng.randint(1, 6)):
+            petal = [f"p{k}_{i}" for i in range(rng.randint(0, 4))]
+            vs += petal
+            walk = ["c", *petal, "c"]
+            edges += list(zip(walk, walk[1:])) * rng.choice((1, 1, 2))
+    elif kind == "forest":
+        cycles = [[f"c{k}_{i}" for i in range(rng.randint(1, 5))] for k in range(rng.randint(1, 5))]
+        vs = [v for cycle in cycles for v in cycle]
+        edges = [e for cycle in cycles for e in zip(cycle, cycle[1:] + cycle[:1])]
+        # one-way joins, from a cycle to a later one
+        for _ in range(rng.randint(0, 3)):
+            k, l = rng.randrange(len(cycles)), rng.randrange(len(cycles))
+            if k < l:
+                edges.append((rng.choice(cycles[k]), rng.choice(cycles[l])))
+        # tree vertices, each joined to an earlier vertex by one edge, in or out
+        for i in range(rng.randint(0, len(vs))):
+            a = rng.choice(vs)
+            vs.append(f"t{i}")
+            edges.append((a, f"t{i}") if rng.random() < 0.5 else (f"t{i}", a))
+    elif kind == "acyclic":
+        vs = [f"v{i}" for i in range(rng.randint(1, 12))]
+        edges = []
+        for _ in range(rng.randint(0, 3 * len(vs))):
+            i, j = rng.randrange(len(vs)), rng.randrange(len(vs))
+            if i < j:
+                edges.append((vs[i], vs[j]))
+    else:
+        vs = [f"v{i}" for i in range(rng.randint(1, 12))]
+        edges = [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, 3 * len(vs)))]
+    rng.shuffle(vs)
+    return FiniteGraph(tuple(vs), tuple(edges))
+
+
+@pytest.mark.parametrize("kind", ["random", "forest", "flower", "acyclic"])
+def test_rome_leaves_an_acyclic_graph(kind):
+    for seed in range(80):
+        g = rome_graph(random.Random(seed), kind)
+        idx = g.index()
+        r = rome(idx)
+        assert r == sorted(set(r)), seed
+        cut = {idx.order[p] for p in r}
+        rest = [v for v in g.vertices if v not in cut]
+        assert kahn_sorts(rest, [(u, w) for u, w in g.edges if u not in cut and w not in cut]), seed
+        if kind == "acyclic":
+            assert r == [], seed
+        elif kind == "flower":
+            assert len(r) == 1, seed
+        else:
+            # a vertex on a cycle of its own, a self-loop, is in every rome
+            assert {u for u, w in g.edges if u == w} <= cut, seed
+
+
+def test_rome_of_one_long_cycle_is_one_vertex():
+    # bypassing walks a cycle of 5,000 vertices down to a self-loop
+    n = 5000
+    vs = tuple(f"v{i}" for i in range(n))
+    g = FiniteGraph(vs, tuple((f"v{i}", f"v{(i + 1) % n}") for i in range(n)))
+    assert len(rome(g.index())) == 1
 
 
 # === periods ===

@@ -33,7 +33,9 @@ from borelshift import (
 )
 from borelshift import markers
 
-from helpers import LOG2, random_strongly_connected, two_length_growth_rate
+from helpers import (
+    LOG2, label_pairs_by_worklist, random_strongly_connected, two_length_growth_rate,
+)
 
 
 def even_code() -> BlockCode:
@@ -110,6 +112,23 @@ def test_marker_certificate_at_one_quarter_has_diagonal_fiber_product():
     assert prod.tuples == tuple((v, v) for v in states)
     assert list(prod.edges) == sorted((f"{u}|{u}", f"{w}|{w}") for u, w in cert.presentation.edges)
     assert prod.edge_names == tuple(f"e{k}" for k in range(len(prod.edges)))
+
+
+@pytest.mark.parametrize("target", [Fraction(1, 10), Fraction(1, 5), Fraction(1, 4)])
+def test_marker_certificate_products_match_the_worklist_prune(target):
+    # the oracle prunes all label-equal pairs, 146,045 of them at 1/4
+    code = even_code()
+    cert = synthesize_injective_subsystem(code, point(target))
+    lg = make_subsystem_code(cert, code.labeled()).labeled()
+    alive, pair_edges = label_pairs_by_worklist(
+        list(lg.domain.vertices), list(lg.domain.edges), dict(lg.mapping)
+    )
+    prod = label_fiber_product(lg)
+    assert list(prod.tuples) == alive
+    assert list(prod.vertices) == [f"{u}|{v}" for u, v in alive]
+    assert list(prod.edges) == sorted(
+        (f"{a}|{b}", f"{c}|{d}") for (a, b), (c, d) in pair_edges
+    )
 
 
 def test_marker_certificate_entropy_matches_presentation():
