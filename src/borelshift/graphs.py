@@ -269,14 +269,19 @@ def first_return_counts(c: FiniteGraph, base: str, limit: int) -> list[int]:
     if base not in c.vertices:
         raise ValueError(f"base {base!r} not a vertex")
     idx = c.index()
-    b = idx.pos[base]
+    return first_returns_on_rows(idx.succ, idx.pos[base], limit)
+
+
+def first_returns_on_rows(succ, b: int, limit: int) -> list[int]:
+    """`first_return_counts` at position b of the successor rows `succ`, whose
+    row i lists (j, multiplicity) for the edges i -> j."""
     f = [0] * (limit + 1)
-    # weight[v] = number of paths base -> v of current length avoiding base in between
+    # weight[v] = number of paths b -> v of current length avoiding b in between
     weight = {b: 1}
     for step in range(1, limit + 1):
         new: dict[int, int] = {}
         for v, wv in weight.items():
-            for w, mult in idx.succ[v]:
+            for w, mult in succ[v]:
                 new[w] = new.get(w, 0) + wv * mult
         f[step] = new.pop(b, 0)
         weight = new

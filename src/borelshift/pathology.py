@@ -23,22 +23,28 @@ flanking base words determines the path segment covering it; unanchored
 by requiring the lift to enter through a 2-labeled edge and leave through
 one, which is exactly what flanking 2 symbols force.
 
-Lifts are counted, not listed, by a walk on the presentation itself: per-label
-successor rows on the positions of its own `GraphIndex`, one entry per edge, so
-parallel edges stay apart.  The walk keeps a path count per end vertex and at
-each step moves it along the edges spelling the next letter of the word.
+The construction is built once, on integer positions: the root is position 0
+and every other state gets the next position as the construction first meets
+it.  Its arcs (label, tail, head) are all that `certify_pathology` reads:
+first returns at the root, and lifts counted, not listed, by a walk on those
+positions.  The walk keeps per-label successor rows, one entry per arc, so
+parallel arcs stay apart, keeps a path count per end position, and at each
+step moves it along the arcs spelling the next letter of the word.
+`build_pathology_graph` names the same positions and arcs for readers of the
+presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import ceil, log
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 from .codes import BlockCode, BudgetExhausted
 from .entropy import ExtendedEntropy, IntervalApprox, compare_entropy
-from .graphs import first_return_counts, loop_entropy_estimate, renewal_loop_counts
+from .graphs import first_returns_on_rows, loop_entropy_estimate, renewal_loop_counts
 from .presentations import FiniteGraph, LoopSchema
 from .recurrence import classify_recurrence
 
@@ -132,117 +138,144 @@ def base_words(base: FiniteGraph, n: int) -> list[tuple[str, ...]]:
     return [tuple(idx.order[i] for i in w) for w in words]
 
 
-def build_pathology_graph(spec: PathologySpec) -> BlockCode:
-    """Edge-labeled presentation; labels are base symbols plus the 2 marker."""
-    edges: list[tuple[str, str]] = []
-    labels: list[str] = []
+class _Construction(NamedTuple):
+    """The construction on integer positions 0..states-1, the root at 0 and
+    the M-loop's inner states at 1..M-1.  `tree` and `cotree` map each
+    prefix-tree and co-tree word to its position, () to the root; connector
+    (k, w+, w-, p) has its m_k - 1 inner states at p, p + 1, ..."""
 
-    def add(u: str, v: str, sym: str):
-        edges.append((u, v))
-        labels.append(sym)
+    states: int
+    arcs: list[tuple[str, int, int]]  # (label, tail, head), in edge order
+    tree: dict[tuple[str, ...], int]
+    cotree: dict[tuple[str, ...], int]
+    connectors: list[tuple[int, tuple[str, ...], tuple[str, ...], int]]
 
-    # M-loop at the root
-    if spec.M == 1:
-        add(ROOT, ROOT, MARK)
-    else:
-        add(ROOT, "z1", MARK)
-        for i in range(1, spec.M - 1):
-            add(f"z{i}", f"z{i+1}", MARK)
-        add(f"z{spec.M-1}", ROOT, MARK)
 
-    # symbols are joined with ',' and a connector tag's fields separated by
-    # '|', neither of which a symbol may hold, so distinct words stay distinct
-    def tnode(prefix: tuple[str, ...]) -> str:
-        return ROOT if not prefix else "t" + ",".join(prefix)
+def _construct(spec: PathologySpec) -> _Construction:
+    """The M-loop, then the shared prefix tree and suffix co-tree over the
+    deepest level, then one connector per ordered pair of base words at each
+    level.  Tree and co-tree nodes are keyed by word tuples, so words that
+    spell the same characters, like (a, b) and (ab,), stay distinct."""
+    states = spec.M
+    loop = range(1, spec.M)
+    arcs = list(zip(repeat(MARK), (0, *loop), (*loop, 0)))
+    tree: dict[tuple[str, ...], int] = {(): 0}
+    cotree: dict[tuple[str, ...], int] = {(): 0}
 
-    def unode(suffix: tuple[str, ...]) -> str:
-        return ROOT if not suffix else "u" + ",".join(suffix)
+    def node(nodes: dict, word: tuple[str, ...]) -> int:
+        nonlocal states
+        p = nodes.get(word)
+        if p is None:
+            p = nodes[word] = states
+            states += 1
+        return p
 
-    levels = {k: base_words(spec.base, k) for k in range(1, spec.depth + 1)}
-
-    # shared prefix tree and shared suffix co-tree over the deepest level;
+    levels = [base_words(spec.base, k) for k in range(1, spec.depth + 1)]
     # base words are path words, so every prefix and suffix appears
     tree_edges = set()
     cotree_edges = set()
-    for w in levels[spec.depth]:
+    for w in levels[-1]:
         for i in range(len(w)):
             tree_edges.add((w[:i], w[: i + 1]))
             cotree_edges.add((w[i:], w[i + 1 :]))
     for p, q in sorted(tree_edges):
-        add(tnode(p), tnode(q), q[-1])
+        arcs.append((q[-1], node(tree, p), node(tree, q)))
     for s, rest in sorted(cotree_edges):
-        add(unode(s), unode(rest), s[0])
+        arcs.append((s[0], node(cotree, s), node(cotree, rest)))
 
-    # one connector per ordered pair at each level
-    for k in range(1, spec.depth + 1):
-        m = spec.m_seq[k - 1]
-        for wp in levels[k]:
-            for wm in levels[k]:
-                tag = f"c{k}|{','.join(wp)}|{','.join(wm)}"
-                prev = tnode(wp)
-                for j in range(1, m):
-                    cur = f"{tag}|{j}"
-                    add(prev, cur, MARK)
-                    prev = cur
-                add(prev, unode(wm), MARK)
+    connectors = []
+    for k, (m, words) in enumerate(zip(spec.m_seq, levels), start=1):
+        for wp in words:
+            t = node(tree, wp)
+            for wm in words:
+                u = node(cotree, wm)
+                inner = range(states, states + m - 1)
+                connectors.append((k, wp, wm, states))
+                states += m - 1
+                arcs.extend(zip(repeat(MARK), (t, *inner), (*inner, u)))
+    return _Construction(states, arcs, tree, cotree, connectors)
 
-    verts = tuple(sorted({v for e in edges for v in e}))
-    g = FiniteGraph(verts, tuple(edges))
-    mapping = tuple(zip(g.edge_names, labels))
-    return BlockCode(g, mapping, mode="edge")
+
+def build_pathology_graph(spec: PathologySpec) -> BlockCode:
+    """Edge-labeled presentation of the construction; labels are base symbols
+    plus the 2 marker.
+
+    Its edges are the construction's arcs, in their order, between the names
+    of their positions: the root r, loop states z1..z(M-1), tree nodes t and
+    co-tree nodes u followed by their word, and connector states c followed
+    by the level, the word pair and the state's place on the connector.  Symbols are joined with ',' and
+    a connector tag's fields separated by '|', neither of which a symbol may
+    hold, so distinct words name distinct states.
+    """
+    c = _construct(spec)
+    names = [ROOT, *(f"z{i}" for i in range(1, spec.M))] + [""] * (c.states - spec.M)
+    for tag, nodes in (("t", c.tree), ("u", c.cotree)):
+        for word, p in nodes.items():
+            if word:
+                names[p] = tag + ",".join(word)
+    for k, wp, wm, first in c.connectors:
+        tag = f"c{k}|{','.join(wp)}|{','.join(wm)}"
+        inner = range(1, spec.m_seq[k - 1])
+        names[first : first + len(inner)] = (f"{tag}|{j}" for j in inner)
+    g = FiniteGraph(tuple(sorted(names)), tuple((names[i], names[j]) for _, i, j in c.arcs))
+    return BlockCode(g, tuple(zip(g.edge_names, (a for a, _, _ in c.arcs))), mode="edge")
 
 
 class _LabelWalk:
-    """Per-label successor rows of a code's presentation, on the positions of
-    its domain's `GraphIndex`, for counting edge paths by the word they spell.
+    """Per-label successor rows over positions 0..states-1, for counting
+    paths by the word they spell.
 
-    `rows[a][v]` lists the ends of the edges from v that spell a, once per
-    edge, so parallel edges count apart.  In edge mode an edge spells its own
-    label; in vertex mode an edge v -> w spells the label of w, and a walk's
-    first letter picks its start vertices instead of moving.  Counts are kept
-    per end vertex.
+    `rows[a][v]` lists the heads of the arcs (a, v, w), once per arc, so
+    parallel arcs count apart.  An arc spells its own label; with
+    `vertex_sym`, the arcs of a vertex-mode code spell the label of their
+    head, and a walk's first letter picks its start positions by their own
+    label instead of moving.  Counts are kept per end position.
     """
 
-    def __init__(self, code: BlockCode):
-        g = code.domain
-        idx = g.index()
-        n = len(idx.order)
-        if code.mode == "edge":
-            pos = idx.pos
-            self.vertex_sym = None
-            arcs = ((code.label(e), pos[u], pos[v]) for (u, v), e in zip(g.edges, g.edge_names))
-        else:
-            sym = [code.label(v) for v in idx.order]
-            self.vertex_sym = sym
-            arcs = ((sym[j], i, j) for i, row in enumerate(idx.succ) for j, _ in row)
+    def __init__(self, states: int, arcs: list, vertex_sym: Optional[list[str]] = None):
+        self.vertex_sym = vertex_sym
         self.rows: dict[str, list] = {}
+        self.tails: dict[str, list[int]] = {}  # the positions with an arc of each label
         for a, i, j in arcs:
             row = self.rows.get(a)
             if row is None:
-                row = self.rows[a] = [()] * n
+                row = self.rows[a] = [()] * states
+                self.tails[a] = []
             if row[i]:
                 row[i].append(j)
             else:
                 row[i] = [j]
-        self.positions = range(n)
-        marks = self.rows.get(MARK, ())
-        # a lift enters where a 2-labeled edge ends and leaves where one starts
-        self.leaves = {v for v, row in enumerate(marks) if row}
-        if self.vertex_sym is None:
-            self.entered = sorted({w for row in marks for w in row})
+                self.tails[a].append(i)
+        self.positions = range(states)
+        # a lift enters where a 2-labeled step ends and leaves where one starts
+        self.leaves = set(self.tails.get(MARK, ()))
+        if vertex_sym is None:
+            self.entered = {w for row in self.rows.get(MARK, ()) for w in row}
         else:
-            self.entered = sorted(
-                {j for i, s in enumerate(self.vertex_sym) if s == MARK for j, _ in idx.succ[i]}
-            )
+            self.entered = {j for _, i, j in arcs if vertex_sym[i] == MARK}
+
+    @classmethod
+    def of_code(cls, code: BlockCode) -> "_LabelWalk":
+        """The walk of a code's presentation, on the positions of its vertex
+        tuple: an edge-mode code's arcs carry their edge's label, a vertex-mode
+        code's the label of their head."""
+        g = code.domain
+        pos = {v: i for i, v in enumerate(g.vertices)}
+        if code.mode == "edge":
+            arcs = [(code.label(e), pos[u], pos[v]) for (u, v), e in zip(g.edges, g.edge_names)]
+            return cls(len(pos), arcs)
+        sym = [code.label(v) for v in g.vertices]
+        return cls(len(pos), [(sym[pos[v]], pos[u], pos[v]) for u, v in g.edges], sym)
 
     def start(self, starts, letter: str) -> dict[int, int]:
-        """Paths from the positions `starts` spelling the one-letter word."""
+        """Paths from the positions `starts`, a set or a range, spelling the
+        one-letter word."""
         if self.vertex_sym is not None:
             return {v: 1 for v in starts if self.vertex_sym[v] == letter}
-        return self.step(dict.fromkeys(starts, 1), letter)
+        return self.step({p: 1 for p in self.tails.get(letter, ()) if p in starts}, letter)
 
     def step(self, cnt: dict[int, int], letter: str) -> dict[int, int]:
-        """Extend every counted path by one edge spelling letter."""
+        """Extend every counted path by one arc spelling letter."""
         row = self.rows.get(letter)
         nxt: dict[int, int] = {}
         if row is None:
@@ -257,33 +290,30 @@ def count_label_paths(code: BlockCode, word: tuple[str, ...]) -> int:
     """Number of paths in the presentation whose label word equals word."""
     if not word:
         return len(code.domain.vertices)
-    walk = _LabelWalk(code)
+    walk = _LabelWalk.of_code(code)
     cnt = walk.start(walk.positions, word[0])
     for letter in word[1:]:
         cnt = walk.step(cnt, letter)
     return sum(cnt.values())
 
 
-def anchored_lifts(
-    code: BlockCode, words: list[tuple[str, ...]], walk: Optional[_LabelWalk] = None
-) -> list[int]:
+def anchored_lifts(code: Union[BlockCode, _LabelWalk], words: list[tuple[str, ...]]) -> list[int]:
     """Number of lifts of each non-empty word whose ends extend by the 2 marker.
 
     A lift starts where some 2-labeled edge ends and ends where one starts,
     so the word models a block flanked by maximal 2-runs.  The batch is
     walked in sorted order, and each word keeps the path counts of the prefix
-    it shares with the word before it.  `walk` is the code's `_LabelWalk`,
-    built here when not given.
+    it shares with the word before it.  `code` may also be a `_LabelWalk`
+    already built.
     """
-    if walk is None:
-        walk = _LabelWalk(code)
+    walk = code if isinstance(code, _LabelWalk) else _LabelWalk.of_code(code)
     out = [0] * len(words)
     path: list[dict[int, int]] = []  # path[i]: counts for the first i + 1 letters
     prev: tuple[str, ...] = ()
     for n in sorted(range(len(words)), key=words.__getitem__):
         word = words[n]
-        keep = 0
-        while keep < min(len(word), len(prev)) and word[keep] == prev[keep]:
+        keep, common = 0, min(len(word), len(prev))
+        while keep < common and word[keep] == prev[keep]:
             keep += 1
         del path[keep:]
         if not path:
@@ -300,7 +330,7 @@ class PathologyReport:
     spec: PathologySpec
     return_counts_match: bool
     window: int
-    states: int  # vertices of the built presentation
+    states: int  # states of the construction
     loop_rows: tuple[tuple[int, int], ...]  # (length, loop count) within window
     estimate: float  # loop-entropy estimate over the window
     estimate_below_eps: bool
@@ -322,7 +352,7 @@ def _sampled_pairs(words: list[tuple[str, ...]], cap: int):
 
 
 def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> PathologyReport:
-    """Check every desk-scale claim of the construction against the built graph.
+    """Check every desk-scale claim of the construction against its arcs.
 
     A window above WINDOW_CAP, or a presentation above SIZE_CAP, raises
     BudgetExhausted before anything is built.
@@ -332,11 +362,14 @@ def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> P
     if window > WINDOW_CAP:
         raise BudgetExhausted(f"window {window} is above WINDOW_CAP = {WINDOW_CAP}")
     spec.size()
-    code = build_pathology_graph(spec)
-    g = code.domain
+    states, arcs = _construct(spec)[:2]
     lengths = spec.return_lengths()
     l_max = max(window, max(n for n, _ in lengths))
-    counts = first_return_counts(g, ROOT, l_max)
+    succ: list[list[tuple[int, int]]] = [[] for _ in range(states)]
+    unit = [(j, 1) for j in range(states)]  # one shared entry per arc head
+    for _, i, j in arcs:
+        succ[i].append(unit[j])
+    counts = first_returns_on_rows(succ, 0, l_max)
     expected = [0] * (l_max + 1)
     for n, c in lengths:
         expected[n] = c
@@ -364,8 +397,8 @@ def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> P
     for s in base_words(spec.base, 1):
         for s2 in base_words(spec.base, 1):
             blocks.append((f"root block {s[0]}|{s2[0]}", s + (MARK,) * spec.M + s2))
-    walk = _LabelWalk(code)
-    block_lifts = anchored_lifts(code, [word for _, word in blocks], walk)
+    walk = _LabelWalk(states, arcs)
+    block_lifts = anchored_lifts(walk, [word for _, word in blocks])
     failures = [f"{name}: {n} lifts" for (name, _), n in zip(blocks, block_lifts) if n != 1]
 
     # the paths spelling (first,) + (2,) * t, extended one marker edge per t
@@ -384,7 +417,7 @@ def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> P
         spec=spec,
         return_counts_match=counts_match,
         window=window,
-        states=len(g.vertices),
+        states=states,
         loop_rows=tuple((n, c) for n, c, _ in rows),
         estimate=estimate,
         estimate_below_eps=below,

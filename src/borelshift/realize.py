@@ -57,6 +57,11 @@ SEED_EXPONENT_CAP = 71
 # digits, which must stay within presentations.NUMBER_DIGITS_CAP = 4000 for the
 # document to read back: h <= 9139
 TRANSIENT_ENTROPY_CAP = 9000
+# member J of an infinite-entropy family has Phi(x) = 2^(J p) x^p, whose root
+# 2^-J analyze brackets by halving down to 10^-400: it does so up to J = 1327
+# and fails from J = 1328 on (at periods 1 to 9; from period 10 on the J p
+# digit cap binds first)
+MEMBER_CAP = 1327
 
 
 class UnrealizableEntropy(ValueError):
@@ -85,6 +90,11 @@ class FamilySchema:
                     f"family member {j} of period {self.period}: J * p is above 3 *"
                     f" NUMBER_DIGITS_CAP = {3 * NUMBER_DIGITS_CAP}, so 2^(J p) loops may not"
                     " print within NUMBER_DIGITS_CAP digits"
+                )
+            if j > MEMBER_CAP:
+                raise ValueError(
+                    f"family member {j} is above MEMBER_CAP = {MEMBER_CAP}: analyze cannot"
+                    " bracket the root 2^-J of its Phi(x) = 1 above 10^-400"
                 )
             return LoopSchema(counts=((self.period, 2 ** (j * self.period)),), tail=None)
         if j > 35:

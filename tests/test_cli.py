@@ -306,10 +306,26 @@ def test_realize_family_member_past_the_digit_cap_exits_65(capsys, tmp_path):
     assert code == 65
     assert out == ""
     assert len(err.splitlines()) == 1 and "NUMBER_DIGITS_CAP" in err
-    # 2^12000 prints with 3,613 digits and reads back
-    code, out, _ = run(capsys, ["realize", str(inv), "--member", "12000"])
+    # 2^1327 prints with 400 digits and reads back; larger members stop at MEMBER_CAP
+    code, out, _ = run(capsys, ["realize", str(inv), "--member", "1327"])
     assert code == 0
     assert parse_document(out)
+
+
+@pytest.mark.parametrize("period", [1, 2])
+def test_realize_family_members_analyze_up_to_the_member_cap(capsys, tmp_path, period):
+    # the member's root 2^-J is bracketed above 10^-400 up to J = 1327, at either period
+    inv = tmp_path / "inv.txt"
+    inv.write_text(f"gen {period} inf 0\n")
+    code, out, _ = run(capsys, ["realize", str(inv), "--member", "1327"])
+    assert code == 0
+    doc = tmp_path / "doc.txt"
+    doc.write_text(out)
+    assert run(capsys, ["analyze", str(doc)])[0] == 0
+    code, out, err = run(capsys, ["realize", str(inv), "--member", "1328"])
+    assert code == 65
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "MEMBER_CAP = 1327" in err
 
 
 def test_realize_names_the_seed_limit_and_realizes_up_to_it(capsys, tmp_path):

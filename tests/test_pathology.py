@@ -2,6 +2,7 @@
 block identifiability, and the certification report.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -137,7 +138,7 @@ def test_over_budget_flags_are_refused_before_building(monkeypatch):
     def build(spec):
         raise AssertionError("built past the budget")
 
-    monkeypatch.setattr(pathology, "build_pathology_graph", build)
+    monkeypatch.setattr(pathology, "_construct", build)
     eps = Fraction(3, 10)
     # depth 9 makes 838,696 vertices plus edges, depth 8 makes 307,633
     deep = choose_pathology_parameters(golden_base(), eps, 9, 40)
@@ -149,6 +150,85 @@ def test_over_budget_flags_are_refused_before_building(monkeypatch):
     for choose in (control_parameters, lambda base, depth: choose_pathology_parameters(base, eps, depth)):
         with pytest.raises(BudgetExhausted):
             choose(golden_base(), SIZE_CAP + 1)
+
+
+def unchecked_spec(base: FiniteGraph, M: int, m_seq: tuple[int, ...]) -> PathologySpec:
+    """A spec that skips validation: M = 1 makes every connector length a
+    multiple of M, so PathologySpec refuses it, but the builder's root loop
+    is then a self-loop and the construction is still defined."""
+    spec = object.__new__(PathologySpec)
+    for field, value in (("base", base), ("M", M), ("m_seq", m_seq)):
+        object.__setattr__(spec, field, value)
+    return spec
+
+
+def random_spec(rng: random.Random) -> PathologySpec:
+    """A simple base graph on 1-4 symbols of one or two characters, declared
+    in a shuffled order, with a random valid M and connector lengths."""
+    names = rng.sample(["0", "1", "a", "b", "ab", "10", "x"], rng.randint(1, 4))
+    edges = [(u, v) for u in names for v in names if rng.random() < 0.5]
+    base = FiniteGraph(tuple(names), tuple(edges))
+    while True:
+        M = rng.randint(2, 6)
+        m_seq = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 3)))
+        try:
+            return PathologySpec(base, M, m_seq)
+        except ValueError:
+            pass
+
+
+def test_arcs_and_named_graph_are_one_labeled_graph():
+    # the integer arcs and the named presentation list their edges in one
+    # order, so matching them arc by arc gives the bijection of positions to
+    # names, which must be well defined, onto and label-preserving
+    multi = FiniteGraph(("a", "b", "ab"), (("a", "a"), ("a", "b"), ("b", "a"), ("b", "ab"), ("ab", "a")))
+    out_of_order = FiniteGraph(("1", "3", "0"), (("0", "0"), ("0", "1"), ("1", "0"), ("1", "3"), ("3", "0")))
+    sink = FiniteGraph(("0", "1", "3"), (("0", "0"), ("0", "1"), ("1", "0"), ("1", "3")))
+    specs = [
+        depth2_spec(),
+        PathologySpec(out_of_order, 5, (7, 8)),
+        choose_pathology_parameters(multi, Fraction(3, 10), 2, 12),
+        PathologySpec(sink, 5, (7, 8, 9)),
+        unchecked_spec(golden_base(), 1, (2, 3)),
+        control_parameters(golden_base(), 3),
+        control_parameters(multi, 2),
+    ]
+    rng = random.Random(33)
+    specs += [random_spec(rng) for _ in range(30)]
+    for spec in specs:
+        states, arcs = pathology._construct(spec)[:2]
+        code = build_pathology_graph(spec)
+        g = code.domain
+        sym = dict(code.mapping)
+        assert len(arcs) == len(g.edges)
+        name_of: dict[int, str] = {}
+        for (label, i, j), (u, v), e in zip(arcs, g.edges, g.edge_names):
+            assert name_of.setdefault(i, u) == u and name_of.setdefault(j, v) == v
+            assert sym[e] == label
+        assert sorted(name_of) == list(range(states))
+        assert sorted(name_of.values()) == list(g.vertices)
+        assert name_of[0] == "r"
+
+
+def graph_digest(code: BlockCode) -> str:
+    g = code.domain
+    return hashlib.sha256(repr((g.vertices, g.edges, g.edge_names, code.mapping)).encode()).hexdigest()
+
+
+def test_named_graph_bytes_are_pinned():
+    # vertices, edges, edge names and mapping of three presentations, as
+    # recorded before the construction moved onto integer positions
+    multi = FiniteGraph(("a", "b", "ab"), (("a", "a"), ("a", "b"), ("b", "a"), ("b", "ab"), ("ab", "a")))
+    sink = FiniteGraph(("0", "1", "3"), (("0", "0"), ("0", "1"), ("1", "0"), ("1", "3")))
+    pinned = [
+        (depth2_spec(), "28fb6d343b6e98dda5f9d61e905564c26df3a01cc32c06028cd1531948419677"),
+        (choose_pathology_parameters(multi, Fraction(3, 10), 2, 12),
+         "df72f5d0fca3b9929b144a2d35f88d1be0fda1e43950a3f823fdcc5051f687de"),
+        (PathologySpec(sink, 5, (7, 8, 9)),
+         "d0c6fe5c9481ee2f5e2c282d314ed38880168648b4d0fc35fc77442f03a059c3"),
+    ]
+    for spec, digest in pinned:
+        assert graph_digest(build_pathology_graph(spec)) == digest
 
 
 def test_first_returns_match_formula():
