@@ -228,13 +228,16 @@ class IntervalApprox(ExtendedEntropy):
         return f"Entropy[{float(self.lo):.12g}, {float(self.hi):.12g}]"
 
 
-def _sign_at(coeffs, x: Fraction) -> int:
+def _sign_at(coeffs, x, q: int = 1) -> int:
     """Sign (-1, 0 or 1) of the integer polynomial `coeffs` (ascending) at
-    the rational x = p/q: the sign of the integer sum c_i p^i q^(d - i),
-    which is q^d > 0 times the value.  Horner's rule in integers steps from
-    one nonzero coefficient to the next, so a long sparse polynomial, such
-    as a loop schema's, costs a few powers, not one product per degree."""
-    p, q = x.numerator, x.denominator
+    the rational x / q, x an int or a Fraction and q a positive int: with
+    x / q = p / q' in integers, the sign of the integer sum c_i p^i q'^(d - i),
+    which is q'^d > 0 times the value.  Callers that bisect on integer
+    numerators pass them with q and build no Fraction.  Horner's rule in
+    integers steps from one nonzero coefficient to the next, so a long
+    sparse polynomial, such as a loop schema's, costs a few powers, not one
+    product per degree."""
+    p, q = x.numerator, x.denominator * q
     acc, qk, prev = 0, 1, len(coeffs) - 1
     for i in range(prev, -1, -1):
         if coeffs[i]:

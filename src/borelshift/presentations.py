@@ -24,9 +24,10 @@ LENGTH_CAP = 100_000
 # numerator plus those of its denominator.  A geometric tail builds k^n0 (its
 # integrality check) and (kx)^stride, so n = max(n0, stride) there.  A
 # damped-tail enclosure sums its first DAMPED_FIRST_TERMS terms before it can
-# stop, building k^n and den(x)^n up to n = n0 + DAMPED_FIRST_TERMS * stride.
-# LENGTH_CAP bounds n0 and stride but not the size of k, so this bounds the
-# integers those powers make.
+# stop, up to n = n0 + DAMPED_FIRST_TERMS * stride.  It carries k^n in fixed
+# point, but builds k^n exactly for a count whose floor its bounds leave
+# open, and DampedTail.count builds it too.  LENGTH_CAP bounds n0 and stride
+# but not the size of k, so this bounds the integers those powers make.
 TAIL_BITS_CAP = 10_000_000
 DAMPED_FIRST_TERMS = 64
 

@@ -4,19 +4,24 @@ Phi(x) = sum c_n x^n with radius of convergence R (Vere-Jones 1967).
 Transient iff Phi(R) < 1; recurrent iff Phi(r) = 1 for some r <= R; positive
 vs null recurrent by finiteness of r * Phi'(r).  A root r < R makes r Phi'(r)
 finite, so positive recurrence needs no mean-return enclosure.
-Entropy is -log r for the root, else -log R.  Every bound is an exact
+Entropy is -log r for the root, else -log R.  Every bound is a certified
 rational enclosure, and a verdict that would need to distinguish Phi(R) from
 1 below certification width is reported as undecidable rather than coerced.
 No enclosure of Phi(R) is ever the point 1, so a schema at criticality is
 undecidable too: null recurrence is never certified.
 
-One side function per schema gives the sign of Phi(x) - 1, and it decides
-both the upper end (R, or 1 for a finite schema) and every point of the
-exact rational bisection of Phi(x) = 1.  For finite and geometric-tailed
-schemas it is entropy._sign_at on the integer polynomial _phi_polynomial,
-which has that sign on (0, R] (at R, where a geometric Phi diverges, it is
-a > 0).  Damped tails have no closed form; _phi_versus_one walks the
-rounds of the tail's enclosure until one of them decides the sign.
+One side function per schema gives the sign of Phi(p/q) - 1 for integers p
+and q, and it decides both the upper end (R, or 1 for a finite schema) and
+every point of the bisection of Phi(x) = 1.  Each such point is hi j / 2^e,
+so the bisection keeps j and e as integers and builds Fractions only for the
+root interval it returns.  For finite and geometric-tailed schemas the side
+is entropy._sign_at on the integer polynomial _phi_polynomial, which has
+that sign on (0, R] (at R, where a geometric Phi diverges, it is a > 0), and
+every sign is exact.  Damped tails have no closed form; _phi_versus_one
+walks the rounds of the tail's enclosure until one of them decides the sign.
+The rounds are summed in fixed point, each term and each power rounded
+outward, so a round holds the exact round with the same terms and a decided
+sign is a fact.
 """
 
 from __future__ import annotations
@@ -70,72 +75,170 @@ def schema_radius(schema: LoopSchema) -> Union[Fraction, float]:
     return Fraction(1) / Fraction(t.k)
 
 
+# Fractional bits of a damped-tail enclosure: each term, and the bound on
+# the rest, is rounded outward to a multiple of 2^-FIXED_POINT_BITS.
+FIXED_POINT_BITS = 192
+
+
+def _trim(b: tuple[int, int, int], w: int) -> tuple[int, int, int]:
+    """Bounds (lo, hi, e) on v, lo 2^e <= v <= hi 2^e, cut to w bits: lo
+    rounded down and hi up, so that they still hold v.  Nothing moves while
+    hi has at most w bits, or where the bits cut are zero."""
+    lo, hi, e = b
+    cut = hi.bit_length() - w
+    if cut <= 0:
+        return b
+    return lo >> cut, -(-hi >> cut), e + cut
+
+
+def _power(base: int, n: int, w: int) -> tuple[int, int, int]:
+    """Bounds on base^n by squaring on w-bit bounds; exact while base^n has
+    at most w bits."""
+    if n * base.bit_length() <= w:
+        v = base**n
+        return v, v, 0
+    out, sq = (1, 1, 0), _trim((base, base, 0), w)
+    while True:
+        if n & 1:
+            out = _trim((out[0] * sq[0], out[1] * sq[1], out[2] + sq[2]), w)
+        n >>= 1
+        if not n:
+            return out
+        sq = _trim((sq[0] * sq[0], sq[1] * sq[1], 2 * sq[2]), w)
+
+
+def _ratio_power(num: int, den: int, n: int, w: int, cn: int = 1, cd: int = 1):
+    """Bounds (lo, hi, e) on (cn / cd) (num / den)^n to w relative bits; exact
+    where the value has at most w significant bits."""
+    nl, nh, ne = _power(num, n, w)
+    dl, dh, de = _power(den, n, w)
+    nl, nh, dl, dh = nl * cn, nh * cn, dl * cd, dh * cd
+    g = max(0, w + dh.bit_length() - nl.bit_length())
+    return _trim(((nl << g) // dh, -(-(nh << g) // dl), ne - de - g), w)
+
+
+def _fixed(m: int, e: int, up: bool = False) -> int:
+    """m 2^e rounded down to an integer, or up when `up`."""
+    if e >= 0:
+        return m << e
+    return -(-m >> -e) if up else m >> -e
+
+
+def _scaled(m: int, e: int) -> Fraction:
+    """m 2^e as a Fraction."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _one_minus(b: tuple[int, int, int], v) -> Fraction:
+    """A positive lower bound on 1 - v from bounds b on v < 1; 1 - v(), the
+    exact value, where b's upper end is not below 1."""
+    gap = 1 - _scaled(b[1], b[2])
+    return gap if gap > 0 else 1 - v()
+
+
 def _damped_tail_enclosures(t: DampedTail, x: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
     """Enclosures (lower, upper) of sum floor(a k^n / n^d) x^n over the tail,
     one per round; none where the series diverges.
 
-    The terms are summed in integers, DAMPED_FIRST_TERMS in the first round
-    and twice as many in each next one: with x^n = xn/xd and k^n = kn/kd,
-    each count is the floor division (a.num kn) // (a.den kd n^d), and the
-    partial sum is one integer over xd, so no term takes a gcd.  Fractions
-    are built once per round, to bound the rest from the first uncomputed
-    support point.  Each round lies inside the one before.
+    Each round sums DAMPED_FIRST_TERMS more terms than the first, then twice
+    as many, in integers counting units of 2^-P, P = FIXED_POINT_BITS.  Every
+    term and the bound on the rest is rounded outward, so each round holds
+    the exact round with the same terms, which holds the sum.  Powers are
+    carried as floor and ceiling integers:
+      - while x^n >= 2^-P, a k^n and x^n to w = P + 64 + bits(a) relative
+        bits.  The count floor(a k^n / n^d) then has at most P + bits(a)
+        bits; where its two bounds floor to different integers, it is
+        computed exactly, which only a count within 2^(P - w) of an integer
+        needs, such as an integer a k^n / n^d;
+      - past that, with z = k x, a z^n in units of 2^-(P + 32).  A term lies in
+        [a z^n / n^d - x^n, a z^n / n^d], and the x^n are at most
+        x^m / (1 - x^s) together from the first such point m, taken once
+        off the lower sum.
+    So no term builds k^n or x^n exactly, and a term costs a few products of
+    about w bits.  The rest, from the first uncomputed support point m, is
+    at most a z^m / m^d / (1 - z^s) below the radius and a (m^-d +
+    m^(1-d) / (s (d - 1))) at it, and at least a z^m / m^d less the floors'
+    loss.
 
     At x = 1/k the remainder shrinks only polynomially, so the rounds stop
     at 4,096 terms there and at 16,384 below.
     """
     k = Fraction(t.k)
-    q = k * x
-    if q > 1 or (q == 1 and t.d <= 1):
-        # at q == 1, sum a/n^d diverges for d <= 1 and the floor correction converges
+    kn, kd = k.numerator, k.denominator
+    xn, xd = x.numerator, x.denominator
+    zn, zd = kn * xn, kd * xd
+    if zn > zd or (zn == zd and t.d <= 1):
+        # at z == 1, sum a/n^d diverges for d <= 1 and the floor correction converges
         return
-    s = t.stride
-    cap = 4096 if q == 1 else 16384
-    xs = x**s
-    n = t.n0
-    an, ad = t.a.numerator, t.a.denominator
-    kn, kd = k.numerator**n, k.denominator**n
-    xn, xd = x.numerator**n, x.denominator**n
-    kns, kds = k.numerator**s, k.denominator**s
-    xns, xds = x.numerator**s, x.denominator**s
-    num = 0  # the partial sum is num / xd
+    P, F = FIXED_POINT_BITS, FIXED_POINT_BITS + 32
+    a, d, s, n = t.a, t.d, t.stride, t.n0
+    an, ad = a.numerator, a.denominator
+    w = P + 64 + an.bit_length()
+    al, ah, ea = _ratio_power(kn, kd, n, w, an, ad)
+    ksl, ksh, eks = _ratio_power(kn, kd, s, w)
+    xl, xh, ex = _ratio_power(xn, xd, n, w)
+    xsl, xsh, exs = xs = _ratio_power(xn, xd, s, w)
+    zs = _ratio_power(zn, zd, s, w)
+    one_minus_xs = _one_minus(xs, lambda: x**s)
+    one_minus_zs = None if zn == zd else _one_minus(zs, lambda: Fraction(zn, zd) ** s)
+    cap = 4096 if zn == zd else 16384
+    lo = hi = 0  # the partial sum lies in [lo, hi] 2^-P
+    far = False  # once x^n < 2^-P: a z^n in [zl, zh] 2^-F and z^s in [zsl, zsh] 2^-F
     done = 0
     terms = DAMPED_FIRST_TERMS
     while True:
         while done < terms:
-            num = (num + an * kn // (ad * kd * n**t.d) * xn) * xds
+            nd = n**d
+            if not far and xh.bit_length() + ex <= -P:
+                far = True
+                zl, zh, ez = _ratio_power(zn, zd, n, w, an, ad)
+                zl, zh = _fixed(zl, ez + F), _fixed(zh, ez + F, True)
+                zsl, zsh = _fixed(zs[0], zs[2] + F), _fixed(zs[1], zs[2] + F, True)
+                lo -= math.ceil(_scaled(xh, ex + P) / one_minus_xs)
+            if not far:
+                cl = _fixed(al, ea) // nd
+                ch = _fixed(ah, ea) // nd
+                if cl != ch:
+                    cl = ch = an * kn**n // (ad * kd**n * nd)
+                lo += _fixed(cl * xl, ex + P)
+                hi += _fixed(ch * xh, ex + P, True)
+                al, ah, ea = _trim((al * ksl, ah * ksh, ea + eks), w)
+                xl, xh, ex = _trim((xl * xsl, xh * xsh, ex + exs), w)
+            else:
+                lo += zl // (nd << (F - P))
+                hi += -(-zh // (nd << (F - P)))
+                zl, zh = zl * zsl >> F, -(-(zh * zsh) >> F)
             n += s
-            xn *= xns
-            xd *= xds
-            kn *= kns
-            kd *= kds
             done += 1
-        partial = Fraction(num, xd)
-        xp = Fraction(xn, xd)
-        m = n  # first uncomputed support point
-        if q < 1:
-            upper_main = t.a * q**m / (1 - q**s) / Fraction(m) ** t.d
+        md = n**d  # n is the first uncomputed support point
+        if not far:
+            az_lo, az_hi = _scaled(al * xl, ea + ex), _scaled(ah * xh, ea + ex)
+            loss = _scaled(xh, ex) / one_minus_xs
         else:
-            # q == 1, d >= 2: integral bound on sum over n^{-d}
-            upper_main = t.a * (
-                Fraction(m) ** (-t.d) + Fraction(m) ** (1 - t.d) / (s * (t.d - 1))
-            )
-        floor_loss = xp / (1 - xs)
+            # the loss of every term from the first past 2^-P is already off lo
+            az_lo, az_hi, loss = Fraction(zl, 1 << F), Fraction(zh, 1 << F), 0
+        if one_minus_zs is None:
+            # z == 1, d >= 2: integral bound on sum over n^{-d}
+            upper = a * (1 + Fraction(n, s * (d - 1))) / md
+        else:
+            upper = az_hi / md / one_minus_zs
+        lower = max(Fraction(0), az_lo / md - loss)
         yield (
-            partial + max(Fraction(0), t.a * q**m / Fraction(m) ** t.d - floor_loss),
-            partial + upper_main,
+            Fraction(lo + math.floor(lower * (1 << P)), 1 << P),
+            Fraction(hi + math.ceil(upper * (1 << P)), 1 << P),
         )
         if terms >= cap:
             return
         terms *= 2
 
 
-def _phi_versus_one(schema: LoopSchema, x: Fraction) -> int:
-    """Sign of Phi(x) - 1 for a damped schema: 1 where the tail diverges,
-    else the side of 1 - E(x), E the explicit part, on which the first round
-    of the tail's enclosures that excludes it lies; 0 when the rounds reach
-    their term cap without excluding it.  The rounds nest, so the first that
-    separates decides the same sign as every later one."""
+def _phi_versus_one(schema: LoopSchema, x, q: int = 1) -> int:
+    """Sign of Phi(x / q) - 1 for a damped schema, x an int or a Fraction:
+    1 where the tail diverges, else the side of 1 - E, E the explicit part,
+    on which the first round of the tail's enclosures that excludes it lies;
+    0 when the rounds reach their term cap without excluding it.  Each round
+    holds the sum, so the first that separates decides the true sign."""
+    x = Fraction(x, q)
     gap = 1 - sum(c * x**n for n, c in schema.counts if c)
     lower = None
     for lower, upper in _damped_tail_enclosures(schema.tail, x):
@@ -147,10 +250,16 @@ def _phi_versus_one(schema: LoopSchema, x: Fraction) -> int:
 
 
 def _bracket_and_bisect_root(side, hi: Fraction, rel_width: Fraction) -> RatInterval:
-    """Root of Phi(x) = 1 in (0, hi), certified, where side(x) is the sign of
-    Phi(x) - 1 and side(hi) > 0.  A root below 10^-400 raises
-    UndecidableAtTolerance; the floor bounds the lower walk at about 1,330
-    halvings.
+    """Root of Phi(x) = 1 in (0, hi), certified, where side(p, q) is the sign
+    of Phi(p / q) - 1 for integers p and q, and side(hi) > 0.  A root below
+    10^-400 raises UndecidableAtTolerance; the floor bounds the lower walk at
+    about 1,330 halvings.
+
+    Every point is hi j / 2^e: the walk halves hi, each midpoint of
+    hi L / 2^e and hi H / 2^e is hi (L + H) / 2^(e+1), and the nudge below
+    is hi (64 L + 29 (H - L)) / 2^(e+6).  So j and e stay integers, side gets
+    p = num(hi) j and q = den(hi) 2^e, and only the returned interval is a
+    pair of Fractions, equal to those that bisecting in Fractions reaches.
 
     Phi increases on (0, R), so the signs bracket the root.  A sign of 0 at
     a midpoint (the root itself, or a damped enclosure that straddles 1)
@@ -158,31 +267,36 @@ def _bracket_and_bisect_root(side, hi: Fraction, rel_width: Fraction) -> RatInte
     than rel_width and raises UndecidableAtTolerance.  Phi - 1 of a finite
     or geometric schema has one root, so only damped enclosures get there.
     """
-    lo = hi / 2
-    while side(lo) >= 0:
-        lo /= 2
-        if lo < Fraction(1, 10**400):
+    hn, hd = hi.numerator, hi.denominator
+    wn, wd = rel_width.numerator, rel_width.denominator
+    bottom = hn * 10**400  # hi / 2^e < 10^-400 exactly when bottom < hd 2^e
+    e = 1
+    while side(hn, hd << e) >= 0:
+        e += 1
+        if bottom < hd << e:
             raise UndecidableAtTolerance(
                 "cannot bracket the root of Phi(x) = 1 from below: "
                 "Phi is not certified below 1 above 10^-400"
             )
-    while hi - lo > rel_width * lo:
-        mid = (lo + hi) / 2
-        side_mid = side(mid)
+    lo_j, hi_j = 1, 1 << e  # the root lies in (hi lo_j / 2^e, hi hi_j / 2^e)
+    while (hi_j - lo_j) * wd > wn * lo_j:
+        mid, mid_e = lo_j + hi_j, e + 1
+        side_mid = side(hn * mid, hd << mid_e)
         if side_mid == 0:
             # midpoint collides with the root; nudge off-center
-            mid = lo + (hi - lo) * Fraction(29, 64)
-            side_mid = side(mid)
+            mid, mid_e = (lo_j << 6) + 29 * (hi_j - lo_j), e + 6
+            side_mid = side(hn * mid, hd << mid_e)
             if side_mid == 0:
                 raise UndecidableAtTolerance(
                     "the sign of Phi(x) - 1 is not certified near its root: "
                     f"the root interval stays above relative width {rel_width}"
                 )
+        shift, e = mid_e - e, mid_e
         if side_mid < 0:
-            lo = mid
+            lo_j, hi_j = mid, hi_j << shift
         else:
-            hi = mid
-    return RatInterval(lo, hi)
+            lo_j, hi_j = lo_j << shift, mid
+    return RatInterval(Fraction(hn * lo_j, hd << e), Fraction(hn * hi_j, hd << e))
 
 
 def _entropy_from_root(
@@ -255,7 +369,7 @@ def classify_recurrence(schema: LoopSchema) -> ComponentSummary:
         side = partial(_phi_versus_one, schema)
     else:
         side = partial(_sign_at, coeffs)
-    sign = side(hi)
+    sign = side(hi.numerator, hi.denominator)
     if sign > 0:
         root = _bracket_and_bisect_root(side, hi, Fraction(1, 2 * 10**13))
         return ComponentSummary(period, _entropy_from_root(coeffs, root), True, POSITIVE_RECURRENT)

@@ -7,6 +7,7 @@ that shares none of its machinery.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import math
@@ -177,6 +178,104 @@ def damped_enclosure_reference(a, k, d: int, n0: int, s: int, x: Fraction, max_w
         if hi - lo <= max_width or terms >= cap:
             return lo, hi
         terms *= 2
+
+
+def _directed(digits: int, rounding: str) -> decimal.Context:
+    return decimal.Context(prec=digits, rounding=rounding, Emin=decimal.MIN_EMIN,
+                           Emax=decimal.MAX_EMAX, traps=[decimal.InvalidOperation])
+
+
+def _decimal_power(ctx: decimal.Context, b: decimal.Decimal, n: int) -> decimal.Decimal:
+    """b^n for b >= 0 by repeated squaring, each product rounded by ctx."""
+    out = decimal.Decimal(1)
+    while n:
+        if n & 1:
+            out = ctx.multiply(out, b)
+        n >>= 1
+        if n:
+            b = ctx.multiply(b, b)
+    return out
+
+
+def damped_tail_bounds(a, k, d: int, n0: int, s: int, x: Fraction,
+                       terms: int = 1 << 14, digits: int = 50):
+    """(lo, hi) around sum floor(a k^n / n^d) x^n on n = n0, n0 + s, ...,
+    or math.inf where the series diverges, in decimal arithmetic: lo from
+    operations rounded toward -inf, hi from operations rounded toward +inf,
+    each on nonnegative operands.
+
+    With z = k x, a term lies in [a z^n / n^d - x^n, a z^n / n^d] and is
+    nonnegative; while x^n >= 10^-digits both take the exact count instead.
+    hi adds, after `terms` terms, the rest from the first omitted support
+    point m: a z^m / m^d / (1 - z^s) below the radius, a (m^-d + m^(1-d) /
+    (s (d - 1))) at it.  lo drops the rest.
+    """
+    a, k, x = Fraction(a), Fraction(k), Fraction(x)
+    z = k * x
+    if z > 1 or (z == 1 and d <= 1):
+        return math.inf
+    down, up = _directed(digits, decimal.ROUND_FLOOR), _directed(digits, decimal.ROUND_CEILING)
+    D = decimal.Decimal
+
+    def bounds(q: Fraction):
+        return (down.divide(D(q.numerator), D(q.denominator)),
+                up.divide(D(q.numerator), D(q.denominator)))
+
+    (a_lo, a_hi), (z_lo, z_hi), (x_lo, x_hi) = bounds(a), bounds(z), bounds(x)
+    zs_lo, zs_hi = _decimal_power(down, z_lo, s), _decimal_power(up, z_hi, s)
+    xs_lo, xs_hi = _decimal_power(down, x_lo, s), _decimal_power(up, x_hi, s)
+    zp_lo, zp_hi = _decimal_power(down, z_lo, n0), _decimal_power(up, z_hi, n0)
+    xp_lo, xp_hi = _decimal_power(down, x_lo, n0), _decimal_power(up, x_hi, n0)
+    exact = D(10) ** -digits
+    lo = hi = D(0)
+    n = n0
+    for _ in range(terms):
+        nd = D(n**d)
+        if xp_hi >= exact:
+            count = D(a.numerator * k.numerator**n // (a.denominator * k.denominator**n * n**d))
+            lo = down.add(lo, down.multiply(count, xp_lo))
+            hi = up.add(hi, up.multiply(count, xp_hi))
+        else:
+            term = down.subtract(down.divide(down.multiply(a_lo, zp_lo), nd), xp_hi)
+            lo = down.add(lo, max(term, D(0)))
+            hi = up.add(hi, up.divide(up.multiply(a_hi, zp_hi), nd))
+        zp_lo, zp_hi = down.multiply(zp_lo, zs_lo), up.multiply(zp_hi, zs_hi)
+        xp_lo, xp_hi = down.multiply(xp_lo, xs_lo), up.multiply(xp_hi, xs_hi)
+        n += s
+    md = D(n**d)
+    if z == 1:
+        rest = up.multiply(a_hi, up.add(up.divide(1, md), up.divide(D(n), up.multiply(md, D(s * (d - 1))))))
+    else:
+        gap = down.subtract(1, zs_hi)
+        if gap <= 0:
+            return Fraction(lo), math.inf
+        rest = up.divide(up.divide(up.multiply(a_hi, zp_hi), md), gap)
+    return Fraction(lo), Fraction(up.add(hi, rest))
+
+
+def phi_bounds(counts, tail, x: Fraction):
+    """(lo, hi) around Phi(x) = sum c_n x^n, with counts and tail as in
+    loop_series_bounds: the explicit part summed in Fractions, a geometric
+    tail by its closed form a z^n0 / (1 - z^s), z = k x (math.inf from the
+    radius on), and a damped tail by damped_tail_bounds."""
+    explicit = sum((c * x**n for n, c in counts), Fraction(0))
+    if tail is None:
+        return explicit, explicit
+    if tail[0] == "geometric":
+        _, a, k, n0, s = tail
+        z = Fraction(k) * x
+        value = math.inf if z >= 1 else a * z**n0 / (1 - z**s)
+        return explicit + value, explicit + value
+    bounds = damped_tail_bounds(*tail[1:], x)
+    if bounds == math.inf:
+        return math.inf, math.inf
+    return explicit + bounds[0], explicit + bounds[1]
+
+
+def root_brackets_one(counts, tail, lo: Fraction, hi: Fraction) -> bool:
+    """Phi(lo) < 1 < Phi(hi), shown by phi_bounds: the root of Phi(x) = 1
+    lies in (lo, hi), as Phi increases."""
+    return phi_bounds(counts, tail, lo)[1] < 1 < phi_bounds(counts, tail, hi)[0]
 
 
 def float_seed_reference(rows, period: int, max_iters: int) -> list[int]:

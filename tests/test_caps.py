@@ -9,9 +9,13 @@ times the verb on it and checks the answer independently.
 import time
 from fractions import Fraction
 
-from borelshift import check_injective, parse_code
+import pytest
+
+from borelshift import check_injective, parse_code, recurrence
 from borelshift.cli import main
 from borelshift.markers import STATE_CAP
+
+from helpers import phi_bounds, root_brackets_one
 
 WALL_S = 20.0
 
@@ -51,3 +55,83 @@ def test_embed_at_the_largest_certificate_state_cap_admits(tmp_path, capsys):
     largest = parse_code(accepted[-1])
     assert len(largest.domain.vertices) == 19642
     assert check_injective(largest).injective
+
+
+@pytest.fixture
+def root_intervals(monkeypatch):
+    """The root intervals that the bisection returns while a test runs."""
+    got = []
+    bisect = recurrence._bracket_and_bisect_root
+
+    def spy(*args):
+        got.append(bisect(*args))
+        return got[-1]
+
+    monkeypatch.setattr(recurrence, "_bracket_and_bisect_root", spy)
+    return got
+
+
+def analyze_loops(tmp_path, capsys, text):
+    path = tmp_path / "loops.txt"
+    path.write_text(text)
+    rc, out, err, wall = timed(capsys, ["analyze", str(path)])
+    assert wall < WALL_S, wall
+    assert rc == 0, err
+    return [line for line in out.splitlines() if line.startswith("gen ")]
+
+
+def test_damped_tail_at_the_largest_stride_tail_bits_cap_admits(tmp_path, capsys, root_intervals):
+    # n0 + 64 stride = 3,333,314 terms of a 2-bit ratio: the first round's
+    # last power of k is as large as TAIL_BITS_CAP admits; Phi(1/2) < 1
+    gens = analyze_loops(tmp_path, capsys, "loops\ncount 1 1\ntail damped 1 2 2 from 2 stride 52083\n")
+    assert gens == ["gen 1 log 2 0"]
+    assert not root_intervals
+    assert phi_bounds(((1, 1),), ("damped", 1, 2, 2, 2, 52083), Fraction(1, 2))[1] < 1
+
+
+def test_near_critical_damped_root_is_certified(tmp_path, capsys, root_intervals):
+    # Phi(1/2) is about 1.011, so the root lies just below the radius, where
+    # the enclosures run to their term cap
+    gens = analyze_loops(tmp_path, capsys, "loops\ncount 5 30\ntail damped 1/2 2 2 from 6\n")
+    assert gens == [
+        "gen 1 112720224654989314185393355245823/162259276829213363391578010288128 "
+        "225440449309987866002456692240237/324518553658426726783156020576256 1"
+    ]
+    (root,) = root_intervals
+    assert root_brackets_one(((5, 30),), ("damped", Fraction(1, 2), 2, 2, 6, 1), root.lo, root.hi)
+
+
+def test_divergent_d1_damped_root_is_certified(tmp_path, capsys, root_intervals):
+    # at d = 1 Phi diverges at the radius only logarithmically, so the root
+    # lies close to it
+    gens = analyze_loops(tmp_path, capsys, "loops\ntail damped 1/2 7/3 1 from 4 stride 2\n")
+    assert gens == [
+        "gen 2 17247066328181511366257879161031/20282409603651670423947251286016 "
+        "551906122501826866778771856505807/649037107316853453566312041152512 1"
+    ]
+    (root,) = root_intervals
+    assert root_brackets_one((), ("damped", Fraction(1, 2), Fraction(7, 3), 1, 4, 2), root.lo, root.hi)
+
+
+def test_realize_transient_generator_under_the_entropy_cap(tmp_path, capsys, root_intervals):
+    # period 11 at entropy 9000: the emitted damped tail's first round has
+    # about 9.3M bits of powers, just under TAIL_BITS_CAP
+    path = tmp_path / "gen.txt"
+    path.write_text("gen 11 9000 9000 0\n")
+    rc, out, err, wall = timed(capsys, ["realize", str(path)])
+    assert rc == 0, err
+    tails = [line.split() for line in out.splitlines() if line.startswith("tail damped ")]
+    assert len(tails) == 1
+    _, _, a, k, d, _, n0, _, s = tails[0]
+    a, k, d, n0, s = Fraction(a), Fraction(k), int(d), int(n0), int(s)
+    assert (n0, s) == (11, 11)
+    realized = tmp_path / "realized.txt"
+    realized.write_text(out)
+    rc, out, err, wall2 = timed(capsys, ["analyze", str(realized)])
+    assert wall + wall2 < WALL_S, (wall, wall2)
+    assert rc == 0, err
+    # transient at entropy log k: lambda = k is the root of k.den x - k.num
+    gens = [line for line in out.splitlines() if line.startswith("gen ")]
+    assert gens == [f"gen 11 poly {-k.numerator} {k.denominator} root-in {k} {k} 0"]
+    assert not root_intervals
+    assert phi_bounds((), ("damped", a, k, d, n0, s), 1 / k)[1] < 1

@@ -28,9 +28,10 @@ from borelshift import (
     summarize_components,
 )
 from borelshift import recurrence
+from borelshift.intervals import RatInterval
 from borelshift.recurrence import schema_radius
 
-from helpers import LOG2, damped_enclosure_reference, loop_series_bounds
+from helpers import LOG2, damped_enclosure_reference, loop_series_bounds, root_brackets_one
 
 
 # === generating function evaluation ===
@@ -116,10 +117,12 @@ def test_phi_sign_matches_term_by_term_sums():
 
 
 def test_damped_enclosure_equals_fraction_reference():
-    # the integer sum returns the term-by-term Fraction enclosure exactly:
-    # at the radius (capped or divergent), at dyadic points below it, and
-    # above it, with rational ratios, strides and every certification width;
-    # the enclosure asked for a width is the first round within it, or the last
+    # the fixed-point sum holds the term-by-term Fraction enclosure, each end
+    # within 2^-(P - 16) of it, P = FIXED_POINT_BITS: each round is rounded
+    # outward from the exact round with the same terms.  At the radius
+    # (capped or divergent), at dyadic points below it, and above it, with
+    # rational ratios, strides and every certification width; the enclosure
+    # asked for a width is the first round within it, or the last
     widths = (Fraction(1, 8), Fraction(1, 10**9), Fraction(1, 10**18), Fraction(1, 10**30))
     rng = random.Random(17)
     cases = [
@@ -143,13 +146,15 @@ def test_damped_enclosure_equals_fraction_reference():
             j = rng.randint(2, 8)
             x = Fraction(rng.randint(1, 3 * 2 ** (j - 2)), 2**j) / k
         cases.append((a, k, d, n0, s, x, w))
+    slack = Fraction(1, 2 ** (recurrence.FIXED_POINT_BITS - 16))
     for a, k, d, n0, s, x, w in cases:
         got = _tail_enclosure(DampedTail(a, k, d, n0, s), x, w)
         want = damped_enclosure_reference(a, k, d, n0, s, x, w)
         if k * x > 1 or (k * x == 1 and d == 1):
             assert got == want == math.inf
         else:
-            assert got == want
+            assert got[0] <= want[0] <= want[1] <= got[1]
+            assert want[0] - got[0] <= slack and got[1] - want[1] <= slack
 
 
 def test_schema_radius():
@@ -354,9 +359,10 @@ def _library_schemas():
     return [(s, Fraction(1)) for s in out]
 
 
-def _plain_side(schema: LoopSchema, x: Fraction) -> int:
-    """Sign of Phi(x) - 1 from the closed-form sum of helpers, below the
+def _plain_side(schema: LoopSchema, p, q: int = 1) -> int:
+    """Sign of Phi(p / q) - 1 from the closed-form sum of helpers, below the
     radius of a finite or geometric-tailed schema."""
+    x = Fraction(p, q)
     t = schema.tail
     data = None if t is None else ("geometric", t.a, t.k, t.n0, t.stride)
     value = loop_series_bounds(schema.counts, data, x, terms=0)[1]
@@ -392,10 +398,11 @@ def test_phi_polynomial_coefficients_are_ints():
         assert all(type(c) is int for c in coeffs), (s, coeffs)
 
 
-def _finest_first_side(schema: LoopSchema, x: Fraction) -> int:
-    """Sign of Phi(x) - 1 asking the tail's enclosure for width 10^-18
+def _finest_first_side(schema: LoopSchema, p, q: int = 1) -> int:
+    """Sign of Phi(p / q) - 1 asking the tail's enclosure for width 10^-18
     first, then three refinements of 10^-12 of the last width reached: the
     reference that the round loop must agree with."""
+    x = Fraction(p, q)
     explicit = loop_series_bounds(schema.counts, None, x)[0]
     width = Fraction(1, 10**18)
     for _ in range(4):
@@ -450,9 +457,9 @@ def test_bisection_nudges_a_midpoint_at_the_root(monkeypatch):
     seen = []
     sign_at = recurrence._sign_at
 
-    def spy(coeffs, x):
-        answer = sign_at(coeffs, x)
-        seen.append((x, answer))
+    def spy(coeffs, p, q=1):
+        answer = sign_at(coeffs, p, q)
+        seen.append((Fraction(p, q), answer))
         return answer
 
     monkeypatch.setattr(recurrence, "_sign_at", spy)
@@ -463,9 +470,10 @@ def test_bisection_nudges_a_midpoint_at_the_root(monkeypatch):
     assert rep.entropy.rational_root() == 4
 
 
-def _banded_side(lo: Fraction, hi: Fraction, x: Fraction) -> int:
-    """-1 below lo, 0 on [lo, hi], 1 above: a damped enclosure that
-    straddles 1 across a whole band."""
+def _banded_side(lo: Fraction, hi: Fraction, p: int, q: int) -> int:
+    """-1 below lo, 0 on [lo, hi], 1 above, at p / q: a damped enclosure
+    that straddles 1 across a whole band."""
+    x = Fraction(p, q)
     return (x > hi) - (x < lo)
 
 
@@ -492,6 +500,101 @@ def test_float_overflow_takes_the_exact_path():
     assert root.width <= REL * root.lo
     assert rep.entropy.minpoly == (-1, -(10**310), 1)
     assert abs(float(rep.entropy) - 310 * math.log(10)) < 1e-9
+
+
+def _fraction_bisection(side, hi: Fraction, rel_width: Fraction, nudges: list):
+    """The root bracket in Fractions: halve hi until side < 0, then bisect,
+    moving a midpoint of sign 0 to lo + (hi - lo) 29/64 (recorded in
+    `nudges`).  side takes a Fraction."""
+    lo = hi / 2
+    while side(lo) >= 0:
+        lo /= 2
+    while hi - lo > rel_width * lo:
+        mid = (lo + hi) / 2
+        sign = side(mid)
+        if sign == 0:
+            nudges.append(mid)
+            mid = lo + (hi - lo) * Fraction(29, 64)
+            sign = side(mid)
+            assert sign != 0
+        if sign < 0:
+            lo = mid
+        else:
+            hi = mid
+    return RatInterval(lo, hi)
+
+
+def _tail_data(t):
+    if t is None:
+        return None
+    if isinstance(t, GeometricTail):
+        return ("geometric", t.a, t.k, t.n0, t.stride)
+    return ("damped", t.a, t.k, t.d, t.n0, t.stride)
+
+
+def test_integer_bisection_equals_fraction_bisection():
+    # the bisection on integer numerators returns the RatInterval that
+    # bisecting in Fractions returns, on 25 finite (9 of them the library's
+    # marker and pathology returns), 24 geometric (8 of them with the root at
+    # a dyadic midpoint, so that the nudge is taken) and 16 damped schemas; every interval holds the root by the oracle of helpers,
+    # and on damped schemas the Fraction reference shows it too
+    rng = random.Random(34)
+    cases = _seeded_schemas(rng, 32) + _library_schemas()
+    for _ in range(8):
+        # Phi(x) = a k x / (1 - k x) is 1 at x = hi j / 2^e, hi = 1/k, with
+        # a = 2^e / j - 1 and j | k, so that a k is an integer
+        e = rng.randint(2, 9)
+        j = rng.randrange(2 ** (e - 1) + 1, 2**e, 2)
+        k = j * rng.randint(1, 3)
+        s = LoopSchema((), GeometricTail(Fraction(2**e - j, j), k, 1))
+        cases.append((s, schema_radius(s)))
+    for case in range(16):
+        den = rng.randint(1, 3)
+        k = Fraction(rng.randint(den + 1, 3 * den), den)
+        tail = DampedTail(Fraction(rng.randint(1, 4), rng.randint(1, 4)), k,
+                          rng.randint(1, 3), rng.randint(2, 5), rng.randint(1, 3))
+        # c loops of length 1 with c > k put Phi(R) >= c / k above 1
+        s = LoopSchema(((1, math.floor(k) + rng.randint(1, 3)),), tail)
+        cases.append((s, schema_radius(s)))
+    kinds = [s.tail is None and "finite" or type(s.tail).__name__ for s, _ in cases]
+    assert (kinds.count("finite"), kinds.count("GeometricTail"), kinds.count("DampedTail")) == (25, 24, 16)
+    nudged = 0
+    for s, hi in cases:
+        side = _side(s)
+        nudges = []
+        want = _fraction_bisection(lambda x: side(x.numerator, x.denominator), hi, REL, nudges)
+        got = recurrence._bracket_and_bisect_root(side, hi, REL)
+        assert got == want, s
+        nudged += bool(nudges)
+        assert root_brackets_one(s.counts, _tail_data(s.tail), got.lo, got.hi), s
+        if isinstance(s.tail, DampedTail):
+            t = s.tail
+            explicit = loop_series_bounds(s.counts, None, got.lo)[0]
+            below = damped_enclosure_reference(t.a, t.k, t.d, t.n0, t.stride, got.lo, Fraction(1, 10**20))
+            assert explicit + below[1] < 1, s
+            explicit = loop_series_bounds(s.counts, None, got.hi)[0]
+            above = damped_enclosure_reference(t.a, t.k, t.d, t.n0, t.stride, got.hi, Fraction(1, 10**20))
+            assert explicit + above[0] > 1, s
+    assert nudged >= 8
+
+
+def test_polynomial_bisection_builds_only_its_two_ends(monkeypatch):
+    # on finite and geometric schemas every point of the bisection is an
+    # integer pair: the only Fractions built are the returned interval's ends
+    cases = _seeded_schemas(random.Random(9), 40) + _library_schemas()
+    sides = [(_side(s), hi) for s, hi in cases]
+    made = []
+    new = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    for side, hi in sides:
+        recurrence._bracket_and_bisect_root(side, hi, REL)
+    monkeypatch.undo()
+    assert len(made) == 2 * len(cases)
 
 
 def test_damped_positive_recurrent_takes_the_exact_path():
