@@ -230,13 +230,12 @@ class IntervalApprox(ExtendedEntropy):
 
 def _sign_at(coeffs, x, q: int = 1) -> int:
     """Sign (-1, 0 or 1) of the integer polynomial `coeffs` (ascending) at
-    the rational x / q, x an int or a Fraction and q a positive int: with
-    x / q = p / q' in integers, the sign of the integer sum c_i p^i q'^(d - i),
-    which is q'^d > 0 times the value.  Callers that bisect on integer
-    numerators pass them with q and build no Fraction.  Horner's rule in
-    integers steps from one nonzero coefficient to the next, so a long
-    sparse polynomial, such as a loop schema's, costs a few powers, not one
-    product per degree."""
+    the rational x / q = p / q' (x an int or a Fraction, q a positive int,
+    so that a bisection on integers builds no Fraction): the sign of the
+    integer sum c_i p^i q'^(d - i), which is q'^d > 0 times the value.
+    Horner's rule in integers steps from one nonzero coefficient to the
+    next, so a long sparse polynomial, such as a loop schema's, costs a few
+    powers, not one product per degree."""
     p, q = x.numerator, x.denominator * q
     acc, qk, prev = 0, 1, len(coeffs) - 1
     for i in range(prev, -1, -1):

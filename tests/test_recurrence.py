@@ -157,6 +157,62 @@ def test_damped_enclosure_equals_fraction_reference():
             assert want[0] - got[0] <= slack and got[1] - want[1] <= slack
 
 
+def test_damped_enclosure_counts_an_integer_value_exactly(monkeypatch):
+    # a = c n1^d / k^n1 makes a k^n1 / n1^d the integer c at a support point
+    # past n0, reached by products with bounds on k^s that are not exact, so
+    # its two floors differ by 1.  The count there is computed exactly, so
+    # the first round stays within 2^-(P - 16) of the reference.  At P = 20
+    # and 12, where most terms are past x^n >= 2^-P, the first round still
+    # holds the reference's
+    rng = random.Random(35)
+    cases = []
+    for _ in range(24):
+        den = rng.randint(2, 4)
+        k = Fraction(rng.randint(den + 1, 3 * den), den)
+        d, s, n0 = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 4)
+        n1 = n0 + s * rng.randint(1, 6)
+        a = rng.randint(1, 9) * Fraction(n1) ** d / k**n1
+        j = rng.randint(2, 6)
+        cases.append((a, k, d, n0, s, Fraction(rng.randint(1, 2**j - 1), 2**j) / k))
+    bits = recurrence.FIXED_POINT_BITS
+    for p in (bits, 20, 12):
+        monkeypatch.setattr(recurrence, "FIXED_POINT_BITS", p)
+        for a, k, d, n0, s, x in cases:
+            got = next(recurrence._damped_tail_enclosures(DampedTail(a, k, d, n0, s), x))
+            # a width this large returns the reference's first, 64-term round
+            want = damped_enclosure_reference(a, k, d, n0, s, x, Fraction(10**9))
+            assert got[0] <= want[0] <= want[1] <= got[1]
+            if p == bits:
+                slack = Fraction(1, 2 ** (bits - 16))
+                assert want[0] - got[0] <= slack and got[1] - want[1] <= slack
+
+
+# (a, k, d, n0, s, x, P): first rounds whose lower end the floors' loss
+# x^n of the terms past x^n < 2^-P decides: without it, lower lies above
+# the reference's lower end at these precisions
+FAR_LOSS_CASES = [
+    (Fraction(5, 2), Fraction(4), 3, 1, 2, Fraction(3, 32), 10),
+    (Fraction(7, 2), Fraction(4), 3, 3, 3, Fraction(5, 64), 10),
+    (Fraction(29, 5), Fraction(4, 3), 2, 1, 2, Fraction(3, 32), 10),
+    (Fraction(7, 4), Fraction(5, 2), 3, 4, 2, Fraction(7, 40), 10),
+    (Fraction(3, 2), Fraction(4), 2, 3, 2, Fraction(3, 32), 10),
+    (Fraction(5), Fraction(3), 2, 2, 2, Fraction(1, 48), 10),
+    (Fraction(9, 4), Fraction(7, 2), 3, 2, 1, Fraction(1, 56), 10),
+    (Fraction(1), Fraction(7, 3), 2, 5, 3, Fraction(3, 16), 12),
+    (Fraction(2), Fraction(2), 2, 3, 2, Fraction(7, 32), 6),
+    (Fraction(21), Fraction(9, 4), 3, 1, 2, Fraction(1, 18), 12),
+    (Fraction(5, 6), Fraction(4), 3, 4, 3, Fraction(3, 32), 12),
+]
+
+
+def test_damped_enclosure_holds_the_reference_at_low_precision(monkeypatch):
+    for a, k, d, n0, s, x, p in FAR_LOSS_CASES:
+        monkeypatch.setattr(recurrence, "FIXED_POINT_BITS", p)
+        got = next(recurrence._damped_tail_enclosures(DampedTail(a, k, d, n0, s), x))
+        want = damped_enclosure_reference(a, k, d, n0, s, x, Fraction(10**9))
+        assert got[0] <= want[0] <= want[1] <= got[1], (a, k, d, n0, s, x, p)
+
+
 def test_schema_radius():
     assert schema_radius(LoopSchema(((3, 5),))) == math.inf
     assert schema_radius(LoopSchema((), GeometricTail(Fraction(1, 2), 2, 1))) == Fraction(1, 2)
