@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .presentations import FiniteGraph, GraphIndex, LoopSchema, ShiftPresentation
 
@@ -269,22 +269,30 @@ def first_return_counts(c: FiniteGraph, base: str, limit: int) -> list[int]:
     if base not in c.vertices:
         raise ValueError(f"base {base!r} not a vertex")
     idx = c.index()
-    return first_returns_on_rows(idx.succ, idx.pos[base], limit)
+    succ = idx.succ
 
-
-def first_returns_on_rows(succ, b: int, limit: int) -> list[int]:
-    """`first_return_counts` at position b of the successor rows `succ`, whose
-    row i lists (j, multiplicity) for the edges i -> j."""
-    f = [0] * (limit + 1)
-    # weight[v] = number of paths b -> v of current length avoiding b in between
-    weight = {b: 1}
-    for step in range(1, limit + 1):
+    def step(weight: dict[int, int]) -> dict[int, int]:
         new: dict[int, int] = {}
         for v, wv in weight.items():
             for w, mult in succ[v]:
                 new[w] = new.get(w, 0) + wv * mult
-        f[step] = new.pop(b, 0)
-        weight = new
+        return new
+
+    return first_returns_by_step(step, idx.pos[base], limit)
+
+
+def first_returns_by_step(
+    step: Callable[[dict[int, int]], dict[int, int]], b: int, limit: int
+) -> list[int]:
+    """`first_return_counts` at position b of a graph given by its frontier
+    step: `step` maps path counts per end position to the counts of the paths
+    one edge longer, edges counted with multiplicity."""
+    f = [0] * (limit + 1)
+    # weight[v] = number of paths b -> v of current length avoiding b in between
+    weight = {b: 1}
+    for n in range(1, limit + 1):
+        weight = step(weight)
+        f[n] = weight.pop(b, 0)
         if not weight:
             break
     return f

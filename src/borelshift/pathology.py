@@ -25,26 +25,33 @@ one, which is exactly what flanking 2 symbols force.
 
 The construction is built once, on integer positions: the root is position 0
 and every other state gets the next position as the construction first meets
-it.  Its arcs (label, tail, head) are all that `certify_pathology` reads:
-first returns at the root, and lifts counted, not listed, by a walk on those
-positions.  The walk keeps per-label successor rows, one entry per arc, so
-parallel arcs stay apart, keeps a path count per end position, and at each
-step moves it along the arcs spelling the next letter of the word.
-`build_pathology_graph` names the same positions and arcs for readers of the
-presentation.
+it.  Its arcs are held once, as parallel columns of labels, tails and heads,
+and the loop and the connectors, chains of marker arcs, go in as runs of
+positions.  `certify_pathology` reads the columns only to build one label
+walk: per label, an array giving each position's first head (-1 for none),
+and a small dict for the few tails with more than one arc of that label (the
+tree nodes, where the connectors start).  The walk keeps a path count per end
+position.  Stepped over every label it gives the first returns at the root;
+stepped along the letters of a word it counts the word's lifts without
+listing them.  At the default depth 8 (151,370 states) the certificate
+peaks at 8 MB traced, where the arcs held as tuples, successor rows and
+per-tail lists took 73 MB.  `build_pathology_graph` names the same positions
+and arcs for readers of the presentation.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import ceil, log
+from operator import ne
 from typing import NamedTuple, Optional, Union
 
 from .codes import BlockCode, BudgetExhausted
 from .entropy import ExtendedEntropy, IntervalApprox, compare_entropy
-from .graphs import first_returns_on_rows, loop_entropy_estimate, renewal_loop_counts
+from .graphs import first_returns_by_step, loop_entropy_estimate, renewal_loop_counts
 from .presentations import FiniteGraph, LoopSchema
 from .recurrence import classify_recurrence
 
@@ -140,12 +147,15 @@ def base_words(base: FiniteGraph, n: int) -> list[tuple[str, ...]]:
 
 class _Construction(NamedTuple):
     """The construction on integer positions 0..states-1, the root at 0 and
-    the M-loop's inner states at 1..M-1.  `tree` and `cotree` map each
+    the M-loop's inner states at 1..M-1.  Arc n, in edge order, is
+    (labels[n], tails[n], heads[n]).  `tree` and `cotree` map each
     prefix-tree and co-tree word to its position, () to the root; connector
     (k, w+, w-, p) has its m_k - 1 inner states at p, p + 1, ..."""
 
     states: int
-    arcs: list[tuple[str, int, int]]  # (label, tail, head), in edge order
+    labels: list[str]
+    tails: array
+    heads: array
     tree: dict[tuple[str, ...], int]
     cotree: dict[tuple[str, ...], int]
     connectors: list[tuple[int, tuple[str, ...], tuple[str, ...], int]]
@@ -155,10 +165,14 @@ def _construct(spec: PathologySpec) -> _Construction:
     """The M-loop, then the shared prefix tree and suffix co-tree over the
     deepest level, then one connector per ordered pair of base words at each
     level.  Tree and co-tree nodes are keyed by word tuples, so words that
-    spell the same characters, like (a, b) and (ab,), stay distinct."""
+    spell the same characters, like (a, b) and (ab,), stay distinct.  The
+    loop and each connector are chains of marker arcs, appended to the arc
+    columns as runs of positions."""
     states = spec.M
-    loop = range(1, spec.M)
-    arcs = list(zip(repeat(MARK), (0, *loop), (*loop, 0)))
+    labels = [MARK] * spec.M
+    tails = array("l", range(spec.M))
+    heads = array("l", range(1, spec.M))
+    heads.append(0)
     tree: dict[tuple[str, ...], int] = {(): 0}
     cotree: dict[tuple[str, ...], int] = {(): 0}
 
@@ -170,6 +184,11 @@ def _construct(spec: PathologySpec) -> _Construction:
             states += 1
         return p
 
+    def arc(label: str, i: int, j: int) -> None:
+        labels.append(label)
+        tails.append(i)
+        heads.append(j)
+
     levels = [base_words(spec.base, k) for k in range(1, spec.depth + 1)]
     # base words are path words, so every prefix and suffix appears
     tree_edges = set()
@@ -179,9 +198,9 @@ def _construct(spec: PathologySpec) -> _Construction:
             tree_edges.add((w[:i], w[: i + 1]))
             cotree_edges.add((w[i:], w[i + 1 :]))
     for p, q in sorted(tree_edges):
-        arcs.append((q[-1], node(tree, p), node(tree, q)))
+        arc(q[-1], node(tree, p), node(tree, q))
     for s, rest in sorted(cotree_edges):
-        arcs.append((s[0], node(cotree, s), node(cotree, rest)))
+        arc(s[0], node(cotree, s), node(cotree, rest))
 
     connectors = []
     for k, (m, words) in enumerate(zip(spec.m_seq, levels), start=1):
@@ -189,11 +208,15 @@ def _construct(spec: PathologySpec) -> _Construction:
             t = node(tree, wp)
             for wm in words:
                 u = node(cotree, wm)
-                inner = range(states, states + m - 1)
                 connectors.append((k, wp, wm, states))
+                inner = range(states, states + m - 1)
                 states += m - 1
-                arcs.extend(zip(repeat(MARK), (t, *inner), (*inner, u)))
-    return _Construction(states, arcs, tree, cotree, connectors)
+                labels.extend(repeat(MARK, m))
+                tails.append(t)
+                tails.extend(inner)
+                heads.extend(inner)
+                heads.append(u)
+    return _Construction(states, labels, tails, heads, tree, cotree, connectors)
 
 
 def build_pathology_graph(spec: PathologySpec) -> BlockCode:
@@ -217,42 +240,55 @@ def build_pathology_graph(spec: PathologySpec) -> BlockCode:
         tag = f"c{k}|{','.join(wp)}|{','.join(wm)}"
         inner = range(1, spec.m_seq[k - 1])
         names[first : first + len(inner)] = (f"{tag}|{j}" for j in inner)
-    g = FiniteGraph(tuple(sorted(names)), tuple((names[i], names[j]) for _, i, j in c.arcs))
-    return BlockCode(g, tuple(zip(g.edge_names, (a for a, _, _ in c.arcs))), mode="edge")
+    name = names.__getitem__
+    g = FiniteGraph(tuple(sorted(names)), tuple(zip(map(name, c.tails), map(name, c.heads))))
+    return BlockCode(g, tuple(zip(g.edge_names, c.labels)), mode="edge")
 
 
 class _LabelWalk:
-    """Per-label successor rows over positions 0..states-1, for counting
+    """Per-label successor arrays over positions 0..states-1, for counting
     paths by the word they spell.
 
-    `rows[a][v]` lists the heads of the arcs (a, v, w), once per arc, so
-    parallel arcs count apart.  An arc spells its own label; with
-    `vertex_sym`, the arcs of a vertex-mode code spell the label of their
-    head, and a walk's first letter picks its start positions by their own
-    label instead of moving.  Counts are kept per end position.
+    `first[a][v]` is the head of v's one arc labeled a, -1 if it has none
+    and -2 if it has several; `more[a]` maps those few tails to their heads,
+    in arc order, so parallel arcs count apart.  An arc spells its own label;
+    with `vertex_sym`, the arcs of a vertex-mode code spell the label of
+    their head, and a walk's first letter picks its start positions by their
+    own label instead of moving.  Counts are kept per end position.  The
+    masks `entered` and `leaves` mark where a 2-labeled step ends and where
+    one starts.
     """
 
-    def __init__(self, states: int, arcs: list, vertex_sym: Optional[list[str]] = None):
+    def __init__(self, states: int, labels, tails, heads, vertex_sym: Optional[list[str]] = None):
+        self.states = states
         self.vertex_sym = vertex_sym
-        self.rows: dict[str, list] = {}
-        self.tails: dict[str, list[int]] = {}  # the positions with an arc of each label
-        for a, i, j in arcs:
-            row = self.rows.get(a)
-            if row is None:
-                row = self.rows[a] = [()] * states
-                self.tails[a] = []
-            if row[i]:
-                row[i].append(j)
+        self.first: dict[str, array] = {}
+        self.more: dict[str, dict[int, list[int]]] = {}
+        for a, i, j in zip(labels, tails, heads):
+            first = self.first.get(a)
+            if first is None:
+                first = self.first[a] = array("l", [-1]) * states
+                self.more[a] = {}
+            q = first[i]
+            if q == -1:
+                first[i] = j
+            elif q >= 0:
+                first[i] = -2
+                self.more[a][i] = [q, j]
             else:
-                row[i] = [j]
-                self.tails[a].append(i)
-        self.positions = range(states)
+                self.more[a][i].append(j)
         # a lift enters where a 2-labeled step ends and leaves where one starts
-        self.leaves = set(self.tails.get(MARK, ()))
+        marks = self.first.get(MARK, ())
+        self.leaves = bytes(map(ne, marks, repeat(-1))) if marks else bytes(states)
+        self.entered = bytearray(states)
         if vertex_sym is None:
-            self.entered = {w for row in self.rows.get(MARK, ()) for w in row}
+            for j in chain(marks, *self.more.get(MARK, {}).values()):
+                if j >= 0:
+                    self.entered[j] = 1
         else:
-            self.entered = {j for _, i, j in arcs if vertex_sym[i] == MARK}
+            for i, j in zip(tails, heads):
+                if vertex_sym[i] == MARK:
+                    self.entered[j] = 1
 
     @classmethod
     def of_code(cls, code: BlockCode) -> "_LabelWalk":
@@ -261,29 +297,51 @@ class _LabelWalk:
         code's the label of their head."""
         g = code.domain
         pos = {v: i for i, v in enumerate(g.vertices)}
+        tails = [pos[u] for u, _ in g.edges]
+        heads = [pos[v] for _, v in g.edges]
         if code.mode == "edge":
-            arcs = [(code.label(e), pos[u], pos[v]) for (u, v), e in zip(g.edges, g.edge_names)]
-            return cls(len(pos), arcs)
+            return cls(len(pos), [code.label(e) for e in g.edge_names], tails, heads)
         sym = [code.label(v) for v in g.vertices]
-        return cls(len(pos), [(sym[pos[v]], pos[u], pos[v]) for u, v in g.edges], sym)
+        return cls(len(pos), [sym[j] for j in heads], tails, heads, sym)
 
-    def start(self, starts, letter: str) -> dict[int, int]:
-        """Paths from the positions `starts`, a set or a range, spelling the
-        one-letter word."""
+    def start(self, starts: Optional[bytearray], letter: str) -> dict[int, int]:
+        """Paths spelling the one-letter word from the positions that the mask
+        `starts` marks, or from every position when it is None."""
         if self.vertex_sym is not None:
-            return {v: 1 for v in starts if self.vertex_sym[v] == letter}
-        return self.step({p: 1 for p in self.tails.get(letter, ()) if p in starts}, letter)
+            return {
+                v: 1
+                for v, a in enumerate(self.vertex_sym)
+                if a == letter and (starts is None or starts[v])
+            }
+        first = self.first.get(letter, ())
+        cnt = {p: 1 for p, q in enumerate(first) if q != -1 and (starts is None or starts[p])}
+        return self.step(cnt, letter)
 
     def step(self, cnt: dict[int, int], letter: str) -> dict[int, int]:
         """Extend every counted path by one arc spelling letter."""
-        row = self.rows.get(letter)
         nxt: dict[int, int] = {}
-        if row is None:
-            return nxt
-        for p, c in cnt.items():
-            for q in row[p]:
-                nxt[q] = nxt.get(q, 0) + c
+        self._extend(nxt, cnt, letter)
         return nxt
+
+    def step_any(self, cnt: dict[int, int]) -> dict[int, int]:
+        """Extend every counted path by one arc of any label."""
+        nxt: dict[int, int] = {}
+        for letter in self.first:
+            self._extend(nxt, cnt, letter)
+        return nxt
+
+    def _extend(self, nxt: dict[int, int], cnt: dict[int, int], letter: str) -> None:
+        first = self.first.get(letter)
+        if first is None:
+            return
+        more = self.more[letter]
+        for p, c in cnt.items():
+            q = first[p]
+            if q >= 0:
+                nxt[q] = nxt.get(q, 0) + c
+            elif q == -2:
+                for q in more[p]:
+                    nxt[q] = nxt.get(q, 0) + c
 
 
 def count_label_paths(code: BlockCode, word: tuple[str, ...]) -> int:
@@ -291,7 +349,7 @@ def count_label_paths(code: BlockCode, word: tuple[str, ...]) -> int:
     if not word:
         return len(code.domain.vertices)
     walk = _LabelWalk.of_code(code)
-    cnt = walk.start(walk.positions, word[0])
+    cnt = walk.start(None, word[0])
     for letter in word[1:]:
         cnt = walk.step(cnt, letter)
     return sum(cnt.values())
@@ -307,6 +365,7 @@ def anchored_lifts(code: Union[BlockCode, _LabelWalk], words: list[tuple[str, ..
     already built.
     """
     walk = code if isinstance(code, _LabelWalk) else _LabelWalk.of_code(code)
+    leaves = walk.leaves
     out = [0] * len(words)
     path: list[dict[int, int]] = []  # path[i]: counts for the first i + 1 letters
     prev: tuple[str, ...] = ()
@@ -320,7 +379,7 @@ def anchored_lifts(code: Union[BlockCode, _LabelWalk], words: list[tuple[str, ..
             path.append(walk.start(walk.entered, word[0]))
         for letter in word[len(path):]:
             path.append(walk.step(path[-1], letter))
-        out[n] = sum(c for p, c in path[-1].items() if p in walk.leaves)
+        out[n] = sum(c for p, c in path[-1].items() if leaves[p])
         prev = word
     return out
 
@@ -362,14 +421,11 @@ def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> P
     if window > WINDOW_CAP:
         raise BudgetExhausted(f"window {window} is above WINDOW_CAP = {WINDOW_CAP}")
     spec.size()
-    states, arcs = _construct(spec)[:2]
+    # the arc columns are dropped once the walk holds them
+    walk = _LabelWalk(*_construct(spec)[:4])
     lengths = spec.return_lengths()
     l_max = max(window, max(n for n, _ in lengths))
-    succ: list[list[tuple[int, int]]] = [[] for _ in range(states)]
-    unit = [(j, 1) for j in range(states)]  # one shared entry per arc head
-    for _, i, j in arcs:
-        succ[i].append(unit[j])
-    counts = first_returns_on_rows(succ, 0, l_max)
+    counts = first_returns_by_step(walk.step_any, 0, l_max)
     expected = [0] * (l_max + 1)
     for n, c in lengths:
         expected[n] = c
@@ -397,7 +453,6 @@ def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> P
     for s in base_words(spec.base, 1):
         for s2 in base_words(spec.base, 1):
             blocks.append((f"root block {s[0]}|{s2[0]}", s + (MARK,) * spec.M + s2))
-    walk = _LabelWalk(states, arcs)
     block_lifts = anchored_lifts(walk, [word for _, word in blocks])
     failures = [f"{name}: {n} lifts" for (name, _), n in zip(blocks, block_lifts) if n != 1]
 
@@ -405,7 +460,7 @@ def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> P
     witness = None
     lifts = 0
     first = base_words(spec.base, 1)[0][0]
-    cnt = walk.start(walk.positions, first)
+    cnt = walk.start(None, first)
     for t in range(1, max(spec.m_seq) + spec.M):
         cnt = walk.step(cnt, MARK)
         lifts = sum(cnt.values())
@@ -417,7 +472,7 @@ def certify_pathology(spec: PathologySpec, eps: Fraction, window: int = 40) -> P
         spec=spec,
         return_counts_match=counts_match,
         window=window,
-        states=states,
+        states=walk.states,
         loop_rows=tuple((n, c) for n, c, _ in rows),
         estimate=estimate,
         estimate_below_eps=below,

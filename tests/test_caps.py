@@ -7,6 +7,7 @@ times the verb on it and checks the answer independently.
 """
 
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,15 @@ import pytest
 from borelshift import check_injective, parse_code, recurrence
 from borelshift.cli import main
 from borelshift.markers import STATE_CAP
+from borelshift.pathology import WINDOW_CAP
 
 from helpers import phi_bounds, root_brackets_one
 
 WALL_S = 20.0
+# traced peak of a pathology row: the construction's arcs as compact columns
+# and one label walk take about 10 MiB at either cap, against 66-73 MiB when
+# they were held as tuples, successor rows and per-tail lists
+PATHOLOGY_PEAK = 20 * 2**20
 
 EVEN_CODE = (
     "code edge\nvertex a\nvertex b\nedge a a x0\nedge a b x1\nedge b a x2\n"
@@ -135,3 +141,40 @@ def test_realize_transient_generator_under_the_entropy_cap(tmp_path, capsys, roo
     assert gens == [f"gen 11 poly {-k.numerator} {k.denominator} root-in {k} {k} 0"]
     assert not root_intervals
     assert phi_bounds((), ("damped", a, k, d, n0, s), 1 / k)[1] < 1
+
+
+def traced_pathology(capsys, argv):
+    """`pathology` through cli.main under tracemalloc: exit code, report
+    lines, wall time and traced peak."""
+    tracemalloc.start()
+    try:
+        rc, out, err, wall = timed(capsys, ["pathology", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, err
+    return out.splitlines(), wall, peak
+
+
+def test_pathology_at_the_largest_depth_size_cap_admits(capsys):
+    # the default run, depth 8: 307,633 vertices plus edges of SIZE_CAP's
+    # 400,000, and depth 9 (838,696) is refused
+    lines, wall, peak = traced_pathology(capsys, [])
+    assert wall < WALL_S, wall
+    assert peak < PATHOLOGY_PEAK, peak
+    for line in ("states=151370", "return_counts_match=true", "bordered_unique=true", "certified=true"):
+        assert line in lines, line
+    rc, _, err, _ = timed(capsys, ["pathology", "--depth", "9"])
+    assert rc == 2 and "SIZE_CAP" in err, (rc, err)
+
+
+def test_pathology_at_the_window_cap(capsys):
+    # depth 2 at window WINDOW_CAP: connectors of about 10,000 marker edges,
+    # and first returns and loop counts walked 10,000 steps
+    lines, wall, peak = traced_pathology(capsys, ["--depth", "2", "--window", str(WINDOW_CAP)])
+    assert wall < WALL_S, wall
+    assert peak < PATHOLOGY_PEAK, peak
+    for line in ("states=129980", "return_counts_match=true", "gap_certified=true", "certified=true"):
+        assert line in lines, line
+    rc, _, err, _ = timed(capsys, ["pathology", "--depth", "2", "--window", str(WINDOW_CAP + 1)])
+    assert rc == 2 and "WINDOW_CAP" in err, (rc, err)

@@ -5,6 +5,7 @@ block identifiability, and the certification report.
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -23,6 +24,7 @@ from borelshift import (
     first_return_counts,
 )
 from borelshift import pathology
+from borelshift.graphs import first_returns_by_step
 from borelshift.pathology import (
     SIZE_CAP,
     WINDOW_CAP,
@@ -177,10 +179,9 @@ def random_spec(rng: random.Random) -> PathologySpec:
             pass
 
 
-def test_arcs_and_named_graph_are_one_labeled_graph():
-    # the integer arcs and the named presentation list their edges in one
-    # order, so matching them arc by arc gives the bijection of positions to
-    # names, which must be well defined, onto and label-preserving
+def construction_specs() -> list[PathologySpec]:
+    """Specs over a multi-character base, an out-of-order base, a sink, a
+    self-loop root, control parameters and 30 random bases."""
     multi = FiniteGraph(("a", "b", "ab"), (("a", "a"), ("a", "b"), ("b", "a"), ("b", "ab"), ("ab", "a")))
     out_of_order = FiniteGraph(("1", "3", "0"), (("0", "0"), ("0", "1"), ("1", "0"), ("1", "3"), ("3", "0")))
     sink = FiniteGraph(("0", "1", "3"), (("0", "0"), ("0", "1"), ("1", "0"), ("1", "3")))
@@ -194,9 +195,16 @@ def test_arcs_and_named_graph_are_one_labeled_graph():
         control_parameters(multi, 2),
     ]
     rng = random.Random(33)
-    specs += [random_spec(rng) for _ in range(30)]
-    for spec in specs:
-        states, arcs = pathology._construct(spec)[:2]
+    return specs + [random_spec(rng) for _ in range(30)]
+
+
+def test_arcs_and_named_graph_are_one_labeled_graph():
+    # the integer arcs and the named presentation list their edges in one
+    # order, so matching them arc by arc gives the bijection of positions to
+    # names, which must be well defined, onto and label-preserving
+    for spec in construction_specs():
+        states, labels, tails, heads = pathology._construct(spec)[:4]
+        arcs = list(zip(labels, tails, heads))
         code = build_pathology_graph(spec)
         g = code.domain
         sym = dict(code.mapping)
@@ -208,6 +216,30 @@ def test_arcs_and_named_graph_are_one_labeled_graph():
         assert sorted(name_of) == list(range(states))
         assert sorted(name_of.values()) == list(g.vertices)
         assert name_of[0] == "r"
+
+
+def test_walk_first_returns_equal_the_named_graph_first_returns():
+    # the certificate steps one label walk over every label; the named
+    # presentation's first returns at r come from its compiled index
+    for spec in construction_specs():
+        walk = pathology._LabelWalk(*pathology._construct(spec)[:4])
+        l_max = max(n for n, _ in spec.return_lengths()) + 3
+        want = first_return_counts(build_pathology_graph(spec).domain, "r", l_max)
+        assert first_returns_by_step(walk.step_any, 0, l_max) == want
+
+
+def test_certificate_traced_peak_at_depth_6():
+    # arcs held as tuples, successor rows and per-tail lists peaked at 14.7
+    # MiB traced here; the compact columns and one walk take about 1.3 MiB
+    spec = choose_pathology_parameters(golden_base(), Fraction(3, 10), 6, 40)
+    tracemalloc.start()
+    try:
+        rep = certify_pathology(spec, Fraction(3, 10), 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.states == 24606 and rep.return_counts_match
+    assert peak < 5 * 2**20, peak
 
 
 def graph_digest(code: BlockCode) -> str:
