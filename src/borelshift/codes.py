@@ -127,11 +127,12 @@ class BlockCode:
         return tuple(sorted({s for _, s in self.mapping}))
 
 
-@dataclass(frozen=True)
 class ProductGraph(FiniteGraph):
     """Product graph; `tuples[i]` holds the coordinate names of `vertices[i]`."""
 
-    tuples: tuple[tuple[str, ...], ...] = ()
+    def __init__(self, vertices, edges, edge_names=(), tuples=()):
+        super().__init__(vertices, edges, edge_names)
+        self.tuples = tuples
 
 
 def _biinfinite(succ: list[list[int]]) -> list[bool]:

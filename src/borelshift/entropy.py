@@ -177,6 +177,7 @@ class ExactAlgebraic(ExtendedEntropy):
             raise ValueError("minpoly must be nonconstant with positive leading coefficient")
         if self.root_lo > self.root_hi or self.root_hi <= 0:
             raise ValueError("isolating interval must be nonempty and positive")
+        object.__setattr__(self, "_logs", {})  # log_enclosure by width
 
     @cached_property
     def minpoly(self) -> tuple[int, ...]:
@@ -200,11 +201,15 @@ class ExactAlgebraic(ExtendedEntropy):
         return RatInterval(lo, hi)
 
     def log_enclosure(self, max_width: Fraction = ENCLOSURE_WIDTH) -> RatInterval:
-        r = self.rational_root()
-        if r is not None:
-            return log_fraction(r, max_width)
-        lam = self.lambda_enclosure(max_width / 4)
-        return log_interval(lam, max_width)
+        enc = self._logs.get(max_width)  # comparisons ask for a few widths many times
+        if enc is None:
+            r = self.rational_root()
+            if r is not None:
+                enc = log_fraction(r, max_width)
+            else:
+                enc = log_interval(self.lambda_enclosure(max_width / 4), max_width)
+            self._logs[max_width] = enc
+        return enc
 
     def __repr__(self):
         return f"Entropy(log root of {self.minpoly} in [{self.root_lo},{self.root_hi}])"

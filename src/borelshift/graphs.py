@@ -3,10 +3,11 @@
 Everything here walks a graph through its compiled integer index
 (`FiniteGraph.index()`): vertex positions in sorted name order and sparse
 successor and predecessor rows of (position, multiplicity).  Kosaraju's two
-passes give every vertex a component id, so splitting a graph into its
-irreducible components is linear in vertices plus edges however many
-components it has.  One breadth-first walk, `_walk`, serves the rest, and
-`rome` finds a vertex set meeting every cycle by greedy reduction.
+passes give every vertex a component id, and each irreducible component's
+index is sliced from the graph's, so splitting a graph is linear in vertices
+plus edges however many components it has.  One breadth-first walk gives a
+component's period, `_walk` serves the rest, and `rome` finds a vertex set
+meeting every cycle by greedy reduction.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from typing import Callable, Optional, Union
 from .presentations import FiniteGraph, GraphIndex, LoopSchema, ShiftPresentation
 
 
-def _component_ids(idx: GraphIndex) -> tuple[list[int], int]:
+def _component_ids(idx: GraphIndex) -> tuple[list[int], list[list[int]]]:
     """Kosaraju's two passes, iterative, on the integer index: a depth-first
     search along `succ` lists the positions in finishing order, then a walk
     along `pred` from each unlabelled position, latest finished first, labels
-    its component.  Returns the component id of every position and the number
-    of components; ids are renumbered by each component's smallest position,
-    so any component algorithm gives the same ids."""
+    its component.  Returns every position's component id, numbered by the
+    components' smallest positions, and each component's positions."""
     n = len(idx.order)
     succ = idx.succ
     seen = [False] * n
@@ -58,18 +58,18 @@ def _component_ids(idx: GraphIndex) -> tuple[list[int], int]:
             done += 1
     # scanning positions upward meets each component first at its smallest member
     first: dict[int, int] = {}
-    return [first.setdefault(c, len(first)) for c in found], done
+    comp = [first.setdefault(c, len(first)) for c in found]
+    groups: list[list[int]] = [[] for _ in range(done)]
+    for i, c in enumerate(comp):
+        groups[c].append(i)
+    return comp, groups
 
 
 def strongly_connected_components(graph: FiniteGraph) -> list[list[str]]:
     """Vertex sets of the strongly connected components, each sorted, sorted by
     smallest member."""
     idx = graph.index()
-    comp, count = _component_ids(idx)
-    out: list[list[str]] = [[] for _ in range(count)]
-    for i, v in enumerate(idx.order):
-        out[comp[i]].append(v)
-    return out
+    return [[idx.order[i] for i in group] for group in _component_ids(idx)[1]]
 
 
 def is_strongly_connected(graph: FiniteGraph) -> bool:
@@ -89,28 +89,31 @@ def irreducible_components(p: ShiftPresentation) -> list[tuple[str, ShiftPresent
 
     A component is a strongly connected component with at least one internal
     edge, induced in the original vertex order, edge order and edge names;
-    ids c0, c1, ... follow the components' smallest vertex names.
+    ids c0, c1, ... follow the components' smallest vertex names.  Its index
+    is sliced from p's, as compiling it would give, and its names are built
+    from p's when first read.
     """
     if isinstance(p, LoopSchema):
         return [("c0", p)]
     idx = p.index()
-    comp, count = _component_ids(idx)
-    pos = idx.pos
-    verts: list[list[str]] = [[] for _ in range(count)]
-    edges: list[list[tuple[str, str]]] = [[] for _ in range(count)]
-    names: list[list[str]] = [[] for _ in range(count)]
-    for v in p.vertices:
-        verts[comp[pos[v]]].append(v)
-    for e, name in zip(p.edges, p.edge_names):
-        c = comp[pos[e[0]]]
-        if c == comp[pos[e[1]]]:
-            edges[c].append(e)
-            names[c].append(name)
+    comp, groups = _component_ids(idx)
+    local = [0] * len(comp)  # each position's rank in its component
     out = []
-    for c in range(count):
-        if edges[c]:
-            sub = FiniteGraph(tuple(verts[c]), tuple(edges[c]), tuple(names[c]))
-            out.append((f"c{len(out)}", sub))
+    for c, ms in enumerate(groups):
+        if len(ms) == 1 and ms[0] not in dict(idx.succ[ms[0]]):
+            continue  # one position without a loop carries no cycle
+        if len(ms) == len(comp):  # one component holds every position
+            sub = idx
+        else:
+            for k, i in enumerate(ms):
+                local[i] = k
+            order = tuple(map(idx.order.__getitem__, ms))
+            succ, pred = ([tuple([(local[j], m) for j, m in rows[i] if comp[j] == c]) for i in ms]
+                          for rows in (idx.succ, idx.pred))
+            sub = GraphIndex(order, dict(zip(order, range(len(ms)))), succ, pred)
+        part = FiniteGraph.from_columns(lambda order=sub.order: p.induced(order).columns)
+        part._index, part.irreducible = sub, True
+        out.append((f"c{len(out)}", part))
     return out
 
 
@@ -191,29 +194,37 @@ def rome(idx: GraphIndex) -> list[int]:
         remove(v)
 
 
-def _levels(c: FiniteGraph) -> Optional[list[int]]:
-    """Distances from position 0 along `succ` when `c` is strongly connected,
-    else None.  Strongly connected: an edge, and position 0 reaches and is
-    reached by every position."""
-    if not c.edges:
-        return None
+def _levels(c: FiniteGraph) -> Optional[tuple[list[int], int]]:
+    """For a strongly connected `c`, the distances from position 0 along
+    `succ` and the gcd of dist(v) + 1 - dist(w) over its edges v -> w, its
+    period (Lind & Marcus 4.5), from one walk; else None.  A graph that is
+    not an irreducible component is also walked along `pred`."""
     idx = c.index()
-    dist = _walk(idx.succ, [0])[0]
-    return None if min(dist) < 0 or min(_walk(idx.pred, [0])[0]) < 0 else dist
+    succ = idx.succ
+    if not any(succ):
+        return None
+    dist = [-1] * len(succ)
+    dist[0] = g = 0
+    queue = [0]
+    for v in queue:  # the queue grows behind the scan
+        for w, _ in succ[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+            g = math.gcd(g, dist[v] + 1 - dist[w])
+    if len(queue) < len(succ) or not (c.irreducible or min(_walk(idx.pred, [0])[0]) >= 0):
+        return None
+    return dist, g
 
 
 def period_of_component(c: Union[FiniteGraph, LoopSchema]) -> int:
     """gcd of all cycle lengths of an irreducible presentation."""
     if isinstance(c, LoopSchema):
         return schema_period(c)
-    dist = _levels(c)
-    if dist is None:
+    levels = _levels(c)
+    if levels is None:
         raise ValueError("period is defined for strongly connected graphs only")
-    g = 0
-    for v, row in enumerate(c.index().succ):
-        for w, _ in row:
-            g = math.gcd(g, dist[v] + 1 - dist[w])
-    return g
+    return levels[1]
 
 
 def schema_period(schema: LoopSchema) -> int:
@@ -238,18 +249,16 @@ def schema_period(schema: LoopSchema) -> int:
 
 def cyclic_classes(c: FiniteGraph, period: int | None = None) -> list[list[str]]:
     """Partition D_0..D_{p-1} with every edge moving one class forward."""
-    p = period if period is not None else period_of_component(c)
-    dist = _levels(c)
-    if dist is None:
+    levels = _levels(c)
+    if levels is None:
         raise ValueError("cyclic classes are defined for strongly connected graphs only")
-    idx = c.index()
+    dist, g = levels
+    p = period if period is not None else g
+    if g % p:  # some edge v -> w has dist(v) + 1 - dist(w) off the multiples of p
+        raise AssertionError("cyclic class consistency violated")
     classes = [[] for _ in range(p)]
-    for i, v in enumerate(idx.order):
+    for i, v in enumerate(c.index().order):
         classes[dist[i] % p].append(v)
-    for v, row in enumerate(idx.succ):
-        for w, _ in row:
-            if (dist[v] + 1) % p != dist[w] % p:
-                raise AssertionError("cyclic class consistency violated")
     return classes
 
 
@@ -266,9 +275,9 @@ def first_return_counts(c: FiniteGraph, base: str, limit: int) -> list[int]:
 
     Multigraph edges count with multiplicity, i.e. loops are edge paths.
     """
-    if base not in c.vertices:
-        raise ValueError(f"base {base!r} not a vertex")
     idx = c.index()
+    if base not in idx.pos:
+        raise ValueError(f"base {base!r} not a vertex")
     succ = idx.succ
 
     def step(weight: dict[int, int]) -> dict[int, int]:
@@ -328,11 +337,7 @@ def entropy_by_loop_count(
         f = schema_first_return_counts(p, l_max)
     else:
         b = base if base is not None else sorted(p.vertices)[0]
-        comp = None
-        for _, c in irreducible_components(p):
-            if isinstance(c, FiniteGraph) and b in c.vertices:
-                comp = c
-                break
+        comp = next((c for _, c in irreducible_components(p) if b in c.index().pos), None)
         if comp is None:
             raise ValueError(f"base {b!r} lies on no cycle")
         f = first_return_counts(comp, b, l_max)

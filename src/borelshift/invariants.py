@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .entropy import (
@@ -105,9 +105,6 @@ class InvariantPair:
             if g.period == p and _cmp(g.entropy, top, tol) == "eq":
                 total += g.eta_count
         return total
-
-    def periods(self) -> tuple[int, ...]:
-        return tuple(sorted({g.period for g in self.generators}))
 
 
 def _cmp(a: ExtendedEntropy, b: ExtendedEntropy, tol: Fraction) -> str:
@@ -242,25 +239,15 @@ class IsoVerdict:
     detail: str = ""
 
 
-def _decision_periods(a: InvariantPair, b: InvariantPair) -> list[int]:
-    periods = sorted(set(a.periods()) | set(b.periods()))
-    values = {1}
-    for p in periods:
-        values |= {lcm(p, v) for v in values}
-        if len(values) > 4096:
-            raise InconclusiveAtTolerance("decision period set too large")
-    return sorted(values)
-
-
 def decide_almost_borel_iso(
     a: InvariantPair, b: InvariantPair, tol: Fraction = DEFAULT_TOL
 ) -> IsoVerdict:
     """Almost-Borel isomorphism holds iff (u, eta) agree as functions.
 
-    Both functions are eventually-periodic along the divisibility lattice, so
-    agreement on 1 and on all lcms of generator periods decides equality.
+    u is monotone along divisibility and eta is 0 off the generator periods,
+    so the smallest period where they differ is 1 or a generator period.
     """
-    for m in _decision_periods(a, b):
+    for m in sorted({1, *(g.period for g in a.generators + b.generators)}):
         ua, ub = a.u_value(m, tol), b.u_value(m, tol)
         c = _cmp(ua, ub, tol)
         if c != "eq":

@@ -296,13 +296,11 @@ class _LabelWalk:
         tuple: an edge-mode code's arcs carry their edge's label, a vertex-mode
         code's the label of their head."""
         g = code.domain
-        pos = {v: i for i, v in enumerate(g.vertices)}
-        tails = [pos[u] for u, _ in g.edges]
-        heads = [pos[v] for _, v in g.edges]
+        vs, tails, heads, _ = g.columns
         if code.mode == "edge":
-            return cls(len(pos), [code.label(e) for e in g.edge_names], tails, heads)
-        sym = [code.label(v) for v in g.vertices]
-        return cls(len(pos), [sym[j] for j in heads], tails, heads, sym)
+            return cls(len(vs), [code.label(e) for e in g.edge_names], tails, heads)
+        sym = [code.label(v) for v in vs]
+        return cls(len(vs), [sym[j] for j in heads], tails, heads, sym)
 
     def start(self, starts: Optional[bytearray], letter: str) -> dict[int, int]:
         """Paths spelling the one-letter word from the positions that the mask

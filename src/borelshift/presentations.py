@@ -3,13 +3,16 @@
 Two concrete carriers: finite directed multigraphs (vertex or edge shifts)
 and loop schemas, which present the loop shift of a single irreducible
 component by its first-return loop counts at a base vertex.  Both round-trip
-through a line-oriented document format.
+through a line-oriented document format.  A graph is read line by line into
+integer columns, which its one integer index is compiled from.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import count
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -180,65 +183,103 @@ class GraphIndex(NamedTuple):
     pred: list[tuple[tuple[int, int], ...]]
 
     @staticmethod
-    def compile(vertices, edges) -> "GraphIndex":
+    def compile(vertices, tails, heads) -> "GraphIndex":
+        """The index of the edges vertices[tails[k]] -> vertices[heads[k]]."""
         order = tuple(sorted(vertices))
         n = len(order)
-        pos = {v: i for i, v in enumerate(order)}
-        unit = [(i, 1) for i in pos.values()]  # one shared entry per multiplicity-1 target
+        pos = dict(zip(order, range(n)))
+        rank = [pos[v] for v in vertices]
+        unit = [(i, 1) for i in range(n)]  # one shared entry per multiplicity-1 target
 
         def rows(codes: list[int]) -> list[tuple[tuple[int, int], ...]]:
             # codes are i * n + j, one per edge; equal codes are parallel edges
-            out: list[tuple[tuple[int, int], ...]] = [()] * n
-            row: list[tuple[int, int]] = []
-            last_i = last = -1
+            out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+            last = -1
             for c in sorted(codes):
+                row = out[c // n]
                 if c == last:
                     row[-1] = (row[-1][0], row[-1][1] + 1)
-                    continue
-                i, j = divmod(c, n)
-                if i != last_i:
-                    if row:
-                        out[last_i] = tuple(row)
-                    row = []
-                    last_i = i
-                row.append(unit[j])
+                else:
+                    row.append(unit[c % n])
                 last = c
-            if row:
-                out[last_i] = tuple(row)
-            return out
+            return list(map(tuple, out))
 
-        succ = rows([pos[v] * n + pos[w] for v, w in edges])
-        pred = rows([pos[w] * n + pos[v] for v, w in edges])
+        succ = rows([rank[t] * n + rank[h] for t, h in zip(tails, heads)])
+        pred = rows([rank[h] * n + rank[t] for t, h in zip(tails, heads)])
         return GraphIndex(order, pos, succ, pred)
 
 
-@dataclass(frozen=True)
 class FiniteGraph:
     """Finite directed multigraph; repeated edges carry multiplicity.
 
     With all multiplicities 1 this presents the vertex shift; parallel edges
     make sense only for the edge shift, and entropy is always computed on the
     adjacency matrix that counts parallel edges.
+
+    `columns` holds it as (vertices, tails, heads, names): edge ends as
+    positions in `vertices`, and all edge names in a tuple, or the explicit
+    ones by edge position in a dict with e0, e1, ... past them for the rest.
+    A parsed graph builds `edges` and `edge_names` only when they are read.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    edge_names: tuple[str, ...] = field(default=())
+    irreducible = False  # set on the components of graphs.irreducible_components
 
-    def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+    def __init__(self, vertices, edges, edge_names=()):
+        vertices, edges, edge_names = tuple(vertices), tuple(edges), tuple(edge_names)
+        pos = dict(zip(vertices, range(len(vertices))))
+        if len(pos) != len(vertices):
             raise ValueError("duplicate vertex name")
-        for v, w in self.edges:
-            if v not in vset or w not in vset:
-                raise ValueError(f"edge ({v}, {w}) uses undeclared vertex")
-        if self.edge_names:
-            if len(self.edge_names) != len(self.edges):
-                raise ValueError("edge_names length mismatch")
-            if len(set(self.edge_names)) != len(self.edge_names):
-                raise ValueError("duplicate edge name")
-        else:
-            object.__setattr__(self, "edge_names", tuple(f"e{i}" for i in range(len(self.edges))))
+        try:
+            tails, heads = [pos[v] for v, _ in edges], [pos[w] for _, w in edges]
+        except KeyError as exc:
+            raise ValueError(f"edge uses undeclared vertex {exc}") from None
+        if edge_names and len(edge_names) != len(edges):
+            raise ValueError("edge_names length mismatch")
+        if len(set(edge_names)) != len(edge_names):
+            raise ValueError("duplicate edge name")
+        self.columns, self.edges = (vertices, tails, heads, edge_names or {}), edges
+
+    @classmethod
+    def from_columns(cls, columns) -> "FiniteGraph":
+        """The graph of `columns`, or of `columns()` called on first read."""
+        g = cls.__new__(cls)
+        g.__dict__["columns" if isinstance(columns, tuple) else "_source"] = columns
+        return g
+
+    @cached_property
+    def columns(self) -> tuple:
+        return self._source()
+
+    @cached_property
+    def vertices(self) -> tuple[str, ...]:
+        return self.columns[0]
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        vs, tails, heads, _ = self.columns
+        return tuple(zip(map(vs.__getitem__, tails), map(vs.__getitem__, heads)))
+
+    @cached_property
+    def edge_names(self) -> tuple[str, ...]:
+        _, tails, _, named = self.columns
+        if isinstance(named, tuple):
+            return named
+        used = set(named.values())
+        auto = (f"e{k}" for k in count() if f"e{k}" not in used)
+        return tuple(named[k] if k in named else next(auto) for k in range(len(tails)))
+
+    def index(self) -> GraphIndex:
+        """The compiled integer index, built on first use and cached."""
+        if "_index" not in self.__dict__:
+            self._index = GraphIndex.compile(*self.columns[:3])
+        return self._index
+
+    def __eq__(self, other):
+        key = (self.vertices, self.edges, self.edge_names)
+        return type(other) is type(self) and key == (other.vertices, other.edges, other.edge_names)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges, self.edge_names))
 
     @staticmethod
     def from_edges(edges, extra_vertices=()) -> "FiniteGraph":
@@ -247,27 +288,14 @@ class FiniteGraph:
         vs.update(dict.fromkeys(extra_vertices))
         return FiniteGraph(tuple(sorted(vs)), edges)
 
-    def index(self) -> GraphIndex:
-        """The compiled integer index, built on first use and cached."""
-        try:
-            return self._index
-        except AttributeError:
-            idx = GraphIndex.compile(self.vertices, self.edges)
-            object.__setattr__(self, "_index", idx)
-            return idx
-
     def has_parallel_edges(self) -> bool:
         return len(set(self.edges)) != len(self.edges)
 
     def induced(self, keep) -> "FiniteGraph":
         keep = set(keep)
-        verts = tuple(v for v in self.vertices if v in keep)
-        pairs = [
-            (e, name)
-            for e, name in zip(self.edges, self.edge_names)
-            if e[0] in keep and e[1] in keep
-        ]
-        return FiniteGraph(verts, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+        pairs = [(e, n) for e, n in zip(self.edges, self.edge_names) if keep.issuperset(e)]
+        verts = [v for v in self.vertices if v in keep]
+        return FiniteGraph(verts, [e for e, _ in pairs], [n for _, n in pairs])
 
 
 ShiftPresentation = Union[FiniteGraph, LoopSchema]
@@ -325,35 +353,39 @@ def _parse_capped(tok: str, lineno: int) -> int:
 
 def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line.split()
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if toks:
+            yield i, toks
 
 
 def parse_document(text: str) -> tuple[ShiftPresentation, ...]:
     """Parse a document of one or more presentation sections.
 
     Each section opens with a "graph" or "loops" header line; a shift with
-    several disjoint pieces is the union of its sections.
+    several disjoint pieces is the union of its sections.  Lines are read as
+    each section's parser asks for them.
     """
-    lines = list(_content_lines(text))
-    if not lines:
+    lines = _content_lines(text)
+    head = next(lines, None)
+    if head is None:
         raise ParseError(1, "empty document")
-    sections: list[tuple[int, list]] = []
-    for lineno, toks in lines:
-        if toks[0] in ("graph", "loops"):
-            sections.append((lineno, [toks[0]]))
-        elif not sections:
-            raise ParseError(lineno, f"expected 'graph' or 'loops' header, got {toks[0]!r}")
-        else:
-            sections[-1][1].append((lineno, toks))
+
+    def body():  # the lines up to the next header, which is left in `head`
+        nonlocal head
+        head = None
+        for line in lines:
+            if line[1][0] in ("graph", "loops"):
+                head = line
+                return
+            yield line
+
     parts = []
-    for lineno, body in sections:
-        kind = body[0]
-        if kind == "graph":
-            parts.append(_parse_graph_body(body[1:], lineno))
-        else:
-            parts.append(_parse_loops_body(body[1:], lineno))
+    while head is not None:
+        lineno, toks = head
+        if toks[0] not in ("graph", "loops"):
+            raise ParseError(lineno, f"expected 'graph' or 'loops' header, got {toks[0]!r}")
+        parse = _parse_graph_body if toks[0] == "graph" else _parse_loops_body
+        parts.append(parse(body(), lineno))
     return tuple(parts)
 
 
@@ -366,51 +398,39 @@ def parse_presentation(text: str) -> ShiftPresentation:
 
 
 def _parse_graph_body(lines, header_line) -> FiniteGraph:
-    vertices: dict[str, None] = {}  # insertion-ordered set
-    edges: list[tuple[str, str]] = []
-    names: list[Optional[str]] = []
+    """The graph of the body lines as columns, a name checked where first named."""
+    ids: dict[str, int] = {}
+    tails: list[int] = []
+    heads: list[int] = []
+    named: dict[int, str] = {}  # explicit names by edge position
 
-    def declare(v: str):
-        vertices.setdefault(v, None)
+    def declare(v: str, lineno: int) -> int:
+        if "|" in v or "," in v:
+            raise ParseError(lineno, f"symbol {v!r} may not contain '|' or ','")
+        ids[v] = len(ids)
+        return ids[v]
 
     for lineno, toks in lines:
-        if toks[0] == "vertex":
-            if len(toks) != 2:
-                raise ParseError(lineno, "vertex line needs exactly one name")
-            _check_symbol(toks[1], lineno)
-            declare(toks[1])
-        elif toks[0] == "edge":
+        key = toks[0]
+        if key == "edge":
             if len(toks) not in (3, 4):
                 raise ParseError(lineno, "edge line is 'edge <v> <w> [name]'")
-            _check_symbol(toks[1], lineno)
-            _check_symbol(toks[2], lineno)
-            declare(toks[1])
-            declare(toks[2])
-            edges.append((toks[1], toks[2]))
-            names.append(toks[3] if len(toks) == 4 else None)
+            tails.append(ids[toks[1]] if toks[1] in ids else declare(toks[1], lineno))
+            heads.append(ids[toks[2]] if toks[2] in ids else declare(toks[2], lineno))
+            if len(toks) == 4:
+                named[len(tails) - 1] = toks[3]
+        elif key == "vertex":
+            if len(toks) != 2:
+                raise ParseError(lineno, "vertex line needs exactly one name")
+            if toks[1] not in ids:
+                declare(toks[1], lineno)
         else:
-            raise ParseError(lineno, f"unexpected {toks[0]!r} in graph body")
-    if not vertices:
+            raise ParseError(lineno, f"unexpected {key!r} in graph body")
+    if not ids:
         raise ParseError(header_line, "graph with no vertices")
-    auto = 0
-    used = {n for n in names if n is not None}
-    final_names = []
-    for n in names:
-        if n is None:
-            while f"e{auto}" in used:
-                auto += 1
-            n = f"e{auto}"
-            used.add(n)
-        final_names.append(n)
-    try:
-        return FiniteGraph(tuple(vertices), tuple(edges), tuple(final_names))
-    except ValueError as exc:
-        raise ParseError(header_line, str(exc)) from None
-
-
-def _check_symbol(tok: str, lineno: int):
-    if "|" in tok or "," in tok:
-        raise ParseError(lineno, f"symbol {tok!r} may not contain '|' or ','")
+    if len(set(named.values())) != len(named):
+        raise ParseError(header_line, "duplicate edge name")
+    return FiniteGraph.from_columns((tuple(ids), tails, heads, named))
 
 
 def _parse_loops_body(lines, header_line) -> LoopSchema:

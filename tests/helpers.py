@@ -57,6 +57,37 @@ def factor_first_isolation(coeffs, lo: Fraction, hi: Fraction):
     return (cs if cs[-1] > 0 else tuple(-c for c in cs)), lo, hi
 
 
+def u_eta_decision(a, b) -> tuple[bool, int | None]:
+    """(isomorphic, first differing period) of two generator lists, from
+    u and eta evaluated at every m from 1 to the lcm of all their periods.
+
+    A generator is (period, lam, count): its entropy is log(lam) for a
+    rational lam > 1, so entropies compare as their lams do, and count is
+    an int or None for `unattained`.  u(m) is the largest lam of a
+    generator whose period divides m (1, entropy 0, when none does), and
+    eta(m) sums the counts of the generators of period exactly m whose lam
+    is u(m), an unattained one counting 0.
+    """
+    top = functools.reduce(math.lcm, [p for p, _, _ in a + b], 1)
+
+    def functions(gens):
+        u = [Fraction(1)] * (top + 1)
+        eta = [0] * (top + 1)
+        for p, lam, _ in gens:
+            for m in range(p, top + 1, p):
+                u[m] = max(u[m], lam)
+        for p, lam, count in gens:
+            if lam == u[p]:
+                eta[p] += count or 0
+        return u, eta
+
+    (ua, ea), (ub, eb) = functions(a), functions(b)
+    for m in range(1, top + 1):
+        if ua[m] != ub[m] or ea[m] != eb[m]:
+            return False, m
+    return True, None
+
+
 def simple_cycle_lengths(vertices: list[str], edges: list[Edge]) -> list[int]:
     """Lengths of all vertex-simple cycles, by exhaustive DFS."""
     succ = {v: sorted({w for u, w in edges if u == v}) for v in vertices}

@@ -6,6 +6,7 @@ the slowest input that still gets an answer.  Each row finds that input,
 times the verb on it and checks the answer independently.
 """
 
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -178,3 +179,29 @@ def test_pathology_at_the_window_cap(capsys):
         assert line in lines, line
     rc, _, err, _ = timed(capsys, ["pathology", "--depth", "2", "--window", str(WINDOW_CAP + 1)])
     assert rc == 2 and "WINDOW_CAP" in err, (rc, err)
+
+
+def test_compare_on_forty_distinct_periods(tmp_path, capsys):
+    # 40 disjoint cycles of the first 40 prime lengths, each with one edge
+    # doubled, so the component of length p has entropy log(2) / p: compare
+    # decides on the 41 periods 1 and p, where the lcm closure of 2^40
+    # values once exited 2 from 13 primes on
+    primes = [p for p in range(2, 174) if all(p % q for q in range(2, p))]
+    assert len(primes) == 40
+    lines = ["graph"]
+    for p in primes:
+        lines += [f"edge p{p}.{i} p{p}.{(i + 1) % p}" for i in range(p)] + [f"edge p{p}.0 p{p}.1"]
+    graph = tmp_path / "primes.txt"
+    graph.write_text("\n".join(lines) + "\n")
+    rc, out, err, wall = timed(capsys, ["analyze", str(graph)])
+    assert rc == 0, err
+    comps = [dict(kv.split("=") for kv in line[2:].split()) for line in out.splitlines()
+             if line.startswith("# component=")]
+    assert sorted(int(c["period"]) for c in comps) == primes
+    for c in comps:
+        assert abs(float(c["entropy"]) - math.log(2) / int(c["period"])) < 1e-9, c
+    inv = tmp_path / "primes_inv.txt"
+    inv.write_text(out)
+    rc, out, err, compare_wall = timed(capsys, ["compare", str(inv), str(graph)])
+    assert (rc, out) == (0, "isomorphic=true\n"), err
+    assert wall + compare_wall < WALL_S, (wall, compare_wall)

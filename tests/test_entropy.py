@@ -543,6 +543,25 @@ def test_float_of_an_entropy_is_computed_once_per_value(monkeypatch):
     assert calls == [golden, box]
 
 
+def test_log_enclosure_is_computed_once_per_value_and_width(monkeypatch):
+    # comparisons ask one value for the same few widths again and again: each
+    # width's enclosure is the one a fresh value gives, computed once
+    widths = [ENCLOSURE_WIDTH, Fraction(1, 10**30), Fraction(1, 4), ENCLOSURE_WIDTH,
+              Fraction(1, 4), Fraction(1, 10**30)]
+    values = [((-1, -1, 1), Fraction(1), Fraction(2)), ((-3, 2), Fraction(3, 2), Fraction(3, 2))]
+    want = {(v, w): ExactAlgebraic(*v).log_enclosure(w) for v in values for w in widths}
+    calls = []
+    for name in ("log_interval", "log_fraction"):
+        fn = getattr(entropy, name)
+        monkeypatch.setattr(entropy, name, lambda *args, _f=fn: calls.append(args) or _f(*args))
+    for v in values:
+        h = ExactAlgebraic(*v)
+        for w in widths:
+            enc = h.log_enclosure(w)
+            assert enc == want[v, w] and enc.width <= w
+    assert len(calls) == 2 * len(set(widths))
+
+
 def test_log_enclosure_out_of_precision_raises():
     with pytest.raises(PrecisionExhausted):
         log_fraction(Fraction(2), Fraction(0))

@@ -21,6 +21,7 @@ from borelshift import (
     is_single_cycle,
     is_strongly_connected,
     loop_entropy_estimate,
+    parse_document,
     period_of_component,
     renewal_loop_counts,
     schema_first_return_counts,
@@ -28,6 +29,7 @@ from borelshift import (
     strongly_connected_components,
 )
 from borelshift.graphs import rome
+from borelshift.presentations import GraphIndex
 
 from helpers import (
     GOLDEN_ENTROPY,
@@ -146,6 +148,69 @@ def test_irreducible_components_match_brute_force_definition():
         assert got == want
         strongly = len(want) == 1 and len(want[0][1]) == len(vs)
         assert is_strongly_connected(g) == strongly
+
+
+def closed_walk_gcd(vertices, edges) -> int:
+    """The period as the gcd of the lengths n <= len(vertices) for which
+    some vertex starts a closed walk of length n.  Every cycle is a sum of
+    simple cycles, which are at most that long, so these lengths hold every
+    simple cycle's and are multiples of the gcd of all cycle lengths."""
+    g = 0
+    for v in vertices:
+        ends = {v}
+        for n in range(1, len(vertices) + 1):
+            ends = {w for u, w in edges if u in ends}
+            if v in ends:
+                g = math.gcd(g, n)
+    return g
+
+
+def multi_component_graph(rng: random.Random):
+    """Blocks of random edges, self-loops and parallel edges included, with
+    edges between blocks only from an earlier block to a later one, so
+    that every component lies inside a block; vertices declared in a
+    shuffled order, and some edges named, e<k> names among them."""
+    blocks = [[f"b{b}v{i}" for i in range(rng.randint(1, 5))] for b in range(rng.randint(2, 5))]
+    edges = []
+    for b, block in enumerate(blocks):
+        inside = rng.randint(0, 3 * len(block))
+        edges += [(rng.choice(block), rng.choice(block)) for _ in range(inside)]
+        for later in blocks[b + 1:]:
+            edges += [(rng.choice(block), rng.choice(later)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(edges)
+    vs = [v for block in blocks for v in block]
+    rng.shuffle(vs)
+    pool = [f"x{k}" for k in range(len(edges))] + [f"e{k}" for k in range(len(edges))]
+    names = [rng.choice(pool) if rng.random() < 0.3 else None for _ in edges]
+    seen = set()
+    names = [n if n is None or n not in seen and not seen.add(n) else None for n in names]
+    lines = [f"vertex {v}" for v in vs]
+    lines += [f"edge {u} {w}" + ("" if n is None else f" {n}") for (u, w), n in zip(edges, names)]
+    return vs, edges, parse_document("graph\n" + "\n".join(lines) + "\n")[0]
+
+
+def test_component_slices_equal_the_compiled_induced_subgraph():
+    # a component's index is sliced from its parent's: its rows must be the
+    # ones that compiling the induced subgraph gives, its period the
+    # closed-walk gcd, and its names, read after both, the brute force ones
+    rng = random.Random(9151)
+    found = 0
+    for _ in range(150):
+        vs, edges, g = multi_component_graph(rng)
+        want = brute_irreducible_components(vs, edges, g.edge_names)
+        comps = irreducible_components(g)
+        assert [cid for cid, _ in comps] == [w[0] for w in want]
+        for (_, c), (_, cv, ce, names) in zip(comps, want):
+            assert "columns" not in vars(c)  # no name is built before it is read
+            compiled = GraphIndex.compile(
+                cv, [cv.index(u) for u, _ in ce], [cv.index(w) for _, w in ce])
+            assert c.index() == compiled
+            assert period_of_component(c) == closed_walk_gcd(cv, ce)
+            assert is_single_cycle(c) == (len(ce) == len(cv) and len(set(ce)) == len(ce)
+                                          and closed_walk_gcd(cv, ce) == len(cv))
+            assert (c.vertices, c.edges, c.edge_names) == (cv, ce, names)
+            found += 1
+    assert found >= 300, found
 
 
 # === romes ===

@@ -1,5 +1,6 @@
 """Entropy/count invariants: canonical form, admissibility, isomorphism decision."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,10 +37,11 @@ from borelshift import (
     summarize_components,
 )
 
-from borelshift import cli, entropy, invariants
+from borelshift import cli, entropy, graphs, invariants
 from borelshift.graphs import period_of_component
+from borelshift.presentations import GraphIndex
 
-from helpers import LOG2, LOG3
+from helpers import LOG2, LOG3, u_eta_decision
 
 LOG2_E = entropy_from_log_value(Fraction(2))
 LOG3_E = entropy_from_log_value(Fraction(3))
@@ -109,15 +111,23 @@ def test_summarize_classifies_each_distinct_schema_once(monkeypatch):
 
 
 def test_summarize_computes_each_component_period_once(monkeypatch, tmp_path, capsys):
-    # perron_entropy takes the period that summarize_components computed
-    calls = []
+    # perron_entropy takes the period that summarize_components computed;
+    # the graph section is indexed once, and each component's index is
+    # sliced from it and walked once, along succ only
+    calls, compiles, levels, walks = [], [], [], []
 
     def counting(c):
         calls.append(c)
         return period_of_component(c)
 
+    def spy(log, fn):
+        return lambda *args: log.append(args) or fn(*args)
+
     monkeypatch.setattr(invariants, "period_of_component", counting)
     monkeypatch.setattr(entropy, "period_of_component", counting)
+    monkeypatch.setattr(GraphIndex, "compile", staticmethod(spy(compiles, GraphIndex.compile)))
+    monkeypatch.setattr(graphs, "_levels", spy(levels, graphs._levels))
+    monkeypatch.setattr(graphs, "_walk", spy(walks, graphs._walk))
     forest = FiniteGraph.from_edges(
         [("a", "a"), ("a", "b"), ("b", "a")]  # golden mean, period 1
         + [("c", "e"), ("c", "f"), ("d", "e"), ("e", "c"), ("e", "d"), ("f", "c")]
@@ -127,6 +137,8 @@ def test_summarize_computes_each_component_period_once(monkeypatch, tmp_path, ca
     doc.write_text(format_document([forest]))
     assert cli.main(["analyze", str(doc)]) == 0
     assert len(calls) == 3
+    assert len(compiles) == 1
+    assert [c for (c,) in levels] == calls and walks == []
     # x^2 - x - 1 is negative at the lower end and positive at the upper, both positive
     golden = "9007199254740992/5566755282872779 14573954537613771/9007199254740992"
     assert capsys.readouterr().out == (
@@ -259,6 +271,68 @@ def test_decision_needs_lcm_periods():
     # agreeing everywhere on {1,2,3,6} means isomorphic regardless of listing
     c = pair((2, LOG2_E, 1), (3, LOG2_E, 1), (6, LOG2_E, 0))
     assert decide_almost_borel_iso(a, c).isomorphic
+
+
+LAMS = (Fraction(2), Fraction(5, 2), Fraction(3), Fraction(4))
+
+
+def gen_lines(gens) -> str:
+    return "".join(
+        f"gen {p} log {lam} {'unattained' if count is None else count}\n" for p, lam, count in gens
+    )
+
+
+def same_functions(rng, gens):
+    """A reordered list with the same u and eta: a count split in two, 0 and
+    unattained swapped, and a generator below a divisor's entropy added."""
+    out = list(gens)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(out))
+        p, lam, count = out[k]
+        move = rng.randrange(3)
+        if move == 0 and count and count >= 2:
+            out[k:k + 1] = [(p, lam, 1), (p, lam, count - 1)]
+        elif move == 1 and not count:
+            out[k] = (p, lam, None if count == 0 else 0)
+        elif move == 2 and lam > LAMS[0] and len(out) < 6:
+            out.append((p * rng.randint(1, 12 // p), LAMS[0], rng.choice((0, 1, None))))
+    rng.shuffle(out)
+    return out
+
+
+def test_decision_equals_the_oracle_on_every_period_up_to_the_lcm():
+    # the decision looks at 1 and the generator periods only; the oracle
+    # evaluates u and eta at every period up to the lcm of all of them
+    rng = random.Random(3607)
+    decided = {True: 0, False: 0}
+    for trial in range(360):
+        a = [(rng.randint(1, 12), rng.choice(LAMS), rng.choice((0, 1, 2, None)))
+             for _ in range(rng.randint(1, 6))]
+        if trial % 3 == 0:
+            b = same_functions(rng, a)
+        else:
+            b = [(rng.randint(1, 12), rng.choice(LAMS), rng.choice((0, 1, 2, None)))
+                 for _ in range(rng.randint(1, 6))]
+            if trial % 3 == 1:  # most of a, so that the first difference lies further out
+                b = a[: rng.randint(0, len(a))] + b[: rng.randint(1, 2)]
+        v = decide_almost_borel_iso(parse_invariants(gen_lines(a)), parse_invariants(gen_lines(b)))
+        want, witness = u_eta_decision(a, b)
+        assert (v.isomorphic, v.witness_period) == (want, witness), (a, b)
+        decided[want] += 1
+    assert min(decided.values()) >= 100, decided
+
+
+def test_compare_is_reflexive_past_twelve_distinct_periods(tmp_path, capsys):
+    # 13 primes: the lcm closure of the periods has 8,192 values
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    doc = tmp_path / "primes.txt"
+    doc.write_text(gen_lines((p, Fraction(2), 1) for p in primes))
+    assert cli.main(["compare", str(doc), str(doc)]) == 0
+    assert capsys.readouterr().out == "isomorphic=true\n"
+    other = tmp_path / "other.txt"
+    other.write_text(gen_lines([(p, Fraction(2), 1) for p in primes] + [(41, Fraction(2), 1)]))
+    assert cli.main(["compare", str(doc), str(other)]) == 1
+    assert "witness_period=41" in capsys.readouterr().out
 
 
 def test_decision_period_one_infinite_entropy():

@@ -210,6 +210,74 @@ def test_symbols_with_separators_rejected():
         parse_document("graph\nedge a b,c\n")
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("graph\nvertex a\nvertex b c\n", 3, "vertex line needs exactly one name"),
+    ("graph\nvertex\n", 2, "vertex line needs exactly one name"),
+    ("graph\nedge a b\nedge a\n", 3, "edge line is 'edge <v> <w> [name]'"),
+    ("graph\nedge a b x y\n", 2, "edge line is 'edge <v> <w> [name]'"),
+    ("graph\nedge a b\ncount 1 1\n", 3, "unexpected 'count' in graph body"),
+    ("loops\ncount 1 1\nvertex a\n", 3, "unexpected 'vertex' in loops body"),
+    # a name is checked where it is first named, and only there
+    ("graph\nvertex a|b\nedge a|b a|b\n", 2, "symbol 'a|b' may not contain '|' or ','"),
+    ("graph\nedge a b\n# a,c\nedge b a,c\nvertex a,c\n", 4,
+     "symbol 'a,c' may not contain '|' or ','"),
+    ("graph\nedge a, b\n", 2, "symbol 'a,' may not contain '|' or ','"),
+    ("graph\n\n# nothing\n", 1, "graph with no vertices"),
+    ("loops\ncount 1 1\n\ngraph\n", 4, "graph with no vertices"),
+    ("graph\nedge a a x\n\ngraph\nedge b b y\nedge b b y\n", 4, "duplicate edge name"),
+    ("graph\nedge a b\nedge b a\nvertex c\ngraph\nedge a a\nedge\n", 7,
+     "edge line is 'edge <v> <w> [name]'"),
+    ("\n# only comments\n", 1, "empty document"),
+    ("vertex a\ngraph\n", 1, "expected 'graph' or 'loops' header, got 'vertex'"),
+])
+def test_graph_parse_errors_keep_their_line_and_message(text, lineno, message):
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert (exc.value.lineno, exc.value.message) == (lineno, message)
+
+
+def test_auto_edge_names_skip_explicit_e_names():
+    g = parse_presentation("graph\nedge a a\nedge a b e0\nedge b a\nedge b b e2\nedge a a\n")
+    assert g.edge_names == ("e1", "e0", "e3", "e2", "e4")
+    assert g.edges == (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("a", "a"))
+    assert g.index().succ == [((0, 2), (1, 1)), ((0, 1), (1, 1))]
+    g = parse_presentation("graph\nedge a a e1\nedge a a\nedge a a e0\nedge a a\n")
+    assert g.edge_names == ("e1", "e2", "e0", "e3")
+    assert format_presentation(g) == (
+        "graph\nvertex a\nedge a a e1\nedge a a e2\nedge a a e0\nedge a a e3\n")
+
+
+def mixed_document(rng: random.Random) -> str:
+    """A canonical document of graph and loops sections: vertices declared
+    in a random order, some edges named (e<k> names included), the rest
+    left to the auto names."""
+    sections = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.3:
+            counts = sorted(rng.sample(range(1, 9), rng.randint(1, 3)))
+            sections.append("loops\nat b\n" + "".join(f"count {n} {rng.randint(1, 4)}\n"
+                                                      for n in counts))
+            continue
+        vs = [f"v{i}" for i in range(rng.randint(1, 6))]
+        rng.shuffle(vs)
+        edges = [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, 8))]
+        named = rng.random() < 0.5
+        names = rng.sample([f"e{k}" for k in range(12)] + [f"n{k}" for k in range(12)], len(edges))
+        lines = ["graph", *(f"vertex {v}" for v in vs)]
+        lines += [f"edge {u} {w}" + (f" {n}" if named else "") for (u, w), n in zip(edges, names)]
+        sections.append("\n".join(lines) + "\n")
+    return "\n".join(sections)
+
+
+def test_format_document_of_a_parsed_document_is_byte_identical():
+    rng = random.Random(2718)
+    for _ in range(120):
+        text = mixed_document(rng)
+        assert format_document(parse_document(text)) == text
+        noisy = text.replace("\nedge ", "\n  edge   ").replace("\ngraph\n", "\ngraph # again\n")
+        assert format_document(parse_document(noisy)) == text
+
+
 def test_single_section_parser_rejects_multi():
     with pytest.raises(ParseError):
         parse_presentation("graph\nedge a a\nloops\ncount 1 1\n")
