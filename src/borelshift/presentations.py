@@ -372,7 +372,6 @@ def parse_document(text: str) -> tuple[ShiftPresentation, ...]:
 
     def body():  # the lines up to the next header, which is left in `head`
         nonlocal head
-        head = None
         for line in lines:
             if line[1][0] in ("graph", "loops"):
                 head = line
@@ -382,6 +381,7 @@ def parse_document(text: str) -> tuple[ShiftPresentation, ...]:
     parts = []
     while head is not None:
         lineno, toks = head
+        head = None
         if toks[0] not in ("graph", "loops"):
             raise ParseError(lineno, f"expected 'graph' or 'loops' header, got {toks[0]!r}")
         parse = _parse_graph_body if toks[0] == "graph" else _parse_loops_body
