@@ -17,6 +17,7 @@ import importlib
 _EXPORTS = {
     "presentations": (
         "FiniteGraph", "LoopSchema", "GeometricTail", "DampedTail", "ParseError",
+        "Unsatisfiable", "Inconclusive",
         "parse_document", "parse_presentation", "format_document", "format_presentation",
         "golden_mean_graph", "full_shift_graph", "cycle_graph",
     ),

@@ -5,9 +5,12 @@ Reports are line-oriented key=value text; when a verb also emits a document
 (invariants, presentation, code, relation), the report lines are prefixed
 with '#' so the whole stream still parses as that document.
 
-Exit status: 0 success or true verdict, 1 false verdict with witness,
-2 inconclusive at tolerance or budget exhausted, 64 usage, 65 parse or
-data errors.  Diagnostics go to standard error.
+Exit status: 0 success or true verdict, 1 false verdict with witness or a
+refused construction (Unsatisfiable), 2 no answer within a tolerance,
+precision or size budget (Inconclusive), 64 usage, 65 parse or data errors
+(ParseError and every other ValueError).  The CLI knows only these bases,
+defined in presentations, never the classes that the modules derive from
+them.  Diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -17,10 +20,7 @@ import sys
 from fractions import Fraction
 
 from .entropy import DEFAULT_TOL, IntervalApprox
-from .intervals import PrecisionExhausted
-from .recurrence import UndecidableAtTolerance
 from .invariants import (
-    InconclusiveAtTolerance,
     InvariantPair,
     decide_almost_borel_iso,
     format_invariants,
@@ -32,7 +32,9 @@ from .invariants import (
 )
 from .presentations import (
     FiniteGraph,
+    Inconclusive,
     ParseError,
+    Unsatisfiable,
     _content_lines,
     format_document,
     parse_document,
@@ -138,11 +140,7 @@ def _cmd_realize(args) -> int:
     parts = list(real.parts())
     for fam in real.families:
         if args.member is None:
-            print(
-                "unattained generators need --member J to pick family members",
-                file=sys.stderr,
-            )
-            return EX_INCONCLUSIVE
+            raise Inconclusive("unattained generators need --member J to pick family members")
         parts.append(fam.member(args.member))
     for role, _ in real.components:
         _emit("component", role, comment=True)
@@ -377,21 +375,6 @@ def build_parser() -> _Parser:
 _PARSER = build_parser()
 
 
-def _loaded(*names: str) -> tuple:
-    """The classes named `module.Class` whose module this process has loaded.
-
-    An except clause is evaluated only once an exception reaches it, and an
-    exception from a module never loaded cannot have been raised.
-    """
-    found = []
-    for name in names:
-        module, cls = name.split(".")
-        mod = sys.modules.get(f"{__package__}.{module}")
-        if mod is not None:
-            found.append(getattr(mod, cls))
-    return tuple(found)
-
-
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
@@ -406,15 +389,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return EX_DATA
-    except _loaded("realize.UnrealizableEntropy", "markers.PreconditionViolated") as exc:
+    except Unsatisfiable as exc:
         print(str(exc), file=sys.stderr)
         return EX_FALSE
-    except (
-        UndecidableAtTolerance,
-        InconclusiveAtTolerance,
-        PrecisionExhausted,
-        *_loaded("codes.BudgetExhausted", "markers.NoDistinctLoops"),
-    ) as exc:
+    except Inconclusive as exc:
         print(str(exc), file=sys.stderr)
         return EX_INCONCLUSIVE
     except ValueError as exc:

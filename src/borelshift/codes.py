@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import Optional
 
@@ -43,6 +44,7 @@ from .graphs import _component_ids, _walk, irreducible_components, rome
 from .presentations import (
     FiniteGraph,
     GraphIndex,
+    Inconclusive,
     ParseError,
     _content_lines,
     _parse_graph_body,
@@ -60,7 +62,7 @@ TUPLE_CAP = 100_000
 M_CAP = 64
 
 
-class BudgetExhausted(RuntimeError):
+class BudgetExhausted(Inconclusive):
     """A documented size cap was reached before an answer was certified."""
 
 
@@ -93,12 +95,10 @@ class BlockCode:
         In edge mode, edge e -> f when head(e) = tail(f), ordered by e and then
         by f in the domain's edge order.
         """
-        if self.mode == "vertex":
-            return self
-        try:
-            return self._labeled
-        except AttributeError:
-            pass
+        return self if self.mode == "vertex" else self._line_code
+
+    @cached_property
+    def _line_code(self) -> "BlockCode":
         g = self.domain
         leaving: dict[str, list[str]] = {}
         for name, (u, _) in zip(g.edge_names, g.edges):
@@ -107,21 +107,14 @@ class BlockCode:
             (e, f) for e, (_, w) in zip(g.edge_names, g.edges) for f in leaving.get(w, ())
         )
         lm = self._label_map
-        lg = BlockCode(FiniteGraph(g.edge_names, edges), tuple((v, lm[v]) for v in g.edge_names))
-        object.__setattr__(self, "_labeled", lg)
-        return lg
+        return BlockCode(FiniteGraph(g.edge_names, edges), tuple((v, lm[v]) for v in g.edge_names))
 
     def label(self, key: str) -> str:
         return self._label_map[key]
 
-    @property
+    @cached_property
     def _label_map(self) -> dict:
-        try:
-            return self._lm_cache
-        except AttributeError:
-            lm = dict(self.mapping)
-            object.__setattr__(self, "_lm_cache", lm)
-            return lm
+        return dict(self.mapping)
 
     def alphabet(self) -> tuple[str, ...]:
         return tuple(sorted({s for _, s in self.mapping}))
@@ -424,7 +417,7 @@ def image_entropy(code: BlockCode) -> ExtendedEntropy:
                 subsets.add(ft)
                 frontier.append(ft)
         if len(subsets) > 1 << 16:
-            raise ArithmeticError("determinization exceeded the subset budget")
+            raise BudgetExhausted("determinization exceeded the subset budget")
     # positions are in name order, so sorting subsets by position sorts them by name
     names = {s: f"s{i}" for i, s in enumerate(sorted(subsets, key=sorted))}
     dfa = FiniteGraph.from_edges([(names[a], names[b]) for a, b in edges])

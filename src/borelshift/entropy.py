@@ -75,7 +75,7 @@ from operator import add, itemgetter, mul, truediv
 
 from .graphs import is_single_cycle, period_of_component
 from .intervals import PrecisionExhausted, RatInterval, log_fraction, log_interval
-from .presentations import FiniteGraph
+from .presentations import FiniteGraph, Inconclusive
 
 DEFAULT_TOL = Fraction(1, 10**9)
 ENCLOSURE_WIDTH = Fraction(1, 10**12)
@@ -139,6 +139,9 @@ class InfiniteEntropy(ExtendedEntropy):
 
     def log_enclosure(self, max_width: Fraction = ENCLOSURE_WIDTH) -> RatInterval:
         raise ValueError("infinite entropy has no finite enclosure")
+
+    def __float__(self) -> float:
+        return math.inf
 
     def __repr__(self):
         return "Entropy(inf)"
@@ -1235,7 +1238,7 @@ def max_entropy(values, tol: Fraction = DEFAULT_TOL) -> ExtendedEntropy:
             continue
         c = compare_entropy(v, best, tol)
         if c == "unknown":
-            raise ArithmeticError("entropy maximum inconclusive at tolerance")
+            raise Inconclusive("entropy maximum inconclusive at tolerance")
         if c == "gt":
             best = v
     if best is None:

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .presentations import Inconclusive
 
-class PrecisionExhausted(ArithmeticError):
+
+class PrecisionExhausted(Inconclusive):
     """A certified enclosure missed its promised width within its budget."""
 
 

@@ -35,7 +35,9 @@ from .entropy import (
     perron_entropy,
 )
 from .graphs import irreducible_components, period_of_component
-from .presentations import FiniteGraph, LoopSchema, ParseError, _content_lines, parse_rational
+from .presentations import (
+    FiniteGraph, Inconclusive, LoopSchema, ParseError, _content_lines, parse_rational,
+)
 from .recurrence import (
     POSITIVE_RECURRENT,
     ComponentSummary,
@@ -60,7 +62,7 @@ UNATTAINED = Unattained()
 Count = Union[int, Unattained]
 
 
-class InconclusiveAtTolerance(ArithmeticError):
+class InconclusiveAtTolerance(Inconclusive):
     """An entropy comparison needed by the decision could not be certified."""
 
 
@@ -166,10 +168,8 @@ def canonical_invariants(pair: InvariantPair, tol: Fraction = DEFAULT_TOL) -> In
 def _canonicalize(items, tol: Fraction) -> InvariantPair:
     # cluster entropies at tolerance; sorted order makes adjacent merging sound
     def sort_key(it):
-        h = it[1]
-        if h is INFINITE_ENTROPY:
-            return (1, 0.0)
-        return (0, float(h))
+        # an infinite entropy after every finite one, even one past the float range
+        return (float(it[1]), not it[1].is_finite())
 
     clusters: list[list] = []  # [representative entropy, merged items]
     for it in sorted(items, key=sort_key):

@@ -33,7 +33,7 @@ from typing import Optional
 from .codes import BlockCode, BudgetExhausted, check_injective, prune_to_biinfinite
 from .entropy import DEFAULT_TOL, ExtendedEntropy, ZERO_ENTROPY, compare_entropy, perron_entropy
 from .graphs import first_return_counts, irreducible_components
-from .presentations import FiniteGraph, LoopSchema
+from .presentations import FiniteGraph, Inconclusive, LoopSchema, Unsatisfiable
 from .recurrence import classify_recurrence
 
 GALLERY_CAP = 4096
@@ -44,11 +44,11 @@ A_CHOICES = (4, 8, 16, 32)
 BUDGET_MESSAGE = "marker presentation exceeded the state budget"
 
 
-class PreconditionViolated(ValueError):
+class PreconditionViolated(Unsatisfiable):
     """Target entropy at or above the domain entropy, or empty domain."""
 
 
-class NoDistinctLoops(ValueError):
+class NoDistinctLoops(Inconclusive):
     """No pair of loops with distinct label words at any base vertex."""
 
 
@@ -215,10 +215,13 @@ def _loops_at(g: FiniteGraph, base: str, length: int, cap: int) -> list[tuple[st
 def find_image_distinct_loops(
     lg: BlockCode, base: str, max_len: int = 6
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Two loops at base whose label words differ; same length preferred."""
+    """Two loops at base whose label words differ; same length preferred,
+    else the first loops of the two shortest lengths that have one."""
     lm = lg._label_map
+    firsts = []
     for length in range(1, max_len + 1):
         loops = _loops_at(lg.domain, base, length, cap=512)
+        firsts += loops[:1]
         seen = {}
         for w in loops:
             lab = tuple(lm[v] for v in w)
@@ -226,15 +229,9 @@ def find_image_distinct_loops(
                 if other_lab != lab:
                     return other, w
             seen[lab] = w
-    # fall back to distinct lengths
-    found = []
-    for length in range(1, max_len + 1):
-        loops = _loops_at(lg.domain, base, length, cap=64)
-        if loops:
-            found.append(loops[0])
-        if len(found) >= 2:
-            return found[0], found[1]
-    raise NoDistinctLoops(f"no two label-distinct loops at {base!r}")
+    if len(firsts) < 2:
+        raise NoDistinctLoops(f"no two label-distinct loops at {base!r}")
+    return firsts[0], firsts[1]
 
 
 def _label_word(lg: BlockCode, word: tuple[str, ...]) -> tuple[str, ...]:

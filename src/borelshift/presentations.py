@@ -48,6 +48,8 @@ NUMBER_DIGITS_CAP = 4000
 _RATIONAL = re.compile(r"\s*[-+]?([\d_]*)(?:/([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*")
 
 
+# The three ways a verb stops short of an answer, each with its own exit
+# status (cli): every exception a verb raises on purpose subclasses one.
 class ParseError(ValueError):
     """Document syntax or validation error, tagged with a 1-based line number."""
 
@@ -55,6 +57,14 @@ class ParseError(ValueError):
         self.lineno = lineno
         self.message = message
         super().__init__(f"line {lineno}: {message}")
+
+
+class Unsatisfiable(ValueError):
+    """A well-formed request that no object satisfies: a refused construction."""
+
+
+class Inconclusive(ArithmeticError):
+    """No certified answer within a tolerance, precision or size budget."""
 
 
 @dataclass(frozen=True)

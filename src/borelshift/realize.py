@@ -44,6 +44,7 @@ from .presentations import (
     TAIL_BITS_CAP,
     DampedTail,
     LoopSchema,
+    Unsatisfiable,
     format_document,
     tail_bits,
 )
@@ -64,7 +65,7 @@ TRANSIENT_ENTROPY_CAP = 9000
 MEMBER_CAP = 1327
 
 
-class UnrealizableEntropy(ValueError):
+class UnrealizableEntropy(Unsatisfiable):
     """Entropy value too wide, non-positive, or otherwise not constructible."""
 
 

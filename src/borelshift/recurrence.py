@@ -43,7 +43,7 @@ from .entropy import (
 )
 from .graphs import schema_period
 from .intervals import RatInterval, log_interval
-from .presentations import DAMPED_FIRST_TERMS, DampedTail, LoopSchema
+from .presentations import DAMPED_FIRST_TERMS, DampedTail, Inconclusive, LoopSchema
 
 POSITIVE_RECURRENT = "positive-recurrent"
 NULL_RECURRENT = "null-recurrent"
@@ -52,7 +52,7 @@ TRANSIENT = "transient"
 EXACT_DEGREE_CAP = 64
 
 
-class UndecidableAtTolerance(ArithmeticError):
+class UndecidableAtTolerance(Inconclusive):
     """Phi cannot be separated from 1 at certification width."""
 
 

@@ -4,6 +4,7 @@ import importlib
 import io
 import math
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -378,6 +379,12 @@ def test_embed_target_above_domain_entropy(capsys, even_code_file):
     assert "exceeds" in err
 
 
+def test_embed_infinite_target_is_refused_like_any_target_above(capsys, even_code_file):
+    code, out, err = run(capsys, ["embed", even_code_file, "--target", "inf"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["target entropy inf exceeds domain entropy 0.481212"]
+
+
 def test_embed_rejects_bad_target(capsys, even_code_file):
     code, _, err = run(capsys, ["embed", even_code_file, "--target", "x"])
     assert code == 65
@@ -726,7 +733,7 @@ def test_each_verb_loads_only_the_modules_it_reaches(
 
 def test_no_distinct_loops_exits_2_from_a_fresh_process(even_code_file):
     # no verb raises NoDistinctLoops today (the marker search catches it), so a
-    # patched synthesis raises it: main finds the class among loaded modules
+    # patched synthesis raises it: main maps it by its base class, Inconclusive
     child = """
 import sys
 from borelshift import markers
@@ -741,6 +748,71 @@ print(main(["embed", sys.argv[1], "--target", "1/4"]))
     assert proc.stderr.splitlines() == ["no two label-distinct loops"]
 
 
+# the exit status of each base class, which is all that cli.main knows;
+# an AssertionError is an internal defect and is not caught
+_ENDINGS = (
+    (borelshift.ParseError, 65),
+    (borelshift.Unsatisfiable, 1),
+    (borelshift.Inconclusive, 2),
+    (cli._Usage, 64),
+    (AssertionError, None),
+)
+
+
+def _exception_classes():
+    """(module, name) of every exception class a `borelshift` module defines."""
+    found = []
+    for info in pkgutil.iter_modules(borelshift.__path__):
+        mod = importlib.import_module(f"borelshift.{info.name}")
+        for name, obj in vars(mod).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == mod.__name__):
+                found.append((info.name, name))
+    return sorted(found)
+
+
+def test_every_exception_class_has_exactly_one_ending():
+    classes = _exception_classes()
+    assert ("markers", "NoDistinctLoops") in classes and ("cli", "_Usage") in classes
+    for module, name in classes:
+        cls = getattr(importlib.import_module(f"borelshift.{module}"), name)
+        assert sum(issubclass(cls, base) for base, _ in _ENDINGS) == 1, name
+
+
+# a usage error is raised by the argument parser, every other class by the verb
+_RAISE_CHILD = """
+import importlib, sys
+from borelshift import cli
+module, name = sys.argv[1:]
+cls = getattr(importlib.import_module(f"borelshift.{module}"), name)
+exc = cls(3, "the message") if issubclass(cls, cli.ParseError) else cls("the message")
+def fail(*args, **kwargs):
+    raise exc
+if cls is cli._Usage:
+    cli._PARSER.parse_args = fail
+else:
+    cli._read = fail
+try:
+    print(cli.main(["analyze", "-"]))
+except AssertionError:
+    print("raised")
+"""
+
+
+@pytest.mark.parametrize("module, name", _exception_classes())
+def test_each_exception_class_exits_with_its_ending_from_a_fresh_process(module, name):
+    cls = getattr(importlib.import_module(f"borelshift.{module}"), name)
+    (code,) = [code for base, code in _ENDINGS if issubclass(cls, base)]
+    proc = _cold(_RAISE_CHILD, module, name)
+    if code is None:
+        assert proc.stdout.splitlines() == ["raised"]
+        assert proc.stderr == ""
+    else:
+        assert proc.stdout.splitlines() == [str(code)]
+        assert len(proc.stderr.splitlines()) == 1
+        assert "the message" in proc.stderr
+
+
 def test_import_loads_no_submodule():
     proc = _cold("import sys, borelshift; print(sorted(m for m in sys.modules if 'borelshift' in m))")
     assert proc.stdout.splitlines() == ["['borelshift']"]
@@ -749,7 +821,8 @@ def test_import_loads_no_submodule():
 # the names `borelshift/__init__.py` imported eagerly, by module
 _EXPORTED = {
     "presentations": (
-        "FiniteGraph LoopSchema GeometricTail DampedTail ParseError parse_document"
+        "FiniteGraph LoopSchema GeometricTail DampedTail ParseError Unsatisfiable"
+        " Inconclusive parse_document"
         " parse_presentation format_document format_presentation golden_mean_graph"
         " full_shift_graph cycle_graph"
     ),

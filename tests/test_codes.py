@@ -72,6 +72,17 @@ def test_labeled_line_graph_of_edge_code():
     assert lg.alphabet() == ("0", "1")
 
 
+def test_labeled_is_built_once_per_code():
+    # every check on one code shares one line graph, and one label map
+    code = even_code()
+    lg = code.labeled()
+    assert code.labeled() is lg
+    ident = identity_code()
+    assert lg.labeled() is lg and ident.labeled() is ident
+    assert code == even_code() and hash(code) == hash(even_code())
+    assert code._label_map is code._label_map == {"e0": "1", "e1": "0", "e2": "0"}
+
+
 def test_vertex_mode_rejects_parallel_edges():
     g = FiniteGraph(("u",), (("u", "u"), ("u", "u")))
     with pytest.raises(ValueError):

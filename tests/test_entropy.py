@@ -50,7 +50,7 @@ from borelshift.intervals import (
     log_fraction,
     log_interval,
 )
-from borelshift.presentations import GeometricTail, LoopSchema
+from borelshift.presentations import GeometricTail, Inconclusive, LoopSchema
 from borelshift.recurrence import _phi_polynomial
 
 from helpers import (
@@ -1135,6 +1135,17 @@ def test_max_entropy():
     assert max_entropy([phi, g2, ZERO_ENTROPY]) is g2
     assert max_entropy([]) is ZERO_ENTROPY
     assert max_entropy([ZERO_ENTROPY, INFINITE_ENTROPY]) is INFINITE_ENTROPY
+    # an interval that overlaps a point within tolerance has no certified maximum
+    half = IntervalApprox(Fraction(1, 2), Fraction(1, 2))
+    near = IntervalApprox(Fraction(1000000001, 2000000000), Fraction(1000000003, 2000000000))
+    with pytest.raises(Inconclusive, match="^entropy maximum inconclusive at tolerance$"):
+        max_entropy([half, near])
+
+
+def test_infinite_entropy_is_the_float_infinity():
+    assert float(INFINITE_ENTROPY) == math.inf
+    with pytest.raises(ValueError, match="no finite enclosure"):
+        INFINITE_ENTROPY.log_enclosure()
 
 
 def test_perron_matches_float_power_iteration():

@@ -187,6 +187,16 @@ def test_canonical_merges_equal_keys():
     assert got.generators == (Generator(1, LOG2_E, 3),)
 
 
+def test_canonical_merges_equal_keys_past_the_float_range_around_infinity():
+    # float() of both 10^3999 and infinity is inf; infinity still sorts after
+    # every finite entropy, so the two equal finite keys stay adjacent and merge
+    got = canonical_invariants(parse_invariants(
+        "gen 1 1e3999 1e3999 1\ngen 2 inf 0\ngen 1 1e3999 1e3999 1\n"
+    ))
+    assert [(g.period, g.count) for g in got.generators] == [(1, 2), (2, 0)]
+    assert got.generators[1].entropy is INFINITE_ENTROPY
+
+
 def test_canonical_drops_strictly_dominated():
     got = canonical_invariants(pair((1, LOG3_E, 1), (2, LOG2_E, 4)))
     assert got.generators == (Generator(1, LOG3_E, 1),)

@@ -201,6 +201,30 @@ def test_no_distinct_loops_on_constant_cycle():
         find_image_distinct_loops(lg, "a", max_len=2)
 
 
+@pytest.mark.parametrize("edges, want", [
+    # two loops of length 2 and one of length 3: the first of each
+    ([("a", "b"), ("b", "a"), ("a", "c"), ("c", "a"), ("c", "d"), ("d", "a")],
+     (("a", "c"), ("a", "c", "d"))),
+    # loops of lengths 3 and 5 only, up to max_len
+    ([("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "e"), ("e", "f"), ("f", "g"),
+      ("g", "a")], (("a", "b", "c"), ("a", "d", "e", "f", "g"))),
+])
+def test_constant_labels_fall_back_to_the_two_shortest_loop_lengths(monkeypatch, edges, want):
+    # every label is x, so no length has two label-distinct loops; each length
+    # is enumerated once, and its first loop is the one the fallback keeps
+    g = FiniteGraph.from_edges(edges)
+    lg = BlockCode(g, tuple((v, "x") for v in g.vertices), mode="vertex").labeled()
+    calls = []
+    loops_at = markers._loops_at
+    monkeypatch.setattr(
+        markers, "_loops_at", lambda *args, **kw: calls.append(args[2]) or loops_at(*args, **kw)
+    )
+    assert find_image_distinct_loops(lg, "a") == want
+    assert calls == [1, 2, 3, 4, 5, 6]
+    for loop in want:
+        assert loop == loops_at(g, "a", len(loop), 1)[0]
+
+
 # === block presentations by hand ===
 
 def test_single_word_gallery_matches_two_length_oracle():
