@@ -213,8 +213,8 @@ def _cmd_bowen(args) -> int:
 
 def _cmd_fiberprod(args) -> int:
     from .codes import (
-        build_fibered_product_Fm, extract_tilde_Xm, minimal_relation, parse_code,
-        parse_relation, quotient_psi,
+        _related_tuples, extract_tilde_Xm, minimal_relation, parse_code, parse_relation,
+        quotient_psi,
     )
 
     code = parse_code(_read(args.file))
@@ -222,7 +222,8 @@ def _cmd_fiberprod(args) -> int:
         rel = minimal_relation(code)
     else:
         rel = parse_relation(_read(args.relation))
-    fm = build_fibered_product_Fm(code, rel, args.m)
+    # F_m is never pruned: its states are the mutually related m-tuples
+    fm_states = len(_related_tuples(code.labeled().domain.index(), rel, args.m, False))
     tilde = extract_tilde_Xm(code, rel, args.m)
     psi = quotient_psi(tilde, args.m)
     # tuple states join coordinate names with ',', which no document symbol
@@ -237,7 +238,7 @@ def _cmd_fiberprod(args) -> int:
         tuple((rename[u], rename[v]) for u, v in tilde.edges),
         tilde.edge_names,
     )
-    _emit("fm_states", len(fm.vertices), comment=True)
+    _emit("fm_states", fm_states, comment=True)
     _emit("tilde_states", len(tilde.vertices), comment=True)
     _emit("right_resolving", psi.right_resolving, comment=True)
     _emit("left_resolving", psi.left_resolving, comment=True)

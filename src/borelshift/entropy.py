@@ -1175,16 +1175,18 @@ def compare_entropy(a: ExtendedEntropy, b: ExtendedEntropy, tol: Fraction = DEFA
     """Compare at tolerance: 'eq' | 'lt' | 'gt' | 'unknown'.
 
     'eq' certifies |a-b| <= tol, 'lt'/'gt' certify |a-b| > tol with the given
-    order.  Exact algebraic pairs of one polynomial short-circuit when their
-    intervals hold the same root; 'unknown' survives only when the true
-    difference straddles the tolerance beyond refinement reach.
+    order.  A value equals itself, however wide its enclosure; zero and
+    infinity are single objects, so two of either are one value.  Exact
+    algebraic pairs of one polynomial short-circuit when their intervals hold
+    the same root; 'unknown' survives only when the true difference straddles
+    the tolerance beyond refinement reach.
     """
-    a_inf = not a.is_finite()
-    b_inf = not b.is_finite()
-    if a_inf or b_inf:
-        if a_inf and b_inf:
-            return "eq"
-        return "gt" if a_inf else "lt"
+    if a is b:
+        return "eq"
+    if not a.is_finite():
+        return "gt"
+    if not b.is_finite():
+        return "lt"
     if _same_algebraic(a, b):
         return "eq"
     width = min(tol / 8, ENCLOSURE_WIDTH)
@@ -1209,8 +1211,6 @@ def compare_entropy(a: ExtendedEntropy, b: ExtendedEntropy, tol: Fraction = DEFA
 
 
 def _same_algebraic(a: ExtendedEntropy, b: ExtendedEntropy) -> bool:
-    if isinstance(a, ZeroEntropy) and isinstance(b, ZeroEntropy):
-        return True
     if not (isinstance(a, ExactAlgebraic) and isinstance(b, ExactAlgebraic)):
         return False
     if a.poly != b.poly:

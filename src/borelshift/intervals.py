@@ -192,12 +192,16 @@ def log_interval(x: RatInterval, max_width: Fraction = Fraction(1, 10**15)) -> R
     return RatInterval(log_fraction(x.lo, per).lo, log_fraction(x.hi, per).hi)
 
 
-def approx_exp(x: Fraction, digits: int = 30) -> Fraction:
-    """Non-certified rational approximation of e^x, good to ~`digits` places;
-    a value below about 10^-(digits+1) falls to 0 or 10^-(digits+1).
+APPROX_EXP_DIGITS = 30
+
+
+def approx_exp(x: Fraction) -> Fraction:
+    """Non-certified rational approximation of e^x, good to ~APPROX_EXP_DIGITS
+    places; a value below about 10^-(APPROX_EXP_DIGITS+1) falls to 0 or
+    10^-(APPROX_EXP_DIGITS+1).
 
     Used only to seed constructions; certification always reruns through the
     interval routines on the emitted object.
     """
-    enc = exp_fraction(x, Fraction(1, 10 ** (digits + 2)))
-    return enc.mid.limit_denominator(10 ** (digits + 1))
+    enc = exp_fraction(x, Fraction(1, 10 ** (APPROX_EXP_DIGITS + 2)))
+    return enc.mid.limit_denominator(10 ** (APPROX_EXP_DIGITS + 1))

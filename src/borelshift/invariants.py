@@ -99,7 +99,10 @@ class InvariantPair:
         return best
 
     def eta_value(self, p: int, tol: Fraction = DEFAULT_TOL) -> int:
-        top = self.u_value(p, tol)
+        return self._eta_at(p, self.u_value(p, tol), tol)
+
+    def _eta_at(self, p: int, top: ExtendedEntropy, tol: Fraction) -> int:
+        """eta(p), given top = u(p)."""
         if top is ZERO_ENTROPY:
             return 0
         total = 0
@@ -254,7 +257,7 @@ def decide_almost_borel_iso(
             return IsoVerdict(
                 False, m, f"u({m}) differs: {ua} vs {ub} ({c})"
             )
-        ea, eb = a.eta_value(m, tol), b.eta_value(m, tol)
+        ea, eb = a._eta_at(m, ua, tol), b._eta_at(m, ub, tol)
         if ea != eb:
             return IsoVerdict(False, m, f"eta({m}) differs: {ea} vs {eb}")
     return IsoVerdict(True)

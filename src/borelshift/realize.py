@@ -13,10 +13,16 @@ rational approximation of e^{-hp}; the root perturbation from truncating the
 digit expansion is far below the working tolerance.  Transient schemas use a
 damped tail floor(a k^n / n^2) with a = p^2/2, which keeps Phi(R) <= zeta(2)/2
 certifiably below 1 while forcing entropy log k.
+
+The certificate is the classification itself: the emitted components are
+classified again, their (u, eta) is recomputed with the families' suprema
+(pair_of_realization), and decide_almost_borel_iso must find it equal to the
+requested pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -26,9 +32,8 @@ from .entropy import (
     ExactAlgebraic,
     ExtendedEntropy,
     INFINITE_ENTROPY,
-    compare_entropy,
 )
-from .intervals import approx_exp
+from .intervals import APPROX_EXP_DIGITS, approx_exp
 from .invariants import (
     UNATTAINED,
     Generator,
@@ -36,6 +41,7 @@ from .invariants import (
     canonical_invariants,
     check_admissible,
     compute_u_eta,
+    decide_almost_borel_iso,
     summarize_components,
 )
 from .presentations import (
@@ -48,21 +54,21 @@ from .presentations import (
     format_document,
     tail_bits,
 )
-from .recurrence import POSITIVE_RECURRENT, TRANSIENT
+from .recurrence import BRACKET_FLOOR_DIGITS
 
 DIGIT_FLOOR = Fraction(1, 10**13)
 # the greedy seed e^(-p h) is a 30-digit approx_exp, which falls to its 10^-31
 # grid once p h passes 31 ln 10 = 71.4
-SEED_EXPONENT_CAP = 71
+SEED_EXPONENT_CAP = int((APPROX_EXP_DIGITS + 1) * math.log(10))
 # a transient schema's tail ratio k = e^h prints with about h / ln 10 + 31
 # digits, which must stay within presentations.NUMBER_DIGITS_CAP = 4000 for the
 # document to read back: h <= 9139
 TRANSIENT_ENTROPY_CAP = 9000
 # member J of an infinite-entropy family has Phi(x) = 2^(J p) x^p, whose root
-# 2^-J analyze brackets by halving down to 10^-400: it does so up to J = 1327
-# and fails from J = 1328 on (at periods 1 to 9; from period 10 on the J p
-# digit cap binds first)
-MEMBER_CAP = 1327
+# 2^-J analyze brackets by halving down to 10^-400: the walk ends at 2^-(J+1),
+# so it does so up to J = floor(400 log2 10) - 1 = 1327 and fails from J = 1328
+# on (at periods 1 to 9; from period 10 on the J p digit cap binds first)
+MEMBER_CAP = math.floor(BRACKET_FLOOR_DIGITS * math.log2(10)) - 1
 
 
 class UnrealizableEntropy(Unsatisfiable):
@@ -70,7 +76,7 @@ class UnrealizableEntropy(Unsatisfiable):
 
 
 class RealizationCertificationError(AssertionError):
-    """An emitted schema failed its independent classification check."""
+    """The (u, eta) of the emitted realization is not the requested pair."""
 
 
 @dataclass(frozen=True)
@@ -199,8 +205,8 @@ def _transient_schema(period: int, h: ExtendedEntropy) -> LoopSchema:
 
 
 def realize_invariants(pair: InvariantPair, tol: Fraction = DEFAULT_TOL) -> Realization:
-    """Build components realizing the pair and certify them independently;
-    raises on inadmissible input."""
+    """Build components realizing the pair and certify that their (u, eta)
+    equals the pair's; raises on inadmissible input."""
     rep = check_admissible(pair, tol)
     if not rep.admissible:
         raise UnrealizableEntropy(
@@ -233,35 +239,10 @@ def realize_invariants(pair: InvariantPair, tol: Fraction = DEFAULT_TOL) -> Real
 
 
 def _certify(real: Realization, canon: InvariantPair, tol: Fraction):
-    by_key: dict[int, list] = {}
-    for (role, _), r in zip(real.components, summarize_components(real.parts())):
-        want = POSITIVE_RECURRENT if role == "mme" else TRANSIENT
-        if r.recurrence != want:
-            raise RealizationCertificationError(
-                f"component classified {r.recurrence}, wanted {want}"
-            )
-        by_key.setdefault(r.period, []).append((role, r.entropy))
-    for g in canon.generators:
-        if g.count is UNATTAINED:
-            continue
-        if g.count == 0 and g.entropy is INFINITE_ENTROPY:
-            continue  # realized by a family; no finite component to certify
-        got = by_key.get(g.period, [])
-        matched = [
-            role
-            for role, h in got
-            if compare_entropy(h, g.entropy, tol) == "eq"
-        ]
-        want_mme = g.count if isinstance(g.count, int) else 0
-        if matched.count("mme") != want_mme:
-            raise RealizationCertificationError(
-                f"period {g.period}: wanted {want_mme} MME components, "
-                f"certified {matched.count('mme')}"
-            )
-        if want_mme == 0 and "transient" not in matched:
-            raise RealizationCertificationError(
-                f"period {g.period}: zero-count generator lacks a transient witness"
-            )
+    """A realization is correct when its (u, eta) is the requested pair."""
+    verdict = decide_almost_borel_iso(pair_of_realization(real, tol), canon, tol)
+    if not verdict.isomorphic:
+        raise RealizationCertificationError(verdict.detail)
 
 
 def pair_of_realization(real: Realization, tol: Fraction = DEFAULT_TOL) -> InvariantPair:

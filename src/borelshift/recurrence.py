@@ -50,6 +50,8 @@ NULL_RECURRENT = "null-recurrent"
 TRANSIENT = "transient"
 
 EXACT_DEGREE_CAP = 64
+# the lower bracket walk of Phi(x) = 1 gives up below 10^-BRACKET_FLOOR_DIGITS
+BRACKET_FLOOR_DIGITS = 400
 
 
 class UndecidableAtTolerance(Inconclusive):
@@ -252,8 +254,8 @@ def _phi_versus_one(schema: LoopSchema, x, q: int = 1) -> int:
 def _bracket_and_bisect_root(side, hi: Fraction, rel_width: Fraction) -> RatInterval:
     """Root of Phi(x) = 1 in (0, hi), certified, where side(p, q) is the sign
     of Phi(p / q) - 1 for integers p and q, and side(hi) > 0.  A root below
-    10^-400 raises UndecidableAtTolerance; the floor bounds the lower walk at
-    about 1,330 halvings.
+    10^-BRACKET_FLOOR_DIGITS raises UndecidableAtTolerance; the floor bounds
+    the lower walk at about 1,330 halvings.
 
     Every point is hi j / 2^e: the walk halves hi, each midpoint of
     hi L / 2^e and hi H / 2^e is hi (L + H) / 2^(e+1), and the nudge below
@@ -269,14 +271,15 @@ def _bracket_and_bisect_root(side, hi: Fraction, rel_width: Fraction) -> RatInte
     """
     hn, hd = hi.numerator, hi.denominator
     wn, wd = rel_width.numerator, rel_width.denominator
-    bottom = hn * 10**400  # hi / 2^e < 10^-400 exactly when bottom < hd 2^e
+    # hi / 2^e < 10^-BRACKET_FLOOR_DIGITS exactly when bottom < hd 2^e
+    bottom = hn * 10**BRACKET_FLOOR_DIGITS
     e = 1
     while side(hn, hd << e) >= 0:
         e += 1
         if bottom < hd << e:
             raise UndecidableAtTolerance(
                 "cannot bracket the root of Phi(x) = 1 from below: "
-                "Phi is not certified below 1 above 10^-400"
+                f"Phi is not certified below 1 above 10^-{BRACKET_FLOOR_DIGITS}"
             )
     lo_j, hi_j = 1, 1 << e  # the root lies in (hi lo_j / 2^e, hi hi_j / 2^e)
     while (hi_j - lo_j) * wd > wn * lo_j:

@@ -18,6 +18,7 @@ import pytest
 from borelshift import (
     BlockCode,
     IntervalApprox,
+    build_fibered_product_Fm,
     check_injective,
     cycle_graph,
     format_code,
@@ -350,6 +351,16 @@ def test_realize_names_the_seed_limit_and_realizes_up_to_it(capsys, tmp_path):
     assert kv(out)["isomorphic"] == "true"
 
 
+def test_realize_refuses_a_wide_interval_as_too_wide(capsys, tmp_path):
+    # the generator compares equal to itself, so canonicalizing it keeps it
+    inv = tmp_path / "inv.txt"
+    inv.write_text("gen 1 1/2 1 1\n")
+    code, out, err = run(capsys, ["realize", str(inv)])
+    assert code == 1
+    assert out == ""
+    assert err == "entropy enclosure too wide to realize at tolerance: width 0.5\n"
+
+
 def test_realize_inadmissible_pair_exits_one(capsys, tmp_path):
     inv = tmp_path / "inv.txt"
     inv.write_text("gen 1 inf 2\n")
@@ -490,6 +501,15 @@ def test_fiberprod_pair_shift_and_quotient(capsys, even_code_file):
     (g,) = parse_document(out)
     assert sorted(g.vertices) == ["e1.e2", "e2.e1"]
     assert len(g.edges) == 2
+
+
+def test_fiberprod_counts_the_states_of_fm(capsys, even_code_file):
+    code = parse_code(Path(even_code_file).read_text())
+    rel = minimal_relation(code)
+    for m, want in zip(range(1, 5), (3, 5, 9, 17)):
+        out = run(capsys, ["fiberprod", even_code_file, "--m", str(m)])[1]
+        assert kv(out)["fm_states"] == str(want)
+        assert len(build_fibered_product_Fm(code, rel, m).vertices) == want
 
 
 def test_fiberprod_dotted_vertex_names_stay_distinct(capsys, tmp_path):

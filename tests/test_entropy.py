@@ -1119,6 +1119,14 @@ def test_compare_entropy_unknown_when_unrefinable():
     assert compare_entropy(a, b) == "unknown"
 
 
+def test_a_value_compares_equal_to_itself_at_any_tolerance():
+    tol = Fraction(1, 10**300)
+    exact = ExactAlgebraic((1, -3, 1), Fraction(2), Fraction(3))
+    wide = IntervalApprox(Fraction(1, 2), Fraction(1))
+    for h in (ZERO_ENTROPY, INFINITE_ENTROPY, exact, wide):
+        assert compare_entropy(h, h, tol) == "eq"
+
+
 def test_compare_entropy_refines_exact_against_point():
     phi = perron_entropy(golden_mean_graph())
     # a point interval straddling nothing: exact side refines until separated

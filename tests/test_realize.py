@@ -26,7 +26,9 @@ from borelshift import (
     realize_invariants,
 )
 
-from borelshift import invariants, realize
+from borelshift import invariants, realize, recurrence
+from borelshift.intervals import APPROX_EXP_DIGITS, exp_fraction
+from borelshift.presentations import LoopSchema
 
 from helpers import LOG2, LOG3
 
@@ -186,3 +188,49 @@ def test_emitted_document_reparses_to_same_invariants():
     again = invariants_of(parts)
     assert decide_almost_borel_iso(again, canonical_invariants(p)).isomorphic
     assert format_document(parts) == doc
+
+
+def _wrong_entropy(period, h):
+    return LoopSchema(counts=((period, 3**period),), tail=None)
+
+
+def _transient_built_recurrent(period, h):
+    return realize._pr_schema(period, h)
+
+
+def _mme_built_transient(period, h):
+    return realize._transient_schema(period, h)
+
+
+def _wrong_period(period, h):
+    return LoopSchema(counts=((1, 2),), tail=None)
+
+
+@pytest.mark.parametrize(
+    "slot, construction, gen",
+    [
+        ("_pr_schema", _wrong_entropy, (1, LOG2_E, 1)),
+        ("_transient_schema", _transient_built_recurrent, (2, LOG3_E, 0)),
+        ("_pr_schema", _mme_built_transient, (1, LOG2_E, 1)),
+        ("_pr_schema", _wrong_period, (2, LOG2_E, 1)),
+    ],
+)
+def test_a_wrong_construction_fails_certification(monkeypatch, slot, construction, gen):
+    monkeypatch.setattr(realize, slot, construction)
+    with pytest.raises(realize.RealizationCertificationError):
+        realize_invariants(pair(gen))
+
+
+def test_restating_caps_derive_from_the_limits_they_restate():
+    # member J's root 2^-J is bracketed while the walk's next point 2^-(J+1)
+    # stays at or above 10^-BRACKET_FLOOR_DIGITS
+    assert realize.MEMBER_CAP == 1327
+    floor = 10**recurrence.BRACKET_FLOOR_DIGITS
+    assert 2 ** (realize.MEMBER_CAP + 1) <= floor < 2 ** (realize.MEMBER_CAP + 2)
+    # the seed e^(-p h) stays above approx_exp's grid 10^-(APPROX_EXP_DIGITS+1)
+    # up to p h = SEED_EXPONENT_CAP and falls below it one step further
+    assert realize.SEED_EXPONENT_CAP == 71
+    grid = Fraction(1, 10 ** (APPROX_EXP_DIGITS + 1))
+    width = Fraction(1, 10**40)
+    assert exp_fraction(Fraction(-realize.SEED_EXPONENT_CAP), width).lo > grid
+    assert exp_fraction(Fraction(-realize.SEED_EXPONENT_CAP - 1), width).hi < grid
