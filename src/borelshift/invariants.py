@@ -28,13 +28,12 @@ from .entropy import (
     INFINITE_ENTROPY,
     IntervalApprox,
     ZERO_ENTROPY,
-    _brackets_root,
     compare_entropy,
     entropy_from_log_value,
-    isolates_one_root,
     perron_entropy,
 )
 from .graphs import irreducible_components, period_of_component
+from .polynomials import _brackets_root, isolates_one_root
 from .presentations import (
     FiniteGraph, Inconclusive, LoopSchema, ParseError, _content_lines, parse_rational,
 )

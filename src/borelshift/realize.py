@@ -37,6 +37,7 @@ from .intervals import APPROX_EXP_DIGITS, approx_exp
 from .invariants import (
     UNATTAINED,
     Generator,
+    InconclusiveAtTolerance,
     InvariantPair,
     canonical_invariants,
     check_admissible,
@@ -239,9 +240,14 @@ def realize_invariants(pair: InvariantPair, tol: Fraction = DEFAULT_TOL) -> Real
 
 
 def _certify(real: Realization, canon: InvariantPair, tol: Fraction):
-    """A realization is correct when its (u, eta) is the requested pair."""
+    """A realization is correct when its (u, eta) is the requested pair.
+    Greedy digits stop at DIGIT_FLOOR, so below it a miss is inconclusive."""
     verdict = decide_almost_borel_iso(pair_of_realization(real, tol), canon, tol)
     if not verdict.isomorphic:
+        if tol < DIGIT_FLOOR:
+            raise InconclusiveAtTolerance(
+                f"cannot certify a realization at tolerance {tol} below DIGIT_FLOOR = {DIGIT_FLOOR}"
+            )
         raise RealizationCertificationError(verdict.detail)
 
 

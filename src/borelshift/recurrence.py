@@ -12,10 +12,9 @@ undecidable too: null recurrence is never certified.
 
 One side function per schema gives the sign of Phi(p/q) - 1 for integers p
 and q, and it decides both the upper end (R, or 1 for a finite schema) and
-every point of the bisection of Phi(x) = 1.  Each such point is hi j / 2^e,
-so the bisection keeps j and e as integers and builds Fractions only for the
-root interval it returns.  For finite and geometric-tailed schemas the side
-is entropy._sign_at on the integer polynomial _phi_polynomial, which has
+every point of the bisection of Phi(x) = 1 (polynomials._bisect_root).  For
+finite and geometric-tailed schemas the side is polynomials._sign_at on the
+integer polynomial _phi_polynomial, which has
 that sign on (0, R] (at R, where a geometric Phi diverges, it is a > 0), and
 every sign is exact.  Damped tails have no closed form; _phi_versus_one
 walks the rounds of the tail's enclosure until one of them decides the sign.
@@ -37,12 +36,12 @@ from .entropy import (
     ExtendedEntropy,
     IntervalApprox,
     ZERO_ENTROPY,
-    _sign_at,
     entropy_from_log_value,
     identify_algebraic,
 )
 from .graphs import schema_period
 from .intervals import RatInterval, log_interval
+from .polynomials import _bisect_root, _sign_at
 from .presentations import DAMPED_FIRST_TERMS, DampedTail, Inconclusive, LoopSchema
 
 POSITIVE_RECURRENT = "positive-recurrent"
@@ -257,17 +256,11 @@ def _bracket_and_bisect_root(side, hi: Fraction, rel_width: Fraction) -> RatInte
     10^-BRACKET_FLOOR_DIGITS raises UndecidableAtTolerance; the floor bounds
     the lower walk at about 1,330 halvings.
 
-    Every point is hi j / 2^e: the walk halves hi, each midpoint of
-    hi L / 2^e and hi H / 2^e is hi (L + H) / 2^(e+1), and the nudge below
-    is hi (64 L + 29 (H - L)) / 2^(e+6).  So j and e stay integers, side gets
-    p = num(hi) j and q = den(hi) 2^e, and only the returned interval is a
-    pair of Fractions, equal to those that bisecting in Fractions reaches.
-
-    Phi increases on (0, R), so the signs bracket the root.  A sign of 0 at
-    a midpoint (the root itself, or a damped enclosure that straddles 1)
-    nudges the midpoint; a sign of 0 there too leaves the interval wider
-    than rel_width and raises UndecidableAtTolerance.  Phi - 1 of a finite
-    or geometric schema has one root, so only damped enclosures get there.
+    The walk halves hi to hi / 2^e, and _bisect_root bisects (hi / 2^e, hi):
+    Phi increases on (0, R), so the signs bracket the root.  A midpoint of
+    sign 0 (the root, or a damped enclosure that straddles 1) is nudged; a
+    sign of 0 there too raises UndecidableAtTolerance, which only damped
+    enclosures reach, since Phi - 1 of any other schema has one root.
     """
     hn, hd = hi.numerator, hi.denominator
     wn, wd = rel_width.numerator, rel_width.denominator
@@ -281,25 +274,13 @@ def _bracket_and_bisect_root(side, hi: Fraction, rel_width: Fraction) -> RatInte
                 "cannot bracket the root of Phi(x) = 1 from below: "
                 f"Phi is not certified below 1 above 10^-{BRACKET_FLOOR_DIGITS}"
             )
-    lo_j, hi_j = 1, 1 << e  # the root lies in (hi lo_j / 2^e, hi hi_j / 2^e)
-    while (hi_j - lo_j) * wd > wn * lo_j:
-        mid, mid_e = lo_j + hi_j, e + 1
-        side_mid = side(hn * mid, hd << mid_e)
-        if side_mid == 0:
-            # midpoint collides with the root; nudge off-center
-            mid, mid_e = (lo_j << 6) + 29 * (hi_j - lo_j), e + 6
-            side_mid = side(hn * mid, hd << mid_e)
-            if side_mid == 0:
-                raise UndecidableAtTolerance(
-                    "the sign of Phi(x) - 1 is not certified near its root: "
-                    f"the root interval stays above relative width {rel_width}"
-                )
-        shift, e = mid_e - e, mid_e
-        if side_mid < 0:
-            lo_j, hi_j = mid, hi_j << shift
-        else:
-            lo_j, hi_j = lo_j << shift, mid
-    return RatInterval(Fraction(hn * lo_j, hd << e), Fraction(hn * hi_j, hd << e))
+    root = _bisect_root(side, hn, hn << e, lambda a, b, d: (b - a) * wd > wn * a, hd << e)
+    if root is None:
+        raise UndecidableAtTolerance(
+            "the sign of Phi(x) - 1 is not certified near its root: "
+            f"the root interval stays above relative width {rel_width}"
+        )
+    return RatInterval(*root)
 
 
 def _entropy_from_root(

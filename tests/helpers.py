@@ -57,6 +57,36 @@ def factor_first_isolation(coeffs, lo: Fraction, hi: Fraction):
     return (cs if cs[-1] > 0 else tuple(-c for c in cs)), lo, hi
 
 
+def bisection_reference(coeffs, lo: Fraction, hi: Fraction, max_width: Fraction, nudges=None):
+    """[lo, hi] halved in Fractions around the one root of the integer
+    polynomial `coeffs` (ascending) in it until no wider than max_width.
+
+    A midpoint where the polynomial is 0 moves to lo + (hi - lo) 29/64 (and
+    is recorded in `nudges`, when given).  The right half is kept when the
+    sign at the midpoint is the sign at the first lo, else the left half;
+    when lo is the root, that sign is 0 and the left half is always kept."""
+
+    def sign(x: Fraction) -> int:
+        value = sum(Fraction(c) * x**i for i, c in enumerate(coeffs))
+        return (value > 0) - (value < 0)
+
+    below = sign(lo)
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        side = sign(mid)
+        if side == 0:
+            if nudges is not None:
+                nudges.append(mid)
+            mid = lo + (hi - lo) * Fraction(29, 64)
+            side = sign(mid)
+            assert side != 0
+        if side == below:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def u_eta_decision(a, b) -> tuple[bool, int | None]:
     """(isomorphic, first differing period) of two generator lists, from
     u and eta evaluated at every m from 1 to the lcm of all their periods.

@@ -32,14 +32,13 @@ from borelshift import (
     max_entropy,
     parse_invariants,
     perron_entropy,
+    polynomials,
     realize_invariants,
     synthesize_injective_subsystem,
 )
 from borelshift.entropy import (
     ENCLOSURE_WIDTH,
     EXACT_VERTEX_CAP,
-    _roots_in,
-    _sign_at,
     collatz_wielandt_enclosure,
     identify_algebraic,
 )
@@ -50,11 +49,13 @@ from borelshift.intervals import (
     log_fraction,
     log_interval,
 )
+from borelshift.polynomials import _roots_in, _sign_at
 from borelshift.presentations import GeometricTail, Inconclusive, LoopSchema
 from borelshift.recurrence import _phi_polynomial
 
 from helpers import (
     GOLDEN_ENTROPY,
+    bisection_reference,
     collatz_wielandt_reference,
     factor_first_isolation,
     float_seed_reference,
@@ -716,7 +717,7 @@ def test_minimal_factor_sieve_agrees_with_factoring(monkeypatch):
     # every answer equals the factor-first reference, no reducible polynomial
     # is ever certified, and both the sieve and the fallback are exercised
     certified = []
-    certify = entropy._certify_irreducible
+    certify = polynomials._certify_irreducible
 
     def spy(f, *rest):
         answer = certify(f, *rest)
@@ -725,14 +726,14 @@ def test_minimal_factor_sieve_agrees_with_factoring(monkeypatch):
         return answer
 
     factored = []
-    zassenhaus = entropy._zassenhaus
-    monkeypatch.setattr(entropy, "_certify_irreducible", spy)
+    zassenhaus = polynomials._zassenhaus
+    monkeypatch.setattr(polynomials, "_certify_irreducible", spy)
 
     def counted(f, *rest):
         factored.append(f)
         return zassenhaus(f, *rest)
 
-    monkeypatch.setattr(entropy, "_zassenhaus", counted)
+    monkeypatch.setattr(polynomials, "_zassenhaus", counted)
     rng = random.Random(20261020)
     paths = {"sieve": 0, "fallback": 0}
     for coeffs in _sieve_cases(rng):
@@ -743,7 +744,7 @@ def test_minimal_factor_sieve_agrees_with_factoring(monkeypatch):
         lo, hi = Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
         want, lo, hi = factor_first_isolation(coeffs, lo, hi)
         before = len(factored)
-        got = entropy._minimal_factor(entropy._squarefree(coeffs), lo, hi)
+        got = polynomials._minimal_factor(polynomials._squarefree(coeffs), lo, hi)
         assert got == want, (coeffs, lo, hi)
         paths["fallback" if len(factored) > before else "sieve"] += 1
     for f in certified:
@@ -766,18 +767,18 @@ def test_sieve_certifies_without_factoring(monkeypatch):
     def refuse(*args):
         raise AssertionError("_zassenhaus called")
 
-    monkeypatch.setattr(entropy, "_zassenhaus", refuse)
+    monkeypatch.setattr(polynomials, "_zassenhaus", refuse)
     gcds = []
-    gcd_mod = entropy._gcd_mod
+    gcd_mod = polynomials._gcd_mod
 
     def counted(*args):
         gcds[-1] += 1
         return gcd_mod(*args)
 
-    monkeypatch.setattr(entropy, "_gcd_mod", counted)
+    monkeypatch.setattr(polynomials, "_gcd_mod", counted)
     for h, want in zip(values, wants):
         gcds.append(0)
-        assert entropy._minimal_factor(h.poly, h.root_lo, h.root_hi) == want
+        assert polynomials._minimal_factor(h.poly, h.root_lo, h.root_hi) == want
     # one gcd per block of degrees: a gcd per degree took 73 and 41 here, and
     # at most two thirds of that is allowed (the blocks take 29 and 20)
     assert gcds[0] <= 48 and gcds[1] <= 27, gcds
@@ -812,7 +813,7 @@ def _ddf_cases(rng: random.Random):
             cs = _poly_mul(cs, [rng.randint(-9, 9) for _ in range(k)] + [rng.randint(1, 3)])
         return cs
 
-    for p in entropy._SIEVE_PRIMES:
+    for p in polynomials._SIEVE_PRIMES:
         for n in (2, 64, *(rng.randint(2, 64) for _ in range(4))):
             yield (dense if rng.random() < 0.5 else product)(n), p
         f = dense(rng.randint(2, 64))
@@ -831,7 +832,7 @@ def test_distinct_degree_split_equals_sympy():
     seen, primes = collections.Counter(), set()
     for f, p in _ddf_cases(rng):
         want = _ddf_oracle(f, p)
-        assert entropy._distinct_degree_mod(f, p) == want, (f, p)
+        assert polynomials._distinct_degree_mod(f, p) == want, (f, p)
         n = len(f) - 1
         seen["cases"] += 1
         primes.add(p)
@@ -842,7 +843,7 @@ def test_distinct_degree_split_equals_sympy():
         seen["widest"] += p == 199 and n == 64
         seen["several degrees"] += len(want) >= 3
         seen["one degree, several factors"] += any(len(g) - 1 > d for d, g in want)
-    assert seen["cases"] >= 300 and len(primes) == len(entropy._SIEVE_PRIMES), seen
+    assert seen["cases"] >= 300 and len(primes) == len(polynomials._SIEVE_PRIMES), seen
     for key in ("lead", "square", "p > n", "several degrees", "one degree, several factors"):
         assert seen[key] >= 20, (key, seen)
     assert seen["widest"] >= 5, seen
@@ -858,25 +859,26 @@ def test_modular_split_and_hensel_lift():
     rng = random.Random(20261024)
     seen = {"cases": 0, "several": 0, "same_degree": 0}
     for coeffs in _sieve_cases(rng):
-        f = list(entropy._squarefree(coeffs))
+        f = list(polynomials._squarefree(coeffs))
         if len(f) < 3:
             continue
         p, parts = next(
-            (p, parts) for p in entropy._SIEVE_PRIMES
-            if (parts := entropy._distinct_degree_mod(f, p)) is not None
+            (p, parts) for p in polynomials._SIEVE_PRIMES
+            if (parts := polynomials._distinct_degree_mod(f, p)) is not None
         )
         factors = [
-            g for d, part in parts for g in entropy._equal_degree_mod(part, d, p, random.Random(p))
+            g for d, part in parts
+            for g in polynomials._equal_degree_mod(part, d, p, random.Random(p))
         ]
         _, want = gf_factor_sqf(gf_from_int_poly(f[::-1], p), p, ZZ)
         assert sorted(factors) == sorted([int(c) for c in reversed(g)] for g in want), (f, p)
         assert len(factors) == sum((len(g) - 1) // d for d, g in parts)
         k = rng.randint(1, 12)
-        lifted = entropy._hensel_lift(f, factors, p, k)
+        lifted = polynomials._hensel_lift(f, factors, p, k)
         product = [f[-1]]
         for g, lift in zip(factors, lifted):
             assert lift[-1] == 1 and [c % p for c in lift] == g
-            product = entropy._mul_mod(product, lift, p**k)
+            product = polynomials._mul_mod(product, lift, p**k)
         assert product == [c % p**k for c in f], (f, p, k)
         seen["cases"] += 1
         seen["several"] += len(factors) > 2
@@ -957,6 +959,97 @@ def test_sign_at_matches_fraction_horner():
     assert zeros >= 50
 
 
+def _bisection_cases(rng: random.Random):
+    """Seeded (coeffs, lo, hi, width, root): coeffs has one root in [lo, hi],
+    `root` when it is rational and None otherwise, and not the same nonzero
+    sign at both ends.  A rational root p/q comes from a factor q x - p and
+    lies on a point lo + (hi - lo) j / 2^k (the first midpoint in a sixth of
+    the cases) or at an end; an irrational one is the root of x^2 - n or
+    x^3 - n between consecutive multiples of 1/D.  The cofactor x^2 + c has
+    no real root, and x + c only a negative one."""
+    for case in range(240):
+        width = Fraction(1, rng.choice((2, 3, 10)) ** rng.randint(0, 40))
+        c = rng.randint(1, 9)
+        if case % 3 < 2:
+            root = Fraction(rng.randint(1, 60), rng.randint(1, 7))
+            factor = root.denominator * _X - root.numerator
+            span = Fraction(1, rng.randint(1, 9))
+            k = 1 if case % 2 == 0 else rng.randint(1, 8)
+            j = rng.choice((0, 2**k)) if case % 3 == 1 else rng.randrange(1, 2**k)
+            lo = root - span * Fraction(j, 2**k)
+            hi, cofactor = lo + span, _X**2 + c
+        else:
+            n, e = rng.randint(2, 200), rng.choice((2, 3))
+            den = rng.randint(1, 10 ** rng.randint(0, 12))
+            if round(n ** (1 / e)) ** e == n:
+                n += 1
+            a = math.isqrt(n * den**2) if e == 2 else round((n * den**3) ** (1 / 3))
+            while a**e > n * den**e:
+                a -= 1
+            while (a + 1) ** e <= n * den**e:
+                a += 1
+            root, factor, lo, hi = None, _X**e - n, Fraction(a, den), Fraction(a + 1, den)
+            cofactor = rng.choice((_X**2 + c, _X + c))
+        yield _ascending(sympy.expand(factor * cofactor)), lo, hi, width, root
+
+
+def test_lambda_enclosure_equals_fraction_bisection():
+    # the shared integer bisection returns the interval that bisecting in
+    # Fractions with the same midpoint and nudge rule returns, on 240 seeded
+    # roots: rational ones on lattice points and at the ends, irrational ones
+    seen = collections.Counter()
+    for coeffs, lo, hi, width, root in _bisection_cases(random.Random(39)):
+        assert polynomials.isolates_one_root(coeffs, lo, hi), (coeffs, lo, hi)
+        nudges = []
+        want = bisection_reference(coeffs, lo, hi, width, nudges)
+        got = ExactAlgebraic(coeffs, lo, hi, minimal=False).lambda_enclosure(width)
+        assert (got.lo, got.hi) == want, (coeffs, lo, hi, width)
+        assert root is None or got.lo <= root <= got.hi
+        assert got.width <= width
+        seen["cases"] += 1
+        seen["nudged"] += bool(nudges)
+        seen["first midpoint"] += nudges[:1] == [(lo + hi) / 2]
+        seen["at an end"] += root in (lo, hi)
+        seen["irrational"] += root is None
+    assert seen["cases"] >= 200 and min(seen.values()) >= 20, seen
+    # (2x - 3)(x^2 + 1): the root 3/2 is the first midpoint of [1, 2]
+    h = ExactAlgebraic((-3, 2, -3, 2), Fraction(1), Fraction(2), minimal=False)
+    enc = h.lambda_enclosure(ENCLOSURE_WIDTH)
+    assert (enc.lo, enc.hi) == bisection_reference(h.poly, h.root_lo, h.root_hi, ENCLOSURE_WIDTH)
+    assert enc.lo < Fraction(3, 2) < enc.hi and enc.width <= ENCLOSURE_WIDTH
+
+
+def test_rational_root_finds_seeded_roots():
+    # a rational root comes back exactly, on the first midpoint, on other
+    # lattice points and at the ends; an irrational root gives None
+    seen = collections.Counter()
+    for coeffs, lo, hi, _, root in _bisection_cases(random.Random(40)):
+        assert polynomials._rational_root(coeffs, lo, hi) == root, (coeffs, lo, hi)
+        seen["first midpoint" if root == (lo + hi) / 2 else "rational" if root else "none"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_lambda_enclosure_builds_only_its_two_ends(monkeypatch):
+    # every bisection point is an integer pair: the only Fractions built are
+    # the returned interval's ends
+    cases = [
+        (ExactAlgebraic(coeffs, lo, hi, minimal=False), width)
+        for coeffs, lo, hi, width, _ in _bisection_cases(random.Random(41))
+    ]
+    made = []
+    new = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    for h, width in cases:
+        h.lambda_enclosure(width)
+    monkeypatch.undo()
+    assert len(made) == 2 * len(cases)
+
+
 def _seeded_multigraphs(rng: random.Random):
     """Seeded multigraphs on 1 to EXACT_VERTEX_CAP vertices: single cycles,
     and random graphs with self-loops and edge multiplicities 1 to 3."""
@@ -984,7 +1077,7 @@ def test_charpoly_equals_sympy():
             for j, m in row:
                 mat[i, j] = m
         want = _ascending(mat.charpoly(_X).as_expr())
-        assert entropy._charpoly_coeffs(rows) == want, rows
+        assert polynomials._charpoly_coeffs(rows) == want, rows
         seen["graphs"] += 1
         seen["cap"] += n == EXACT_VERTEX_CAP
         seen["loops"] += any(j == i for i, row in enumerate(rows) for j, _ in row)
@@ -1031,7 +1124,7 @@ def test_squarefree_equals_sympy():
     seen = {"cases": 0, "repeated": 0, "x_power": 0, "content": 0, "negative": 0, "deg500": 0}
     for f in _squarefree_cases(rng):
         want = _sympy_squarefree(f)
-        assert entropy._squarefree(f) == want, f
+        assert polynomials._squarefree(f) == want, f
         seen["cases"] += 1
         seen["repeated"] += len(want) < len(f)
         seen["x_power"] += f[0] == 0
@@ -1047,7 +1140,7 @@ def test_heuristic_gcd_past_its_first_point(monkeypatch):
     # coefficients; a spy counts the points each gcd draws, and some pairs
     # need a second or a third
     points = []
-    candidates = entropy._gcd_candidates
+    candidates = polynomials._gcd_candidates
 
     def spy(f, g, xi):
         points.append(xi)
@@ -1056,14 +1149,14 @@ def test_heuristic_gcd_past_its_first_point(monkeypatch):
     def factor(lo, hi, c):
         return [rng.randint(-c, c) for _ in range(rng.randint(lo, hi))] + [rng.choice((1, 1, 2, 3))]
 
-    monkeypatch.setattr(entropy, "_gcd_candidates", spy)
+    monkeypatch.setattr(polynomials, "_gcd_candidates", spy)
     rng = random.Random(20261019)
     drawn = {}
     for _ in range(3000):
         h, a, b = factor(4, 6, 9), factor(2, 4, 3), factor(2, 4, 3)
         f, g = _poly_mul(a, h), _poly_mul(b, h)
         points.clear()
-        got = entropy._poly_gcd(f, g)
+        got = polynomials._poly_gcd(f, g)
         want = sympy.Poly(f[::-1], _X, domain="ZZ").gcd(sympy.Poly(g[::-1], _X, domain="ZZ"))
         cs = tuple(int(c) for c in reversed(want.primitive()[1].all_coeffs()))
         assert got == (cs if cs[-1] > 0 else tuple(-c for c in cs)), (f, g)

@@ -23,10 +23,11 @@ from borelshift import (
     invariants_of,
     parse_document,
     pair_of_realization,
+    parse_invariants,
     realize_invariants,
 )
 
-from borelshift import invariants, realize, recurrence
+from borelshift import cli, invariants, realize, recurrence
 from borelshift.intervals import APPROX_EXP_DIGITS, exp_fraction
 from borelshift.presentations import LoopSchema
 
@@ -234,3 +235,30 @@ def test_restating_caps_derive_from_the_limits_they_restate():
     width = Fraction(1, 10**40)
     assert exp_fraction(Fraction(-realize.SEED_EXPONENT_CAP), width).lo > grid
     assert exp_fraction(Fraction(-realize.SEED_EXPONENT_CAP - 1), width).hi < grid
+
+
+@pytest.mark.parametrize("tol", ["1e-14", "1e-16", "1e-20", "1e-30"])
+def test_a_miss_below_the_digit_floor_is_inconclusive(tmp_path, capsys, tol):
+    # greedy digits stop at DIGIT_FLOOR = 10^-13, so a realized entropy 7/10
+    # is not certified at a finer tolerance: exit 2 and one line, no traceback
+    doc = tmp_path / "pair.txt"
+    doc.write_text("gen 1 7/10 7/10 1\n")
+    with pytest.raises(invariants.InconclusiveAtTolerance, match="DIGIT_FLOOR"):
+        realize_invariants(parse_invariants(doc.read_text()), Fraction(tol))
+    assert cli.main(["realize", "--tol", tol, str(doc)]) == 2
+    err = capsys.readouterr().err
+    floor = "DIGIT_FLOOR = 1/10000000000000"
+    assert err == f"cannot certify a realization at tolerance {Fraction(tol)} below {floor}\n"
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("gen 1 log 2 1\n", ()),
+    ("gen 1 poly -1 -1 1 root-in 1 2 1\n", ()),  # its greedy expansion ends exactly
+    ("gen 1 7/10 7/10 0\n", ()),
+    ("gen 2 7/10 7/10 unattained\n", ("--member", "3")),
+])
+def test_exact_and_transient_pairs_realize_below_the_digit_floor(tmp_path, capsys, text, flags):
+    doc = tmp_path / "pair.txt"
+    doc.write_text(text)
+    assert cli.main(["realize", "--tol", "1e-30", str(doc), *flags]) == 0
+    assert capsys.readouterr().err == ""
