@@ -81,9 +81,12 @@ def _emit(key: str, value, comment: bool = False):
 
 
 def _parse_tol(text: str) -> Fraction:
-    tol = parse_rational(text)
+    try:
+        tol = parse_rational(text)
+    except ValueError as exc:  # argparse would print this function's name instead
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if tol <= 0:
-        raise ValueError("tolerance must be positive")
+        raise argparse.ArgumentTypeError("tolerance must be positive")
     return tol
 
 

@@ -268,68 +268,43 @@ def build_marker_sft(
     gallery: list[tuple[str, ...]],
     state_cap: int = STATE_CAP,
 ) -> tuple[FiniteGraph, dict]:
-    """Presentation of X_K: marker chains feeding K gallery tries in sequence.
+    """Presentation of X_K: marker chains feeding K copies of the gallery trie
+    in sequence.
 
-    Returns the graph and the map from its states to domain vertices.  States
-    of the trie with a common prefix are shared within each of the K copies.
+    Returns the graph and the map from its states, in vertex order, to domain
+    vertices.  One trie holds the gallery's prefixes, its nodes numbered in
+    the order they are first met; node n of copy k is state g<k>.<n>, whose
+    symbol is the last vertex of its prefix.  The budget is checked as the
+    trie grows: once the marker states plus K times its nodes pass state_cap,
+    BudgetExhausted is raised before any state or edge is named.
     """
     m1, m2 = params.marker_words()
     if not gallery:
         raise ValueError("empty gallery")
     K = params.K
-    states: list[str] = []
-    symbol: dict[str, str] = {}
-    edges: list[tuple[str, str]] = []
-
-    def add_state(name: str, dom: str):
-        states.append(name)
-        symbol[name] = dom
-        if len(states) > state_cap:
-            raise BudgetExhausted(BUDGET_MESSAGE)
-
-    for a, word in (("1", m1), ("2", m2)):
-        for i, v in enumerate(word):
-            add_state(f"m{a}.{i}", v)
-            if i:
-                edges.append((f"m{a}.{i-1}", f"m{a}.{i}"))
-
-    # trie nodes per copy: prefix tuple -> state name
-    trie_nodes: list[dict] = []
-    for k in range(K):
-        nodes: dict[tuple, str] = {}
-        for w in gallery:
-            for i in range(1, len(w) + 1):
-                p = w[:i]
-                if p not in nodes:
-                    nodes[p] = f"g{k}.{len(nodes)}"
-                    add_state(nodes[p], w[i - 1])
-                if i > 1:
-                    edges.append((nodes[w[: i - 1]], nodes[p]))
-        trie_nodes.append(nodes)
-
-    def first_states(k):
-        return {trie_nodes[k][w[:1]] for w in gallery}
-
-    def full_states(k):
-        return {trie_nodes[k][w] for w in gallery}
-
-    for a, word in (("1", m1), ("2", m2)):
-        last = f"m{a}.{len(word)-1}"
-        for s in first_states(0):
-            edges.append((last, s))
-    for k in range(K):
-        ends = full_states(k)
-        if k + 1 < K:
-            nxt = first_states(k + 1)
-            for e in ends:
-                for s in nxt:
-                    edges.append((e, s))
-        else:
-            for e in ends:
-                edges.append((e, "m1.0"))
-                edges.append((e, "m2.0"))
-    g = FiniteGraph(tuple(states), tuple(sorted(set(edges))))
-    return g, symbol
+    markers = len(m1) + len(m2)
+    node: dict[tuple[int, str], int] = {}  # (parent node or -1 at the root, vertex) -> node
+    ends: set[int] = set()  # the full-word nodes
+    for w in gallery:
+        n = -1
+        for v in w:
+            if (n, v) not in node and markers + K * (len(node) + 1) > state_cap:
+                raise BudgetExhausted(BUDGET_MESSAGE)
+            n = node.setdefault((n, v), len(node))
+        ends.add(n)
+    firsts = [n for (p, _), n in node.items() if p < 0]
+    chains = [[f"m{a}.{i}" for i in range(len(word))] for a, word in (("1", m1), ("2", m2))]
+    copies = [[f"g{k}.{n}" for n in range(len(node))] for k in range(K)]
+    states = [s for names in chains + copies for s in names]
+    symbol = dict(zip(states, m1 + m2 + tuple(v for _, v in node) * K))
+    edges = [(c[i - 1], c[i]) for c in chains for i in range(1, len(c))]
+    edges += [(c[-1], copies[0][s]) for c in chains for s in firsts]
+    # full words lead to the next copy's first letters, and from the last copy to the markers
+    heads = [[c[s] for s in firsts] for c in copies[1:]] + [[c[0] for c in chains]]
+    for names, nxt in zip(copies, heads):
+        edges += [(names[p], names[n]) for (p, _), n in node.items() if p >= 0]
+        edges += [(names[e], s) for e in ends for s in nxt]
+    return FiniteGraph(tuple(states), tuple(sorted(edges))), symbol
 
 
 def marker_block_entropy(params: MarkerParams, gallery_size: int) -> ExtendedEntropy:
@@ -419,7 +394,7 @@ def _marker_tier(
                         f"reaches only entropy {float(h):.6f}"
                     )
                     continue
-                sm = tuple((v, symbol[v]) for v in sft.vertices)
+                sm = tuple(symbol.items())
                 cert = EmbeddingCertificate("marker", sft, sm, h, params)
                 if check_injective(make_subsystem_code(cert, lg2)).injective:
                     return cert

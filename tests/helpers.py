@@ -644,6 +644,59 @@ def quotient_flags(alive: list[tuple], tuple_edges: list) -> dict:
     }
 
 
+class OverBudget(Exception):
+    """Raised by marker_presentation_reference when the state cap is passed."""
+
+
+def marker_presentation_reference(ell, ell_tilde, A: int, C: int, K: int, gallery,
+                                  state_cap: int) -> tuple:
+    """The marker presentation of X_K built copy by copy: markers
+    m_a = ell^A ell~^C (ell | ell~), then K copies of the gallery's prefix
+    trie, each with its own prefix dict.  States are named as they are added,
+    and `len(states) > state_cap` is tested at each one (OverBudget).  Edges
+    are gathered in a list, duplicates included, and deduplicated at the end.
+    Returns (vertices, sorted edges, symbol map)."""
+    markers = {
+        "1": tuple(ell) * A + tuple(ell_tilde) * C + tuple(ell),
+        "2": tuple(ell) * A + tuple(ell_tilde) * C + tuple(ell_tilde),
+    }
+    states: list[str] = []
+    symbol: dict[str, str] = {}
+    edges: list[Edge] = []
+
+    def add(name: str, vertex: str) -> str:
+        states.append(name)
+        symbol[name] = vertex
+        if len(states) > state_cap:
+            raise OverBudget
+        return name
+
+    for a, word in markers.items():
+        for i, v in enumerate(word):
+            add(f"m{a}.{i}", v)
+            if i:
+                edges.append((f"m{a}.{i - 1}", f"m{a}.{i}"))
+    copies = []
+    for k in range(K):
+        prefixes: dict[tuple, str] = {}
+        for w in gallery:
+            for i in range(1, len(w) + 1):
+                if w[:i] not in prefixes:
+                    prefixes[w[:i]] = add(f"g{k}.{len(prefixes)}", w[i - 1])
+                if i > 1:
+                    edges.append((prefixes[w[:i - 1]], prefixes[w[:i]]))
+        copies.append(prefixes)
+    for a, word in markers.items():
+        edges += [(f"m{a}.{len(word) - 1}", copies[0][w[:1]]) for w in gallery]
+    for k, prefixes in enumerate(copies):
+        for w in gallery:
+            if k + 1 < K:
+                edges += [(prefixes[w], copies[k + 1][u[:1]]) for u in gallery]
+            else:
+                edges += [(prefixes[w], "m1.0"), (prefixes[w], "m2.0")]
+    return tuple(states), tuple(sorted(set(edges))), symbol
+
+
 GOLDEN_ENTROPY = math.log((1 + math.sqrt(5)) / 2)
 LOG2 = math.log(2)
 LOG3 = math.log(3)

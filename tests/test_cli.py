@@ -990,6 +990,28 @@ def test_out_of_range_numbers_exit_with_one_line(
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["analyze", "compare", "realize", "embed"])
+@pytest.mark.parametrize("tol, reason", [
+    ("-1", "tolerance must be positive"),
+    ("0", "tolerance must be positive"),
+    ("abc", "bad rational 'abc'"),
+    ("1/0", "bad rational '1/0'"),
+    ("1e-5000", "number '1e-5000' has more than 4000 digits"),
+], ids=["negative", "zero", "word", "zero-denominator", "digits"])
+def test_bad_tolerance_names_its_reason(capsys, golden_file, even_code_file, verb, tol, reason):
+    # the usage line says why the value was refused, not which converter refused it
+    inputs = {
+        "analyze": [golden_file],
+        "compare": [golden_file, golden_file],
+        "realize": [golden_file],
+        "embed": [even_code_file, "--target", "1/4"],
+    }
+    code, out, err = run(capsys, [verb, *inputs[verb], "--tol", tol])
+    assert code == 64 and out == ""
+    assert err == f"usage error: argument --tol: {reason}\n"
+    assert "_parse_tol" not in err
+
+
 def test_damped_stride_past_the_first_round_size_exits_65_at_its_line(capsys, tmp_path):
     # max(n0, stride) = 100000 passes the tail size cap with 3 bits of k, but
     # the enclosure's first 64-term round would build 2^6400002

@@ -5,6 +5,7 @@ and the certified entropy of the built presentations.
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,8 @@ from borelshift import (
 from borelshift import markers
 
 from helpers import (
-    LOG2, label_pairs_by_worklist, random_strongly_connected, two_length_growth_rate,
+    LOG2, OverBudget, label_pairs_by_worklist, marker_presentation_reference,
+    random_strongly_connected, two_length_growth_rate,
 )
 
 
@@ -272,6 +274,60 @@ def test_state_budget_enforced():
     p = MarkerParams("e0", ("e0",), ("e0", "e1", "e2"), A=2, C=1, N=3, K=8000)
     with pytest.raises(BudgetExhausted):
         build_marker_sft(p, [("e0", "e0", "e0")])
+
+
+def test_one_trie_builder_matches_the_copy_by_copy_reference():
+    rng = random.Random(4102)
+    shared = single = raised = 0
+    for case in range(80):
+        alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+        N, K = rng.randint(2, 6), rng.randint(1, 8)
+
+        def word(n):
+            return tuple(rng.choice(alphabet) for _ in range(n))
+
+        if case % 4 == 0:
+            gallery = [word(N)]
+        else:  # one stem and several endings, so the words share prefixes
+            stem = word(rng.randint(1, N - 1))
+            gallery = [stem + word(N - len(stem)) for _ in range(8)]
+            gallery = list(dict.fromkeys(gallery + [word(N) for _ in range(rng.randint(0, 4))]))
+        ell, ell_t = word(rng.randint(1, 3)), word(rng.randint(1, 3))
+        A, C = rng.randint(1, 4), rng.randint(1, 3)
+        params = MarkerParams("a", ell, ell_t, A, C, N, K)
+        total = len(marker_presentation_reference(ell, ell_t, A, C, K, gallery, 10**9)[0])
+        nodes = len({w[:i] for w in gallery for i in range(1, N + 1)})
+        shared += nodes < N * len(gallery)
+        single += len(gallery) == 1
+        for cap in (total - 1, total, total + 1):
+            try:
+                want = marker_presentation_reference(ell, ell_t, A, C, K, gallery, cap)
+            except OverBudget:
+                with pytest.raises(BudgetExhausted) as exc:
+                    build_marker_sft(params, gallery, cap)
+                assert str(exc.value) == markers.BUDGET_MESSAGE
+                raised += 1
+                continue
+            g, symbol = build_marker_sft(params, gallery, cap)
+            assert (g.vertices, g.edges) == want[:2], (params, gallery, cap)
+            assert list(symbol.items()) == list(want[2].items())
+    assert shared >= 40 and single >= 20 and raised == 80
+
+
+def test_over_budget_candidate_names_nothing():
+    # 14 marker states and a million copies of a 5-node trie: over the default
+    # budget at the first trie node, before any state or edge is named
+    p = MarkerParams("e0", ("e0",), ("e0", "e1", "e2"), A=2, C=1, N=3, K=10**6)
+    gallery = [("e0", "e0", "e0"), ("e0", "e1", "e2")]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhausted) as exc:
+            build_marker_sft(p, gallery)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == markers.BUDGET_MESSAGE
+    assert peak < 64 * 1024
 
 
 # === marker entropy ===
