@@ -8,14 +8,17 @@ with '#' so the whole stream still parses as that document.
 Exit status: 0 success or true verdict, 1 false verdict with witness or a
 refused construction (Unsatisfiable), 2 no answer within a tolerance,
 precision or size budget (Inconclusive), 64 usage, 65 parse or data errors
-(ParseError and every other ValueError).  The CLI knows only these bases,
-defined in presentations, never the classes that the modules derive from
-them.  Diagnostics go to standard error.
+(ParseError and every other ValueError, and an input that cannot be read,
+such as a missing file or a directory), 141 standard output closed by its
+reader, the status a shell reports for SIGPIPE.  The CLI knows only these
+bases, defined in presentations, never the classes that the modules derive
+from them.  Diagnostics go to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -49,6 +52,7 @@ EX_FALSE = 1
 EX_INCONCLUSIVE = 2
 EX_USAGE = 64
 EX_DATA = 65
+EX_PIPE = 141
 
 
 class _Usage(Exception):
@@ -61,10 +65,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:  # missing, a directory, no permission: a data error
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _fmt(value) -> str:
@@ -386,12 +393,16 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so that the
+        # interpreter's last flush of what is left prints nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EX_DATA
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
         return EX_DATA
     except Unsatisfiable as exc:
         print(str(exc), file=sys.stderr)

@@ -43,7 +43,6 @@ same root exactly when it changes sign across, or vanishes on, their overlap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
 from itertools import groupby, repeat
@@ -55,7 +54,7 @@ from .polynomials import (
     _bisect_root, _brackets_root, _charpoly_coeffs, _minimal_factor, _rational_root, _roots_in,
     _sign_at, _squarefree,
 )
-from .presentations import FiniteGraph, Inconclusive
+from .presentations import FiniteGraph, Inconclusive, Record
 
 DEFAULT_TOL = Fraction(1, 10**9)
 ENCLOSURE_WIDTH = Fraction(1, 10**12)
@@ -124,8 +123,7 @@ ZERO_ENTROPY = ZeroEntropy()
 INFINITE_ENTROPY = InfiniteEntropy()
 
 
-@dataclass(frozen=True)
-class ExactAlgebraic(ExtendedEntropy):
+class ExactAlgebraic(ExtendedEntropy, Record):
     """Entropy log(lambda) for the root lambda of `poly` in [root_lo, root_hi].
 
     `poly` is an ascending integer coefficient tuple with positive leading
@@ -143,16 +141,19 @@ class ExactAlgebraic(ExtendedEntropy):
     set, as by the parser, it is poly itself.  Only printing reads it.
     """
 
-    poly: tuple[int, ...]
-    root_lo: Fraction
-    root_hi: Fraction
-    minimal: bool = field(default=True, compare=False, repr=False)
+    _fields = ("poly", "root_lo", "root_hi")  # `minimal` is neither compared nor hashed
 
-    def __post_init__(self):
-        if len(self.poly) < 2 or self.poly[-1] <= 0:
+    def __init__(
+        self, poly: tuple[int, ...], root_lo: Fraction, root_hi: Fraction, minimal: bool = True
+    ):
+        if len(poly) < 2 or poly[-1] <= 0:
             raise ValueError("minpoly must be nonconstant with positive leading coefficient")
-        if self.root_lo > self.root_hi or self.root_hi <= 0:
+        if root_lo > root_hi or root_hi <= 0:
             raise ValueError("isolating interval must be nonempty and positive")
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "root_lo", root_lo)
+        object.__setattr__(self, "root_hi", root_hi)
+        object.__setattr__(self, "minimal", minimal)
         object.__setattr__(self, "_logs", {})  # log_enclosure by width
 
     @cached_property
@@ -191,16 +192,16 @@ class ExactAlgebraic(ExtendedEntropy):
         return f"Entropy(log root of {self.minpoly} in [{self.root_lo},{self.root_hi}])"
 
 
-@dataclass(frozen=True)
-class IntervalApprox(ExtendedEntropy):
+class IntervalApprox(ExtendedEntropy, Record):
     """Certified enclosure [lo, hi] of the entropy value itself."""
 
-    lo: Fraction
-    hi: Fraction
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("empty entropy interval")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def log_enclosure(self, max_width: Fraction = ENCLOSURE_WIDTH) -> RatInterval:
         return RatInterval(self.lo, self.hi)

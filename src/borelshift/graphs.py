@@ -12,7 +12,6 @@ meeting every cycle by greedy reduction.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Callable, Optional, Union
 
@@ -150,6 +149,8 @@ def rome(idx: GraphIndex) -> list[int]:
     rome.  Every changed vertex is looked at again; the heap holds stale
     entries, skipped when their product is no longer the vertex's.
     """
+    from heapq import heappop, heappush  # only the code verbs need a rome
+
     succ = [{w for w, _ in row} for row in idx.succ]
     pred = [{w for w, _ in row} for row in idx.pred]
     alive = [True] * len(succ)
@@ -183,9 +184,9 @@ def rome(idx: GraphIndex) -> list[int]:
                 succ[u].add(w)
                 pred[w].add(u)
             else:
-                heapq.heappush(heap, (-len(s) * len(p), v))
+                heappush(heap, (-len(s) * len(p), v))
         while heap:
-            key, v = heapq.heappop(heap)
+            key, v = heappop(heap)
             if alive[v] and key == -len(succ[v]) * len(pred[v]):
                 break
         else:

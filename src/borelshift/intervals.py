@@ -12,27 +12,26 @@ enclosure that misses its width by prec = 2^15 raises PrecisionExhausted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .presentations import Inconclusive
+from .presentations import Inconclusive, Record
 
 
 class PrecisionExhausted(Inconclusive):
     """A certified enclosure missed its promised width within its budget."""
 
 
-@dataclass(frozen=True)
-class RatInterval:
+class RatInterval(Record):
     """Closed interval [lo, hi] with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @staticmethod
     def point(value) -> "RatInterval":

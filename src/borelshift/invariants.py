@@ -16,7 +16,6 @@ they differ only in how a realization witnesses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Union
@@ -35,13 +34,13 @@ from .entropy import (
 from .graphs import irreducible_components, period_of_component
 from .polynomials import _brackets_root, isolates_one_root
 from .presentations import (
-    FiniteGraph, Inconclusive, LoopSchema, ParseError, _content_lines, parse_rational,
+    FiniteGraph, Inconclusive, LoopSchema, ParseError, Record, _content_lines, parse_rational,
 )
-from .recurrence import (
-    POSITIVE_RECURRENT,
-    ComponentSummary,
-    classify_recurrence,
-)
+
+# the recurrence classes; only loop schemas (recurrence) reach the last two
+POSITIVE_RECURRENT = "positive-recurrent"
+NULL_RECURRENT = "null-recurrent"
+TRANSIENT = "transient"
 
 
 class Unattained:
@@ -65,28 +64,45 @@ class InconclusiveAtTolerance(Inconclusive):
     """An entropy comparison needed by the decision could not be certified."""
 
 
-@dataclass(frozen=True)
-class Generator:
-    period: int
-    entropy: ExtendedEntropy
-    count: Count
+class ComponentSummary(Record):
+    """One irreducible component: (period, entropy, has an MME?, recurrence)."""
 
-    def __post_init__(self):
-        if self.period < 1:
+    _fields = ("period", "entropy", "mme", "recurrence", "source")
+
+    def __init__(
+        self, period: int, entropy: ExtendedEntropy, mme: bool, recurrence: str, source: str = ""
+    ):
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "entropy", entropy)
+        object.__setattr__(self, "mme", mme)
+        object.__setattr__(self, "recurrence", recurrence)
+        object.__setattr__(self, "source", source)
+
+
+class Generator(Record):
+    _fields = ("period", "entropy", "count")
+
+    def __init__(self, period: int, entropy: ExtendedEntropy, count: Count):
+        if period < 1:
             raise ValueError("generator period must be >= 1")
-        if isinstance(self.count, int) and self.count < 0:
+        if isinstance(count, int) and count < 0:
             raise ValueError("generator count must be >= 0")
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "entropy", entropy)
+        object.__setattr__(self, "count", count)
 
     @property
     def eta_count(self) -> int:
         return self.count if isinstance(self.count, int) else 0
 
 
-@dataclass(frozen=True)
-class InvariantPair:
+class InvariantPair(Record):
     """Finite generator list for (u, eta); not necessarily canonical."""
 
-    generators: tuple[Generator, ...]
+    _fields = ("generators",)
+
+    def __init__(self, generators: tuple[Generator, ...]):
+        object.__setattr__(self, "generators", generators)
 
     def u_value(self, p: int, tol: Fraction = DEFAULT_TOL) -> ExtendedEntropy:
         best = ZERO_ENTROPY
@@ -135,10 +151,13 @@ def summarize_components(parts) -> list[ComponentSummary]:
     for idx, part in enumerate(parts):
         prefix = f"p{idx}." if len(parts) > 1 else ""
         if isinstance(part, LoopSchema):
+            from .recurrence import classify_recurrence  # only a loop schema needs it
+
             key = (part.counts, part.tail)
             if key not in reports:
                 reports[key] = classify_recurrence(part)
-            out.append(replace(reports[key], source=prefix + "loops"))
+            r = reports[key]
+            out.append(ComponentSummary(r.period, r.entropy, r.mme, r.recurrence, prefix + "loops"))
             continue
         for cid, sub in irreducible_components(part):
             p = period_of_component(sub)
@@ -219,10 +238,12 @@ def _canonicalize(items, tol: Fraction) -> InvariantPair:
     return InvariantPair(tuple(gens))
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    violations: tuple[int, ...]  # periods where u(p) = inf but eta(p) > 0
+class AdmissibilityReport(Record):
+    _fields = ("admissible", "violations")  # violations: where u(p) = inf but eta(p) > 0
+
+    def __init__(self, admissible: bool, violations: tuple[int, ...]):
+        object.__setattr__(self, "admissible", admissible)
+        object.__setattr__(self, "violations", violations)
 
 
 def check_admissible(pair: InvariantPair, tol: Fraction = DEFAULT_TOL) -> AdmissibilityReport:
@@ -234,11 +255,13 @@ def check_admissible(pair: InvariantPair, tol: Fraction = DEFAULT_TOL) -> Admiss
     return AdmissibilityReport(not bad, tuple(sorted(set(bad))))
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
-    isomorphic: bool
-    witness_period: Optional[int] = None
-    detail: str = ""
+class IsoVerdict(Record):
+    _fields = ("isomorphic", "witness_period", "detail")
+
+    def __init__(self, isomorphic: bool, witness_period: Optional[int] = None, detail: str = ""):
+        object.__setattr__(self, "isomorphic", isomorphic)
+        object.__setattr__(self, "witness_period", witness_period)
+        object.__setattr__(self, "detail", detail)
 
 
 def decide_almost_borel_iso(

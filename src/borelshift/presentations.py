@@ -10,7 +10,6 @@ integer columns, which its one integer index is compiled from.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from fractions import Fraction
@@ -44,8 +43,9 @@ DAMPED_FIRST_TERMS = 64
 # Fraction builds 10^x first, so parse_rational checks the cap on the text.
 NUMBER_DIGITS_CAP = 4000
 
-# a superset of the syntax Fraction accepts, for reading the sizes only
-_RATIONAL = re.compile(r"\s*[-+]?([\d_]*)(?:/([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*")
+# a superset of the syntax Fraction accepts, for reading the sizes only; a
+# pattern string, which re's own cache compiles when a rational is first read
+_RATIONAL = r"\s*[-+]?([\d_]*)(?:/([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*"
 
 
 # The three ways a verb stops short of an answer, each with its own exit
@@ -67,26 +67,60 @@ class Inconclusive(ArithmeticError):
     """No certified answer within a tolerance, precision or size budget."""
 
 
-@dataclass(frozen=True)
-class GeometricTail:
+class Record:
+    """Base of the immutable value records, without the dataclass machinery.
+
+    A subclass names its compared fields in `_fields`, and its __init__ runs
+    the checks, then stores each attribute with object.__setattr__, as a
+    frozen dataclass's does.  Records are equal when they are of one class
+    and their fields are equal, hash as the tuple of those fields, and refuse
+    assignment; the instance __dict__ also holds what a cached_property caches.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class GeometricTail(Record):
     """Tail family c_n = a * k^n on n = n0, n0+stride, ... (k integer >= 2)."""
 
-    a: Fraction
-    k: int
-    n0: int
-    stride: int = 1
+    _fields = ("a", "k", "n0", "stride")
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __init__(self, a: Fraction, k: int, n0: int, stride: int = 1):
+        if k < 2:
             raise ValueError("geometric tail ratio k must be an integer >= 2")
-        if self.n0 < 1 or self.stride < 1:
+        if n0 < 1 or stride < 1:
             raise ValueError("geometric tail needs n0 >= 1 and stride >= 1")
-        if self.a <= 0:
+        if a <= 0:
             raise ValueError("geometric tail coefficient a must be positive")
         # counts must be integers along the whole support: a k^n0 is, and k
         # is an integer, so every a k^(n0 + j stride) is too
-        if (self.a * Fraction(self.k) ** self.n0).denominator != 1:
+        if (a * Fraction(k) ** n0).denominator != 1:
             raise ValueError("geometric tail produces non-integer counts")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "stride", stride)
 
     def count(self, n: int) -> int:
         if n < self.n0 or (n - self.n0) % self.stride:
@@ -94,29 +128,29 @@ class GeometricTail:
         return int(self.a * Fraction(self.k) ** n)
 
 
-@dataclass(frozen=True)
-class DampedTail:
+class DampedTail(Record):
     """Tail family c_n = floor(a * k^n / n^d) on n = n0, n0+stride, ...
 
     k may be any rational > 1; the radius of convergence of the loop
     generating function is exactly 1/k regardless of a and d.
     """
 
-    a: Fraction
-    k: Fraction
-    d: int
-    n0: int
-    stride: int = 1
+    _fields = ("a", "k", "d", "n0", "stride")
 
-    def __post_init__(self):
-        if Fraction(self.k) <= 1:
+    def __init__(self, a: Fraction, k: Fraction, d: int, n0: int, stride: int = 1):
+        if Fraction(k) <= 1:
             raise ValueError("damped tail ratio k must be > 1")
-        if self.d < 1:
+        if d < 1:
             raise ValueError("damped tail exponent d must be >= 1")
-        if self.n0 < 1 or self.stride < 1:
+        if n0 < 1 or stride < 1:
             raise ValueError("damped tail needs n0 >= 1 and stride >= 1")
-        if self.a <= 0:
+        if a <= 0:
             raise ValueError("damped tail coefficient a must be positive")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "stride", stride)
 
     def count(self, n: int) -> int:
         if n < self.n0 or (n - self.n0) % self.stride:
@@ -127,8 +161,7 @@ class DampedTail:
 Tail = Union[GeometricTail, DampedTail]
 
 
-@dataclass(frozen=True)
-class LoopSchema:
+class LoopSchema(Record):
     """First-return loop counts at a distinguished base vertex.
 
     `counts` lists explicit (length, count) pairs; `tail` optionally extends
@@ -136,13 +169,13 @@ class LoopSchema:
     support may not overlap.
     """
 
-    counts: tuple[tuple[int, int], ...]
-    tail: Optional[Tail] = None
-    base: str = "0"
+    _fields = ("counts", "tail", "base")
 
-    def __post_init__(self):
+    def __init__(
+        self, counts: tuple[tuple[int, int], ...], tail: Optional[Tail] = None, base: str = "0"
+    ):
         seen = set()
-        for n, c in self.counts:
+        for n, c in counts:
             if n < 1:
                 raise ValueError(f"loop length {n} < 1")
             if c < 0:
@@ -150,10 +183,13 @@ class LoopSchema:
             if n in seen:
                 raise ValueError(f"duplicate explicit count at length {n}")
             seen.add(n)
-        if self.tail is not None:
+        if tail is not None:
             for n in seen:
-                if n >= self.tail.n0 and (n - self.tail.n0) % self.tail.stride == 0:
+                if n >= tail.n0 and (n - tail.n0) % tail.stride == 0:
                     raise ValueError(f"explicit count at length {n} overlaps tail support")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "base", base)
         if not self.has_loop():
             raise ValueError("schema has no loop at all (some c_n >= 1 required)")
 
@@ -319,7 +355,7 @@ def parse_rational(text: str) -> Fraction:
     of ten is built; so does text that Fraction refuses, a zero denominator
     included, with the message `bad rational ...`.
     """
-    m = _RATIONAL.fullmatch(text)
+    m = re.fullmatch(_RATIONAL, text)
     if m is None:
         raise ValueError(f"bad rational {text!r}")
     whole, den, frac, exp = (g.replace("_", "") if g else "" for g in m.groups())

@@ -26,7 +26,6 @@ sign is a fact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Iterator, Optional, Union
@@ -41,12 +40,10 @@ from .entropy import (
 )
 from .graphs import schema_period
 from .intervals import RatInterval, log_interval
+# invariants builds the summaries, so the record and its classes live there
+from .invariants import NULL_RECURRENT, POSITIVE_RECURRENT, TRANSIENT, ComponentSummary
 from .polynomials import _bisect_root, _sign_at
 from .presentations import DAMPED_FIRST_TERMS, DampedTail, Inconclusive, LoopSchema
-
-POSITIVE_RECURRENT = "positive-recurrent"
-NULL_RECURRENT = "null-recurrent"
-TRANSIENT = "transient"
 
 EXACT_DEGREE_CAP = 64
 # the lower bracket walk of Phi(x) = 1 gives up below 10^-BRACKET_FLOOR_DIGITS
@@ -55,17 +52,6 @@ BRACKET_FLOOR_DIGITS = 400
 
 class UndecidableAtTolerance(Inconclusive):
     """Phi cannot be separated from 1 at certification width."""
-
-
-@dataclass(frozen=True)
-class ComponentSummary:
-    """One irreducible component: (period, entropy, has an MME?, recurrence)."""
-
-    period: int
-    entropy: ExtendedEntropy
-    mme: bool
-    recurrence: str
-    source: str = ""
 
 
 def schema_radius(schema: LoopSchema) -> Union[Fraction, float]:

@@ -1,5 +1,6 @@
 """Command-line verbs, exit codes, and the re-parseable output contract."""
 
+import errno
 import importlib
 import io
 import math
@@ -749,6 +750,118 @@ def test_each_verb_loads_only_the_modules_it_reaches(
     proc = _cold(_VERB_CHILD, *argv)
     assert proc.stdout.splitlines() == [line]
     assert len(proc.stderr.splitlines()) == (line[0] != "0")
+
+
+# which of the start-up modules a verb loaded, then what it printed
+_FOOTPRINT_CHILD = """
+import contextlib, io, sys
+before = set(sys.modules)
+from borelshift.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    rc = main(sys.argv[1:])
+print(rc, *sorted(m for m in ("dataclasses", "borelshift.recurrence")
+                  if m in sys.modules and m not in before))
+sys.stdout.write(out.getvalue())
+"""
+
+_LOOPS_DOC = "loops\ncount 1 1\ntail geometric 1/2 2 from 2\n\nloops\ncount 1 1\ncount 2 1\n"
+_LOOPS_ANALYZED = [  # the bytes analyze has always printed for _LOOPS_DOC
+    "# component=p0.loops period=1 entropy=1.09861228867 recurrence=positive-recurrent mme=true",
+    "# component=p1.loops period=1 entropy=0.48121182506 recurrence=positive-recurrent mme=true",
+    "gen 1 log 3 1",
+]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["analyze", "{golden}"], "0"),
+    (["compare", "{log2}", "{phi}"], "1"),
+    # only a loop schema's recurrence class needs the recurrence module
+    (["analyze", "{loops}"], "0 borelshift.recurrence"),
+], ids=["analyze-graph", "compare-invariants", "analyze-loops"])
+def test_start_up_loads_no_dataclasses_and_recurrence_only_for_a_schema(
+    tmp_path, golden_file, argv, line
+):
+    (tmp_path / "log2.txt").write_text("gen 1 log 2 1\n")
+    (tmp_path / "phi.txt").write_text("gen 1 poly -1 -1 1 root-in 3/2 2 1\n")
+    (tmp_path / "loops.txt").write_text(_LOOPS_DOC)
+    argv = [a.format(golden=golden_file, log2=tmp_path / "log2.txt", phi=tmp_path / "phi.txt",
+                     loops=tmp_path / "loops.txt") for a in argv]
+    proc = _cold(_FOOTPRINT_CHILD, *argv)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == line
+    if argv[1].endswith("loops.txt"):
+        assert lines[1:] == _LOOPS_ANALYZED
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, buffered):
+    # 1,000 golden-mean components: about 88 KB of component lines, more
+    # than a pipe holds, so analyze writes on after the reader has gone
+    doc = tmp_path / "forest.txt"
+    doc.write_text("graph\n" + "".join(
+        f"edge a{i} a{i}\nedge a{i} b{i}\nedge b{i} a{i}\n" for i in range(1000)))
+    env = dict(os.environ, PYTHONPATH=str(Path(borelshift.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from borelshift.cli import main; sys.exit(main())",
+         "analyze", str(doc)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EX_PIPE == 141
+    assert first.startswith(b"# component=")
+    assert err == b""
+
+
+def test_a_stdout_closed_before_the_last_flush_exits_141(golden_file):
+    # buffered, the golden mean's two lines reach the pipe only when main
+    # flushes them, after the reader has already gone
+    env = dict(os.environ, PYTHONPATH=str(Path(borelshift.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from borelshift.cli import main; sys.exit(main())",
+         "analyze", golden_file],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{bad}"],
+    ["compare", "{bad}", "{log2}"],
+    ["compare", "{log2}", "{bad}"],
+    ["realize", "{bad}"],
+    ["embed", "{bad}", "--target", "1/4"],
+    ["bowen", "{bad}"],
+    ["bowen", "{even}", "{bad}"],
+    ["fiberprod", "{bad}"],
+    ["fiberprod", "{even}", "{bad}"],
+    ["pathology", "--base", "{bad}"],
+], ids=["analyze", "compare-a", "compare-b", "realize", "embed", "bowen-code",
+        "bowen-relation", "fiberprod-code", "fiberprod-relation", "pathology-base"])
+@pytest.mark.parametrize("bad, reason", [("dir", errno.EISDIR), ("missing.txt", errno.ENOENT)],
+                         ids=["directory", "missing"])
+def test_an_unreadable_input_exits_65_with_its_reason(
+    capsys, tmp_path, even_code_file, argv, bad, reason
+):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "log2.txt").write_text("gen 1 log 2 1\n")
+    argv = [a.format(bad=tmp_path / bad, log2=tmp_path / "log2.txt", even=even_code_file)
+            for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 65
+    assert out == ""
+    assert err == f"cannot read {tmp_path / bad}: {os.strerror(reason)}\n"
 
 
 def test_no_distinct_loops_exits_2_from_a_fresh_process(even_code_file):

@@ -37,7 +37,7 @@ from borelshift import (
     summarize_components,
 )
 
-from borelshift import cli, entropy, graphs, invariants
+from borelshift import cli, entropy, graphs, invariants, recurrence
 from borelshift.graphs import period_of_component
 from borelshift.presentations import GraphIndex
 
@@ -100,7 +100,8 @@ def test_summarize_classifies_each_distinct_schema_once(monkeypatch):
         calls.append(schema)
         return classify_recurrence(schema)
 
-    monkeypatch.setattr(invariants, "classify_recurrence", counting)
+    # summarize_components imports it from recurrence when a schema needs it
+    monkeypatch.setattr(recurrence, "classify_recurrence", counting)
     twice = LoopSchema(((1, 1), (2, 1)))
     doc = format_document((twice, twice, twice, LoopSchema(((1, 3),))))
     summaries = summarize_components(parse_document(doc))

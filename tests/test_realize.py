@@ -75,7 +75,8 @@ def test_repeated_schema_is_certified_once(monkeypatch):
         calls.append(schema)
         return classify_recurrence(schema)
 
-    monkeypatch.setattr(invariants, "classify_recurrence", counting)
+    # summarize_components imports it from recurrence when a schema needs it
+    monkeypatch.setattr(recurrence, "classify_recurrence", counting)
     real = realize_invariants(pair((1, LOG2_E, 3)))
     assert len(real.components) == 3
     assert calls == [real.components[0][1]]
