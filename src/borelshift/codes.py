@@ -34,10 +34,9 @@ product keeps its vertices' coordinates in `tuples`.  The checks walk
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .entropy import DEFAULT_TOL, ExtendedEntropy, ZERO_ENTROPY, max_entropy, perron_entropy
 from .graphs import _component_ids, _walk, irreducible_components, rome
@@ -46,6 +45,7 @@ from .presentations import (
     GraphIndex,
     Inconclusive,
     ParseError,
+    Record,
     _content_lines,
     _parse_graph_body,
     format_presentation,
@@ -66,26 +66,27 @@ class BudgetExhausted(Inconclusive):
     """A documented size cap was reached before an answer was certified."""
 
 
-@dataclass(frozen=True)
-class BlockCode:
+class BlockCode(Record):
     """1-block code from a finite presentation onto its sofic image."""
 
-    domain: FiniteGraph
-    mapping: tuple[tuple[str, str], ...]
-    mode: str = "vertex"  # or "edge"
+    _fields = ("domain", "mapping", "mode")
 
-    def __post_init__(self):
-        if self.mode not in ("vertex", "edge"):
+    def __init__(self, domain: FiniteGraph, mapping: tuple[tuple[str, str], ...],
+                 mode: str = "vertex"):  # or "edge"
+        if mode not in ("vertex", "edge"):
             raise ValueError("mode must be 'vertex' or 'edge'")
-        keys = sorted(k for k, _ in self.mapping)
-        if self.mode == "vertex":
-            if self.domain.has_parallel_edges():
+        keys = sorted(k for k, _ in mapping)
+        if mode == "vertex":
+            if domain.has_parallel_edges():
                 raise ValueError("vertex-mode code needs a simple domain graph")
-            want = sorted(self.domain.vertices)
+            want = sorted(domain.vertices)
         else:
-            want = sorted(self.domain.edge_names)
+            want = sorted(domain.edge_names)
         if keys != want:
-            raise ValueError(f"mapping must cover every {self.mode} exactly once")
+            raise ValueError(f"mapping must cover every {mode} exactly once")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "mode", mode)
 
     def labeled(self) -> "BlockCode":
         """Vertex-mode normal form: the code itself in vertex mode, else the
@@ -274,8 +275,7 @@ def prune_to_biinfinite(g: FiniteGraph) -> FiniteGraph:
     return g.induced(v for v in g.vertices if alive[idx.pos[v]])
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     injective: bool
     # pair of distinct equal-label vertex paths in the domain; when periodic
     # they close up into genuinely periodic points with the same image
@@ -338,8 +338,7 @@ def check_injective(code: BlockCode) -> InjectivityReport:
     return InjectivityReport(False, _unzip(prod, back[::-1] + fwd[1:]), periodic=False)
 
 
-@dataclass(frozen=True)
-class FiniteToOneReport:
+class FiniteToOneReport(NamedTuple):
     finite_to_one: bool
     # a diamond: two distinct equal-label paths with common endpoints
     diamond: Optional[tuple[tuple[str, ...], tuple[str, ...]]] = None
@@ -430,8 +429,7 @@ def image_entropy(code: BlockCode) -> ExtendedEntropy:
 # --- compatibility relations and m-fold fibered products ---
 
 
-@dataclass(frozen=True)
-class SymbolRelation:
+class SymbolRelation(NamedTuple):
     """Binary relation on domain vertices (edge names in edge mode)."""
 
     pairs: frozenset
@@ -452,8 +450,7 @@ def minimal_relation(code: BlockCode) -> SymbolRelation:
     return SymbolRelation.of(label_fiber_product(code).tuples)
 
 
-@dataclass(frozen=True)
-class BowenReport:
+class BowenReport(NamedTuple):
     holds: bool
     complete: bool  # every jointly extendable pair is related
     label_equal: bool  # related pairs have equal labels
@@ -536,8 +533,7 @@ def extract_tilde_Xm(code: BlockCode, rel: SymbolRelation, m: int) -> ProductGra
     return _tuple_product(idx, _related_tuples(idx, rel, m, True), m, True)
 
 
-@dataclass(frozen=True)
-class ResolvingReport:
+class ResolvingReport(NamedTuple):
     right_resolving: bool
     left_resolving: bool
     fibers_complete: bool  # every surviving m-set carries all m! orderings

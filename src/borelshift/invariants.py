@@ -246,7 +246,7 @@ class AdmissibilityReport(Record):
         object.__setattr__(self, "violations", violations)
 
 
-def check_admissible(pair: InvariantPair, tol: Fraction = DEFAULT_TOL) -> AdmissibilityReport:
+def check_admissible(pair: InvariantPair) -> AdmissibilityReport:
     """A pair is admissible iff eta(p) = 0 wherever u(p) is infinite."""
     bad = []
     for g in pair.generators:

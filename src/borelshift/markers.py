@@ -24,11 +24,10 @@ first-return counts have been checked against that schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil, log, prod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .codes import BlockCode, BudgetExhausted, check_injective, prune_to_biinfinite
 from .entropy import DEFAULT_TOL, ExtendedEntropy, ZERO_ENTROPY, compare_entropy, perron_entropy
@@ -52,8 +51,7 @@ class NoDistinctLoops(Inconclusive):
     """No pair of loops with distinct label words at any base vertex."""
 
 
-@dataclass(frozen=True)
-class MarkerParams:
+class MarkerParams(NamedTuple):
     base: str
     ell: tuple[str, ...]  # loop word at base, as domain vertices
     ell_tilde: tuple[str, ...]
@@ -76,8 +74,7 @@ class MarkerParams:
         return len(m1) + slots, len(m2) + slots, gallery_size**self.K
 
 
-@dataclass(frozen=True)
-class EmbeddingCertificate:
+class EmbeddingCertificate(NamedTuple):
     tier: str  # "whole-domain" | "label-injective" | "marker"
     presentation: FiniteGraph  # presents the subsystem
     symbol_map: tuple[tuple[str, str], ...]  # presentation vertex -> domain vertex

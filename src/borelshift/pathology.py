@@ -42,7 +42,6 @@ and arcs for readers of the presentation.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import ceil, log
@@ -52,7 +51,7 @@ from typing import NamedTuple, Optional, Union
 from .codes import BlockCode, BudgetExhausted
 from .entropy import ExtendedEntropy, IntervalApprox, compare_entropy
 from .graphs import first_returns_by_step, loop_entropy_estimate, renewal_loop_counts
-from .presentations import FiniteGraph, LoopSchema
+from .presentations import FiniteGraph, LoopSchema, Record
 from .recurrence import classify_recurrence
 
 ROOT = "r"
@@ -67,27 +66,30 @@ SIZE_CAP = 400_000
 WINDOW_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class PathologySpec:
-    base: FiniteGraph  # vertex names are the base symbols; simple graph
-    M: int
-    m_seq: tuple[int, ...]  # connector length per level k = 1..len(m_seq)
+class PathologySpec(Record):
+    """Base graph (its vertex names are the base symbols; a simple graph), root
+    loop length M, and the connector length per level k = 1..len(m_seq)."""
 
-    def __post_init__(self):
-        if self.M < 1:
+    _fields = ("base", "M", "m_seq")
+
+    def __init__(self, base: FiniteGraph, M: int, m_seq: tuple[int, ...]):
+        if M < 1:
             raise ValueError("root loop length M must be >= 1")
-        if not self.m_seq:
+        if not m_seq:
             raise ValueError("need at least one level")
-        for m in self.m_seq:
-            if m < 1 or m % self.M == 0:
+        for m in m_seq:
+            if m < 1 or m % M == 0:
                 raise ValueError("connector lengths must avoid multiples of M")
-        lengths = [2 * k + m for k, m in enumerate(self.m_seq, start=1)]
-        if len(set(lengths)) != len(lengths) or self.M in lengths:
+        lengths = [2 * k + m for k, m in enumerate(m_seq, start=1)]
+        if len(set(lengths)) != len(lengths) or M in lengths:
             raise ValueError("return lengths must be pairwise distinct")
-        if MARK in self.base.vertices:
+        if MARK in base.vertices:
             raise ValueError(f"base alphabet may not contain {MARK!r}")
-        if self.base.has_parallel_edges():
+        if base.has_parallel_edges():
             raise ValueError("base must be a simple vertex-shift graph")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "m_seq", m_seq)
 
     @property
     def depth(self) -> int:
@@ -382,8 +384,7 @@ def anchored_lifts(code: Union[BlockCode, _LabelWalk], words: list[tuple[str, ..
     return out
 
 
-@dataclass(frozen=True)
-class PathologyReport:
+class PathologyReport(NamedTuple):
     spec: PathologySpec
     return_counts_match: bool
     window: int

@@ -68,13 +68,13 @@ class Inconclusive(ArithmeticError):
 
 
 class Record:
-    """Base of the immutable value records, without the dataclass machinery.
+    """Base of the immutable value records that check their arguments.
 
     A subclass names its compared fields in `_fields`, and its __init__ runs
-    the checks, then stores each attribute with object.__setattr__, as a
-    frozen dataclass's does.  Records are equal when they are of one class
-    and their fields are equal, hash as the tuple of those fields, and refuse
-    assignment; the instance __dict__ also holds what a cached_property caches.
+    the checks, then stores each attribute with object.__setattr__.  Records
+    are equal when they are of one class and their fields are equal, hash as
+    the tuple of those fields, and refuse assignment; the instance __dict__
+    also holds what a cached_property caches.  A plain result is a NamedTuple.
     """
 
     _fields: tuple[str, ...] = ()

@@ -778,15 +778,22 @@ _LOOPS_ANALYZED = [  # the bytes analyze has always printed for _LOOPS_DOC
     (["compare", "{log2}", "{phi}"], "1"),
     # only a loop schema's recurrence class needs the recurrence module
     (["analyze", "{loops}"], "0 borelshift.recurrence"),
-], ids=["analyze-graph", "compare-invariants", "analyze-loops"])
+    # realize, embed and pathology classify loop schemas; no verb loads dataclasses
+    (["realize", "{log2}"], "0 borelshift.recurrence"),
+    (["bowen", "{even}"], "0"),
+    (["fiberprod", "{even}", "--m", "2"], "0"),
+    (["embed", "{even}", "--target", "1/10"], "0 borelshift.recurrence"),
+    (["pathology", "--depth", "1"], "0 borelshift.recurrence"),
+], ids=["analyze-graph", "compare-invariants", "analyze-loops", "realize", "bowen", "fiberprod",
+        "embed", "pathology"])
 def test_start_up_loads_no_dataclasses_and_recurrence_only_for_a_schema(
-    tmp_path, golden_file, argv, line
+    tmp_path, golden_file, even_code_file, argv, line
 ):
     (tmp_path / "log2.txt").write_text("gen 1 log 2 1\n")
     (tmp_path / "phi.txt").write_text("gen 1 poly -1 -1 1 root-in 3/2 2 1\n")
     (tmp_path / "loops.txt").write_text(_LOOPS_DOC)
-    argv = [a.format(golden=golden_file, log2=tmp_path / "log2.txt", phi=tmp_path / "phi.txt",
-                     loops=tmp_path / "loops.txt") for a in argv]
+    argv = [a.format(golden=golden_file, even=even_code_file, log2=tmp_path / "log2.txt",
+                     phi=tmp_path / "phi.txt", loops=tmp_path / "loops.txt") for a in argv]
     proc = _cold(_FOOTPRINT_CHILD, *argv)
     lines = proc.stdout.splitlines()
     assert lines[0] == line

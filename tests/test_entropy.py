@@ -50,7 +50,7 @@ from borelshift.intervals import (
     log_interval,
 )
 from borelshift.polynomials import _roots_in, _sign_at
-from borelshift.presentations import GeometricTail, Inconclusive, LoopSchema
+from borelshift.presentations import GeometricTail, Inconclusive, LoopSchema, format_document
 from borelshift.recurrence import _phi_polynomial
 
 from helpers import (
@@ -670,7 +670,7 @@ def test_only_printing_factors(monkeypatch, tmp_path, capsys):
     # analyze factors once per printed poly line: a degree-52 minimal
     # polynomial split off a degree-54 first-return polynomial
     doc = tmp_path / "realized.txt"
-    doc.write_text(real.document())
+    doc.write_text(format_document(real.parts()))
     assert cli.main(["analyze", str(doc)]) == 0
     polys = [line for line in capsys.readouterr().out.splitlines() if " poly " in line]
     assert len(polys) == len(calls) == 1

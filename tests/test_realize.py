@@ -156,12 +156,6 @@ def test_family_member_validation():
         fam.member(0)
 
 
-def test_document_emission_blocked_by_families():
-    real = realize_invariants(pair((1, LOG2_E, UNATTAINED)))
-    with pytest.raises(UnrealizableEntropy):
-        real.document()
-
-
 # === rejection and certification ===
 
 def test_inadmissible_pair_rejected():
@@ -185,7 +179,7 @@ def test_round_trip_recovers_canonical_pair():
 def test_emitted_document_reparses_to_same_invariants():
     p = pair((1, LOG2_E, 1), (2, LOG3_E, 1))
     real = realize_invariants(p)
-    doc = real.document()
+    doc = format_document(real.parts())
     parts = parse_document(doc)
     again = invariants_of(parts)
     assert decide_almost_borel_iso(again, canonical_invariants(p)).isomorphic
@@ -250,6 +244,28 @@ def test_a_miss_below_the_digit_floor_is_inconclusive(tmp_path, capsys, tol):
     err = capsys.readouterr().err
     floor = "DIGIT_FLOOR = 1/10000000000000"
     assert err == f"cannot certify a realization at tolerance {Fraction(tol)} below {floor}\n"
+
+
+@pytest.mark.parametrize("text, tol", [
+    ("gen 1 11/10 11/10 1\n", "1e-13"),
+    ("gen 1 11/10 11/10 1\n", "1.2e-13"),
+    ("gen 2 poly 1 -3 1 root-in 2 3 1\n", "1e-13"),
+    # one greedy digit: e^(-2 h) is about 1.5e-7, so its square is below DIGIT_FLOOR
+    ("gen 2 2426/309 2426/309 1\n", "1e-9"),
+])
+def test_an_approximated_miss_above_the_digit_floor_is_inconclusive(tmp_path, capsys, text, tol):
+    # greedy digits can leave the entropy further from its target than a
+    # tolerance above DIGIT_FLOOR: exit 2 and one line, no traceback
+    doc = tmp_path / "pair.txt"
+    doc.write_text(text)
+    with pytest.raises(invariants.InconclusiveAtTolerance):
+        realize_invariants(parse_invariants(text), Fraction(tol))
+    assert cli.main(["realize", "--tol", tol, str(doc)]) == 2
+    err = capsys.readouterr().err
+    why = "with approximated entropies"
+    assert err == f"cannot certify a realization at tolerance {Fraction(tol)} {why}\n"
+    # at APPROX_TOL the same construction is certified
+    assert realize_invariants(parse_invariants(text), realize.APPROX_TOL).parts()
 
 
 @pytest.mark.parametrize("text, flags", [

@@ -1,10 +1,12 @@
 """The value records: frozen dataclass semantics without the dataclass machinery.
 
-Each record class is checked against a reference frozen dataclass with the
-same fields, defaults and checks, on seeded random arguments: equality,
-hashing, repr, refused assignment, and the ValueError text of every check.
+Each record class, a presentations.Record or a NamedTuple, is checked against
+a reference frozen dataclass with the same fields, defaults and checks, on
+seeded random arguments: the signature, equality, hashing, repr, refused
+assignment, and the ValueError text of every check.
 """
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +30,19 @@ from borelshift import (
     summarize_components,
 )
 from borelshift import invariants, recurrence
+from borelshift.codes import (
+    BlockCode,
+    BowenReport,
+    FiniteToOneReport,
+    InjectivityReport,
+    ResolvingReport,
+    SymbolRelation,
+)
 from borelshift.invariants import AdmissibilityReport
+from borelshift.markers import EmbeddingCertificate, MarkerParams
+from borelshift.pathology import MARK, PathologyReport, PathologySpec
+from borelshift.presentations import FiniteGraph, Record
+from borelshift.realize import FamilySchema, Realization
 
 
 # the reference: each record as the frozen dataclass it replaces, checks included
@@ -167,6 +181,137 @@ class RefComponentSummary:
     source: str = ""
 
 
+@dataclass(frozen=True)
+class RefBlockCode:
+    domain: object
+    mapping: tuple
+    mode: str = "vertex"
+
+    def __post_init__(self):
+        if self.mode not in ("vertex", "edge"):
+            raise ValueError("mode must be 'vertex' or 'edge'")
+        keys = sorted(k for k, _ in self.mapping)
+        if self.mode == "vertex":
+            if self.domain.has_parallel_edges():
+                raise ValueError("vertex-mode code needs a simple domain graph")
+            want = sorted(self.domain.vertices)
+        else:
+            want = sorted(self.domain.edge_names)
+        if keys != want:
+            raise ValueError(f"mapping must cover every {self.mode} exactly once")
+
+
+@dataclass(frozen=True)
+class RefPathologySpec:
+    base: object
+    M: int
+    m_seq: tuple
+
+    def __post_init__(self):
+        if self.M < 1:
+            raise ValueError("root loop length M must be >= 1")
+        if not self.m_seq:
+            raise ValueError("need at least one level")
+        for m in self.m_seq:
+            if m < 1 or m % self.M == 0:
+                raise ValueError("connector lengths must avoid multiples of M")
+        lengths = [2 * k + m for k, m in enumerate(self.m_seq, start=1)]
+        if len(set(lengths)) != len(lengths) or self.M in lengths:
+            raise ValueError("return lengths must be pairwise distinct")
+        if MARK in self.base.vertices:
+            raise ValueError(f"base alphabet may not contain {MARK!r}")
+        if self.base.has_parallel_edges():
+            raise ValueError("base must be a simple vertex-shift graph")
+
+
+# the plain results and parameters, which check nothing
+@dataclass(frozen=True)
+class RefInjectivityReport:
+    injective: bool
+    witness: object = None
+    periodic: bool = False
+
+
+@dataclass(frozen=True)
+class RefFiniteToOneReport:
+    finite_to_one: bool
+    diamond: object = None
+
+
+@dataclass(frozen=True)
+class RefSymbolRelation:
+    pairs: frozenset
+
+
+@dataclass(frozen=True)
+class RefBowenReport:
+    holds: bool
+    complete: bool
+    label_equal: bool
+    symmetric: bool
+    reflexive: bool
+    failures: tuple = ()
+
+
+@dataclass(frozen=True)
+class RefResolvingReport:
+    right_resolving: bool
+    left_resolving: bool
+    fibers_complete: bool
+    preimage_count: Optional[int]
+    failures: tuple = ()
+
+
+@dataclass(frozen=True)
+class RefMarkerParams:
+    base: str
+    ell: tuple
+    ell_tilde: tuple
+    A: int
+    C: int
+    N: int
+    K: int
+
+
+@dataclass(frozen=True)
+class RefEmbeddingCertificate:
+    tier: str
+    presentation: object
+    symbol_map: tuple
+    entropy: object
+    params: object = None
+
+
+@dataclass(frozen=True)
+class RefPathologyReport:
+    spec: object
+    return_counts_match: bool
+    window: int
+    states: int
+    loop_rows: tuple
+    estimate: float
+    estimate_below_eps: bool
+    hidden_entropy: object
+    gap_certified: bool
+    bordered_checked: int
+    bordered_unique: bool
+    bordered_failures: tuple
+    ambiguous_witness: Optional[tuple]
+    witness_lifts: int
+
+
+@dataclass(frozen=True)
+class RefFamilySchema:
+    period: int
+    entropy: object
+
+
+@dataclass(frozen=True)
+class RefRealization:
+    components: tuple
+    families: tuple
+
+
 def _frac(rng, lo=-3, hi=9):
     return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
 
@@ -234,6 +379,42 @@ def _summary(rng):
             rng.choice(["", "c0", "p1.loops"]))
 
 
+GOLDEN = FiniteGraph(("0", "1"), (("0", "0"), ("0", "1"), ("1", "0")))
+
+
+def _graph(rng):
+    """A graph on one to three vertices, sometimes with parallel edges."""
+    names = ("a", "b", "c")[:rng.randint(1, 3)]
+    return FiniteGraph(names, [(rng.choice(names), rng.choice(names))
+                               for _ in range(rng.randint(1, 4))])
+
+
+def _block_code(rng):
+    g = _graph(rng)
+    mode = rng.choice(["vertex", "edge", "edge", "label"])
+    keys = g.edge_names if mode == "edge" else g.vertices
+    mapping = tuple((k, rng.choice("01")) for k in keys)
+    if rng.random() < 0.15:
+        mapping = mapping[1:]  # a symbol left unmapped
+    return (g, mapping, mode)
+
+
+def _pathology_spec(rng):
+    base = rng.choice([GOLDEN] * 6 + [FiniteGraph((MARK, "0"), ((MARK, "0"), ("0", MARK))),
+                                      FiniteGraph(("0",), (("0", "0"), ("0", "0")))])
+    m_seq = tuple(rng.randint(0, 9) for _ in range(rng.randint(0, 3)))
+    return (base, rng.choice([0, 2, 3, 5, 7]), m_seq)
+
+
+_VALUES = [None, 0, 1, 2, True, False, "", "x", (), ("a", "b"), Fraction(1, 3),
+           frozenset({("a", "b")})]
+
+
+def _plain(n):
+    """A draw of n field values for a record that checks nothing."""
+    return lambda rng: tuple(rng.choice(_VALUES) for _ in range(n))
+
+
 # record, its reference, a draw of positional arguments (valid or not)
 RECORDS = [
     (GeometricTail, RefGeometricTail, _geometric),
@@ -247,6 +428,18 @@ RECORDS = [
     (AdmissibilityReport, RefAdmissibilityReport, _admissibility),
     (IsoVerdict, RefIsoVerdict, _verdict),
     (ComponentSummary, RefComponentSummary, _summary),
+    (BlockCode, RefBlockCode, _block_code),
+    (PathologySpec, RefPathologySpec, _pathology_spec),
+    (InjectivityReport, RefInjectivityReport, _plain(3)),
+    (FiniteToOneReport, RefFiniteToOneReport, _plain(2)),
+    (SymbolRelation, RefSymbolRelation, _plain(1)),
+    (BowenReport, RefBowenReport, _plain(6)),
+    (ResolvingReport, RefResolvingReport, _plain(5)),
+    (MarkerParams, RefMarkerParams, _plain(7)),
+    (EmbeddingCertificate, RefEmbeddingCertificate, _plain(5)),
+    (PathologyReport, RefPathologyReport, _plain(14)),
+    (FamilySchema, RefFamilySchema, _plain(2)),
+    (Realization, RefRealization, _plain(2)),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -267,6 +460,11 @@ def _compared(ref_cls):
 def test_records_match_their_frozen_dataclass_reference(cls, ref_cls, draw):
     rng = random.Random(f"records-{cls.__name__}")
     names = list(ref_cls.__dataclass_fields__)
+    # the same parameters, in the same order, with the same defaults, and
+    # the compared fields in field order
+    params = [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+    assert params == [(p.name, p.default) for p in inspect.signature(ref_cls).parameters.values()]
+    assert cls._fields == tuple(f.name for f in _compared(ref_cls))
     built = 0
     for _ in range(250):
         args, other = draw(rng), draw(rng)
@@ -281,7 +479,7 @@ def test_records_match_their_frozen_dataclass_reference(cls, ref_cls, draw):
         assert twin == rec and not twin != rec and hash(twin) == hash(rec)
         assert hash(rec) == hash(ref)
         assert hash(rec) == hash(tuple(getattr(rec, f.name) for f in _compared(ref_cls)))
-        if "__repr__" not in vars(cls):  # the classes without a repr of their own
+        if not issubclass(cls, Record) or "__repr__" not in vars(cls):  # the dataclass repr
             assert repr(rec) == repr(ref).replace("Ref", "", 1)
         # keywords bind as the dataclass's parameters do
         assert cls(**dict(zip(names, args))) == rec
@@ -386,6 +584,21 @@ INVALID = [
     (RatInterval, (Fraction(1), Fraction(1, 2)), "empty interval [1, 1/2]"),
     (Generator, (0, ZERO_ENTROPY, 1), "generator period must be >= 1"),
     (Generator, (1, ZERO_ENTROPY, -1), "generator count must be >= 0"),
+    (BlockCode, (GOLDEN, (("0", "1"), ("1", "0")), "label"), "mode must be 'vertex' or 'edge'"),
+    (BlockCode, (FiniteGraph(("0",), (("0", "0"), ("0", "0"))), (("0", "1"),)),
+     "vertex-mode code needs a simple domain graph"),
+    (BlockCode, (GOLDEN, (("0", "1"),)), "mapping must cover every vertex exactly once"),
+    (BlockCode, (GOLDEN, (("e0", "1"), ("e1", "0")), "edge"),
+     "mapping must cover every edge exactly once"),
+    (PathologySpec, (GOLDEN, 0, (1,)), "root loop length M must be >= 1"),
+    (PathologySpec, (GOLDEN, 2, ()), "need at least one level"),
+    (PathologySpec, (GOLDEN, 2, (3, 4)), "connector lengths must avoid multiples of M"),
+    (PathologySpec, (GOLDEN, 3, (4, 2)), "return lengths must be pairwise distinct"),
+    (PathologySpec, (GOLDEN, 6, (4,)), "return lengths must be pairwise distinct"),
+    (PathologySpec, (FiniteGraph((MARK,), ((MARK, MARK),)), 2, (1,)),
+     "base alphabet may not contain '2'"),
+    (PathologySpec, (FiniteGraph(("0",), (("0", "0"), ("0", "0"))), 2, (1,)),
+     "base must be a simple vertex-shift graph"),
 ]
 
 
@@ -394,3 +607,16 @@ def test_invalid_records_raise_the_dataclass_text(cls, args, message):
     with pytest.raises(ValueError) as info:
         cls(*args)
     assert str(info.value) == message
+
+
+def test_checked_code_records_are_not_their_field_tuples_and_keep_one_line_code():
+    edge = BlockCode(GOLDEN, (("e0", "1"), ("e1", "0"), ("e2", "0")), "edge")
+    assert edge != (GOLDEN, edge.mapping, "edge")
+    spec = PathologySpec(GOLDEN, 5, (7, 8))
+    assert spec != (GOLDEN, 5, (7, 8)) and spec != edge and spec.depth == 2
+    # the line-graph code is built once and shared by every check on the code
+    line = edge.labeled()
+    assert line.mode == "vertex" and edge.labeled() is line and line.labeled() is line
+    assert "_line_code" in vars(edge) and line.domain.vertices == ("e0", "e1", "e2")
+    # the tracer wraps labeled through the class namespace
+    assert "labeled" in vars(BlockCode)
