@@ -138,7 +138,8 @@ class ExactAlgebraic(ExtendedEntropy, Record):
 
     `minpoly`, the minimal polynomial (primitive, positive leading
     coefficient), is split off poly on first read and kept; with `minimal`
-    set, as by the parser, it is poly itself.  Only printing reads it.
+    set, as by the parser, it is poly itself.  Only printing a document
+    reads it; the repr shows poly.
     """
 
     _fields = ("poly", "root_lo", "root_hi")  # `minimal` is neither compared nor hashed
@@ -189,7 +190,8 @@ class ExactAlgebraic(ExtendedEntropy, Record):
         return enc
 
     def __repr__(self):
-        return f"Entropy(log root of {self.minpoly} in [{self.root_lo},{self.root_hi}])"
+        # poly, not minpoly: an error message must not factor a polynomial
+        return f"Entropy(log root of {self.poly} in [{self.root_lo},{self.root_hi}])"
 
 
 class IntervalApprox(ExtendedEntropy, Record):

@@ -3,14 +3,17 @@ gcds, factors and characteristic polynomials; no computer algebra system.
 
 A polynomial is a tuple or list of int coefficients, ascending.  Every sign
 bisection, of a polynomial or of a loop schema's Phi(x) - 1, is _bisect_root.
-Roots in [lo, hi] are counted by Descartes' rule after a Moebius map (Collins
-& Akritas 1976) on the squarefree part f / gcd(f, f'), the gcd being the
-heuristic GCDHEU (_poly_gcd).  A minimal polynomial is split off only where it
-is read (_minimal_factor): a degree sieve modulo small primes (Musser 1978),
-with blocked distinct-degree splits (Kaltofen & Shoup 1998) on packed
-residues (_Residues), proves most irreducible, and Zassenhaus's method
-factors the rest.  Characteristic polynomials come from Berkowitz's
-division-free method (_charpoly_coeffs).
+One root in [lo, hi] is proved by a sign change and a bound on f'' that
+keeps f' from vanishing (_one_root_by_slope), in O(d) integer steps; where
+that cannot tell, roots are counted by Descartes' rule after a Moebius map
+(Collins & Akritas 1976) on the squarefree part f / gcd(f, f'), the gcd
+being the heuristic GCDHEU (_poly_gcd).  A minimal polynomial is split off
+only where it is read (_minimal_factor): a degree sieve modulo small primes
+(Musser 1978), with blocked distinct-degree splits (Kaltofen & Shoup 1998)
+on packed residues (_Residues) that stop at the largest degree the sieve
+still allows, proves most irreducible, and Zassenhaus's method factors the
+rest.  Characteristic polynomials come from Berkowitz's division-free method
+(_charpoly_coeffs), one packed integer product per step.
 """
 
 from __future__ import annotations
@@ -38,12 +41,18 @@ _SIEVE_PRIMES = tuple(
 def _sign_at(coeffs, x, q: int = 1) -> int:
     """Sign (-1, 0 or 1) of the integer polynomial `coeffs` (ascending) at
     the rational x / q = p / q' (x an int or a Fraction, q a positive int,
-    so that a bisection on integers builds no Fraction): the sign of the
-    integer sum c_i p^i q'^(d - i), which is q'^d > 0 times the value.
-    Horner's rule in integers steps from one nonzero coefficient to the
-    next, so a long sparse polynomial, such as a loop schema's, costs a few
-    powers, not one product per degree."""
-    p, q = x.numerator, x.denominator * q
+    so that a bisection on integers builds no Fraction): the sign of
+    _homogeneous(coeffs, p, q'), which is q'^d > 0 times the value."""
+    v = _homogeneous(coeffs, x.numerator, x.denominator * q)
+    return (v > 0) - (v < 0)
+
+
+def _homogeneous(coeffs, p: int, q: int) -> int:
+    """The integer sum c_i p^i q^(d - i), d = len(coeffs) - 1: q^d times the
+    value of `coeffs` (ascending) at p / q.  Horner's rule in integers steps
+    from one nonzero coefficient to the next, so a long sparse polynomial,
+    such as a loop schema's, costs a few powers, not one product per
+    degree."""
     acc, qk, prev = 0, 1, len(coeffs) - 1
     for i in range(prev, -1, -1):
         if coeffs[i]:
@@ -51,8 +60,7 @@ def _sign_at(coeffs, x, q: int = 1) -> int:
             qk *= q**gap
             acc = acc * p**gap + coeffs[i] * qk
             prev = i
-    acc *= p**prev
-    return (acc > 0) - (acc < 0)
+    return acc and acc * p**prev
 
 
 def _bisect_root(sign, lo, hi, wide, q: int = 1):
@@ -137,20 +145,45 @@ def _roots_in(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots in the closed interval [lo, hi] of the squarefree
     integer polynomial `coeffs` (ascending, nonzero leading coefficient).
 
-    With lo = A/D and hi - lo = B/D, q(y) = D^d p((A + B y)/D) is an integer
-    polynomial whose roots in [0, 1] are those of p in [lo, hi]: scale by D,
-    Taylor-shift by A, scale by B.  The endpoints are tested exactly and the
-    open interval is counted by _roots_in_unit.  A repeated root would keep
-    the sign-variation count above 1 forever, hence the squarefree input.
+    The slope test (_one_root_by_slope) proves one root, in O(d) integer
+    steps, where it holds; an isolating interval of a simple root, once
+    narrow enough, passes it.  Otherwise, with lo = A/D and hi - lo = B/D,
+    q(y) = D^d p((A + B y)/D) is an integer polynomial whose roots in [0, 1]
+    are those of p in [lo, hi]: scale by D, Taylor-shift by A, scale by B.
+    The endpoints are tested exactly and the open interval is counted by
+    _roots_in_unit.  A repeated root would keep the sign-variation count
+    above 1 forever, hence the squarefree input.
     """
     if lo >= hi:
         return int(lo == hi and _sign_at(coeffs, lo) == 0)
+    if _one_root_by_slope(coeffs, lo, hi):
+        return 1
     d = len(coeffs) - 1
     den = math.lcm(lo.denominator, hi.denominator)
     a, b = int(lo * den), int((hi - lo) * den)
     q = _taylor_shift([c * den ** (d - i) for i, c in enumerate(coeffs)], a)
     q = [c * b**i for i, c in enumerate(q)]
     return (q[0] == 0) + (sum(q) == 0) + _roots_in_unit(q)
+
+
+def _one_root_by_slope(f, lo: Fraction, hi: Fraction) -> bool:
+    """True when the integer polynomial f (ascending) provably has exactly
+    one root in [lo, hi], a simple one; False when this test cannot tell.
+
+    f takes strictly opposite signs at lo and hi, and |f'(m)| > r sum i (i -
+    1) |f_i| R^(i - 2), m the midpoint, r the radius and R = max(|lo|, |hi|):
+    the sum bounds |f''| on [lo, hi], so f' has no zero there.  Both sides
+    are scaled by (2D)^(d - 1), D the ends' common denominator, and summed
+    in integers (_homogeneous).
+    """
+    if lo >= hi or _sign_at(f, lo) * _sign_at(f, hi) >= 0:
+        return False
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    df = [i * c for i, c in enumerate(f)][1:]
+    bound = [i * abs(c) for i, c in enumerate(df)][1:]  # i (i - 1) |f_i|, at i - 2
+    slope = abs(_homogeneous(df, a + b, 2 * den))
+    return slope > (b - a) * _homogeneous(bound, 2 * max(-a, b), 2 * den)
 
 
 def _primitive(f) -> tuple[int, ...]:
@@ -252,8 +285,12 @@ def _exact_quotient(a, b) -> list[int] | None:
 def isolates_one_root(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> bool:
     """The isolating-interval rule: [lo, hi] holds exactly one real root of
     coeffs, and coeffs does not take the same nonzero sign at both ends.
-    Roots are counted on the squarefree part, which has the same roots."""
-    return _roots_in(_squarefree(coeffs), lo, hi) == 1 and _brackets_root(coeffs, lo, hi)
+    The slope test on coeffs itself proves both at once (_one_root_by_slope);
+    where it cannot tell, roots are counted on the squarefree part, which has
+    the same roots."""
+    return _one_root_by_slope(coeffs, lo, hi) or (
+        _roots_in(_squarefree(coeffs), lo, hi) == 1 and _brackets_root(coeffs, lo, hi)
+    )
 
 
 def _rational_root(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> Fraction | None:
@@ -308,34 +345,38 @@ def _certify_irreducible(f: list[int], splits: list | None = None) -> bool:
     """True when the degree sieve proves the squarefree integer polynomial f
     (ascending, degree n >= 2) irreducible over Q; False when it cannot.
 
-    A bitmask holds the degrees a factor of f may still have.  Each usable
-    prime p (p does not divide the leading coefficient and f is squarefree
-    modulo p) ANDs in the subset sums of the degrees of f's irreducible
-    factors modulo p; f is certified once no degree strictly between 0 and n
-    is left, and the sieve gives up after SIEVE_PRIME_BUDGET usable primes.
-    When f(x) = g(x^k) with g certified irreducible, every factor of f has a
-    degree that is a multiple of deg g (a root a of f has a^k a root of g,
-    and Q(a^k) lies in Q(a)), so the mask starts from those multiples.
-    Each usable prime's distinct-degree split is appended to `splits`, when
-    given, as (p, parts), for _zassenhaus to choose from.
+    A bitmask holds the degrees e <= n/2 that a factor of f may still have;
+    the cofactor takes n - e, so no factor of degree strictly between 0 and
+    n is left once only e = 0 is.  Each usable prime p (p does not divide
+    the leading coefficient and f is squarefree modulo p) ANDs in the subset
+    sums of the degrees of f's irreducible factors modulo p, and the sieve
+    gives up after SIEVE_PRIME_BUDGET usable primes.  With cap the largest
+    degree left, a sum e <= cap is a sum of the factors of degree e or less,
+    so the distinct-degree split stops after degree cap: once the mask is
+    down to a pair such as {6, 42}, a prime costs a few Frobenius steps, not
+    a full split.  When f(x) = g(x^k) with g certified irreducible, every
+    factor of f has a degree that is a multiple of deg g (a root a of f has
+    a^k a root of g, and Q(a^k) lies in Q(a)), so the mask starts from those
+    multiples.  Each usable prime's split, whole or cut at its cap, is
+    appended to `splits`, when given, as (p, parts), for _zassenhaus.
     """
     n = len(f) - 1
     k = math.gcd(*(i for i, c in enumerate(f) if c))
-    allowed = (1 << (n + 1)) - 1
+    allowed = (2 << n // 2) - 1  # degrees 0 .. n/2
     if k > 1 and _certify_irreducible(f[::k]):
-        allowed = sum(1 << i for i in range(0, n + 1, n // k))
-    inner = (1 << n) - 2  # degrees 1 .. n - 1
+        allowed = sum(1 << i for i in range(0, n // 2 + 1, n // k))
     used = 0
     for p in _SIEVE_PRIMES:
-        if not allowed & inner or used == SIEVE_PRIME_BUDGET:
+        cap = allowed.bit_length() - 1
+        if cap == 0 or used == SIEVE_PRIME_BUDGET:
             break
-        parts = _distinct_degree_mod(f, p)
+        parts = _distinct_degree_mod(f, p, cap)
         if parts is not None:
             allowed &= _degree_sums(parts)
             used += 1
             if splits is not None:
                 splits.append((p, parts))
-    return not allowed & inner
+    return allowed == 1
 
 
 def _degree_sums(parts: list[tuple[int, list[int]]]) -> int:
@@ -348,11 +389,15 @@ def _degree_sums(parts: list[tuple[int, list[int]]]) -> int:
     return mask
 
 
-def _distinct_degree_mod(f: list[int], p: int) -> list[tuple[int, list[int]]] | None:
+def _distinct_degree_mod(
+    f: list[int], p: int, cap: float = math.inf
+) -> list[tuple[int, list[int]]] | None:
     """Pairs (d, g): g is the monic product of the irreducible factors of
     degree d of f modulo the odd prime p, one pair for each d that occurs;
     None when p divides the leading coefficient or f is not squarefree
-    modulo p.
+    modulo p.  With `cap`, the split may stop once every degree up to cap
+    is done: the pairs with d <= cap are all there, and what is left, all
+    of degree above cap, may be missing.
 
     Distinct-degree factorization with one gcd per block of degrees (E.
     Kaltofen and V. Shoup, Math. Comp. 67, 1998): h_d = x^(p^d) mod f comes
@@ -365,12 +410,12 @@ def _distinct_degree_mod(f: list[int], p: int) -> list[tuple[int, list[int]]] | 
     degree by degree, ascending, one gcd each; the last degree takes what
     is left, and so does any degree e once what is left has degree below
     2e (it is then one irreducible factor).  A block is ceil(sqrt(deg
-    rest)) degrees long and stops at half of deg rest; what is left of rest
-    after the last block is irreducible.  Residues modulo f are packed
-    integers (_Residues): a Frobenius apply h <- sum h_j row_j is one packed
-    sum and one unpack, and a product modulo f one integer product and one
-    packed reduction.  The split is unique, so any order of work gives the
-    same pairs.
+    rest)) degrees long and stops at half of deg rest, or at cap; what is
+    left of rest after the half is irreducible.  Residues modulo f are
+    packed integers (_Residues): a Frobenius apply h <- sum h_j row_j is one
+    packed sum and one unpack, and a product modulo f one integer product
+    and one packed reduction.  The split is unique, so any order of work
+    gives the same pairs.
     """
     fp = [c % p for c in f]
     if not fp[-1]:
@@ -380,9 +425,9 @@ def _distinct_degree_mod(f: list[int], p: int) -> list[tuple[int, list[int]]] | 
     parts, rest, d = [], fp, 0
     if len(fp) > 2:  # degree 2 or more: the loop below runs
         ring, h = _Residues(fp, p), [0, 1] + [0] * (len(fp) - 3)
-    while 2 * (d + 1) < len(rest):
-        # degrees d + 1 .. last: about sqrt(deg rest) of them, at most deg rest / 2
-        last = min(d + math.isqrt(len(rest) - 2) + 1, (len(rest) - 1) // 2)
+    while 2 * (d + 1) < len(rest) and d < cap:
+        # degrees d + 1 .. last: about sqrt(deg rest) of them, at most deg rest / 2 and cap
+        last = min(d + math.isqrt(len(rest) - 2) + 1, (len(rest) - 1) // 2, cap)
         block, product = [], None
         for e in range(d + 1, last + 1):
             h = ring.frobenius(h)
@@ -404,7 +449,7 @@ def _distinct_degree_mod(f: list[int], p: int) -> list[tuple[int, list[int]]] | 
                 parts.append((e, _monic_mod(ge, p)))
                 rest = _divmod_mod(rest, ge, p)[0]
                 g = _divmod_mod(g, ge, p)[0]
-    if len(rest) > 1:
+    if 1 < len(rest) <= 2 * (d + 1):  # not cut at cap: rest is irreducible
         parts.append((len(rest) - 1, _monic_mod(rest, p)))
     return parts
 
@@ -481,11 +526,12 @@ def _zassenhaus(f: list[int], lo: Fraction, hi: Fraction, splits) -> tuple[int, 
     coefficient l and f(0) != 0; it comes back primitive with positive
     leading coefficient.
 
-    `splits` holds pairs (p, _distinct_degree_mod(f, p)) for the primes the
-    degree sieve used; the prime with the fewest irreducible factors is
-    taken.  f is split modulo p (_equal_degree_mod), the monic factors are
-    lifted to f = l g_1 ... g_r modulo p^k (_hensel_lift), and p^k is more than
-    twice l 2^n |f|_2, a bound on l / lc(g) times any factor g of f over Z
+    `splits` holds pairs (p, parts) for the primes the degree sieve used,
+    and the prime with the fewest irreducible factors is taken; a split the
+    sieve cut at its cap is done again whole where it could be that prime.
+    f is split modulo p (_equal_degree_mod), the monic factors are lifted to
+    f = l g_1 ... g_r modulo p^k (_hensel_lift), and p^k is more than twice
+    l 2^n |f|_2, a bound on l / lc(g) times any factor g of f over Z
     (Mignotte).  Recombination tries the products l g_S of subsets S of the
     lifted factors, smallest first: one whose balanced residues form a
     polynomial dividing f is a factor over Z, and no smaller subset gives
@@ -497,7 +543,24 @@ def _zassenhaus(f: list[int], lo: Fraction, hi: Fraction, splits) -> tuple[int, 
     """
     if not splits:
         raise PrecisionExhausted("no usable prime below 200 for the minimal polynomial")
-    _, p, parts = min((sum((len(g) - 1) // d for d, g in parts), p, parts) for p, parts in splits)
+    n, best = len(f) - 1, (math.inf, 0, None)
+
+    def whole(parts):
+        return sum(len(g) - 1 for _, g in parts) == n
+
+    def count(parts):
+        return sum((len(g) - 1) // d for d, g in parts)
+
+    # a cut split has a factor or more beyond its parts: it is done again
+    # whole only while it may still have the fewest
+    candidates = sorted((count(parts) + (not whole(parts)), p, parts) for p, parts in splits)
+    for bound, p, parts in candidates:
+        if (bound, p) > best[:2]:
+            break
+        if not whole(parts):
+            parts = _distinct_degree_mod(f, p)
+        best = min(best, (count(parts), p, parts))
+    _, p, parts = best
     rng = random.Random(p)  # seeded: the same splitting on every run
     factors = [g for d, part in parts for g in _equal_degree_mod(part, d, p, rng)]
     bound = 2 * f[-1] * (math.isqrt(sum(c * c for c in f)) + 1) << (len(f) - 1)
@@ -681,8 +744,9 @@ def _charpoly_coeffs(rows) -> tuple[int, ...]:
     a time.  With a the new diagonal entry and r and c the new row and column
     inside the block, det(xI - A_(k+1)) is, in descending coefficients, the
     first k + 2 of the product of det(xI - A_k) with the Toeplitz column
-    1, -a, -r c, -r A_k c, ..., -r A_k^(k-1) c.  The row vectors r A_k^m
-    read the sparse rows, so a step of the block costs its edges, not k^2.
+    1, -a, -r c, -r A_k c, ..., -r A_k^(k-1) c, one integer product
+    (_low_product), not k^2 small ones.  The row vectors r A_k^m read the
+    sparse rows, so a step of the block costs its edges, not k^2.
     """
     n = len(rows)
     cols = [[] for _ in rows]
@@ -709,9 +773,16 @@ def _charpoly_coeffs(rows) -> tuple[int, ...]:
                             break
                         w[j] += ui * m
             u = w
-        t += [0] * (k + 2 - len(t))
-        poly = [
-            sum(t[i - j] * poly[j] for j in range(min(i, k) + 1))
-            for i in range(k + 2)
-        ]
+        poly = _low_product(t, poly, k + 2)
     return tuple(reversed(poly))
+
+
+def _low_product(a: list[int], b: list[int], slots: int) -> list[int]:
+    """The first `slots` coefficients of a b, for integer polynomials a and
+    b, from one integer product (Kronecker substitution): at xi = 2^(8k)
+    with max|a| max|b| min(len) < xi/2 they are the balanced base-xi digits
+    of a(xi) b(xi), and the low ones depend only on it modulo xi^slots."""
+    top = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    xi = 1 << 8 * (top.bit_length() // 8 + 1)
+    digits = _balanced_digits(_value_at(a, xi) * _value_at(b, xi) % xi**slots, xi)[:slots]
+    return digits + [0] * (slots - len(digits))

@@ -87,6 +87,47 @@ def bisection_reference(coeffs, lo: Fraction, hi: Fraction, max_width: Fraction,
     return lo, hi
 
 
+def count_roots(coeffs, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of the squarefree integer polynomial `coeffs`
+    (ascending) in the closed interval [lo, hi], lo <= hi.
+
+    sympy isolates every real root once (Poly.intervals, with no bounds:
+    with bounds it can refine for minutes near close roots): a point (r, r),
+    or an open interval (s, t) holding one root r, whose ends may be other
+    roots.  f has one sign sigma on (s, r), that of f(s), or of f'(s) when s
+    is a root, so a bound b in (s, t) is r when f(b) = 0 and lies below r
+    exactly when f(b) has the sign sigma.  Up to degree 12 the count must
+    equal sympy's count_roots, by a Sturm sequence, which is too slow to
+    use at degree 64.
+    """
+    poly, isolating = real_root_intervals(tuple(coeffs))
+
+    def sign(p, v: Fraction) -> int:
+        return int(sympy.sign(p.eval(sympy.Rational(v.numerator, v.denominator))))
+
+    count = 0
+    for s, t in isolating:
+        if s == t or t <= lo or s >= hi or lo <= s < t <= hi:
+            count += lo <= s and t <= hi
+            continue
+        sigma = sign(poly, s) or sign(poly.diff(), s)
+        above_lo = lo <= s or (lo < t and sign(poly, lo) != -sigma)
+        below_hi = hi >= t or (hi > s and sign(poly, hi) != sigma)
+        count += above_lo and below_hi
+    rational = [sympy.Rational(v.numerator, v.denominator) for v in (lo, hi)]
+    assert poly.degree() > 12 or poly.count_roots(*rational) == count, (coeffs, lo, hi)
+    return count
+
+
+@functools.lru_cache(maxsize=64)
+def real_root_intervals(coeffs: tuple[int, ...]):
+    """sympy's Poly of coeffs (ascending) and the isolating intervals of its
+    real roots, ascending, as Fraction pairs."""
+    poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), domain="QQ")
+    return poly, [(Fraction(int(s.p), int(s.q)), Fraction(int(t.p), int(t.q)))
+                  for (s, t), _ in poly.intervals()]
+
+
 def u_eta_decision(a, b) -> tuple[bool, int | None]:
     """(isomorphic, first differing period) of two generator lists, from
     u and eta evaluated at every m from 1 to the lcm of all their periods.

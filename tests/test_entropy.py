@@ -57,9 +57,11 @@ from helpers import (
     GOLDEN_ENTROPY,
     bisection_reference,
     collatz_wielandt_reference,
+    count_roots,
     factor_first_isolation,
     float_seed_reference,
     random_strongly_connected,
+    real_root_intervals,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -683,6 +685,20 @@ def test_only_printing_factors(monkeypatch, tmp_path, capsys):
     assert len(calls) == 1
 
 
+def test_error_message_factors_nothing(monkeypatch, tmp_path, capsys):
+    # the exit-2 message of an unseparated comparison prints the entropy's
+    # polynomial as it is, with no minimal polynomial split off
+    calls = []
+    split = entropy._minimal_factor
+    monkeypatch.setattr(entropy, "_minimal_factor", lambda *args: calls.append(args) or split(*args))
+    doc = tmp_path / "gen.txt"
+    doc.write_text("gen 1 7/10 7000000001/10000000000 1\n")
+    assert cli.main(["realize", "--tol", "1e-12", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot separate entropies Entropy(log root of (")
+    assert calls == []
+
+
 def _sieve_cases(rng: random.Random):
     """Seeded integer polynomials for _minimal_factor: products of random
     factors, compositions g(x^k), binomials x^n - a with small primes in a
@@ -711,6 +727,16 @@ def _sieve_cases(rng: random.Random):
         cs = [rng.randint(-9, 9) for _ in range(n)] + [rng.randint(1, 12)]
         cs[0] = cs[0] or 1
         yield tuple(cs)
+    y = sympy.Symbol("y")
+    for _ in range(40):
+        # g(x^k) for an irreducible g of degree 2 or more whose root is a k-th
+        # power in its field: g is the resultant of h(x) and y - x^k for an
+        # irreducible h of g's degree, so h divides g(x^k), and the sieve's
+        # mask starts from the multiples of deg g
+        k, h = rng.randint(2, 4), _random_factor(rng)
+        g = sympy.Poly(sympy.resultant(h, y - _X**k, _X), y)
+        if g.degree() >= 2 and g.is_irreducible:
+            yield _ascending(sympy.expand(g.as_expr().subs(y, _X**k)))
 
 
 def test_minimal_factor_sieve_agrees_with_factoring(monkeypatch):
@@ -729,11 +755,24 @@ def test_minimal_factor_sieve_agrees_with_factoring(monkeypatch):
     zassenhaus = polynomials._zassenhaus
     monkeypatch.setattr(polynomials, "_certify_irreducible", spy)
 
-    def counted(f, *rest):
+    def counted(f, lo, hi, splits):
         factored.append(f)
-        return zassenhaus(f, *rest)
+        # splits the sieve cut at its cap reach the factoring, which still
+        # takes the prime with the fewest factors in its whole split
+        cut.extend(p for p, parts in splits if sum(len(g) - 1 for _, g in parts) < len(f) - 1)
+        fewest = min(
+            (sum((len(g) - 1) // d for d, g in polynomials._distinct_degree_mod(f, p)), p)
+            for p, _ in splits)
+        primes.clear()
+        answer = zassenhaus(f, lo, hi, splits)
+        assert set(primes) == {fewest[1]}, (f, primes, fewest)
+        return answer
 
+    cut, primes = [], []
     monkeypatch.setattr(polynomials, "_zassenhaus", counted)
+    split_equal = polynomials._equal_degree_mod
+    monkeypatch.setattr(polynomials, "_equal_degree_mod",
+                        lambda g, d, p, rng: primes.append(p) or split_equal(g, d, p, rng))
     rng = random.Random(20261020)
     paths = {"sieve": 0, "fallback": 0}
     for coeffs in _sieve_cases(rng):
@@ -750,6 +789,28 @@ def test_minimal_factor_sieve_agrees_with_factoring(monkeypatch):
     for f in certified:
         assert sympy.Poly(list(reversed(f)), _X).is_irreducible, f
     assert sum(paths.values()) >= 200 and min(paths.values()) >= 20, paths
+    assert len(cut) >= 20, cut
+
+
+def test_capped_sieve_still_factors():
+    # (1 + sqrt 2)^3 = 7 + 5 sqrt 2, the root of y^2 - 14 y - 1: the sieve's
+    # mask starts from {0, 2}, so its splits stop at degree 2, and the factor
+    # x^2 - 2x - 1 still comes from a whole split
+    assert polynomials._minimal_factor((-1, 0, 0, -14, 0, 0, 1), Fraction(2), Fraction(3)) == (-1, -2, 1)
+    # (x^2 - 2x - 1)(x^9 - 3x^4 + x - 5), with only splits cut at degree 2:
+    # factoring splits again, whole
+    f = [5, 9, -7, 1, 3, 6, -3, 0, 0, -1, -2, 1]
+    cut = [(p, polynomials._distinct_degree_mod(f, p, 2)) for p in (3, 5, 11)]
+    assert all(sum(len(g) - 1 for _, g in parts) < 11 for _, parts in cut)
+    assert polynomials._zassenhaus(f, Fraction(2), Fraction(3), cut) == (-1, -2, 1)
+
+
+def test_capped_sieve_prints_the_loop_schema(tmp_path, capsys):
+    doc = tmp_path / "loops.txt"
+    doc.write_text("loops\ncount 3 14\ncount 6 1\n")
+    assert cli.main(["analyze", str(doc)]) == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("gen ")]
+    assert line.startswith("gen 3 poly -1 -2 1 root-in ")
 
 
 def test_sieve_certifies_without_factoring(monkeypatch):
@@ -849,6 +910,29 @@ def test_distinct_degree_split_equals_sympy():
     assert seen["widest"] >= 5, seen
 
 
+def test_capped_split_equals_sympy_below_its_cap():
+    # every cap up to half the degree, as the sieve asks: the pairs of degree
+    # up to the cap are sympy's, any pair above it is one of sympy's, and a
+    # split whose degrees add up to the degree is sympy's whole split
+    rng = random.Random(20261106)
+    seen = collections.Counter()
+    for f, p in _ddf_cases(rng):
+        if rng.random() < 0.8 or (want := _ddf_oracle(f, p)) is None:
+            continue
+        n = len(f) - 1
+        for cap in range(1, n // 2 + 1):
+            got = polynomials._distinct_degree_mod(f, p, cap)
+            assert [(d, g) for d, g in got if d <= cap] == [(d, g) for d, g in want if d <= cap], (f, p, cap)
+            assert all(pair in want for pair in got), (f, p, cap)
+            whole = sum(len(g) - 1 for _, g in got) == n
+            assert not whole or got == want, (f, p, cap)
+            seen["caps"] += 1
+            seen["cut"] += not whole
+            seen["cut above a factor"] += not whole and any(d <= cap for d, _ in got)
+        seen["cases"] += 1
+    assert seen["cases"] >= 30 and seen["cut above a factor"] >= 100, seen
+
+
 def test_modular_split_and_hensel_lift():
     # the oracle: sympy's factorization over F_p.  The split has the
     # distinct-degree counts, and the lifted factors keep f = lc(f) G_1 ... G_r
@@ -932,6 +1016,124 @@ def test_local_root_count_matches_sympy():
         seen["point"] += lo == hi and want == 1
         seen["several"] += want >= 2
     assert min(seen.values()) >= 15, seen
+
+
+def _refine(cs, s: Fraction, t: Fraction, width: Fraction):
+    """sympy's isolating interval (s, t) of a root of the squarefree cs
+    (ascending), open, its ends perhaps other roots, halved by exact integer
+    signs until narrower than width; (r, r) when the root r is met."""
+
+    def sign(cs, x: Fraction) -> int:
+        v, qk = 0, 1
+        for c in reversed(cs):  # sum c_i p^i q^(d - i), for x = p / q
+            v, qk = v * x.numerator + c * qk, qk * x.denominator
+        return (v > 0) - (v < 0)
+
+    # the sign left of the root: f(s), or f'(s) when s is another root
+    left = s < t and (sign(cs, s) or sign([i * c for i, c in enumerate(cs)][1:], s))
+    while t - s >= width:
+        mid = (s + t) / 2
+        side = sign(cs, mid)
+        if side == 0:
+            return mid, mid
+        s, t = (mid, t) if side == left else (s, mid)
+    return s, t
+
+
+def _slope_cases(rng: random.Random):
+    """Seeded squarefree integer polynomials (ascending) of degree 1-64:
+    distinct rational roots, some of them in pairs 10^-k apart, times a
+    random integer polynomial."""
+    for case in range(50):
+        n = rng.randint(1, 64)
+        roots = set()
+        for _ in range(rng.randint(0, min(n, 6))):
+            r = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+            roots.add(r)
+            if rng.random() < 0.5:
+                roots.add(r + Fraction(1, 10 ** rng.randint(3, 9)))
+        rest = max(0, n - len(roots))
+        cs = [rng.randint(-9, 9) for _ in range(rest)] + [rng.randint(1, 9)]
+        for r in roots:
+            cs = _poly_mul(cs, [-r.numerator, r.denominator])
+        poly = sympy.Poly(list(reversed(cs)), _X).sqf_part()
+        if poly.degree() >= 1:
+            yield tuple(int(c) for c in reversed(poly.all_coeffs()))
+
+
+def test_slope_test_counts_one_root():
+    # the oracle: sympy's root count in [lo, hi] (helpers.count_roots).
+    # Wherever the slope test holds, the interval holds exactly one root, and
+    # it never holds on an interval where f' vanishes
+    rng = random.Random(20261104)
+    seen = collections.Counter()
+    narrow = Fraction(1, 2**50)
+    for cs in _slope_cases(rng):
+        isolating = [_refine(cs, s, t, narrow) for s, t in real_root_intervals(cs)[1]]
+        intervals = []
+        for s, t in isolating:
+            if s == t:  # a rational root: around it, and from it
+                pad = Fraction(1, 2 ** rng.randint(1, 60))
+                intervals += [("narrow", s - pad, s + pad), ("endpoint", s, s + pad)]
+            else:
+                pad = Fraction(rng.choice((0, 1)), 2 ** rng.randint(20, 60))
+                intervals.append(("narrow", s - pad, t + pad))
+        dfs = _ascending(sympy.Poly(list(reversed(cs)), _X).diff(_X).sqf_part().as_expr())
+        critical = real_root_intervals(dfs)[1] if len(dfs) > 1 else []
+        for (s0, t0), (s1, t1) in zip(isolating, isolating[1:]):
+            intervals.append(("two roots", s0, t1))
+            # up to a zero of f' between the two roots: one root, f' = 0 inside
+            for a, b in critical:
+                if a < s1 and b > t0:
+                    a, b = _refine(dfs, a, b, (s1 - t0) / 4)
+                    if t0 < a and b < s1:
+                        intervals.append(("critical", s0, b))
+                        break
+        for kind, lo, hi in intervals:
+            holds = polynomials._one_root_by_slope(cs, lo, hi)
+            count = count_roots(cs, lo, hi)
+            if holds:
+                assert count == 1, (cs, lo, hi)
+            if kind == "critical":
+                assert count == 1 and not holds, (cs, lo, hi)
+            assert _roots_in(cs, lo, hi) == count, (cs, lo, hi)
+            seen[kind] += 1
+            seen[f"{kind} held"] += holds
+            seen["degree above 48"] += holds and len(cs) > 49
+            if kind == "narrow" and hi - lo < Fraction(1, 2**40):
+                seen["tight"] += 1
+                seen["tight held"] += holds
+    # an isolating interval narrower than 2^-40 almost always passes
+    assert seen["tight held"] >= 0.95 * seen["tight"] >= 150, seen
+    assert seen["endpoint held"] == seen["two roots held"] == 0, seen
+    for key in ("endpoint", "two roots", "critical", "degree above 48"):
+        assert seen[key] >= 20, (key, seen)
+
+
+def test_exact_roots_take_no_descartes_count(monkeypatch, tmp_path, capsys):
+    # analyze of a 40-vertex graph and of a realized schema: every root
+    # count and isolation check is proved by the slope test
+    def refuse(*args):
+        raise AssertionError("_roots_in_unit called")
+
+    slopes = []
+    slope = polynomials._one_root_by_slope
+    monkeypatch.setattr(polynomials, "_roots_in_unit", refuse)
+    monkeypatch.setattr(
+        polynomials, "_one_root_by_slope", lambda *args: slopes.append(slope(*args)) or slopes[-1])
+    vs, edges = random_strongly_connected(random.Random(3), 40, 40)
+    graph = tmp_path / "graph.txt"
+    graph.write_text("graph\n" + "".join(f"vertex {v}\n" for v in vs)
+                     + "".join(f"edge {u} {v}\n" for u, v in edges))
+    (schema,) = realize_invariants(parse_invariants("gen 2 7/10 7/10 1\n")).parts()
+    realized = tmp_path / "realized.txt"
+    realized.write_text(format_document([schema]))
+    for doc in (graph, realized):
+        assert cli.main(["analyze", str(doc)]) == 0
+        out = capsys.readouterr().out
+        assert " poly " in out
+        assert cli.main(["compare", str(doc), str(doc)]) == 0
+    assert slopes.count(True) >= 4, slopes
 
 
 def test_sign_at_matches_fraction_horner():
@@ -1083,6 +1285,28 @@ def test_charpoly_equals_sympy():
         seen["loops"] += any(j == i for i, row in enumerate(rows) for j, _ in row)
         seen["multiple"] += any(m > 1 for row in rows for _, m in row)
     assert seen["graphs"] >= 100 and min(seen.values()) >= 5, seen
+
+
+def test_charpoly_equals_sympy_on_wide_coefficients():
+    # the oracle: sympy's charpoly of the dense matrix, on seeded matrices of
+    # up to EXACT_VERTEX_CAP vertices from sparse to dense, with entries up
+    # to 10^6, so that each Berkowitz step's product packs wide slots
+    rng = random.Random(20261105)
+    seen = collections.Counter()
+    for case in range(12):
+        n = EXACT_VERTEX_CAP if case % 4 == 0 else rng.randint(2, EXACT_VERTEX_CAP)
+        density = (0.03, 0.1, 0.3, 1.0)[(case + case // 4) % 4]
+        top = (3, 10**3, 10**6)[case % 3]
+        rows = [[(j, rng.randint(1, top)) for j in range(n) if rng.random() < density] for _ in range(n)]
+        mat = sympy.Matrix(n, n, lambda i, j: dict(rows[i]).get(j, 0))
+        want = _ascending(mat.charpoly(_X).as_expr())
+        assert polynomials._charpoly_coeffs(rows) == want, rows
+        seen["cap"] += n == EXACT_VERTEX_CAP
+        seen["dense"] += density == 1.0
+        seen["sparse"] += density < 0.1
+        seen["10^6"] += top == 10**6
+        seen["over 2^64"] += max(map(abs, want)).bit_length() > 64
+    assert min(seen.values()) >= 3, seen
 
 
 def _poly_mul(a, b):
