@@ -2,12 +2,14 @@
 
 Everything here walks a graph through its compiled integer index
 (`FiniteGraph.index()`): vertex positions in sorted name order and sparse
-successor and predecessor rows of (position, multiplicity).  Kosaraju's two
-passes give every vertex a component id, and each irreducible component's
-index is sliced from the graph's, so splitting a graph is linear in vertices
-plus edges however many components it has.  One breadth-first walk gives a
-component's period, `_walk` serves the rest, and `rome` finds a vertex set
-meeting every cycle by greedy reduction.
+successor rows of (position, multiplicity); predecessor rows are transposed
+from them only where something reads them.  Tarjan's one depth-first pass
+along the successor rows gives every vertex a component id, and each
+irreducible component's successor rows are sliced from the graph's, so
+splitting a graph is linear in vertices plus edges however many components
+it has.  One breadth-first walk gives a component's period, `_walk` serves
+the rest, and `rome` finds a vertex set meeting every cycle by greedy
+reduction.
 """
 
 from __future__ import annotations
@@ -19,42 +21,50 @@ from .presentations import FiniteGraph, GraphIndex, LoopSchema, ShiftPresentatio
 
 
 def _component_ids(idx: GraphIndex) -> tuple[list[int], list[list[int]]]:
-    """Kosaraju's two passes, iterative, on the integer index: a depth-first
-    search along `succ` lists the positions in finishing order, then a walk
-    along `pred` from each unlabelled position, latest finished first, labels
-    its component.  Returns every position's component id, numbered by the
+    """Tarjan's algorithm (SIAM J. Comput. 1972), iterative, on the integer
+    index: one depth-first search along `succ` keeps every position of an
+    unclosed component on a stack, numbered by the stack depth it was pushed
+    at, with the lowest depth it reaches back to.  A position that reaches
+    nothing below itself closes its component: itself and everything above it
+    on the stack.  Returns every position's component id, numbered by the
     components' smallest positions, and each component's positions."""
-    n = len(idx.order)
     succ = idx.succ
-    seen = [False] * n
-    finished: list[int] = []
+    n = len(succ)
+    depth = [-1] * n  # -1 unvisited; n once its component is closed
+    low = [0] * n
+    found = [0] * n
+    stack = [0] * n  # stack[:top]; never resized, so it leaves no freed blocks behind
+    top = done = 0
     for root in range(n):
-        if seen[root]:
+        if depth[root] >= 0:
             continue
-        seen[root] = True
+        depth[root] = low[root] = 0  # every earlier root has closed its components
+        stack[0], top = root, 1
         work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
             for w, _ in it:
-                if not seen[w]:
-                    seen[w] = True
+                d = depth[w]
+                if d < 0:
+                    depth[w] = low[w] = top
+                    stack[top] = w
+                    top += 1
                     work.append((w, iter(succ[w])))
                     break
+                if d < low[v]:
+                    low[v] = d
             else:
                 work.pop()
-                finished.append(v)
-    found = [-1] * n
-    done = 0
-    for root in reversed(finished):
-        if found[root] < 0:
-            found[root] = done
-            stack = [root]
-            while stack:
-                for w, _ in idx.pred[stack.pop()]:
-                    if found[w] < 0:
+                d = depth[v]
+                if low[v] == d:
+                    for k in range(d, top):
+                        w = stack[k]
+                        depth[w] = n
                         found[w] = done
-                        stack.append(w)
-            done += 1
+                    top = d
+                    done += 1
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     # scanning positions upward meets each component first at its smallest member
     first: dict[int, int] = {}
     comp = [first.setdefault(c, len(first)) for c in found]
@@ -89,8 +99,8 @@ def irreducible_components(p: ShiftPresentation) -> list[tuple[str, ShiftPresent
     A component is a strongly connected component with at least one internal
     edge, induced in the original vertex order, edge order and edge names;
     ids c0, c1, ... follow the components' smallest vertex names.  Its index
-    is sliced from p's, as compiling it would give, and its names are built
-    from p's when first read.
+    is sliced from p's successor rows, as compiling it would give, and its
+    names are built from p's when first read.
     """
     if isinstance(p, LoopSchema):
         return [("c0", p)]
@@ -107,9 +117,8 @@ def irreducible_components(p: ShiftPresentation) -> list[tuple[str, ShiftPresent
             for k, i in enumerate(ms):
                 local[i] = k
             order = tuple(map(idx.order.__getitem__, ms))
-            succ, pred = ([tuple([(local[j], m) for j, m in rows[i] if comp[j] == c]) for i in ms]
-                          for rows in (idx.succ, idx.pred))
-            sub = GraphIndex(order, dict(zip(order, range(len(ms)))), succ, pred)
+            succ = [tuple([(local[j], m) for j, m in idx.succ[i] if comp[j] == c]) for i in ms]
+            sub = GraphIndex(order, dict(zip(order, range(len(ms)))), succ)
         part = FiniteGraph.from_columns(lambda order=sub.order: p.induced(order).columns)
         part._index, part.irreducible = sub, True
         out.append((f"c{len(out)}", part))
@@ -139,7 +148,8 @@ def _walk(rows, seeds: list[int]) -> tuple[list[int], list[int]]:
 def rome(idx: GraphIndex) -> list[int]:
     """A rome: positions whose removal leaves the graph acyclic, ascending.
 
-    Greedy reduction on copies of the rows, multiplicities dropped.  A vertex
+    Greedy reduction on sets of the successor rows, multiplicities dropped,
+    and of their transpose, so the index's `pred` stays unbuilt.  A vertex
     with a self-loop joins the rome and is removed; a source or a sink is
     removed; a vertex whose one in-edge is u -> v and one out-edge v -> w is
     bypassed by u -> w.  These keep every cycle of the rest of the graph,
@@ -152,7 +162,10 @@ def rome(idx: GraphIndex) -> list[int]:
     from heapq import heappop, heappush  # only the code verbs need a rome
 
     succ = [{w for w, _ in row} for row in idx.succ]
-    pred = [{w for w, _ in row} for row in idx.pred]
+    pred: list[set[int]] = [set() for _ in succ]
+    for v, row in enumerate(idx.succ):  # tails ascending, as `pred` would list them
+        for w, _ in row:
+            pred[w].add(v)
     alive = [True] * len(succ)
     work = list(range(len(succ) - 1, -1, -1))
     heap: list[tuple[int, int]] = []
@@ -264,10 +277,11 @@ def cyclic_classes(c: FiniteGraph, period: int | None = None) -> list[list[str]]
 
 
 def is_single_cycle(c: FiniteGraph) -> bool:
-    """True iff the component is one periodic orbit (every degree exactly 1)."""
-    idx = c.index()
-    return all(len(r) == 1 and r[0][1] == 1 for r in idx.succ) and all(
-        len(r) == 1 and r[0][1] == 1 for r in idx.pred
+    """True iff the graph is one periodic orbit: strongly connected, with one
+    multiplicity-1 out-edge per vertex.  Such a graph has as many edges as
+    vertices, each of which has an in-edge, so every in-degree is 1 too."""
+    return all(len(r) == 1 and r[0][1] == 1 for r in c.index().succ) and (
+        c.irreducible or _levels(c) is not None
     )
 
 

@@ -13,7 +13,7 @@ import re
 from functools import cached_property
 from itertools import count
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Optional, Union
 
 
 # Largest loop length, tail start n0, tail stride or damped exponent d that a
@@ -215,18 +215,34 @@ class LoopSchema(Record):
         return max((n for n, c in self.counts if c > 0), default=0)
 
 
-class GraphIndex(NamedTuple):
+class GraphIndex(Record):
     """Integer form of a FiniteGraph: the one index its algorithms walk.
 
     `order` is the sorted vertex tuple and `pos` maps a name to its position,
-    so integer order is name order.  `succ[i]` and `pred[i]` list
-    (j, multiplicity) for the distinct edges i -> j and j -> i, j ascending.
+    so integer order is name order.  `succ[i]` lists (j, multiplicity) for the
+    distinct edges i -> j, j ascending.  `pred[i]` lists them for the edges
+    j -> i; it is transposed from `succ` the first time it is read, since
+    splitting a graph and most of what runs on its components walk `succ`
+    alone.
     """
 
-    order: tuple[str, ...]
-    pos: dict[str, int]
-    succ: list[tuple[tuple[int, int], ...]]
-    pred: list[tuple[tuple[int, int], ...]]
+    _fields = ("order", "pos", "succ")
+
+    def __init__(self, order: tuple[str, ...], pos: dict[str, int],
+                 succ: list[tuple[tuple[int, int], ...]]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "succ", succ)
+
+    @cached_property
+    def pred(self) -> list[tuple[tuple[int, int], ...]]:
+        # scanning tails upward appends each row's entries in ascending order
+        rows: list[list[tuple[int, int]]] = [[] for _ in self.succ]
+        for i, row in enumerate(self.succ):
+            unit = (i, 1)  # one shared entry per multiplicity-1 tail
+            for j, m in row:
+                rows[j].append(unit if m == 1 else (i, m))
+        return list(map(tuple, rows))
 
     @staticmethod
     def compile(vertices, tails, heads) -> "GraphIndex":
@@ -236,23 +252,17 @@ class GraphIndex(NamedTuple):
         pos = dict(zip(order, range(n)))
         rank = [pos[v] for v in vertices]
         unit = [(i, 1) for i in range(n)]  # one shared entry per multiplicity-1 target
-
-        def rows(codes: list[int]) -> list[tuple[tuple[int, int], ...]]:
-            # codes are i * n + j, one per edge; equal codes are parallel edges
-            out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-            last = -1
-            for c in sorted(codes):
-                row = out[c // n]
-                if c == last:
-                    row[-1] = (row[-1][0], row[-1][1] + 1)
-                else:
-                    row.append(unit[c % n])
-                last = c
-            return list(map(tuple, out))
-
-        succ = rows([rank[t] * n + rank[h] for t, h in zip(tails, heads)])
-        pred = rows([rank[h] * n + rank[t] for t, h in zip(tails, heads)])
-        return GraphIndex(order, pos, succ, pred)
+        # codes are i * n + j, one per edge; equal codes are parallel edges
+        succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        last = -1
+        for c in sorted([rank[t] * n + rank[h] for t, h in zip(tails, heads)]):
+            row = succ[c // n]
+            if c == last:
+                row[-1] = (row[-1][0], row[-1][1] + 1)
+            else:
+                row.append(unit[c % n])
+            last = c
+        return GraphIndex(order, pos, list(map(tuple, succ)))
 
 
 class FiniteGraph:

@@ -28,7 +28,7 @@ from borelshift import (
     schema_period,
     strongly_connected_components,
 )
-from borelshift.graphs import rome
+from borelshift.graphs import _component_ids, rome
 from borelshift.presentations import GraphIndex
 
 from helpers import (
@@ -84,6 +84,95 @@ def test_scc_handles_deep_chains_without_recursion_limit():
     edges = tuple((f"v{i}", f"v{i+1}") for i in range(n - 1))
     comps = strongly_connected_components(FiniteGraph(vs, edges))
     assert len(comps) == n
+
+
+def closure_components(n, edges) -> tuple[list[int], list[list[int]]]:
+    """Component ids by mutual reachability from a transitive closure on
+    bit sets, numbered by each component's smallest position, and each
+    component's positions ascending."""
+    reach = [1 << v for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for u, w in edges:
+            for src in range(n):
+                if reach[src] >> u & 1 and reach[src] | reach[w] != reach[src]:
+                    reach[src] |= reach[w]
+                    changed = True
+    comp, groups = [-1] * n, []
+    for v in range(n):
+        if comp[v] < 0:
+            groups.append([w for w in range(n) if reach[v] >> w & 1 and reach[w] >> v & 1])
+            for w in groups[-1]:
+                comp[w] = len(groups) - 1
+    return comp, groups
+
+
+def test_component_ids_match_reachability_closure():
+    # self-loops and parallel edges from independent draws, isolated
+    # positions, and many components: blocks whose edges between them run
+    # mostly forward, now and then backward to merge blocks
+    rng = random.Random(2718)
+    many = 0
+    for _ in range(320):
+        n = rng.randint(1, 24)
+        vs = [f"v{i:02d}" for i in range(n)]
+        cuts = rng.sample(range(1, n), rng.randint(0, min(n - 1, 8)))
+        block = [sum(c <= i for c in cuts) for i in range(n)]
+        edges = []
+        for _ in range(rng.randint(0, 3 * n)):
+            u, w = rng.randrange(n), rng.randrange(n)
+            if block[u] > block[w] and rng.random() < 0.9:
+                u, w = w, u
+            edges.append((u, w))
+        edges += [(u, u) for u in rng.sample(range(n), rng.randint(0, n // 3))]
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 3)))  # parallel copies
+        declared = rng.sample(range(n), n)  # declaration order differs from name order
+        at = {v: k for k, v in enumerate(declared)}
+        idx = GraphIndex.compile([vs[v] for v in declared],
+                                 [at[u] for u, _ in edges], [at[w] for _, w in edges])
+        want = closure_components(n, edges)
+        assert _component_ids(idx) == want
+        assert "pred" not in vars(idx)
+        many += len(want[1]) >= 5
+    assert many >= 100, many
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_component_ids_on_a_long_cycle_and_path(closed):
+    # 200,000 positions in one depth-first branch: the walk keeps its own
+    # stack, so no recursion limit applies, and its work is linear
+    n = 200_000
+    heads = list(range(1, n)) + [0] * closed
+    idx = GraphIndex.compile([f"v{i:06d}" for i in range(n)], range(len(heads)), heads)
+    comp, groups = _component_ids(idx)
+    if closed:
+        assert comp == [0] * n and groups == [list(range(n))]
+    else:
+        assert comp == list(range(n)) and groups == [[i] for i in range(n)]
+    assert "pred" not in vars(idx)
+
+
+def reference_pred(vertices, edges) -> list[tuple[tuple[int, int], ...]]:
+    """Predecessor rows from the edge list: for each position, the distinct
+    tails ascending with their multiplicities."""
+    pos = {v: i for i, v in enumerate(sorted(vertices))}
+    rows = [{} for _ in vertices]
+    for u, w in edges:
+        rows[pos[w]][pos[u]] = rows[pos[w]].get(pos[u], 0) + 1
+    return [tuple(sorted(row.items())) for row in rows]
+
+
+def test_pred_is_built_on_first_read_and_transposes_succ():
+    rng = random.Random(5153)
+    for _ in range(100):
+        vs, edges, g = multi_component_graph(rng)
+        comps = irreducible_components(g)
+        for part, cv, ce in [(g, vs, edges)] + [(c, c.vertices, c.edges) for _, c in comps]:
+            idx = part.index()
+            assert "pred" not in vars(idx)
+            assert idx.pred == reference_pred(cv, ce)
+            assert idx.pred is idx.pred  # transposed once, then cached
 
 
 def test_irreducible_components_skips_acyclic_parts():
@@ -363,6 +452,18 @@ def test_is_single_cycle():
     assert is_single_cycle(cycle_graph(3))
     assert not is_single_cycle(golden_mean_graph())
     assert not is_single_cycle(FiniteGraph(("u",), (("u", "u"), ("u", "u"))))
+    # every vertex has one out-edge of multiplicity 1, but the graph is not
+    # strongly connected: two disjoint 2-cycles, a cycle fed by a transient
+    # vertex; and the empty graph has no cycle at all
+    assert not is_single_cycle(FiniteGraph.from_edges(
+        [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")]))
+    assert not is_single_cycle(FiniteGraph.from_edges([("a", "b"), ("b", "a"), ("j", "a")]))
+    assert not is_single_cycle(FiniteGraph((), ()))
+    # each flagged component of those is a single cycle, read along succ alone
+    comps = irreducible_components(FiniteGraph.from_edges(
+        [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c"), ("j", "a")]))
+    assert [is_single_cycle(c) for _, c in comps] == [True, True]
+    assert all("pred" not in vars(c.index()) for _, c in comps)
 
 
 def test_schema_period_from_support():

@@ -114,19 +114,26 @@ def test_summarize_classifies_each_distinct_schema_once(monkeypatch):
 def test_summarize_computes_each_component_period_once(monkeypatch, tmp_path, capsys):
     # perron_entropy takes the period that summarize_components computed;
     # the graph section is indexed once, and each component's index is
-    # sliced from it and walked once, along succ only
-    calls, compiles, levels, walks = [], [], [], []
+    # sliced from it and walked once, along succ only: neither analyze nor
+    # compare builds the predecessor rows of any index
+    calls, compiles, levels, walks, indexes = [], [], [], [], []
 
     def counting(c):
         calls.append(c)
+        indexes.append(c.index())
         return period_of_component(c)
 
     def spy(log, fn):
         return lambda *args: log.append(args) or fn(*args)
 
+    def compile_kept(*args):
+        indexes.append(compile(*args))
+        return indexes[-1]
+
+    compile = spy(compiles, GraphIndex.compile)
     monkeypatch.setattr(invariants, "period_of_component", counting)
     monkeypatch.setattr(entropy, "period_of_component", counting)
-    monkeypatch.setattr(GraphIndex, "compile", staticmethod(spy(compiles, GraphIndex.compile)))
+    monkeypatch.setattr(GraphIndex, "compile", staticmethod(compile_kept))
     monkeypatch.setattr(graphs, "_levels", spy(levels, graphs._levels))
     monkeypatch.setattr(graphs, "_walk", spy(walks, graphs._walk))
     forest = FiniteGraph.from_edges(
@@ -149,6 +156,10 @@ def test_summarize_computes_each_component_period_once(monkeypatch, tmp_path, ca
         f"gen 1 poly -1 -1 1 root-in {golden} 1\n"
         f"gen 2 poly -1 -1 1 root-in {golden} 1\n"
     )
+    assert cli.main(["compare", str(doc), str(doc)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "isomorphic=true"
+    assert len(compiles) == 3 and len(calls) == 9 and walks == []
+    assert all("pred" not in vars(idx) for idx in indexes)
 
 
 def test_summarize_skips_cycle_entropy():
