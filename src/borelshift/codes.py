@@ -117,6 +117,10 @@ class BlockCode(Record):
     def _label_map(self) -> dict:
         return dict(self.mapping)
 
+    @cached_property
+    def _fiber_product(self) -> "ProductGraph":
+        return _build_label_fiber_product(self)
+
     def alphabet(self) -> tuple[str, ...]:
         return tuple(sorted({s for _, s in self.mapping}))
 
@@ -211,6 +215,15 @@ def _rows_by_label(idx: GraphIndex, sym: list[str]) -> list[dict[str, list[int]]
 def label_fiber_product(code: BlockCode) -> ProductGraph:
     """Label-equal vertex pairs of the code's `labeled()` form with
     componentwise edges, pruned to the part on bi-infinite paths.
+
+    Built on the first call and cached on the code, as its line graph is, so
+    every check on one code reads one product (_build_label_fiber_product).
+    """
+    return code._fiber_product
+
+
+def _build_label_fiber_product(code: BlockCode) -> ProductGraph:
+    """The label fiber product of `code`, built.
 
     Only the pairs reachable from a seed are built, where a seed is a pair
     (r, y) with r in a rome of the labeled domain (`graphs.rome`) and y of

@@ -26,9 +26,10 @@ factor close to 1 (Lind & Marcus 4.5).  Both iterations take whole-vector
 products: per group of rows of one length, one itemgetter gather and one
 map(add) per column, added left to right as sum() adds on Python 3.11 (3.12
 compensates), so every Python prints the same interval.  A step costs time
-linear in the edges; so does each vertex that Berkowitz's division-free method
-adds to the characteristic polynomial, at EXACT_VERTEX_CAP vertices or fewer,
-in plain integers with no dense matrix (_charpoly_coeffs).
+linear in the edges.  At EXACT_VERTEX_CAP vertices or fewer, 2n - 1 exact
+steps give the path counts 1^T A^i 1, whose least annihilator, found modulo
+a Mersenne prime and checked in integers, has the Perron root as a root
+(_path_count_annihilator).
 
 identify_algebraic turns an enclosure of the largest real root of an integer
 polynomial (a Perron root, by Perron-Frobenius; 1/r for the reversed
@@ -45,13 +46,13 @@ from __future__ import annotations
 import math
 from functools import cached_property, partial
 from fractions import Fraction
-from itertools import groupby, repeat
-from operator import add, itemgetter, truediv
+from itertools import chain, groupby, repeat
+from operator import add, itemgetter, mul, truediv
 
 from .graphs import is_single_cycle, period_of_component
 from .intervals import PrecisionExhausted, RatInterval, log_fraction, log_interval
 from .polynomials import (
-    _bisect_root, _brackets_root, _charpoly_coeffs, _minimal_factor, _rational_root, _roots_in,
+    _berlekamp_massey, _bisect_root, _brackets_root, _minimal_factor, _rational_root, _roots_in,
     _sign_at, _squarefree,
 )
 from .presentations import FiniteGraph, Inconclusive, Record
@@ -214,8 +215,8 @@ class IntervalApprox(ExtendedEntropy, Record):
 
 def identify_algebraic(coeffs: tuple[int, ...], enclosure: RatInterval) -> ExactAlgebraic:
     """Isolating interval of the largest real root of `coeffs`, which
-    `enclosure` must contain: the Perron root of a characteristic polynomial
-    (Perron-Frobenius), or 1/r for the reversed first-return polynomial
+    `enclosure` must contain: the Perron root of a path-count annihilator
+    (_path_count_annihilator), or 1/r for the reversed first-return polynomial
     (recurrence._entropy_from_root).
 
     Halves the enclosure while it holds more than one root of the squarefree
@@ -244,22 +245,32 @@ def identify_algebraic(coeffs: tuple[int, ...], enclosure: RatInterval) -> Exact
 
 
 
-def _gather_plan(rows) -> tuple[list[int], list]:
+def _gather_plan(rows, weighted: bool = False) -> tuple[list[int], list]:
     """Rows of A grouped by length, for whole-vector products (_product).
 
     Each row becomes its column list, column j repeated A[i][j] times, one
-    entry per edge.  Rows are renumbered so that each length group is
+    entry per edge; with `weighted`, column j once, its gather scaled by the
+    weight A[i][j].  Rows are renumbered so that each length group is
     contiguous; `order[k]` is the row at plan position k.  A group is (size,
-    gathers): gather t picks, as a tuple, the t-th column of each of its rows.
+    gathers): gather t picks, as a tuple, the t-th column of each of its
+    rows, times its weights if any is not 1.
     """
-    cols = [[j for j, m in row for _ in range(m)] for row in rows]
+    if weighted:
+        cols = [[j for j, _ in row] for row in rows]
+    else:
+        cols = [[j for j, m in row for _ in range(m)] for row in rows]
     order = sorted(range(len(rows)), key=lambda i: len(cols[i]))
     pos = {i: k for k, i in enumerate(order)}
     groups = []
     for _, members in groupby(order, key=lambda i: len(cols[i])):
+        members = list(members)
         at = [[pos[j] for j in cols[i]] for i in members]
         # itemgetter of one index returns the item, not a 1-tuple
         gathers = [itemgetter(*t) if len(t) > 1 else (lambda v, i=t[0]: (v[i],)) for t in zip(*at)]
+        if weighted:
+            for t, w in enumerate(zip(*([m for _, m in rows[i]] for i in members))):
+                if w.count(1) < len(w):
+                    gathers[t] = lambda v, g=gathers[t], w=w: map(mul, w, g(v))
         groups.append((len(at), gathers))
     return order, groups
 
@@ -417,6 +428,54 @@ def collatz_wielandt_enclosure(rows, max_iters: int = 60000, period: int = 1) ->
     return RatInterval(lo, hi)
 
 
+# exponents e of the Mersenne primes 2^e - 1 that _path_count_annihilator tries
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937,
+)
+
+
+def _path_count_annihilator(rows) -> tuple[int, ...]:
+    """The least monic integer polynomial q (ascending) that annihilates the
+    path counts s_i = 1^T A^i 1 of the nonnegative integer matrix A with
+    these sparse rows: sum_k q_k s_(i+k) = 0 for every i.
+
+    q divides the minimal polynomial of A, so its roots are eigenvalues.  For
+    an irreducible A the Perron root lambda is a simple root of q, as both
+    Perron vectors are positive, and so the largest real one, as
+    identify_algebraic needs.  This is Wiedemann's method (IEEE Trans. Inf.
+    Theory 32, 1986) on the vector 1: O(nE + n^2) steps, not the O(n^2 E) of
+    a characteristic polynomial.
+
+    s_0 .. s_(2n-1) come from exact whole-vector products that weigh each
+    column by its multiplicity (_gather_plan).  Berlekamp-Massey modulo a
+    Mersenne prime gives a candidate of degree L (_berlekamp_massey), at most
+    the degree of q, whose reduction annihilates the reduced counts.  It is
+    returned only if sum_k q_k s_(i+k) = 0 holds exactly for i < n; then it
+    holds for every i, as 1^T A^i q(A) 1 satisfies the characteristic
+    recurrence of order n, so the candidate is q.  The moduli are 2^61 - 1,
+    then the Mersenne primes above 2B, B = 2^n sqrt(n + 1) (1 + R)^n the
+    Mignotte bound on the coefficients of a factor of det(xI - A), whose own
+    are at most (1 + R)^n, R the largest row sum; PrecisionExhausted when
+    none passes.
+    """
+    n = len(rows)
+    groups = _gather_plan(rows, weighted=True)[1]
+    v = [1] * n
+    counts = [n]
+    for _ in range(2 * n - 1):
+        v = _product(groups, v)
+        counts.append(sum(v))
+    r = max(sum(m for _, m in row) for row in rows)
+    bound = 4 ** (n + 1) * (n + 1) * (1 + r) ** (2 * n)  # (2B)^2
+    first, *rest = _MERSENNE_EXPONENTS
+    for e in chain((first,), (e for e in rest if (2**e - 1) ** 2 > bound)):
+        q = _berlekamp_massey(counts, 2**e - 1)
+        ell = len(q) - 1
+        if 0 < ell <= n and not any(sum(map(mul, q, counts[i : i + ell + 1])) for i in range(n)):
+            return tuple(q)
+    raise PrecisionExhausted("no path-count recurrence passed its exact check")
+
+
 def _root_enclosure(enc: RatInterval, p: int) -> RatInterval:
     """Outward enclosure of {t^(1/p) : t in enc} for 0 < enc.lo, in exact rationals.
 
@@ -445,13 +504,14 @@ def perron_entropy(c: FiniteGraph, *, _period: int | None = None) -> ExtendedEnt
     """Entropy log(Perron root) of a strongly connected multigraph.
 
     ZERO_ENTROPY for a single cycle, and only for one.  Otherwise exact
-    algebraic whenever the characteristic polynomial is within reach (vertex
-    count <= EXACT_VERTEX_CAP), else a certified interval of width <=
-    ENCLOSURE_WIDTH.  Either way the Perron root is enclosed through
-    lambda^p, p the period of the component, by exact Collatz-Wielandt
-    bounds on a float-seeded vector (collatz_wielandt_enclosure).  A
-    certificate that cannot meet its width within its budget raises
-    PrecisionExhausted; no wider interval is returned.
+    algebraic at EXACT_VERTEX_CAP vertices or fewer, a root of the least
+    annihilator of the path counts (_path_count_annihilator), else a
+    certified interval of width <= ENCLOSURE_WIDTH.  Either way the Perron
+    root is enclosed through lambda^p, p the period of the component, by
+    exact Collatz-Wielandt bounds on a float-seeded vector
+    (collatz_wielandt_enclosure).  A certificate that cannot meet its width
+    within its budget raises PrecisionExhausted; no wider interval is
+    returned.
 
     `_period` is for callers in this package that have already computed
     period_of_component(c), strong-connectivity check included.
@@ -462,7 +522,7 @@ def perron_entropy(c: FiniteGraph, *, _period: int | None = None) -> ExtendedEnt
     rows = c.index().succ
     lam_p = collatz_wielandt_enclosure(rows, period=p)
     if len(rows) <= EXACT_VERTEX_CAP:
-        coeffs = _charpoly_coeffs(rows)
+        coeffs = _path_count_annihilator(rows)
         return identify_algebraic(coeffs, _root_enclosure(lam_p, p))
     # log(lambda) = log(lambda^p) / p: exact division keeps the width target.
     # log(hi) - log(lo) <= (hi - lo) / lo, so the log rounding gets the rest.

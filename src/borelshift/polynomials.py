@@ -1,5 +1,5 @@
 """Integer polynomials in plain integers: signs, root bisection and counting,
-gcds, factors and characteristic polynomials; no computer algebra system.
+gcds, factors and linear recurrences; no computer algebra system.
 
 A polynomial is a tuple or list of int coefficients, ascending.  Every sign
 bisection, of a polynomial or of a loop schema's Phi(x) - 1, is _bisect_root.
@@ -12,8 +12,9 @@ only where it is read (_minimal_factor): a degree sieve modulo small primes
 (Musser 1978), with blocked distinct-degree splits (Kaltofen & Shoup 1998)
 on packed residues (_Residues) that stop at the largest degree the sieve
 still allows, proves most irreducible, and Zassenhaus's method factors the
-rest.  Characteristic polynomials come from Berkowitz's division-free method
-(_charpoly_coeffs), one packed integer product per step.
+rest.  The least recurrence of an integer sequence modulo a prime comes from
+Berlekamp-Massey (_berlekamp_massey); entropy._path_count_annihilator runs
+it on a matrix's path counts and checks the lift in exact integers.
 """
 
 from __future__ import annotations
@@ -735,54 +736,27 @@ def _sub_mod(a: list[int], b: list[int], m: int) -> list[int]:
     return _add_mod(a, [-y for y in b], m)
 
 
-def _charpoly_coeffs(rows) -> tuple[int, ...]:
-    """Characteristic polynomial det(xI - A), ascending, of the integer
-    matrix A with sparse rows of (j, A[i][j]), j ascending.
-
-    Berkowitz's division-free method (S. J. Berkowitz, Inf. Process. Lett.
-    18, 1984), in plain integers.  The leading block A_k grows one vertex at
-    a time.  With a the new diagonal entry and r and c the new row and column
-    inside the block, det(xI - A_(k+1)) is, in descending coefficients, the
-    first k + 2 of the product of det(xI - A_k) with the Toeplitz column
-    1, -a, -r c, -r A_k c, ..., -r A_k^(k-1) c, one integer product
-    (_low_product), not k^2 small ones.  The row vectors r A_k^m read the
-    sparse rows, so a step of the block costs its edges, not k^2.
-    """
-    n = len(rows)
-    cols = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        for j, m in row:
-            cols[j].append((i, m))
-    poly = [1]  # descending coefficients of det(xI - A_k)
-    for k in range(n):
-        t = [1, -sum(m for j, m in rows[k] if j == k)]
-        c = [(i, m) for i, m in cols[k] if i < k]
-        u = [0] * k  # r A_k^m
-        for j, m in rows[k]:
-            if j < k:
-                u[j] = m
-        while c and any(u):
-            t.append(-sum(m * u[i] for i, m in c))
-            if len(t) == k + 2:
-                break
-            w = [0] * k
-            for i, ui in enumerate(u):
-                if ui:
-                    for j, m in rows[i]:
-                        if j >= k:
-                            break
-                        w[j] += ui * m
-            u = w
-        poly = _low_product(t, poly, k + 2)
-    return tuple(reversed(poly))
-
-
-def _low_product(a: list[int], b: list[int], slots: int) -> list[int]:
-    """The first `slots` coefficients of a b, for integer polynomials a and
-    b, from one integer product (Kronecker substitution): at xi = 2^(8k)
-    with max|a| max|b| min(len) < xi/2 they are the balanced base-xi digits
-    of a(xi) b(xi), and the low ones depend only on it modulo xi^slots."""
-    top = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    xi = 1 << 8 * (top.bit_length() // 8 + 1)
-    digits = _balanced_digits(_value_at(a, xi) * _value_at(b, xi) % xi**slots, xi)[:slots]
-    return digits + [0] * (slots - len(digits))
+def _berlekamp_massey(seq: list[int], p: int) -> list[int]:
+    """The least monic recurrence q (ascending: sum_k q_k s_(i+k) = 0 for
+    every window) of the integer sequence s reduced modulo the prime p, by
+    Berlekamp-Massey (J. Massey, IEEE Trans. Inf. Theory 15, 1969), with its
+    coefficients lifted to the symmetric residues, in (-p/2, p/2)."""
+    s = [x % p for x in seq]
+    c, b = [1], [1]  # connection polynomials, constant term 1
+    ell, gap, scale = 0, 1, 1  # scale: the inverse of b's discrepancy
+    for i in range(len(s)):
+        end = i - len(c)
+        d = sum(map(mul, c, s[i:end:-1] if end >= 0 else s[i::-1])) % p  # the discrepancy
+        if not d:
+            gap += 1
+            continue
+        coef = d * scale % p
+        prev = c
+        c = c + [0] * (gap + len(b) - len(c))
+        c[gap : gap + len(b)] = [(x - coef * y) % p for x, y in zip(c[gap:], b)]
+        if 2 * ell <= i:
+            ell, b, scale, gap = i + 1 - ell, prev, pow(d, -1, p), 1
+        else:
+            gap += 1
+    c = c[: ell + 1] + [0] * (ell + 1 - len(c))
+    return [x - p if x > p >> 1 else x for x in reversed(c)]

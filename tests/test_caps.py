@@ -7,14 +7,17 @@ times the verb on it and checks the answer independently.
 """
 
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from borelshift import check_injective, parse_code, recurrence
 from borelshift.cli import main
+from borelshift.entropy import EXACT_VERTEX_CAP
 from borelshift.markers import STATE_CAP
 from borelshift.pathology import WINDOW_CAP
 
@@ -205,3 +208,29 @@ def test_compare_on_forty_distinct_periods(tmp_path, capsys):
     rc, out, err, compare_wall = timed(capsys, ["compare", str(inv), str(graph)])
     assert (rc, out) == (0, "isomorphic=true\n"), err
     assert wall + compare_wall < WALL_S, (wall, compare_wall)
+
+
+def test_analyze_dense_multigraph_at_the_exact_vertex_cap(tmp_path, capsys):
+    # EXACT_VERTEX_CAP vertices, each ordered pair joined by 1 to 3 edges:
+    # 7,289 lines, the densest component whose entropy is exact.  Its
+    # path-count annihilator is the characteristic polynomial, irreducible
+    # of degree 60, with coefficients past 2^61, so the lift modulo 2^61 - 1
+    # fails its check and the prime above the Mignotte bound gives it
+    rng = random.Random(60)
+    n = EXACT_VERTEX_CAP
+    mult = [[rng.randint(1, 3) for _ in range(n)] for _ in range(n)]
+    lines = ["graph", *(f"vertex v{i}" for i in range(n))]
+    lines += [f"edge v{i} v{j}" for i, row in enumerate(mult) for j, m in enumerate(row)
+              for _ in range(m)]
+    assert len(lines) == 7289
+    path = tmp_path / "dense.txt"
+    path.write_text("\n".join(lines) + "\n")
+    rc, out, err, wall = timed(capsys, ["analyze", str(path)])
+    assert wall < WALL_S, wall
+    assert rc == 0, err
+    chi = sympy.Matrix(mult).charpoly(sympy.Symbol("x")).all_coeffs()
+    poly = " ".join(str(c) for c in reversed(chi))
+    assert [line for line in out.splitlines() if line.startswith("gen ")] == [
+        f"gen 1 poly {poly} root-in "
+        "944137499595091921/7834469371124497 955972472613769101/7932676182804647 1"
+    ]

@@ -5,6 +5,7 @@ edges a->a = "1", a->b = "0", b->a = "0", so 1s are separated by runs of 0s
 of even length.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -21,6 +22,8 @@ from borelshift import (
     build_fibered_product_Fm,
     check_finite_to_one,
     check_injective,
+    cli,
+    codes,
     compare_entropy,
     extract_tilde_Xm,
     format_code,
@@ -46,6 +49,10 @@ from helpers import (
     quotient_flags,
     related_tuple_graph,
 )
+
+
+# sha256 of code_verb_outputs before label_fiber_product was cached on the code
+SHARED_PRODUCT_DIGEST = "7bb095c4a96c85368b01748404f880d3772a71602cc3ec93183569065fa955a1"
 
 
 def even_code() -> BlockCode:
@@ -509,3 +516,98 @@ def test_parse_relation_errors():
         parse_relation("")
     with pytest.raises(ParseError):
         parse_relation("relation\npair a\n")
+
+
+# === one label fiber product per code ===
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The codes whose label fiber product is built while a test runs."""
+    got = []
+    build = codes._build_label_fiber_product
+
+    def spy(code):
+        got.append(code)
+        return build(code)
+
+    monkeypatch.setattr(codes, "_build_label_fiber_product", spy)
+    return got
+
+
+def test_label_fiber_product_is_built_once_per_code(builds):
+    code = even_code()
+    assert label_fiber_product(code) is label_fiber_product(code)
+    assert builds == [code]
+    other = even_code()
+    check_injective(other)
+    check_finite_to_one(other)
+    assert len(builds) == 2 and builds[1] is other
+    # an equal code is another object, with a product of its own
+    assert label_fiber_product(other) is not label_fiber_product(code)
+    assert label_fiber_product(other).tuples == label_fiber_product(code).tuples
+    assert len(builds) == 2
+
+
+def test_bowen_builds_one_label_fiber_product(builds, tmp_path, capsys):
+    # minimal_relation and verify_bowen_relation read one product
+    path = tmp_path / "even.code"
+    path.write_text(format_code(even_code()))
+    assert cli.main(["bowen", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("# holds=true\nrelation\n")
+    assert len(builds) == 1
+
+
+def corpus_code(rng: random.Random, index: int, size: int) -> BlockCode:
+    """A code shaped like the benchmark's: a strongly connected domain (a
+    shuffled Hamiltonian cycle plus chords) labeled from about size / 5
+    symbols, in vertex mode on `size` vertices or in edge mode on the edges
+    of a multigraph on size / 2 vertices with some edges doubled."""
+    mode = "vertex" if index % 2 == 0 else "edge"
+    n = size if mode == "vertex" else size // 2
+    vs = [f"q{i}" for i in range(n)]
+    ring = rng.sample(vs, n)
+    edges = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
+    edges += [(rng.choice(vs), rng.choice(vs)) for _ in range(n)]
+    symbols = [str(s) for s in range(max(2, size // 5))]
+    if mode == "vertex":
+        edges = sorted(set(edges))
+        return BlockCode(FiniteGraph(tuple(vs), tuple(edges)),
+                         tuple((v, rng.choice(symbols)) for v in vs), mode)
+    edges += [rng.choice(edges) for _ in range(max(1, n // 4))]
+    keys = [f"x{k}" for k in range(len(edges))]
+    return BlockCode(FiniteGraph(tuple(vs), tuple(edges), tuple(keys)),
+                     tuple((k, rng.choice(symbols)) for k in keys), mode)
+
+
+def code_verb_outputs(tmp_path, capsys) -> list:
+    """Exit codes and output of `bowen` and `fiberprod --m 2` on the even
+    code and on seeded codes of the benchmark's shape, with the reports of
+    check_injective and check_finite_to_one on each."""
+    rng = random.Random(20261020)
+    docs = [format_code(even_code())]
+    sizes = (10, 12, 20, 24, 30, 30)
+    docs += [format_code(corpus_code(rng, i, size)) for i, size in enumerate(sizes)]
+    out = []
+    for i, text in enumerate(docs):
+        path = tmp_path / f"c{i}.code"
+        path.write_text(text)
+        for argv in (["bowen", str(path)], ["fiberprod", str(path), "--m", "2"]):
+            rc = cli.main(argv)
+            captured = capsys.readouterr()
+            out.append((rc, captured.out, captured.err))
+        code = parse_code(text)
+        out.append((check_injective(code), check_finite_to_one(code)))
+    return out
+
+
+def test_shared_label_fiber_product_prints_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # the verbs print the bytes they printed when every call built its own
+    # product: with a fresh product per call, and as a digest of the output
+    # recorded before the product was shared
+    shared = code_verb_outputs(tmp_path, capsys)
+    assert {rc for rc, *_ in shared[::3]} == {0} and {rc for rc, *_ in shared[1::3]} == {0, 1}
+    digest = hashlib.sha256(repr(shared).encode()).hexdigest()
+    assert digest == SHARED_PRODUCT_DIGEST
+    monkeypatch.setattr(codes, "label_fiber_product", codes._build_label_fiber_product)
+    assert code_verb_outputs(tmp_path, capsys) == shared

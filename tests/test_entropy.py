@@ -2,6 +2,7 @@
 
 import collections
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -42,6 +43,7 @@ from borelshift.entropy import (
     collatz_wielandt_enclosure,
     identify_algebraic,
 )
+from borelshift.graphs import period_of_component
 from borelshift.intervals import (
     PrecisionExhausted,
     RatInterval,
@@ -1267,30 +1269,68 @@ def _seeded_multigraphs(rng: random.Random):
         yield FiniteGraph(vs, edges)
 
 
-def test_charpoly_equals_sympy():
-    # the oracle: sympy's charpoly of the dense adjacency matrix
+def _path_counts(rows, terms: int) -> list[int]:
+    """The oracle's path counts 1^T A^i 1, i < terms, from the dense matrix."""
+    n = len(rows)
+    dense = [[0] * n for _ in rows]
+    for i, row in enumerate(rows):
+        for j, m in row:
+            dense[i][j] += m
+    v, out = [1] * n, []
+    for _ in range(terms):
+        out.append(sum(v))
+        v = [sum(a * b for a, b in zip(r, v)) for r in dense]
+    return out
+
+
+def _check_annihilator(rows, q, root: bool = True) -> tuple[int, ...]:
+    """The oracle: q is monic of degree 1 to n, divides sympy's charpoly chi,
+    annihilates the path counts well past the 2n terms it was found from,
+    and, with `root`, has the spectral radius rho as a root: rho is the
+    largest real root of chi, and the squarefree part of q does not take one
+    nonzero sign at both ends of sympy's isolating interval of it.  Returns
+    chi, ascending."""
+    n = len(rows)
+    assert q[-1] == 1 and 1 <= len(q) - 1 <= n, q
+    mat = sympy.SparseMatrix(n, n, {(i, j): m for i, row in enumerate(rows) for j, m in row})
+    chi = mat.charpoly(_X)
+    poly = sympy.Poly(list(reversed(q)), _X)
+    assert chi.rem(poly).is_zero, (rows, q)
+    counts = _path_counts(rows, 3 * n + 2)
+    ell = len(q) - 1
+    windows = range(len(counts) - ell)
+    assert all(sum(map(operator.mul, q, counts[i : i + ell + 1])) == 0 for i in windows), (rows, q)
+    if root:
+        (lo, hi), _ = max(chi.sqf_part().intervals(), key=lambda interval: interval[0][1])
+        sqf = poly.sqf_part()
+        assert sqf.eval(lo) * sqf.eval(hi) <= 0, (rows, q)
+    return tuple(int(c) for c in reversed(chi.all_coeffs()))
+
+
+def test_path_count_annihilator_divides_sympy_charpoly():
+    # the oracle: sympy's charpoly of the dense adjacency matrix, on the
+    # seeded multigraphs that Berkowitz's method was checked on
     rng = random.Random(20261021)
-    seen = {"graphs": 0, "cap": 0, "loops": 0, "multiple": 0}
+    seen = {"graphs": 0, "cap": 0, "loops": 0, "multiple": 0, "proper": 0, "whole": 0}
     for g in _seeded_multigraphs(rng):
         rows = g.index().succ
         n = len(rows)
-        mat = sympy.zeros(n)
-        for i, row in enumerate(rows):
-            for j, m in row:
-                mat[i, j] = m
-        want = _ascending(mat.charpoly(_X).as_expr())
-        assert polynomials._charpoly_coeffs(rows) == want, rows
+        q = entropy._path_count_annihilator(rows)
+        chi = _check_annihilator(rows, q)
         seen["graphs"] += 1
         seen["cap"] += n == EXACT_VERTEX_CAP
         seen["loops"] += any(j == i for i, row in enumerate(rows) for j, _ in row)
         seen["multiple"] += any(m > 1 for row in rows for _, m in row)
+        seen["proper" if q != chi else "whole"] += 1
     assert seen["graphs"] >= 100 and min(seen.values()) >= 5, seen
 
 
-def test_charpoly_equals_sympy_on_wide_coefficients():
+def test_path_count_annihilator_on_wide_coefficients():
     # the oracle: sympy's charpoly of the dense matrix, on seeded matrices of
     # up to EXACT_VERTEX_CAP vertices from sparse to dense, with entries up
-    # to 10^6, so that each Berkowitz step's product packs wide slots
+    # to 10^6, so that the lift modulo 2^61 - 1 fails its exact check and the
+    # prime above twice the Mignotte bound gives the annihilator (sympy takes
+    # minutes to isolate the roots of such a chi; the root is checked above)
     rng = random.Random(20261105)
     seen = collections.Counter()
     for case in range(12):
@@ -1298,15 +1338,88 @@ def test_charpoly_equals_sympy_on_wide_coefficients():
         density = (0.03, 0.1, 0.3, 1.0)[(case + case // 4) % 4]
         top = (3, 10**3, 10**6)[case % 3]
         rows = [[(j, rng.randint(1, top)) for j in range(n) if rng.random() < density] for _ in range(n)]
-        mat = sympy.Matrix(n, n, lambda i, j: dict(rows[i]).get(j, 0))
-        want = _ascending(mat.charpoly(_X).as_expr())
-        assert polynomials._charpoly_coeffs(rows) == want, rows
+        q = entropy._path_count_annihilator(rows)
+        _check_annihilator(rows, q, root=False)
         seen["cap"] += n == EXACT_VERTEX_CAP
         seen["dense"] += density == 1.0
         seen["sparse"] += density < 0.1
         seen["10^6"] += top == 10**6
-        seen["over 2^64"] += max(map(abs, want)).bit_length() > 64
+        seen["past 2^61 - 1"] += max(map(abs, q)).bit_length() > 60
     assert min(seen.values()) >= 3, seen
+
+
+def _periodic_multigraph(rng: random.Random, p: int) -> FiniteGraph:
+    """A strongly connected multigraph on k p vertices, k <= EXACT_VERTEX_CAP
+    / p, whose edges all step from cyclic class i mod p to class i + 1: a
+    Hamiltonian cycle through the classes in turn, and random edges with
+    multiplicities 1 to 3, at least one, so that it is no single cycle."""
+    k = rng.randint(1, EXACT_VERTEX_CAP // p)
+    n = k * p
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
+    for _ in range(rng.randint(1, 2 * n)):
+        u = rng.randrange(n)
+        w = rng.randrange(k) * p + (u + 1) % p
+        edges += [(vs[u], vs[w])] * rng.choice((1, 1, 2, 3))
+    return FiniteGraph(vs, edges)
+
+
+def test_path_count_annihilator_identifies_the_perron_root():
+    # on 300 seeded strongly connected multigraphs of periods 1 to 4, the
+    # annihilator q and sympy's charpoly chi identify the same isolating
+    # interval and minimal polynomial from perron_entropy's enclosure
+    rng = random.Random(20261020)
+    seen = collections.Counter()
+    for case in range(300):
+        g = _periodic_multigraph(rng, 1 + case % 4)
+        rows = g.index().succ
+        q = entropy._path_count_annihilator(rows)
+        chi = _check_annihilator(rows, q)
+        p = period_of_component(g)
+        enc = entropy._root_enclosure(collatz_wielandt_enclosure(rows, period=p), p)
+        got, want = identify_algebraic(q, enc), identify_algebraic(chi, enc)
+        assert (got.root_lo, got.root_hi, got.minpoly) == (want.root_lo, want.root_hi, want.minpoly)
+        assert perron_entropy(g) == got
+        seen[f"period {p}"] += 1
+        seen["proper"] += q != chi
+        seen["cap"] += len(rows) > EXACT_VERTEX_CAP - 4
+    assert min(seen[f"period {p}"] for p in range(1, 5)) >= 50 and seen["proper"] >= 15, seen
+    assert seen["cap"] >= 5, seen
+
+
+def test_path_count_annihilator_with_tiny_moduli(monkeypatch):
+    # moduli 3, 7, 31 and 127: lifts are often wrong and the Mignotte prime
+    # often missing, yet only a recurrence that passed the exact check comes
+    # back, and otherwise PrecisionExhausted
+    monkeypatch.setattr(entropy, "_MERSENNE_EXPONENTS", (2, 3, 5, 7))
+    rng = random.Random(20261021)
+    seen = collections.Counter()
+    for g in _seeded_multigraphs(rng):
+        rows = g.index().succ
+        try:
+            q = entropy._path_count_annihilator(rows)
+        except PrecisionExhausted:
+            seen["exhausted"] += 1
+            continue
+        _check_annihilator(rows, q)
+        seen["returned"] += 1
+    assert seen["returned"] >= 5 and seen["exhausted"] >= 50, seen
+    # the golden mean's counts 2, 3, 5, 8 give x^2 - x - 1 already modulo 3;
+    # the full shift on 8 symbols has no tiny modulus above the bound
+    assert entropy._path_count_annihilator(golden_mean_graph().index().succ) == (-1, -1, 1)
+    with pytest.raises(PrecisionExhausted):
+        entropy._path_count_annihilator(full_shift_graph("abcdefgh").index().succ)
+
+
+def test_berlekamp_massey_lifts_to_symmetric_residues():
+    # r^i has the least recurrence x - r; at r = +-(p - 1)/2, the ends of the
+    # symmetric range, the residue of -r is p - r or -r itself
+    for p in (3, 7, 31, 127, 2**61 - 1):
+        for r in (p >> 1, -(p >> 1), 1, -1, 0):
+            assert polynomials._berlekamp_massey([r**i for i in range(8)], p) == [-r, 1], (p, r)
+    fibonacci = [1, 1, 2, 3, 5, 8, 13, 21]
+    assert polynomials._berlekamp_massey(fibonacci, 7) == [-1, -1, 1]
+    assert polynomials._berlekamp_massey([3, 0, 0, 0], 2**61 - 1) == [0, 1]
 
 
 def _poly_mul(a, b):
@@ -1421,6 +1534,37 @@ def test_compare_distinct_roots_of_equal_minpoly():
     assert compare_entropy(low, high) == "lt"
     other_big = ExactAlgebraic((1, -3, 1), Fraction(5, 2), Fraction(4))
     assert compare_entropy(big, other_big) == "eq"
+
+
+def test_compare_cospectral_components_of_different_annihilators(tmp_path, capsys):
+    # _same_algebraic compares poly.  Isomorphic components share it, as path
+    # counts are isomorphism invariants; a seeded cospectral pair that is not
+    # isomorphic, found by sympy's charpolys, has different path counts and
+    # polys, and compare decides it on refined enclosures instead
+    rng = random.Random(20261020)
+    by_chi = {}
+    for _ in range(1000):
+        vs, edges = random_strongly_connected(rng, 5, 4)
+        b = FiniteGraph(vs, edges)
+        if perron_entropy(b) is ZERO_ENTROPY:
+            continue
+        rows = b.index().succ
+        n = len(rows)
+        mat = sympy.SparseMatrix(n, n, {(i, j): m for i, row in enumerate(rows) for j, m in row})
+        a = by_chi.setdefault(tuple(mat.charpoly(_X).all_coeffs()), b)
+        if perron_entropy(a).poly != perron_entropy(b).poly:
+            break
+    else:
+        pytest.fail("no cospectral pair with different annihilators")
+    ha, hb = perron_entropy(a), perron_entropy(b)
+    assert _path_counts(a.index().succ, 8) != _path_counts(rows, 8)
+    assert ha.minpoly == hb.minpoly and not entropy._same_algebraic(ha, hb)
+    paths = []
+    for name, g in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.txt")
+        paths[-1].write_text(format_document([g]))
+    assert cli.main(["compare", *map(str, paths)]) == 0
+    assert "isomorphic=true" in capsys.readouterr().out.splitlines()
 
 
 def test_compare_entropy_tolerance_clusters_nearby_values():
