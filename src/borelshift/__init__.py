@@ -62,7 +62,7 @@ _EXPORTS = {
     "pathology": (
         "PathologySpec", "PathologyReport", "base_words", "build_pathology_graph",
         "certify_pathology", "choose_pathology_parameters", "control_parameters",
-        "count_label_paths", "anchored_lifts",
+        "anchored_lifts",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

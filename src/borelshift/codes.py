@@ -84,9 +84,7 @@ class BlockCode(Record):
             want = sorted(domain.edge_names)
         if keys != want:
             raise ValueError(f"mapping must cover every {mode} exactly once")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "mapping", mapping)
-        object.__setattr__(self, "mode", mode)
+        super().__init__(domain, mapping, mode)
 
     def labeled(self) -> "BlockCode":
         """Vertex-mode normal form: the code itself in vertex mode, else the

@@ -50,12 +50,12 @@ from itertools import chain, groupby, repeat
 from operator import add, itemgetter, mul, truediv
 
 from .graphs import is_single_cycle, period_of_component
-from .intervals import PrecisionExhausted, RatInterval, log_fraction, log_interval
+from .intervals import PrecisionExhausted, RatInterval, log_fraction, log_interval, to_float
 from .polynomials import (
     _berlekamp_massey, _bisect_root, _brackets_root, _minimal_factor, _rational_root, _roots_in,
     _sign_at, _squarefree,
 )
-from .presentations import FiniteGraph, Inconclusive, Record
+from .presentations import FiniteGraph, Inconclusive, Record, Singleton
 
 DEFAULT_TOL = Fraction(1, 10**9)
 ENCLOSURE_WIDTH = Fraction(1, 10**12)
@@ -77,21 +77,10 @@ class ExtendedEntropy:
     @cached_property
     def _float(self) -> float:
         # once per value: sort keys and printing call float() on one value many times
-        mid = self.log_enclosure().mid
-        try:
-            return float(mid)
-        except OverflowError:  # beyond the float range, as float("1e999") is
-            return math.inf if mid > 0 else -math.inf
+        return to_float(self.log_enclosure().mid)
 
 
-class ZeroEntropy(ExtendedEntropy):
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
+class ZeroEntropy(ExtendedEntropy, Singleton):
     def log_enclosure(self, max_width: Fraction = ENCLOSURE_WIDTH) -> RatInterval:
         return RatInterval.point(0)
 
@@ -99,14 +88,7 @@ class ZeroEntropy(ExtendedEntropy):
         return "Entropy(0)"
 
 
-class InfiniteEntropy(ExtendedEntropy):
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
+class InfiniteEntropy(ExtendedEntropy, Singleton):
     def is_finite(self) -> bool:
         return False
 
@@ -152,9 +134,7 @@ class ExactAlgebraic(ExtendedEntropy, Record):
             raise ValueError("minpoly must be nonconstant with positive leading coefficient")
         if root_lo > root_hi or root_hi <= 0:
             raise ValueError("isolating interval must be nonempty and positive")
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "root_lo", root_lo)
-        object.__setattr__(self, "root_hi", root_hi)
+        super().__init__(poly, root_lo, root_hi)
         object.__setattr__(self, "minimal", minimal)
         object.__setattr__(self, "_logs", {})  # log_enclosure by width
 
@@ -203,14 +183,13 @@ class IntervalApprox(ExtendedEntropy, Record):
     def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
             raise ValueError("empty entropy interval")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        super().__init__(lo, hi)
 
     def log_enclosure(self, max_width: Fraction = ENCLOSURE_WIDTH) -> RatInterval:
         return RatInterval(self.lo, self.hi)
 
     def __repr__(self):
-        return f"Entropy[{float(self.lo):.12g}, {float(self.hi):.12g}]"
+        return f"Entropy[{to_float(self.lo):.12g}, {to_float(self.hi):.12g}]"
 
 
 def identify_algebraic(coeffs: tuple[int, ...], enclosure: RatInterval) -> ExactAlgebraic:

@@ -261,15 +261,12 @@ def schema_period(schema: LoopSchema) -> int:
     return g
 
 
-def cyclic_classes(c: FiniteGraph, period: int | None = None) -> list[list[str]]:
+def cyclic_classes(c: FiniteGraph) -> list[list[str]]:
     """Partition D_0..D_{p-1} with every edge moving one class forward."""
     levels = _levels(c)
     if levels is None:
         raise ValueError("cyclic classes are defined for strongly connected graphs only")
-    dist, g = levels
-    p = period if period is not None else g
-    if g % p:  # some edge v -> w has dist(v) + 1 - dist(w) off the multiples of p
-        raise AssertionError("cyclic class consistency violated")
+    dist, p = levels
     classes = [[] for _ in range(p)]
     for i, v in enumerate(c.index().order):
         classes[dist[i] % p].append(v)

@@ -12,6 +12,7 @@ enclosure that misses its width by prec = 2^15 raises PrecisionExhausted.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,6 +23,14 @@ class PrecisionExhausted(Inconclusive):
     """A certified enclosure missed its promised width within its budget."""
 
 
+def to_float(x: Fraction) -> float:
+    """float(x), or +-inf beyond the float range, as float("1e999") is."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 class RatInterval(Record):
     """Closed interval [lo, hi] with exact rational endpoints."""
 
@@ -30,8 +39,7 @@ class RatInterval(Record):
     def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        super().__init__(lo, hi)
 
     @staticmethod
     def point(value) -> "RatInterval":
@@ -47,7 +55,7 @@ class RatInterval(Record):
         return (self.lo + self.hi) / 2
 
     def __repr__(self):
-        return f"[{self.lo}, {self.hi}]~{float(self.mid):.12g}"
+        return f"[{self.lo}, {self.hi}]~{to_float(self.mid):.12g}"
 
 
 def _round(n: int, d: int, s: int, p: int, up: bool) -> tuple[int, int]:

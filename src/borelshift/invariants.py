@@ -34,7 +34,8 @@ from .entropy import (
 from .graphs import irreducible_components, period_of_component
 from .polynomials import _brackets_root, isolates_one_root
 from .presentations import (
-    FiniteGraph, Inconclusive, LoopSchema, ParseError, Record, _content_lines, parse_rational,
+    FiniteGraph, Inconclusive, LoopSchema, ParseError, Record, Singleton, _content_lines,
+    parse_rational,
 )
 
 # the recurrence classes; only loop schemas (recurrence) reach the last two
@@ -43,14 +44,7 @@ NULL_RECURRENT = "null-recurrent"
 TRANSIENT = "transient"
 
 
-class Unattained:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
+class Unattained(Singleton):
     def __repr__(self):
         return "UNATTAINED"
 
@@ -72,11 +66,7 @@ class ComponentSummary(Record):
     def __init__(
         self, period: int, entropy: ExtendedEntropy, mme: bool, recurrence: str, source: str = ""
     ):
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "entropy", entropy)
-        object.__setattr__(self, "mme", mme)
-        object.__setattr__(self, "recurrence", recurrence)
-        object.__setattr__(self, "source", source)
+        super().__init__(period, entropy, mme, recurrence, source)
 
 
 class Generator(Record):
@@ -87,9 +77,7 @@ class Generator(Record):
             raise ValueError("generator period must be >= 1")
         if isinstance(count, int) and count < 0:
             raise ValueError("generator count must be >= 0")
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "entropy", entropy)
-        object.__setattr__(self, "count", count)
+        super().__init__(period, entropy, count)
 
     @property
     def eta_count(self) -> int:
@@ -102,7 +90,7 @@ class InvariantPair(Record):
     _fields = ("generators",)
 
     def __init__(self, generators: tuple[Generator, ...]):
-        object.__setattr__(self, "generators", generators)
+        super().__init__(generators)
 
     def u_value(self, p: int, tol: Fraction = DEFAULT_TOL) -> ExtendedEntropy:
         best = ZERO_ENTROPY
@@ -242,8 +230,7 @@ class AdmissibilityReport(Record):
     _fields = ("admissible", "violations")  # violations: where u(p) = inf but eta(p) > 0
 
     def __init__(self, admissible: bool, violations: tuple[int, ...]):
-        object.__setattr__(self, "admissible", admissible)
-        object.__setattr__(self, "violations", violations)
+        super().__init__(admissible, violations)
 
 
 def check_admissible(pair: InvariantPair) -> AdmissibilityReport:
@@ -259,9 +246,7 @@ class IsoVerdict(Record):
     _fields = ("isomorphic", "witness_period", "detail")
 
     def __init__(self, isomorphic: bool, witness_period: Optional[int] = None, detail: str = ""):
-        object.__setattr__(self, "isomorphic", isomorphic)
-        object.__setattr__(self, "witness_period", witness_period)
-        object.__setattr__(self, "detail", detail)
+        super().__init__(isomorphic, witness_period, detail)
 
 
 def decide_almost_borel_iso(

@@ -28,9 +28,10 @@ and every other state gets the next position as the construction first meets
 it.  Its arcs are held once, as parallel columns of labels, tails and heads,
 and the loop and the connectors, chains of marker arcs, go in as runs of
 positions.  `certify_pathology` reads the columns only to build one label
-walk: per label, an array giving each position's first head (-1 for none),
-and a small dict for the few tails with more than one arc of that label (the
-tree nodes, where the connectors start).  The walk keeps a path count per end
+walk, built from arc columns alone, each arc spelling its own label: per
+label, an array giving each position's first head (-1 for none), and a
+small dict for the few tails with more than one arc of that label (the tree
+nodes, where the connectors start).  The walk keeps a path count per end
 position.  Stepped over every label it gives the first returns at the root;
 stepped along the letters of a word it counts the word's lifts without
 listing them.  At the default depth 8 (151,370 states) the certificate
@@ -46,7 +47,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import ceil, log
 from operator import ne
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .codes import BlockCode, BudgetExhausted
 from .entropy import ExtendedEntropy, IntervalApprox, compare_entropy
@@ -87,9 +88,7 @@ class PathologySpec(Record):
             raise ValueError(f"base alphabet may not contain {MARK!r}")
         if base.has_parallel_edges():
             raise ValueError("base must be a simple vertex-shift graph")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "m_seq", m_seq)
+        super().__init__(base, M, m_seq)
 
     @property
     def depth(self) -> int:
@@ -248,22 +247,18 @@ def build_pathology_graph(spec: PathologySpec) -> BlockCode:
 
 
 class _LabelWalk:
-    """Per-label successor arrays over positions 0..states-1, for counting
-    paths by the word they spell.
+    """Per-label successor arrays over positions 0..states-1, built from arc
+    columns, for counting paths by the word their arcs spell.
 
     `first[a][v]` is the head of v's one arc labeled a, -1 if it has none
     and -2 if it has several; `more[a]` maps those few tails to their heads,
-    in arc order, so parallel arcs count apart.  An arc spells its own label;
-    with `vertex_sym`, the arcs of a vertex-mode code spell the label of
-    their head, and a walk's first letter picks its start positions by their
-    own label instead of moving.  Counts are kept per end position.  The
-    masks `entered` and `leaves` mark where a 2-labeled step ends and where
-    one starts.
+    in arc order, so parallel arcs count apart.  Counts are kept per end
+    position.  The masks `entered` and `leaves` mark where a 2-labeled step
+    ends and where one starts.
     """
 
-    def __init__(self, states: int, labels, tails, heads, vertex_sym: Optional[list[str]] = None):
+    def __init__(self, states: int, labels, tails, heads):
         self.states = states
-        self.vertex_sym = vertex_sym
         self.first: dict[str, array] = {}
         self.more: dict[str, dict[int, list[int]]] = {}
         for a, i, j in zip(labels, tails, heads):
@@ -283,36 +278,13 @@ class _LabelWalk:
         marks = self.first.get(MARK, ())
         self.leaves = bytes(map(ne, marks, repeat(-1))) if marks else bytes(states)
         self.entered = bytearray(states)
-        if vertex_sym is None:
-            for j in chain(marks, *self.more.get(MARK, {}).values()):
-                if j >= 0:
-                    self.entered[j] = 1
-        else:
-            for i, j in zip(tails, heads):
-                if vertex_sym[i] == MARK:
-                    self.entered[j] = 1
-
-    @classmethod
-    def of_code(cls, code: BlockCode) -> "_LabelWalk":
-        """The walk of a code's presentation, on the positions of its vertex
-        tuple: an edge-mode code's arcs carry their edge's label, a vertex-mode
-        code's the label of their head."""
-        g = code.domain
-        vs, tails, heads, _ = g.columns
-        if code.mode == "edge":
-            return cls(len(vs), [code.label(e) for e in g.edge_names], tails, heads)
-        sym = [code.label(v) for v in vs]
-        return cls(len(vs), [sym[j] for j in heads], tails, heads, sym)
+        for j in chain(marks, *self.more.get(MARK, {}).values()):
+            if j >= 0:
+                self.entered[j] = 1
 
     def start(self, starts: Optional[bytearray], letter: str) -> dict[int, int]:
         """Paths spelling the one-letter word from the positions that the mask
         `starts` marks, or from every position when it is None."""
-        if self.vertex_sym is not None:
-            return {
-                v: 1
-                for v, a in enumerate(self.vertex_sym)
-                if a == letter and (starts is None or starts[v])
-            }
         first = self.first.get(letter, ())
         cnt = {p: 1 for p, q in enumerate(first) if q != -1 and (starts is None or starts[p])}
         return self.step(cnt, letter)
@@ -344,27 +316,14 @@ class _LabelWalk:
                     nxt[q] = nxt.get(q, 0) + c
 
 
-def count_label_paths(code: BlockCode, word: tuple[str, ...]) -> int:
-    """Number of paths in the presentation whose label word equals word."""
-    if not word:
-        return len(code.domain.vertices)
-    walk = _LabelWalk.of_code(code)
-    cnt = walk.start(None, word[0])
-    for letter in word[1:]:
-        cnt = walk.step(cnt, letter)
-    return sum(cnt.values())
-
-
-def anchored_lifts(code: Union[BlockCode, _LabelWalk], words: list[tuple[str, ...]]) -> list[int]:
+def anchored_lifts(walk: _LabelWalk, words: list[tuple[str, ...]]) -> list[int]:
     """Number of lifts of each non-empty word whose ends extend by the 2 marker.
 
     A lift starts where some 2-labeled edge ends and ends where one starts,
     so the word models a block flanked by maximal 2-runs.  The batch is
     walked in sorted order, and each word keeps the path counts of the prefix
-    it shares with the word before it.  `code` may also be a `_LabelWalk`
-    already built.
+    it shares with the word before it.
     """
-    walk = code if isinstance(code, _LabelWalk) else _LabelWalk.of_code(code)
     leaves = walk.leaves
     out = [0] * len(words)
     path: list[dict[int, int]] = []  # path[i]: counts for the first i + 1 letters

@@ -71,13 +71,19 @@ class Record:
     """Base of the immutable value records that check their arguments.
 
     A subclass names its compared fields in `_fields`, and its __init__ runs
-    the checks, then stores each attribute with object.__setattr__.  Records
-    are equal when they are of one class and their fields are equal, hash as
-    the tuple of those fields, and refuse assignment; the instance __dict__
-    also holds what a cached_property caches.  A plain result is a NamedTuple.
+    the checks, then hands the values, in field order, to Record.__init__,
+    which stores them.  Records are equal when they are of one class and
+    their fields are equal, hash as the tuple of those fields, and refuse
+    assignment; the instance __dict__ also holds what a cached_property
+    caches.  A plain result is a NamedTuple.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        # a store per field keeps the class's shared-key layout; vars(self).update would not
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -101,6 +107,15 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
 
+class Singleton:
+    """Base of a class with one instance, made by its first call and returned by every call."""
+
+    def __new__(cls):
+        if "_instance" not in vars(cls):
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+
 class GeometricTail(Record):
     """Tail family c_n = a * k^n on n = n0, n0+stride, ... (k integer >= 2)."""
 
@@ -117,10 +132,7 @@ class GeometricTail(Record):
         # is an integer, so every a k^(n0 + j stride) is too
         if (a * Fraction(k) ** n0).denominator != 1:
             raise ValueError("geometric tail produces non-integer counts")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "stride", stride)
+        super().__init__(a, k, n0, stride)
 
     def count(self, n: int) -> int:
         if n < self.n0 or (n - self.n0) % self.stride:
@@ -146,11 +158,7 @@ class DampedTail(Record):
             raise ValueError("damped tail needs n0 >= 1 and stride >= 1")
         if a <= 0:
             raise ValueError("damped tail coefficient a must be positive")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "stride", stride)
+        super().__init__(a, k, d, n0, stride)
 
     def count(self, n: int) -> int:
         if n < self.n0 or (n - self.n0) % self.stride:
@@ -187,9 +195,7 @@ class LoopSchema(Record):
             for n in seen:
                 if n >= tail.n0 and (n - tail.n0) % tail.stride == 0:
                     raise ValueError(f"explicit count at length {n} overlaps tail support")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "base", base)
+        super().__init__(counts, tail, base)
         if not self.has_loop():
             raise ValueError("schema has no loop at all (some c_n >= 1 required)")
 
@@ -230,9 +236,7 @@ class GraphIndex(Record):
 
     def __init__(self, order: tuple[str, ...], pos: dict[str, int],
                  succ: list[tuple[tuple[int, int], ...]]):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "succ", succ)
+        super().__init__(order, pos, succ)
 
     @cached_property
     def pred(self) -> list[tuple[tuple[int, int], ...]]:
@@ -338,11 +342,9 @@ class FiniteGraph:
         return hash((self.vertices, self.edges, self.edge_names))
 
     @staticmethod
-    def from_edges(edges, extra_vertices=()) -> "FiniteGraph":
+    def from_edges(edges) -> "FiniteGraph":
         edges = tuple(edges)
-        vs = dict.fromkeys(u for e in edges for u in e)
-        vs.update(dict.fromkeys(extra_vertices))
-        return FiniteGraph(tuple(sorted(vs)), edges)
+        return FiniteGraph(tuple(sorted({u for e in edges for u in e})), edges)
 
     def has_parallel_edges(self) -> bool:
         return len(set(self.edges)) != len(self.edges)

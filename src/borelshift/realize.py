@@ -32,7 +32,7 @@ from .entropy import (
     ExtendedEntropy,
     INFINITE_ENTROPY,
 )
-from .intervals import APPROX_EXP_DIGITS, approx_exp
+from .intervals import APPROX_EXP_DIGITS, approx_exp, to_float
 from .invariants import (
     UNATTAINED,
     Generator,
@@ -62,6 +62,10 @@ APPROX_TOL = Fraction(1, 10**6)
 # the greedy seed e^(-p h) is a 30-digit approx_exp, which falls to its 10^-31
 # grid once p h passes 31 ln 10 = 71.4
 SEED_EXPONENT_CAP = int((APPROX_EXP_DIGITS + 1) * math.log(10))
+# greedy digits take about ln(1 / DIGIT_FLOOR) / (p h) steps on integers that
+# grow by about 31 digits a step, so their work grows as 1 / (p h)^2: about 6 s
+# at this floor, 22 s at 1/1000, and no end where e^(-p h) rounds to 1
+SEED_EXPONENT_FLOOR = Fraction(1, 500)
 # a transient schema's tail ratio k = e^h prints with about h / ln 10 + 31
 # digits, which must stay within presentations.NUMBER_DIGITS_CAP = 4000 for the
 # document to read back: h <= 9139
@@ -124,7 +128,7 @@ def _entropy_midpoint(h: ExtendedEntropy) -> Fraction:
     enc = h.log_enclosure(Fraction(1, 10**20))
     if enc.width > Fraction(1, 10**10):
         raise UnrealizableEntropy(
-            f"entropy enclosure too wide to realize at tolerance: width {float(enc.width)}"
+            f"entropy enclosure too wide to realize at tolerance: width {to_float(enc.width)}"
         )
     if enc.lo <= 0:
         raise UnrealizableEntropy("realization needs strictly positive entropy")
@@ -147,6 +151,11 @@ def _greedy_pr_schema(period: int, h_target: Fraction) -> LoopSchema:
         raise UnrealizableEntropy(
             f"period times entropy above {SEED_EXPONENT_CAP},"
             " the limit of the 30-digit seed e^(-p h)"
+        )
+    if period * h_target < SEED_EXPONENT_FLOOR:
+        raise UnrealizableEntropy(
+            f"period times entropy below SEED_EXPONENT_FLOOR = {SEED_EXPONENT_FLOOR},"
+            " under which greedy digits would not finish"
         )
     y = approx_exp(-period * h_target)
     n, m = y.numerator, y.denominator
@@ -183,7 +192,9 @@ def _transient_schema(period: int, h: ExtendedEntropy) -> LoopSchema:
         )
     k = approx_exp(h_mid)
     if k <= 1:
-        raise UnrealizableEntropy("transient realization needs entropy > 0")
+        raise UnrealizableEntropy(
+            f"transient tail ratio e^h rounds to 1 at {APPROX_EXP_DIGITS} digits"
+        )
     size = tail_bits(k) * (period + DAMPED_FIRST_TERMS * period)
     if size > TAIL_BITS_CAP:
         # the reader refuses such a tail too, and certifying it would not finish

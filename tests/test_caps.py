@@ -12,6 +12,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
@@ -20,6 +21,7 @@ from borelshift.cli import main
 from borelshift.entropy import EXACT_VERTEX_CAP
 from borelshift.markers import STATE_CAP
 from borelshift.pathology import WINDOW_CAP
+from borelshift.realize import SEED_EXPONENT_FLOOR
 
 from helpers import phi_bounds, root_brackets_one
 
@@ -145,6 +147,34 @@ def test_realize_transient_generator_under_the_entropy_cap(tmp_path, capsys, roo
     assert gens == [f"gen 11 poly {-k.numerator} {k.denominator} root-in {k} {k} 0"]
     assert not root_intervals
     assert phi_bounds((), ("damped", a, k, d, n0, s), 1 / k)[1] < 1
+
+
+def test_realize_at_the_greedy_exponent_floor(tmp_path, capsys):
+    # greedy digits take about ln(10^13) / (p h) steps on integers that grow
+    # each step, so p h = SEED_EXPONENT_FLOOR = 1/500 is the slowest accepted
+    # entropy; just below it realize refuses by name
+    assert SEED_EXPONENT_FLOOR == Fraction(1, 500)
+    path = tmp_path / "gen.txt"
+    path.write_text("gen 1 1/500 1/500 1\n")
+    rc, out, err, wall = timed(capsys, ["realize", str(path)])
+    assert wall < WALL_S, wall
+    assert rc == 0, err
+    counts = [tuple(map(int, line.split()[1:])) for line in out.splitlines()
+              if line.startswith("count ")]
+    # Phi(e^-h) = sum c_n e^(-h n) crosses 1 within 10^-9 of h = 1/500
+    with mpmath.workdps(60):
+        phi = [sum(c * mpmath.exp(-h * n) for n, c in counts)
+               for h in (mpmath.mpf(1) / 500 - mpmath.mpf(10) ** -9,
+                         mpmath.mpf(1) / 500 + mpmath.mpf(10) ** -9)]
+        assert phi[0] > 1 > phi[1]
+    path.write_text("gen 1 1/501 1/501 1\n")
+    rc, out, err, wall = timed(capsys, ["realize", str(path)])
+    assert wall < 1, wall
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [
+        "period times entropy below SEED_EXPONENT_FLOOR = 1/500,"
+        " under which greedy digits would not finish"
+    ]
 
 
 def traced_pathology(capsys, argv):

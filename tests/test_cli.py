@@ -1004,7 +1004,7 @@ _EXPORTED = {
     ),
     "pathology": (
         "PathologySpec PathologyReport base_words build_pathology_graph certify_pathology"
-        " choose_pathology_parameters control_parameters count_label_paths anchored_lifts"
+        " choose_pathology_parameters control_parameters anchored_lifts"
     ),
 }
 
@@ -1078,6 +1078,11 @@ def test_malformed_document_exits_65(capsys, tmp_path):
     # at period 12 the transient tail's first damped round, (n0 + 64 stride) bits(k),
     # passes TAIL_BITS_CAP: the reader would refuse it, and certifying it would not finish
     (["realize", "{transient_tail_past_cap}"], 1),
+    # greedy digits below p h = SEED_EXPONENT_FLOOR would not finish, and at
+    # 10^-400 neither e^(-p h) nor a transient tail ratio e^h is apart from 1
+    (["realize", "{seed_one}"], 1),
+    (["realize", "{seed_one_family}", "--member", "1"], 1),
+    (["realize", "{transient_ratio_one}"], 1),
 ])
 def test_out_of_range_numbers_exit_with_one_line(
     capsys, tmp_path, golden_file, even_code_file, argv, status
@@ -1096,6 +1101,9 @@ def test_out_of_range_numbers_exit_with_one_line(
         "googol_transient": "gen 1 1e100 1e100 0",
         "transient_past_cap": "gen 1 20000 20000 0",
         "transient_tail_past_cap": "gen 12 9000 9000 0",
+        "seed_one": "gen 1 1e-400 1e-400 1",
+        "seed_one_family": "gen 1 1e-400 1e-400 unattained",
+        "transient_ratio_one": "gen 1 1e-400 1e-400 0",
     }
     paths = {}
     for name, body in docs.items():
@@ -1108,6 +1116,28 @@ def test_out_of_range_numbers_exit_with_one_line(
     assert code == status
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, status, stream, line", [
+    (["compare", "{big}", "{big}"], 2, "err",
+     "cannot separate entropies Entropy[inf, inf] and Entropy[inf, inf] at tolerance 1/1000000000"),
+    (["compare", "{big}", "{half}"], 1, "out",
+     "detail=u(1) differs: Entropy[inf, inf] vs Entropy[0.5, 1] (gt)"),
+    (["realize", "{big}"], 1, "err",
+     "entropy enclosure too wide to realize at tolerance: width inf"),
+])
+def test_entropies_beyond_the_float_range_print_as_inf(capsys, tmp_path, argv, status, stream, line):
+    # an entropy of 10^400 has no float value: its ends print as inf
+    paths = {"big": tmp_path / "big.txt", "half": tmp_path / "half.txt"}
+    paths["big"].write_text("gen 1 1e400 2e400 1\n")
+    paths["half"].write_text("gen 1 1/2 1 1\n")
+    code, out, err = run(capsys, [a.format(**paths) for a in argv])
+    assert code == status
+    assert "Traceback" not in err
+    if stream == "err":
+        assert out == "" and err.splitlines() == [line]
+    else:
+        assert err == "" and line in out.splitlines()
 
 
 @pytest.mark.parametrize("verb", ["analyze", "compare", "realize", "embed"])

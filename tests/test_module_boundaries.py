@@ -1,6 +1,9 @@
 """Module boundaries of the package, read from the sources with ast."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import borelshift
@@ -36,3 +39,24 @@ def test_the_polynomial_toolkit_is_imported_from_polynomials():
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "entropy":
                 through_entropy += [(path.name, a.name) for a in node.names if a.name in toolkit]
     assert through_entropy == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):
+    # perfbench/tracing.py looks each LAYERS function and COUNTERS key up
+    # with getattr, so a deleted or renamed name would crash every traced run;
+    # the tracer is read from its file, and no bytecode is written beside it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(module, fn) for module, fns in tracing.LAYERS.values() for fn in fns]
+    names += [tuple(key.split(".", 1)) for key in tracing.COUNTERS]
+    assert len(names) > 60
+    missing = []
+    for module, name in names:
+        mod = importlib.import_module(f"borelshift.{module}")
+        owner, _, method = name.rpartition(".")
+        found = method in vars(getattr(mod, owner)) if owner else callable(getattr(mod, name, None))
+        if not found:
+            missing.append(f"{module}.{name}")
+    assert missing == []

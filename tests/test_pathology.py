@@ -30,7 +30,6 @@ from borelshift.pathology import (
     WINDOW_CAP,
     _sampled_pairs,
     anchored_lifts,
-    count_label_paths,
     word_counts,
 )
 
@@ -222,7 +221,7 @@ def test_walk_first_returns_equal_the_named_graph_first_returns():
     # the certificate steps one label walk over every label; the named
     # presentation's first returns at r come from its compiled index
     for spec in construction_specs():
-        walk = pathology._LabelWalk(*pathology._construct(spec)[:4])
+        walk = walk_of(spec)
         l_max = max(n for n, _ in spec.return_lengths()) + 3
         want = first_return_counts(build_pathology_graph(spec).domain, "r", l_max)
         assert first_returns_by_step(walk.step_any, 0, l_max) == want
@@ -273,40 +272,39 @@ def test_first_returns_match_formula():
 
 # === label-path counting ===
 
+def walk_of(spec: PathologySpec):
+    """The label walk of the construction, built as certify_pathology builds it."""
+    return pathology._LabelWalk(*pathology._construct(spec)[:4])
+
+
+def count_paths(walk, word) -> int:
+    """Number of paths whose arcs spell the non-empty word, by the walk."""
+    cnt = walk.start(None, word[0])
+    for letter in word[1:]:
+        cnt = walk.step(cnt, letter)
+    return sum(cnt.values())
+
+
 def label_paths_by_brute_force(code, length):
-    """(start state, end state, label word) of every path of the length: edge
-    paths of an edge-mode code, vertex paths of a vertex-mode one."""
+    """(start state, end state, label word) of every edge path of the length."""
     g = code.domain
     sym = dict(code.mapping)
     out: dict[str, list[tuple[str, str]]] = {}
-    if code.mode == "edge":
-        for name, (a, b) in zip(g.edge_names, g.edges):
-            out.setdefault(a, []).append((b, sym[name]))
-        paths = [((u,), ()) for u in g.vertices]
-    else:
-        for a, b in g.edges:
-            out.setdefault(a, []).append((b, sym[b]))
-        paths = [((u,), (sym[u],)) for u in g.vertices]
-        length -= 1
+    for name, (a, b) in zip(g.edge_names, g.edges):
+        out.setdefault(a, []).append((b, sym[name]))
+    paths = [((u,), ()) for u in g.vertices]
     for _ in range(length):
         paths = [(verts + (b,), word + (s,)) for verts, word in paths for b, s in out.get(verts[-1], ())]
     return [(verts[0], verts[-1], word) for verts, word in paths]
 
 
-def marker_ends(code):
-    """The states a 2-labeled step ends at and those one starts from."""
-    g = code.domain
-    sym = dict(code.mapping)
-    if code.mode == "edge":
-        marks = [e for name, e in zip(g.edge_names, g.edges) if sym[name] == "2"]
-        return {v for _, v in marks}, {u for u, _ in marks}
-    return {v for u, v in g.edges if sym[u] == "2"}, {u for u, v in g.edges if sym[v] == "2"}
-
-
 def anchored_by_brute_force(code, lengths):
     """Lifts of every label word of the lengths that start where a 2-labeled
-    step ends and end where one starts, counted path by path."""
-    after_mark, before_mark = marker_ends(code)
+    arc ends and end where one starts, counted path by path."""
+    g = code.domain
+    sym = dict(code.mapping)
+    marks = [e for name, e in zip(g.edge_names, g.edges) if sym[name] == "2"]
+    after_mark, before_mark = {v for _, v in marks}, {u for u, _ in marks}
     brute: dict[tuple, int] = {}
     for length in lengths:
         for start, end, word in label_paths_by_brute_force(code, length):
@@ -315,61 +313,37 @@ def anchored_by_brute_force(code, lengths):
     return brute
 
 
-def parallel_code(loop_label: str) -> BlockCode:
-    """Two parallel loops at a carrying loop_label, and a -> b -> a labeled 0 0."""
+def parallel_code(loop_label: str):
+    """Two parallel loops at a carrying loop_label, and a -> b -> a labeled 0 0:
+    the code, and the label walk built from its own columns."""
     g = FiniteGraph(("a", "b"), (("a", "a"), ("a", "a"), ("a", "b"), ("b", "a")))
     labels = (loop_label, loop_label, "0", "0")
-    return BlockCode(g, tuple((f"e{i}", s) for i, s in enumerate(labels)), mode="edge")
-
-
-def vertex_code() -> BlockCode:
-    g = FiniteGraph(("a", "b", "c"), (("a", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")))
-    return BlockCode(g, (("a", "2"), ("b", "0"), ("c", "2")), mode="vertex")
+    code = BlockCode(g, tuple((f"e{i}", s) for i, s in enumerate(labels)), mode="edge")
+    vertices, tails, heads, _ = g.columns
+    return code, pathology._LabelWalk(len(vertices), labels, tails, heads)
 
 
 def test_count_label_paths_against_exhaustive_enumeration():
-    code = build_pathology_graph(PathologySpec(golden_base(), 3, (4,)))
+    spec = PathologySpec(golden_base(), 3, (4,))
+    code, walk = build_pathology_graph(spec), walk_of(spec)
     for length in (1, 2, 3, 4):
         brute: dict[tuple, int] = {}
         for _, _, word in label_paths_by_brute_force(code, length):
             brute[word] = brute.get(word, 0) + 1
         for word in itertools.product(("0", "1", "2"), repeat=length):
-            assert count_label_paths(code, word) == brute.get(word, 0)
+            assert count_paths(walk, word) == brute.get(word, 0)
 
 
 def test_count_label_paths_keeps_parallel_edges_apart():
-    code = parallel_code("1")
+    _, walk = parallel_code("1")
     words = [("1",), ("1", "1"), ("1", "0"), ("0", "0", "1"), ("1", "1", "1")]
-    assert [count_label_paths(code, w) for w in words] == [2, 4, 2, 2, 8]
-
-
-def test_vertex_mode_codes_count_vertex_paths():
-    # a vertex-mode code spells the labels of the vertices its paths visit
-    code = vertex_code()
-    words = [("2",), ("2", "0"), ("0", "2", "2"), ("2", "2")]
-    assert [count_label_paths(code, w) for w in words] == [2, 1, 2, 2]
-    anchored = [("2",), ("0",), ("0", "2")]
-    assert anchored_lifts(code, anchored) == [1, 1, 2]
-    for length in (1, 2, 3, 4):
-        brute: dict[tuple, int] = {}
-        for _, _, word in label_paths_by_brute_force(code, length):
-            brute[word] = brute.get(word, 0) + 1
-        all_words = list(itertools.product(("0", "2"), repeat=length))
-        assert [count_label_paths(code, w) for w in all_words] == [brute.get(w, 0) for w in all_words]
-        lifts = anchored_by_brute_force(code, [length])
-        assert anchored_lifts(code, all_words) == [lifts.get(w, 0) for w in all_words]
-
-
-def test_count_label_paths_empty_word_counts_states():
-    code = build_pathology_graph(depth2_spec())
-    assert count_label_paths(code, ()) == len(code.domain.vertices)
+    assert [count_paths(walk, w) for w in words] == [2, 4, 2, 2, 8]
 
 
 # === anchored lifts ===
 
 def test_bordered_blocks_lift_uniquely():
     spec = depth2_spec()
-    code = build_pathology_graph(spec)
     # level-k excursion blocks, flanked by base words of length k
     words = [
         wp + ("2",) * m + wm
@@ -380,24 +354,22 @@ def test_bordered_blocks_lift_uniquely():
     # root blocks, flanked by single symbols
     words += [(s,) + ("2",) * spec.M + (s2,) for s, s2 in itertools.product("01", repeat=2)]
     assert len(words) == 17
-    assert anchored_lifts(code, words) == [1] * len(words)
+    assert anchored_lifts(walk_of(spec), words) == [1] * len(words)
 
 
 def test_unrealized_run_length_has_no_lift():
-    spec = depth2_spec()
-    code = build_pathology_graph(spec)
     # no connector has 6 marker edges and 6 is not a multiple of M = 5
-    assert anchored_lifts(code, [("0",) + ("2",) * 6 + ("0",)]) == [0]
+    assert anchored_lifts(walk_of(depth2_spec()), [("0",) + ("2",) * 6 + ("0",)]) == [0]
 
 
 def test_anchored_lifts_against_exhaustive_enumeration():
-    code = build_pathology_graph(PathologySpec(golden_base(), 3, (4,)))
+    spec = PathologySpec(golden_base(), 3, (4,))
     words = []
     for length in range(1, 6):
         words += itertools.product(("0", "1", "2"), repeat=length)
-    brute = anchored_by_brute_force(code, range(1, 6))
+    brute = anchored_by_brute_force(build_pathology_graph(spec), range(1, 6))
     assert max(brute.values()) > 1  # counts beyond 0 and 1 are exercised
-    assert anchored_lifts(code, words) == [brute.get(w, 0) for w in words]
+    assert anchored_lifts(walk_of(spec), words) == [brute.get(w, 0) for w in words]
 
 
 def test_anchored_batches_equal_singleton_calls():
@@ -414,30 +386,29 @@ def test_anchored_batches_equal_singleton_calls():
     prefixes = [b[:i] for b in blocks[::4] for i in range(1, len(b))]
     no_lift = [("0",) + ("2",) * 6 + ("0",), ("1", "2", "1"), ("0", "2", "1")]
     cases = [
-        (build_pathology_graph(spec), blocks + prefixes + no_lift + [("0",), ("1",), ("2",)]),
+        (build_pathology_graph(spec), walk_of(spec),
+         blocks + prefixes + no_lift + [("0",), ("1",), ("2",)]),
         # the parallel loops carry the marker, so lifts through them count twice
-        (parallel_code("2"), [w for n in (1, 2, 3, 4) for w in itertools.product("02", repeat=n)]),
-        (parallel_code("1"), [("1",), ("0", "0"), ("1", "0", "0", "1")]),
-        (vertex_code(), [w for n in (1, 2, 3) for w in itertools.product("02", repeat=n)]),
+        (*parallel_code("2"), [w for n in (1, 2, 3, 4) for w in itertools.product("02", repeat=n)]),
+        (*parallel_code("1"), [("1",), ("0", "0"), ("1", "0", "0", "1")]),
     ]
-    assert anchored_lifts(cases[0][0], no_lift) == [0, 0, 0]
+    assert anchored_lifts(cases[0][1], no_lift) == [0, 0, 0]
     rng = random.Random(5)
-    for code, words in cases:
+    for code, walk, words in cases:
         brute = anchored_by_brute_force(code, {len(w) for w in words})
         batch = words + rng.sample(words, len(words) // 2)
         rng.shuffle(batch)
         assert any(a != b and a[: len(b)] == b for a in batch for b in batch)
         want = [brute.get(w, 0) for w in batch]
-        assert anchored_lifts(code, batch) == want
-        assert [anchored_lifts(code, [w])[0] for w in batch] == want
-    assert max(anchored_by_brute_force(parallel_code("2"), [3]).values()) == 8
+        assert anchored_lifts(walk, batch) == want
+        assert [anchored_lifts(walk, [w])[0] for w in batch] == want
+    assert max(anchored_by_brute_force(parallel_code("2")[0], [3]).values()) == 8
 
 
 def test_unanchored_run_is_ambiguous():
-    code = build_pathology_graph(depth2_spec())
     # a 0 entering a 2-run: 1 start at the root plus 2 at t0, 3 at t00,
     # 3 at t10 via the connector entries
-    assert count_label_paths(code, ("0", "2")) == 9
+    assert count_paths(walk_of(depth2_spec()), ("0", "2")) == 9
 
 
 # === certification report ===
