@@ -16,8 +16,7 @@ import importlib
 # module -> the public names it exports; the modules are exported as well
 _EXPORTS = {
     "presentations": (
-        "FiniteGraph", "LoopSchema", "GeometricTail", "DampedTail", "ParseError",
-        "Unsatisfiable", "Inconclusive",
+        "FiniteGraph", "LoopSchema", "Tail", "ParseError", "Unsatisfiable", "Inconclusive",
         "parse_document", "parse_presentation", "format_document", "format_presentation",
         "golden_mean_graph", "full_shift_graph", "cycle_graph",
     ),

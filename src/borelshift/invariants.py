@@ -175,54 +175,44 @@ def canonical_invariants(pair: InvariantPair, tol: Fraction = DEFAULT_TOL) -> In
 
 
 def _canonicalize(items, tol: Fraction) -> InvariantPair:
-    # cluster entropies at tolerance; sorted order makes adjacent merging sound
     def sort_key(it):
         # an infinite entropy after every finite one, even one past the float range
         return (float(it[1]), not it[1].is_finite())
 
+    # cluster entropies at tolerance in ascending order, each cluster certified
+    # above the one before it, so that a later cluster is strictly larger.  The
+    # floats order values only beyond their error: an item certified below the
+    # last cluster walks back to its place
     clusters: list[list] = []  # [representative entropy, merged items]
     for it in sorted(items, key=sort_key):
-        if clusters and _cmp(it[1], clusters[-1][0], tol) == "eq":
-            clusters[-1][1].append(it)
+        i, c = len(clusters), "gt"
+        while i and (c := _cmp(it[1], clusters[i - 1][0], tol)) == "lt":
+            i -= 1
+        if c == "eq":
+            clusters[i - 1][1].append(it)
         else:
-            clusters.append([it[1], [it]])
+            clusters.insert(i, [it[1], [it]])
 
-    # per (cluster, period) key: total MME count and whether any non-MME source
+    # per (period, cluster) key: total MME count and whether any non-MME source
     keyed: dict[tuple[int, int], list] = {}
-    for ci, (rep, members) in enumerate(clusters):
+    for ci, (_, members) in enumerate(clusters):
         for period, _, count in members:
-            slot = keyed.setdefault((ci, period), [0, False])
+            slot = keyed.setdefault((period, ci), [0, False])
             if isinstance(count, int) and count > 0:
                 slot[0] += count
             elif count is UNATTAINED:
                 slot[1] = True
 
-    def cluster_rep(ci: int) -> ExtendedEntropy:
-        return clusters[ci][0]
-
     gens: list[Generator] = []
-    keys = list(keyed)
-    for ci, period in keys:
-        h = cluster_rep(ci)
-        count, unatt = keyed[(ci, period)]
-        # invisible if a strictly larger entropy lives at a divisor of period
-        dominated_strict = any(
-            period % p2 == 0 and _cmp(cluster_rep(c2), h, tol) == "gt"
-            for (c2, p2) in keys
-        )
-        if dominated_strict:
+    for period, ci in sorted(keyed):
+        count, unatt = keyed[(period, ci)]
+        # invisible if a strictly larger entropy lives at a divisor of period,
+        # or, with no MME, an equal one at a proper divisor
+        if any(period % p2 == 0 and (c2 > ci or (c2 == ci and p2 != period and count == 0))
+               for p2, c2 in keyed):
             continue
-        if count == 0:
-            # zero-count generator is invisible when an equal-entropy generator
-            # sits at a proper divisor period
-            dominated_eq = any(
-                c2 == ci and p2 != period and period % p2 == 0 for (c2, p2) in keys
-            )
-            if dominated_eq:
-                continue
-        gens.append(Generator(period, h, UNATTAINED if count == 0 and unatt else count))
-
-    gens.sort(key=lambda g: (g.period, sort_key((0, g.entropy))))
+        count = UNATTAINED if count == 0 and unatt else count
+        gens.append(Generator(period, clusters[ci][0], count))
     return InvariantPair(tuple(gens))
 
 

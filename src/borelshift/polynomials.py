@@ -25,7 +25,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, combinations, zip_longest
+from itertools import accumulate, combinations, islice, zip_longest
 from operator import mul
 
 from .intervals import PrecisionExhausted
@@ -336,13 +336,12 @@ def _minimal_factor(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> tupl
             if lo <= r <= hi:
                 return (-r, 1)
             f = _exact_quotient(f, (-r, 1))
-    splits = []
-    if len(f) == 2 or (len(f) > 2 and _certify_irreducible(f, splits)):
+    if len(f) == 2 or (len(f) > 2 and _certify_irreducible(f)):
         return tuple(f)
-    return _zassenhaus(f, lo, hi, splits)
+    return _zassenhaus(f, lo, hi)
 
 
-def _certify_irreducible(f: list[int], splits: list | None = None) -> bool:
+def _certify_irreducible(f: list[int]) -> bool:
     """True when the degree sieve proves the squarefree integer polynomial f
     (ascending, degree n >= 2) irreducible over Q; False when it cannot.
 
@@ -358,8 +357,7 @@ def _certify_irreducible(f: list[int], splits: list | None = None) -> bool:
     a full split.  When f(x) = g(x^k) with g certified irreducible, every
     factor of f has a degree that is a multiple of deg g (a root a of f has
     a^k a root of g, and Q(a^k) lies in Q(a)), so the mask starts from those
-    multiples.  Each usable prime's split, whole or cut at its cap, is
-    appended to `splits`, when given, as (p, parts), for _zassenhaus.
+    multiples.
     """
     n = len(f) - 1
     k = math.gcd(*(i for i, c in enumerate(f) if c))
@@ -375,8 +373,6 @@ def _certify_irreducible(f: list[int], splits: list | None = None) -> bool:
         if parts is not None:
             allowed &= _degree_sums(parts)
             used += 1
-            if splits is not None:
-                splits.append((p, parts))
     return allowed == 1
 
 
@@ -521,47 +517,33 @@ class _Residues:
         return self.unpack(sum(map(mul, h, self.rows)))
 
 
-def _zassenhaus(f: list[int], lo: Fraction, hi: Fraction, splits) -> tuple[int, ...]:
+def _zassenhaus(f: list[int], lo: Fraction, hi: Fraction) -> tuple[int, ...]:
     """The irreducible factor of f with the root in [lo, hi], by Zassenhaus's
     method, for a primitive squarefree f (ascending) with positive leading
     coefficient l and f(0) != 0; it comes back primitive with positive
     leading coefficient.
 
-    `splits` holds pairs (p, parts) for the primes the degree sieve used,
-    and the prime with the fewest irreducible factors is taken; a split the
-    sieve cut at its cap is done again whole where it could be that prime.
-    f is split modulo p (_equal_degree_mod), the monic factors are lifted to
-    f = l g_1 ... g_r modulo p^k (_hensel_lift), and p^k is more than twice
-    l 2^n |f|_2, a bound on l / lc(g) times any factor g of f over Z
-    (Mignotte).  Recombination tries the products l g_S of subsets S of the
-    lifted factors, smallest first: one whose balanced residues form a
-    polynomial dividing f is a factor over Z, and no smaller subset gives
+    The distinct-degree splits of f modulo the first SIEVE_PRIME_BUDGET
+    usable primes, those the degree sieve used, are done whole, and the
+    prime with the fewest irreducible factors is taken, the smaller on a
+    tie.  f is split modulo p (_equal_degree_mod), the monic factors are
+    lifted to f = l g_1 ... g_r modulo p^k (_hensel_lift), and p^k is more
+    than twice l 2^n |f|_2, a bound on l / lc(g) times any factor g of f
+    over Z (Mignotte).  Recombination tries the products l g_S of subsets S
+    of the lifted factors, smallest first: one whose balanced residues form
+    a polynomial dividing f is a factor over Z, and no smaller subset gives
     one, so it is irreducible.  The first with the root is the answer; a
     factor without it is divided out, and what is left when no subset of at
     most half the factors divides it is irreducible.  A candidate is first
     checked on its constant term, which must divide l f(0).  With no usable
     prime below 200, PrecisionExhausted is raised and nothing is factored.
     """
-    if not splits:
+    splits = ((p, _distinct_degree_mod(f, p)) for p in _SIEVE_PRIMES)
+    usable = list(islice(((p, s) for p, s in splits if s is not None), SIEVE_PRIME_BUDGET))
+    if not usable:
         raise PrecisionExhausted("no usable prime below 200 for the minimal polynomial")
-    n, best = len(f) - 1, (math.inf, 0, None)
-
-    def whole(parts):
-        return sum(len(g) - 1 for _, g in parts) == n
-
-    def count(parts):
-        return sum((len(g) - 1) // d for d, g in parts)
-
-    # a cut split has a factor or more beyond its parts: it is done again
-    # whole only while it may still have the fewest
-    candidates = sorted((count(parts) + (not whole(parts)), p, parts) for p, parts in splits)
-    for bound, p, parts in candidates:
-        if (bound, p) > best[:2]:
-            break
-        if not whole(parts):
-            parts = _distinct_degree_mod(f, p)
-        best = min(best, (count(parts), p, parts))
-    _, p, parts = best
+    # the fewest irreducible factors, the smaller prime on a tie
+    p, parts = min(usable, key=lambda u: (sum((len(g) - 1) // d for d, g in u[1]), u[0]))
     rng = random.Random(p)  # seeded: the same splitting on every run
     factors = [g for d, part in parts for g in _equal_degree_mod(part, d, p, rng)]
     bound = 2 * f[-1] * (math.isqrt(sum(c * c for c in f)) + 1) << (len(f) - 1)

@@ -2,7 +2,8 @@
 
 Two concrete carriers: finite directed multigraphs (vertex or edge shifts)
 and loop schemas, which present the loop shift of a single irreducible
-component by its first-return loop counts at a base vertex.  Both round-trip
+component by its first-return loop counts at a base vertex, explicit or from
+one Tail record of either family, geometric or damped.  Both round-trip
 through a line-oriented document format.  A graph is read line by line into
 integer columns, which its one integer index is compiled from.
 """
@@ -28,7 +29,7 @@ LENGTH_CAP = 100_000
 # damped-tail enclosure sums its first DAMPED_FIRST_TERMS terms before it can
 # stop, up to n = n0 + DAMPED_FIRST_TERMS * stride.  It carries k^n in fixed
 # point, but builds k^n exactly for a count whose floor its bounds leave
-# open, and DampedTail.count builds it too.  LENGTH_CAP bounds n0 and stride
+# open, and Tail.count builds it too.  LENGTH_CAP bounds n0 and stride
 # but not the size of k, so this bounds the integers those powers make.
 TAIL_BITS_CAP = 10_000_000
 DAMPED_FIRST_TERMS = 64
@@ -116,64 +117,46 @@ class Singleton:
         return cls._instance
 
 
-class GeometricTail(Record):
-    """Tail family c_n = a * k^n on n = n0, n0+stride, ... (k integer >= 2)."""
-
-    _fields = ("a", "k", "n0", "stride")
-
-    def __init__(self, a: Fraction, k: int, n0: int, stride: int = 1):
-        if k < 2:
-            raise ValueError("geometric tail ratio k must be an integer >= 2")
-        if n0 < 1 or stride < 1:
-            raise ValueError("geometric tail needs n0 >= 1 and stride >= 1")
-        if a <= 0:
-            raise ValueError("geometric tail coefficient a must be positive")
-        # counts must be integers along the whole support: a k^n0 is, and k
-        # is an integer, so every a k^(n0 + j stride) is too
-        if (a * Fraction(k) ** n0).denominator != 1:
-            raise ValueError("geometric tail produces non-integer counts")
-        super().__init__(a, k, n0, stride)
-
-    def count(self, n: int) -> int:
-        if n < self.n0 or (n - self.n0) % self.stride:
-            return 0
-        return int(self.a * Fraction(self.k) ** n)
-
-
-class DampedTail(Record):
+class Tail(Record):
     """Tail family c_n = floor(a * k^n / n^d) on n = n0, n0+stride, ...
 
-    k may be any rational > 1; the radius of convergence of the loop
-    generating function is exactly 1/k regardless of a and d.
+    d = 0 is the geometric family: k an integer >= 2 and a k^n0 an integer,
+    so every count a k^n is one.  d >= 1 is the damped family, for any
+    rational k > 1.  The radius of convergence of the loop generating
+    function is exactly 1/k regardless of a and d.
     """
 
     _fields = ("a", "k", "d", "n0", "stride")
 
-    def __init__(self, a: Fraction, k: Fraction, d: int, n0: int, stride: int = 1):
-        if Fraction(k) <= 1:
+    def __init__(self, a: Fraction, k: Union[int, Fraction], d: int, n0: int, stride: int = 1):
+        family = "damped" if d else "geometric"
+        if not d and k < 2:
+            raise ValueError("geometric tail ratio k must be an integer >= 2")
+        if d and Fraction(k) <= 1:
             raise ValueError("damped tail ratio k must be > 1")
-        if d < 1:
+        if d < 0:
             raise ValueError("damped tail exponent d must be >= 1")
         if n0 < 1 or stride < 1:
-            raise ValueError("damped tail needs n0 >= 1 and stride >= 1")
+            raise ValueError(f"{family} tail needs n0 >= 1 and stride >= 1")
         if a <= 0:
-            raise ValueError("damped tail coefficient a must be positive")
+            raise ValueError(f"{family} tail coefficient a must be positive")
+        # counts must be integers along the whole support: a k^n0 is, and k
+        # is an integer, so every a k^(n0 + j stride) is too
+        if not d and (a * Fraction(k) ** n0).denominator != 1:
+            raise ValueError("geometric tail produces non-integer counts")
         super().__init__(a, k, d, n0, stride)
 
     def count(self, n: int) -> int:
         if n < self.n0 or (n - self.n0) % self.stride:
             return 0
-        return int(self.a * Fraction(self.k) ** n // Fraction(n) ** self.d)
-
-
-Tail = Union[GeometricTail, DampedTail]
+        return self.a * Fraction(self.k) ** n // n**self.d
 
 
 class LoopSchema(Record):
     """First-return loop counts at a distinguished base vertex.
 
     `counts` lists explicit (length, count) pairs; `tail` optionally extends
-    them by one of the two parametric families.  Explicit lengths and tail
+    them by a Tail of either family.  Explicit lengths and tail
     support may not overlap.
     """
 
@@ -518,38 +501,29 @@ def _parse_loops_body(lines, header_line) -> LoopSchema:
 
 
 def _parse_tail(toks, lineno) -> Tail:
+    # tail geometric <a> <k> from <n0>, or tail damped <a> <k> <d> from <n0>
     stride = 1
     if len(toks) >= 3 and toks[-2] == "stride":
         stride = _parse_capped(toks[-1], lineno)
         toks = toks[:-2]
     if len(toks) < 2:
         raise ParseError(lineno, "tail line needs a family: 'geometric' or 'damped'")
-    if toks[1] == "geometric":
-        # tail geometric <a> <k> from <n0>
-        if len(toks) != 6 or toks[4] != "from":
-            raise ParseError(lineno, "tail line is 'tail geometric <a> <k> from <n0>'")
-        a = _parse_fraction(toks[2], lineno)
-        k = _parse_int(toks[3], lineno)
-        n0 = _parse_capped(toks[5], lineno)
-        _check_tail_size(k, max(n0, stride), lineno)
-        try:
-            return GeometricTail(a, k, n0, stride)
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-    if toks[1] == "damped":
-        # tail damped <a> <k> <d> from <n0>
-        if len(toks) != 7 or toks[5] != "from":
-            raise ParseError(lineno, "tail line is 'tail damped <a> <k> <d> from <n0>'")
-        a = _parse_fraction(toks[2], lineno)
-        k = _parse_fraction(toks[3], lineno)
-        d = _parse_capped(toks[4], lineno)
-        n0 = _parse_capped(toks[6], lineno)
-        _check_tail_size(k, n0 + DAMPED_FIRST_TERMS * stride, lineno)
-        try:
-            return DampedTail(a, k, d, n0, stride)
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-    raise ParseError(lineno, f"unknown tail family {toks[1]!r}")
+    if toks[1] not in ("geometric", "damped"):
+        raise ParseError(lineno, f"unknown tail family {toks[1]!r}")
+    damped = toks[1] == "damped"
+    if len(toks) != 6 + damped or toks[-2] != "from":
+        form = f"tail {toks[1]} <a> <k> {'<d> ' * damped}from <n0>"
+        raise ParseError(lineno, f"tail line is '{form}'")
+    a = _parse_fraction(toks[2], lineno)
+    k = _parse_fraction(toks[3], lineno) if damped else _parse_int(toks[3], lineno)
+    d = _parse_capped(toks[4], lineno) if damped else 0
+    n0 = _parse_capped(toks[-1], lineno)
+    _check_tail_size(k, n0 + DAMPED_FIRST_TERMS * stride if damped else max(n0, stride), lineno)
+    try:
+        # a damped line's d = 0 is refused as every d < 1 is: Tail reads 0 as geometric
+        return Tail(a, k, d if d or not damped else -1, n0, stride)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def tail_bits(k: Union[int, Fraction]) -> int:
@@ -588,16 +562,9 @@ def format_presentation(p: ShiftPresentation) -> str:
     for n, c in sorted(p.counts):
         out.append(f"count {n} {c}")
     t = p.tail
-    if isinstance(t, GeometricTail):
-        line = f"tail geometric {t.a} {t.k} from {t.n0}"
-        if t.stride != 1:
-            line += f" stride {t.stride}"
-        out.append(line)
-    elif isinstance(t, DampedTail):
-        line = f"tail damped {t.a} {t.k} {t.d} from {t.n0}"
-        if t.stride != 1:
-            line += f" stride {t.stride}"
-        out.append(line)
+    if t is not None:
+        family = f"damped {t.a} {t.k} {t.d}" if t.d else f"geometric {t.a} {t.k}"
+        out.append(f"tail {family} from {t.n0}" + (f" stride {t.stride}" if t.stride != 1 else ""))
     return "\n".join(out) + "\n"
 
 

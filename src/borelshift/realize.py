@@ -46,10 +46,11 @@ from .invariants import (
 )
 from .presentations import (
     DAMPED_FIRST_TERMS,
+    LENGTH_CAP,
     NUMBER_DIGITS_CAP,
     TAIL_BITS_CAP,
-    DampedTail,
     LoopSchema,
+    Tail,
     Unsatisfiable,
     tail_bits,
 )
@@ -66,6 +67,9 @@ SEED_EXPONENT_CAP = int((APPROX_EXP_DIGITS + 1) * math.log(10))
 # grow by about 31 digits a step, so their work grows as 1 / (p h)^2: about 6 s
 # at this floor, 22 s at 1/1000, and no end where e^(-p h) rounds to 1
 SEED_EXPONENT_FLOOR = Fraction(1, 500)
+# and they stop at a length of about ln(1 / DIGIT_FLOOR) / h, which must stay
+# within presentations.LENGTH_CAP for the document to read back: h >= 2.99e-4
+ENTROPY_FLOOR = math.log(DIGIT_FLOOR.denominator) / LENGTH_CAP
 # a transient schema's tail ratio k = e^h prints with about h / ln 10 + 31
 # digits, which must stay within presentations.NUMBER_DIGITS_CAP = 4000 for the
 # document to read back: h <= 9139
@@ -157,13 +161,18 @@ def _greedy_pr_schema(period: int, h_target: Fraction) -> LoopSchema:
             f"period times entropy below SEED_EXPONENT_FLOOR = {SEED_EXPONENT_FLOOR},"
             " under which greedy digits would not finish"
         )
+    if h_target < ENTROPY_FLOOR:
+        raise UnrealizableEntropy(
+            f"entropy below ln(1/DIGIT_FLOOR) / LENGTH_CAP = {ENTROPY_FLOOR:.6g},"
+            f" under which greedy loop lengths would pass LENGTH_CAP = {LENGTH_CAP}"
+        )
     y = approx_exp(-period * h_target)
     n, m = y.numerator, y.denominator
     counts: list[tuple[int, int]] = []
     # over the common denominator m^j: rem = r / m^j and y^j = nj / m^j
     r, nj, mj = m, n, m
-    j = 1
-    while nj * DIGIT_FLOOR.denominator >= DIGIT_FLOOR.numerator * mj or j == 1:
+    j, last = 1, LENGTH_CAP // period  # no emitted length passes LENGTH_CAP
+    while j <= last and (nj * DIGIT_FLOOR.denominator >= DIGIT_FLOOR.numerator * mj or j == 1):
         d = r // nj
         if d:
             counts.append((j * period, d))
@@ -202,9 +211,7 @@ def _transient_schema(period: int, h: ExtendedEntropy) -> LoopSchema:
             f"transient tail at period {period}: its first damped round of {size} bits"
             f" is above TAIL_BITS_CAP = {TAIL_BITS_CAP}"
         )
-    tail = DampedTail(
-        a=Fraction(period * period, 2), k=k, d=2, n0=period, stride=period
-    )
+    tail = Tail(a=Fraction(period * period, 2), k=k, d=2, n0=period, stride=period)
     return LoopSchema(counts=(), tail=tail)
 
 

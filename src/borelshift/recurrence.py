@@ -43,7 +43,7 @@ from .intervals import RatInterval, log_interval
 # invariants builds the summaries, so the record and its classes live there
 from .invariants import NULL_RECURRENT, POSITIVE_RECURRENT, TRANSIENT, ComponentSummary
 from .polynomials import _bisect_root, _sign_at
-from .presentations import DAMPED_FIRST_TERMS, DampedTail, Inconclusive, LoopSchema
+from .presentations import DAMPED_FIRST_TERMS, Inconclusive, LoopSchema, Tail
 
 EXACT_DEGREE_CAP = 64
 # the lower bracket walk of Phi(x) = 1 gives up below 10^-BRACKET_FLOOR_DIGITS
@@ -123,7 +123,7 @@ def _one_minus(b: tuple[int, int, int], v) -> Fraction:
     return gap if gap > 0 else 1 - v()
 
 
-def _damped_tail_enclosures(t: DampedTail, x: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
+def _damped_tail_enclosures(t: Tail, x: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
     """Enclosures (lower, upper) of sum floor(a k^n / n^d) x^n over the tail,
     one per round; none where the series diverges.
 
@@ -288,12 +288,12 @@ def _entropy_from_root(
 
 def _phi_polynomial(schema: LoopSchema) -> Optional[tuple[int, ...]]:
     """Integer polynomial (ascending) with the sign of Phi(x) - 1 on (0, R),
-    available for finite and geometric-tailed schemas: E(x) - 1 for the
+    available for finite schemas and tails with d = 0: E(x) - 1 for the
     explicit part E, and (E(x) - 1)(1 - (kx)^s) + a k^n0 x^n0 with a
     geometric tail, whose factor 1 - (kx)^s is positive below R.  Its
     coefficients are integers, because k and a k^n0 are."""
     t = schema.tail
-    if isinstance(t, DampedTail):
+    if t is not None and t.d:
         return None
     base = [-1] + [0] * schema.max_explicit_length()
     for n, c in schema.counts:

@@ -12,14 +12,13 @@ from fractions import Fraction
 
 from borelshift import (
     BlockCode,
-    DampedTail,
     FiniteGraph,
-    GeometricTail,
     Generator,
     InvariantPair,
     IntervalApprox,
     LoopSchema,
     SymbolRelation,
+    Tail,
     check_injective,
     classify_recurrence,
     compute_u_eta,
@@ -92,7 +91,7 @@ def test_criterion_2_period_oracle():
 
 def test_criterion_3_recurrence_classification():
     t0 = time.perf_counter()
-    geo = LoopSchema(counts=(), tail=GeometricTail(Fraction(1, 2), Fraction(2), 1))
+    geo = LoopSchema(counts=(), tail=Tail(Fraction(1, 2), Fraction(2), 0, 1))
     rep = classify_recurrence(geo)
     assert rep.recurrence == POSITIVE_RECURRENT
     assert rep.mme is True
@@ -101,7 +100,7 @@ def test_criterion_3_recurrence_classification():
     assert enc.lo <= Fraction(math.log(3)) <= enc.hi or enc.hi - enc.lo < Fraction(1, 10**9)
 
     damped = LoopSchema(
-        counts=(), tail=DampedTail(Fraction(1, 3), Fraction(2), 2, 1)
+        counts=(), tail=Tail(Fraction(1, 3), Fraction(2), 2, 1)
     )
     rep2 = classify_recurrence(damped)
     assert rep2.recurrence == TRANSIENT
@@ -164,7 +163,7 @@ def _presentation_pool():
             continue
         tail = None
         if rng.random() < 0.4:
-            tail = GeometricTail(Fraction(1, 2), Fraction(2), max(lengths) + 1)
+            tail = Tail(Fraction(1, 2), Fraction(2), 0, max(lengths) + 1)
         pool.append(LoopSchema(counts=counts, tail=tail))
     return pool
 
@@ -194,7 +193,7 @@ def test_criterion_5_equivalence_laws():
 
     golden = golden_mean_graph()
     low_transient = LoopSchema(
-        counts=(), tail=DampedTail(Fraction(1, 3), Fraction(3, 2), 2, 1)
+        counts=(), tail=Tail(Fraction(1, 3), Fraction(3, 2), 2, 1)
     )
     with_transient = invariants_of((golden, low_transient))
     alone = invariants_of((golden,))
@@ -299,9 +298,10 @@ def _random_schema(rng: random.Random) -> LoopSchema:
     counts = tuple((n, rng.randint(1, 4)) for n in lengths)
     tail = None
     if rng.random() < 0.5:
-        tail = GeometricTail(
+        tail = Tail(
             Fraction(rng.randint(1, 3)),
             rng.randint(2, 4),
+            0,
             max(lengths) + rng.randint(1, 3),
         )
     return LoopSchema(counts=counts, tail=tail)

@@ -21,7 +21,8 @@ from borelshift.cli import main
 from borelshift.entropy import EXACT_VERTEX_CAP
 from borelshift.markers import STATE_CAP
 from borelshift.pathology import WINDOW_CAP
-from borelshift.realize import SEED_EXPONENT_FLOOR
+from borelshift.presentations import LENGTH_CAP
+from borelshift.realize import ENTROPY_FLOOR, SEED_EXPONENT_FLOOR, _greedy_pr_schema
 
 from helpers import phi_bounds, root_brackets_one
 
@@ -175,6 +176,29 @@ def test_realize_at_the_greedy_exponent_floor(tmp_path, capsys):
         "period times entropy below SEED_EXPONENT_FLOOR = 1/500,"
         " under which greedy digits would not finish"
     ]
+
+
+def test_realize_below_the_greedy_entropy_floor_is_refused(tmp_path, capsys):
+    # greedy loop lengths reach about ln(10^13) / h: at h = 10^-4 about
+    # 300,000, above LENGTH_CAP, so realize refuses by name before any digit
+    # (p h = 1/500 is at SEED_EXPONENT_FLOOR, which admits it)
+    path = tmp_path / "gen.txt"
+    path.write_text("gen 20 1/10000 1/10000 1\n")
+    rc, out, err, wall = timed(capsys, ["realize", str(path)])
+    assert wall < 1, wall
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [
+        "entropy below ln(1/DIGIT_FLOOR) / LENGTH_CAP = 0.000299336,"
+        f" under which greedy loop lengths would pass LENGTH_CAP = {LENGTH_CAP}"
+    ]
+
+
+def test_greedy_lengths_at_the_entropy_floor_stay_under_the_length_cap():
+    # at ENTROPY_FLOOR itself the digits stop at about LENGTH_CAP
+    assert math.log(10**13) / LENGTH_CAP == ENTROPY_FLOOR
+    for period in range(50, 101, 10):
+        schema = _greedy_pr_schema(period, Fraction(ENTROPY_FLOOR))
+        assert max(n for n, _ in schema.counts) <= LENGTH_CAP, period
 
 
 def traced_pathology(capsys, argv):

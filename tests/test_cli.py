@@ -961,7 +961,7 @@ def test_import_loads_no_submodule():
 # the names `borelshift/__init__.py` imported eagerly, by module
 _EXPORTED = {
     "presentations": (
-        "FiniteGraph LoopSchema GeometricTail DampedTail ParseError Unsatisfiable"
+        "FiniteGraph LoopSchema Tail ParseError Unsatisfiable"
         " Inconclusive parse_document"
         " parse_presentation format_document format_presentation golden_mean_graph"
         " full_shift_graph cycle_graph"

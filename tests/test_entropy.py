@@ -52,7 +52,7 @@ from borelshift.intervals import (
     log_interval,
 )
 from borelshift.polynomials import _roots_in, _sign_at
-from borelshift.presentations import GeometricTail, Inconclusive, LoopSchema, format_document
+from borelshift.presentations import Inconclusive, LoopSchema, Tail, format_document
 from borelshift.recurrence import _phi_polynomial
 
 from helpers import (
@@ -622,7 +622,7 @@ def _isolation_cases(rng: random.Random):
         if case % 2:
             k = rng.randint(2, 3)
             n0 = counts[-1][0] + rng.randint(1, 4)  # past every explicit length
-            tail = GeometricTail(Fraction(rng.randint(1, 3), k), k, n0, rng.randint(1, 2))
+            tail = Tail(Fraction(rng.randint(1, 3), k), k, 0, n0, rng.randint(1, 2))
         coeffs = _phi_polynomial(LoopSchema(counts, tail))
         yield tuple(reversed(coeffs)), "phi"
 
@@ -757,20 +757,24 @@ def test_minimal_factor_sieve_agrees_with_factoring(monkeypatch):
     zassenhaus = polynomials._zassenhaus
     monkeypatch.setattr(polynomials, "_certify_irreducible", spy)
 
-    def counted(f, lo, hi, splits):
+    def counted(f, lo, hi):
         factored.append(f)
-        # splits the sieve cut at its cap reach the factoring, which still
-        # takes the prime with the fewest factors in its whole split
-        cut.extend(p for p, parts in splits if sum(len(g) - 1 for _, g in parts) < len(f) - 1)
-        fewest = min(
-            (sum((len(g) - 1) // d for d, g in polynomials._distinct_degree_mod(f, p)), p)
-            for p, _ in splits)
+        # factoring takes the prime with the fewest factors in its whole
+        # split among the first SIEVE_PRIME_BUDGET usable ones, the smaller
+        # on a tie
+        counts = []
+        for p in polynomials._SIEVE_PRIMES:
+            parts = polynomials._distinct_degree_mod(f, p)
+            if parts is not None:
+                counts.append((sum((len(g) - 1) // d for d, g in parts), p))
+            if len(counts) == polynomials.SIEVE_PRIME_BUDGET:
+                break
         primes.clear()
-        answer = zassenhaus(f, lo, hi, splits)
-        assert set(primes) == {fewest[1]}, (f, primes, fewest)
+        answer = zassenhaus(f, lo, hi)
+        assert set(primes) == {min(counts)[1]}, (f, primes, counts)
         return answer
 
-    cut, primes = [], []
+    primes = []
     monkeypatch.setattr(polynomials, "_zassenhaus", counted)
     split_equal = polynomials._equal_degree_mod
     monkeypatch.setattr(polynomials, "_equal_degree_mod",
@@ -791,7 +795,6 @@ def test_minimal_factor_sieve_agrees_with_factoring(monkeypatch):
     for f in certified:
         assert sympy.Poly(list(reversed(f)), _X).is_irreducible, f
     assert sum(paths.values()) >= 200 and min(paths.values()) >= 20, paths
-    assert len(cut) >= 20, cut
 
 
 def test_capped_sieve_still_factors():
@@ -799,12 +802,12 @@ def test_capped_sieve_still_factors():
     # mask starts from {0, 2}, so its splits stop at degree 2, and the factor
     # x^2 - 2x - 1 still comes from a whole split
     assert polynomials._minimal_factor((-1, 0, 0, -14, 0, 0, 1), Fraction(2), Fraction(3)) == (-1, -2, 1)
-    # (x^2 - 2x - 1)(x^9 - 3x^4 + x - 5), with only splits cut at degree 2:
-    # factoring splits again, whole
+    # (x^2 - 2x - 1)(x^9 - 3x^4 + x - 5), whose splits cut at degree 2 miss
+    # factors: factoring splits whole
     f = [5, 9, -7, 1, 3, 6, -3, 0, 0, -1, -2, 1]
-    cut = [(p, polynomials._distinct_degree_mod(f, p, 2)) for p in (3, 5, 11)]
-    assert all(sum(len(g) - 1 for _, g in parts) < 11 for _, parts in cut)
-    assert polynomials._zassenhaus(f, Fraction(2), Fraction(3), cut) == (-1, -2, 1)
+    cut = [polynomials._distinct_degree_mod(f, p, 2) for p in (3, 5, 11)]
+    assert all(sum(len(g) - 1 for _, g in parts) < 11 for parts in cut)
+    assert polynomials._zassenhaus(f, Fraction(2), Fraction(3)) == (-1, -2, 1)
 
 
 def test_capped_sieve_prints_the_loop_schema(tmp_path, capsys):

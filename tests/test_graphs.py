@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 
 from borelshift import (
-    DampedTail,
     FiniteGraph,
-    GeometricTail,
     LoopSchema,
+    Tail,
     cycle_graph,
     cyclic_classes,
     entropy_by_loop_count,
@@ -470,9 +469,9 @@ def test_schema_period_from_support():
     assert schema_period(LoopSchema(((4, 1), (6, 2)))) == 2
     assert schema_period(LoopSchema(((3, 1),))) == 3
     assert schema_period(LoopSchema(((4, 1), (6, 0)))) == 4
-    tailed = LoopSchema((), GeometricTail(Fraction(1, 9), 3, 2, stride=2))
+    tailed = LoopSchema((), Tail(Fraction(1, 9), 3, 0, 2, stride=2))
     assert schema_period(tailed) == 2
-    mixed = LoopSchema(((3, 1),), GeometricTail(Fraction(1, 9), 3, 2, stride=2))
+    mixed = LoopSchema(((3, 1),), Tail(Fraction(1, 9), 3, 0, 2, stride=2))
     assert schema_period(mixed) == 1
     assert period_of_component(tailed) == 2
 
@@ -486,11 +485,11 @@ def test_schema_period_matches_the_tail_support():
     for case in range(60):
         k, n0, s = rng.randint(2, 4), rng.randint(31, 40), rng.randint(1, 4)
         if case % 2:
-            tail = GeometricTail(Fraction(rng.randint(1, 3), k**n0), k, n0, s)
+            tail = Tail(Fraction(rng.randint(1, 3), k**n0), k, 0, n0, s)
             count = lambda n: tail.a * k**n
         else:
             a = Fraction(1, 10 ** rng.randint(0, 6))
-            tail = DampedTail(a, Fraction(k + 1, 2), rng.randint(1, 4), n0, s)
+            tail = Tail(a, Fraction(k + 1, 2), rng.randint(1, 4), n0, s)
             count = lambda n: math.floor(tail.a * tail.k**n / n**tail.d)
         lengths = rng.sample(range(1, 31), rng.randint(0, 3))
         explicit = tuple((m, rng.randint(0, 2)) for m in lengths)
@@ -543,7 +542,7 @@ def test_renewal_identity_round_trip():
 
 
 def test_schema_first_return_counts_reads_schema():
-    s = LoopSchema(((1, 1),), GeometricTail(Fraction(1, 2), 2, 3))
+    s = LoopSchema(((1, 1),), Tail(Fraction(1, 2), 2, 0, 3))
     assert schema_first_return_counts(s, 4) == [0, 1, 0, 4, 8]
 
 

@@ -244,6 +244,38 @@ def test_canonical_clusters_interval_entropies():
     assert got.generators[0].count == 2
 
 
+def test_canonical_compares_each_item_with_one_cluster(monkeypatch):
+    # an item is compared with the last cluster only, and dominance is read
+    # off the cluster order: n items take at most n - 1 comparisons
+    rng = random.Random("canonical-neighbours")
+    calls = []
+    compare = invariants.compare_entropy
+    monkeypatch.setattr(invariants, "compare_entropy",
+                        lambda a, b, tol: calls.append((a, b)) or compare(a, b, tol))
+    values = [entropy_from_log_value(Fraction(m)) for m in range(2, 10)]
+    for _ in range(30):
+        raw = pair(*((rng.randint(1, 6), rng.choice(values), rng.choice([0, 1, 2, UNATTAINED]))
+                     for _ in range(rng.randint(1, 12))))
+        calls.clear()
+        canon = canonical_invariants(raw)
+        assert len(calls) <= len(raw.generators) - 1, raw
+        for p in range(1, 13):
+            assert raw.u_value(p) == canon.u_value(p) and raw.eta_value(p) == canon.eta_value(p)
+
+
+def test_canonical_places_an_item_the_floats_misorder():
+    # log 2 and log(2 + 2 10^-17) have one float, so sorting keeps them in
+    # input order; at tolerance 10^-30 the second is below the first, and it
+    # walks back to its place: the larger value at period 2 is not taken as
+    # dominated by the smaller one at period 1
+    low = entropy_from_log_value(Fraction(2))
+    high = entropy_from_log_value(Fraction(2) + Fraction(2, 10**17))
+    assert float(low) == float(high)
+    tol = Fraction(1, 10**30)
+    got = canonical_invariants(pair((2, high, 1), (1, low, 1)), tol)
+    assert got.generators == (Generator(1, low, 1), Generator(2, high, 1))
+
+
 def test_canonical_functions_are_preserved():
     raw = pair((1, LOG2_E, 1), (2, LOG2_E, 0), (2, LOG3_E, 2), (6, LOG3_E, 0))
     canon = canonical_invariants(raw)

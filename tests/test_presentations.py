@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from borelshift import (
-    DampedTail,
     FiniteGraph,
-    GeometricTail,
     LoopSchema,
     ParseError,
+    Tail,
     cycle_graph,
     format_document,
     format_presentation,
@@ -83,51 +82,51 @@ def test_builtin_graph_shapes():
 # === tail and schema arithmetic ===
 
 def test_geometric_tail_counts():
-    t = GeometricTail(Fraction(1, 2), 2, 1)
+    t = Tail(Fraction(1, 2), 2, 0, 1)
     assert [t.count(n) for n in range(1, 6)] == [1, 2, 4, 8, 16]
     assert t.count(0) == 0
 
 
 def test_geometric_tail_stride_support():
-    t = GeometricTail(Fraction(1, 4), 2, 2, stride=2)
+    t = Tail(Fraction(1, 4), 2, 0, 2, stride=2)
     assert [t.count(n) for n in range(1, 7)] == [0, 1, 0, 4, 0, 16]
 
 
 def test_geometric_tail_rejects_fractional_counts():
     with pytest.raises(ValueError):
-        GeometricTail(Fraction(1, 3), 2, 1)
+        Tail(Fraction(1, 3), 2, 0, 1)
     with pytest.raises(ValueError):
-        GeometricTail(Fraction(1, 2), 1, 1)
+        Tail(Fraction(1, 2), 1, 0, 1)
     with pytest.raises(ValueError):
-        GeometricTail(Fraction(-1), 2, 1)
+        Tail(Fraction(-1), 2, 0, 1)
 
 
 def test_damped_tail_floors():
-    t = DampedTail(Fraction(1), Fraction(2), 2, 1)
+    t = Tail(Fraction(1), Fraction(2), 2, 1)
     # floor(2^n / n^2)
     assert [t.count(n) for n in range(1, 6)] == [2, 1, 0, 1, 1]
-    half = DampedTail(Fraction(1), Fraction(3, 2), 1, 1)
+    half = Tail(Fraction(1), Fraction(3, 2), 1, 1)
     assert half.count(4) == int(Fraction(81, 16) / 4)
 
 
 def test_damped_tail_rejects_bad_params():
     with pytest.raises(ValueError):
-        DampedTail(Fraction(1), Fraction(1), 1, 1)
+        Tail(Fraction(1), Fraction(1), 1, 1)
     with pytest.raises(ValueError):
-        DampedTail(Fraction(1), Fraction(2), 0, 1)
+        Tail(Fraction(1), Fraction(2), -1, 1)
     with pytest.raises(ValueError):
-        DampedTail(Fraction(1), Fraction(2), 1, 0)
+        Tail(Fraction(1), Fraction(2), 1, 0)
 
 
 def test_schema_counts_upto_merges_explicit_and_tail():
-    s = LoopSchema(((1, 3),), GeometricTail(Fraction(1, 4), 2, 2))
+    s = LoopSchema(((1, 3),), Tail(Fraction(1, 4), 2, 0, 2))
     assert s.counts_upto(4) == [0, 3, 1, 2, 4]
     assert s.max_explicit_length() == 1
 
 
 def test_schema_rejects_overlap_and_degenerate():
     with pytest.raises(ValueError):
-        LoopSchema(((2, 1),), GeometricTail(Fraction(1, 4), 2, 2))
+        LoopSchema(((2, 1),), Tail(Fraction(1, 4), 2, 0, 2))
     with pytest.raises(ValueError):
         LoopSchema(((2, 1), (2, 1)))
     with pytest.raises(ValueError):
@@ -136,7 +135,7 @@ def test_schema_rejects_overlap_and_degenerate():
         LoopSchema(((3, 0),))  # no loop anywhere
     # tail support overlap is rejected even where the floored count is 0
     with pytest.raises(ValueError):
-        LoopSchema(((3, 1),), DampedTail(Fraction(1), Fraction(2), 2, 3))
+        LoopSchema(((3, 1),), Tail(Fraction(1), Fraction(2), 2, 3))
 
 
 # === parsing and formatting ===
@@ -171,12 +170,77 @@ def test_parse_loops_document_with_tail():
     assert isinstance(s, LoopSchema)
     assert s.base == "b"
     assert s.counts == ((1, 1),)
-    assert s.tail == GeometricTail(Fraction(1, 4), 2, 2)
+    assert s.tail == Tail(Fraction(1, 4), 2, 0, 2)
 
 
 def test_parse_damped_tail_with_stride():
     s = parse_presentation("loops\ntail damped 2 3/2 2 from 4 stride 2\n")
-    assert s.tail == DampedTail(Fraction(2), Fraction(3, 2), 2, 4, stride=2)
+    assert s.tail == Tail(Fraction(2), Fraction(3, 2), 2, 4, stride=2)
+
+
+# tail lines, each either with the line it prints back, or with its error,
+# all as the two tail record classes parsed and printed them before they
+# were one; every error is at the tail's line, 2
+_BIG, _MID = "1" + "0" * 4000, "1" + "0" * 3000
+TAIL_LINES = [
+    ("tail geometric 1/2 2 from 1", "tail geometric 1/2 2 from 1"),
+    ("tail geometric 3 2 from 1", "tail geometric 3 2 from 1"),
+    ("tail geometric 0.5 2 from 1", "tail geometric 1/2 2 from 1"),
+    ("tail geometric 1/9 3 from 2 stride 2", "tail geometric 1/9 3 from 2 stride 2"),
+    ("tail geometric 1/2 2 from 1 stride 1", "tail geometric 1/2 2 from 1"),
+    ("tail damped 1 2 2 from 1", "tail damped 1 2 2 from 1"),
+    ("tail damped 1 2.5 2 from 1", "tail damped 1 5/2 2 from 1"),
+    ("tail damped 5/3 7/4 3 from 2 stride 3", "tail damped 5/3 7/4 3 from 2 stride 3"),
+    ("tail damped 2 3/2 1 from 4 stride 2", "tail damped 2 3/2 1 from 4 stride 2"),
+    ("tail damped 1 3 2 from 1 stride 1", "tail damped 1 3 2 from 1"),
+]
+TAIL_ERRORS = [
+    # a damped line's d < 1 is refused after the size check and the k > 1 check
+    ("tail damped 1 1 0 from 1", "damped tail ratio k must be > 1"),
+    ("tail damped 1 1/2 0 from 1", "damped tail ratio k must be > 1"),
+    ("tail damped 1 2 0 from 1", "damped tail exponent d must be >= 1"),
+    ("tail damped 1 2 -1 from 1", "damped tail exponent d must be >= 1"),
+    ("tail damped 1 2 0 from 1 stride 100000",
+     "tail ratio of 3 bits to the power 6400001 is above the size cap 10000000 bits"),
+    ("tail damped 1 2 2 from 0", "damped tail needs n0 >= 1 and stride >= 1"),
+    ("tail damped 1 2 2 from 1 stride 0", "damped tail needs n0 >= 1 and stride >= 1"),
+    ("tail damped 0 2 2 from 1", "damped tail coefficient a must be positive"),
+    ("tail damped 1 2 1000000000 from 1", "1000000000 is above the length cap 100000"),
+    ("tail damped 1 2 2 from 1 stride x", "bad integer 'x'"),
+    ("tail geometric 1 5/2 from 1", "bad integer '5/2'"),
+    ("tail geometric 1 2.0 from 1", "bad integer '2.0'"),
+    ("tail geometric 1/8 2 from 2", "geometric tail produces non-integer counts"),
+    ("tail geometric 1 1 from 1", "geometric tail ratio k must be an integer >= 2"),
+    ("tail geometric -1 2 from 1", "geometric tail coefficient a must be positive"),
+    ("tail geometric 1 2 from 0", "geometric tail needs n0 >= 1 and stride >= 1"),
+    ("tail geometric 1 2 from 1 stride 0", "geometric tail needs n0 >= 1 and stride >= 1"),
+    ("tail geometric 1 2 from 1000000000", "1000000000 is above the length cap 100000"),
+    (f"tail geometric 1 {_BIG} from 100000",
+     "tail ratio of 13289 bits to the power 100000 is above the size cap 10000000 bits"),
+    (f"tail damped 1 {_MID} 2 from 1000",
+     "tail ratio of 9967 bits to the power 1064 is above the size cap 10000000 bits"),
+    ("tail geometric 1 2 from", "tail line is 'tail geometric <a> <k> from <n0>'"),
+    ("tail geometric 1 2 2 from 1", "tail line is 'tail geometric <a> <k> from <n0>'"),
+    ("tail geometric 1 2 to 1", "tail line is 'tail geometric <a> <k> from <n0>'"),
+    ("tail damped 1 2 from 1", "tail line is 'tail damped <a> <k> <d> from <n0>'"),
+    ("tail damped 1 2 2 to 1", "tail line is 'tail damped <a> <k> <d> from <n0>'"),
+    ("tail harmonic 1 2 from 1", "unknown tail family 'harmonic'"),
+    ("tail", "tail line needs a family: 'geometric' or 'damped'"),
+    ("tail stride 2", "tail line needs a family: 'geometric' or 'damped'"),
+]
+
+
+@pytest.mark.parametrize("line, printed", TAIL_LINES)
+def test_tail_lines_print_back(line, printed):
+    parts = parse_document(f"loops\n{line}\n")
+    assert format_document(parts) == f"loops\nat 0\n{printed}\n"
+
+
+@pytest.mark.parametrize("line, message", TAIL_ERRORS, ids=[line[:40] for line, _ in TAIL_ERRORS])
+def test_tail_line_errors(line, message):
+    with pytest.raises(ParseError) as info:
+        parse_document(f"loops\n{line}\n")
+    assert (info.value.lineno, info.value.message) == (2, message)
 
 
 def test_parse_multi_section_document():
@@ -289,8 +353,8 @@ def test_format_parse_round_trip_hand_cases():
         FiniteGraph(("u",), (("u", "u"), ("u", "u")), ("x", "y")),
         FiniteGraph(("lonely",), ()),
         LoopSchema(((1, 1), (2, 1))),
-        LoopSchema(((3, 2),), GeometricTail(Fraction(1, 32), 2, 5), base="q"),
-        LoopSchema((), DampedTail(Fraction(5, 3), Fraction(7, 4), 3, 2, stride=3)),
+        LoopSchema(((3, 2),), Tail(Fraction(1, 32), 2, 0, 5), base="q"),
+        LoopSchema((), Tail(Fraction(5, 3), Fraction(7, 4), 3, 2, stride=3)),
     ]
     for p in cases:
         assert parse_presentation(format_presentation(p)) == p

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from borelshift import (
-    DampedTail,
     Generator,
     INFINITE_ENTROPY,
     IntervalApprox,
@@ -111,7 +110,7 @@ def test_zero_count_realizes_transient():
     assert len(real.components) == 1
     role, schema = real.components[0]
     assert role == "transient"
-    assert isinstance(schema.tail, DampedTail)
+    assert schema.tail.d == 2
     rep = classify_recurrence(schema)
     assert rep.recurrence == TRANSIENT
     assert rep.period == 2

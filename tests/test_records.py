@@ -16,9 +16,7 @@ import pytest
 
 from borelshift import (
     ComponentSummary,
-    DampedTail,
     ExactAlgebraic,
-    GeometricTail,
     Generator,
     IntervalApprox,
     InvariantPair,
@@ -26,6 +24,7 @@ from borelshift import (
     LoopSchema,
     RatInterval,
     UNATTAINED,
+    Tail,
     ZERO_ENTROPY,
     summarize_components,
 )
@@ -47,25 +46,7 @@ from borelshift.realize import FamilySchema, Realization
 
 # the reference: each record as the frozen dataclass it replaces, checks included
 @dataclass(frozen=True)
-class RefGeometricTail:
-    a: Fraction
-    k: int
-    n0: int
-    stride: int = 1
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("geometric tail ratio k must be an integer >= 2")
-        if self.n0 < 1 or self.stride < 1:
-            raise ValueError("geometric tail needs n0 >= 1 and stride >= 1")
-        if self.a <= 0:
-            raise ValueError("geometric tail coefficient a must be positive")
-        if (self.a * Fraction(self.k) ** self.n0).denominator != 1:
-            raise ValueError("geometric tail produces non-integer counts")
-
-
-@dataclass(frozen=True)
-class RefDampedTail:
+class RefTail:
     a: Fraction
     k: Fraction
     d: int
@@ -73,14 +54,24 @@ class RefDampedTail:
     stride: int = 1
 
     def __post_init__(self):
-        if Fraction(self.k) <= 1:
-            raise ValueError("damped tail ratio k must be > 1")
-        if self.d < 1:
-            raise ValueError("damped tail exponent d must be >= 1")
-        if self.n0 < 1 or self.stride < 1:
-            raise ValueError("damped tail needs n0 >= 1 and stride >= 1")
-        if self.a <= 0:
-            raise ValueError("damped tail coefficient a must be positive")
+        if self.d == 0:  # the geometric family's checks
+            if self.k < 2:
+                raise ValueError("geometric tail ratio k must be an integer >= 2")
+            if self.n0 < 1 or self.stride < 1:
+                raise ValueError("geometric tail needs n0 >= 1 and stride >= 1")
+            if self.a <= 0:
+                raise ValueError("geometric tail coefficient a must be positive")
+            if (self.a * Fraction(self.k) ** self.n0).denominator != 1:
+                raise ValueError("geometric tail produces non-integer counts")
+        else:  # the damped family's
+            if Fraction(self.k) <= 1:
+                raise ValueError("damped tail ratio k must be > 1")
+            if self.d < 1:
+                raise ValueError("damped tail exponent d must be >= 1")
+            if self.n0 < 1 or self.stride < 1:
+                raise ValueError("damped tail needs n0 >= 1 and stride >= 1")
+            if self.a <= 0:
+                raise ValueError("damped tail coefficient a must be positive")
 
 
 @dataclass(frozen=True)
@@ -323,18 +314,19 @@ def _interval(rng):
 
 def _geometric(rng):
     k, n0 = rng.randint(1, 4), rng.randint(0, 4)
-    return (Fraction(rng.randint(-1, 5), k ** rng.randint(0, 3)), k, n0, rng.randint(0, 3))
+    return (Fraction(rng.randint(-1, 5), k ** rng.randint(0, 3)), k, 0, n0, rng.randint(0, 3))
 
 
 def _damped(rng):
-    return (_frac(rng), _frac(rng, 1, 12), rng.randint(0, 3), rng.randint(0, 4), rng.randint(0, 3))
+    # d = 0 reads as geometric, with a rational k; d < 0 is a refused damped tail
+    return (_frac(rng), _frac(rng, 1, 12), rng.randint(-1, 3), rng.randint(0, 4), rng.randint(0, 3))
 
 
 def _valid_tail(rng):
     while True:
         args = _geometric(rng)
         try:
-            return GeometricTail(*args)
+            return Tail(*args)
         except ValueError:
             pass
 
@@ -417,8 +409,8 @@ def _plain(n):
 
 # record, its reference, a draw of positional arguments (valid or not)
 RECORDS = [
-    (GeometricTail, RefGeometricTail, _geometric),
-    (DampedTail, RefDampedTail, _damped),
+    (Tail, RefTail, _geometric),
+    (Tail, RefTail, _damped),
     (LoopSchema, RefLoopSchema, _schema),
     (ExactAlgebraic, RefExactAlgebraic, _exact),
     (IntervalApprox, RefIntervalApprox, _interval),
@@ -441,7 +433,9 @@ RECORDS = [
     (FamilySchema, RefFamilySchema, _plain(2)),
     (Realization, RefRealization, _plain(2)),
 ]
-IDS = [cls.__name__ for cls, _, _ in RECORDS]
+# a tail's rows are named by the family they draw
+IDS = [f"{draw.__name__[1:].title()}Tail" if cls is Tail else cls.__name__
+       for cls, _, draw in RECORDS]
 
 
 def _build(cls, args):
@@ -457,8 +451,8 @@ def _compared(ref_cls):
 
 
 @pytest.mark.parametrize("cls, ref_cls, draw", RECORDS, ids=IDS)
-def test_records_match_their_frozen_dataclass_reference(cls, ref_cls, draw):
-    rng = random.Random(f"records-{cls.__name__}")
+def test_records_match_their_frozen_dataclass_reference(cls, ref_cls, draw, request):
+    rng = random.Random(f"records-{request.node.callspec.id}")
     names = list(ref_cls.__dataclass_fields__)
     # the same parameters, in the same order, with the same defaults, and
     # the compared fields in field order
@@ -541,11 +535,11 @@ def test_equal_tails_of_separate_schemas_hit_one_summary_key(monkeypatch):
     monkeypatch.setattr(recurrence, "classify_recurrence", counting)
     for _ in range(20):
         calls.clear()
-        tail_args = [Fraction(rng.randint(1, 4), 2), 2, rng.randint(2, 5)]
+        tail_args = [Fraction(rng.randint(1, 4), 2), 2, 0, rng.randint(2, 5)]
         counts = ((1, rng.randint(1, 3)),)
         # two schemas, each with its own tail object built from its own Fractions
-        first = LoopSchema(counts, GeometricTail(*tail_args))
-        second = LoopSchema(tuple(counts), GeometricTail(Fraction(tail_args[0]), *tail_args[1:]))
+        first = LoopSchema(counts, Tail(*tail_args))
+        second = LoopSchema(tuple(counts), Tail(Fraction(tail_args[0]), *tail_args[1:]))
         assert first.tail is not second.tail and first.tail == second.tail
         summaries = summarize_components([first, second])
         assert len(calls) == 1
@@ -555,21 +549,20 @@ def test_equal_tails_of_separate_schemas_hit_one_summary_key(monkeypatch):
 
 # every check's text, as the dataclasses' __post_init__ raised it
 INVALID = [
-    (GeometricTail, (Fraction(1), 1, 1), "geometric tail ratio k must be an integer >= 2"),
-    (GeometricTail, (Fraction(1), 2, 0), "geometric tail needs n0 >= 1 and stride >= 1"),
-    (GeometricTail, (Fraction(1), 2, 1, 0), "geometric tail needs n0 >= 1 and stride >= 1"),
-    (GeometricTail, (Fraction(0), 2, 1), "geometric tail coefficient a must be positive"),
-    (GeometricTail, (Fraction(1, 8), 2, 2), "geometric tail produces non-integer counts"),
-    (DampedTail, (Fraction(1), Fraction(1), 1, 1), "damped tail ratio k must be > 1"),
-    (DampedTail, (Fraction(1), Fraction(2), 0, 1), "damped tail exponent d must be >= 1"),
-    (DampedTail, (Fraction(1), Fraction(2), 1, 0), "damped tail needs n0 >= 1 and stride >= 1"),
-    (DampedTail, (Fraction(1), Fraction(2), 1, 1, 0),
-     "damped tail needs n0 >= 1 and stride >= 1"),
-    (DampedTail, (Fraction(-1), Fraction(2), 1, 1), "damped tail coefficient a must be positive"),
+    (Tail, (Fraction(1), 1, 0, 1), "geometric tail ratio k must be an integer >= 2"),
+    (Tail, (Fraction(1), 2, 0, 0), "geometric tail needs n0 >= 1 and stride >= 1"),
+    (Tail, (Fraction(1), 2, 0, 1, 0), "geometric tail needs n0 >= 1 and stride >= 1"),
+    (Tail, (Fraction(0), 2, 0, 1), "geometric tail coefficient a must be positive"),
+    (Tail, (Fraction(1, 8), 2, 0, 2), "geometric tail produces non-integer counts"),
+    (Tail, (Fraction(1), Fraction(1), 1, 1), "damped tail ratio k must be > 1"),
+    (Tail, (Fraction(1), Fraction(2), -1, 1), "damped tail exponent d must be >= 1"),
+    (Tail, (Fraction(1), Fraction(2), 1, 0), "damped tail needs n0 >= 1 and stride >= 1"),
+    (Tail, (Fraction(1), Fraction(2), 1, 1, 0), "damped tail needs n0 >= 1 and stride >= 1"),
+    (Tail, (Fraction(-1), Fraction(2), 1, 1), "damped tail coefficient a must be positive"),
     (LoopSchema, (((0, 1),),), "loop length 0 < 1"),
     (LoopSchema, (((2, -1),),), "negative loop count at length 2"),
     (LoopSchema, (((2, 1), (2, 3)),), "duplicate explicit count at length 2"),
-    (LoopSchema, (((3, 1),), GeometricTail(Fraction(1), 2, 1)),
+    (LoopSchema, (((3, 1),), Tail(Fraction(1), 2, 0, 1)),
      "explicit count at length 3 overlaps tail support"),
     (LoopSchema, (((1, 0),),), "schema has no loop at all (some c_n >= 1 required)"),
     (ExactAlgebraic, ((1,), Fraction(1), Fraction(2)),
@@ -602,7 +595,14 @@ INVALID = [
 ]
 
 
-@pytest.mark.parametrize("cls, args, message", INVALID)
+def _invalid_id(i, cls, args, message):
+    # pytest's own id for the row, with a tail's rows named by family
+    name = f"{'Damped' if args[2] else 'Geometric'}Tail" if cls is Tail else cls.__name__
+    return f"{name}-args{i}-{message}"
+
+
+@pytest.mark.parametrize("cls, args, message", INVALID,
+                         ids=[_invalid_id(i, *row) for i, row in enumerate(INVALID)])
 def test_invalid_records_raise_the_dataclass_text(cls, args, message):
     with pytest.raises(ValueError) as info:
         cls(*args)

@@ -8,15 +8,14 @@ from functools import partial
 import pytest
 
 from borelshift import (
-    DampedTail,
     ExactAlgebraic,
-    GeometricTail,
     IntervalApprox,
     LoopSchema,
     MarkerParams,
     NULL_RECURRENT,
     POSITIVE_RECURRENT,
     TRANSIENT,
+    Tail,
     UndecidableAtTolerance,
     ZERO_ENTROPY,
     choose_pathology_parameters,
@@ -36,7 +35,7 @@ from helpers import LOG2, damped_enclosure_reference, loop_series_bounds, root_b
 
 # === generating function evaluation ===
 
-def _tail_enclosure(t: DampedTail, x: Fraction, width: Fraction):
+def _tail_enclosure(t: Tail, x: Fraction, width: Fraction):
     """The first round of the tail's enclosures within `width`, else the
     last one; math.inf where the series diverges."""
     got = math.inf
@@ -56,7 +55,7 @@ def test_loop_gf_point_values_finite_schema():
 
 def test_loop_gf_geometric_closed_form():
     # c_n = 2^(n-1): Phi(x) = x / (1 - 2x) for x < 1/2, divergent at 1/2
-    s = LoopSchema((), GeometricTail(Fraction(1, 2), 2, 1))
+    s = LoopSchema((), Tail(Fraction(1, 2), 2, 0, 1))
     tail = ("geometric", Fraction(1, 2), 2, 1, 1)
     assert loop_series_bounds((), tail, Fraction(1, 4), terms=0)[1] == Fraction(1, 2)
     side = _side(s)
@@ -64,7 +63,7 @@ def test_loop_gf_geometric_closed_form():
 
 
 def test_loop_gf_damped_enclosure_brackets_truth():
-    t = DampedTail(Fraction(1), Fraction(2), 2, 1)
+    t = Tail(Fraction(1), Fraction(2), 2, 1)
     x = Fraction(1, 3)
     brute = sum(t.count(n) * x**n for n in range(1, 400))
     # every round up to the first within 10^-12 sums fewer than 400 terms
@@ -93,12 +92,12 @@ def test_phi_sign_matches_term_by_term_sums():
             if kind == "geometric":
                 k = rng.randint(2, 4)
                 a = Fraction(rng.randint(1, 5), k**n0)
-                tail, data = GeometricTail(a, k, n0, s), ("geometric", a, k, n0, s)
+                tail, data = Tail(a, k, 0, n0, s), ("geometric", a, k, n0, s)
             else:
                 den = rng.randint(2, 3)
                 k = Fraction(rng.randint(den + 1, 3 * den), den)
                 a, d = Fraction(rng.randint(1, 9), rng.randint(1, 4)), rng.randint(1, 3)
-                tail, data = DampedTail(a, k, d, n0, s), ("damped", a, k, d, n0, s)
+                tail, data = Tail(a, k, d, n0, s), ("damped", a, k, d, n0, s)
             m = rng.randint(1, 3)
             x = Fraction(m, m + 1) / k
         schema = LoopSchema(counts, tail)
@@ -148,7 +147,7 @@ def test_damped_enclosure_equals_fraction_reference():
         cases.append((a, k, d, n0, s, x, w))
     slack = Fraction(1, 2 ** (recurrence.FIXED_POINT_BITS - 16))
     for a, k, d, n0, s, x, w in cases:
-        got = _tail_enclosure(DampedTail(a, k, d, n0, s), x, w)
+        got = _tail_enclosure(Tail(a, k, d, n0, s), x, w)
         want = damped_enclosure_reference(a, k, d, n0, s, x, w)
         if k * x > 1 or (k * x == 1 and d == 1):
             assert got == want == math.inf
@@ -178,7 +177,7 @@ def test_damped_enclosure_counts_an_integer_value_exactly(monkeypatch):
     for p in (bits, 20, 12):
         monkeypatch.setattr(recurrence, "FIXED_POINT_BITS", p)
         for a, k, d, n0, s, x in cases:
-            got = next(recurrence._damped_tail_enclosures(DampedTail(a, k, d, n0, s), x))
+            got = next(recurrence._damped_tail_enclosures(Tail(a, k, d, n0, s), x))
             # a width this large returns the reference's first, 64-term round
             want = damped_enclosure_reference(a, k, d, n0, s, x, Fraction(10**9))
             assert got[0] <= want[0] <= want[1] <= got[1]
@@ -208,15 +207,15 @@ FAR_LOSS_CASES = [
 def test_damped_enclosure_holds_the_reference_at_low_precision(monkeypatch):
     for a, k, d, n0, s, x, p in FAR_LOSS_CASES:
         monkeypatch.setattr(recurrence, "FIXED_POINT_BITS", p)
-        got = next(recurrence._damped_tail_enclosures(DampedTail(a, k, d, n0, s), x))
+        got = next(recurrence._damped_tail_enclosures(Tail(a, k, d, n0, s), x))
         want = damped_enclosure_reference(a, k, d, n0, s, x, Fraction(10**9))
         assert got[0] <= want[0] <= want[1] <= got[1], (a, k, d, n0, s, x, p)
 
 
 def test_schema_radius():
     assert schema_radius(LoopSchema(((3, 5),))) == math.inf
-    assert schema_radius(LoopSchema((), GeometricTail(Fraction(1, 2), 2, 1))) == Fraction(1, 2)
-    assert schema_radius(LoopSchema((), DampedTail(Fraction(1), Fraction(3, 2), 1, 1))) == Fraction(2, 3)
+    assert schema_radius(LoopSchema((), Tail(Fraction(1, 2), 2, 0, 1))) == Fraction(1, 2)
+    assert schema_radius(LoopSchema((), Tail(Fraction(1), Fraction(3, 2), 1, 1))) == Fraction(2, 3)
 
 
 # === finite schemas ===
@@ -256,7 +255,7 @@ def test_finite_schema_period_two():
 
 def test_geometric_tail_log3_anchor():
     # c_n = 2^(n-1): root of x/(1-2x) = 1 is 1/3, entropy exactly log 3
-    s = LoopSchema((), GeometricTail(Fraction(1, 2), 2, 1))
+    s = LoopSchema((), Tail(Fraction(1, 2), 2, 0, 1))
     rep = classify_recurrence(s)
     assert rep.recurrence == POSITIVE_RECURRENT
     assert rep.mme
@@ -270,7 +269,7 @@ def test_geometric_tail_log3_anchor():
 def test_geometric_tail_with_explicit_head():
     # f_1 = 1 plus c_n = 2^n for n >= 2: Phi(x) = x + 4x^2/(1-2x)
     # Phi(x) = 1 at 6x^2 + ... solve: x + 4x^2/(1-2x) = 1 -> x+4x^2-2x^2 = 1-2x... check numerically
-    s = LoopSchema(((1, 1),), GeometricTail(Fraction(1), 2, 2))
+    s = LoopSchema(((1, 1),), Tail(Fraction(1), 2, 0, 2))
     rep = classify_recurrence(s)
     assert rep.recurrence == POSITIVE_RECURRENT
     r = _bisect(s, schema_radius(s))
@@ -279,7 +278,7 @@ def test_geometric_tail_with_explicit_head():
 
 
 def test_geometric_tail_strided_period():
-    s = LoopSchema((), GeometricTail(Fraction(1, 9), 3, 2, stride=2))
+    s = LoopSchema((), Tail(Fraction(1, 9), 3, 0, 2, stride=2))
     rep = classify_recurrence(s)
     assert rep.period == 2
     assert rep.recurrence == POSITIVE_RECURRENT
@@ -289,7 +288,7 @@ def test_geometric_tail_strided_period():
 
 def test_damped_tail_transient_log2_anchor():
     # floor(2^n / (3 n^2)): Phi(1/2) <= zeta(2)/3 < 1, entropy exactly log 2
-    s = LoopSchema((), DampedTail(Fraction(1, 3), Fraction(2), 2, 1))
+    s = LoopSchema((), Tail(Fraction(1, 3), Fraction(2), 2, 1))
     rep = classify_recurrence(s)
     assert rep.recurrence == TRANSIENT
     assert isinstance(rep.entropy, ExactAlgebraic)
@@ -300,14 +299,14 @@ def test_damped_tail_transient_log2_anchor():
 
 
 def test_damped_tail_transient_larger_coefficient():
-    rep = classify_recurrence(LoopSchema((), DampedTail(Fraction(19), Fraction(2), 2, 20)))
+    rep = classify_recurrence(LoopSchema((), Tail(Fraction(19), Fraction(2), 2, 20)))
     assert rep.recurrence == TRANSIENT
     assert abs(float(rep.entropy) - LOG2) < 1e-12
 
 
 def test_damped_tail_positive_recurrent_when_root_inside():
     # a = 4 pushes Phi past 1 well inside the disc; the root is certified
-    s = LoopSchema((), DampedTail(Fraction(4), Fraction(2), 2, 1))
+    s = LoopSchema((), Tail(Fraction(4), Fraction(2), 2, 1))
     rep = classify_recurrence(s)
     assert rep.recurrence == POSITIVE_RECURRENT
     assert rep.mme
@@ -318,7 +317,7 @@ def test_damped_tail_positive_recurrent_when_root_inside():
 
 
 def test_damped_tail_rational_ratio():
-    rep = classify_recurrence(LoopSchema((), DampedTail(Fraction(1, 3), Fraction(3, 2), 2, 1)))
+    rep = classify_recurrence(LoopSchema((), Tail(Fraction(1, 3), Fraction(3, 2), 2, 1)))
     assert rep.recurrence == TRANSIENT
     assert abs(float(rep.entropy) - math.log(1.5)) < 1e-12
 
@@ -326,7 +325,7 @@ def test_damped_tail_rational_ratio():
 def test_near_critical_damped_tail_is_undecidable():
     # coefficient tuned so Phi(R) sits inside the best certifiable enclosure
     # of 1; an honest classifier must refuse rather than guess
-    s = LoopSchema((), DampedTail(Fraction(107681, 5503), Fraction(2), 2, 20))
+    s = LoopSchema((), Tail(Fraction(107681, 5503), Fraction(2), 2, 20))
     with pytest.raises(UndecidableAtTolerance):
         classify_recurrence(s)
 
@@ -335,7 +334,7 @@ def test_near_critical_sign_walks_the_rounds_once(monkeypatch):
     # at the radius no round of this schema's enclosure excludes 1: one sign
     # test walks the rounds once, 64 terms doubled up to the 4,096-term cap,
     # and returns 0
-    s = LoopSchema((), DampedTail(Fraction(107681, 5503), Fraction(2), 2, 20))
+    s = LoopSchema((), Tail(Fraction(107681, 5503), Fraction(2), 2, 20))
     walks, rounds = [], []
     enclose = recurrence._damped_tail_enclosures
 
@@ -386,7 +385,7 @@ def _seeded_schemas(rng: random.Random, n: int):
         if len(out) % 2:
             k = rng.randint(2, 5)
             n0 = max(lengths) + rng.randint(1, 5)
-            tail = GeometricTail(Fraction(rng.randint(1, 3), k**n0), k, n0, rng.randint(1, 3))
+            tail = Tail(Fraction(rng.randint(1, 3), k**n0), k, 0, n0, rng.randint(1, 3))
         s = LoopSchema(counts, tail)
         if tail is None:
             if sum(c for _, c in counts) >= 2:
@@ -444,7 +443,7 @@ def test_phi_polynomial_coefficients_are_ints():
     rng = random.Random(12)
     cases = [s for s, _ in _seeded_schemas(rng, 40)]
     cases += [
-        LoopSchema(s.counts, GeometricTail(s.tail.a, Fraction(s.tail.k), s.tail.n0, s.tail.stride))
+        LoopSchema(s.counts, Tail(s.tail.a, Fraction(s.tail.k), 0, s.tail.n0, s.tail.stride))
         for s in cases
         if s.tail is not None
     ]
@@ -485,15 +484,15 @@ def test_coarse_first_damped_bisection_equals_finest_first():
         stride = rng.randint(1, 3)
         a = Fraction(rng.randint(1, 4), rng.randint(1, 4))
         if case < 40:
-            tail = DampedTail(a, k, rng.randint(1, 3), rng.randint(2, 5), stride)
+            tail = Tail(a, k, rng.randint(1, 3), rng.randint(2, 5), stride)
             # c loops of length 1 with c > k put Phi(R) >= c / k above 1
             s = LoopSchema(((1, math.floor(k) + rng.randint(1, 3)),), tail)
         elif case < 48:
             # a <= 4 and d >= 3 from n0 >= 2: Phi(R) <= 4 (zeta(3) - 1) < 1
-            s = LoopSchema((), DampedTail(a, k, rng.randint(3, 4), rng.randint(2, 5), stride))
+            s = LoopSchema((), Tail(a, k, rng.randint(3, 4), rng.randint(2, 5), stride))
         else:
             # 4 a + 4 >= 5 keeps the root well inside the disc, so the rounds stay short
-            s = LoopSchema((), DampedTail(4 * a + 4, k, 1, rng.randint(2, 3), stride))
+            s = LoopSchema((), Tail(4 * a + 4, k, 1, rng.randint(2, 3), stride))
         hi = schema_radius(s)
         sign = recurrence._phi_versus_one(s, hi)
         assert sign == _finest_first_side(s, hi) == (-1 if 40 <= case < 48 else 1)
@@ -509,7 +508,7 @@ def test_coarse_first_damped_bisection_equals_finest_first():
 def test_bisection_nudges_a_midpoint_at_the_root(monkeypatch):
     # Phi(x) = x / (1 - 3x) is exactly 1 at 1/4, the first midpoint of
     # [1/6, 1/3]: the sign there is 0 and the bisection nudges
-    s = LoopSchema((), GeometricTail(Fraction(1, 3), 3, 1))
+    s = LoopSchema((), Tail(Fraction(1, 3), 3, 0, 1))
     seen = []
     sign_at = recurrence._sign_at
 
@@ -583,7 +582,7 @@ def _fraction_bisection(side, hi: Fraction, rel_width: Fraction, nudges: list):
 def _tail_data(t):
     if t is None:
         return None
-    if isinstance(t, GeometricTail):
+    if t.d == 0:
         return ("geometric", t.a, t.k, t.n0, t.stride)
     return ("damped", t.a, t.k, t.d, t.n0, t.stride)
 
@@ -602,18 +601,18 @@ def test_integer_bisection_equals_fraction_bisection():
         e = rng.randint(2, 9)
         j = rng.randrange(2 ** (e - 1) + 1, 2**e, 2)
         k = j * rng.randint(1, 3)
-        s = LoopSchema((), GeometricTail(Fraction(2**e - j, j), k, 1))
+        s = LoopSchema((), Tail(Fraction(2**e - j, j), k, 0, 1))
         cases.append((s, schema_radius(s)))
     for case in range(16):
         den = rng.randint(1, 3)
         k = Fraction(rng.randint(den + 1, 3 * den), den)
-        tail = DampedTail(Fraction(rng.randint(1, 4), rng.randint(1, 4)), k,
-                          rng.randint(1, 3), rng.randint(2, 5), rng.randint(1, 3))
+        tail = Tail(Fraction(rng.randint(1, 4), rng.randint(1, 4)), k,
+                    rng.randint(1, 3), rng.randint(2, 5), rng.randint(1, 3))
         # c loops of length 1 with c > k put Phi(R) >= c / k above 1
         s = LoopSchema(((1, math.floor(k) + rng.randint(1, 3)),), tail)
         cases.append((s, schema_radius(s)))
-    kinds = [s.tail is None and "finite" or type(s.tail).__name__ for s, _ in cases]
-    assert (kinds.count("finite"), kinds.count("GeometricTail"), kinds.count("DampedTail")) == (25, 24, 16)
+    kinds = [s.tail and min(s.tail.d, 1) for s, _ in cases]  # None, 0 (geometric) or 1 (damped)
+    assert (kinds.count(None), kinds.count(0), kinds.count(1)) == (25, 24, 16)
     nudged = 0
     for s, hi in cases:
         side = _side(s)
@@ -623,7 +622,7 @@ def test_integer_bisection_equals_fraction_bisection():
         assert got == want, s
         nudged += bool(nudges)
         assert root_brackets_one(s.counts, _tail_data(s.tail), got.lo, got.hi), s
-        if isinstance(s.tail, DampedTail):
+        if s.tail is not None and s.tail.d:
             t = s.tail
             explicit = loop_series_bounds(s.counts, None, got.lo)[0]
             below = damped_enclosure_reference(t.a, t.k, t.d, t.n0, t.stride, got.lo, Fraction(1, 10**20))
@@ -654,7 +653,7 @@ def test_polynomial_bisection_builds_only_its_two_ends(monkeypatch):
 
 
 def test_damped_positive_recurrent_takes_the_exact_path():
-    s = LoopSchema((), DampedTail(Fraction(4), Fraction(2), 2, 1))
+    s = LoopSchema((), Tail(Fraction(4), Fraction(2), 2, 1))
     assert classify_recurrence(s).recurrence == POSITIVE_RECURRENT
     root = _bisect(s, Fraction(1, 2))
     phi = partial(loop_series_bounds, (), ("damped", Fraction(4), 2, 2, 1, 1))
